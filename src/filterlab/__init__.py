@@ -29,7 +29,6 @@ from .simulate import (
     PathBundle,
     SimulationBlowUp,
     TimeGrid,
-    path_from_csv,
     path_from_json,
     path_to_csv,
     path_to_json,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
-from .models import SignalModel, make_model, phi_battery, phi_by_label
+from .models import SignalModel, change_detection_rate, make_model, phi_battery, phi_by_label
 from .parallel import map_ordered
 from .rng import TAG_PATH, substream
 from .simulate import FLOAT_FMT, SimulationBlowUp, TimeGrid, jumps_to_csv, path_to_csv, simulate_pair
@@ -316,7 +316,7 @@ def check_local_boundedness(params: dict, seed: int, workers: int) -> list[Check
         ens = verify.change_detection_gronwall_ensemble(
             b0, b_max, lambda rng: float(rng.uniform(0.25, 0.75)), grid, n_paths, seed
         )
-        rate = 4.0 + (b0 + b_max) ** 2
+        rate = change_detection_rate(b0, b_max)
         zh, plain, env, ok = verify.local_boundedness_sweep(
             None, grid, n_paths, seed, rate=rate, rate_factor=1.0, ensemble=ens
         )
@@ -530,7 +530,7 @@ def check_gronwall(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
         ens = verify.change_detection_gronwall_ensemble(
             b0, b, lambda rng: float(rng.uniform(0.25, 0.75)), grid, n_paths, seed
         )
-        rate = 4.0 + (b0 + b) ** 2
+        rate = change_detection_rate(b0, b)
         factor = 1.0   # the change-detection estimate is sharp in c(b)
     else:
         model = make_model(scenario)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .models import SignalModel, TestFunction
 from .rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, substream
-from .simulate import SimulationBlowUp, TimeGrid, batch_levy_increments, propagate_under_reference
+from .simulate import TimeGrid, batch_levy_increments, euler_step, propagate_under_reference
 
 Array = np.ndarray
 
@@ -106,48 +106,32 @@ def step(
         raise ValueError("dt must be positive")
     y = np.asarray(y, dtype=float)
     dy = np.asarray(dy, dtype=float)
+    k = int(round((cloud.t + dt) / dt))   # grid index of the step's end
     hvals = model.h_now(cloud.states, y, cloud.t)
     log_w = cloud.log_weights + hvals @ dy - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
     if not np.all(np.isfinite(log_w)):
         # exp underflow to -inf is a degenerate weight, not an arithmetic error
         log_w = np.where(np.isnan(log_w), -np.inf, log_w)
         if not np.isfinite(log_w.max()):
-            raise FilterCollapse(step=int(round((cloud.t + dt) / dt)), ess=0.0)
+            raise FilterCollapse(step=k, ess=0.0)
     if config.ignore_correlation:
-        states = _propagate_uncorrelated(model, cloud.states, dt, cloud.t, rng_prop)
+        # correlation-blind ablation: fresh W noise in place of the observation feed
+        sq = np.sqrt(dt)
+        dv = rng_prop.standard_normal((cloud.n, model.dim_v)) * sq
+        dw = rng_prop.standard_normal((cloud.n, model.dim_y)) * sq
+        dl = batch_levy_increments(model.levy, dt, cloud.n, rng_prop) if model.has_jumps else None
+        states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
-        states = propagate_under_reference(model, cloud.states, y, dy, dt, cloud.t, rng_prop)
+        states = propagate_under_reference(model, cloud.states, y, dy, dt, cloud.t, rng_prop, k)
     new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=cloud.t + dt)
     current_ess = ess(new)
     if current_ess < 1.0 + 1e-9:
-        raise FilterCollapse(step=int(round(new.t / dt)), ess=current_ess)
+        raise FilterCollapse(step=k, ess=current_ess)
     resampled = False
     if current_ess < config.resample_threshold * new.n:
         new = resample(new, rng_res)
         resampled = True
     return new, resampled
-
-
-def _propagate_uncorrelated(model, states, dt, t, rng):
-    """P-dynamics step with fresh noise in place of the observation feed;
-    this is the correlation-blind propagation used by ablation studies."""
-    x = np.atleast_2d(states)
-    n = x.shape[0]
-    sq = np.sqrt(dt)
-    dv = rng.standard_normal((n, model.dim_v)) * sq
-    dw = rng.standard_normal((n, model.dim_y)) * sq
-    out = (
-        x
-        + model.f(x) * dt
-        + np.einsum("nip,np->ni", model.sigma(x), dv)
-        + np.einsum("nim,nm->ni", model.sigma_bar(x), dw)
-    )
-    if model.levy is not None and model.sigma_tilde is not None:
-        dl = batch_levy_increments(model.levy, dt, n, rng)
-        out = out + np.einsum("nir,nr->ni", model.sigma_tilde(x), dl)
-    if not np.all(np.isfinite(out)):
-        raise SimulationBlowUp(-1)
-    return out
 
 
 def resample(cloud: ParticleCloud, rng: np.random.Generator) -> ParticleCloud:

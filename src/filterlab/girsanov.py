@@ -21,7 +21,7 @@ import numpy as np
 
 from .models import SignalModel
 from .rng import TAG_PATH, substream
-from .simulate import SimulationBlowUp, TimeGrid, batch_levy_increments
+from .simulate import TimeGrid, batch_levy_increments, euler_step
 
 Array = np.ndarray
 
@@ -138,17 +138,8 @@ def ensemble_from_model(
         dv = rng.standard_normal((n_paths, p)) * sq
         log_z[:, i + 1] = log_z[:, i] - np.einsum("nm,nm->n", hval, dw) - 0.5 * h_sq[:, i] * dt
         y = y + hval * dt + dw
-        x = (
-            x
-            + model.f(x) * dt
-            + np.einsum("nip,np->ni", model.sigma(x), dv)
-            + np.einsum("nim,nm->ni", model.sigma_bar(x), dw)
-        )
-        if model.levy is not None and model.sigma_tilde is not None:
-            dl = batch_levy_increments(model.levy, dt, n_paths, rng)
-            x = x + np.einsum("nir,nr->ni", model.sigma_tilde(x), dl)
-        if not np.all(np.isfinite(x)):
-            raise SimulationBlowUp(i + 1)
+        dl = batch_levy_increments(model.levy, dt, n_paths, rng) if model.has_jumps else None
+        x = euler_step(model, x, model.f(x), dt, dv, dw, dl, i + 1)
         u[:, i + 1] = 1.0 + np.einsum("ni,ni->n", x, x)
     return GirsanovEnsemble(grid=grid, log_z=log_z, h_sq=h_sq, u=u, label=model.name)
 

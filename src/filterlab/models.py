@@ -166,15 +166,21 @@ class SignalModel:
     gronwall_rate: Optional[float] = None
     initial_mean: Optional[Array] = None      # analytic prior moments, when known
     initial_cov: Optional[Array] = None
+    change_prior: Optional[ChangePrior] = None   # set by the change-detection problem
 
     @property
     def dim_l(self) -> int:
         return self.levy.dim if self.levy is not None else 0
 
+    @property
+    def has_jumps(self) -> bool:
+        """Whether the signal carries the sigma_tilde dL term."""
+        return self.levy is not None and self.sigma_tilde is not None
+
     def f_tilde(self, x: Array) -> Array:
         """Effective drift f + sigma_tilde @ b once jumps are compensated."""
         out = self.f(x)
-        if self.levy is not None and self.sigma_tilde is not None:
+        if self.has_jumps:
             out = out + self.sigma_tilde(x) @ self.levy.drift_b
         return out
 
@@ -485,7 +491,7 @@ def generator_apply(
     if np.any(gy):
         out = out + np.einsum("nm,nm->n", model.h_now(x, y, t), gy)
     out = out + 0.5 * phi.lap_y_or_zero(x, y)
-    if model.levy is not None and model.sigma_tilde is not None and model.levy.jump_rate > 0:
+    if model.has_jumps and model.levy.jump_rate > 0:
         stil = model.sigma_tilde(x)
         if model.levy.atoms is not None:
             locs, rates = model.levy.atoms
@@ -674,6 +680,17 @@ def jump_ou_model() -> SignalModel:
     )
 
 
+@dataclass(frozen=True)
+class ChangePrior:
+    """Discrete priors of the change-detection problem, for its grid-Bayes oracle."""
+
+    b0: float
+    b_values: Array
+    b_probs: Array
+    tau_values: Array
+    tau_probs: Array
+
+
 def change_detection_model(
     b0: float = -0.5,
     b_values: Optional[Array] = None,
@@ -710,7 +727,7 @@ def change_detection_model(
         return (drift * yv)[:, None]
 
     zero2 = const_coeff(np.zeros((2, 1)))
-    model = SignalModel(
+    return SignalModel(
         name="change_detection",
         dim_x=2,
         dim_v=1,
@@ -722,10 +739,8 @@ def change_detection_model(
         initial_law=sample,
         linear_growth_K=max(abs(b0) + float(np.max(np.abs(b_values))), 1.0),
         gronwall_rate=None,
+        change_prior=ChangePrior(b0, b_values, b_probs, tau_values, tau_probs),
     )
-    object.__setattr__(model, "_cd_meta", dict(b0=b0, b_values=b_values, b_probs=b_probs,
-                                               tau_values=tau_values, tau_probs=tau_probs))
-    return model
 
 
 def change_detection_rate(b0: float, b: float) -> float:

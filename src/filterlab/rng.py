@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-# Fixed tags namespace the substreams of a single master seed so that e.g.
-# path simulation and resampling never share a stream.
+# Fixed tags namespace the substreams and derived seeds of a single master
+# seed so that e.g. path simulation and resampling never share a stream.
 TAG_PATH = 1
 TAG_PROPAGATE = 2
 TAG_RESAMPLE = 3
 TAG_INIT = 4
-TAG_JUMP = 5
-TAG_SCENARIO = 6
+TAG_DUFRESNE = 21          # Dufresne exponential-functional paths
+TAG_HITTING = 22           # Brownian exit paths, one substream per barrier
+TAG_KALMAN_FILTER = 51     # derive_seed key of the filters in the Kalman agreement runs
+TAG_CHANGE_FILTER = 52     # derive_seed key of the filters in the change-detection runs
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

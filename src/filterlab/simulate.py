@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .models import LevySpec, SignalModel
-from .rng import TAG_PATH, substream
 
 Array = np.ndarray
 
@@ -111,6 +110,30 @@ def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Gene
     return out
 
 
+def euler_step(
+    model: SignalModel, x: Array, drift: Array, dt: float, dv: Array, dw: Array,
+    dl: Optional[Array] = None, step: int = -1,
+) -> Array:
+    """One Euler-Maruyama step x + drift dt + sigma(x) dv + sigma_bar(x) dw
+    (+ sigma_tilde(x) dl) for a batch of states x (n, d), every coefficient at
+    the left point. The callers choose what drives dw: fresh W noise under the
+    physical measure, or the observed dY under the reference measure (with
+    sigma_bar h folded into the drift), passed as one (1, m) row that every
+    state shares. `step` is the grid index of the result, reported on blow-up.
+    """
+    out = (
+        x
+        + drift * dt
+        + np.einsum("nip,np->ni", model.sigma(x), dv)
+        + np.einsum("nim,nm->ni", model.sigma_bar(x), dw)
+    )
+    if dl is not None:
+        out = out + np.einsum("nir,nr->ni", model.sigma_tilde(x), dl)
+    if not np.all(np.isfinite(out)):
+        raise SimulationBlowUp(step)
+    return out
+
+
 def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) -> PathBundle:
     """Euler-Maruyama path of (X, Y) under the physical measure."""
     d, p, m = model.dim_x, model.dim_v, model.dim_y
@@ -127,31 +150,19 @@ def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) 
         t = k * grid.dt
         dv[k] = rng.standard_normal(p) * sq
         dw[k] = rng.standard_normal(m) * sq
-        nxt = (
-            x[k]
-            + model.f(xk)[0] * grid.dt
-            + model.sigma(xk)[0] @ dv[k]
-            + model.sigma_bar(xk)[0] @ dw[k]
-        )
-        if model.levy is not None and model.sigma_tilde is not None:
-            dl, marks = sample_levy_increment(model.levy, grid.dt, rng)
-            nxt = nxt + model.sigma_tilde(xk)[0] @ dl
-            for mark in marks:
-                jump_log.append((k, mark))
+        dl = None
+        if model.has_jumps:
+            # the scalar sampler, not the batched one: it yields the marks
+            inc, marks = sample_levy_increment(model.levy, grid.dt, rng)
+            dl = inc[None, :]
+            jump_log.extend((k, mark) for mark in marks)
+        x[k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv[k][None, :], dw[k][None, :], dl, k + 1)[0]
         # Observation identity: y[k+1] - y[k] = h(x[k]) dt + dw[k], exactly.
         hk = model.h_now(xk, y[k], t)[0]
         y[k + 1] = y[k] + hk * grid.dt + dw[k]
-        if not np.all(np.isfinite(nxt)) or not np.all(np.isfinite(y[k + 1])):
+        if not np.all(np.isfinite(y[k + 1])):
             raise SimulationBlowUp(k + 1)
-        x[k + 1] = nxt
     return PathBundle(grid=grid, x=x, y=y, w_increments=dw, v_increments=dv, jump_log=jump_log)
-
-
-def simulate_pair_batch(
-    model: SignalModel, grid: TimeGrid, seed: int, n_paths: int, base_key: int = TAG_PATH
-) -> list[PathBundle]:
-    """Independent paths; path i uses substream (seed, base_key, i)."""
-    return [simulate_pair(model, grid, substream(seed, base_key, i)) for i in range(n_paths)]
 
 
 def propagate_under_reference(
@@ -162,6 +173,7 @@ def propagate_under_reference(
     dt: float,
     t: float,
     rng: np.random.Generator,
+    step: int = -1,
 ) -> Array:
     """One Euler step of the reference-measure dynamics for a batch of states.
 
@@ -172,35 +184,17 @@ def propagate_under_reference(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.atleast_2d(np.asarray(states, dtype=float))
-    n, d = x.shape
+    n = x.shape[0]
     dy = np.asarray(dy, dtype=float).reshape(model.dim_y)
-    sq = np.sqrt(dt)
-    sbar = model.sigma_bar(x)
-    hval = model.h_now(x, y, t)
-    drift = model.f(x) - np.einsum("nim,nm->ni", sbar, hval)
-    dv = rng.standard_normal((n, model.dim_v)) * sq
-    out = x + drift * dt + np.einsum("nip,np->ni", model.sigma(x), dv) + sbar @ dy
-    if model.levy is not None and model.sigma_tilde is not None:
-        dl = batch_levy_increments(model.levy, dt, n, rng)
-        out = out + np.einsum("nir,nr->ni", model.sigma_tilde(x), dl)
-    if not np.all(np.isfinite(out)):
-        raise SimulationBlowUp(-1)
-    return out
+    drift = model.f(x) - np.einsum("nim,nm->ni", model.sigma_bar(x), model.h_now(x, y, t))
+    dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt)
+    dl = batch_levy_increments(model.levy, dt, n, rng) if model.has_jumps else None
+    return euler_step(model, x, drift, dt, dv, dy[None, :], dl, step)
 
 
 # ---------------------------------------------------------------------------
 # Counterexample scenario paths
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RevuzYorPaths:
-    """Base-measure paths of W with H = alpha W and the running exponential."""
-
-    grid: TimeGrid
-    alpha: float
-    w: Array        # (n_paths, n_steps+1)
-    log_z: Array    # (n_paths, n_steps+1)
 
 
 @dataclass
@@ -225,29 +219,12 @@ class HittingPaths:
 
 
 def simulate_counterexample_paths(kind: str, params: dict, grid: TimeGrid, rng: np.random.Generator):
-    if kind == "revuz_yor":
-        return _revuz_yor_paths(float(params.get("alpha", 1.0)), int(params["n_paths"]), grid, rng)
     if kind == "dufresne":
         return _dufresne_paths(int(params["n_paths"]), grid, rng)
     if kind == "hitting":
         return _hitting_paths(int(params["barrier"]), int(params["n_paths"]), grid, rng,
                               float(params.get("max_time", 400.0)))
     raise ValueError(f"unknown counterexample kind {kind!r}")
-
-
-def _revuz_yor_paths(alpha: float, n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> RevuzYorPaths:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    k, dt = grid.n_steps, grid.dt
-    sq = np.sqrt(dt)
-    w = np.zeros((n_paths, k + 1))
-    log_z = np.zeros((n_paths, k + 1))
-    for i in range(k):
-        h = alpha * w[:, i]
-        dwi = rng.standard_normal(n_paths) * sq
-        log_z[:, i + 1] = log_z[:, i] + h * dwi - 0.5 * h * h * dt
-        w[:, i + 1] = w[:, i] + dwi
-    return RevuzYorPaths(grid=grid, alpha=alpha, w=w, log_z=log_z)
 
 
 def _dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> DufresnePaths:
@@ -371,23 +348,3 @@ def path_from_json(text: str) -> PathBundle:
         jump_log=[(int(k), np.asarray(mark, dtype=float)) for k, mark in payload["jump_log"]],
         seed=payload["seed"],
     )
-
-
-def path_from_csv(text: str) -> PathBundle:
-    lines = text.splitlines()
-    header = lines[0]
-    if not header.startswith("#"):
-        raise ValueError("missing path header")
-    meta = dict(part.split("=", 1) for part in header.lstrip("# ").split())
-    grid = TimeGrid(horizon=float(meta["horizon"]), dt=float(meta["dt"]))
-    seed = None if meta.get("seed") in (None, "None") else int(meta["seed"])
-    names = lines[1].split(",")
-    d = sum(1 for c in names if c.startswith("x_"))
-    m = sum(1 for c in names if c.startswith("y_"))
-    rows = [line.split(",") for line in lines[2:] if line]
-    data = np.asarray([[float(v) for v in row[1:]] for row in rows])
-    x = data[:, 1 : 1 + d]
-    y = data[:, 1 + d : 1 + d + m]
-    dw = np.zeros((grid.n_steps, m))
-    dv = np.zeros((grid.n_steps, 0))
-    return PathBundle(grid=grid, x=x, y=y, w_increments=dw, v_increments=dv, seed=seed)

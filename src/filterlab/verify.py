@@ -27,13 +27,11 @@ from .models import (
     dphi_apply,
     generator_apply,
 )
-from .rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
+from .rng import (TAG_CHANGE_FILTER, TAG_DUFRESNE, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
+                  TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
 from .simulate import TimeGrid, simulate_counterexample_paths, simulate_pair
 
 Array = np.ndarray
-
-TAG_SCENARIO_DUF = 21
-TAG_SCENARIO_HIT = 22
 
 
 @dataclass
@@ -386,14 +384,6 @@ def equation_residuals(
     return zak_stats, ks_stats
 
 
-def zakai_residual(model, phis, n_runs, grid, config, seed, **kw) -> dict[str, ResidualStats]:
-    return equation_residuals(model, phis, n_runs, grid, config, seed, **kw)[0]
-
-
-def ks_residual(model, phis, n_runs, grid, config, seed, **kw) -> dict[str, ResidualStats]:
-    return equation_residuals(model, phis, n_runs, grid, config, seed, **kw)[1]
-
-
 # ---------------------------------------------------------------------------
 # Filter-vs-oracle agreement runs
 # ---------------------------------------------------------------------------
@@ -416,7 +406,7 @@ def kalman_agreement_run(
     cfg = FilterConfig(
         n_particles=config.n_particles,
         resample_threshold=config.resample_threshold,
-        seed=derive_seed(seed, 51, run_index),
+        seed=derive_seed(seed, TAG_KALMAN_FILTER, run_index),
         ignore_correlation=config.ignore_correlation,
     )
     run = run_filter(model, bundle.y, grid, cfg, phis=[phi_coord(0, 1), phi_quad(0, 0, 1)])
@@ -435,16 +425,15 @@ def change_detection_agreement_run(
     """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path."""
     from .filters import run_filter
 
-    meta = getattr(model, "_cd_meta")
+    prior = model.change_prior
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, run_index))
     oracle = change_detection_oracle(
-        meta["b_values"], meta["tau_values"], meta["b_probs"], meta["tau_probs"],
-        meta["b0"], bundle.y, grid,
+        prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid
     )
     cfg = FilterConfig(
         n_particles=config.n_particles,
         resample_threshold=config.resample_threshold,
-        seed=derive_seed(seed, 52, run_index),
+        seed=derive_seed(seed, TAG_CHANGE_FILTER, run_index),
     )
     run = run_filter(
         model, bundle.y, grid, cfg,
@@ -469,7 +458,7 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
     exp(-horizon / 2); a zero-or-tiny horizon is flagged by a huge allowance
     rather than silently accepted.
     """
-    rng = substream(seed, TAG_SCENARIO_DUF)
+    rng = substream(seed, TAG_DUFRESNE)
     paths = simulate_counterexample_paths("dufresne", {"n_paths": n_paths}, grid, rng)
     below = paths.x_trunc < 1.0
     est = mean_se(below.astype(float))
@@ -513,7 +502,7 @@ def kazamaki_gap_check(
     grid = TimeGrid(horizon=dt * 8, dt=dt)   # hitting paths run to absorption, not to a horizon
     rows = []
     for i, barrier in enumerate(n_list):
-        rng = substream(seed, TAG_SCENARIO_HIT, i)
+        rng = substream(seed, TAG_HITTING, i)
         paths = simulate_counterexample_paths(
             "hitting", {"barrier": barrier, "n_paths": n_paths}, grid, rng
         )

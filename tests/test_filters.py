@@ -27,7 +27,7 @@ from filterlab.models import (
     point_mass_initial,
 )
 from filterlab.rng import derive_seed, substream
-from filterlab.simulate import TimeGrid, simulate_pair
+from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
 from filterlab.verify import kalman_oracle_for_model
 
 Y0 = np.zeros(1)
@@ -214,6 +214,20 @@ class TestRunFilter:
         m = make_model("linear_gaussian")
         with pytest.raises(ValueError):
             run_filter(m, np.zeros((5, 1)), TimeGrid(0.2, 0.01), FilterConfig(n_particles=16, seed=0))
+
+    @pytest.mark.parametrize("ignore_correlation", [False, True])
+    def test_blow_up_reports_true_step(self, ignore_correlation):
+        # noise-free x' = 400 x from x_0 = 1 overflows after a few hundred steps
+        m = linear_model("explode", a_x=400.0, sigma_v=0.0, h_scale=0.0, x0_mean=1.0, x0_var=0.0)
+        grid = TimeGrid(6.0, 0.01)
+        x, expected = 1.0, 0
+        while np.isfinite(x):
+            x, expected = x + 400.0 * x * grid.dt, expected + 1
+        assert 0 < expected < grid.n_steps
+        cfg = FilterConfig(n_particles=8, seed=0, ignore_correlation=ignore_correlation)
+        with pytest.raises(SimulationBlowUp) as exc, np.errstate(over="ignore"):
+            run_filter(m, np.zeros((grid.n_steps + 1, 1)), grid, cfg)
+        assert exc.value.step == expected
 
 
 class TestStatisticalProperties:

@@ -5,6 +5,7 @@ heavy-tailed t=1 Revuz-Yor diagnostics live in the acceptance suite with
 their pinned path counts.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,9 +35,9 @@ from filterlab.girsanov import (
     zlogz_identity_gap,
     zstar_bound_check,
 )
-from filterlab.models import linear_model, make_model, point_mass_initial
-from filterlab.rng import substream
-from filterlab.simulate import TimeGrid
+from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
+from filterlab.rng import TAG_PATH, substream
+from filterlab.simulate import TimeGrid, batch_levy_increments
 
 GRID_HALF = TimeGrid(horizon=0.5, dt=1e-3)
 
@@ -189,6 +190,20 @@ class TestDegenerateAndModelEnsembles:
         traj, ses, bound, ok = gronwall_bound_check(ens, m.gronwall_rate)
         assert ok
         assert bound[-1] == pytest.approx(math.exp(4.0) * ens.u[:, 0].mean())
+
+    def test_jump_coefficient_at_left_point(self):
+        # sigma_tilde(x) = x must see X_{s-}, not the state after the diffusion part
+        base = linear_model("jumpy", sigma_v=0.7, sigma_bar=0.5, levy=levy_atoms([1.0], [2.0]), sigma_tilde=1.0)
+        m = dataclasses.replace(base, sigma_tilde=lambda x: x[:, :, None])
+        dt, n = 0.1, 64
+        ens = ensemble_from_model(m, TimeGrid(dt, dt), n, seed=5)
+        rng = substream(5, TAG_PATH)
+        x0 = m.initial_law(rng, n)
+        dw = rng.standard_normal((n, 1)) * np.sqrt(dt)
+        dv = rng.standard_normal((n, 1)) * np.sqrt(dt)
+        dl = batch_levy_increments(m.levy, dt, n, rng)
+        x1 = x0 + m.f(x0) * dt + 0.7 * dv + 0.5 * dw + x0 * dl
+        np.testing.assert_allclose(ens.u[:, 1], 1.0 + x1[:, 0] ** 2, rtol=1e-12)
 
     def test_ensemble_requires_u_for_gronwall(self):
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 100, seed=2)

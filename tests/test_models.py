@@ -245,9 +245,9 @@ class TestChangeDetectionModel:
     def test_prior_sampler_hits_grid(self):
         m = change_detection_model()
         draws = m.initial_law(substream(4), 500)
-        meta = m._cd_meta
-        assert set(np.unique(draws[:, 0])) <= set(meta["b_values"])
-        assert set(np.unique(draws[:, 1])) <= set(meta["tau_values"])
+        prior = m.change_prior
+        assert set(np.unique(draws[:, 0])) <= set(prior.b_values)
+        assert set(np.unique(draws[:, 1])) <= set(prior.tau_values)
 
 
 def test_generator_batched_matches_pointwise():

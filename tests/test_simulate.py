@@ -1,15 +1,18 @@
 """Simulation contracts: scheme correctness, reproducibility, refinement."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from filterlab.girsanov import ensemble_revuz_yor
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
 from filterlab.rng import substream
 from filterlab.simulate import (
     SimulationBlowUp,
     TimeGrid,
     jumps_to_csv,
-    path_from_csv,
     path_to_csv,
     propagate_under_reference,
     sample_levy_increment,
@@ -208,11 +211,9 @@ class TestCounterexamplePaths:
             simulate_counterexample_paths("nope", {}, TimeGrid(1.0, 0.1), substream(0))
 
     def test_revuz_yor_weight_starts_at_one(self):
-        paths = simulate_counterexample_paths(
-            "revuz_yor", {"alpha": 1.0, "n_paths": 100}, TimeGrid(0.5, 0.01), substream(1)
-        )
-        assert np.all(paths.log_z[:, 0] == 0.0)
-        assert paths.w.shape == (100, 51)
+        ens = ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 100, seed=1)
+        assert np.all(ens.log_z[:, 0] == 0.0)
+        assert ens.log_z.shape == (100, 51)
 
     def test_hitting_exit_probability_coarse(self):
         grid = TimeGrid(0.01, 0.001)
@@ -240,12 +241,13 @@ class TestPathCsv:
         grid = TimeGrid(0.1, 0.01)
         b = simulate_pair(m, grid, substream(0))
         b.seed = 17
-        text = path_to_csv(b)
-        back = path_from_csv(text)
-        np.testing.assert_allclose(back.x, b.x, rtol=0, atol=0)
-        np.testing.assert_allclose(back.y, b.y, rtol=0, atol=0)
-        assert back.seed == 17
-        assert back.grid == grid
+        rows = list(csv.reader(io.StringIO(path_to_csv(b))))
+        assert rows[0] == [f"# horizon={grid.horizon!r} dt={grid.dt!r} seed=17"]
+        assert rows[1] == ["step", "t", "x_1", "y_1"]
+        data = np.array([[float(v) for v in row] for row in rows[2:]])
+        np.testing.assert_array_equal(data[:, 0], np.arange(grid.n_steps + 1))
+        np.testing.assert_array_equal(data[:, 2:3], b.x)
+        np.testing.assert_array_equal(data[:, 3:4], b.y)
 
     def test_jump_sidecar_lists_marks(self):
         m = make_model("jump_ou")

@@ -97,10 +97,9 @@ class TestChangeDetectionOracle:
         grid = TimeGrid(1.0, 1e-2)
         m = make_model("change_detection")
         bundle = simulate_pair(m, grid, substream(5))
-        meta = m._cd_meta
+        prior = m.change_prior
         post = change_detection_oracle(
-            meta["b_values"], meta["tau_values"], meta["b_probs"], meta["tau_probs"],
-            meta["b0"], bundle.y, grid,
+            prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid,
         )
         assert abs(post.mass_total() - 1.0) < 1e-12
         assert np.all(post.posterior >= 0.0)
