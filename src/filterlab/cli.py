@@ -431,8 +431,14 @@ def check_kalman_ablation(params: dict, seed: int, workers: int) -> list[CheckVe
     return verdicts
 
 
+# residual_run results of the current `verify` call, keyed by everything they
+# depend on (not the worker count), so residual checks with equal params share
+# their runs; cmd_verify empties it when it returns
+_RESIDUAL_RUNS: dict[tuple, list] = {}
+
+
 def _residual_check(params: dict, seed: int, workers: int, which: str,
-                    drop_term: bool = False, ablate_filter: bool = False) -> list[CheckVerdict]:
+                    ablate_filter: bool = False) -> list[CheckVerdict]:
     name = params.get("model", "linear_gaussian")
     labels = params.get("phis", ["1", "x", "x^2", "tanh(x)"])
     n_runs = int(params.get("n_runs", 200))
@@ -440,21 +446,18 @@ def _residual_check(params: dict, seed: int, workers: int, which: str,
     dt = float(params.get("dt", 2.5e-3))
     horizon = float(params.get("horizon", 1.0))
     threshold = float(params.get("resample_threshold", 0.5))
-    model = make_model(name)
-    phis = [phi_by_label(lab, model.dim_x) for lab in labels]
-    payloads = [
-        (name, {}, labels, horizon, dt, n_particles, threshold, ablate_filter, seed, i, drop_term)
-        for i in range(n_runs)
-    ]
-    results = map_ordered(_residual_task, payloads, workers)
-    grid = TimeGrid(horizon=horizon, dt=dt)
-    config = FilterConfig(n_particles=n_particles, resample_threshold=threshold, seed=seed)
-    zak_stats, ks_stats = verify.equation_residuals(
-        model, phis, n_runs, grid, config, seed,
-        drop_correlation_term=drop_term,
-        map_fn=lambda fn, items: results,
-    )
+    if n_runs < 2:
+        raise ConfigError(f"{which}_residual: 'n_runs' must be >= 2")
+    key = (name, tuple(labels), horizon, dt, n_particles, threshold, ablate_filter, seed, n_runs)
+    if key not in _RESIDUAL_RUNS:
+        payloads = [
+            (name, {}, labels, horizon, dt, n_particles, threshold, ablate_filter, seed, i, False)
+            for i in range(n_runs)
+        ]
+        _RESIDUAL_RUNS[key] = map_ordered(_residual_task, payloads, workers)
+    zak_stats, ks_stats = verify.equation_residuals(_RESIDUAL_RUNS[key])
     stats = zak_stats if which == "zakai" else ks_stats
+    grid = TimeGrid(horizon=horizon, dt=dt)
     out = []
     for lab in labels:
         st = stats[lab]
@@ -630,8 +633,11 @@ def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
             raise ConfigError(f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
     params_all = diag.get("params", {})
     verdicts: list[CheckVerdict] = []
-    for name in names:
-        verdicts.extend(CHECKS[name](params_all.get(name, {}), seed, workers))
+    try:
+        for name in names:
+            verdicts.extend(CHECKS[name](params_all.get(name, {}), seed, workers))
+    finally:
+        _RESIDUAL_RUNS.clear()
     out.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -23,6 +23,7 @@ per-path observations (n, m), and h implementations broadcast over both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -458,76 +459,128 @@ def validate_model(model: SignalModel, probe_points: Sequence[Array]) -> Validat
 # ---------------------------------------------------------------------------
 
 
-def generator_apply(
-    model: SignalModel,
-    phi: TestFunction,
-    states: Array,
-    y: Array,
-    t: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    jump_samples: int = 4096,
-) -> Array:
-    """Batched generator A phi over an (n, d) array of states.
-
-    A phi = f~ . grad_x phi + h . grad_y phi
-          + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
-          + 1/2 lap_y phi
-          + int [phi(x + sigma_tilde(x) eta, y) - phi - grad_x phi . sigma_tilde(x) eta] F(deta).
-
-    The jump expectation is an exact atom sum when the Levy measure is
-    discrete; otherwise Monte Carlo with `jump_samples` draws from rng.
+class StepCoefficients:
+    """The coefficients that every test function shares at one step, on an
+    (n, d) batch of states: f~(x), sigma sigma^T + sigma_bar sigma_bar^T,
+    sigma_bar(x), h(x, y, t) and, for a Levy measure with atoms, the rate
+    and the jump sigma_tilde(x) eta of each atom. Each is evaluated on first
+    use, at most once.
     """
-    x = _batch(states)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    grad = phi.grad_x(x, y)
-    hess = phi.hess_x(x, y)
-    out = np.einsum("ni,ni->n", model.f_tilde(x), grad)
-    sig = model.sigma(x)
-    sbar = model.sigma_bar(x)
-    diff = np.einsum("nip,njp->nij", sig, sig) + np.einsum("nim,njm->nij", sbar, sbar)
-    out = out + 0.5 * np.einsum("nij,nij->n", diff, hess)
-    gy = phi.grad_y_or_zero(x, y, model.dim_y)
-    if np.any(gy):
-        out = out + np.einsum("nm,nm->n", model.h_now(x, y, t), gy)
-    out = out + 0.5 * phi.lap_y_or_zero(x, y)
-    if model.has_jumps and model.levy.jump_rate > 0:
-        stil = model.sigma_tilde(x)
-        if model.levy.atoms is not None:
-            locs, rates = model.levy.atoms
-            jump = np.zeros(n)
-            for eta, lam in zip(locs, rates):
-                disp = stil @ eta
-                jump += lam * (phi.value(x + disp, y) - phi.value(x, y) - np.einsum("ni,ni->n", grad, disp))
-            out = out + jump
-        else:
-            est, _ = _jump_term_mc(model, phi, x, y, rng, jump_samples)
-            out = out + est
-    if not np.all(np.isfinite(out)):
-        raise ModelError(f"generator of {phi.label!r} is non-finite")
-    return out
+
+    def __init__(self, model: SignalModel, states: Array, y: Array, t: float = 0.0):
+        self.model = model
+        self.x = _batch(states)
+        self.y = np.asarray(y, dtype=float)
+        self.t = t
+
+    @cached_property
+    def f_tilde(self) -> Array:
+        return self.model.f_tilde(self.x)
+
+    @cached_property
+    def sigma_bar(self) -> Array:
+        return self.model.sigma_bar(self.x)
+
+    @cached_property
+    def diffusion(self) -> Array:
+        sig, sbar = self.model.sigma(self.x), self.sigma_bar
+        return np.einsum("nip,njp->nij", sig, sig) + np.einsum("nim,njm->nij", sbar, sbar)
+
+    @cached_property
+    def h(self) -> Array:
+        return self.model.h_now(self.x, self.y, self.t)
+
+    @cached_property
+    def jumps(self) -> list[tuple[float, Array]]:
+        stil = self.model.sigma_tilde(self.x)
+        return [(lam, stil @ eta) for eta, lam in zip(*self.model.levy.atoms)]
 
 
-def _jump_term_mc(model, phi, x, y, rng, n_samples):
-    if rng is None:
-        raise ModelError("Monte Carlo jump quadrature needs an rng")
-    levy = model.levy
-    stil = model.sigma_tilde(x)
-    grad = phi.grad_x(x, y)
-    base = phi.value(x, y)
-    marks = levy.sample_marks(rng, n_samples)
-    total = np.zeros(x.shape[0])
-    totalsq = np.zeros(x.shape[0])
-    for eta in marks:
-        disp = stil @ eta
-        term = phi.value(x + disp, y) - base - np.einsum("ni,ni->n", grad, disp)
-        total += term
-        totalsq += term * term
-    mean = total / n_samples
-    var = np.maximum(totalsq / n_samples - mean**2, 0.0)
-    est = levy.jump_rate * mean
-    se = levy.jump_rate * np.sqrt(var / n_samples)
-    return est, se
+class PhiAtStep:
+    """One test function on the states of a StepCoefficients: its value and
+    gradients, each evaluated at most once, and the operators
+
+      A phi = f~ . grad_x phi + h . grad_y phi
+            + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
+            + 1/2 lap_y phi
+            + int [phi(x + sigma_tilde(x) eta, y) - phi - grad_x phi . sigma_tilde(x) eta] F(deta),
+      B^j phi = (sigma_bar^T grad_x phi)_j,
+      D_j phi = h^j phi + B^j phi + dphi/dy_j.
+    """
+
+    def __init__(self, phi: TestFunction, coeffs: StepCoefficients):
+        self.phi = phi
+        self.c = coeffs
+
+    @cached_property
+    def value(self) -> Array:
+        return self.phi.value(self.c.x, self.c.y)
+
+    @cached_property
+    def grad(self) -> Array:
+        return self.phi.grad_x(self.c.x, self.c.y)
+
+    @cached_property
+    def grad_y(self) -> Array:
+        return self.phi.grad_y_or_zero(self.c.x, self.c.y, self.c.model.dim_y)
+
+    def jump(self, disp: Array) -> Array:
+        """phi(x + disp, y) - phi(x, y) - grad_x phi . disp, the jump integrand of A phi."""
+        return self.phi.value(self.c.x + disp, self.c.y) - self.value - np.einsum("ni,ni->n", self.grad, disp)
+
+    def generator(self, rng: Optional[np.random.Generator] = None, jump_samples: int = 4096) -> Array:
+        """A phi, shape (n,). The jump expectation is an exact atom sum when
+        the Levy measure is discrete; otherwise Monte Carlo with
+        `jump_samples` draws from rng."""
+        c, phi, model = self.c, self.phi, self.c.model
+        out = np.einsum("ni,ni->n", c.f_tilde, self.grad)
+        out = out + 0.5 * np.einsum("nij,nij->n", c.diffusion, phi.hess_x(c.x, c.y))
+        if np.any(self.grad_y):
+            out = out + np.einsum("nm,nm->n", c.h, self.grad_y)
+        out = out + 0.5 * phi.lap_y_or_zero(c.x, c.y)
+        if model.has_jumps and model.levy.jump_rate > 0:
+            if model.levy.atoms is not None:
+                jump = np.zeros(c.x.shape[0])
+                for lam, disp in c.jumps:
+                    jump += lam * self.jump(disp)
+                out = out + jump
+            else:
+                out = out + self.jump_mc(rng, jump_samples)[0]
+        if not np.all(np.isfinite(out)):
+            raise ModelError(f"generator of {phi.label!r} is non-finite")
+        return out
+
+    def jump_mc(self, rng: Optional[np.random.Generator], n_samples: int) -> tuple[Array, Array]:
+        """Monte Carlo jump part of A phi over n_samples marks, with its standard error."""
+        if rng is None:
+            raise ModelError("Monte Carlo jump quadrature needs an rng")
+        levy = self.c.model.levy
+        stil = self.c.model.sigma_tilde(self.c.x)
+        total = np.zeros(self.c.x.shape[0])
+        totalsq = np.zeros(self.c.x.shape[0])
+        for eta in levy.sample_marks(rng, n_samples):
+            term = self.jump(stil @ eta)
+            total += term
+            totalsq += term * term
+        mean = total / n_samples
+        var = np.maximum(totalsq / n_samples - mean**2, 0.0)
+        return levy.jump_rate * mean, levy.jump_rate * np.sqrt(var / n_samples)
+
+    @cached_property
+    def correlation(self) -> Array:
+        """All m correlation terms B^j phi, shape (n, m)."""
+        return np.einsum("nim,ni->nm", self.c.sigma_bar, self.grad)
+
+    def dphi(self) -> Array:
+        """All m terms D_j phi, shape (n, m): the integrand of the dY term in
+        the unnormalised filtering equation (h multiplies phi only)."""
+        return self.c.h * self.value[:, None] + self.correlation + self.grad_y
+
+
+def generator_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array, t: float = 0.0,
+                    rng: Optional[np.random.Generator] = None, jump_samples: int = 4096) -> Array:
+    """Batched generator A phi over an (n, d) array of states (see PhiAtStep)."""
+    return PhiAtStep(phi, StepCoefficients(model, states, y, t)).generator(rng, jump_samples)
 
 
 def apply_generator(
@@ -543,25 +596,18 @@ def apply_generator(
     return float(generator_apply(model, phi, np.asarray(x, dtype=float)[None, :], y, t, rng, jump_samples)[0])
 
 
-def jump_term_mc(
-    model: SignalModel,
-    phi: TestFunction,
-    x: Array,
-    y: Array,
-    rng: np.random.Generator,
-    n_samples: int = 4096,
-) -> tuple[float, float]:
+def jump_term_mc(model: SignalModel, phi: TestFunction, x: Array, y: Array, rng: np.random.Generator,
+                 n_samples: int = 4096) -> tuple[float, float]:
     """Monte Carlo jump term of A phi at a point, with its standard error."""
-    if model.levy is None or model.sigma_tilde is None:
+    if not model.has_jumps:
         return 0.0, 0.0
-    est, se = _jump_term_mc(model, phi, _batch(np.asarray(x, dtype=float)), np.asarray(y, dtype=float), rng, n_samples)
+    est, se = PhiAtStep(phi, StepCoefficients(model, np.asarray(x, dtype=float), y)).jump_mc(rng, n_samples)
     return float(est[0]), float(se[0])
 
 
 def correlation_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array) -> Array:
     """All m correlation terms B^i phi = (sigma_bar^T grad_x phi)_i, shape (n, m)."""
-    x = _batch(states)
-    return np.einsum("nim,ni->nm", model.sigma_bar(x), phi.grad_x(x, np.asarray(y, dtype=float)))
+    return PhiAtStep(phi, StepCoefficients(model, states, y)).correlation
 
 
 def apply_correlation(model: SignalModel, phi: TestFunction, x: Array, y: Array, i: int) -> float:
@@ -572,17 +618,8 @@ def apply_correlation(model: SignalModel, phi: TestFunction, x: Array, y: Array,
 
 
 def dphi_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array, t: float = 0.0) -> Array:
-    """All m terms D_j phi = h^j phi + B^j phi + dphi/dy_j, shape (n, m).
-
-    This is the integrand of the dY term in the unnormalised filtering
-    equation; h multiplies phi only.
-    """
-    x = _batch(states)
-    y = np.asarray(y, dtype=float)
-    hvals = model.h_now(x, y, t)
-    out = hvals * phi.value(x, y)[:, None] + correlation_apply(model, phi, x, y)
-    out = out + phi.grad_y_or_zero(x, y, model.dim_y)
-    return out
+    """All m terms D_j phi = h^j phi + B^j phi + dphi/dy_j, shape (n, m)."""
+    return PhiAtStep(phi, StepCoefficients(model, states, y, t)).dphi()
 
 
 def apply_D(model: SignalModel, phi: TestFunction, x: Array, y: Array, j: int, t: float = 0.0) -> float:
@@ -768,5 +805,5 @@ def make_model(name: str, **overrides) -> SignalModel:
     if name == "change_detection":
         return change_detection_model(**overrides)
     if name == "jump_ou":
-        return jump_ou_model()
+        raise ModelError(f"model 'jump_ou' takes no parameters; got {', '.join(map(repr, sorted(overrides)))}")
     raise ModelError(f"unknown model {name!r}")

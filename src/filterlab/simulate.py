@@ -112,20 +112,22 @@ def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Gene
 
 def euler_step(
     model: SignalModel, x: Array, drift: Array, dt: float, dv: Array, dw: Array,
-    dl: Optional[Array] = None, step: int = -1,
+    dl: Optional[Array] = None, step: int = -1, sigma_bar: Optional[Array] = None,
 ) -> Array:
     """One Euler-Maruyama step x + drift dt + sigma(x) dv + sigma_bar(x) dw
     (+ sigma_tilde(x) dl) for a batch of states x (n, d), every coefficient at
     the left point. The callers choose what drives dw: fresh W noise under the
     physical measure, or the observed dY under the reference measure (with
     sigma_bar h folded into the drift), passed as one (1, m) row that every
-    state shares. `step` is the grid index of the result, reported on blow-up.
+    state shares. `step` is the grid index of the result, reported on blow-up;
+    `sigma_bar` is sigma_bar(x), when the caller has already evaluated it.
     """
+    sbar = model.sigma_bar(x) if sigma_bar is None else sigma_bar
     out = (
         x
         + drift * dt
         + np.einsum("nip,np->ni", model.sigma(x), dv)
-        + np.einsum("nim,nm->ni", model.sigma_bar(x), dw)
+        + np.einsum("nim,nm->ni", sbar, dw)
     )
     if dl is not None:
         out = out + np.einsum("nir,nr->ni", model.sigma_tilde(x), dl)
@@ -186,10 +188,11 @@ def propagate_under_reference(
     x = np.atleast_2d(np.asarray(states, dtype=float))
     n = x.shape[0]
     dy = np.asarray(dy, dtype=float).reshape(model.dim_y)
-    drift = model.f(x) - np.einsum("nim,nm->ni", model.sigma_bar(x), model.h_now(x, y, t))
+    sbar = model.sigma_bar(x)
+    drift = model.f(x) - np.einsum("nim,nm->ni", sbar, model.h_now(x, y, t))
     dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt)
     dl = batch_levy_increments(model.levy, dt, n, rng) if model.has_jumps else None
-    return euler_step(model, x, drift, dt, dv, dy[None, :], dl, step)
+    return euler_step(model, x, drift, dt, dv, dy[None, :], dl, step, sbar)
 
 
 # ---------------------------------------------------------------------------

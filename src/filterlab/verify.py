@@ -20,13 +20,7 @@ import numpy as np
 from . import girsanov
 from .filters import FilterConfig, init_cloud, step
 from .girsanov import Estimate, mean_se
-from .models import (
-    SignalModel,
-    TestFunction,
-    correlation_apply,
-    dphi_apply,
-    generator_apply,
-)
+from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction
 from .rng import (TAG_CHANGE_FILTER, TAG_DUFRESNE, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
                   TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
 from .simulate import TimeGrid, simulate_counterexample_paths, simulate_pair
@@ -300,12 +294,14 @@ def residual_run(
         w = np.exp(cloud.log_weights - shift)
         mass = math.exp(cloud.log_mass + shift)
         sw = np.sum(w)
-        h_all = model.h_now(cloud.states, y_k, t)
-        pi_h = (w[:, None] * h_all).sum(axis=0) / sw
+        coeffs = StepCoefficients(model, cloud.states, y_k, t)
+        pi_h = (w[:, None] * coeffs.h).sum(axis=0) / sw
         for phi in phis:
-            vals = phi.value(cloud.states, y_k)
-            rho_phi = mass * float(np.sum(w * vals)) / w.shape[0]
-            pi_phi = float(np.sum(w * vals) / sw)
+            at = PhiAtStep(phi, coeffs)
+            vals = at.value
+            w_vals = float(np.sum(w * vals))
+            rho_phi = mass * w_vals / w.shape[0]
+            pi_phi = w_vals / sw
             if k == 0:
                 rho0[phi.label] = rho_phi
                 pi0[phi.label] = pi_phi
@@ -314,19 +310,17 @@ def residual_run(
             if k == k_steps:
                 continue
             dy = bundle.y[k + 1] - y_k
-            a_vals = generator_apply(model, phi, cloud.states, y_k, t)
-            d_vals = dphi_apply(model, phi, cloud.states, y_k, t)
-            rho_a = mass * float(np.sum(w * a_vals)) / w.shape[0]
-            rho_d = mass * (w @ d_vals) / w.shape[0]
-            zak_int[phi.label] += rho_a * dt + float(rho_d @ dy)
-            pi_a = float(np.sum(w * a_vals) / sw)
+            a_vals = at.generator()
+            w_a = float(np.sum(w * a_vals))
+            rho_d = mass * (w @ at.dphi()) / w.shape[0]
+            zak_int[phi.label] += mass * w_a / w.shape[0] * dt + float(rho_d @ dy)
             # vals == 1 makes pi_phih the same reduction as pi_h, so the
             # KS integrand cancels to exactly zero for the constant function
-            pi_phih = (w[:, None] * (vals[:, None] * h_all)).sum(axis=0) / sw
+            pi_phih = (w[:, None] * (vals[:, None] * coeffs.h)).sum(axis=0) / sw
             integrand = pi_phih - pi_h * pi_phi
             if not drop_correlation_term:
-                integrand = integrand + (w @ correlation_apply(model, phi, cloud.states, y_k)) / sw
-            ks_int[phi.label] += pi_a * dt + float(integrand @ (dy - pi_h * dt))
+                integrand = integrand + (w @ at.correlation) / sw
+            ks_int[phi.label] += w_a / sw * dt + float(integrand @ (dy - pi_h * dt))
         if k < k_steps:
             rng_prop = substream(seed, TAG_PROPAGATE, run_index, k)
             rng_res = substream(seed, TAG_RESAMPLE, run_index, k)
@@ -335,17 +329,11 @@ def residual_run(
 
 
 def equation_residuals(
-    model: SignalModel,
-    phis: Sequence[TestFunction],
-    n_runs: int,
-    grid: TimeGrid,
-    config: FilterConfig,
-    seed: int,
-    drop_correlation_term: bool = False,
-    map_fn: Optional[Callable] = None,
+    runs: Sequence[tuple[dict[str, Array], dict[str, Array]]],
 ) -> tuple[dict[str, ResidualStats], dict[str, ResidualStats]]:
-    """Zakai and Kushner-Stratonovich residual statistics over n_runs
-    independent (observation, filter) pairs.
+    """Zakai and Kushner-Stratonovich residual statistics per test function
+    over the results of residual_run for independent (observation, filter)
+    pairs.
 
     Residuals:
       Zakai: R_t = rho_t(phi) - rho_0(phi) - int rho_s(A phi) ds
@@ -353,35 +341,20 @@ def equation_residuals(
       KS:    R_t = pi_t(phi) - pi_0(phi) - int pi_s(A phi) ds
                    - sum_j int [pi(phi h^j) - pi(h^j) pi(phi) + pi(B^j phi)]
                                 (dY^j - pi(h^j) ds)
-    with left-point integrands. `drop_correlation_term` removes pi(B phi)
-    from the KS integrand (ablation studies).
+    with left-point integrands; residual_run's `drop_correlation_term`
+    removes pi(B phi) from the KS integrand (ablation studies).
     """
+    n_runs = len(runs)
     if n_runs < 2:
         raise ValueError("need at least 2 runs")
-    k_steps = grid.n_steps
-    zak_runs = {phi.label: np.zeros((n_runs, k_steps + 1)) for phi in phis}
-    ks_runs = {phi.label: np.zeros((n_runs, k_steps + 1)) for phi in phis}
-    runner = map_fn or (lambda fn, items: [fn(i) for i in items])
-
-    def one(i: int):
-        return residual_run(model, phis, grid, config, seed, i, drop_correlation_term)
-
-    for i, (zak, ks) in zip(range(n_runs), runner(one, range(n_runs))):
-        for phi in phis:
-            zak_runs[phi.label][i] = zak[phi.label]
-            ks_runs[phi.label][i] = ks[phi.label]
-    zak_stats = {}
-    ks_stats = {}
-    for phi in phis:
-        zr = zak_runs[phi.label]
-        kr = ks_runs[phi.label]
-        zak_stats[phi.label] = ResidualStats(
-            phi_label=phi.label, n_runs=n_runs, mean_residual=mean_se(zr[:, -1]), trajectory=zr.mean(axis=0)
-        )
-        ks_stats[phi.label] = ResidualStats(
-            phi_label=phi.label, n_runs=n_runs, mean_residual=mean_se(kr[:, -1]), trajectory=kr.mean(axis=0)
-        )
-    return zak_stats, ks_stats
+    stats: tuple[dict[str, ResidualStats], dict[str, ResidualStats]] = ({}, {})
+    for which, out in enumerate(stats):
+        for label in runs[0][which]:
+            r = np.array([run[which][label] for run in runs])
+            out[label] = ResidualStats(
+                phi_label=label, n_runs=n_runs, mean_residual=mean_se(r[:, -1]), trajectory=r.mean(axis=0)
+            )
+    return stats
 
 
 # ---------------------------------------------------------------------------

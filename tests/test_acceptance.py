@@ -32,7 +32,7 @@ from filterlab.girsanov import (
     revuz_yor_transformed_estimates,
     zstar_bound_check,
 )
-from filterlab.models import make_model, phi_by_label, phi_const
+from filterlab.models import make_model, phi_const
 from filterlab.parallel import map_ordered
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid
@@ -209,14 +209,7 @@ def _residual_sweep(model_name: str):
         (model_name, {}, RESID_LABELS, 1.0, RESID_DT, RESID_PARTICLES, 0.5, False, SEED, i, False)
         for i in range(RESID_RUNS)
     ]
-    results = map_ordered(_residual_task, payloads, WORKERS)
-    model = make_model(model_name)
-    phis = [phi_by_label(lab, 1) for lab in RESID_LABELS]
-    grid = TimeGrid(1.0, RESID_DT)
-    cfg = FilterConfig(n_particles=RESID_PARTICLES, seed=SEED)
-    return equation_residuals(
-        model, phis, RESID_RUNS, grid, cfg, SEED, map_fn=lambda fn, items: results
-    )
+    return equation_residuals(map_ordered(_residual_task, payloads, WORKERS))
 
 
 def test_criterion_09_equation_residuals():
@@ -240,16 +233,7 @@ def test_criterion_09_equation_residuals():
         ("correlated_linear", {}, ["x^2"], 1.0, 5e-3, 250, 0.5, True, SEED, i, False)
         for i in range(1600)
     ]
-    abl_results = map_ordered(_residual_task, abl_payloads, WORKERS)
-    _, abl_ks = equation_residuals(
-        make_model("correlated_linear"),
-        [phi_by_label("x^2", 1)],
-        1600,
-        TimeGrid(1.0, 5e-3),
-        FilterConfig(n_particles=250, seed=SEED, ignore_correlation=True),
-        SEED,
-        map_fn=lambda fn, items: abl_results,
-    )
+    _, abl_ks = equation_residuals(map_ordered(_residual_task, abl_payloads, WORKERS))
     abl_ratio = abl_ks["x^2"].ratio()
     ok &= abl_ratio > 3.0
     details.append(f"ablation ks/x^2: {abl_ratio:.2f}se (must exceed 3)")

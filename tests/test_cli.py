@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import filterlab
+from filterlab import verify
 from filterlab.cli import (
     EXIT_BLOWUP,
     EXIT_CHECK_FAILED,
@@ -71,6 +72,13 @@ class TestSimulateCommand:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "dt" in proc.stderr
 
+    def test_jump_ou_override_exits_2_naming_key(self, tmp_path):
+        bad = dict(SIM_CFG, model={"name": "jump_ou", "a_x": 5})
+        cfg = write_cfg(tmp_path, "bad.json", bad)
+        proc = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "a_x" in proc.stderr
+
     def test_missing_seed_exits_2(self, tmp_path):
         bad = {k: v for k, v in SIM_CFG.items() if k != "seed"}
         cfg = write_cfg(tmp_path, "noseed.json", bad)
@@ -93,6 +101,15 @@ class TestSimulateCommand:
         main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")])
         main(["simulate", "--config", cfg, "--seed", "8", "--out", str(tmp_path / "c")])
         assert (tmp_path / "a" / "paths.csv").read_bytes() != (tmp_path / "c" / "paths.csv").read_bytes()
+
+
+RESID = {"model": "jump_ou", "n_runs": 3, "n_particles": 32, "dt": 0.02, "horizon": 0.2, "phis": ["1", "x"]}
+
+
+def residual_cfg(tmp_path: Path, name: str, checks: list[str], zakai: dict, ks: dict) -> str:
+    """Config of a tiny `verify` of the given residual checks."""
+    cfg = {"diagnostics": {"checks": checks, "params": {"zakai_residual": zakai, "ks_residual": ks}}, "seed": 5}
+    return write_cfg(tmp_path, f"{name}.json", cfg)
 
 
 FILTER_CFG = {
@@ -228,6 +245,40 @@ class TestVerifyCommand:
             assert proc.returncode == EXIT_OK, proc.stderr
         a = (tmp_path / "w1" / "verdicts.csv").read_bytes()
         assert a == (tmp_path / "w4" / "verdicts.csv").read_bytes()
+
+    def test_residual_single_run_exits_2(self, tmp_path):
+        cfg = residual_cfg(tmp_path, "single", ["ks_residual"], RESID, dict(RESID, n_runs=1))
+        proc = run_cli(["verify", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "n_runs" in proc.stderr
+
+    def test_equal_residual_params_share_runs(self, tmp_path, monkeypatch):
+        calls = []
+        real = verify.residual_run
+        monkeypatch.setattr(verify, "residual_run", lambda *a, **kw: calls.append(a[5]) or real(*a, **kw))
+        # residual_run's run indices, in call order: once per run, or twice with unequal params
+        cases = [("same", RESID, [0, 1, 2]), ("other", dict(RESID, phis=["x^2"]), [0, 1, 2] * 2)]
+        for tag, ks_params, expected in cases:
+            cfg = residual_cfg(tmp_path, tag, ["zakai_residual", "ks_residual"], RESID, ks_params)
+            code = main(["verify", "--config", cfg, "--out", str(tmp_path / tag), "--workers", "1"])
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+            assert calls == expected, tag
+            calls.clear()
+
+    def test_shared_residual_runs_leave_bytes_unchanged(self, tmp_path):
+        both = residual_cfg(tmp_path, "both", ["zakai_residual", "ks_residual"], RESID, RESID)
+        runs = {"w1": (both, "1"), "w2": (both, "2"),
+                "zakai": (residual_cfg(tmp_path, "zakai", ["zakai_residual"], RESID, RESID), "1"),
+                "ks": (residual_cfg(tmp_path, "ks", ["ks_residual"], RESID, RESID), "1")}
+        for tag, (cfg, workers) in runs.items():
+            proc = run_cli(["verify", "--config", cfg, "--out", str(tmp_path / tag), "--workers", workers])
+            assert proc.returncode in (EXIT_OK, EXIT_CHECK_FAILED), proc.stderr
+        files = {tag: {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()} for tag in runs}
+        assert files["w1"] == files["w2"]
+        single = dict(files["zakai"], **files["ks"])
+        single["verdicts.csv"] = files["zakai"]["verdicts.csv"] + files["ks"]["verdicts.csv"].split(b"\n", 1)[1]
+        del single["manifest.json"], files["w1"]["manifest.json"]
+        assert len(single) > 2 and files["w1"] == single
 
 
 class TestCounterexampleCommand:

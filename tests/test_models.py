@@ -31,6 +31,12 @@ PROBES = np.linspace(-5.0, 5.0, 41).reshape(-1, 1)
 Y0 = np.zeros(1)
 
 
+def test_jump_ou_rejects_overrides_naming_the_key():
+    with pytest.raises(ModelError, match="'a_x'"):
+        make_model("jump_ou", a_x=5)
+    assert make_model("jump_ou").name == "jump_ou"
+
+
 class TestLevySpec:
     def test_atoms_must_avoid_origin(self):
         with pytest.raises(ModelError):

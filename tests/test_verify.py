@@ -173,16 +173,71 @@ class TestResiduals:
         grid = TimeGrid(0.5, 5e-3)
         cfg = FilterConfig(n_particles=256, seed=0)
         phis = [phi_by_label("x", 1), phi_by_label("x^2", 1)]
-        zak, ks = equation_residuals(m, phis, 48, grid, cfg, seed=37)
+        zak, ks = equation_residuals([residual_run(m, phis, grid, cfg, seed=37, run_index=i) for i in range(48)])
         for lab in ("x", "x^2"):
             assert zak[lab].ratio() < 3.0, f"zakai {lab}: {zak[lab].mean_residual}"
             assert ks[lab].ratio() < 3.0, f"ks {lab}: {ks[lab].mean_residual}"
 
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
+    def test_matches_replay_through_public_operators(self, name, drop):
+        # the coefficients residual_run evaluates once per step must give
+        # exactly what generator_apply, dphi_apply and correlation_apply give
+        from filterlab.filters import init_cloud, step
+        from filterlab.models import correlation_apply, dphi_apply, generator_apply
+        from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
+
+        m = make_model(name)
+        grid = TimeGrid(0.2, 1e-2)
+        cfg = FilterConfig(n_particles=64, seed=0)
+        phis = [phi_by_label(lab, 1) for lab in ("1", "x", "x^2", "tanh(x)")]
+        zak, ks = residual_run(m, phis, grid, cfg, seed=41, run_index=0, drop_correlation_term=drop)
+        bundle = simulate_pair(m, grid, substream(41, TAG_PATH, 0))
+        cloud = init_cloud(m.initial_law, 64, substream(41, TAG_INIT, 0))
+        n, dt = grid.n_steps, grid.dt
+        zak_rep = {phi.label: np.zeros(n + 1) for phi in phis}
+        ks_rep = {phi.label: np.zeros(n + 1) for phi in phis}
+        zak_int = dict.fromkeys(zak_rep, 0.0)
+        ks_int = dict.fromkeys(ks_rep, 0.0)
+        start = {}
+        for k in range(n + 1):
+            y_k, t = bundle.y[k], k * dt
+            shift = cloud.log_weights.max()
+            w = np.exp(cloud.log_weights - shift)
+            mass = math.exp(cloud.log_mass + shift)
+            sw = np.sum(w)
+            h = m.h_now(cloud.states, y_k, t)
+            pi_h = (w[:, None] * h).sum(axis=0) / sw
+            for phi in phis:
+                vals = phi.value(cloud.states, y_k)
+                rho_phi = mass * float(np.sum(w * vals)) / w.shape[0]
+                pi_phi = float(np.sum(w * vals) / sw)
+                rho0, pi0 = start.setdefault(phi.label, (rho_phi, pi_phi))
+                zak_rep[phi.label][k] = rho_phi - rho0 - zak_int[phi.label]
+                ks_rep[phi.label][k] = pi_phi - pi0 - ks_int[phi.label]
+                if k == n:
+                    continue
+                dy = bundle.y[k + 1] - y_k
+                a_vals = generator_apply(m, phi, cloud.states, y_k, t)
+                rho_a = mass * float(np.sum(w * a_vals)) / w.shape[0]
+                rho_d = mass * (w @ dphi_apply(m, phi, cloud.states, y_k, t)) / w.shape[0]
+                zak_int[phi.label] += rho_a * dt + float(rho_d @ dy)
+                integrand = (w[:, None] * (vals[:, None] * h)).sum(axis=0) / sw - pi_h * pi_phi
+                if not drop:
+                    integrand = integrand + (w @ correlation_apply(m, phi, cloud.states, y_k)) / sw
+                ks_int[phi.label] += float(np.sum(w * a_vals) / sw) * dt + float(integrand @ (dy - pi_h * dt))
+            if k < n:
+                cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, substream(41, TAG_PROPAGATE, 0, k),
+                                substream(41, TAG_RESAMPLE, 0, k), cfg)
+        for phi in phis:
+            np.testing.assert_array_equal(zak[phi.label], zak_rep[phi.label])
+            np.testing.assert_array_equal(ks[phi.label], ks_rep[phi.label])
+
     def test_needs_two_runs(self):
         m = make_model("linear_gaussian")
+        run = residual_run(m, [phi_const(1.0, 1)], TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), 0, 0)
         with pytest.raises(ValueError):
-            equation_residuals(m, [phi_const(1.0, 1)], 1, TimeGrid(0.1, 1e-2),
-                               FilterConfig(n_particles=16, seed=0), seed=0)
+            equation_residuals([run])
 
 
 class TestScenarioChecks:
