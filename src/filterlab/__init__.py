@@ -18,9 +18,6 @@ from .models import (
     ModelError,
     SignalModel,
     TestFunction,
-    apply_correlation,
-    apply_D,
-    apply_generator,
     make_model,
     phi_battery,
     validate_model,
@@ -34,7 +31,6 @@ from .simulate import (
     path_to_json,
     propagate_under_reference,
     sample_levy_increment,
-    simulate_counterexample_paths,
     simulate_pair,
 )
 

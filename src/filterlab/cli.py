@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
-from .models import SignalModel, change_detection_rate, make_model, phi_battery, phi_by_label
+from .models import ModelError, SignalModel, change_detection_rate, make_model, phi_battery, phi_by_label
 from .parallel import map_ordered
 from .rng import TAG_PATH, substream
 from .simulate import FLOAT_FMT, SimulationBlowUp, TimeGrid, jumps_to_csv, path_to_csv, simulate_pair
@@ -48,6 +49,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# top-level keys; each subcommand reads the blocks it needs and ignores the rest
+CONFIG_KEYS = ("seed", "out", "grid", "model", "filter", "diagnostics", "counterexample")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -58,7 +63,55 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _reject_unknown(cfg, CONFIG_KEYS, "")
     return cfg
+
+
+def _reject_unknown(block, allowed, where: str) -> None:
+    """Raise ConfigError naming `where.key` for the first key of block not in allowed."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"field {where!r} must be an object")
+    for key in block:
+        if key not in allowed:
+            dotted = f"{where}.{key}" if where else key
+            raise ConfigError(f"unknown key {dotted!r}; allowed: {', '.join(sorted(allowed))}")
+
+
+def keyword_params(fn: Callable, block, where: str) -> dict:
+    """Bind a config block to the keyword-only parameters of fn: their names
+    are the block's keys, and a value is coerced to the type of its default
+    (a list to a tuple of the default's element type). An unknown key, a
+    value that does not coerce, or a model, scenario or test-function label
+    that fn could not build raises ConfigError naming `where.key`."""
+    defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY}
+    _reject_unknown(block, defaults, where)
+    kwargs = {}
+    for key, value in block.items():
+        default = defaults[key]
+        try:
+            if not isinstance(default, tuple):
+                kwargs[key] = type(default)(value)
+            elif isinstance(value, list):
+                kwargs[key] = tuple(type(default[0])(v) for v in value)
+            else:
+                raise TypeError
+        except (TypeError, ValueError):
+            raise ConfigError(f"cannot read '{where}.{key}' = {value!r} as {type(default).__name__}") from None
+    params = dict(defaults, **kwargs)
+    ensembles = ENSEMBLES if inspect.unwrap(fn) in ENSEMBLE_CHECKS else {}
+    # build what the params name, as fn would, so that an unknown name fails before any check runs
+    builds = {
+        "model": lambda: make_model(params["model"]),
+        "phis": lambda: [phi_by_label(lab, make_model(params["model"]).dim_x) for lab in params["phis"]],
+        "scenario": lambda: params["scenario"] in ensembles or make_model(params["scenario"]),
+    }
+    for key, build in builds.items():
+        if key in params:
+            try:
+                build()
+            except (ModelError, ValueError) as exc:
+                raise ConfigError(f"'{where}.{key}': {exc}") from None
+    return kwargs
 
 
 def config_hash(cfg: dict) -> str:
@@ -78,6 +131,7 @@ def parse_grid(cfg: dict) -> TimeGrid:
     block = cfg.get("grid")
     if not isinstance(block, dict):
         raise ConfigError("field 'grid' (object with horizon, dt) is required")
+    _reject_unknown(block, ("horizon", "dt"), "grid")
     try:
         horizon = float(block["horizon"])
         dt = float(block["dt"])
@@ -108,16 +162,12 @@ def parse_model(cfg: dict) -> tuple[SignalModel, str, dict]:
     return model, name, params
 
 
-def parse_filter(cfg: dict, seed: int) -> FilterConfig:
-    block = cfg.get("filter", {})
+def filter_config(seed: int, *, n_particles=1000, resample_threshold=0.5, resampler="systematic",
+                  ignore_correlation=False) -> FilterConfig:
+    """The FilterConfig of the `filter` block, whose keys and defaults are the keyword parameters."""
     try:
-        return FilterConfig(
-            n_particles=int(block.get("n_particles", 1000)),
-            resample_threshold=float(block.get("resample_threshold", 0.5)),
-            resampler=block.get("resampler", "systematic"),
-            seed=seed,
-            ignore_correlation=bool(block.get("ignore_correlation", False)),
-        )
+        return FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, resampler=resampler,
+                            seed=seed, ignore_correlation=ignore_correlation)
     except ValueError as exc:
         raise ConfigError(f"filter: {exc}")
 
@@ -142,23 +192,19 @@ def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
 
 
 def _residual_task(payload: tuple):
-    name, params, labels, horizon, dt, n_particles, threshold, ignore_corr, seed, idx, drop = payload
-    model = make_model(name, **params)
+    name, labels, horizon, dt, n_particles, threshold, ablate, seed, idx = payload
+    model = make_model(name)
     phis = [phi_by_label(lab, model.dim_x) for lab in labels]
     grid = TimeGrid(horizon=horizon, dt=dt)
-    config = FilterConfig(
-        n_particles=n_particles, resample_threshold=threshold, seed=seed, ignore_correlation=ignore_corr
-    )
-    return verify.residual_run(model, phis, grid, config, seed, idx, drop)
+    config = FilterConfig(n_particles=n_particles, resample_threshold=threshold, seed=seed, ignore_correlation=ablate)
+    return verify.residual_run(model, phis, grid, config, seed, idx)
 
 
 def _kalman_task(payload: tuple):
-    name, params, horizon, dt, n_particles, threshold, ignore_corr, seed, idx = payload
-    model = make_model(name, **params)
+    name, horizon, dt, n_particles, threshold, ablate, seed, idx = payload
+    model = make_model(name)
     grid = TimeGrid(horizon=horizon, dt=dt)
-    config = FilterConfig(
-        n_particles=n_particles, resample_threshold=threshold, seed=seed, ignore_correlation=ignore_corr
-    )
+    config = FilterConfig(n_particles=n_particles, resample_threshold=threshold, seed=seed, ignore_correlation=ablate)
     return verify.kalman_agreement_run(model, grid, config, seed, idx)
 
 
@@ -171,16 +217,13 @@ def _change_detection_task(payload: tuple):
 
 
 # ---------------------------------------------------------------------------
-# Verification checks
+# Verification checks: check(seed, workers, **params) -> verdicts. A check's
+# keyword parameters are the keys of its diagnostics.params block (keyword_params).
 # ---------------------------------------------------------------------------
 
 
-def check_revuz_yor_energy(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    alpha = float(params.get("alpha", 1.0))
-    t = float(params.get("t", 1.0))
-    n_paths = int(params.get("n_paths", 10_000))
-    dt = float(params.get("dt", 1e-3))
-    representation = params.get("representation", "transformed")
+def check_revuz_yor_energy(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3,
+                           representation="transformed") -> list[CheckVerdict]:
     est, closed = verify.revuz_yor_energy(alpha, t, n_paths, dt, seed, representation)
     return [
         CheckVerdict(
@@ -194,11 +237,7 @@ def check_revuz_yor_energy(params: dict, seed: int, workers: int) -> list[CheckV
     ]
 
 
-def check_zlogz_identity(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    alpha = float(params.get("alpha", 1.0))
-    t = float(params.get("t", 1.0))
-    n_paths = int(params.get("n_paths", 10_000))
-    dt = float(params.get("dt", 1e-3))
+def check_zlogz_identity(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
     energy, zlogz, gap = girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)
     return [
@@ -214,19 +253,21 @@ def check_zlogz_identity(params: dict, seed: int, workers: int) -> list[CheckVer
     ]
 
 
+# scenarios of the martingale checks that are not signal models
+ENSEMBLES = {
+    "revuz_yor": lambda grid, n_paths, seed: girsanov.ensemble_revuz_yor(1.0, grid, n_paths, seed),
+    "independent_h": lambda grid, n_paths, seed: girsanov.ensemble_independent_h(grid, n_paths, seed),
+}
+
+
 def _scenario_ensemble(scenario: str, grid: TimeGrid, n_paths: int, seed: int) -> girsanov.GirsanovEnsemble:
-    if scenario == "revuz_yor":
-        return girsanov.ensemble_revuz_yor(1.0, grid, n_paths, seed)
-    if scenario == "independent_h":
-        return girsanov.ensemble_independent_h(grid, n_paths, seed)
+    if scenario in ENSEMBLES:
+        return ENSEMBLES[scenario](grid, n_paths, seed)
     return girsanov.ensemble_from_model(make_model(scenario), grid, n_paths, seed)
 
 
-def check_martingale_mean(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    scenario = params.get("scenario", "revuz_yor")
-    times = [float(t) for t in params.get("times", [0.25, 0.5, 1.0])]
-    n_paths = int(params.get("n_paths", 10_000))
-    dt = float(params.get("dt", 1e-3))
+def check_martingale_mean(seed: int, workers: int, *, scenario="revuz_yor", times=(0.25, 0.5, 1.0), n_paths=10_000,
+                          dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=max(times), dt=dt)
     ens = _scenario_ensemble(scenario, grid, n_paths, seed)
     checks, trajectory = girsanov.martingale_mean_check(ens, times)
@@ -246,11 +287,8 @@ def check_martingale_mean(params: dict, seed: int, workers: int) -> list[CheckVe
     return out
 
 
-def check_zstar_bound(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    scenario = params.get("scenario", "revuz_yor")
-    t = float(params.get("t", 1.0))
-    n_paths = int(params.get("n_paths", 10_000))
-    dt = float(params.get("dt", 1e-3))
+def check_zstar_bound(seed: int, workers: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000,
+                      dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
     ens = _scenario_ensemble(scenario, grid, n_paths, seed)
     lhs, rhs, ok = girsanov.zstar_bound_check(ens)
@@ -266,11 +304,8 @@ def check_zstar_bound(params: dict, seed: int, workers: int) -> list[CheckVerdic
     ]
 
 
-def check_energy_identity(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    scenario = params.get("scenario", "revuz_yor")
-    t = float(params.get("t", 1.0))
-    n_paths = int(params.get("n_paths", 10_000))
-    dt = float(params.get("dt", 1e-3))
+def check_energy_identity(seed: int, workers: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000,
+                          dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
     ens = _scenario_ensemble(scenario, grid, n_paths, seed)
     lhs, rhs, ok = girsanov.energy_identity_check(ens)
@@ -286,10 +321,11 @@ def check_energy_identity(params: dict, seed: int, workers: int) -> list[CheckVe
     ]
 
 
-def check_independent_h(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    t = float(params.get("t", 1.0))
-    n_paths = int(params.get("n_paths", 10_000))
-    dt = float(params.get("dt", 1e-3))
+# the checks whose scenario may also name one of ENSEMBLES
+ENSEMBLE_CHECKS = (check_martingale_mean, check_zstar_bound, check_energy_identity)
+
+
+def check_independent_h(seed: int, workers: int, *, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
     lhs, rhs, ok = verify.independence_identity_check(grid, n_paths, seed)
     return [
@@ -304,15 +340,10 @@ def check_independent_h(params: dict, seed: int, workers: int) -> list[CheckVerd
     ]
 
 
-def check_local_boundedness(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    scenario = params.get("scenario", "jump_ou")
-    n_paths = int(params.get("n_paths", 4000))
-    dt = float(params.get("dt", 2e-3))
-    horizon = float(params.get("horizon", 1.0))
+def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0,
+                            b0=-0.5, b_max=2.0) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=horizon, dt=dt)
     if scenario == "change_detection":
-        b0 = float(params.get("b0", -0.5))
-        b_max = float(params.get("b_max", 2.0))
         ens = verify.change_detection_gronwall_ensemble(
             b0, b_max, lambda rng: float(rng.uniform(0.25, 0.75)), grid, n_paths, seed
         )
@@ -338,10 +369,7 @@ def check_local_boundedness(params: dict, seed: int, workers: int) -> list[Check
     ]
 
 
-def check_dufresne(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    n_paths = int(params.get("n_paths", 10_000))
-    horizon = float(params.get("horizon", 20.0))
-    dt = float(params.get("dt", 1e-3))
+def check_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=horizon, dt=dt)
     est, target, allowance = verify.dufresne_check(n_paths, grid, seed)
     truncation_valid = allowance < 0.01
@@ -361,11 +389,8 @@ def check_dufresne(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
     ]
 
 
-def check_hitting(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    n_list = [int(n) for n in params.get("barriers", [1, 3, 9])]
-    n_paths = int(params.get("n_paths", 12_000))
-    dt = float(params.get("dt", 1e-4))
-    rows, sums, growth = verify.kazamaki_gap_check(n_list, n_paths, dt, seed)
+def check_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[CheckVerdict]:
+    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed)
     levels = sorted(sums)
     rows.append(
         CheckVerdict(
@@ -381,54 +406,35 @@ def check_hitting(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
     return rows
 
 
-def _kalman_check(params: dict, seed: int, workers: int, ablate: bool) -> list[CheckVerdict]:
-    name = params.get("model", "correlated_linear" if (ablate or params.get("correlated")) else "linear_gaussian")
-    n_seeds = int(params.get("n_seeds", 20))
-    n_particles = int(params.get("n_particles", 10_000))
-    dt = float(params.get("dt", 1e-3))
-    horizon = float(params.get("horizon", 1.0))
-    threshold = float(params.get("resample_threshold", 0.5))
-    tol = float(params.get("tolerance", 0.05))
-    payloads = [
-        (name, {}, horizon, dt, n_particles, threshold, ablate, seed, i) for i in range(n_seeds)
-    ]
+def _kalman_check(seed: int, workers: int, model: str, n_seeds: int, n_particles: int, dt: float, horizon: float,
+                  resample_threshold: float, tolerance: float, ablate: bool = False) -> list[CheckVerdict]:
+    payloads = [(model, horizon, dt, n_particles, resample_threshold, ablate, seed, i) for i in range(n_seeds)]
     results = map_ordered(_kalman_task, payloads, workers)
     dmean = float(np.mean([r[0] for r in results]))
     dvar = float(np.mean([r[1] for r in results]))
-    label = "kalman_ablation" if ablate else "kalman_agreement"
     return [
         CheckVerdict(
-            check=label,
-            scenario=f"{name},mean",
-            estimate=dmean,
+            check="kalman_ablation" if ablate else "kalman_agreement",
+            scenario=f"{model},{stat}",
+            estimate=value,
             reference=0.0,
-            tolerance=tol,
-            passed=dmean < tol,
-            expect_fail=False,
-        ),
-        CheckVerdict(
-            check=label,
-            scenario=f"{name},var",
-            estimate=dvar,
-            reference=0.0,
-            tolerance=tol,
-            passed=dvar < tol,
+            tolerance=tolerance,
+            passed=value < tolerance,
             expect_fail=ablate,
-        ),
+        )
+        for stat, value in (("mean", dmean), ("var", dvar))
     ]
 
 
-def check_kalman_agreement(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    return _kalman_check(params, seed, workers, ablate=False)
+def check_kalman_agreement(seed: int, workers: int, *, model="linear_gaussian", n_seeds=20, n_particles=10_000,
+                           dt=1e-3, horizon=1.0, resample_threshold=0.5, tolerance=0.05) -> list[CheckVerdict]:
+    return _kalman_check(seed, workers, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance)
 
 
-def check_kalman_ablation(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    # negative control: correlation-blind filter on correlated data must
-    # leave the oracle tolerance band
-    verdicts = _kalman_check(params, seed, workers, ablate=True)
-    for v in verdicts:
-        v.expect_fail = True
-    return verdicts
+def check_kalman_ablation(seed: int, workers: int, *, model="correlated_linear", n_seeds=20, n_particles=10_000,
+                          dt=1e-3, horizon=1.0, resample_threshold=0.5, tolerance=0.05) -> list[CheckVerdict]:
+    """Negative control: the correlation-blind filter on correlated data must leave the oracle band."""
+    return _kalman_check(seed, workers, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance, True)
 
 
 # residual_run results of the current `verify` call, keyed by everything they
@@ -436,76 +442,62 @@ def check_kalman_ablation(params: dict, seed: int, workers: int) -> list[CheckVe
 # their runs; cmd_verify empties it when it returns
 _RESIDUAL_RUNS: dict[tuple, list] = {}
 
+RESIDUAL_PHIS = ("1", "x", "x^2", "tanh(x)")
 
-def _residual_check(params: dict, seed: int, workers: int, which: str,
-                    ablate_filter: bool = False) -> list[CheckVerdict]:
-    name = params.get("model", "linear_gaussian")
-    labels = params.get("phis", ["1", "x", "x^2", "tanh(x)"])
-    n_runs = int(params.get("n_runs", 200))
-    n_particles = int(params.get("n_particles", 400))
-    dt = float(params.get("dt", 2.5e-3))
-    horizon = float(params.get("horizon", 1.0))
-    threshold = float(params.get("resample_threshold", 0.5))
+
+def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: int, n_particles: int, dt: float,
+                    horizon: float, resample_threshold: float, which: str, ablate: bool = False) -> list[CheckVerdict]:
     if n_runs < 2:
-        raise ConfigError(f"{which}_residual: 'n_runs' must be >= 2")
-    key = (name, tuple(labels), horizon, dt, n_particles, threshold, ablate_filter, seed, n_runs)
+        name = f"{which}_residual_ablation" if ablate else f"{which}_residual"
+        raise ConfigError(f"'diagnostics.params.{name}.n_runs' must be >= 2")
+    key = (model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed, n_runs)
     if key not in _RESIDUAL_RUNS:
-        payloads = [
-            (name, {}, labels, horizon, dt, n_particles, threshold, ablate_filter, seed, i, False)
-            for i in range(n_runs)
-        ]
+        payloads = [(model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed, i) for i in range(n_runs)]
         _RESIDUAL_RUNS[key] = map_ordered(_residual_task, payloads, workers)
     zak_stats, ks_stats = verify.equation_residuals(_RESIDUAL_RUNS[key])
     stats = zak_stats if which == "zakai" else ks_stats
     grid = TimeGrid(horizon=horizon, dt=dt)
     out = []
-    for lab in labels:
+    for lab in phis:
         st = stats[lab]
         est = st.mean_residual
         out.append(
             CheckVerdict(
                 check=f"{which}_residual",
-                scenario=f"{name},phi={lab}",
+                scenario=f"{model},phi={lab}",
                 estimate=est.value,
                 reference=0.0,
                 tolerance=3.0 * est.se,
                 passed=abs(est.value) <= 3.0 * est.se,
                 trajectory={"t": grid.times(), "mean_residual": st.trajectory},
+                expect_fail=ablate,
             )
         )
     return out
 
 
-def check_zakai_residual(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    return _residual_check(params, seed, workers, "zakai")
+def check_zakai_residual(seed: int, workers: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS, n_runs=200,
+                         n_particles=400, dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> list[CheckVerdict]:
+    return _residual_check(seed, workers, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "zakai")
 
 
-def check_ks_residual(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    return _residual_check(params, seed, workers, "ks")
+def check_ks_residual(seed: int, workers: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS, n_runs=200,
+                      n_particles=400, dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> list[CheckVerdict]:
+    return _residual_check(seed, workers, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks")
 
 
-def check_ks_residual_ablation(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
+def check_ks_residual_ablation(seed: int, workers: int, *, model="correlated_linear", phis=("x^2",), n_runs=1200,
+                               n_particles=400, dt=2.5e-3, horizon=1.0,
+                               resample_threshold=0.5) -> list[CheckVerdict]:
     """Negative control: the correlation-blind filter violates the full
     Kushner-Stratonovich identity on the correlated model (the dropped
     B-correction leaves a drift the residual test detects)."""
-    params = dict(params)
-    params.setdefault("model", "correlated_linear")
-    params.setdefault("phis", ["x^2"])
-    params.setdefault("n_runs", 1200)
-    verdicts = _residual_check(params, seed, workers, "ks", ablate_filter=True)
-    for v in verdicts:
-        v.expect_fail = True
-    return verdicts
+    return _residual_check(seed, workers, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks", True)
 
 
-def check_change_detection(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    n_seeds = int(params.get("n_seeds", 20))
-    n_particles = int(params.get("n_particles", 10_000))
-    dt = float(params.get("dt", 1e-3))
-    horizon = float(params.get("horizon", 1.0))
-    threshold = float(params.get("resample_threshold", 0.5))
-    tol = float(params.get("tolerance", 0.05))
-    payloads = [(horizon, dt, n_particles, threshold, seed, i) for i in range(n_seeds)]
+def check_change_detection(seed: int, workers: int, *, n_seeds=20, n_particles=10_000, dt=1e-3, horizon=1.0,
+                           resample_threshold=0.5, tolerance=0.05) -> list[CheckVerdict]:
+    payloads = [(horizon, dt, n_particles, resample_threshold, seed, i) for i in range(n_seeds)]
     gaps = map_ordered(_change_detection_task, payloads, workers)
     mean_gap = float(np.mean(gaps))
     return [
@@ -514,22 +506,17 @@ def check_change_detection(params: dict, seed: int, workers: int) -> list[CheckV
             scenario=f"n_seeds={n_seeds}",
             estimate=mean_gap,
             reference=0.0,
-            tolerance=tol,
-            passed=mean_gap < tol,
+            tolerance=tolerance,
+            passed=mean_gap < tolerance,
             detail=f"max_gap={max(gaps)!r}",
         )
     ]
 
 
-def check_gronwall(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
-    scenario = params.get("scenario", "jump_ou")
-    n_paths = int(params.get("n_paths", 4000))
-    dt = float(params.get("dt", 2e-3))
-    horizon = float(params.get("horizon", 1.0))
+def check_gronwall(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0, b0=-0.5,
+                   b=1.0) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=horizon, dt=dt)
     if scenario == "change_detection":
-        b0 = float(params.get("b0", -0.5))
-        b = float(params.get("b", 1.0))
         ens = verify.change_detection_gronwall_ensemble(
             b0, b, lambda rng: float(rng.uniform(0.25, 0.75)), grid, n_paths, seed
         )
@@ -556,7 +543,7 @@ def check_gronwall(params: dict, seed: int, workers: int) -> list[CheckVerdict]:
     ]
 
 
-CHECKS: dict[str, Callable[[dict, int, int], list[CheckVerdict]]] = {
+CHECKS: dict[str, Callable[..., list[CheckVerdict]]] = {
     "revuz_yor_energy": check_revuz_yor_energy,
     "zlogz_identity": check_zlogz_identity,
     "martingale_mean": check_martingale_mean,
@@ -573,6 +560,47 @@ CHECKS: dict[str, Callable[[dict, int, int], list[CheckVerdict]]] = {
     "ks_residual_ablation": check_ks_residual_ablation,
     "change_detection": check_change_detection,
     "gronwall": check_gronwall,
+}
+
+
+# counterexample kinds: kind(seed, **params) -> CSV rows, with the keys and
+# defaults of the counterexample block as keyword parameters
+def counterexample_revuz_yor(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[list[str]]:
+    grid = TimeGrid(horizon=t, dt=dt)
+    report = girsanov.diagnostics_report(girsanov.ensemble_revuz_yor(alpha, grid, n_paths, seed))
+    energy, _, _ = girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)
+    return [
+        ["scenario", "quantity", "estimate", "se", "n_paths", "seed"],
+        *report.to_csv_rows(seed),
+        [report.label, "transformed_energy_tilted", repr(energy.value), repr(energy.se), str(n_paths), str(seed)],
+        [report.label, "closed_form", repr(girsanov.revuz_yor_closed_form(alpha, t)), repr(0.0),
+         str(n_paths), str(seed)],
+    ]
+
+
+def counterexample_dufresne(seed: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[list[str]]:
+    grid = TimeGrid(horizon=horizon, dt=dt)
+    est, target, allowance = verify.dufresne_check(n_paths, grid, seed)
+    return [
+        ["scenario", "quantity", "estimate", "se", "n_paths", "seed"],
+        ["dufresne", "p_below_one", repr(est.value), repr(est.se), str(n_paths), str(seed)],
+        ["dufresne", "target", repr(target), repr(allowance), str(n_paths), str(seed)],
+    ]
+
+
+def counterexample_hitting(seed: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[list[str]]:
+    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed)
+    out = [["scenario", "quantity", "estimate", "reference", "tolerance", "detail"]]
+    out += [[v.scenario, v.check, repr(v.estimate), repr(v.reference), repr(v.tolerance), v.detail] for v in rows]
+    out += [[f"N={level}", "partial_sum", repr(s), "", "", ""] for level, s in sorted(sums.items())]
+    out.append(["growth_per_logN", "divergence_fit", repr(growth), "1.0", "", ""])
+    return out
+
+
+COUNTEREXAMPLES: dict[str, Callable[..., list[list[str]]]] = {
+    "revuz_yor": counterexample_revuz_yor,
+    "dufresne": counterexample_dufresne,
+    "hitting": counterexample_hitting,
 }
 
 
@@ -599,7 +627,7 @@ def cmd_filter(cfg: dict, out: Path, workers: int = 1) -> int:
     seed = require_seed(cfg)
     grid = parse_grid(cfg)
     model, name, _ = parse_model(cfg)
-    config = parse_filter(cfg, seed)
+    config = filter_config(seed, **keyword_params(filter_config, cfg.get("filter", {}), "filter"))
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
     phis = phi_battery(model.dim_x)
     functionals = {}
@@ -625,6 +653,7 @@ def cmd_filter(cfg: dict, out: Path, workers: int = 1) -> int:
 def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
     seed = require_seed(cfg)
     diag = cfg.get("diagnostics", {})
+    _reject_unknown(diag, ("checks", "params"), "diagnostics")
     names = diag.get("checks")
     if not names:
         raise ConfigError("field 'diagnostics.checks' must name at least one check")
@@ -632,10 +661,13 @@ def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
     params_all = diag.get("params", {})
+    _reject_unknown(params_all, CHECKS, "diagnostics.params")
+    bound = {name: keyword_params(CHECKS[name], block, f"diagnostics.params.{name}")
+             for name, block in params_all.items()}
     verdicts: list[CheckVerdict] = []
     try:
         for name in names:
-            verdicts.extend(CHECKS[name](params_all.get(name, {}), seed, workers))
+            verdicts.extend(CHECKS[name](seed, workers, **bound.get(name, {})))
     finally:
         _RESIDUAL_RUNS.clear()
     out.mkdir(parents=True, exist_ok=True)
@@ -663,46 +695,13 @@ def cmd_counterexample(cfg: dict, out: Path, workers: int = 1) -> int:
     block = cfg.get("counterexample")
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("field 'counterexample.kind' is required")
-    kind = block["kind"]
+    if block["kind"] not in COUNTEREXAMPLES:
+        raise ConfigError(f"unknown counterexample kind {block['kind']!r}")
+    fn = COUNTEREXAMPLES[block["kind"]]
+    kwargs = keyword_params(fn, {k: v for k, v in block.items() if k != "kind"}, "counterexample")
     out.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if kind == "revuz_yor":
-        alpha = float(block.get("alpha", 1.0))
-        t = float(block.get("t", 1.0))
-        n_paths = int(block.get("n_paths", 10_000))
-        dt = float(block.get("dt", 1e-3))
-        grid = TimeGrid(horizon=t, dt=dt)
-        ens = girsanov.ensemble_revuz_yor(alpha, grid, n_paths, seed)
-        report = girsanov.diagnostics_report(ens)
-        buf.write(girsanov.diagnostics_to_csv([report], seed))
-        energy, zlogz, gap = girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)
-        writer.writerow([report.label, "transformed_energy_tilted", repr(energy.value), repr(energy.se),
-                         str(n_paths), str(seed)])
-        writer.writerow([report.label, "closed_form", repr(girsanov.revuz_yor_closed_form(alpha, t)), repr(0.0),
-                         str(n_paths), str(seed)])
-    elif kind == "dufresne":
-        n_paths = int(block.get("n_paths", 10_000))
-        horizon = float(block.get("horizon", 20.0))
-        dt = float(block.get("dt", 1e-3))
-        grid = TimeGrid(horizon=horizon, dt=dt)
-        est, target, allowance = verify.dufresne_check(n_paths, grid, seed)
-        writer.writerow(["scenario", "quantity", "estimate", "se", "n_paths", "seed"])
-        writer.writerow(["dufresne", "p_below_one", repr(est.value), repr(est.se), str(n_paths), str(seed)])
-        writer.writerow(["dufresne", "target", repr(target), repr(allowance), str(n_paths), str(seed)])
-    elif kind == "hitting":
-        n_list = [int(n) for n in block.get("barriers", [1, 3, 9])]
-        n_paths = int(block.get("n_paths", 12_000))
-        dt = float(block.get("dt", 1e-4))
-        rows, sums, growth = verify.kazamaki_gap_check(n_list, n_paths, dt, seed)
-        writer.writerow(["scenario", "quantity", "estimate", "reference", "tolerance", "detail"])
-        for v in rows:
-            writer.writerow([v.scenario, v.check, repr(v.estimate), repr(v.reference), repr(v.tolerance), v.detail])
-        for level, s in sorted(sums.items()):
-            writer.writerow([f"N={level}", "partial_sum", repr(s), "", "", ""])
-        writer.writerow(["growth_per_logN", "divergence_fit", repr(growth), "1.0", "", ""])
-    else:
-        raise ConfigError(f"unknown counterexample kind {kind!r}")
+    csv.writer(buf, lineterminator="\n").writerows(fn(seed, **kwargs))
     (out / "counterexample.csv").write_text(buf.getvalue(), encoding="utf-8")
     write_manifest(out, cfg, "counterexample", seed)
     return EXIT_OK

@@ -11,8 +11,6 @@ diagnostic bit-reproducible for a fixed (seed, grid, model, n_paths).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -376,11 +374,3 @@ def revuz_yor_base_stats(
             out[snap_idx[i + 1]] = mean_se(z)
     return out, mean_se(zmax)
 
-
-def diagnostics_to_csv(reports: list[DiagnosticsReport], seed: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "quantity", "estimate", "se", "n_paths", "seed"])
-    for rep in reports:
-        writer.writerows(rep.to_csv_rows(seed))
-    return buf.getvalue()

@@ -318,6 +318,13 @@ def phi_battery(d: int = 1) -> list[TestFunction]:
 def phi_by_label(label: str, d: int = 1) -> TestFunction:
     """Rebuild a battery member from its label (worker processes cannot
     unpickle the closures, so they reconstruct by name)."""
+
+    def coord(text: str) -> int:
+        i = int(text)
+        if not 0 <= i < d:
+            raise ModelError(f"test-function label {label!r} names coordinate {i} of a {d}-dimensional state")
+        return i
+
     if label == "1":
         return phi_const(1.0, d)
     if label == "x":
@@ -327,12 +334,12 @@ def phi_by_label(label: str, d: int = 1) -> TestFunction:
     if label == "tanh(x)":
         return phi_tanh(0, d)
     if label.startswith("tanh(x") and label.endswith(")"):
-        return phi_tanh(int(label[6:-1]), d)
+        return phi_tanh(coord(label[6:-1]), d)
     if "*" in label:
         left, right = label.split("*")
-        return phi_quad(int(left[1:]), int(right[1:]), d)
+        return phi_quad(coord(left[1:]), coord(right[1:]), d)
     if label.startswith("x"):
-        return phi_coord(int(label[1:]), d)
+        return phi_coord(coord(label[1:]), d)
     raise ModelError(f"unknown test-function label {label!r}")
 
 
@@ -583,50 +590,14 @@ def generator_apply(model: SignalModel, phi: TestFunction, states: Array, y: Arr
     return PhiAtStep(phi, StepCoefficients(model, states, y, t)).generator(rng, jump_samples)
 
 
-def apply_generator(
-    model: SignalModel,
-    phi: TestFunction,
-    x: Array,
-    y: Array,
-    t: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-    jump_samples: int = 4096,
-) -> float:
-    """A phi at a single point x in R^d (see generator_apply)."""
-    return float(generator_apply(model, phi, np.asarray(x, dtype=float)[None, :], y, t, rng, jump_samples)[0])
-
-
-def jump_term_mc(model: SignalModel, phi: TestFunction, x: Array, y: Array, rng: np.random.Generator,
-                 n_samples: int = 4096) -> tuple[float, float]:
-    """Monte Carlo jump term of A phi at a point, with its standard error."""
-    if not model.has_jumps:
-        return 0.0, 0.0
-    est, se = PhiAtStep(phi, StepCoefficients(model, np.asarray(x, dtype=float), y)).jump_mc(rng, n_samples)
-    return float(est[0]), float(se[0])
-
-
 def correlation_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array) -> Array:
     """All m correlation terms B^i phi = (sigma_bar^T grad_x phi)_i, shape (n, m)."""
     return PhiAtStep(phi, StepCoefficients(model, states, y)).correlation
 
 
-def apply_correlation(model: SignalModel, phi: TestFunction, x: Array, y: Array, i: int) -> float:
-    """B^i phi at a point; i is 1-based as in the covariation display."""
-    if not 1 <= i <= model.dim_y:
-        raise ModelError(f"correlation index {i} out of range 1..{model.dim_y}")
-    return float(correlation_apply(model, phi, np.asarray(x, dtype=float)[None, :], y)[0, i - 1])
-
-
 def dphi_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array, t: float = 0.0) -> Array:
     """All m terms D_j phi = h^j phi + B^j phi + dphi/dy_j, shape (n, m)."""
     return PhiAtStep(phi, StepCoefficients(model, states, y, t)).dphi()
-
-
-def apply_D(model: SignalModel, phi: TestFunction, x: Array, y: Array, j: int, t: float = 0.0) -> float:
-    """D_j phi at a point; j is 1-based."""
-    if not 1 <= j <= model.dim_y:
-        raise ModelError(f"D index {j} out of range 1..{model.dim_y}")
-    return float(dphi_apply(model, phi, np.asarray(x, dtype=float)[None, :], y, t)[0, j - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -221,16 +221,7 @@ class HittingPaths:
     resolved: Array     # bool; False = censored at max_time
 
 
-def simulate_counterexample_paths(kind: str, params: dict, grid: TimeGrid, rng: np.random.Generator):
-    if kind == "dufresne":
-        return _dufresne_paths(int(params["n_paths"]), grid, rng)
-    if kind == "hitting":
-        return _hitting_paths(int(params["barrier"]), int(params["n_paths"]), grid, rng,
-                              float(params.get("max_time", 400.0)))
-    raise ValueError(f"unknown counterexample kind {kind!r}")
-
-
-def _dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> DufresnePaths:
+def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> DufresnePaths:
     k, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
     b = np.zeros(n_paths)
@@ -244,9 +235,9 @@ def _dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> D
     return DufresnePaths(horizon=grid.horizon, dt=dt, x_trunc=x, b_terminal=b)
 
 
-def _hitting_paths(
+def hitting_paths(
     barrier: int, n_paths: int, grid: TimeGrid, rng: np.random.Generator,
-    max_time: float, block: int = 4000,
+    max_time: float = 400.0, block: int = 4000,
 ) -> HittingPaths:
     """Exit of W from (-1, barrier), simulated in blocks over the active set.
 

@@ -23,7 +23,7 @@ from .girsanov import Estimate, mean_se
 from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction
 from .rng import (TAG_CHANGE_FILTER, TAG_DUFRESNE, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
                   TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
-from .simulate import TimeGrid, simulate_counterexample_paths, simulate_pair
+from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair
 
 Array = np.ndarray
 
@@ -432,7 +432,7 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
     rather than silently accepted.
     """
     rng = substream(seed, TAG_DUFRESNE)
-    paths = simulate_counterexample_paths("dufresne", {"n_paths": n_paths}, grid, rng)
+    paths = dufresne_paths(n_paths, grid, rng)
     below = paths.x_trunc < 1.0
     est = mean_se(below.astype(float))
     allowance = math.exp(-grid.horizon / 2.0)
@@ -476,9 +476,7 @@ def kazamaki_gap_check(
     rows = []
     for i, barrier in enumerate(n_list):
         rng = substream(seed, TAG_HITTING, i)
-        paths = simulate_counterexample_paths(
-            "hitting", {"barrier": barrier, "n_paths": n_paths}, grid, rng
-        )
+        paths = hitting_paths(barrier, n_paths, grid, rng)
         resolved = paths.resolved
         est = mean_se(paths.hit_low[resolved].astype(float))
         ref = barrier / (barrier + 1.0)

@@ -162,7 +162,7 @@ def test_criterion_06_hitting_probabilities():
 
 def _kalman_sweep(model_name: str, ablate: bool):
     payloads = [
-        (model_name, {}, 1.0, 1e-3, 10_000, 0.5, ablate, SEED, i) for i in range(20)
+        (model_name, 1.0, 1e-3, 10_000, 0.5, ablate, SEED, i) for i in range(20)
     ]
     results = map_ordered(_kalman_task, payloads, WORKERS)
     return float(np.mean([r[0] for r in results])), float(np.mean([r[1] for r in results]))
@@ -206,7 +206,7 @@ RESID_DT = 2.5e-3
 
 def _residual_sweep(model_name: str):
     payloads = [
-        (model_name, {}, RESID_LABELS, 1.0, RESID_DT, RESID_PARTICLES, 0.5, False, SEED, i, False)
+        (model_name, RESID_LABELS, 1.0, RESID_DT, RESID_PARTICLES, 0.5, False, SEED, i)
         for i in range(RESID_RUNS)
     ]
     return equation_residuals(map_ordered(_residual_task, payloads, WORKERS))
@@ -230,7 +230,7 @@ def test_criterion_09_equation_residuals():
         details.append(f"{name}/ks/1: exact-zero={np.all(ks_one.trajectory == 0.0)}")
     # ablation: correlation-blind filter violates the full KS identity
     abl_payloads = [
-        ("correlated_linear", {}, ["x^2"], 1.0, 5e-3, 250, 0.5, True, SEED, i, False)
+        ("correlated_linear", ["x^2"], 1.0, 5e-3, 250, 0.5, True, SEED, i)
         for i in range(1600)
     ]
     _, abl_ks = equation_residuals(map_ordered(_residual_task, abl_payloads, WORKERS))

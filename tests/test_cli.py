@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import filterlab
 from filterlab import verify
 from filterlab.cli import (
@@ -307,6 +309,56 @@ class TestCounterexampleCommand:
         cfg = write_cfg(tmp_path, "ce.json", {"counterexample": {"kind": "weird"}, "seed": 2})
         proc = run_cli(["counterexample", "--config", cfg, "--out", str(tmp_path / "x")])
         assert proc.returncode == EXIT_CONFIG, proc.stderr
+
+
+def verify_cfg(params: dict) -> dict:
+    """A `verify` config that runs the first check named in params."""
+    return {"diagnostics": {"checks": [next(iter(params))], "params": params}, "seed": 5}
+
+
+SMALL = {"n_paths": 100, "dt": 0.01}
+KALMAN = {"n_seeds": 2, "n_particles": 50, "dt": 0.05, "horizon": 0.2}
+# (command, config, the dotted key stderr must name); every config is small enough to run
+# in a second, so a CLI that ignored the key would finish and exit 0
+STRICT_CASES = {
+    "top_level": ("simulate", dict(SIM_CFG, bogus=1), "'bogus'"),
+    "grid": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": 0.005, "steps": 60}), "grid.steps"),
+    "filter": ("filter", dict(FILTER_CFG, filter={"n_partcles": 300}), "filter.n_partcles"),
+    "filter_seed": ("filter", dict(FILTER_CFG, filter={"n_particles": 300, "seed": 4}), "filter.seed"),
+    "diagnostics": ("verify", {"diagnostics": {"checks": ["independent_h"], "parms": {}}, "seed": 5},
+                    "diagnostics.parms"),
+    "check_params": ("verify", verify_cfg({"independent_h": dict(SMALL, n_path=5)}),
+                     "diagnostics.params.independent_h.n_path"),
+    "removed_key": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, correlated=True)}),
+                    "diagnostics.params.kalman_agreement.correlated"),
+    "non_check": ("verify", verify_cfg({"independent_h": SMALL, "nope": {}}), "diagnostics.params.nope"),
+    "non_numeric": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths="many")}),
+                    "diagnostics.params.independent_h.n_paths"),
+    "phi_label": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x", "bogus"])}),
+                  "diagnostics.params.zakai_residual.phis"),
+    "phi_coordinate": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x", "x5"])}),
+                       "diagnostics.params.zakai_residual.phis"),
+    "check_model": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, model="nope")}),
+                    "diagnostics.params.kalman_agreement.model"),
+    "scenario": ("verify", verify_cfg({"zstar_bound": dict(SMALL, scenario="nope")}),
+                 "diagnostics.params.zstar_bound.scenario"),
+    "model_only_scenario": ("verify", verify_cfg({"gronwall": dict(SMALL, scenario="revuz_yor")}),
+                            "diagnostics.params.gronwall.scenario"),
+    "counterexample": ("counterexample", {"counterexample": {"kind": "dufresne", "n_path": 3, "n_paths": 100,
+                                                             "horizon": 1.0, "dt": 0.01}, "seed": 2},
+                       "counterexample.n_path"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRICT_CASES))
+def test_unknown_key_or_bad_value_exits_2_naming_it(tmp_path, capsys, case):
+    command, cfg, dotted = STRICT_CASES[case]
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert dotted in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

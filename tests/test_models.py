@@ -5,14 +5,14 @@ import pytest
 
 from filterlab.models import (
     ModelError,
-    apply_correlation,
-    apply_D,
-    apply_generator,
+    PhiAtStep,
+    StepCoefficients,
     change_detection_model,
     check_derivatives,
     const_coeff,
+    correlation_apply,
+    dphi_apply,
     generator_apply,
-    jump_term_mc,
     levy_atoms,
     linear_model,
     make_model,
@@ -105,6 +105,11 @@ class TestTestFunctions:
             x = substream(7).standard_normal((5, 3))
             np.testing.assert_array_equal(rebuilt.value(x, Y0), phi.value(x, Y0))
 
+    @pytest.mark.parametrize("label", ["x3", "x-1", "x0*x3", "tanh(x3)"])
+    def test_label_naming_a_missing_coordinate_is_rejected(self, label):
+        with pytest.raises(ModelError, match="coordinate"):
+            phi_by_label(label, 3)
+
     def test_bad_derivative_detected(self):
         from filterlab.models import TestFunction
 
@@ -118,17 +123,23 @@ class TestTestFunctions:
             check_derivatives(broken, np.array([[1.5]]), Y0)
 
 
+def jump_mc(model, phi, x, rng, n_samples):
+    """Monte Carlo jump term of A phi and its standard error at the one row of x."""
+    est, se = PhiAtStep(phi, StepCoefficients(model, x, Y0)).jump_mc(rng, n_samples)
+    return est[0], se[0]
+
+
 class TestGenerator:
     def test_constant_function_is_killed(self):
         # A1 = 0 for every model instance
         for name in ("linear_gaussian", "correlated_linear", "jump_ou"):
             m = make_model(name)
-            val = apply_generator(m, phi_const(1.0, m.dim_x), np.zeros(m.dim_x), Y0)
+            val = generator_apply(m, phi_const(1.0, m.dim_x), np.zeros((1, m.dim_x)), Y0)[0]
             assert val == 0.0
 
     def test_pure_drift_reduces_to_f(self):
         m = linear_model("drift", a_x=2.0, sigma_v=0.0, sigma_bar=0.0)
-        assert apply_generator(m, phi_coord(0, 1), np.array([1.5]), Y0) == pytest.approx(3.0)
+        assert generator_apply(m, phi_coord(0, 1), np.array([[1.5]]), Y0)[0] == pytest.approx(3.0)
 
     def test_single_atom_quadratic(self):
         # atom at eta=1 (a "large" jump), rate lam, sigma_tilde = 1, phi = x^2:
@@ -139,7 +150,7 @@ class TestGenerator:
         x = 0.3
         f_tilde = -x - lam              # b = a - int_{|rho|>=1} rho F = -lam
         expected = 2 * x * f_tilde + (0.5**2 + 0.25**2) + lam
-        got = apply_generator(m, phi_quad(0, 0, 1), np.array([x]), Y0)
+        got = generator_apply(m, phi_quad(0, 0, 1), np.array([[x]]), Y0)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_linear_phi_zero_noise_reduces_to_drift_on_random_models(self):
@@ -148,23 +159,20 @@ class TestGenerator:
             a = float(rng.uniform(-3, 3))
             m = linear_model("r", a_x=a, sigma_v=0.0, sigma_bar=0.0)
             x = float(rng.uniform(-2, 2))
-            assert apply_generator(m, phi_coord(0, 1), np.array([x]), Y0) == pytest.approx(a * x)
+            assert generator_apply(m, phi_coord(0, 1), np.array([[x]]), Y0)[0] == pytest.approx(a * x)
 
     def test_mc_jump_quadrature_matches_atoms(self):
         lam = 2.0
         atoms = levy_atoms([[-0.5], [0.5]], [lam / 2, lam / 2])
         m = linear_model("mcjump", a_x=-1.0, sigma_v=0.5, levy=atoms, sigma_tilde=1.0)
-        x = np.array([0.4])
-        est, se = jump_term_mc(m, phi_quad(0, 0, 1), x, Y0, substream(3), n_samples=20000)
-        exact = apply_generator(m, phi_quad(0, 0, 1), x, Y0) - apply_generator(
-            linear_model("nojump", a_x=-1.0, sigma_v=0.5), phi_quad(0, 0, 1), x, Y0
-        )
+        x = np.array([[0.4]])
+        nojump = linear_model("nojump", a_x=-1.0, sigma_v=0.5)
+        est, se = jump_mc(m, phi_quad(0, 0, 1), x, substream(3), 20000)
+        exact = generator_apply(m, phi_quad(0, 0, 1), x, Y0)[0] - generator_apply(nojump, phi_quad(0, 0, 1), x, Y0)[0]
         # for phi = x^2 the jump integrand is eta^2-like: constant across atoms,
         # so the MC estimate has zero variance here; probe with tanh instead
-        est_t, se_t = jump_term_mc(m, phi_tanh(0, 1), x, Y0, substream(3), n_samples=20000)
-        exact_t = apply_generator(m, phi_tanh(0, 1), x, Y0) - apply_generator(
-            linear_model("nojump", a_x=-1.0, sigma_v=0.5), phi_tanh(0, 1), x, Y0
-        )
+        est_t, se_t = jump_mc(m, phi_tanh(0, 1), x, substream(3), 20000)
+        exact_t = generator_apply(m, phi_tanh(0, 1), x, Y0)[0] - generator_apply(nojump, phi_tanh(0, 1), x, Y0)[0]
         assert est == pytest.approx(exact, abs=3 * se + 1e-12)
         assert est_t == pytest.approx(exact_t, abs=3 * se_t + 1e-12)
         assert se_t > 0
@@ -178,12 +186,12 @@ class TestGenerator:
         levy = LevySpec(jump_rate=1.5, dim=1, sample_marks=gaussian_marks,
                         mean_large=[0.0], second_moment=[[1.5 * 0.16]])
         m = linear_model("gauss_jumps", a_x=-1.0, levy=levy, sigma_tilde=1.0)
-        x = np.array([0.2])
+        x = np.array([[0.2]])
         phi = phi_tanh(0, 1)
 
         def spread(n_samples, tag):
             vals = [
-                jump_term_mc(m, phi, x, Y0, substream(1000 + tag, rep), n_samples)[0]
+                jump_mc(m, phi, x, substream(1000 + tag, rep), n_samples)[0]
                 for rep in range(48)
             ]
             return np.var(vals)
@@ -199,43 +207,36 @@ class TestGenerator:
                         mean_large=[0.0], second_moment=[[1.0]])
         m = linear_model("needs_rng", levy=levy, sigma_tilde=1.0)
         with pytest.raises(ModelError, match="rng"):
-            apply_generator(m, phi_quad(0, 0, 1), np.array([0.1]), Y0)
+            generator_apply(m, phi_quad(0, 0, 1), np.array([[0.1]]), Y0)
 
 
 class TestCorrelationAndD:
     def test_uncorrelated_is_zero(self):
         m = make_model("linear_gaussian")
         for phi in phi_battery(1):
-            assert apply_correlation(m, phi, np.array([0.7]), Y0, 1) == 0.0
+            assert correlation_apply(m, phi, np.array([[0.7]]), Y0)[0, 0] == 0.0
 
     def test_constant_function_is_killed(self):
         m = make_model("correlated_linear")
-        assert apply_correlation(m, phi_const(1.0, 1), np.array([0.7]), Y0, 1) == 0.0
+        assert correlation_apply(m, phi_const(1.0, 1), np.array([[0.7]]), Y0)[0, 0] == 0.0
 
     def test_constant_sigma_bar_linear_phi(self):
         m = linear_model("c", sigma_bar=0.8)
-        assert apply_correlation(m, phi_coord(0, 1), np.array([0.3]), Y0, 1) == pytest.approx(0.8)
-
-    def test_index_out_of_range(self):
-        m = make_model("correlated_linear")
-        with pytest.raises(ModelError):
-            apply_correlation(m, phi_coord(0, 1), np.array([0.0]), Y0, 2)
-        with pytest.raises(ModelError):
-            apply_D(m, phi_coord(0, 1), np.array([0.0]), Y0, 0)
+        assert correlation_apply(m, phi_coord(0, 1), np.array([[0.3]]), Y0)[0, 0] == pytest.approx(0.8)
 
     def test_d_for_constant_phi_is_h(self):
         m = make_model("correlated_linear")
-        x = np.array([1.3])
-        assert apply_D(m, phi_const(1.0, 1), x, Y0, 1) == pytest.approx(1.3)
+        x = np.array([[1.3]])
+        assert dphi_apply(m, phi_const(1.0, 1), x, Y0)[0, 0] == pytest.approx(1.3)
 
     def test_d_zero_h_reduces_to_correlation(self):
         m = linear_model("hzero", sigma_bar=0.6, h_scale=0.0)
-        assert apply_D(m, phi_coord(0, 1), np.array([2.0]), Y0, 1) == pytest.approx(0.6)
+        assert dphi_apply(m, phi_coord(0, 1), np.array([[2.0]]), Y0)[0, 0] == pytest.approx(0.6)
 
     def test_d_quadratic_example(self):
         # h(x) = x, sigma_bar = 0, phi = x: D phi = x * x
         m = linear_model("dq", sigma_bar=0.0)
-        assert apply_D(m, phi_coord(0, 1), np.array([1.3]), Y0, 1) == pytest.approx(1.69)
+        assert dphi_apply(m, phi_coord(0, 1), np.array([[1.3]]), Y0)[0, 0] == pytest.approx(1.69)
 
 
 class TestChangeDetectionModel:
@@ -261,7 +262,7 @@ def test_generator_batched_matches_pointwise():
     phi = phi_tanh(0, 1)
     xs = substream(9).standard_normal((16, 1))
     batched = generator_apply(m, phi, xs, Y0)
-    single = [apply_generator(m, phi, xs[i], Y0) for i in range(16)]
+    single = [generator_apply(m, phi, xs[i:i + 1], Y0)[0] for i in range(16)]
     np.testing.assert_allclose(batched, single, rtol=1e-12)
 
 

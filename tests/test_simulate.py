@@ -12,11 +12,12 @@ from filterlab.rng import substream
 from filterlab.simulate import (
     SimulationBlowUp,
     TimeGrid,
+    dufresne_paths,
+    hitting_paths,
     jumps_to_csv,
     path_to_csv,
     propagate_under_reference,
     sample_levy_increment,
-    simulate_counterexample_paths,
     simulate_pair,
 )
 
@@ -206,10 +207,6 @@ class TestRefinement:
 
 
 class TestCounterexamplePaths:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_counterexample_paths("nope", {}, TimeGrid(1.0, 0.1), substream(0))
-
     def test_revuz_yor_weight_starts_at_one(self):
         ens = ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 100, seed=1)
         assert np.all(ens.log_z[:, 0] == 0.0)
@@ -217,21 +214,15 @@ class TestCounterexamplePaths:
 
     def test_hitting_exit_probability_coarse(self):
         grid = TimeGrid(0.01, 0.001)
-        paths = simulate_counterexample_paths(
-            "hitting", {"barrier": 1, "n_paths": 4000, "max_time": 100.0}, grid, substream(2)
-        )
+        paths = hitting_paths(1, 4000, grid, substream(2), max_time=100.0)
         p = paths.hit_low[paths.resolved].mean()
         se = np.sqrt(p * (1 - p) / paths.resolved.sum())
         assert abs(p - 0.5) < 5 * se
 
     def test_dufresne_monotone_in_horizon(self):
         # the truncated integral grows with the horizon, so P(X < 1) shrinks
-        short = simulate_counterexample_paths(
-            "dufresne", {"n_paths": 2000}, TimeGrid(2.0, 0.01), substream(3)
-        )
-        extended = simulate_counterexample_paths(
-            "dufresne", {"n_paths": 2000}, TimeGrid(8.0, 0.01), substream(3)
-        )
+        short = dufresne_paths(2000, TimeGrid(2.0, 0.01), substream(3))
+        extended = dufresne_paths(2000, TimeGrid(8.0, 0.01), substream(3))
         assert (short.x_trunc < 1.0).mean() >= (extended.x_trunc < 1.0).mean()
 
 
