@@ -6,29 +6,13 @@ exponential-martingale criteria against exact oracles and closed forms.
 """
 
 from .filters import FilterCollapse, FilterConfig, ParticleCloud, ess, init_cloud, pi_estimate, rho_estimate, run_filter, step
-from .girsanov import (
-    DiagnosticsReport,
-    Estimate,
-    GirsanovEnsemble,
-    WeightTrajectory,
-    log_weight_increment,
-)
-from .models import (
-    LevySpec,
-    ModelError,
-    SignalModel,
-    TestFunction,
-    make_model,
-    phi_battery,
-    validate_model,
-)
+from .girsanov import DiagnosticsReport, Estimate, GirsanovEnsemble
+from .models import LevySpec, ModelError, SignalModel, TestFunction, make_model, phi_battery
 from .simulate import (
     PathBundle,
     SimulationBlowUp,
     TimeGrid,
-    path_from_json,
     path_to_csv,
-    path_to_json,
     propagate_under_reference,
     sample_levy_increment,
     simulate_pair,

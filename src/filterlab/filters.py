@@ -180,8 +180,6 @@ class FilterRun:
     rho_one: Array                # trajectory of rho_t(1)
     ess: Array
     resampled: Array              # bool, per step
-    config: FilterConfig
-    model: str
 
 
 def run_filter(
@@ -235,6 +233,4 @@ def run_filter(
         rho_one=rho_one,
         ess=ess_traj,
         resampled=resampled,
-        config=config,
-        model=model.name,
     )

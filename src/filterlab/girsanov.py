@@ -26,7 +26,6 @@ Array = np.ndarray
 E = math.e
 MAXIMAL_CONST = (E + 1.0) / (E - 1.0)           # additive constant of the maximal bound
 MAXIMAL_SLOPE = E / (2.0 * (E - 1.0))           # multiplies the transformed energy
-OVERFLOW_GUARD = 1e12
 
 
 class Estimate(NamedTuple):
@@ -48,32 +47,6 @@ def mean_se(values: Array) -> Estimate:
     if n < 2:
         raise ValueError("need at least 2 samples for a standard error")
     return Estimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)))
-
-
-def log_weight_increment(h_val: Array, dy: Array, dt: float) -> float:
-    """Increment of log Z~ = int h^T dY - 1/2 int |h|^2 ds over one panel."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h_val = np.asarray(h_val, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    if not (np.all(np.isfinite(h_val)) and np.all(np.isfinite(dy))):
-        raise ValueError("non-finite inputs to log_weight_increment")
-    return float(h_val @ dy - 0.5 * (h_val @ h_val) * dt)
-
-
-@dataclass
-class WeightTrajectory:
-    """log Z~ along one path plus the running energy integrand samples."""
-
-    grid: TimeGrid
-    log_z: Array             # (n_steps+1,), log_z[0] = 0
-    energy_integrand: Array  # (n_steps,), Z_s |H_s|^2 at left points
-
-    def __post_init__(self):
-        if self.log_z[0] != 0.0:
-            raise ValueError("log_z must start at 0 (Z_0 = 1)")
-        if not np.all(np.isfinite(self.log_z)):
-            raise ValueError("log_z must stay finite")
 
 
 @dataclass
@@ -193,14 +166,6 @@ class DiagnosticsReport:
     z_log_z: Estimate
     z_star: Estimate
     plain_energy: Estimate
-    overflow: bool = False
-
-    def to_kv(self) -> str:
-        rows = []
-        for key in ("e_z", "transformed_energy", "z_log_z", "z_star", "plain_energy"):
-            est: Estimate = getattr(self, key)
-            rows.append(f"{key} {est.value!r} {est.se!r}")
-        return f"scenario {self.label}\nn_paths {self.n_paths}\noverflow {int(self.overflow)}\n" + "\n".join(rows) + "\n"
 
     def to_csv_rows(self, seed: int) -> list[list[str]]:
         rows = []
@@ -213,36 +178,20 @@ class DiagnosticsReport:
 def diagnostics_report(ens: GirsanovEnsemble) -> DiagnosticsReport:
     """All P-side martingale diagnostics of one ensemble at its horizon."""
     z_t = ens.z(ens.grid.n_steps)
-    energy = ens.pathwise_transformed_energy()
-    overflow = bool(np.any(energy > OVERFLOW_GUARD) or np.any(z_t > OVERFLOW_GUARD))
     return DiagnosticsReport(
         label=ens.label,
         n_paths=ens.n_paths,
         e_z=mean_se(z_t),
-        transformed_energy=mean_se(energy),
+        transformed_energy=mean_se(ens.pathwise_transformed_energy()),
         z_log_z=mean_se(z_t * ens.log_z[:, -1]),
         z_star=mean_se(np.exp(ens.log_z).max(axis=1)),
         plain_energy=mean_se(ens.pathwise_plain_energy()),
-        overflow=overflow,
     )
 
 
 def transformed_energy_estimate(ens: GirsanovEnsemble, upto: Optional[int] = None) -> Estimate:
     """E[int_0^t Z_s |H_s|^2 ds] over the ensemble's paths."""
     return mean_se(ens.pathwise_transformed_energy(upto))
-
-
-def zlogz_estimate(ens: GirsanovEnsemble, k: Optional[int] = None) -> Estimate:
-    k = ens.grid.n_steps if k is None else k
-    return mean_se(np.exp(ens.log_z[:, k]) * ens.log_z[:, k])
-
-
-def zlogz_identity_gap(ens: GirsanovEnsemble) -> Estimate:
-    """Paired per-path gap Z_t log Z_t - 1/2 int Z |H|^2 ds; mean 0 under the
-    energy identity, and the pairing removes the common heavy component."""
-    z_t = ens.z(ens.grid.n_steps)
-    gap = z_t * ens.log_z[:, -1] - 0.5 * ens.pathwise_transformed_energy()
-    return mean_se(gap)
 
 
 def zstar_bound_check(ens: GirsanovEnsemble, energy: Optional[Estimate] = None) -> tuple[Estimate, float, bool]:

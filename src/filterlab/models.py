@@ -22,9 +22,9 @@ per-path observations (n, m), and h implementations broadcast over both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -162,16 +162,10 @@ class SignalModel:
     initial_law: Callable[[np.random.Generator, int], Array]
     levy: Optional[LevySpec] = None
     sigma_tilde: Optional[Callable[[Array], Array]] = None
-    linear_growth_K: float = 1.0
-    sigma_bar_bound: Optional[float] = None
     gronwall_rate: Optional[float] = None
     initial_mean: Optional[Array] = None      # analytic prior moments, when known
     initial_cov: Optional[Array] = None
     change_prior: Optional[ChangePrior] = None   # set by the change-detection problem
-
-    @property
-    def dim_l(self) -> int:
-        return self.levy.dim if self.levy is not None else 0
 
     @property
     def has_jumps(self) -> bool:
@@ -212,8 +206,8 @@ class TestFunction:
     All callables are batched over the n states: value -> (n,),
     grad_x -> (n, d), hess_x -> (n, d, d), grad_y -> (n, m). `lap_y` is the
     y-Laplacian, needed only for y-dependent functions (zero otherwise).
-    Derivatives are analytic by contract and validated against central
-    finite differences.
+    Derivatives are analytic by contract; the tests compare them with
+    central finite differences.
     """
 
     label: str
@@ -222,7 +216,6 @@ class TestFunction:
     hess_x: Callable[[Array, Array], Array]
     grad_y: Optional[Callable[[Array, Array], Array]] = None
     lap_y: Optional[Callable[[Array, Array], Array]] = None
-    y_dependent: bool = False
 
     def grad_y_or_zero(self, x: Array, y: Array, m: int) -> Array:
         if self.grad_y is None:
@@ -341,124 +334,6 @@ def phi_by_label(label: str, d: int = 1) -> TestFunction:
     if label.startswith("x"):
         return phi_coord(coord(label[1:]), d)
     raise ModelError(f"unknown test-function label {label!r}")
-
-
-def check_derivatives(
-    phi: TestFunction,
-    x: Array,
-    y: Array,
-    rel_tol: float = 1e-5,
-    step: float = 1e-5,
-) -> float:
-    """Max relative disagreement between analytic and central-FD derivatives.
-
-    Raises ModelError when the disagreement exceeds rel_tol. Scale for the
-    relative comparison is max(1, |derivative|) so that near-zero entries are
-    compared absolutely.
-    """
-    x = _batch(x)
-    y = np.asarray(y, dtype=float)
-    n, d = x.shape
-    worst = 0.0
-    g = phi.grad_x(x, y)
-    hess = phi.hess_x(x, y)
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        fd_g = (phi.value(x + e, y) - phi.value(x - e, y)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(g[:, k]))
-        worst = max(worst, float(np.max(np.abs(fd_g - g[:, k]) / scale)))
-        fd_h = (phi.grad_x(x + e, y) - phi.grad_x(x - e, y)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(hess[:, :, k]))
-        worst = max(worst, float(np.max(np.abs(fd_h - hess[:, :, k]) / scale)))
-    if phi.grad_y is not None:
-        m = y.shape[-1]
-        gy = phi.grad_y(x, y)
-        for k in range(m):
-            e = np.zeros(m)
-            e[k] = step
-            fd = (phi.value(x, y + e) - phi.value(x, y - e)) / (2 * step)
-            scale = np.maximum(1.0, np.abs(gy[:, k]))
-            worst = max(worst, float(np.max(np.abs(fd - gy[:, k]) / scale)))
-    if worst > rel_tol:
-        raise ModelError(f"analytic derivatives of {phi.label!r} disagree with finite differences: {worst:.2e}")
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Model validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValidationReport:
-    model: str
-    ratios: dict[str, float]
-    declared_K: float
-    passed: bool
-    failures: list[str] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        lines = [f"model {self.model}: K={self.declared_K:g} -> {'pass' if self.passed else 'FAIL'}"]
-        for name, r in self.ratios.items():
-            lines.append(f"  sup |{name}(x)|/(1+|x|) = {r:.6g}")
-        lines.extend("  " + msg for msg in self.failures)
-        return "\n".join(lines)
-
-
-def validate_model(model: SignalModel, probe_points: Sequence[Array]) -> ValidationReport:
-    """Probe the linear-growth condition |g(x)| <= K (1 + |x|) on a finite grid.
-
-    Checks f, sigma, sigma_bar, sigma_tilde and h against the declared K,
-    sigma_bar against its uniform bound when declared, and the Levy second
-    moment for finiteness. Non-finite coefficient values anywhere on the
-    probe grid are an error.
-    """
-    probes = np.atleast_2d(np.asarray(list(probe_points), dtype=float))
-    if probes.size == 0:
-        raise ModelError("probe_points must be non-empty")
-    if probes.shape[1] != model.dim_x:
-        raise ModelError(f"probe points must lie in R^{model.dim_x}")
-    denom = 1.0 + np.linalg.norm(probes, axis=1)
-    y0 = np.zeros(model.dim_y)
-
-    def coeff_norms(values: Array) -> Array:
-        flat = values.reshape(values.shape[0], -1)
-        return np.linalg.norm(flat, axis=1)
-
-    named = {"f": model.f(probes), "sigma": model.sigma(probes), "sigma_bar": model.sigma_bar(probes)}
-    if model.sigma_tilde is not None:
-        named["sigma_tilde"] = model.sigma_tilde(probes)
-    named["h"] = model.h_now(probes, y0, 0.0)
-
-    ratios: dict[str, float] = {}
-    failures: list[str] = []
-    for name, values in named.items():
-        if not np.all(np.isfinite(values)):
-            raise ModelError(f"coefficient {name} is non-finite on the probe grid")
-        ratios[name] = float(np.max(coeff_norms(values) / denom))
-        if ratios[name] > model.linear_growth_K * (1 + 1e-12):
-            failures.append(f"{name}: growth ratio {ratios[name]:.6g} exceeds K={model.linear_growth_K:g}")
-    if model.sigma_bar_bound is not None:
-        sup = float(np.max(coeff_norms(named["sigma_bar"])))
-        ratios["sigma_bar_sup"] = sup
-        if sup > model.sigma_bar_bound * (1 + 1e-12):
-            failures.append(f"sigma_bar: sup {sup:.6g} exceeds bound {model.sigma_bar_bound:g}")
-    if model.levy is not None:
-        sm = model.levy.second_moment
-        if not np.all(np.isfinite(sm)):
-            failures.append("levy second moment is not finite")
-        elif not np.allclose(sm, sm.T):
-            failures.append("levy second moment is not symmetric")
-        elif np.min(np.linalg.eigvalsh(0.5 * (sm + sm.T))) < -1e-12:
-            failures.append("levy second moment is not positive semidefinite")
-    return ValidationReport(
-        model=model.name,
-        ratios=ratios,
-        declared_K=model.linear_growth_K,
-        passed=not failures,
-        failures=failures,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +459,6 @@ class PhiAtStep:
         return self.c.h * self.value[:, None] + self.correlation + self.grad_y
 
 
-def generator_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array, t: float = 0.0,
-                    rng: Optional[np.random.Generator] = None, jump_samples: int = 4096) -> Array:
-    """Batched generator A phi over an (n, d) array of states (see PhiAtStep)."""
-    return PhiAtStep(phi, StepCoefficients(model, states, y, t)).generator(rng, jump_samples)
-
-
-def correlation_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array) -> Array:
-    """All m correlation terms B^i phi = (sigma_bar^T grad_x phi)_i, shape (n, m)."""
-    return PhiAtStep(phi, StepCoefficients(model, states, y)).correlation
-
-
-def dphi_apply(model: SignalModel, phi: TestFunction, states: Array, y: Array, t: float = 0.0) -> Array:
-    """All m terms D_j phi = h^j phi + B^j phi + dphi/dy_j, shape (n, m)."""
-    return PhiAtStep(phi, StepCoefficients(model, states, y, t)).dphi()
-
-
 # ---------------------------------------------------------------------------
 # Built-in models
 # ---------------------------------------------------------------------------
@@ -642,7 +501,6 @@ def linear_model(
 ) -> SignalModel:
     """Scalar linear/affine family: dX = a_x X dt + sigma_v dV + sigma_bar dW
     (+ sigma_tilde dL), observed through h(x) = h_scale * x."""
-    K = max(abs(a_x), abs(sigma_v), abs(sigma_bar), abs(h_scale), abs(sigma_tilde), 1e-12)
     return SignalModel(
         name=name,
         dim_x=1,
@@ -655,8 +513,6 @@ def linear_model(
         h=lambda x, y, t: h_scale * x,
         initial_law=gaussian_initial([x0_mean], [[x0_var]]),
         levy=levy,
-        linear_growth_K=K,
-        sigma_bar_bound=abs(sigma_bar) if sigma_bar else None,
         gronwall_rate=_linear_gronwall_rate(a_x, sigma_v, sigma_bar, h_scale, sigma_tilde, levy),
         initial_mean=np.array([x0_mean]),
         initial_cov=np.array([[x0_var]]),
@@ -745,7 +601,6 @@ def change_detection_model(
         sigma_bar=zero2,
         h=h,
         initial_law=sample,
-        linear_growth_K=max(abs(b0) + float(np.max(np.abs(b_values))), 1.0),
         gronwall_rate=None,
         change_prior=ChangePrior(b0, b_values, b_probs, tau_values, tau_probs),
     )

@@ -61,18 +61,15 @@ class TimeGrid:
 
 @dataclass
 class PathBundle:
-    """One realisation of (X, Y) plus the driving increments on a TimeGrid."""
+    """One realisation of (X, Y) on a TimeGrid, with its observation-noise increments
+    and the jump marks that fired."""
 
     grid: TimeGrid
     x: Array                    # (n_steps+1, d)
     y: Array                    # (n_steps+1, m), y[0] = 0
     w_increments: Array         # (n_steps, m)
-    v_increments: Array         # (n_steps, p)
     jump_log: list[tuple[int, Array]] = field(default_factory=list)
     seed: Optional[int] = None
-
-    def observation_increments(self) -> Array:
-        return np.diff(self.y, axis=0)
 
 
 def sample_levy_increment(
@@ -144,13 +141,12 @@ def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) 
     x = np.empty((n + 1, d))
     y = np.zeros((n + 1, m))
     dw = np.empty((n, m))
-    dv = np.empty((n, p))
     jump_log: list[tuple[int, Array]] = []
     x[0] = model.initial_law(rng, 1)[0]
     for k in range(n):
         xk = x[k][None, :]
         t = k * grid.dt
-        dv[k] = rng.standard_normal(p) * sq
+        dv = rng.standard_normal((1, p)) * sq
         dw[k] = rng.standard_normal(m) * sq
         dl = None
         if model.has_jumps:
@@ -158,13 +154,13 @@ def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) 
             inc, marks = sample_levy_increment(model.levy, grid.dt, rng)
             dl = inc[None, :]
             jump_log.extend((k, mark) for mark in marks)
-        x[k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv[k][None, :], dw[k][None, :], dl, k + 1)[0]
+        x[k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv, dw[k][None, :], dl, k + 1)[0]
         # Observation identity: y[k+1] - y[k] = h(x[k]) dt + dw[k], exactly.
         hk = model.h_now(xk, y[k], t)[0]
         y[k + 1] = y[k] + hk * grid.dt + dw[k]
         if not np.all(np.isfinite(y[k + 1])):
             raise SimulationBlowUp(k + 1)
-    return PathBundle(grid=grid, x=x, y=y, w_increments=dw, v_increments=dv, jump_log=jump_log)
+    return PathBundle(grid=grid, x=x, y=y, w_increments=dw, jump_log=jump_log)
 
 
 def propagate_under_reference(
@@ -201,27 +197,15 @@ def propagate_under_reference(
 
 
 @dataclass
-class DufresnePaths:
-    """Truncated exponential-functional values X = int_0^T exp(B_s - s/2) ds."""
-
-    horizon: float
-    dt: float
-    x_trunc: Array
-    b_terminal: Array
-
-
-@dataclass
 class HittingPaths:
     """First exit of Brownian motion from (-1, n) on a dt-grid."""
 
-    barrier: int
-    dt: float
     hit_low: Array      # bool, among resolved paths
-    exit_step: Array
     resolved: Array     # bool; False = censored at max_time
 
 
-def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> DufresnePaths:
+def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> Array:
+    """Per-path X = int_0^T exp(B_s - s/2) ds, truncated at the grid horizon T."""
     k, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
     b = np.zeros(n_paths)
@@ -232,7 +216,7 @@ def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> Du
         x += np.exp(b - 0.5 * t) * dt
         b += rng.standard_normal(n_paths) * sq
         t += dt
-    return DufresnePaths(horizon=grid.horizon, dt=dt, x_trunc=x, b_terminal=b)
+    return x
 
 
 def hitting_paths(
@@ -251,7 +235,6 @@ def hitting_paths(
     alive = np.arange(n_paths)
     hit_low = np.zeros(n_paths, dtype=bool)
     resolved = np.zeros(n_paths, dtype=bool)
-    exit_step = np.zeros(n_paths, dtype=np.int64)
     steps_done = 0
     max_steps = int(round(max_time / dt))
     while alive.size and steps_done < max_steps:
@@ -269,16 +252,15 @@ def hitting_paths(
         done = any_lo | any_hi
         idx = alive[done]
         hit_low[idx] = first_lo[done] < first_hi[done]
-        exit_step[idx] = steps_done + np.minimum(first_lo[done], first_hi[done]) + 1
         resolved[idx] = True
         x[alive] = seg[:, -1]
         alive = alive[~done]
         steps_done += nb
-    return HittingPaths(barrier=barrier, dt=dt, hit_low=hit_low, exit_step=exit_step, resolved=resolved)
+    return HittingPaths(hit_low=hit_low, resolved=resolved)
 
 
 # ---------------------------------------------------------------------------
-# Path export / import
+# Path export
 # ---------------------------------------------------------------------------
 
 FLOAT_FMT = "%.17g"
@@ -310,35 +292,3 @@ def jumps_to_csv(bundle: PathBundle) -> str:
         writer.writerow([str(k)] + [FLOAT_FMT % v for v in np.atleast_1d(mark)])
     return buf.getvalue()
 
-
-def path_to_json(bundle: PathBundle) -> str:
-    """Self-describing lossless dump: grid and seed in the header, states,
-    observations, driving increments and the jump log in full precision."""
-    import json
-
-    payload = {
-        "grid": {"horizon": bundle.grid.horizon, "dt": bundle.grid.dt},
-        "seed": bundle.seed,
-        "x": bundle.x.tolist(),
-        "y": bundle.y.tolist(),
-        "w_increments": bundle.w_increments.tolist(),
-        "v_increments": bundle.v_increments.tolist(),
-        "jump_log": [[k, list(map(float, np.atleast_1d(mark)))] for k, mark in bundle.jump_log],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def path_from_json(text: str) -> PathBundle:
-    import json
-
-    payload = json.loads(text)
-    grid = TimeGrid(**payload["grid"])
-    return PathBundle(
-        grid=grid,
-        x=np.asarray(payload["x"], dtype=float),
-        y=np.asarray(payload["y"], dtype=float),
-        w_increments=np.asarray(payload["w_increments"], dtype=float),
-        v_increments=np.asarray(payload["v_increments"], dtype=float),
-        jump_log=[(int(k), np.asarray(mark, dtype=float)) for k, mark in payload["jump_log"]],
-        seed=payload["seed"],
-    )

@@ -75,12 +75,8 @@ class CheckVerdict:
 
 @dataclass
 class KalmanTrajectory:
-    times: Array
     mean: Array   # (K+1, d)
     cov: Array    # (K+1, d, d)
-
-    def variance(self, k: int, i: int = 0) -> float:
-        return float(self.cov[k, i, i])
 
 
 def kalman_bucy_oracle(
@@ -135,7 +131,7 @@ def kalman_bucy_oracle(
         if np.min(np.linalg.eigvalsh(nxt)) < -1e-10:
             raise ValueError(f"Riccati covariance lost positive semidefiniteness at step {k + 1}")
         cov[k + 1] = nxt
-    return KalmanTrajectory(times=grid.times(), mean=mean, cov=cov)
+    return KalmanTrajectory(mean=mean, cov=cov)
 
 
 def kalman_oracle_for_model(model: SignalModel, y_path: Array, grid: TimeGrid) -> KalmanTrajectory:
@@ -161,12 +157,9 @@ def kalman_oracle_for_model(model: SignalModel, y_path: Array, grid: TimeGrid) -
 class GridPosterior:
     """Exact discrete posterior over (b, tau) cells for one observation path."""
 
-    b_values: Array
-    tau_values: Array
     log_likelihood: Array       # (nb, nt) at the terminal time
     posterior: Array            # normalised joint mass at the terminal time
     prob_change: Array          # trajectory of P(T <= t | Y) on the grid
-    posterior_b: Array          # marginal over b at the terminal time
 
     def mass_total(self) -> float:
         return float(self.posterior.sum())
@@ -225,25 +218,7 @@ def change_detection_oracle(
     mass /= mass.sum()
     if abs(mass.sum() - 1.0) > 1e-12:
         raise ValueError("posterior mass failed to normalise")
-    return GridPosterior(
-        b_values=b_values,
-        tau_values=tau_values,
-        log_likelihood=loglik,
-        posterior=mass,
-        prob_change=prob_change,
-        posterior_b=mass.sum(axis=1),
-    )
-
-
-def change_detection_loglik_direct(b: float, tau: float, b0: float, y_path: Array, grid: TimeGrid) -> float:
-    """Single-(b, tau) log-likelihood, for oracle self-consistency checks."""
-    y = np.asarray(y_path, dtype=float).reshape(-1)
-    out = 0.0
-    for k in range(grid.n_steps):
-        t = k * grid.dt
-        h = (b0 + b * (t >= tau)) * y[k]
-        out += h * (y[k + 1] - y[k]) - 0.5 * h * h * grid.dt
-    return out
+    return GridPosterior(log_likelihood=loglik, posterior=mass, prob_change=prob_change)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +228,6 @@ def change_detection_loglik_direct(b: float, tau: float, b0: float, y_path: Arra
 
 @dataclass
 class ResidualStats:
-    phi_label: str
-    n_runs: int
     mean_residual: Estimate
     trajectory: Array           # per-time mean residual
 
@@ -351,9 +324,7 @@ def equation_residuals(
     for which, out in enumerate(stats):
         for label in runs[0][which]:
             r = np.array([run[which][label] for run in runs])
-            out[label] = ResidualStats(
-                phi_label=label, n_runs=n_runs, mean_residual=mean_se(r[:, -1]), trajectory=r.mean(axis=0)
-            )
+            out[label] = ResidualStats(mean_residual=mean_se(r[:, -1]), trajectory=r.mean(axis=0))
     return stats
 
 
@@ -432,11 +403,13 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
     rather than silently accepted.
     """
     rng = substream(seed, TAG_DUFRESNE)
-    paths = dufresne_paths(n_paths, grid, rng)
-    below = paths.x_trunc < 1.0
+    below = dufresne_paths(n_paths, grid, rng) < 1.0
     est = mean_se(below.astype(float))
     allowance = math.exp(-grid.horizon / 2.0)
     return est, DUFRESNE_TARGET, allowance
+
+
+REPRESENTATIONS = ("transformed", "base")
 
 
 def revuz_yor_energy(
@@ -502,34 +475,15 @@ def kazamaki_gap_check(
     return rows, sums, growth
 
 
-def independence_identity_check(grid: TimeGrid, n_paths: int, seed: int):
-    """Transformed vs plain energy for H independent of W."""
-    ens = girsanov.ensemble_independent_h(grid, n_paths, seed)
-    return girsanov.independent_h_identity_check(ens)
-
-
-def local_boundedness_sweep(
-    model: Optional[SignalModel],
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    rate: Optional[float] = None,
-    rate_factor: float = 2.0,
-    ensemble: Optional[girsanov.GirsanovEnsemble] = None,
-):
+def local_boundedness_sweep(ens: girsanov.GirsanovEnsemble, rate: float, rate_factor: float = 2.0):
     """Sweep of E[Z_t |H_t|^2] and E[|H_t|^2] under the Gronwall envelope
-    c * exp(rate_factor * c * t) * E[U_0].
-
-    Pass a prebuilt ensemble when the dominating process U is not 1 + |X|^2
-    (the change-detection problem controls through U = 1 + Y^2)."""
-    ens = ensemble if ensemble is not None else girsanov.ensemble_from_model(model, grid, n_paths, seed)
-    c = rate if rate is not None else (model.gronwall_rate if model is not None else None)
-    if c is None:
-        raise ValueError("no Gronwall rate available")
+    c * exp(rate_factor * c * t) * E[U_0], where c is the Gronwall rate and U
+    the ensemble's dominating process (1 + |X|^2 for a signal model, 1 + Y^2
+    for the change-detection problem)."""
     z = np.exp(ens.log_z[:, :-1])
     zh = z * ens.h_sq
     plain = ens.h_sq
-    envelope = c * np.exp(rate_factor * c * grid.times()[:-1]) * ens.u[:, 0].mean()
+    envelope = rate * np.exp(rate_factor * rate * ens.grid.times()[:-1]) * ens.u[:, 0].mean()
     zh_mean = zh.mean(axis=0)
     plain_mean = plain.mean(axis=0)
     n = ens.n_paths

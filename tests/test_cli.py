@@ -189,7 +189,7 @@ class TestVerifyCommand:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "nope" in proc.stderr
 
-    def test_expected_fail_negative_control_exits_5(self, tmp_path, capsys):
+    def test_expected_fail_negative_control_exits_0(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
             "neg.json",
@@ -203,12 +203,22 @@ class TestVerifyCommand:
         )
         code = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
         out = capsys.readouterr().out
-        assert code == EXIT_CHECK_FAILED
+        assert code == EXIT_OK
         assert "expected-fail" in out
         with open(tmp_path / "v" / "verdicts.csv") as fh:
             rows = list(csv.DictReader(fh))
         var_row = [r for r in rows if r["scenario"].endswith("var")][0]
         assert var_row["expect_fail"] == "1" and var_row["passed"] == "0"
+
+    def test_negative_control_that_does_not_fail_exits_5(self, tmp_path, capsys):
+        # so short a horizon and so wide a band that the correlation-blind filter stays inside it
+        params = {"kalman_ablation": {"n_seeds": 2, "n_particles": 200, "horizon": 0.1, "tolerance": 10}}
+        cfg = write_cfg(tmp_path, "neg.json", {"diagnostics": {"checks": ["kalman_ablation"], "params": params},
+                                               "seed": 5})
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+        out = capsys.readouterr().out
+        assert code == EXIT_CHECK_FAILED
+        assert out.count(": FAIL") == 2 and "expected-fail" not in out
 
     def test_trajectory_artifacts_written(self, tmp_path):
         cfg = write_cfg(
@@ -344,6 +354,27 @@ STRICT_CASES = {
                  "diagnostics.params.zstar_bound.scenario"),
     "model_only_scenario": ("verify", verify_cfg({"gronwall": dict(SMALL, scenario="revuz_yor")}),
                             "diagnostics.params.gronwall.scenario"),
+    "representation": ("verify", verify_cfg({"revuz_yor_energy": dict(SMALL, representation="tilted")}),
+                       "diagnostics.params.revuz_yor_energy.representation"),
+    "empty_times": ("verify", verify_cfg({"martingale_mean": dict(SMALL, times=[])}),
+                    "diagnostics.params.martingale_mean.times"),
+    "time_off_grid": ("verify", verify_cfg({"martingale_mean": dict(SMALL, times=[0.5, 0.333])}),
+                      "diagnostics.params.martingale_mean.times"),
+    "negative_dt": ("verify", verify_cfg({"hitting": {"barriers": [1], "n_paths": 100, "dt": -1e-3}}),
+                    "diagnostics.params.hitting.dt"),
+    "horizon_below_dt": ("verify", verify_cfg({"zstar_bound": dict(SMALL, t=0.001)}),
+                         "diagnostics.params.zstar_bound.t"),
+    "one_particle": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, n_particles=1)}),
+                     "diagnostics.params.kalman_agreement.n_particles"),
+    "threshold": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, resample_threshold=1.5)}),
+                  "diagnostics.params.kalman_agreement.resample_threshold"),
+    "filter_one_particle": ("filter", dict(FILTER_CFG, filter={"n_particles": 1}), "filter.n_particles"),
+    "string_bool": ("filter", dict(FILTER_CFG, filter={"n_particles": 300, "ignore_correlation": "false"}),
+                    "filter.ignore_correlation"),
+    "change_size_elsewhere": ("verify", verify_cfg({"gronwall": dict(SMALL, scenario="jump_ou", b=5, b0=2)}),
+                              "diagnostics.params.gronwall.b'"),
+    "change_bound_elsewhere": ("verify", verify_cfg({"local_boundedness": dict(SMALL, b_max=3.0)}),
+                               "diagnostics.params.local_boundedness.b_max"),
     "counterexample": ("counterexample", {"counterexample": {"kind": "dufresne", "n_path": 3, "n_paths": 100,
                                                              "horizon": 1.0, "dt": 0.01}, "seed": 2},
                        "counterexample.n_path"),

@@ -32,6 +32,12 @@ from filterlab.verify import kalman_oracle_for_model
 
 Y0 = np.zeros(1)
 
+# log-weights of a random cloud: finite ones spread over many orders of
+# magnitude, and -inf for zero weights, with at least one weight nonzero
+LOG_WEIGHTS = st.lists(st.one_of(st.floats(-30, 5), st.just(-np.inf)), min_size=2, max_size=64).filter(
+    lambda lws: max(lws) > -np.inf
+)
+
 
 def make_cloud(states, log_weights, log_mass=0.0, t=0.0):
     return ParticleCloud(
@@ -78,8 +84,10 @@ class TestEstimates:
             c * rho_estimate(cloud, phi_const(1.0, 1), Y0)
         )
 
-    def test_pi_of_one_is_exactly_one(self):
-        cloud = make_cloud([0.5, 1.5, -0.3], [2.0, -11.0, 0.4], log_mass=3.3)
+    @given(LOG_WEIGHTS, st.floats(-20, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_pi_of_one_is_exactly_one(self, lws, log_mass):
+        cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
         assert pi_estimate(cloud, phi_const(1.0, 1), Y0) == 1.0
 
     def test_pi_invariant_under_exact_weight_shift(self):
@@ -129,11 +137,12 @@ class TestResampling:
         assert ess(out) == pytest.approx(256.0)
         assert np.all(out.log_weights == 0.0)
 
-    def test_resample_preserves_rho_one(self):
-        rng = substream(7)
-        cloud = make_cloud(rng.standard_normal(512), rng.standard_normal(512), log_mass=0.7)
+    @given(LOG_WEIGHTS, st.floats(-20, 20), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_resample_preserves_rho_one(self, lws, log_mass, seed):
+        cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
         before = rho_estimate(cloud, phi_const(1.0, 1), Y0)
-        after = rho_estimate(resample(cloud, substream(8)), phi_const(1.0, 1), Y0)
+        after = rho_estimate(resample(cloud, substream(seed)), phi_const(1.0, 1), Y0)
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))

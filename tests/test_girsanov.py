@@ -1,4 +1,4 @@
-"""Exponential-weight bookkeeping and the martingale diagnostics.
+"""The exponential-martingale diagnostics.
 
 The statistical anchors here run at desk scale with 3-SE bands; the
 heavy-tailed t=1 Revuz-Yor diagnostics live in the acceptance suite with
@@ -10,13 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from filterlab.girsanov import (
     Estimate,
     MAXIMAL_CONST,
-    WeightTrajectory,
     diagnostics_report,
     energy_identity_check,
     ensemble_from_model,
@@ -24,15 +21,12 @@ from filterlab.girsanov import (
     ensemble_revuz_yor,
     gronwall_bound_check,
     independent_h_identity_check,
-    log_weight_increment,
     martingale_mean_check,
     mean_se,
     revuz_yor_base_stats,
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
     transformed_energy_estimate,
-    zlogz_estimate,
-    zlogz_identity_gap,
     zstar_bound_check,
 )
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
@@ -40,61 +34,6 @@ from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid, batch_levy_increments
 
 GRID_HALF = TimeGrid(horizon=0.5, dt=1e-3)
-
-
-class TestLogWeightIncrement:
-    def test_zero_h_gives_zero(self):
-        assert log_weight_increment(np.zeros(3), np.array([0.1, -0.2, 0.4]), 0.01) == 0.0
-
-    def test_scalar_arithmetic(self):
-        assert log_weight_increment(np.array([1.0]), np.array([0.1]), 0.01) == pytest.approx(0.095)
-
-    def test_vector_arithmetic(self):
-        val = log_weight_increment(np.array([1.0, -1.0]), np.array([0.2, 0.1]), 0.1)
-        assert val == pytest.approx(0.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            log_weight_increment(np.array([np.inf]), np.array([0.1]), 0.01)
-        with pytest.raises(ValueError):
-            log_weight_increment(np.array([1.0]), np.array([0.1]), 0.0)
-
-    @given(
-        h=st.floats(-5, 5),
-        dy1=st.floats(-1, 1),
-        dy2=st.floats(-1, 1),
-        dt=st.floats(1e-4, 0.5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_linear_in_dy(self, h, dy1, dy2, dt):
-        hv = np.array([h])
-        lhs = log_weight_increment(hv, np.array([dy1 + dy2]), dt)
-        rhs = (
-            log_weight_increment(hv, np.array([dy1]), dt)
-            + log_weight_increment(hv, np.array([dy2]), dt)
-            + 0.5 * h * h * dt
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-class TestWeightTrajectory:
-    def test_must_start_at_zero(self):
-        grid = TimeGrid(0.1, 0.05)
-        with pytest.raises(ValueError):
-            WeightTrajectory(grid=grid, log_z=np.array([0.1, 0.0, 0.0]), energy_integrand=np.zeros(2))
-
-    def test_telescoping_matches_one_pass(self):
-        # exp(sum of increments) equals the single-pass weight to 1e-12 rel
-        rng = substream(3)
-        h = rng.standard_normal(200)
-        dy = rng.standard_normal(200) * 0.1
-        dt = 5e-3
-        incs = np.array([log_weight_increment(np.array([h[k]]), np.array([dy[k]]), dt) for k in range(200)])
-        one_pass = np.exp(np.sum(incs))
-        stepwise = 1.0
-        for inc in incs:
-            stepwise *= np.exp(inc)
-        assert stepwise == pytest.approx(one_pass, rel=1e-12)
 
 
 class TestRevuzYorEstimators:
@@ -119,12 +58,13 @@ class TestRevuzYorEstimators:
         assert abs(est.value - closed) < 3 * est.se
 
     def test_zlogz_identity_on_base_paths(self):
+        # the paired per-path gap Z_t log Z_t - 1/2 int Z |H|^2 ds has mean 0
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=13)
-        gap = zlogz_identity_gap(ens)
+        gap = mean_se(ens.z(ens.grid.n_steps) * ens.log_z[:, -1] - 0.5 * ens.pathwise_transformed_energy())
         assert abs(gap.value) < 3 * gap.se
         # the two sides are individually near the closed form too
         closed = revuz_yor_closed_form(1.0, 0.5)
-        zz = zlogz_estimate(ens)
+        zz = diagnostics_report(ens).z_log_z
         assert abs(zz.value - closed / 2) < 3 * zz.se + 0.02 * closed
 
     def test_martingale_mean_flat_at_one(self):
@@ -160,7 +100,7 @@ class TestDegenerateAndModelEnsembles:
         ens = ensemble_from_model(m, TimeGrid(0.2, 0.01), 500, seed=3)
         assert np.all(ens.log_z == 0.0)
         assert transformed_energy_estimate(ens).value == 0.0
-        assert zlogz_estimate(ens).value == 0.0
+        assert diagnostics_report(ens).z_log_z.value == 0.0
         lhs, rhs, ok = zstar_bound_check(ens)
         assert lhs.value == 1.0 and rhs == pytest.approx(MAXIMAL_CONST) and ok
 
@@ -221,8 +161,6 @@ class TestDeterminism:
 
     def test_report_serialisation(self):
         rep = diagnostics_report(ensemble_revuz_yor(1.0, TimeGrid(0.1, 0.01), 200, seed=5))
-        kv = rep.to_kv()
-        assert "transformed_energy" in kv and "n_paths 200" in kv
         rows = rep.to_csv_rows(seed=5)
         assert len(rows) == 5 and rows[0][0] == rep.label
 

@@ -8,11 +8,7 @@ from filterlab.models import (
     PhiAtStep,
     StepCoefficients,
     change_detection_model,
-    check_derivatives,
     const_coeff,
-    correlation_apply,
-    dphi_apply,
-    generator_apply,
     levy_atoms,
     linear_model,
     make_model,
@@ -22,13 +18,42 @@ from filterlab.models import (
     phi_coord,
     phi_quad,
     phi_tanh,
-    validate_model,
     LevySpec,
 )
 from filterlab.rng import substream
 
-PROBES = np.linspace(-5.0, 5.0, 41).reshape(-1, 1)
 Y0 = np.zeros(1)
+
+
+def at_step(model, phi, x):
+    """phi and its operators A, B and D on the rows of x, at observation Y0 and time 0."""
+    return PhiAtStep(phi, StepCoefficients(model, x, Y0))
+
+
+def generator(model, phi, x):
+    return at_step(model, phi, x).generator()
+
+
+def check_derivatives(phi, x, y, rel_tol=1e-5, step=1e-5):
+    """Max relative disagreement between the analytic x-derivatives of phi and
+    central finite differences; raises ModelError above rel_tol. The scale is
+    max(1, |derivative|), so near-zero entries compare absolutely."""
+    d = x.shape[1]
+    worst = 0.0
+    g = phi.grad_x(x, y)
+    hess = phi.hess_x(x, y)
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = step
+        fd_g = (phi.value(x + e, y) - phi.value(x - e, y)) / (2 * step)
+        scale = np.maximum(1.0, np.abs(g[:, k]))
+        worst = max(worst, float(np.max(np.abs(fd_g - g[:, k]) / scale)))
+        fd_h = (phi.grad_x(x + e, y) - phi.grad_x(x - e, y)) / (2 * step)
+        scale = np.maximum(1.0, np.abs(hess[:, :, k]))
+        worst = max(worst, float(np.max(np.abs(fd_h - hess[:, :, k]) / scale)))
+    if worst > rel_tol:
+        raise ModelError(f"analytic derivatives of {phi.label!r} disagree with finite differences: {worst:.2e}")
+    return worst
 
 
 def test_jump_ou_rejects_overrides_naming_the_key():
@@ -54,37 +79,6 @@ class TestLevySpec:
     def test_sampler_spec_requires_declarations(self):
         with pytest.raises(ModelError):
             LevySpec(jump_rate=1.0, dim=1, sample_marks=lambda rng, k: rng.standard_normal((k, 1)))
-
-
-class TestValidateModel:
-    def test_zero_drift_passes_with_ratio_zero(self):
-        m = linear_model("zero", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0, x0_var=1.0)
-        report = validate_model(m, PROBES)
-        assert report.passed
-        assert report.ratios["f"] == 0.0
-
-    def test_declared_k_too_small_fails(self):
-        # f(x) = 2x against K = 1 fails once |x| >= 1
-        m = linear_model("steep", a_x=2.0)
-        object.__setattr__(m, "linear_growth_K", 1.0)
-        report = validate_model(m, PROBES)
-        assert not report.passed
-        assert any("f:" in msg for msg in report.failures)
-
-    def test_acceptance_models_pass(self):
-        for name in ("linear_gaussian", "correlated_linear", "jump_ou"):
-            report = validate_model(make_model(name), PROBES)
-            assert report.passed, f"{name} failed validation: {report.failures}"
-
-    def test_nonfinite_coefficient_rejected(self):
-        m = linear_model("bad")
-        object.__setattr__(m, "f", lambda x: np.where(x > 4.0, np.inf, -x))
-        with pytest.raises(ModelError, match="non-finite"):
-            validate_model(m, PROBES)
-
-    def test_empty_probe_grid_rejected(self):
-        with pytest.raises(ModelError):
-            validate_model(make_model("jump_ou"), [])
 
 
 class TestTestFunctions:
@@ -125,7 +119,7 @@ class TestTestFunctions:
 
 def jump_mc(model, phi, x, rng, n_samples):
     """Monte Carlo jump term of A phi and its standard error at the one row of x."""
-    est, se = PhiAtStep(phi, StepCoefficients(model, x, Y0)).jump_mc(rng, n_samples)
+    est, se = at_step(model, phi, x).jump_mc(rng, n_samples)
     return est[0], se[0]
 
 
@@ -134,12 +128,12 @@ class TestGenerator:
         # A1 = 0 for every model instance
         for name in ("linear_gaussian", "correlated_linear", "jump_ou"):
             m = make_model(name)
-            val = generator_apply(m, phi_const(1.0, m.dim_x), np.zeros((1, m.dim_x)), Y0)[0]
+            val = generator(m, phi_const(1.0, m.dim_x), np.zeros((1, m.dim_x)))[0]
             assert val == 0.0
 
     def test_pure_drift_reduces_to_f(self):
         m = linear_model("drift", a_x=2.0, sigma_v=0.0, sigma_bar=0.0)
-        assert generator_apply(m, phi_coord(0, 1), np.array([[1.5]]), Y0)[0] == pytest.approx(3.0)
+        assert generator(m, phi_coord(0, 1), np.array([[1.5]]))[0] == pytest.approx(3.0)
 
     def test_single_atom_quadratic(self):
         # atom at eta=1 (a "large" jump), rate lam, sigma_tilde = 1, phi = x^2:
@@ -150,7 +144,7 @@ class TestGenerator:
         x = 0.3
         f_tilde = -x - lam              # b = a - int_{|rho|>=1} rho F = -lam
         expected = 2 * x * f_tilde + (0.5**2 + 0.25**2) + lam
-        got = generator_apply(m, phi_quad(0, 0, 1), np.array([[x]]), Y0)[0]
+        got = generator(m, phi_quad(0, 0, 1), np.array([[x]]))[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_linear_phi_zero_noise_reduces_to_drift_on_random_models(self):
@@ -159,7 +153,7 @@ class TestGenerator:
             a = float(rng.uniform(-3, 3))
             m = linear_model("r", a_x=a, sigma_v=0.0, sigma_bar=0.0)
             x = float(rng.uniform(-2, 2))
-            assert generator_apply(m, phi_coord(0, 1), np.array([[x]]), Y0)[0] == pytest.approx(a * x)
+            assert generator(m, phi_coord(0, 1), np.array([[x]]))[0] == pytest.approx(a * x)
 
     def test_mc_jump_quadrature_matches_atoms(self):
         lam = 2.0
@@ -168,11 +162,11 @@ class TestGenerator:
         x = np.array([[0.4]])
         nojump = linear_model("nojump", a_x=-1.0, sigma_v=0.5)
         est, se = jump_mc(m, phi_quad(0, 0, 1), x, substream(3), 20000)
-        exact = generator_apply(m, phi_quad(0, 0, 1), x, Y0)[0] - generator_apply(nojump, phi_quad(0, 0, 1), x, Y0)[0]
+        exact = generator(m, phi_quad(0, 0, 1), x)[0] - generator(nojump, phi_quad(0, 0, 1), x)[0]
         # for phi = x^2 the jump integrand is eta^2-like: constant across atoms,
         # so the MC estimate has zero variance here; probe with tanh instead
         est_t, se_t = jump_mc(m, phi_tanh(0, 1), x, substream(3), 20000)
-        exact_t = generator_apply(m, phi_tanh(0, 1), x, Y0)[0] - generator_apply(nojump, phi_tanh(0, 1), x, Y0)[0]
+        exact_t = generator(m, phi_tanh(0, 1), x)[0] - generator(nojump, phi_tanh(0, 1), x)[0]
         assert est == pytest.approx(exact, abs=3 * se + 1e-12)
         assert est_t == pytest.approx(exact_t, abs=3 * se_t + 1e-12)
         assert se_t > 0
@@ -207,36 +201,36 @@ class TestGenerator:
                         mean_large=[0.0], second_moment=[[1.0]])
         m = linear_model("needs_rng", levy=levy, sigma_tilde=1.0)
         with pytest.raises(ModelError, match="rng"):
-            generator_apply(m, phi_quad(0, 0, 1), np.array([[0.1]]), Y0)
+            generator(m, phi_quad(0, 0, 1), np.array([[0.1]]))
 
 
 class TestCorrelationAndD:
     def test_uncorrelated_is_zero(self):
         m = make_model("linear_gaussian")
         for phi in phi_battery(1):
-            assert correlation_apply(m, phi, np.array([[0.7]]), Y0)[0, 0] == 0.0
+            assert at_step(m, phi, np.array([[0.7]])).correlation[0, 0] == 0.0
 
     def test_constant_function_is_killed(self):
         m = make_model("correlated_linear")
-        assert correlation_apply(m, phi_const(1.0, 1), np.array([[0.7]]), Y0)[0, 0] == 0.0
+        assert at_step(m, phi_const(1.0, 1), np.array([[0.7]])).correlation[0, 0] == 0.0
 
     def test_constant_sigma_bar_linear_phi(self):
         m = linear_model("c", sigma_bar=0.8)
-        assert correlation_apply(m, phi_coord(0, 1), np.array([[0.3]]), Y0)[0, 0] == pytest.approx(0.8)
+        assert at_step(m, phi_coord(0, 1), np.array([[0.3]])).correlation[0, 0] == pytest.approx(0.8)
 
     def test_d_for_constant_phi_is_h(self):
         m = make_model("correlated_linear")
         x = np.array([[1.3]])
-        assert dphi_apply(m, phi_const(1.0, 1), x, Y0)[0, 0] == pytest.approx(1.3)
+        assert at_step(m, phi_const(1.0, 1), x).dphi()[0, 0] == pytest.approx(1.3)
 
     def test_d_zero_h_reduces_to_correlation(self):
         m = linear_model("hzero", sigma_bar=0.6, h_scale=0.0)
-        assert dphi_apply(m, phi_coord(0, 1), np.array([[2.0]]), Y0)[0, 0] == pytest.approx(0.6)
+        assert at_step(m, phi_coord(0, 1), np.array([[2.0]])).dphi()[0, 0] == pytest.approx(0.6)
 
     def test_d_quadratic_example(self):
         # h(x) = x, sigma_bar = 0, phi = x: D phi = x * x
         m = linear_model("dq", sigma_bar=0.0)
-        assert dphi_apply(m, phi_coord(0, 1), np.array([[1.3]]), Y0)[0, 0] == pytest.approx(1.69)
+        assert at_step(m, phi_coord(0, 1), np.array([[1.3]])).dphi()[0, 0] == pytest.approx(1.69)
 
 
 class TestChangeDetectionModel:
@@ -261,8 +255,8 @@ def test_generator_batched_matches_pointwise():
     m = make_model("jump_ou")
     phi = phi_tanh(0, 1)
     xs = substream(9).standard_normal((16, 1))
-    batched = generator_apply(m, phi, xs, Y0)
-    single = [generator_apply(m, phi, xs[i:i + 1], Y0)[0] for i in range(16)]
+    batched = generator(m, phi, xs)
+    single = [generator(m, phi, xs[i:i + 1])[0] for i in range(16)]
     np.testing.assert_allclose(batched, single, rtol=1e-12)
 
 

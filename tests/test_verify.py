@@ -12,7 +12,6 @@ from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
     change_detection_agreement_run,
     change_detection_gronwall_ensemble,
-    change_detection_loglik_direct,
     change_detection_oracle,
     dufresne_check,
     equation_residuals,
@@ -20,10 +19,22 @@ from filterlab.verify import (
     kalman_bucy_oracle,
     kalman_oracle_for_model,
     kazamaki_gap_check,
+    local_boundedness_sweep,
     residual_run,
     revuz_yor_energy,
 )
 from filterlab import girsanov
+
+
+def change_detection_loglik_direct(b, tau, b0, y_path, grid):
+    """Log-likelihood of one (b, tau) cell, summed step by step as a reference for the grid oracle."""
+    y = np.asarray(y_path, dtype=float).reshape(-1)
+    out = 0.0
+    for k in range(grid.n_steps):
+        t = k * grid.dt
+        h = (b0 + b * (t >= tau)) * y[k]
+        out += h * (y[k + 1] - y[k]) - 0.5 * h * h * grid.dt
+    return out
 
 
 class TestKalmanOracle:
@@ -181,10 +192,10 @@ class TestResiduals:
     @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
     def test_matches_replay_through_public_operators(self, name, drop):
-        # the coefficients residual_run evaluates once per step must give
-        # exactly what generator_apply, dphi_apply and correlation_apply give
+        # the coefficients residual_run evaluates once per step, shared by all
+        # test functions, must give exactly what a fresh PhiAtStep per function gives
         from filterlab.filters import init_cloud, step
-        from filterlab.models import correlation_apply, dphi_apply, generator_apply
+        from filterlab.models import PhiAtStep, StepCoefficients
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
 
         m = make_model(name)
@@ -218,13 +229,14 @@ class TestResiduals:
                 if k == n:
                     continue
                 dy = bundle.y[k + 1] - y_k
-                a_vals = generator_apply(m, phi, cloud.states, y_k, t)
+                at = PhiAtStep(phi, StepCoefficients(m, cloud.states, y_k, t))
+                a_vals = at.generator()
                 rho_a = mass * float(np.sum(w * a_vals)) / w.shape[0]
-                rho_d = mass * (w @ dphi_apply(m, phi, cloud.states, y_k, t)) / w.shape[0]
+                rho_d = mass * (w @ at.dphi()) / w.shape[0]
                 zak_int[phi.label] += rho_a * dt + float(rho_d @ dy)
                 integrand = (w[:, None] * (vals[:, None] * h)).sum(axis=0) / sw - pi_h * pi_phi
                 if not drop:
-                    integrand = integrand + (w @ correlation_apply(m, phi, cloud.states, y_k)) / sw
+                    integrand = integrand + (w @ at.correlation) / sw
                 ks_int[phi.label] += float(np.sum(w * a_vals) / sw) * dt + float(integrand @ (dy - pi_h * dt))
             if k < n:
                 cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, substream(41, TAG_PROPAGATE, 0, k),
@@ -277,35 +289,30 @@ class TestScenarioChecks:
 
     def test_local_boundedness_silent_sensor_is_flat_zero(self):
         from filterlab.models import linear_model
-        from filterlab.verify import local_boundedness_sweep
 
         m = linear_model("mute", h_scale=0.0)
-        zh, plain, env, ok = local_boundedness_sweep(m, TimeGrid(0.3, 1e-2), 200, seed=3, rate=1.0)
+        ens = girsanov.ensemble_from_model(m, TimeGrid(0.3, 1e-2), 200, seed=3)
+        zh, plain, env, ok = local_boundedness_sweep(ens, rate=1.0)
         assert ok
         np.testing.assert_array_equal(zh, 0.0)
         np.testing.assert_array_equal(plain, 0.0)
 
     def test_local_boundedness_jump_ou(self):
-        from filterlab.verify import local_boundedness_sweep
-
         m = make_model("jump_ou")
-        zh, plain, env, ok = local_boundedness_sweep(m, TimeGrid(1.0, 2e-3), 2000, seed=5)
+        ens = girsanov.ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=5)
+        zh, plain, env, ok = local_boundedness_sweep(ens, m.gronwall_rate)
         assert ok
         assert zh.max() < 1.0 < env[-1]   # curves stay far inside the envelope
 
     def test_local_boundedness_change_detection_envelope(self):
         # bounded change sizes: curves under c(b_max) e^{c(b_max) t}
-        from filterlab.verify import local_boundedness_sweep
-
         grid = TimeGrid(1.0, 2e-3)
         b0, b_max = -0.5, 2.0
         ens = change_detection_gronwall_ensemble(
             b0, b_max, lambda rng: float(rng.uniform(0.25, 0.75)), grid, 2000, seed=7
         )
         rate = 4.0 + (b0 + b_max) ** 2
-        zh, plain, env, ok = local_boundedness_sweep(
-            None, grid, 2000, seed=7, rate=rate, rate_factor=1.0, ensemble=ens
-        )
+        zh, plain, env, ok = local_boundedness_sweep(ens, rate, rate_factor=1.0)
         assert ok
 
     def test_gronwall_change_detection_tracks_one_plus_t(self):
