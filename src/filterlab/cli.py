@@ -77,27 +77,30 @@ def _reject_unknown(block, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {dotted!r}; allowed: {', '.join(sorted(allowed))}")
 
 
+# the fewest paths, runs and seeds a check can turn into an estimate with a standard error
+COUNT_MINIMUMS = {"n_paths": 2, "n_runs": 2, "n_seeds": 1}
+
+
 def keyword_params(fn: Callable, block, where: str) -> dict:
     """Bind a config block to the keyword-only parameters of fn: their names
     are the block's keys, and a value is coerced to the type of its default
     (a list to a tuple of the default's element type; a bool takes only
-    JSON true or false). An unknown key, a value that does not coerce, a
-    value that fn could not use (an unknown model, scenario, test-function
-    label or representation, a dt <= 0 or a time that dt does not divide, a
-    filter setting FilterConfig refuses), or a change-detection key given to
-    another scenario raises ConfigError naming `where.key`."""
+    JSON true or false, an int only an integral number). An unknown key, a
+    value that does not coerce, a value that fn could not use (an unknown
+    model, scenario, test-function label or representation, a dt <= 0 or a
+    time that dt does not divide, a filter setting FilterConfig refuses, a
+    count below COUNT_MINIMUMS), or a change-detection key given to another
+    scenario raises ConfigError naming `where.key`."""
     defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY}
     _reject_unknown(block, defaults, where)
     kwargs = {}
     for key, value in block.items():
         default = defaults[key]
         try:
-            if isinstance(default, bool) and not isinstance(value, bool):
-                raise TypeError
             if not isinstance(default, tuple):
-                kwargs[key] = type(default)(value)
+                kwargs[key] = _coerce(type(default), value)
             elif isinstance(value, list):
-                kwargs[key] = tuple(type(default[0])(v) for v in value)
+                kwargs[key] = tuple(_coerce(type(default[0]), v) for v in value)
             else:
                 raise TypeError
         except (TypeError, ValueError):
@@ -128,11 +131,22 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"'{where}.{key}': {exc}") from None
+    for key, low in COUNT_MINIMUMS.items():
+        if params.get(key, low) < low:
+            raise ConfigError(f"'{where}.{key}' must be >= {low}")
     if params.get("scenario") != "change_detection":
         for key in kwargs:
             if key in CHANGE_DETECTION_KEYS:
                 raise ConfigError(f"'{where}.{key}' is read only with scenario 'change_detection'")
     return kwargs
+
+
+def _coerce(kind: type, value):
+    """value as kind; a bool takes only JSON true or false, an int only an integral number."""
+    integral = isinstance(value, (int, float)) and float(value).is_integer()
+    if isinstance(value, bool) != (kind is bool) or (kind is int and not integral):
+        raise TypeError
+    return kind(value)
 
 
 def _one_of(value: str, choices: tuple) -> None:
@@ -479,9 +493,6 @@ RESIDUAL_PHIS = ("1", "x", "x^2", "tanh(x)")
 
 def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: int, n_particles: int, dt: float,
                     horizon: float, resample_threshold: float, which: str, ablate: bool = False) -> list[CheckVerdict]:
-    if n_runs < 2:
-        name = f"{which}_residual_ablation" if ablate else f"{which}_residual"
-        raise ConfigError(f"'diagnostics.params.{name}.n_runs' must be >= 2")
     key = (model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed, n_runs)
     if key not in _RESIDUAL_RUNS:
         payloads = [(model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed, i) for i in range(n_runs)]

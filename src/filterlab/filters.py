@@ -10,6 +10,7 @@ resampling through log_mass, which absorbs the pre-resampling mean weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,20 +52,36 @@ class ParticleCloud:
     log_weights: Array   # (n,)
     log_mass: float      # log of the mass folded out at resampling times
     t: float
+    step: int = 0        # grid index of t, reported on collapse
 
     @property
     def n(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def weights(self) -> Weights:   # once per cloud: no code changes a cloud's arrays in place
+        return Weights(self.log_weights, self.step)
 
-def _normalized_weights(log_weights: Array) -> Array:
-    shifted = log_weights - log_weights.max()
-    w = np.exp(shifted)
-    return w / w.sum()
+
+class Weights:
+    """w = exp(log_w - shift) with shift = max(log_w), and their sum: what the
+    estimates, the ESS and resampling read. A cloud with no weight left
+    raises FilterCollapse at `step`, its grid index."""
+
+    def __init__(self, log_weights: Array, step: int):
+        self.shift = log_weights.max()
+        if not np.isfinite(self.shift):
+            raise FilterCollapse(step=step, ess=0.0)
+        self.w = np.exp(log_weights - self.shift)
+        self.total = self.w.sum()
+
+    @cached_property
+    def normalized(self) -> Array:
+        return self.w / self.total
 
 
 def ess(cloud: ParticleCloud) -> float:
-    w = _normalized_weights(cloud.log_weights)
+    w = cloud.weights.normalized
     return float(1.0 / np.sum(w * w))
 
 
@@ -77,12 +94,11 @@ def init_cloud(initial_law, n: int, rng: np.random.Generator) -> ParticleCloud:
     return ParticleCloud(states=states, log_weights=np.zeros(n), log_mass=0.0, t=0.0)
 
 
-def systematic_resample(log_weights: Array, rng: np.random.Generator) -> Array:
+def systematic_resample(weights: Weights, rng: np.random.Generator) -> Array:
     """Systematic resampling indices from one uniform draw."""
-    n = log_weights.shape[0]
-    w = _normalized_weights(log_weights)
+    n = weights.w.shape[0]
     positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(w), positions).clip(max=n - 1)
+    return np.searchsorted(np.cumsum(weights.normalized), positions).clip(max=n - 1)
 
 
 def step(
@@ -99,16 +115,16 @@ def step(
 
     Weights are updated with the pre-step states (left-point integrand of the
     log-weight), then particles move under the reference dynamics using the
-    same observed dy; resampling folds the mean weight into log_mass.
-    Returns (new cloud, resampled flag).
+    same observed dy; resampling folds the mean weight into log_mass. The ESS
+    and resampling share the new cloud's weights. Returns (new cloud, resampled flag).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     y = np.asarray(y, dtype=float)
     dy = np.asarray(dy, dtype=float)
-    k = int(round((cloud.t + dt) / dt))   # grid index of the step's end
+    k = cloud.step + 1
     hvals = model.h_now(cloud.states, y, cloud.t)
-    log_w = cloud.log_weights + hvals @ dy - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
+    log_w = cloud.log_weights + np.dot(hvals, dy) - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
     if not np.all(np.isfinite(log_w)):
         # exp underflow to -inf is a degenerate weight, not an arithmetic error
         log_w = np.where(np.isnan(log_w), -np.inf, log_w)
@@ -123,7 +139,7 @@ def step(
         states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
         states = propagate_under_reference(model, cloud.states, y, dy, dt, cloud.t, rng_prop, k)
-    new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=cloud.t + dt)
+    new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=cloud.t + dt, step=k)
     current_ess = ess(new)
     if current_ess < 1.0 + 1e-9:
         raise FilterCollapse(step=k, ess=current_ess)
@@ -137,15 +153,14 @@ def step(
 def resample(cloud: ParticleCloud, rng: np.random.Generator) -> ParticleCloud:
     """Systematic resampling; the mean weight moves into log_mass so that
     rho_t(1) is preserved by construction."""
-    finite = cloud.log_weights[np.isfinite(cloud.log_weights)]
-    shift = finite.max()
-    mean_w = np.exp(np.where(np.isfinite(cloud.log_weights), cloud.log_weights - shift, -np.inf)).mean()
-    idx = systematic_resample(cloud.log_weights, rng)
+    weights = cloud.weights
+    idx = systematic_resample(weights, rng)
     return ParticleCloud(
         states=cloud.states[idx],
         log_weights=np.zeros(cloud.n),
-        log_mass=cloud.log_mass + shift + np.log(mean_w),
+        log_mass=cloud.log_mass + weights.shift + np.log(weights.total / cloud.n),
         t=cloud.t,
+        step=cloud.step,
     )
 
 
@@ -154,9 +169,7 @@ def rho_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Ar
     vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states, y)
     if not np.all(np.isfinite(vals)):
         raise ValueError("test function is non-finite on the cloud")
-    shift = cloud.log_weights.max()
-    w = np.exp(cloud.log_weights - shift)
-    return float(np.exp(cloud.log_mass + shift) * np.mean(w * vals))
+    return float(np.exp(cloud.log_mass + cloud.weights.shift) * np.mean(cloud.weights.w * vals))
 
 
 def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> float:
@@ -166,11 +179,7 @@ def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Arr
     vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states, y)
     if not np.all(np.isfinite(vals)):
         raise ValueError("test function is non-finite on the cloud")
-    w = np.exp(cloud.log_weights - cloud.log_weights.max())
-    denom = float(np.sum(w))
-    if denom <= 0 or not np.isfinite(denom):
-        raise FilterCollapse(step=-1, ess=0.0)
-    return float(np.sum(w * vals) / denom)
+    return float(np.sum(cloud.weights.w * vals) / cloud.weights.total)
 
 
 @dataclass

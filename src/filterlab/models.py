@@ -183,14 +183,19 @@ class SignalModel:
         return self.h(x, np.asarray(y, dtype=float), float(t))
 
 
-def const_coeff(matrix, n_dims=3) -> Callable[[Array], Array]:
-    """Coefficient callable returning a constant matrix broadcast over states."""
-    mat = np.asarray(matrix, dtype=float)
+@dataclass(frozen=True, eq=False)
+class ConstCoeff:
+    """Coefficient callable returning a constant matrix broadcast over states;
+    the simulators multiply increments by `matrix` itself."""
 
-    def coeff(x: Array) -> Array:
-        return np.broadcast_to(mat, (x.shape[0],) + mat.shape)
+    matrix: Array
 
-    return coeff
+    def __call__(self, x: Array) -> Array:
+        return np.broadcast_to(self.matrix, (x.shape[0],) + self.matrix.shape)
+
+
+def const_coeff(matrix) -> ConstCoeff:
+    return ConstCoeff(np.asarray(matrix, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import LevySpec, SignalModel
+from .models import ConstCoeff, LevySpec, SignalModel
 
 Array = np.ndarray
 
@@ -107,27 +107,39 @@ def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Gene
     return out
 
 
+def _is_zero(coeff) -> bool:
+    """Whether a coefficient is a constant matrix of zeros (a term that moves nothing)."""
+    return isinstance(coeff, ConstCoeff) and not coeff.matrix.any()
+
+
+def _times(coeff, x: Array, inc: Array) -> Array:
+    """coeff(x) inc per state, shape (n, d): one product inc @ M.T with the
+    matrix of a constant coefficient (np.dot, which skips matmul's per-call
+    cost on these skinny shapes), a batched contraction otherwise."""
+    if isinstance(coeff, ConstCoeff):
+        return np.dot(inc, coeff.matrix.T)
+    return np.einsum("nij,nj->ni", coeff(x), inc)
+
+
 def euler_step(
-    model: SignalModel, x: Array, drift: Array, dt: float, dv: Array, dw: Array,
-    dl: Optional[Array] = None, step: int = -1, sigma_bar: Optional[Array] = None,
+    model: SignalModel, x: Array, drift: Array, dt: float, dv: Optional[Array], dw: Array,
+    dl: Optional[Array] = None, step: int = -1,
 ) -> Array:
     """One Euler-Maruyama step x + drift dt + sigma(x) dv + sigma_bar(x) dw
     (+ sigma_tilde(x) dl) for a batch of states x (n, d), every coefficient at
     the left point. The callers choose what drives dw: fresh W noise under the
     physical measure, or the observed dY under the reference measure (with
     sigma_bar h folded into the drift), passed as one (1, m) row that every
-    state shares. `step` is the grid index of the result, reported on blow-up;
-    `sigma_bar` is sigma_bar(x), when the caller has already evaluated it.
+    state shares. `step` is the grid index of the result, reported on blow-up.
+
+    A constant coefficient enters as one product with its matrix, and a term
+    whose matrix is zero, or whose increment is None, is left out; the terms
+    are added in the order above either way.
     """
-    sbar = model.sigma_bar(x) if sigma_bar is None else sigma_bar
-    out = (
-        x
-        + drift * dt
-        + np.einsum("nip,np->ni", model.sigma(x), dv)
-        + np.einsum("nim,nm->ni", sbar, dw)
-    )
-    if dl is not None:
-        out = out + np.einsum("nir,nr->ni", model.sigma_tilde(x), dl)
+    out = x + drift * dt
+    for coeff, inc in ((model.sigma, dv), (model.sigma_bar, dw), (model.sigma_tilde, dl)):
+        if inc is not None and not _is_zero(coeff):
+            out = out + _times(coeff, x, inc)
     if not np.all(np.isfinite(out)):
         raise SimulationBlowUp(step)
     return out
@@ -178,17 +190,22 @@ def propagate_under_reference(
     Under the reference measure the observation path drives the signal:
     dX = (f~ - sigma_bar h) dt + sigma dV + sigma_bar dY + sigma_tilde dL,
     with the observed increment dy substituted for dY and fresh V/L noise.
+    Constant coefficients enter as matrices (see euler_step). A zero sigma_bar
+    drops both of its terms and h is not evaluated. A zero sigma draws no dV
+    only without jumps, where no later draw from rng would move.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.atleast_2d(np.asarray(states, dtype=float))
     n = x.shape[0]
     dy = np.asarray(dy, dtype=float).reshape(model.dim_y)
-    sbar = model.sigma_bar(x)
-    drift = model.f(x) - np.einsum("nim,nm->ni", sbar, model.h_now(x, y, t))
-    dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt)
+    drift = model.f(x)
+    if not _is_zero(model.sigma_bar):
+        drift = drift - _times(model.sigma_bar, x, model.h_now(x, y, t))
+    draw_dv = model.has_jumps or not _is_zero(model.sigma)
+    dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt) if draw_dv else None
     dl = batch_levy_increments(model.levy, dt, n, rng) if model.has_jumps else None
-    return euler_step(model, x, drift, dt, dv, dy[None, :], dl, step, sbar)
+    return euler_step(model, x, drift, dt, dv, dy[None, :], dl, step)
 
 
 # ---------------------------------------------------------------------------

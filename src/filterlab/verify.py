@@ -263,10 +263,9 @@ def residual_run(
     for k in range(k_steps + 1):
         y_k = bundle.y[k]
         t = k * dt
-        shift = cloud.log_weights.max()
-        w = np.exp(cloud.log_weights - shift)
-        mass = math.exp(cloud.log_mass + shift)
-        sw = np.sum(w)
+        weights = cloud.weights
+        w, sw = weights.w, weights.total
+        mass = math.exp(cloud.log_mass + weights.shift)
         coeffs = StepCoefficients(model, cloud.states, y_k, t)
         pi_h = (w[:, None] * coeffs.h).sum(axis=0) / sw
         for phi in phis:

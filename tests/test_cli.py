@@ -375,6 +375,19 @@ STRICT_CASES = {
                               "diagnostics.params.gronwall.b'"),
     "change_bound_elsewhere": ("verify", verify_cfg({"local_boundedness": dict(SMALL, b_max=3.0)}),
                                "diagnostics.params.local_boundedness.b_max"),
+    "one_path": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths=1)}),
+                 "diagnostics.params.independent_h.n_paths"),
+    "fractional_paths": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths=20.7)}),
+                         "diagnostics.params.independent_h.n_paths"),
+    "string_count": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths="100")}),
+                     "diagnostics.params.independent_h.n_paths"),
+    "no_seeds": ("verify", verify_cfg({"change_detection": dict(KALMAN, n_seeds=0)}),
+                 "diagnostics.params.change_detection.n_seeds"),
+    "fractional_barrier": ("verify", verify_cfg({"hitting": {"barriers": [1, 2.5], "n_paths": 100, "dt": 1e-3}}),
+                           "diagnostics.params.hitting.barriers"),
+    "one_counterexample_path": ("counterexample", {"counterexample": {"kind": "dufresne", "n_paths": 1,
+                                                                      "horizon": 1.0, "dt": 0.01}, "seed": 2},
+                                "counterexample.n_paths"),
     "counterexample": ("counterexample", {"counterexample": {"kind": "dufresne", "n_path": 3, "n_paths": 100,
                                                              "horizon": 1.0, "dt": 0.01}, "seed": 2},
                        "counterexample.n_path"),

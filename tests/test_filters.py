@@ -9,6 +9,7 @@ from filterlab.filters import (
     FilterCollapse,
     FilterConfig,
     ParticleCloud,
+    Weights,
     ess,
     init_cloud,
     pi_estimate,
@@ -26,7 +27,7 @@ from filterlab.models import (
     phi_const,
     point_mass_initial,
 )
-from filterlab.rng import derive_seed, substream
+from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
 from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
 from filterlab.verify import kalman_oracle_for_model
 
@@ -127,7 +128,7 @@ class TestEstimates:
 class TestResampling:
     def test_systematic_indices_cover_high_weight(self):
         lw = np.log(np.array([0.7, 0.1, 0.1, 0.1]))
-        idx = systematic_resample(lw, substream(1))
+        idx = systematic_resample(Weights(lw, step=0), substream(1))
         assert (idx == 0).sum() >= 2
 
     def test_ess_is_n_after_resample(self):
@@ -151,6 +152,41 @@ class TestResampling:
         cloud = make_cloud(np.zeros(len(lws)), np.array(lws))
         val = ess(cloud)
         assert 1.0 - 1e-9 <= val <= len(lws) + 1e-9
+
+
+def test_collapse_reports_the_step_it_is_given():
+    lw = np.full(5, -np.inf)
+    with pytest.raises(FilterCollapse) as exc:
+        Weights(lw, step=7)
+    assert exc.value.step == 7
+    with pytest.raises(FilterCollapse) as exc:
+        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw, 0.0, 0.07, step=7), phi_const(1.0, 1), Y0)
+    assert exc.value.step == 7
+
+
+@pytest.mark.parametrize("name", ["correlated_linear", "change_detection"])
+def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
+    """run_filter's trajectories, read off one set of weights per step, equal
+    pi_estimate, rho_estimate and ess called on the cloud of each step."""
+    m = make_model(name)
+    grid = TimeGrid(1.0, 0.02)
+    y = simulate_pair(m, grid, substream(12)).y
+    cfg = FilterConfig(n_particles=300, resample_threshold=0.99, seed=13)   # resamples at some steps only
+    phis = phi_battery(m.dim_x)
+    clock = {"prob_change": lambda states, t: (states[:, 1] <= t).astype(float)} if m.dim_x == 2 else {}
+    run = run_filter(m, y, grid, cfg, phis=phis, time_functionals=clock)
+    cloud = init_cloud(m.initial_law, cfg.n_particles, substream(cfg.seed, TAG_INIT))
+    for k in range(grid.n_steps + 1):
+        if k:
+            rngs = substream(cfg.seed, TAG_PROPAGATE, k - 1), substream(cfg.seed, TAG_RESAMPLE, k - 1)
+            cloud, _ = step(cloud, m, y[k - 1], y[k] - y[k - 1], grid.dt, *rngs, cfg)
+        for phi in phis:
+            assert run.pi[phi.label][k] == pi_estimate(cloud, phi, y[k])
+        for lab, fn in clock.items():
+            assert run.pi[lab][k] == pi_estimate(cloud, fn(cloud.states, k * grid.dt))
+        assert run.rho_one[k] == rho_estimate(cloud, np.ones(cloud.n))
+        assert run.ess[k] == ess(cloud)
+    assert 0 < run.resampled.sum() < grid.n_steps
 
 
 class TestStep:

@@ -264,3 +264,5 @@ def test_const_coeff_broadcasts():
     c = const_coeff(np.array([[1.0, 2.0]]))
     out = c(np.zeros((5, 1)))
     assert out.shape == (5, 1, 2)
+    np.testing.assert_array_equal(c.matrix, [[1.0, 2.0]])
+    assert np.all(out == c.matrix)

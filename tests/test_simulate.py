@@ -1,6 +1,7 @@
 """Simulation contracts: scheme correctness, reproducibility, refinement."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -12,7 +13,9 @@ from filterlab.rng import substream
 from filterlab.simulate import (
     SimulationBlowUp,
     TimeGrid,
+    batch_levy_increments,
     dufresne_paths,
+    euler_step,
     hitting_paths,
     jumps_to_csv,
     path_to_csv,
@@ -161,6 +164,42 @@ class TestReferencePropagation:
         target = x0 + (-x0 - 0.5 * x0) * dt + 0.5 * dy
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(out.mean() - target) < 3 * se
+
+
+def plain_coefficients(model):
+    """The same model with each constant coefficient behind a plain callable,
+    which has no `matrix`: every term is a batched contraction, none is skipped."""
+
+    def plain(coeff):
+        return None if coeff is None else (lambda x: coeff(x))
+
+    return dataclasses.replace(model, sigma=plain(model.sigma), sigma_bar=plain(model.sigma_bar),
+                               sigma_tilde=plain(model.sigma_tilde))
+
+
+def fifty_steps(model, y):
+    """50 physical (euler_step) and 50 reference (propagate_under_reference)
+    steps of 1000 particles, one generator per step as the filter uses them."""
+    dt, sq = 1e-3, np.sqrt(1e-3)
+    x_phys = x_ref = model.initial_law(substream(0), 1000)
+    out = []
+    for k in range(50):
+        rng = substream(1, k)
+        dv = rng.standard_normal((1000, model.dim_v)) * sq
+        dw = rng.standard_normal((1000, model.dim_y)) * sq
+        dl = batch_levy_increments(model.levy, dt, 1000, rng) if model.has_jumps else None
+        x_phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
+        x_ref = propagate_under_reference(model, x_ref, y[k], y[k + 1] - y[k], dt, k * dt, substream(2, k), k + 1)
+        out += [x_phys, x_ref]
+    return out
+
+
+@pytest.mark.parametrize("name", ["correlated_linear", "jump_ou", "change_detection"])
+def test_matrix_coefficients_match_plain_callables_exactly(name):
+    model = make_model(name)
+    y = simulate_pair(model, TimeGrid(0.05, 1e-3), substream(3)).y
+    for fast, slow in zip(fifty_steps(model, y), fifty_steps(plain_coefficients(model), y)):
+        assert np.array_equal(fast, slow)
 
 
 class TestRefinement:
