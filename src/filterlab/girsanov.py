@@ -61,30 +61,25 @@ class GirsanovEnsemble:
     grid: TimeGrid
     log_z: Array
     h_sq: Array
+    label: str
     u: Optional[Array] = None
-    label: str = ""
 
     @property
     def n_paths(self) -> int:
         return self.log_z.shape[0]
 
-    def z(self, k: Optional[int] = None) -> Array:
-        return np.exp(self.log_z if k is None else self.log_z[:, k])
+    def z(self, k: int) -> Array:
+        return np.exp(self.log_z[:, k])
 
-    def pathwise_transformed_energy(self, upto: Optional[int] = None) -> Array:
+    def pathwise_transformed_energy(self) -> Array:
         """Per-path int_0^t Z_s |H_s|^2 ds as a left-point sum."""
-        upto = self.grid.n_steps if upto is None else upto
-        zs = np.exp(self.log_z[:, :upto])
-        return (zs * self.h_sq[:, :upto]).sum(axis=1) * self.grid.dt
+        return (np.exp(self.log_z[:, :-1]) * self.h_sq).sum(axis=1) * self.grid.dt
 
-    def pathwise_plain_energy(self, upto: Optional[int] = None) -> Array:
-        upto = self.grid.n_steps if upto is None else upto
-        return self.h_sq[:, :upto].sum(axis=1) * self.grid.dt
+    def pathwise_plain_energy(self) -> Array:
+        return self.h_sq.sum(axis=1) * self.grid.dt
 
 
-def ensemble_from_model(
-    model: SignalModel, grid: TimeGrid, n_paths: int, seed: int, base_key: int = TAG_PATH
-) -> GirsanovEnsemble:
+def ensemble_from_model(model: SignalModel, grid: TimeGrid, n_paths: int, seed: int) -> GirsanovEnsemble:
     """Simulate (X, W) under the physical measure and accumulate the
     change-of-measure weight Z = exp(-int h^T dW - 1/2 int |h|^2 ds).
 
@@ -97,7 +92,7 @@ def ensemble_from_model(
     log_z = np.zeros((n_paths, k + 1))
     h_sq = np.zeros((n_paths, k))
     u = np.zeros((n_paths, k + 1))
-    rng = substream(seed, base_key)
+    rng = substream(seed, TAG_PATH)
     x = model.initial_law(rng, n_paths)
     u[:, 0] = 1.0 + np.einsum("ni,ni->n", x, x)
     y = np.zeros((n_paths, m))   # per-path observations feed y-dependent sensors
@@ -189,30 +184,28 @@ def diagnostics_report(ens: GirsanovEnsemble) -> DiagnosticsReport:
     )
 
 
-def transformed_energy_estimate(ens: GirsanovEnsemble, upto: Optional[int] = None) -> Estimate:
+def transformed_energy_estimate(ens: GirsanovEnsemble) -> Estimate:
     """E[int_0^t Z_s |H_s|^2 ds] over the ensemble's paths."""
-    return mean_se(ens.pathwise_transformed_energy(upto))
+    return mean_se(ens.pathwise_transformed_energy())
 
 
-def zstar_bound_check(ens: GirsanovEnsemble, energy: Optional[Estimate] = None) -> tuple[Estimate, float, bool]:
+def zstar_bound_check(ens: GirsanovEnsemble) -> tuple[Estimate, float, bool]:
     """Maximal bound E[Z*_t] <= (e+1)/(e-1) + e/(2(e-1)) E[int Z |H|^2 ds].
 
     Returns (lhs estimate, rhs value, pass); pass allows 3 combined SEs.
     """
     lhs = mean_se(np.exp(ens.log_z).max(axis=1))
-    if energy is None:
-        energy = transformed_energy_estimate(ens)
+    energy = transformed_energy_estimate(ens)
     rhs = MAXIMAL_CONST + MAXIMAL_SLOPE * energy.value
     combined = math.hypot(lhs.se, MAXIMAL_SLOPE * energy.se)
     return lhs, rhs, lhs.value <= rhs + 3.0 * combined
 
 
-def martingale_mean_check(ens: GirsanovEnsemble, times: Optional[list[float]] = None):
+def martingale_mean_check(ens: GirsanovEnsemble, times: Sequence[float]):
     """E[Z_s] over the grid; returns (per-time Estimates at `times`, full mean
     trajectory). A true martingale keeps the trajectory flat at 1."""
     z = np.exp(ens.log_z)
     trajectory = z.mean(axis=0)
-    times = times if times is not None else [ens.grid.horizon]
     checks = {t: mean_se(z[:, ens.grid.index_of(t)]) for t in times}
     return checks, trajectory
 

@@ -40,81 +40,60 @@ class ModelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevySpec:
-    """Finite-activity Levy driver: drift plus compound-Poisson jumps.
-
-    The Levy measure F has total mass `jump_rate`; `sample_marks(rng, k)`
-    draws k marks from the normalised jump law F / jump_rate. When the law
-    is supported on finitely many atoms, `atoms` holds (locations (k, r),
-    rates (k,)) with rates summing to jump_rate, and expectations against F
-    are evaluated exactly instead of by Monte Carlo.
+    """Finite-activity Levy driver: drift plus compound-Poisson jumps whose
+    Levy measure F puts rate `rates[i]` on the atom `locs[i]` (locs (k, r),
+    rates (k,)), so expectations against F are exact atom sums. Build one
+    with levy_atoms, which validates the atoms.
 
     `drift_a` is the `a` of the Levy-Ito form; the simulation drift is
-    b = a - int_{|rho|>=1} rho F(drho), precomputed as `mean_large`.
-    `second_moment` is int rho rho^T F(drho) and must be finite (square
-    integrability of the big jumps).
+    b = a - int_{|rho|>=1} rho F(drho), with that integral `mean_large`.
+    `second_moment` is int rho rho^T F(drho).
     """
 
-    jump_rate: float
-    dim: int
-    sample_marks: Callable[[np.random.Generator, int], Array]
-    atoms: Optional[tuple[Array, Array]] = None
-    drift_a: Optional[Array] = None
-    mean_large: Optional[Array] = None
-    second_moment: Optional[Array] = None
-    first_moment: Optional[Array] = None      # int rho F(drho); sets the compensator
+    locs: Array
+    rates: Array
+    drift_a: Array
 
-    def __post_init__(self):
-        if self.jump_rate < 0:
-            raise ModelError("jump_rate must be >= 0")
-        if self.atoms is not None:
-            locs = np.atleast_2d(np.asarray(self.atoms[0], dtype=float))
-            rates = np.asarray(self.atoms[1], dtype=float)
-            if locs.shape != (rates.size, self.dim):
-                raise ModelError("atom locations must be (k, dim)")
-            if np.any(rates < 0) or not np.isclose(rates.sum(), self.jump_rate):
-                raise ModelError("atom rates must be >= 0 and sum to jump_rate")
-            if np.any(np.all(locs == 0.0, axis=1) & (rates > 0)):
-                raise ModelError("Levy measure must put no mass at the origin")
-            object.__setattr__(self, "atoms", (locs, rates))
-        if self.drift_a is None:
-            object.__setattr__(self, "drift_a", np.zeros(self.dim))
-        else:
-            object.__setattr__(self, "drift_a", np.asarray(self.drift_a, dtype=float).reshape(self.dim))
-        if self.mean_large is None:
-            if self.atoms is None:
-                raise ModelError("sampler-defined Levy measures must declare mean_large")
-            locs, rates = self.atoms
-            big = np.linalg.norm(locs, axis=1) >= 1.0
-            object.__setattr__(self, "mean_large", (rates[big, None] * locs[big]).sum(axis=0))
-        else:
-            object.__setattr__(self, "mean_large", np.asarray(self.mean_large, dtype=float).reshape(self.dim))
-        if self.second_moment is None:
-            if self.atoms is None:
-                raise ModelError("sampler-defined Levy measures must declare second_moment")
-            locs, rates = self.atoms
-            object.__setattr__(self, "second_moment", np.einsum("k,ki,kj->ij", rates, locs, locs))
-        else:
-            sm = np.asarray(self.second_moment, dtype=float).reshape(self.dim, self.dim)
-            object.__setattr__(self, "second_moment", sm)
-        if self.first_moment is None:
-            if self.atoms is not None:
-                locs, rates = self.atoms
-                object.__setattr__(self, "first_moment", (rates[:, None] * locs).sum(axis=0))
-        else:
-            object.__setattr__(self, "first_moment", np.asarray(self.first_moment, dtype=float).reshape(self.dim))
+    @property
+    def dim(self) -> int:
+        return self.locs.shape[1]
+
+    @cached_property
+    def jump_rate(self) -> float:
+        """Total mass of F."""
+        return float(self.rates.sum())
+
+    @cached_property
+    def mean_large(self) -> Array:
+        big = np.linalg.norm(self.locs, axis=1) >= 1.0
+        return (self.rates[big, None] * self.locs[big]).sum(axis=0)
+
+    @cached_property
+    def second_moment(self) -> Array:
+        return np.einsum("k,ki,kj->ij", self.rates, self.locs, self.locs)
+
+    @cached_property
+    def mark_probs(self) -> Array:
+        """The normalised jump law F / jump_rate on the atoms."""
+        return self.rates / self.rates.sum() if self.rates.sum() > 0 else self.rates
+
+    @cached_property
+    def mean_mark(self) -> Array:
+        """Mean of the normalised jump law, int rho F(drho) / jump_rate."""
+        return (self.rates[:, None] * self.locs).sum(axis=0) / max(self.jump_rate, 1e-300)
 
     @property
     def drift_b(self) -> Array:
         """Drift of the compensated Levy-Ito form: b = a - int_{|rho|>=1} rho F."""
         return self.drift_a - self.mean_large
 
-    def mean_mark(self) -> Array:
-        """Mean of the normalised jump law, int rho F(drho) / jump_rate."""
-        if self.first_moment is None:
-            raise ModelError("sampler-defined Levy measures must declare first_moment to simulate")
-        return self.first_moment / max(self.jump_rate, 1e-300)
+    def sample_marks(self, rng: np.random.Generator, k: int) -> Array:
+        """k marks drawn from the normalised jump law."""
+        if k == 0:
+            return np.zeros((0, self.dim))
+        return self.locs[rng.choice(len(self.rates), size=k, p=self.mark_probs)]
 
 
 def levy_atoms(locations, rates, drift_a=None) -> LevySpec:
@@ -124,21 +103,14 @@ def levy_atoms(locations, rates, drift_a=None) -> LevySpec:
         locs = locs.T
     rates = np.asarray(rates, dtype=float)
     dim = locs.shape[1]
-    probs = rates / rates.sum() if rates.sum() > 0 else rates
-
-    def sample(rng: np.random.Generator, k: int) -> Array:
-        if k == 0:
-            return np.zeros((0, dim))
-        idx = rng.choice(len(rates), size=k, p=probs)
-        return locs[idx]
-
-    return LevySpec(
-        jump_rate=float(rates.sum()),
-        dim=dim,
-        sample_marks=sample,
-        atoms=(locs, rates),
-        drift_a=drift_a,
-    )
+    if rates.shape != (locs.shape[0],):
+        raise ModelError("atom locations must be (k, dim)")
+    if np.any(rates < 0):
+        raise ModelError("atom rates must be >= 0")
+    if np.any(np.all(locs == 0.0, axis=1) & (rates > 0)):
+        raise ModelError("Levy measure must put no mass at the origin")
+    drift_a = np.zeros(dim) if drift_a is None else np.asarray(drift_a, dtype=float).reshape(dim)
+    return LevySpec(locs=locs, rates=rates, drift_a=drift_a)
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +177,18 @@ def const_coeff(matrix) -> ConstCoeff:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar function on state (x) and, optionally, observation (y) space
-    with analytic derivatives.
+    """Scalar function of the state x with analytic derivatives. The
+    callables take (x, y) but read x only.
 
     All callables are batched over the n states: value -> (n,),
-    grad_x -> (n, d), hess_x -> (n, d, d), grad_y -> (n, m). `lap_y` is the
-    y-Laplacian, needed only for y-dependent functions (zero otherwise).
-    Derivatives are analytic by contract; the tests compare them with
-    central finite differences.
+    grad_x -> (n, d), hess_x -> (n, d, d). Derivatives are analytic by
+    contract; the tests compare them with central finite differences.
     """
 
     label: str
     value: Callable[[Array, Array], Array]
     grad_x: Callable[[Array, Array], Array]
     hess_x: Callable[[Array, Array], Array]
-    grad_y: Optional[Callable[[Array, Array], Array]] = None
-    lap_y: Optional[Callable[[Array, Array], Array]] = None
-
-    def grad_y_or_zero(self, x: Array, y: Array, m: int) -> Array:
-        if self.grad_y is None:
-            return np.zeros((x.shape[0], m))
-        return self.grad_y(x, y)
-
-    def lap_y_or_zero(self, x: Array, y: Array) -> Array:
-        if self.lap_y is None:
-            return np.zeros(x.shape[0])
-        return self.lap_y(x, y)
 
 
 def _batch(x: Array) -> Array:
@@ -238,10 +196,11 @@ def _batch(x: Array) -> Array:
     return x[None, :] if x.ndim == 1 else x
 
 
-def phi_const(c: float = 1.0, d: int = 1) -> TestFunction:
+def phi_const(d: int = 1) -> TestFunction:
+    """phi(x) = 1."""
     return TestFunction(
-        label=f"const({c:g})" if c != 1.0 else "1",
-        value=lambda x, y: np.full(x.shape[0], float(c)),
+        label="1",
+        value=lambda x, y: np.full(x.shape[0], 1.0),
         grad_x=lambda x, y: np.zeros((x.shape[0], d)),
         hess_x=lambda x, y: np.zeros((x.shape[0], d, d)),
     )
@@ -306,7 +265,7 @@ def phi_tanh(i: int = 0, d: int = 1) -> TestFunction:
 
 def phi_battery(d: int = 1) -> list[TestFunction]:
     """The default battery {1, x_i, x_i x_j, tanh(x_i)}."""
-    phis = [phi_const(1.0, d)]
+    phis = [phi_const(d)]
     phis += [phi_coord(i, d) for i in range(d)]
     phis += [phi_quad(i, j, d) for i in range(d) for j in range(i, d)]
     phis += [phi_tanh(i, d) for i in range(d)]
@@ -324,7 +283,7 @@ def phi_by_label(label: str, d: int = 1) -> TestFunction:
         return i
 
     if label == "1":
-        return phi_const(1.0, d)
+        return phi_const(d)
     if label == "x":
         return phi_coord(0, d)
     if label == "x^2":
@@ -349,9 +308,8 @@ def phi_by_label(label: str, d: int = 1) -> TestFunction:
 class StepCoefficients:
     """The coefficients that every test function shares at one step, on an
     (n, d) batch of states: f~(x), sigma sigma^T + sigma_bar sigma_bar^T,
-    sigma_bar(x), h(x, y, t) and, for a Levy measure with atoms, the rate
-    and the jump sigma_tilde(x) eta of each atom. Each is evaluated on first
-    use, at most once.
+    sigma_bar(x), h(x, y, t) and the rate and jump sigma_tilde(x) eta of each
+    atom of the Levy measure. Each is evaluated on first use, at most once.
     """
 
     def __init__(self, model: SignalModel, states: Array, y: Array, t: float = 0.0):
@@ -380,19 +338,18 @@ class StepCoefficients:
     @cached_property
     def jumps(self) -> list[tuple[float, Array]]:
         stil = self.model.sigma_tilde(self.x)
-        return [(lam, stil @ eta) for eta, lam in zip(*self.model.levy.atoms)]
+        return [(lam, stil @ eta) for eta, lam in zip(self.model.levy.locs, self.model.levy.rates)]
 
 
 class PhiAtStep:
     """One test function on the states of a StepCoefficients: its value and
     gradients, each evaluated at most once, and the operators
 
-      A phi = f~ . grad_x phi + h . grad_y phi
+      A phi = f~ . grad_x phi
             + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
-            + 1/2 lap_y phi
-            + int [phi(x + sigma_tilde(x) eta, y) - phi - grad_x phi . sigma_tilde(x) eta] F(deta),
+            + int [phi(x + sigma_tilde(x) eta) - phi - grad_x phi . sigma_tilde(x) eta] F(deta),
       B^j phi = (sigma_bar^T grad_x phi)_j,
-      D_j phi = h^j phi + B^j phi + dphi/dy_j.
+      D_j phi = h^j phi + B^j phi.
     """
 
     def __init__(self, phi: TestFunction, coeffs: StepCoefficients):
@@ -407,51 +364,24 @@ class PhiAtStep:
     def grad(self) -> Array:
         return self.phi.grad_x(self.c.x, self.c.y)
 
-    @cached_property
-    def grad_y(self) -> Array:
-        return self.phi.grad_y_or_zero(self.c.x, self.c.y, self.c.model.dim_y)
-
     def jump(self, disp: Array) -> Array:
         """phi(x + disp, y) - phi(x, y) - grad_x phi . disp, the jump integrand of A phi."""
         return self.phi.value(self.c.x + disp, self.c.y) - self.value - np.einsum("ni,ni->n", self.grad, disp)
 
-    def generator(self, rng: Optional[np.random.Generator] = None, jump_samples: int = 4096) -> Array:
-        """A phi, shape (n,). The jump expectation is an exact atom sum when
-        the Levy measure is discrete; otherwise Monte Carlo with
-        `jump_samples` draws from rng."""
+    def generator(self) -> Array:
+        """A phi, shape (n,); the jump expectation is an exact sum over the
+        atoms of the Levy measure."""
         c, phi, model = self.c, self.phi, self.c.model
         out = np.einsum("ni,ni->n", c.f_tilde, self.grad)
         out = out + 0.5 * np.einsum("nij,nij->n", c.diffusion, phi.hess_x(c.x, c.y))
-        if np.any(self.grad_y):
-            out = out + np.einsum("nm,nm->n", c.h, self.grad_y)
-        out = out + 0.5 * phi.lap_y_or_zero(c.x, c.y)
         if model.has_jumps and model.levy.jump_rate > 0:
-            if model.levy.atoms is not None:
-                jump = np.zeros(c.x.shape[0])
-                for lam, disp in c.jumps:
-                    jump += lam * self.jump(disp)
-                out = out + jump
-            else:
-                out = out + self.jump_mc(rng, jump_samples)[0]
+            jump = np.zeros(c.x.shape[0])
+            for lam, disp in c.jumps:
+                jump += lam * self.jump(disp)
+            out = out + jump
         if not np.all(np.isfinite(out)):
             raise ModelError(f"generator of {phi.label!r} is non-finite")
         return out
-
-    def jump_mc(self, rng: Optional[np.random.Generator], n_samples: int) -> tuple[Array, Array]:
-        """Monte Carlo jump part of A phi over n_samples marks, with its standard error."""
-        if rng is None:
-            raise ModelError("Monte Carlo jump quadrature needs an rng")
-        levy = self.c.model.levy
-        stil = self.c.model.sigma_tilde(self.c.x)
-        total = np.zeros(self.c.x.shape[0])
-        totalsq = np.zeros(self.c.x.shape[0])
-        for eta in levy.sample_marks(rng, n_samples):
-            term = self.jump(stil @ eta)
-            total += term
-            totalsq += term * term
-        mean = total / n_samples
-        var = np.maximum(totalsq / n_samples - mean**2, 0.0)
-        return levy.jump_rate * mean, levy.jump_rate * np.sqrt(var / n_samples)
 
     @cached_property
     def correlation(self) -> Array:
@@ -461,7 +391,7 @@ class PhiAtStep:
     def dphi(self) -> Array:
         """All m terms D_j phi, shape (n, m): the integrand of the dY term in
         the unnormalised filtering equation (h multiplies phi only)."""
-        return self.c.h * self.value[:, None] + self.correlation + self.grad_y
+        return self.c.h * self.value[:, None] + self.correlation
 
 
 # ---------------------------------------------------------------------------

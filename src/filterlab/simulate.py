@@ -87,7 +87,7 @@ def sample_levy_increment(
         return b * dt, np.zeros((0, levy.dim))
     k = rng.poisson(levy.jump_rate * dt)
     marks = levy.sample_marks(rng, int(k))
-    inc = b * dt + marks.sum(axis=0) - levy.jump_rate * levy.mean_mark() * dt
+    inc = b * dt + marks.sum(axis=0) - levy.jump_rate * levy.mean_mark * dt
     return inc, marks
 
 
@@ -96,7 +96,7 @@ def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Gene
     paths are drawn in one call and scattered back by path index."""
     base = levy.drift_b * dt
     if levy.jump_rate > 0:
-        base = base - levy.jump_rate * levy.mean_mark() * dt
+        base = base - levy.jump_rate * levy.mean_mark * dt
     out = np.broadcast_to(base, (n, levy.dim)).copy()
     if levy.jump_rate > 0:
         counts = rng.poisson(levy.jump_rate * dt, n)

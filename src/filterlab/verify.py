@@ -12,15 +12,15 @@ so discretisation error folds into the statistical band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import girsanov
-from .filters import FilterConfig, init_cloud, step
+from .filters import FilterConfig, init_cloud, run_filter, step
 from .girsanov import Estimate, mean_se
-from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction
+from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction, phi_coord, phi_quad
 from .rng import (TAG_CHANGE_FILTER, TAG_DUFRESNE, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
                   TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
 from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair
@@ -242,12 +242,11 @@ def residual_run(
     phis: Sequence[TestFunction],
     grid: TimeGrid,
     config: FilterConfig,
-    seed: int,
     run_index: int,
-    drop_correlation_term: bool = False,
 ) -> tuple[dict[str, Array], dict[str, Array]]:
     """One (data, filter) pair; returns per-phi Zakai and KS residual
-    trajectories. All randomness derives from (seed, run_index)."""
+    trajectories. All randomness derives from (config.seed, run_index)."""
+    seed = config.seed
     data_rng = substream(seed, TAG_PATH, run_index)
     bundle = simulate_pair(model, grid, data_rng)
     filter_seed_rng = substream(seed, TAG_INIT, run_index)
@@ -289,9 +288,7 @@ def residual_run(
             # vals == 1 makes pi_phih the same reduction as pi_h, so the
             # KS integrand cancels to exactly zero for the constant function
             pi_phih = (w[:, None] * (vals[:, None] * coeffs.h)).sum(axis=0) / sw
-            integrand = pi_phih - pi_h * pi_phi
-            if not drop_correlation_term:
-                integrand = integrand + (w @ at.correlation) / sw
+            integrand = pi_phih - pi_h * pi_phi + (w @ at.correlation) / sw
             ks_int[phi.label] += w_a / sw * dt + float(integrand @ (dy - pi_h * dt))
         if k < k_steps:
             rng_prop = substream(seed, TAG_PROPAGATE, run_index, k)
@@ -313,8 +310,7 @@ def equation_residuals(
       KS:    R_t = pi_t(phi) - pi_0(phi) - int pi_s(A phi) ds
                    - sum_j int [pi(phi h^j) - pi(h^j) pi(phi) + pi(B^j phi)]
                                 (dY^j - pi(h^j) ds)
-    with left-point integrands; residual_run's `drop_correlation_term`
-    removes pi(B phi) from the KS integrand (ablation studies).
+    with left-point integrands.
     """
     n_runs = len(runs)
     if n_runs < 2:
@@ -336,22 +332,13 @@ def kalman_agreement_run(
     model: SignalModel,
     grid: TimeGrid,
     config: FilterConfig,
-    seed: int,
     run_index: int,
 ) -> tuple[float, float]:
     """|posterior mean - oracle mean| and |posterior var - oracle var| at the
     horizon, for one data path; the oracle runs on the same observations."""
-    from .filters import run_filter
-    from .models import phi_coord, phi_quad
-
-    bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, run_index))
+    bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = kalman_oracle_for_model(model, bundle.y, grid)
-    cfg = FilterConfig(
-        n_particles=config.n_particles,
-        resample_threshold=config.resample_threshold,
-        seed=derive_seed(seed, TAG_KALMAN_FILTER, run_index),
-        ignore_correlation=config.ignore_correlation,
-    )
+    cfg = replace(config, seed=derive_seed(config.seed, TAG_KALMAN_FILTER, run_index))
     run = run_filter(model, bundle.y, grid, cfg, phis=[phi_coord(0, 1), phi_quad(0, 0, 1)])
     m_pf = run.pi["x"][-1]
     v_pf = run.pi["x^2"][-1] - m_pf * m_pf
@@ -362,22 +349,15 @@ def change_detection_agreement_run(
     model: SignalModel,
     grid: TimeGrid,
     config: FilterConfig,
-    seed: int,
     run_index: int,
 ) -> float:
     """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path."""
-    from .filters import run_filter
-
     prior = model.change_prior
-    bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, run_index))
+    bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = change_detection_oracle(
         prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid
     )
-    cfg = FilterConfig(
-        n_particles=config.n_particles,
-        resample_threshold=config.resample_threshold,
-        seed=derive_seed(seed, TAG_CHANGE_FILTER, run_index),
-    )
+    cfg = replace(config, seed=derive_seed(config.seed, TAG_CHANGE_FILTER, run_index))
     run = run_filter(
         model, bundle.y, grid, cfg,
         time_functionals={"prob_change": lambda states, t: (states[:, 1] <= t).astype(float)},
@@ -432,9 +412,11 @@ def revuz_yor_energy(
     raise ValueError(f"unknown representation {representation!r}")
 
 
-def kazamaki_gap_check(
-    n_list: Sequence[int], n_paths: int, dt: float, seed: int, partial_sum_levels: Sequence[int] = (1000, 10000)
-):
+# the N at which the divergent series sum_{n <= N} n/(n+1)^2 is reported
+PARTIAL_SUM_LEVELS = (1000, 10000)
+
+
+def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int):
     """Hitting probabilities of the Kazamaki-side counterexample plus the
     divergence diagnostic of its transformed energy.
 
@@ -463,14 +445,11 @@ def kazamaki_gap_check(
                 detail=f"censored={int((~resolved).sum())}",
             )
         )
-    sums = {}
-    n_terms = np.arange(1, max(partial_sum_levels) + 1, dtype=float)
-    series = n_terms / (n_terms + 1.0) ** 2
-    csum = np.cumsum(series)
-    for level in partial_sum_levels:
-        sums[level] = float(csum[level - 1])
-    levels = sorted(partial_sum_levels)
-    growth = (sums[levels[-1]] - sums[levels[0]]) / math.log(levels[-1] / levels[0])
+    low, high = PARTIAL_SUM_LEVELS
+    n_terms = np.arange(1, high + 1, dtype=float)
+    csum = np.cumsum(n_terms / (n_terms + 1.0) ** 2)
+    sums = {level: float(csum[level - 1]) for level in PARTIAL_SUM_LEVELS}
+    growth = (sums[high] - sums[low]) / math.log(high / low)
     return rows, sums, growth
 
 

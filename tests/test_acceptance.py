@@ -148,6 +148,7 @@ def test_criterion_05_dufresne():
 # -- criterion 6: hitting probabilities --------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_hitting_probabilities():
     rows, sums, growth = kazamaki_gap_check([1, 3, 9], 10_000, 1e-4, SEED)
     ok = all(v.passed for v in rows)
@@ -212,6 +213,7 @@ def _residual_sweep(model_name: str):
     return equation_residuals(map_ordered(_residual_task, payloads, WORKERS))
 
 
+@pytest.mark.slow
 def test_criterion_09_equation_residuals():
     details = []
     ok = True
@@ -253,7 +255,7 @@ def test_criterion_09b_zakai_mass_equation_reduction():
         model = make_model(name)
         grid = TimeGrid(1.0, RESID_DT)
         cfg = FilterConfig(n_particles=RESID_PARTICLES, seed=SEED)
-        zak, _ = residual_run(model, [phi_const(1.0, 1)], grid, cfg, SEED, 0)
+        zak, _ = residual_run(model, [phi_const(1)], grid, cfg, 0)
         bundle = simulate_pair(model, grid, substream(SEED, TAG_PATH, 0))
         cloud = init_cloud(model.initial_law, RESID_PARTICLES, substream(SEED, TAG_INIT, 0))
         rho_one, rho_h = [], []

@@ -205,6 +205,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "expected-fail" in out
+        assert "passed 2/2" in out   # the count follows ok(): a control that fails as expected counts
         with open(tmp_path / "v" / "verdicts.csv") as fh:
             rows = list(csv.DictReader(fh))
         var_row = [r for r in rows if r["scenario"].endswith("var")][0]
@@ -219,6 +220,7 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED
         assert out.count(": FAIL") == 2 and "expected-fail" not in out
+        assert "passed 0/2" in out
 
     def test_trajectory_artifacts_written(self, tmp_path):
         cfg = write_cfg(
@@ -267,7 +269,7 @@ class TestVerifyCommand:
     def test_equal_residual_params_share_runs(self, tmp_path, monkeypatch):
         calls = []
         real = verify.residual_run
-        monkeypatch.setattr(verify, "residual_run", lambda *a, **kw: calls.append(a[5]) or real(*a, **kw))
+        monkeypatch.setattr(verify, "residual_run", lambda *a, **kw: calls.append(a[4]) or real(*a, **kw))
         # residual_run's run indices, in call order: once per run, or twice with unequal params
         cases = [("same", RESID, [0, 1, 2]), ("other", dict(RESID, phis=["x^2"]), [0, 1, 2] * 2)]
         for tag, ks_params, expected in cases:

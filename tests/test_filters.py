@@ -76,20 +76,20 @@ class TestInitCloud:
 class TestEstimates:
     def test_rho_one_at_time_zero(self):
         cloud = init_cloud(point_mass_initial([1.0]), 50, substream(0))
-        assert rho_estimate(cloud, phi_const(1.0, 1), Y0) == pytest.approx(1.0)
+        assert rho_estimate(cloud, phi_const(1), Y0) == pytest.approx(1.0)
 
     def test_rho_linear_in_constant(self):
         cloud = make_cloud([0.5, 1.5, -0.3], [0.1, -0.2, 0.4])
         c = 3.7
-        assert rho_estimate(cloud, phi_const(c, 1), Y0) == pytest.approx(
-            c * rho_estimate(cloud, phi_const(1.0, 1), Y0)
+        assert rho_estimate(cloud, np.full(cloud.n, c)) == pytest.approx(
+            c * rho_estimate(cloud, phi_const(1), Y0)
         )
 
     @given(LOG_WEIGHTS, st.floats(-20, 20))
     @settings(max_examples=200, deadline=None)
     def test_pi_of_one_is_exactly_one(self, lws, log_mass):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
-        assert pi_estimate(cloud, phi_const(1.0, 1), Y0) == 1.0
+        assert pi_estimate(cloud, phi_const(1), Y0) == 1.0
 
     def test_pi_invariant_under_exact_weight_shift(self):
         # dyadic weights + power-of-two shift keep float addition exact, so
@@ -142,8 +142,8 @@ class TestResampling:
     @settings(max_examples=200, deadline=None)
     def test_resample_preserves_rho_one(self, lws, log_mass, seed):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
-        before = rho_estimate(cloud, phi_const(1.0, 1), Y0)
-        after = rho_estimate(resample(cloud, substream(seed)), phi_const(1.0, 1), Y0)
+        before = rho_estimate(cloud, phi_const(1), Y0)
+        after = rho_estimate(resample(cloud, substream(seed)), phi_const(1), Y0)
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))
@@ -160,7 +160,7 @@ def test_collapse_reports_the_step_it_is_given():
         Weights(lw, step=7)
     assert exc.value.step == 7
     with pytest.raises(FilterCollapse) as exc:
-        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw, 0.0, 0.07, step=7), phi_const(1.0, 1), Y0)
+        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw, 0.0, 0.07, step=7), phi_const(1), Y0)
     assert exc.value.step == 7
 
 
@@ -233,7 +233,7 @@ class TestRunFilter:
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.0, 0.01)
         run = run_filter(m, np.zeros((1, 1)), grid, FilterConfig(n_particles=32, seed=1),
-                        phis=[phi_const(1.0, 1), phi_coord(0, 1)])
+                        phis=[phi_const(1), phi_coord(0, 1)])
         assert run.times.shape == (1,)
         assert run.pi["1"][0] == 1.0
         assert run.rho_one[0] == pytest.approx(1.0)
@@ -252,7 +252,7 @@ class TestRunFilter:
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.2, 0.01)
         y = simulate_pair(m, grid, substream(10)).y
-        run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), phis=[phi_const(1.0, 1)])
+        run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), phis=[phi_const(1)])
         assert np.all(run.pi["1"] == 1.0)
 
     def test_path_grid_mismatch_rejected(self):

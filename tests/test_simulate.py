@@ -95,6 +95,7 @@ class TestSimulatePair:
             rebuilt = b.y[k] + h_k * grid.dt + b.w_increments[k]
             np.testing.assert_array_equal(rebuilt, b.y[k + 1])
 
+    @pytest.mark.slow
     def test_pure_noise_observation_variance(self):
         # h == 0: y is a discretised Brownian motion, Var(y_1) -> 1
         m = linear_model("noise", h_scale=0.0)
@@ -106,6 +107,7 @@ class TestSimulatePair:
         se = v * np.sqrt(2.0 / (terminal.size - 1))   # SE of a Gaussian variance estimate
         assert abs(v - 1.0) < 3 * se
 
+    @pytest.mark.slow
     def test_ou_terminal_variance(self):
         # dX = -X dt + dV from X_0 = 0: Var(X_1) = (1 - e^{-2}) / 2
         m = linear_model("ou", a_x=-1.0, sigma_v=1.0, sigma_bar=0.0, x0_mean=0.0, x0_var=0.0)

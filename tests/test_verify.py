@@ -119,7 +119,7 @@ class TestChangeDetectionOracle:
     def test_particle_filter_tracks_oracle(self):
         m = make_model("change_detection")
         grid = TimeGrid(1.0, 2e-3)
-        gap = change_detection_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=5), 19, 0)
+        gap = change_detection_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=19), 0)
         assert gap < 0.08, f"particle/grid posterior gap {gap:.3f}"
 
     def test_empty_grid_rejected(self):
@@ -133,8 +133,8 @@ class TestResiduals:
     def test_phi_one_ks_residual_identically_zero(self):
         m = make_model("correlated_linear")
         grid = TimeGrid(0.3, 5e-3)
-        cfg = FilterConfig(n_particles=128, seed=0)
-        zak, ks = residual_run(m, [phi_const(1.0, 1)], grid, cfg, seed=23, run_index=0)
+        cfg = FilterConfig(n_particles=128, seed=23)
+        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, run_index=0)
         assert np.all(ks["1"] == 0.0)
 
     def test_phi_one_zakai_reduces_to_mass_equation(self):
@@ -142,9 +142,9 @@ class TestResiduals:
         # independent pass over the same filter trajectory
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.3, 5e-3)
-        cfg = FilterConfig(n_particles=128, resample_threshold=0.0, seed=0)
-        phis = [phi_const(1.0, 1)]
-        zak, ks = residual_run(m, phis, grid, cfg, seed=29, run_index=0)
+        cfg = FilterConfig(n_particles=128, resample_threshold=0.0, seed=29)
+        phis = [phi_const(1)]
+        zak, ks = residual_run(m, phis, grid, cfg, run_index=0)
 
         from filterlab.filters import init_cloud, step
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
@@ -174,24 +174,23 @@ class TestResiduals:
 
         m = linear_model("mute", h_scale=0.0)
         grid = TimeGrid(0.2, 1e-2)
-        cfg = FilterConfig(n_particles=64, seed=0)
-        zak, ks = residual_run(m, [phi_const(1.0, 1)], grid, cfg, seed=31, run_index=0)
+        cfg = FilterConfig(n_particles=64, seed=31)
+        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, run_index=0)
         assert np.all(zak["1"] == 0.0)
         assert np.all(ks["1"] == 0.0)
 
     def test_residuals_mean_zero_small_battery(self):
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.5, 5e-3)
-        cfg = FilterConfig(n_particles=256, seed=0)
+        cfg = FilterConfig(n_particles=256, seed=37)
         phis = [phi_by_label("x", 1), phi_by_label("x^2", 1)]
-        zak, ks = equation_residuals([residual_run(m, phis, grid, cfg, seed=37, run_index=i) for i in range(48)])
+        zak, ks = equation_residuals([residual_run(m, phis, grid, cfg, run_index=i) for i in range(48)])
         for lab in ("x", "x^2"):
             assert zak[lab].ratio() < 3.0, f"zakai {lab}: {zak[lab].mean_residual}"
             assert ks[lab].ratio() < 3.0, f"ks {lab}: {ks[lab].mean_residual}"
 
-    @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
-    def test_matches_replay_through_public_operators(self, name, drop):
+    def test_matches_replay_through_public_operators(self, name):
         # the coefficients residual_run evaluates once per step, shared by all
         # test functions, must give exactly what a fresh PhiAtStep per function gives
         from filterlab.filters import init_cloud, step
@@ -200,9 +199,9 @@ class TestResiduals:
 
         m = make_model(name)
         grid = TimeGrid(0.2, 1e-2)
-        cfg = FilterConfig(n_particles=64, seed=0)
+        cfg = FilterConfig(n_particles=64, seed=41)
         phis = [phi_by_label(lab, 1) for lab in ("1", "x", "x^2", "tanh(x)")]
-        zak, ks = residual_run(m, phis, grid, cfg, seed=41, run_index=0, drop_correlation_term=drop)
+        zak, ks = residual_run(m, phis, grid, cfg, run_index=0)
         bundle = simulate_pair(m, grid, substream(41, TAG_PATH, 0))
         cloud = init_cloud(m.initial_law, 64, substream(41, TAG_INIT, 0))
         n, dt = grid.n_steps, grid.dt
@@ -235,8 +234,7 @@ class TestResiduals:
                 rho_d = mass * (w @ at.dphi()) / w.shape[0]
                 zak_int[phi.label] += rho_a * dt + float(rho_d @ dy)
                 integrand = (w[:, None] * (vals[:, None] * h)).sum(axis=0) / sw - pi_h * pi_phi
-                if not drop:
-                    integrand = integrand + (w @ at.correlation) / sw
+                integrand = integrand + (w @ at.correlation) / sw
                 ks_int[phi.label] += float(np.sum(w * a_vals) / sw) * dt + float(integrand @ (dy - pi_h * dt))
             if k < n:
                 cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, substream(41, TAG_PROPAGATE, 0, k),
@@ -247,7 +245,7 @@ class TestResiduals:
 
     def test_needs_two_runs(self):
         m = make_model("linear_gaussian")
-        run = residual_run(m, [phi_const(1.0, 1)], TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), 0, 0)
+        run = residual_run(m, [phi_const(1)], TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), 0)
         with pytest.raises(ValueError):
             equation_residuals([run])
 
@@ -284,7 +282,7 @@ class TestScenarioChecks:
     def test_kalman_agreement_single_seed(self):
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.5, 2e-3)
-        dmean, dvar = kalman_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=0), 41, 0)
+        dmean, dvar = kalman_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=41), 0)
         assert dmean < 0.05 and dvar < 0.05
 
     def test_local_boundedness_silent_sensor_is_flat_zero(self):
