@@ -228,13 +228,25 @@ def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# runs per residual task: fixed, and a run's bytes do not depend on its block anyway
+RESIDUAL_BLOCK = 16
+
+
 def _residual_task(payload: tuple):
-    name, labels, horizon, dt, n_particles, threshold, ablate, seed, idx = payload
+    """One block of residual runs; the payload ends with the block's run indices."""
+    name, labels, horizon, dt, n_particles, threshold, ablate, seed, indices = payload
     model = make_model(name)
     phis = [phi_by_label(lab, model.dim_x) for lab in labels]
     grid = TimeGrid(horizon=horizon, dt=dt)
     config = FilterConfig(n_particles=n_particles, resample_threshold=threshold, seed=seed, ignore_correlation=ablate)
-    return verify.residual_run(model, phis, grid, config, idx)
+    return verify.residual_run(model, phis, grid, config, indices)
+
+
+def residual_runs(params: tuple, n_runs: int, workers: int) -> list:
+    """Runs 0 .. n_runs - 1 of _residual_task's payload `params` (all but the
+    run indices), mapped over workers in blocks of RESIDUAL_BLOCK, in run order."""
+    payloads = [params + (tuple(range(i, min(i + RESIDUAL_BLOCK, n_runs))),) for i in range(0, n_runs, RESIDUAL_BLOCK)]
+    return [run for block in map_ordered(_residual_task, payloads, workers) for run in block]
 
 
 def _kalman_task(payload: tuple):
@@ -495,8 +507,8 @@ def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: in
                     horizon: float, resample_threshold: float, which: str, ablate: bool = False) -> list[CheckVerdict]:
     key = (model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed, n_runs)
     if key not in _RESIDUAL_RUNS:
-        payloads = [(model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed, i) for i in range(n_runs)]
-        _RESIDUAL_RUNS[key] = map_ordered(_residual_task, payloads, workers)
+        params = (model, phis, horizon, dt, n_particles, resample_threshold, ablate, seed)
+        _RESIDUAL_RUNS[key] = residual_runs(params, n_runs, workers)
     zak_stats, ks_stats = verify.equation_residuals(_RESIDUAL_RUNS[key])
     stats = zak_stats if which == "zakai" else ks_stats
     grid = TimeGrid(horizon=horizon, dt=dt)

@@ -1,10 +1,16 @@
-"""Change-of-measure particle filter.
+"""Change-of-measure particle filter over blocks of independent runs.
 
 Particles move under the reference measure, where the observation path is a
 Brownian motion driving the signal; the observed increments are consumed
 both by the propagation (through sigma_bar) and by the importance weights
 exp(h^T dy - |h|^2 dt / 2). The running unnormalised mass rho_t(1) survives
 resampling through log_mass, which absorbs the pre-resampling mean weight.
+
+A cloud holds R runs of N particles each: states flat as (R*N, d), so the
+model coefficients stay per-particle calls, and log-weights as (R, N). Every
+weight, estimate, ESS and collapse check reduces each row on its own along
+the last axis, and each row draws from its own generators, so a run's bytes
+do not depend on the block it is stepped in. A single run is the block R = 1.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ import numpy as np
 
 from .models import SignalModel, TestFunction
 from .rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, substream
-from .simulate import TimeGrid, batch_levy_increments, euler_step, propagate_under_reference
+from .simulate import TimeGrid, euler_step, fresh_increments, propagate_under_reference
 
 Array = np.ndarray
+Generators = Sequence[np.random.Generator]
 
 
 class FilterCollapse(RuntimeError):
@@ -48,15 +55,16 @@ class FilterConfig:
 
 @dataclass
 class ParticleCloud:
-    states: Array        # (n, d)
-    log_weights: Array   # (n,)
-    log_mass: float      # log of the mass folded out at resampling times
+    states: Array        # (R*N, d): run r holds rows r*N .. (r+1)*N - 1
+    log_weights: Array   # (R, N)
+    log_mass: Array      # (R,): log of the mass folded out at resampling times
     t: float
     step: int = 0        # grid index of t, reported on collapse
 
     @property
     def n(self) -> int:
-        return self.states.shape[0]
+        """Particles per run."""
+        return self.log_weights.shape[-1]
 
     @cached_property
     def weights(self) -> Weights:   # once per cloud: no code changes a cloud's arrays in place
@@ -64,41 +72,55 @@ class ParticleCloud:
 
 
 class Weights:
-    """w = exp(log_w - shift) with shift = max(log_w), and their sum: what the
-    estimates, the ESS and resampling read. A cloud with no weight left
-    raises FilterCollapse at `step`, its grid index."""
+    """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w),
+    and their sum; what the estimates, the ESS and resampling read. A row with
+    no weight left raises FilterCollapse at `step`, its grid index."""
 
     def __init__(self, log_weights: Array, step: int):
-        self.shift = log_weights.max()
-        if not np.isfinite(self.shift):
+        shift = log_weights.max(axis=-1, keepdims=True)
+        if not np.all(np.isfinite(shift)):
             raise FilterCollapse(step=step, ess=0.0)
-        self.w = np.exp(log_weights - self.shift)
-        self.total = self.w.sum()
+        self.w = np.exp(log_weights - shift)
+        self.shift = shift[..., 0]
+        self.total = self.w.sum(axis=-1)
 
     @cached_property
     def normalized(self) -> Array:
-        return self.w / self.total
+        return self.w / self.total[..., None]
 
 
-def ess(cloud: ParticleCloud) -> float:
+def _reset_rows(weights: Weights, rows: Array) -> Weights:
+    """`weights` with the given rows set to what all-zero log-weights give:
+    w = 1, shift = 0 and total = N, the same bytes as Weights(zeros)."""
+    out = Weights.__new__(Weights)
+    out.w, out.shift, out.total = weights.w.copy(), weights.shift.copy(), weights.total.copy()
+    out.w[rows] = 1.0
+    out.shift[rows] = 0.0
+    out.total[rows] = float(out.w.shape[-1])
+    return out
+
+
+def ess(cloud: ParticleCloud) -> Array:
+    """Effective sample size of each run, shape (R,)."""
     w = cloud.weights.normalized
-    return float(1.0 / np.sum(w * w))
+    return 1.0 / np.sum(w * w, axis=-1)
 
 
-def init_cloud(initial_law, n: int, rng: np.random.Generator) -> ParticleCloud:
+def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
+    """A block of len(rngs) runs of n particles; run r is drawn from rngs[r]."""
     if n < 2:
         raise ValueError("need at least 2 particles")
-    states = np.atleast_2d(np.asarray(initial_law(rng, n), dtype=float))
-    if states.shape[0] != n or not np.all(np.isfinite(states)):
+    states = np.concatenate([np.atleast_2d(np.asarray(initial_law(rng, n), dtype=float)) for rng in rngs])
+    if states.shape[0] != n * len(rngs) or not np.all(np.isfinite(states)):
         raise ValueError("initial sampler returned an invalid draw")
-    return ParticleCloud(states=states, log_weights=np.zeros(n), log_mass=0.0, t=0.0)
+    return ParticleCloud(states=states, log_weights=np.zeros((len(rngs), n)), log_mass=np.zeros(len(rngs)), t=0.0)
 
 
-def systematic_resample(weights: Weights, rng: np.random.Generator) -> Array:
-    """Systematic resampling indices from one uniform draw."""
-    n = weights.w.shape[0]
+def systematic_resample(probs: Array, rng: np.random.Generator) -> Array:
+    """Systematic resampling indices for one run's normalised weights, from one uniform draw."""
+    n = probs.shape[0]
     positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(weights.normalized), positions).clip(max=n - 1)
+    return np.searchsorted(np.cumsum(probs), positions).clip(max=n - 1)
 
 
 def step(
@@ -107,79 +129,90 @@ def step(
     y: Array,
     dy: Array,
     dt: float,
-    rng_prop: np.random.Generator,
-    rng_res: np.random.Generator,
+    rngs_prop: Generators,
+    rngs_res: Generators,
     config: FilterConfig,
-) -> tuple[ParticleCloud, bool]:
-    """Advance the cloud through one observed increment dy over (t, t + dt].
+) -> tuple[ParticleCloud, Array]:
+    """Advance every run of the block through its observed increment over (t, t + dt].
 
-    Weights are updated with the pre-step states (left-point integrand of the
-    log-weight), then particles move under the reference dynamics using the
-    same observed dy; resampling folds the mean weight into log_mass. The ESS
-    and resampling share the new cloud's weights. Returns (new cloud, resampled flag).
+    y and dy hold one row per run, (R, m); rngs_prop and rngs_res one
+    generator per run. Weights are updated with the pre-step states
+    (left-point integrand of the log-weight), then particles move under the
+    reference dynamics using the same observed dy; a run whose ESS falls
+    below the threshold resamples, folding its mean weight into log_mass.
+    Returns (new cloud, per-run resampled flags).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    y = np.asarray(y, dtype=float)
-    dy = np.asarray(dy, dtype=float)
+    r, n = cloud.log_weights.shape
+    # each run's observation row, repeated for its particles: (R*N, m)
+    y_rows, dy_rows = (np.repeat(np.reshape(np.asarray(v, dtype=float), (r, model.dim_y)), n, axis=0) for v in (y, dy))
     k = cloud.step + 1
-    hvals = model.h_now(cloud.states, y, cloud.t)
-    log_w = cloud.log_weights + np.dot(hvals, dy) - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
+    hvals = model.h_now(cloud.states, y_rows, cloud.t)
+    inc = np.einsum("nm,nm->n", hvals, dy_rows) - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
+    log_w = cloud.log_weights + inc.reshape(r, n)
     if not np.all(np.isfinite(log_w)):
         # exp underflow to -inf is a degenerate weight, not an arithmetic error
         log_w = np.where(np.isnan(log_w), -np.inf, log_w)
-        if not np.isfinite(log_w.max()):
+        if not np.all(np.isfinite(log_w.max(axis=-1))):
             raise FilterCollapse(step=k, ess=0.0)
     if config.ignore_correlation:
         # correlation-blind ablation: fresh W noise in place of the observation feed
-        sq = np.sqrt(dt)
-        dv = rng_prop.standard_normal((cloud.n, model.dim_v)) * sq
-        dw = rng_prop.standard_normal((cloud.n, model.dim_y)) * sq
-        dl = batch_levy_increments(model.levy, dt, cloud.n, rng_prop) if model.has_jumps else None
+        dv, dw, dl = fresh_increments(model, dt, n, rngs_prop, dw=True)
         states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
-        states = propagate_under_reference(model, cloud.states, y, dy, dt, cloud.t, rng_prop, k)
+        states = propagate_under_reference(model, cloud.states, y_rows, dy_rows, dt, cloud.t, rngs_prop, k)
     new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=cloud.t + dt, step=k)
     current_ess = ess(new)
-    if current_ess < 1.0 + 1e-9:
-        raise FilterCollapse(step=k, ess=current_ess)
-    resampled = False
-    if current_ess < config.resample_threshold * new.n:
-        new = resample(new, rng_res)
-        resampled = True
+    if np.any(current_ess < 1.0 + 1e-9):
+        raise FilterCollapse(step=k, ess=float(current_ess.min()))
+    resampled = current_ess < config.resample_threshold * n
+    if resampled.any():
+        new = resample(new, rngs_res, np.flatnonzero(resampled))
     return new, resampled
 
 
-def resample(cloud: ParticleCloud, rng: np.random.Generator) -> ParticleCloud:
-    """Systematic resampling; the mean weight moves into log_mass so that
-    rho_t(1) is preserved by construction."""
+def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> ParticleCloud:
+    """Systematic resampling of the given runs (rows of the block), each with
+    one uniform from its own generator rngs[row]; the mean weight moves into
+    log_mass so that rho_t(1) is preserved by construction. The new cloud's
+    weights are set, not recomputed: a resampled run has w = 1 and total N."""
     weights = cloud.weights
-    idx = systematic_resample(weights, rng)
-    return ParticleCloud(
-        states=cloud.states[idx],
-        log_weights=np.zeros(cloud.n),
-        log_mass=cloud.log_mass + weights.shift + np.log(weights.total / cloud.n),
-        t=cloud.t,
-        step=cloud.step,
-    )
+    n = cloud.n
+    states = cloud.states.copy()
+    for row in rows:
+        idx = systematic_resample(weights.normalized[row], rngs[row])
+        states[row * n:(row + 1) * n] = cloud.states[row * n + idx]
+    log_weights = cloud.log_weights.copy()
+    log_weights[rows] = 0.0
+    log_mass = cloud.log_mass.copy()
+    log_mass[rows] = log_mass[rows] + weights.shift[rows] + np.log(weights.total[rows] / n)
+    new = ParticleCloud(states=states, log_weights=log_weights, log_mass=log_mass, t=cloud.t, step=cloud.step)
+    new.weights = _reset_rows(weights, rows)
+    return new
 
 
-def rho_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> float:
-    """Unnormalised estimate rho_t(phi) = exp(log_mass) * mean(w_i phi(x_i))."""
+def _values(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array]) -> Array:
+    """phi on the cloud's particles, shape (R, N)."""
     vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states, y)
     if not np.all(np.isfinite(vals)):
         raise ValueError("test function is non-finite on the cloud")
-    return float(np.exp(cloud.log_mass + cloud.weights.shift) * np.mean(cloud.weights.w * vals))
+    return np.reshape(vals, cloud.log_weights.shape)
 
 
-def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> float:
-    """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1); invariant under
-    any common shift of the log-weights, and exactly 1 for phi == 1 because
-    numerator and denominator are then the same reduction."""
-    vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states, y)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("test function is non-finite on the cloud")
-    return float(np.sum(cloud.weights.w * vals) / cloud.weights.total)
+def rho_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> Array:
+    """Unnormalised estimate rho_t(phi) = exp(log_mass) * mean(w_i phi(x_i)) of each run."""
+    weights = cloud.weights
+    vals = _values(cloud, phi, y)
+    return np.exp(cloud.log_mass + weights.shift) * np.mean(weights.w * vals, axis=-1)
+
+
+def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> Array:
+    """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1) of each run;
+    invariant under any common shift of a run's log-weights, and exactly 1
+    for phi == 1 because numerator and denominator are then the same reduction."""
+    weights = cloud.weights
+    return np.sum(weights.w * _values(cloud, phi, y), axis=-1) / weights.total
 
 
 @dataclass
@@ -199,7 +232,8 @@ def run_filter(
     phis: Sequence[TestFunction] = (),
     time_functionals: Optional[Mapping[str, Callable[[Array, float], Array]]] = None,
 ) -> FilterRun:
-    """Run the filter along one observation path and summarise it.
+    """Run the filter along one observation path and summarise it: the block
+    of one run, with one generator per role.
 
     `phis` are evaluated as pi_t(phi) at every grid time; `time_functionals`
     map (states, t) to per-particle values for summaries that need the clock,
@@ -208,8 +242,10 @@ def run_filter(
     y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
     if y_path.shape[0] != grid.n_steps + 1:
         raise ValueError("observation path does not match the grid")
-    rng_init = substream(config.seed, TAG_INIT)
-    cloud = init_cloud(model.initial_law, config.n_particles, rng_init)
+    # one generator per role, built once and drawn from in order
+    cloud = init_cloud(model.initial_law, config.n_particles, [substream(config.seed, TAG_INIT)])
+    rngs_prop = [substream(config.seed, TAG_PROPAGATE)]
+    rngs_res = [substream(config.seed, TAG_RESAMPLE)]
     n_steps = grid.n_steps
     labels = [phi.label for phi in phis]
     time_functionals = dict(time_functionals or {})
@@ -223,18 +259,17 @@ def run_filter(
     def record(k: int):
         t = k * grid.dt
         for phi in phis:
-            pi_traj[phi.label][k] = pi_estimate(cloud, phi, y_path[k])
+            pi_traj[phi.label][k] = pi_estimate(cloud, phi, y_path[k])[0]
         for lab, fn in time_functionals.items():
-            pi_traj[lab][k] = pi_estimate(cloud, np.asarray(fn(cloud.states, t), dtype=float))
-        rho_one[k] = rho_estimate(cloud, np.ones(cloud.n))
-        ess_traj[k] = ess(cloud)
+            pi_traj[lab][k] = pi_estimate(cloud, np.asarray(fn(cloud.states, t), dtype=float))[0]
+        rho_one[k] = rho_estimate(cloud, np.ones(cloud.n))[0]
+        ess_traj[k] = ess(cloud)[0]
 
     record(0)
     for k in range(n_steps):
         dy = y_path[k + 1] - y_path[k]
-        rng_prop = substream(config.seed, TAG_PROPAGATE, k)
-        rng_res = substream(config.seed, TAG_RESAMPLE, k)
-        cloud, resampled[k] = step(cloud, model, y_path[k], dy, grid.dt, rng_prop, rng_res, config)
+        cloud, flags = step(cloud, model, y_path[k], dy, grid.dt, rngs_prop, rngs_res, config)
+        resampled[k] = flags[0]
         record(k + 1)
     return FilterRun(
         times=grid.times(),

@@ -4,6 +4,13 @@ Every stochastic routine in the package draws from a Philox generator keyed
 by (master seed, integer path...). Substreams derived from the same key are
 bit-identical no matter how work is chunked across workers, which is what
 makes every estimator reproducible under any parallel schedule.
+
+A filter run has one generator per role: run_filter keys its initial
+cloud, propagation and resampling streams (seed, TAG_role), and run i of a
+residual block keys its data path and those three (seed, TAG_role, i). Each
+is built once and drawn from in order, step after step, by that run alone,
+so a run's bytes do not depend on the block it is stepped in or on the
+worker count.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -145,34 +145,62 @@ def euler_step(
     return out
 
 
-def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) -> PathBundle:
-    """Euler-Maruyama path of (X, Y) under the physical measure."""
+def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.Generator]) -> list[PathBundle]:
+    """Euler-Maruyama paths of (X, Y) under the physical measure, one per
+    generator, stepped as one (R, d) array. Path r draws only from rngs[r],
+    in simulate_pair's order (X_0, then per step dV, dW and the jumps), and
+    every operation is per path, so its bytes do not depend on the others."""
     d, p, m = model.dim_x, model.dim_v, model.dim_y
-    n = grid.n_steps
+    n, r = grid.n_steps, len(rngs)
     sq = np.sqrt(grid.dt)
-    x = np.empty((n + 1, d))
-    y = np.zeros((n + 1, m))
-    dw = np.empty((n, m))
-    jump_log: list[tuple[int, Array]] = []
-    x[0] = model.initial_law(rng, 1)[0]
+    x = np.empty((r, n + 1, d))
+    y = np.zeros((r, n + 1, m))
+    dw = np.empty((r, n, m))
+    dv = np.empty((r, p))
+    dl = np.empty((r, model.levy.dim)) if model.has_jumps else None
+    jump_logs: list[list[tuple[int, Array]]] = [[] for _ in rngs]
+    for i, rng in enumerate(rngs):
+        x[i, 0] = model.initial_law(rng, 1)[0]
     for k in range(n):
-        xk = x[k][None, :]
+        for i, rng in enumerate(rngs):
+            dv[i] = rng.standard_normal(p) * sq
+            dw[i, k] = rng.standard_normal(m) * sq
+            if model.has_jumps:
+                # the scalar sampler, not the batched one: it yields the marks
+                dl[i], marks = sample_levy_increment(model.levy, grid.dt, rng)
+                jump_logs[i].extend((k, mark) for mark in marks)
+        xk = x[:, k]
         t = k * grid.dt
-        dv = rng.standard_normal((1, p)) * sq
-        dw[k] = rng.standard_normal(m) * sq
-        dl = None
-        if model.has_jumps:
-            # the scalar sampler, not the batched one: it yields the marks
-            inc, marks = sample_levy_increment(model.levy, grid.dt, rng)
-            dl = inc[None, :]
-            jump_log.extend((k, mark) for mark in marks)
-        x[k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv, dw[k][None, :], dl, k + 1)[0]
+        x[:, k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv, dw[:, k], dl, k + 1)
         # Observation identity: y[k+1] - y[k] = h(x[k]) dt + dw[k], exactly.
-        hk = model.h_now(xk, y[k], t)[0]
-        y[k + 1] = y[k] + hk * grid.dt + dw[k]
-        if not np.all(np.isfinite(y[k + 1])):
+        y[:, k + 1] = y[:, k] + model.h_now(xk, y[:, k], t) * grid.dt + dw[:, k]
+        if not np.all(np.isfinite(y[:, k + 1])):
             raise SimulationBlowUp(k + 1)
-    return PathBundle(grid=grid, x=x, y=y, w_increments=dw, jump_log=jump_log)
+    return [PathBundle(grid=grid, x=x[i], y=y[i], w_increments=dw[i], jump_log=jump_logs[i]) for i in range(r)]
+
+
+def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) -> PathBundle:
+    """Euler-Maruyama path of (X, Y) under the physical measure: simulate_pairs of one path."""
+    return simulate_pairs(model, grid, [rng])[0]
+
+
+def fresh_increments(
+    model: SignalModel, dt: float, n: int, rngs: Sequence[np.random.Generator], dw: bool = False,
+    dv: bool = True,
+) -> tuple[Optional[Array], Optional[Array], Optional[Array]]:
+    """Fresh (dV, dW, dL) increments over dt for len(rngs) runs of n states,
+    run r drawing from rngs[r] in the order dV, dW, dL; a term that is not
+    asked for (or a model without jumps) gives None and draws nothing."""
+    sq = np.sqrt(dt)
+    dvs, dws, dls = [], [], []
+    for rng in rngs:
+        if dv:
+            dvs.append(rng.standard_normal((n, model.dim_v)) * sq)
+        if dw:
+            dws.append(rng.standard_normal((n, model.dim_y)) * sq)
+        if model.has_jumps:
+            dls.append(batch_levy_increments(model.levy, dt, n, rng))
+    return tuple(np.concatenate(parts) if parts else None for parts in (dvs, dws, dls))
 
 
 def propagate_under_reference(
@@ -182,30 +210,30 @@ def propagate_under_reference(
     dy: Array,
     dt: float,
     t: float,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     step: int = -1,
 ) -> Array:
-    """One Euler step of the reference-measure dynamics for a batch of states.
+    """One Euler step of the reference-measure dynamics for len(rngs) runs of
+    equally many states, stacked as (R*N, d); run r draws from rngs[r].
 
     Under the reference measure the observation path drives the signal:
     dX = (f~ - sigma_bar h) dt + sigma dV + sigma_bar dY + sigma_tilde dL,
     with the observed increment dy substituted for dY and fresh V/L noise.
+    y and dy are one shared row (m,) or one row per state (R*N, m).
     Constant coefficients enter as matrices (see euler_step). A zero sigma_bar
     drops both of its terms and h is not evaluated. A zero sigma draws no dV
-    only without jumps, where no later draw from rng would move.
+    only without jumps, where no later draw from a run's generator would move.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     x = np.atleast_2d(np.asarray(states, dtype=float))
-    n = x.shape[0]
-    dy = np.asarray(dy, dtype=float).reshape(model.dim_y)
+    dy = np.atleast_2d(np.asarray(dy, dtype=float))
     drift = model.f(x)
     if not _is_zero(model.sigma_bar):
         drift = drift - _times(model.sigma_bar, x, model.h_now(x, y, t))
-    draw_dv = model.has_jumps or not _is_zero(model.sigma)
-    dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt) if draw_dv else None
-    dl = batch_levy_increments(model.levy, dt, n, rng) if model.has_jumps else None
-    return euler_step(model, x, drift, dt, dv, dy[None, :], dl, step)
+    dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs,
+                                 dv=model.has_jumps or not _is_zero(model.sigma))
+    return euler_step(model, x, drift, dt, dv, dy, dl, step)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .girsanov import Estimate, mean_se
 from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction, phi_coord, phi_quad
 from .rng import (TAG_CHANGE_FILTER, TAG_DUFRESNE, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
                   TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
-from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair
+from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
 
 Array = np.ndarray
 
@@ -242,59 +242,69 @@ def residual_run(
     phis: Sequence[TestFunction],
     grid: TimeGrid,
     config: FilterConfig,
-    run_index: int,
-) -> tuple[dict[str, Array], dict[str, Array]]:
-    """One (data, filter) pair; returns per-phi Zakai and KS residual
-    trajectories. All randomness derives from (config.seed, run_index)."""
-    seed = config.seed
-    data_rng = substream(seed, TAG_PATH, run_index)
-    bundle = simulate_pair(model, grid, data_rng)
-    filter_seed_rng = substream(seed, TAG_INIT, run_index)
-    cloud = init_cloud(model.initial_law, config.n_particles, filter_seed_rng)
+    run_indices: Sequence[int],
+) -> list[tuple[dict[str, Array], dict[str, Array]]]:
+    """A block of (data, filter) pairs stepped as one cloud; returns each run's
+    per-phi Zakai and KS residual trajectories, in the order of run_indices.
+    Run i draws only from its own generators, one per role keyed by
+    (config.seed, role, i), so its result does not depend on the block."""
+    seed, n = config.seed, config.n_particles
+    runs = tuple(run_indices)
+    r = len(runs)
+    bundles = simulate_pairs(model, grid, [substream(seed, TAG_PATH, i) for i in runs])
+    y_path = np.stack([bundle.y for bundle in bundles])   # (R, K+1, m)
+    cloud = init_cloud(model.initial_law, n, [substream(seed, TAG_INIT, i) for i in runs])
+    rngs_prop = [substream(seed, TAG_PROPAGATE, i) for i in runs]
+    rngs_res = [substream(seed, TAG_RESAMPLE, i) for i in runs]
     dt = grid.dt
     k_steps = grid.n_steps
-    zak = {phi.label: np.zeros(k_steps + 1) for phi in phis}
-    ks = {phi.label: np.zeros(k_steps + 1) for phi in phis}
-    rho0: dict[str, float] = {}
-    pi0: dict[str, float] = {}
-    zak_int = {phi.label: 0.0 for phi in phis}
-    ks_int = {phi.label: 0.0 for phi in phis}
+    labels = [phi.label for phi in phis]
+    zak = {lab: np.zeros((r, k_steps + 1)) for lab in labels}
+    ks = {lab: np.zeros((r, k_steps + 1)) for lab in labels}
+    rho0: dict[str, Array] = {}
+    pi0: dict[str, Array] = {}
+    zak_int = {lab: np.zeros(r) for lab in labels}
+    ks_int = {lab: np.zeros(r) for lab in labels}
+
+    def rows(values: Array) -> Array:
+        """Per-particle (R*N, ...) values as (R, N, ...)."""
+        return values.reshape((r, n) + values.shape[1:])
+
     for k in range(k_steps + 1):
-        y_k = bundle.y[k]
+        y_k = y_path[:, k]
         t = k * dt
         weights = cloud.weights
         w, sw = weights.w, weights.total
-        mass = math.exp(cloud.log_mass + weights.shift)
-        coeffs = StepCoefficients(model, cloud.states, y_k, t)
-        pi_h = (w[:, None] * coeffs.h).sum(axis=0) / sw
+        mass = np.exp(cloud.log_mass + weights.shift)
+        coeffs = StepCoefficients(model, cloud.states, np.repeat(y_k, n, axis=0), t)
+        h = rows(coeffs.h)
+        pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
         for phi in phis:
+            lab = phi.label
             at = PhiAtStep(phi, coeffs)
-            vals = at.value
-            w_vals = float(np.sum(w * vals))
-            rho_phi = mass * w_vals / w.shape[0]
+            vals = rows(at.value)
+            w_vals = np.sum(w * vals, axis=-1)
+            rho_phi = mass * w_vals / n
             pi_phi = w_vals / sw
             if k == 0:
-                rho0[phi.label] = rho_phi
-                pi0[phi.label] = pi_phi
-            zak[phi.label][k] = rho_phi - rho0[phi.label] - zak_int[phi.label]
-            ks[phi.label][k] = pi_phi - pi0[phi.label] - ks_int[phi.label]
+                rho0[lab] = rho_phi
+                pi0[lab] = pi_phi
+            zak[lab][:, k] = rho_phi - rho0[lab] - zak_int[lab]
+            ks[lab][:, k] = pi_phi - pi0[lab] - ks_int[lab]
             if k == k_steps:
                 continue
-            dy = bundle.y[k + 1] - y_k
-            a_vals = at.generator()
-            w_a = float(np.sum(w * a_vals))
-            rho_d = mass * (w @ at.dphi()) / w.shape[0]
-            zak_int[phi.label] += mass * w_a / w.shape[0] * dt + float(rho_d @ dy)
+            dy = y_path[:, k + 1] - y_k
+            w_a = np.sum(w * rows(at.generator()), axis=-1)
+            rho_d = mass[:, None] * np.einsum("rn,rnm->rm", w, rows(at.dphi())) / n
+            zak_int[lab] += mass * w_a / n * dt + np.einsum("rm,rm->r", rho_d, dy)
             # vals == 1 makes pi_phih the same reduction as pi_h, so the
             # KS integrand cancels to exactly zero for the constant function
-            pi_phih = (w[:, None] * (vals[:, None] * coeffs.h)).sum(axis=0) / sw
-            integrand = pi_phih - pi_h * pi_phi + (w @ at.correlation) / sw
-            ks_int[phi.label] += w_a / sw * dt + float(integrand @ (dy - pi_h * dt))
+            pi_phih = np.einsum("rn,rnm->rm", w, vals[..., None] * h) / sw[:, None]
+            integrand = pi_phih - pi_h * pi_phi[:, None] + np.einsum("rn,rnm->rm", w, rows(at.correlation)) / sw[:, None]
+            ks_int[lab] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
         if k < k_steps:
-            rng_prop = substream(seed, TAG_PROPAGATE, run_index, k)
-            rng_res = substream(seed, TAG_RESAMPLE, run_index, k)
-            cloud, _ = step(cloud, model, y_k, bundle.y[k + 1] - y_k, dt, rng_prop, rng_res, config)
-    return zak, ks
+            cloud, _ = step(cloud, model, y_k, y_path[:, k + 1] - y_k, dt, rngs_prop, rngs_res, config)
+    return [({lab: zak[lab][i] for lab in labels}, {lab: ks[lab][i] for lab in labels}) for i in range(r)]
 
 
 def equation_residuals(

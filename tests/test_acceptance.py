@@ -19,7 +19,7 @@ import pytest
 
 import filterlab
 from filterlab import verify
-from filterlab.cli import _kalman_task, _residual_task
+from filterlab.cli import _kalman_task, residual_runs
 from filterlab.filters import FilterConfig
 from filterlab.girsanov import (
     MAXIMAL_CONST,
@@ -206,14 +206,10 @@ RESID_DT = 2.5e-3
 
 
 def _residual_sweep(model_name: str):
-    payloads = [
-        (model_name, RESID_LABELS, 1.0, RESID_DT, RESID_PARTICLES, 0.5, False, SEED, i)
-        for i in range(RESID_RUNS)
-    ]
-    return equation_residuals(map_ordered(_residual_task, payloads, WORKERS))
+    params = (model_name, RESID_LABELS, 1.0, RESID_DT, RESID_PARTICLES, 0.5, False, SEED)
+    return equation_residuals(residual_runs(params, RESID_RUNS, WORKERS))
 
 
-@pytest.mark.slow
 def test_criterion_09_equation_residuals():
     details = []
     ok = True
@@ -231,11 +227,8 @@ def test_criterion_09_equation_residuals():
         ok &= ks_one.mean_residual.value == 0.0 and np.all(ks_one.trajectory == 0.0)
         details.append(f"{name}/ks/1: exact-zero={np.all(ks_one.trajectory == 0.0)}")
     # ablation: correlation-blind filter violates the full KS identity
-    abl_payloads = [
-        ("correlated_linear", ["x^2"], 1.0, 5e-3, 250, 0.5, True, SEED, i)
-        for i in range(1600)
-    ]
-    _, abl_ks = equation_residuals(map_ordered(_residual_task, abl_payloads, WORKERS))
+    abl_params = ("correlated_linear", ["x^2"], 1.0, 5e-3, 250, 0.5, True, SEED)
+    _, abl_ks = equation_residuals(residual_runs(abl_params, 1600, WORKERS))
     abl_ratio = abl_ks["x^2"].ratio()
     ok &= abl_ratio > 3.0
     details.append(f"ablation ks/x^2: {abl_ratio:.2f}se (must exceed 3)")
@@ -255,22 +248,21 @@ def test_criterion_09b_zakai_mass_equation_reduction():
         model = make_model(name)
         grid = TimeGrid(1.0, RESID_DT)
         cfg = FilterConfig(n_particles=RESID_PARTICLES, seed=SEED)
-        zak, _ = residual_run(model, [phi_const(1)], grid, cfg, 0)
+        zak, _ = residual_run(model, [phi_const(1)], grid, cfg, (0,))[0]
+        # run 0's generators, one per role, drawn from in order
         bundle = simulate_pair(model, grid, substream(SEED, TAG_PATH, 0))
-        cloud = init_cloud(model.initial_law, RESID_PARTICLES, substream(SEED, TAG_INIT, 0))
+        cloud = init_cloud(model.initial_law, RESID_PARTICLES, [substream(SEED, TAG_INIT, 0)])
+        rngs = [substream(SEED, TAG_PROPAGATE, 0)], [substream(SEED, TAG_RESAMPLE, 0)]
         rho_one, rho_h = [], []
         for k in range(grid.n_steps + 1):
-            shift = cloud.log_weights.max()
-            w = np.exp(cloud.log_weights - shift)
-            mass = math.exp(cloud.log_mass + shift)
+            shift = cloud.log_weights[0].max()
+            w = np.exp(cloud.log_weights[0] - shift)
+            mass = math.exp(cloud.log_mass[0] + shift)
             rho_one.append(mass * w.mean())
             h = model.h_now(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
-                cloud, _ = step(
-                    cloud, model, bundle.y[k], bundle.y[k + 1] - bundle.y[k], grid.dt,
-                    substream(SEED, TAG_PROPAGATE, 0, k), substream(SEED, TAG_RESAMPLE, 0, k), cfg,
-                )
+                cloud, _ = step(cloud, model, bundle.y[k], bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
         direct, acc = np.zeros(grid.n_steps + 1), 0.0
         for k in range(grid.n_steps + 1):
             direct[k] = rho_one[k] - rho_one[0] - acc

@@ -270,8 +270,8 @@ class TestVerifyCommand:
         calls = []
         real = verify.residual_run
         monkeypatch.setattr(verify, "residual_run", lambda *a, **kw: calls.append(a[4]) or real(*a, **kw))
-        # residual_run's run indices, in call order: once per run, or twice with unequal params
-        cases = [("same", RESID, [0, 1, 2]), ("other", dict(RESID, phis=["x^2"]), [0, 1, 2] * 2)]
+        # residual_run's blocks of run indices, in call order: once per run, or twice with unequal params
+        cases = [("same", RESID, [(0, 1, 2)]), ("other", dict(RESID, phis=["x^2"]), [(0, 1, 2)] * 2)]
         for tag, ks_params, expected in cases:
             cfg = residual_cfg(tmp_path, tag, ["zakai_residual", "ks_residual"], RESID, ks_params)
             code = main(["verify", "--config", cfg, "--out", str(tmp_path / tag), "--workers", "1"])

@@ -45,15 +45,15 @@ def make_cloud(states, log_weights, log_mass=0.0, t=0.0):
         states=np.atleast_2d(np.asarray(states, dtype=float)).T
         if np.ndim(states) == 1
         else np.asarray(states, dtype=float),
-        log_weights=np.asarray(log_weights, dtype=float),
-        log_mass=log_mass,
+        log_weights=np.asarray(log_weights, dtype=float)[None, :],   # a block of one run
+        log_mass=np.array([log_mass]),
         t=t,
     )
 
 
 class TestInitCloud:
     def test_point_mass_prior(self):
-        cloud = init_cloud(point_mass_initial([2.5]), 100, substream(0))
+        cloud = init_cloud(point_mass_initial([2.5]), 100, [substream(0)])
         assert np.all(cloud.states == 2.5)
         assert np.all(cloud.log_weights == 0.0)
         assert cloud.log_mass == 0.0 and cloud.t == 0.0
@@ -61,21 +61,21 @@ class TestInitCloud:
     def test_standard_normal_prior_clt_band(self):
         m = make_model("linear_gaussian")   # N(0, 0.5) prior
         n = 100_000
-        cloud = init_cloud(m.initial_law, n, substream(1))
+        cloud = init_cloud(m.initial_law, n, [substream(1)])
         assert abs(cloud.states.mean()) < 3 * np.sqrt(0.5 / n)
 
     def test_two_particles_is_valid(self):
-        cloud = init_cloud(point_mass_initial([0.0]), 2, substream(2))
+        cloud = init_cloud(point_mass_initial([0.0]), 2, [substream(2)])
         assert ess(cloud) == pytest.approx(2.0)
 
     def test_rejects_single_particle(self):
         with pytest.raises(ValueError):
-            init_cloud(point_mass_initial([0.0]), 1, substream(3))
+            init_cloud(point_mass_initial([0.0]), 1, [substream(3)])
 
 
 class TestEstimates:
     def test_rho_one_at_time_zero(self):
-        cloud = init_cloud(point_mass_initial([1.0]), 50, substream(0))
+        cloud = init_cloud(point_mass_initial([1.0]), 50, [substream(0)])
         assert rho_estimate(cloud, phi_const(1), Y0) == pytest.approx(1.0)
 
     def test_rho_linear_in_constant(self):
@@ -94,11 +94,11 @@ class TestEstimates:
     def test_pi_invariant_under_exact_weight_shift(self):
         # dyadic weights + power-of-two shift keep float addition exact, so
         # the estimates must agree bit for bit
-        lw = np.array([-0.5, -0.25, 0.125, 0.0])
+        lw = np.array([[-0.5, -0.25, 0.125, 0.0]])
         states = np.array([[0.3], [1.2], [-0.7], [2.0]])
-        base = ParticleCloud(states=states, log_weights=lw, log_mass=0.0, t=0.0)
+        base = ParticleCloud(states=states, log_weights=lw, log_mass=np.zeros(1), t=0.0)
         for shift in (1.0, -2.0, 16.0):
-            moved = ParticleCloud(states=states, log_weights=lw + shift, log_mass=-shift, t=0.0)
+            moved = ParticleCloud(states=states, log_weights=lw + shift, log_mass=np.array([-shift]), t=0.0)
             for phi in phi_battery(1):
                 assert pi_estimate(moved, phi, Y0) == pi_estimate(base, phi, Y0)
 
@@ -128,22 +128,47 @@ class TestEstimates:
 class TestResampling:
     def test_systematic_indices_cover_high_weight(self):
         lw = np.log(np.array([0.7, 0.1, 0.1, 0.1]))
-        idx = systematic_resample(Weights(lw, step=0), substream(1))
+        idx = systematic_resample(Weights(lw, step=0).normalized, substream(1))
         assert (idx == 0).sum() >= 2
 
     def test_ess_is_n_after_resample(self):
         rng = substream(5)
         cloud = make_cloud(rng.standard_normal(256), rng.standard_normal(256))
-        out = resample(cloud, substream(6))
+        out = resample(cloud, [substream(6)], [0])
         assert ess(out) == pytest.approx(256.0)
         assert np.all(out.log_weights == 0.0)
+
+    def test_resampled_weights_are_preset_to_the_bytes_of_zero_log_weights(self):
+        rng = substream(7)
+        cloud = make_cloud(rng.standard_normal(300), rng.standard_normal(300))
+        out = resample(cloud, [substream(8)], [0])
+        assert "weights" in vars(out)   # set by resample, not computed from the log-weights
+        fresh = Weights(np.zeros((1, 300)), step=0)
+        for name in ("w", "shift", "total"):
+            got, want = getattr(out.weights, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        assert np.all(out.weights.w == 1.0) and out.weights.shift[0] == 0.0 and out.weights.total[0] == 300.0
+
+    def test_block_resamples_only_the_given_rows(self):
+        rng = substream(9)
+        lw = rng.standard_normal((3, 50))
+        cloud = ParticleCloud(states=rng.standard_normal((150, 1)), log_weights=lw, log_mass=np.zeros(3), t=0.0)
+        out = resample(cloud, [substream(10), None, substream(11)], rows=[0, 2])
+        np.testing.assert_array_equal(out.states[50:100], cloud.states[50:100])
+        np.testing.assert_array_equal(out.log_weights[1], lw[1])
+        assert out.log_mass[1] == 0.0 and np.all(out.log_weights[[0, 2]] == 0.0)
+        for name in ("w", "shift", "total"):   # the preset rows and the kept row equal a fresh computation
+            assert getattr(out.weights, name).tobytes() == getattr(Weights(out.log_weights, step=0), name).tobytes()
+        np.testing.assert_allclose(rho_estimate(out, phi_const(1), Y0), rho_estimate(cloud, phi_const(1), Y0),
+                                   rtol=1e-12)
 
     @given(LOG_WEIGHTS, st.floats(-20, 20), st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_resample_preserves_rho_one(self, lws, log_mass, seed):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
         before = rho_estimate(cloud, phi_const(1), Y0)
-        after = rho_estimate(resample(cloud, substream(seed)), phi_const(1), Y0)
+        after = rho_estimate(resample(cloud, [substream(seed)], [0]), phi_const(1), Y0)
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))
@@ -160,7 +185,7 @@ def test_collapse_reports_the_step_it_is_given():
         Weights(lw, step=7)
     assert exc.value.step == 7
     with pytest.raises(FilterCollapse) as exc:
-        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw, 0.0, 0.07, step=7), phi_const(1), Y0)
+        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw[None, :], np.zeros(1), 0.07, step=7), phi_const(1), Y0)
     assert exc.value.step == 7
 
 
@@ -175,35 +200,36 @@ def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
     phis = phi_battery(m.dim_x)
     clock = {"prob_change": lambda states, t: (states[:, 1] <= t).astype(float)} if m.dim_x == 2 else {}
     run = run_filter(m, y, grid, cfg, phis=phis, time_functionals=clock)
-    cloud = init_cloud(m.initial_law, cfg.n_particles, substream(cfg.seed, TAG_INIT))
+    # one generator per role, each drawn from in order across the steps
+    cloud = init_cloud(m.initial_law, cfg.n_particles, [substream(cfg.seed, TAG_INIT)])
+    rngs = [substream(cfg.seed, TAG_PROPAGATE)], [substream(cfg.seed, TAG_RESAMPLE)]
     for k in range(grid.n_steps + 1):
         if k:
-            rngs = substream(cfg.seed, TAG_PROPAGATE, k - 1), substream(cfg.seed, TAG_RESAMPLE, k - 1)
             cloud, _ = step(cloud, m, y[k - 1], y[k] - y[k - 1], grid.dt, *rngs, cfg)
         for phi in phis:
-            assert run.pi[phi.label][k] == pi_estimate(cloud, phi, y[k])
+            assert run.pi[phi.label][k] == pi_estimate(cloud, phi, y[k])[0]
         for lab, fn in clock.items():
-            assert run.pi[lab][k] == pi_estimate(cloud, fn(cloud.states, k * grid.dt))
-        assert run.rho_one[k] == rho_estimate(cloud, np.ones(cloud.n))
-        assert run.ess[k] == ess(cloud)
+            assert run.pi[lab][k] == pi_estimate(cloud, fn(cloud.states, k * grid.dt))[0]
+        assert run.rho_one[k] == rho_estimate(cloud, np.ones(cloud.n))[0]
+        assert run.ess[k] == ess(cloud)[0]
     assert 0 < run.resampled.sum() < grid.n_steps
 
 
 class TestStep:
     def test_h_zero_leaves_weights_unchanged(self):
         m = linear_model("quiet", h_scale=0.0)
-        cloud = init_cloud(m.initial_law, 128, substream(0))
+        cloud = init_cloud(m.initial_law, 128, [substream(0)])
         cfg = FilterConfig(n_particles=128, resample_threshold=0.0, seed=0)
-        out, resampled = step(cloud, m, Y0, np.array([0.3]), 0.01, substream(1), substream(2), cfg)
+        out, resampled = step(cloud, m, Y0, np.array([0.3]), 0.01, [substream(1)], [substream(2)], cfg)
         assert not resampled
         np.testing.assert_array_equal(out.log_weights, cloud.log_weights)
         assert out.t == pytest.approx(0.01)
 
     def test_duplicated_particles_stay_symmetric(self):
         m = make_model("linear_gaussian")
-        cloud = init_cloud(point_mass_initial([0.4]), 64, substream(0))
+        cloud = init_cloud(point_mass_initial([0.4]), 64, [substream(0)])
         cfg = FilterConfig(n_particles=64, resample_threshold=0.5, seed=0)
-        out, _ = step(cloud, m, Y0, np.array([0.1]), 0.01, substream(1), substream(2), cfg)
+        out, _ = step(cloud, m, Y0, np.array([0.1]), 0.01, [substream(1)], [substream(2)], cfg)
         assert np.allclose(out.log_weights, out.log_weights[0])
         assert ess(out) == pytest.approx(64.0)
 
@@ -211,12 +237,10 @@ class TestStep:
         # freeze propagation (zero noise, zero drift): the increment must be
         # h(x_pre) dy - h(x_pre)^2 dt/2
         m = linear_model("frozen", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=2.0)
-        cloud = make_cloud([1.5], [0.0])
-        cloud = ParticleCloud(cloud.states, np.zeros(2), 0.0, 0.0)  # n >= 2
         cloud = make_cloud([1.5, 1.5], [0.0, 0.0])
         cfg = FilterConfig(n_particles=2, resample_threshold=0.0, seed=0)
         dy, dt = np.array([0.2]), 0.05
-        out, _ = step(cloud, m, Y0, dy, dt, substream(1), substream(2), cfg)
+        out, _ = step(cloud, m, Y0, dy, dt, [substream(1)], [substream(2)], cfg)
         expected = 3.0 * 0.2 - 0.5 * 9.0 * 0.05
         np.testing.assert_allclose(out.log_weights, expected)
 
@@ -225,7 +249,7 @@ class TestStep:
         cloud = make_cloud([0.0, 1e6], [0.0, 0.0])
         cfg = FilterConfig(n_particles=2, resample_threshold=0.0, seed=0)
         with pytest.raises(FilterCollapse):
-            step(cloud, m, Y0, np.array([1.0]), 0.01, substream(1), substream(2), cfg)
+            step(cloud, m, Y0, np.array([1.0]), 0.01, [substream(1)], [substream(2)], cfg)
 
 
 class TestRunFilter:

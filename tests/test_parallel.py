@@ -3,19 +3,41 @@
 import numpy as np
 import pytest
 
-from filterlab.cli import _residual_task
+from filterlab.cli import _change_detection_task, _kalman_task, _residual_task
 from filterlab.parallel import map_ordered
 
+# with 2 workers, map_ordered hands out chunks of 2 items for 17 items and of 4 for 33
+N_ITEMS = [17, 33]
 
-@pytest.mark.parametrize("n_runs", [17, 33])   # with 2 workers, chunks of 2 and 4 items
-def test_two_workers_equal_serial_residual_runs(n_runs):
-    payloads = [("jump_ou", ("1", "x", "x^2", "tanh(x)"), 0.02, 0.01, 8, 0.5, False, 3, i) for i in range(n_runs)]
+
+@pytest.mark.parametrize("n_blocks", N_ITEMS)
+def test_two_workers_equal_serial_residual_runs(n_blocks):
+    # blocks of 1 to 3 runs, so both the items and the block sizes vary
+    blocks = [tuple(range(3 * i, 3 * i + 1 + i % 3)) for i in range(n_blocks)]
+    payloads = [("jump_ou", ("1", "x", "x^2", "tanh(x)"), 0.02, 0.01, 8, 0.5, False, 3, b) for b in blocks]
     serial = [_residual_task(p) for p in payloads]
     parallel = map_ordered(_residual_task, payloads, 2)
-    assert len(parallel) == n_runs
-    assert not np.array_equal(serial[0][0]["x"], serial[1][0]["x"])   # runs differ, so order matters
-    for (zak_s, ks_s), (zak_p, ks_p) in zip(serial, parallel):
-        for s, p in ((zak_s, zak_p), (ks_s, ks_p)):
-            assert list(s) == list(p)
-            for label in s:
-                np.testing.assert_array_equal(s[label], p[label])
+    assert [len(b) for b in parallel] == [len(b) for b in blocks]
+    assert not np.array_equal(serial[0][0][0]["x"], serial[1][0][0]["x"])   # runs differ, so order matters
+    for block_s, block_p in zip(serial, parallel):
+        for (zak_s, ks_s), (zak_p, ks_p) in zip(block_s, block_p):
+            for s, p in ((zak_s, zak_p), (ks_s, ks_p)):
+                assert list(s) == list(p)
+                for label in s:
+                    np.testing.assert_array_equal(s[label], p[label])
+
+
+@pytest.mark.parametrize("n_runs", N_ITEMS)
+def test_two_workers_equal_serial_kalman_runs(n_runs):
+    payloads = [("correlated_linear", 0.05, 0.01, 16, 0.5, False, 4, i) for i in range(n_runs)]
+    serial = [_kalman_task(p) for p in payloads]
+    assert serial[0] != serial[1]   # runs differ, so order matters
+    assert map_ordered(_kalman_task, payloads, 2) == serial
+
+
+@pytest.mark.parametrize("n_runs", N_ITEMS)
+def test_two_workers_equal_serial_change_detection_runs(n_runs):
+    payloads = [(0.4, 0.02, 16, 0.5, 5, i) for i in range(n_runs)]   # changes fall in [0.25, 0.75]
+    serial = [_change_detection_task(p) for p in payloads]
+    assert serial[0] != serial[1]
+    assert map_ordered(_change_detection_task, payloads, 2) == serial

@@ -22,6 +22,7 @@ from filterlab.simulate import (
     propagate_under_reference,
     sample_levy_increment,
     simulate_pair,
+    simulate_pairs,
 )
 
 
@@ -95,27 +96,23 @@ class TestSimulatePair:
             rebuilt = b.y[k] + h_k * grid.dt + b.w_increments[k]
             np.testing.assert_array_equal(rebuilt, b.y[k + 1])
 
-    @pytest.mark.slow
     def test_pure_noise_observation_variance(self):
         # h == 0: y is a discretised Brownian motion, Var(y_1) -> 1
         m = linear_model("noise", h_scale=0.0)
         grid = TimeGrid(1.0, 0.01)
-        terminal = np.array(
-            [simulate_pair(m, grid, substream(10, i)).y[-1, 0] for i in range(10_000)]
-        )
+        bundles = simulate_pairs(m, grid, [substream(10, i) for i in range(10_000)])
+        terminal = np.array([b.y[-1, 0] for b in bundles])
         v = terminal.var(ddof=1)
         se = v * np.sqrt(2.0 / (terminal.size - 1))   # SE of a Gaussian variance estimate
         assert abs(v - 1.0) < 3 * se
 
-    @pytest.mark.slow
     def test_ou_terminal_variance(self):
         # dX = -X dt + dV from X_0 = 0: Var(X_1) = (1 - e^{-2}) / 2
         m = linear_model("ou", a_x=-1.0, sigma_v=1.0, sigma_bar=0.0, x0_mean=0.0, x0_var=0.0)
         object.__setattr__(m, "initial_law", point_mass_initial([0.0]))
         grid = TimeGrid(1.0, 1e-2)
-        terminal = np.array(
-            [simulate_pair(m, grid, substream(11, i)).x[-1, 0] for i in range(10_000)]
-        )
+        bundles = simulate_pairs(m, grid, [substream(11, i) for i in range(10_000)])
+        terminal = np.array([b.x[-1, 0] for b in bundles])
         v = terminal.var(ddof=1)
         target = (1 - np.exp(-2)) / 2
         se = v * np.sqrt(2.0 / (terminal.size - 1))
@@ -145,7 +142,7 @@ class TestReferencePropagation:
         m = make_model("linear_gaussian")
         x = np.full((50_000, 1), 0.5)
         dt = 0.01
-        out = propagate_under_reference(m, x, np.zeros(1), np.array([0.123]), dt, 0.0, substream(3))
+        out = propagate_under_reference(m, x, np.zeros(1), np.array([0.123]), dt, 0.0, [substream(3)])
         mean = out.mean()
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(mean - (0.5 - 0.5 * dt)) < 3 * se
@@ -153,7 +150,7 @@ class TestReferencePropagation:
     def test_observation_feed_is_deterministic_shift(self):
         m = linear_model("det", a_x=0.0, sigma_v=0.0, sigma_bar=1.0, h_scale=0.0)
         out = propagate_under_reference(
-            m, np.array([[1.0]]), np.zeros(1), np.array([0.3]), 0.01, 0.0, substream(0)
+            m, np.array([[1.0]]), np.zeros(1), np.array([0.3]), 0.01, 0.0, [substream(0)]
         )
         assert out[0, 0] == pytest.approx(1.3)
 
@@ -162,7 +159,7 @@ class TestReferencePropagation:
         m = make_model("correlated_linear")
         x0, dy, dt = 0.8, 0.2, 0.01
         x = np.full((100_000, 1), x0)
-        out = propagate_under_reference(m, x, np.zeros(1), np.array([dy]), dt, 0.0, substream(8))
+        out = propagate_under_reference(m, x, np.zeros(1), np.array([dy]), dt, 0.0, [substream(8)])
         target = x0 + (-x0 - 0.5 * x0) * dt + 0.5 * dy
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(out.mean() - target) < 3 * se
@@ -191,7 +188,7 @@ def fifty_steps(model, y):
         dw = rng.standard_normal((1000, model.dim_y)) * sq
         dl = batch_levy_increments(model.levy, dt, 1000, rng) if model.has_jumps else None
         x_phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
-        x_ref = propagate_under_reference(model, x_ref, y[k], y[k + 1] - y[k], dt, k * dt, substream(2, k), k + 1)
+        x_ref = propagate_under_reference(model, x_ref, y[k], y[k + 1] - y[k], dt, k * dt, [substream(2, k)], k + 1)
         out += [x_phys, x_ref]
     return out
 

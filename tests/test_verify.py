@@ -134,7 +134,7 @@ class TestResiduals:
         m = make_model("correlated_linear")
         grid = TimeGrid(0.3, 5e-3)
         cfg = FilterConfig(n_particles=128, seed=23)
-        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, run_index=0)
+        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, (0,))[0]
         assert np.all(ks["1"] == 0.0)
 
     def test_phi_one_zakai_reduces_to_mass_equation(self):
@@ -144,23 +144,25 @@ class TestResiduals:
         grid = TimeGrid(0.3, 5e-3)
         cfg = FilterConfig(n_particles=128, resample_threshold=0.0, seed=29)
         phis = [phi_const(1)]
-        zak, ks = residual_run(m, phis, grid, cfg, run_index=0)
+        zak, ks = residual_run(m, phis, grid, cfg, (0,))[0]
 
         from filterlab.filters import init_cloud, step
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
 
+        # run 0's generators, one per role, drawn from in order
         bundle = simulate_pair(m, grid, substream(29, TAG_PATH, 0))
-        cloud = init_cloud(m.initial_law, 128, substream(29, TAG_INIT, 0))
+        cloud = init_cloud(m.initial_law, 128, [substream(29, TAG_INIT, 0)])
+        rngs = [substream(29, TAG_PROPAGATE, 0)], [substream(29, TAG_RESAMPLE, 0)]
         rho_one, rho_h = [], []
         for k in range(grid.n_steps + 1):
-            w = np.exp(cloud.log_weights - cloud.log_weights.max())
-            mass = math.exp(cloud.log_mass + cloud.log_weights.max())
+            lw = cloud.log_weights[0]
+            w = np.exp(lw - lw.max())
+            mass = math.exp(cloud.log_mass[0] + lw.max())
             rho_one.append(mass * w.mean())
             h = m.h_now(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
-                cloud, _ = step(cloud, m, bundle.y[k], bundle.y[k + 1] - bundle.y[k], grid.dt,
-                                substream(29, TAG_PROPAGATE, 0, k), substream(29, TAG_RESAMPLE, 0, k), cfg)
+                cloud, _ = step(cloud, m, bundle.y[k], bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
         direct = np.zeros(grid.n_steps + 1)
         acc = 0.0
         for k in range(grid.n_steps + 1):
@@ -175,7 +177,7 @@ class TestResiduals:
         m = linear_model("mute", h_scale=0.0)
         grid = TimeGrid(0.2, 1e-2)
         cfg = FilterConfig(n_particles=64, seed=31)
-        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, run_index=0)
+        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, (0,))[0]
         assert np.all(zak["1"] == 0.0)
         assert np.all(ks["1"] == 0.0)
 
@@ -184,7 +186,7 @@ class TestResiduals:
         grid = TimeGrid(0.5, 5e-3)
         cfg = FilterConfig(n_particles=256, seed=37)
         phis = [phi_by_label("x", 1), phi_by_label("x^2", 1)]
-        zak, ks = equation_residuals([residual_run(m, phis, grid, cfg, run_index=i) for i in range(48)])
+        zak, ks = equation_residuals(residual_run(m, phis, grid, cfg, range(48)))
         for lab in ("x", "x^2"):
             assert zak[lab].ratio() < 3.0, f"zakai {lab}: {zak[lab].mean_residual}"
             assert ks[lab].ratio() < 3.0, f"ks {lab}: {ks[lab].mean_residual}"
@@ -192,7 +194,8 @@ class TestResiduals:
     @pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
     def test_matches_replay_through_public_operators(self, name):
         # the coefficients residual_run evaluates once per step, shared by all
-        # test functions, must give exactly what a fresh PhiAtStep per function gives
+        # test functions, must give exactly what a fresh PhiAtStep per function
+        # gives; the replay reduces over the run's (1, N) row as the block does
         from filterlab.filters import init_cloud, step
         from filterlab.models import PhiAtStep, StepCoefficients
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
@@ -201,9 +204,10 @@ class TestResiduals:
         grid = TimeGrid(0.2, 1e-2)
         cfg = FilterConfig(n_particles=64, seed=41)
         phis = [phi_by_label(lab, 1) for lab in ("1", "x", "x^2", "tanh(x)")]
-        zak, ks = residual_run(m, phis, grid, cfg, run_index=0)
+        zak, ks = residual_run(m, phis, grid, cfg, (0,))[0]
         bundle = simulate_pair(m, grid, substream(41, TAG_PATH, 0))
-        cloud = init_cloud(m.initial_law, 64, substream(41, TAG_INIT, 0))
+        cloud = init_cloud(m.initial_law, 64, [substream(41, TAG_INIT, 0)])
+        rngs = [substream(41, TAG_PROPAGATE, 0)], [substream(41, TAG_RESAMPLE, 0)]
         n, dt = grid.n_steps, grid.dt
         zak_rep = {phi.label: np.zeros(n + 1) for phi in phis}
         ks_rep = {phi.label: np.zeros(n + 1) for phi in phis}
@@ -212,42 +216,70 @@ class TestResiduals:
         start = {}
         for k in range(n + 1):
             y_k, t = bundle.y[k], k * dt
-            shift = cloud.log_weights.max()
-            w = np.exp(cloud.log_weights - shift)
-            mass = math.exp(cloud.log_mass + shift)
-            sw = np.sum(w)
-            h = m.h_now(cloud.states, y_k, t)
-            pi_h = (w[:, None] * h).sum(axis=0) / sw
+            shift = cloud.log_weights.max(axis=1, keepdims=True)
+            w = np.exp(cloud.log_weights - shift)                  # (1, N)
+            mass = np.exp(cloud.log_mass + shift[:, 0])
+            sw = w.sum(axis=1)
+            h = m.h_now(cloud.states, y_k, t)[None]                # (1, N, m)
+            pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
             for phi in phis:
-                vals = phi.value(cloud.states, y_k)
-                rho_phi = mass * float(np.sum(w * vals)) / w.shape[0]
-                pi_phi = float(np.sum(w * vals) / sw)
+                vals = phi.value(cloud.states, y_k)[None]
+                rho_phi = mass * np.sum(w * vals, axis=1) / w.shape[1]
+                pi_phi = np.sum(w * vals, axis=1) / sw
                 rho0, pi0 = start.setdefault(phi.label, (rho_phi, pi_phi))
-                zak_rep[phi.label][k] = rho_phi - rho0 - zak_int[phi.label]
-                ks_rep[phi.label][k] = pi_phi - pi0 - ks_int[phi.label]
+                zak_rep[phi.label][k] = (rho_phi - rho0 - zak_int[phi.label])[0]
+                ks_rep[phi.label][k] = (pi_phi - pi0 - ks_int[phi.label])[0]
                 if k == n:
                     continue
-                dy = bundle.y[k + 1] - y_k
+                dy = (bundle.y[k + 1] - y_k)[None]
                 at = PhiAtStep(phi, StepCoefficients(m, cloud.states, y_k, t))
-                a_vals = at.generator()
-                rho_a = mass * float(np.sum(w * a_vals)) / w.shape[0]
-                rho_d = mass * (w @ at.dphi()) / w.shape[0]
-                zak_int[phi.label] += rho_a * dt + float(rho_d @ dy)
-                integrand = (w[:, None] * (vals[:, None] * h)).sum(axis=0) / sw - pi_h * pi_phi
-                integrand = integrand + (w @ at.correlation) / sw
-                ks_int[phi.label] += float(np.sum(w * a_vals) / sw) * dt + float(integrand @ (dy - pi_h * dt))
+                w_a = np.sum(w * at.generator()[None], axis=1)
+                rho_d = mass[:, None] * np.einsum("rn,rnm->rm", w, at.dphi()[None]) / w.shape[1]
+                zak_int[phi.label] += mass * w_a / w.shape[1] * dt + np.einsum("rm,rm->r", rho_d, dy)
+                integrand = np.einsum("rn,rnm->rm", w, vals[..., None] * h) / sw[:, None] - pi_h * pi_phi[:, None]
+                integrand = integrand + np.einsum("rn,rnm->rm", w, at.correlation[None]) / sw[:, None]
+                ks_int[phi.label] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
             if k < n:
-                cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, substream(41, TAG_PROPAGATE, 0, k),
-                                substream(41, TAG_RESAMPLE, 0, k), cfg)
+                cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, *rngs, cfg)
         for phi in phis:
             np.testing.assert_array_equal(zak[phi.label], zak_rep[phi.label])
             np.testing.assert_array_equal(ks[phi.label], ks_rep[phi.label])
 
+    @pytest.mark.parametrize("n_runs", [1, 3, 8])
+    def test_block_of_runs_equals_blocks_of_one_run(self, n_runs):
+        from filterlab.filters import init_cloud, step
+        from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
+
+        m = make_model("jump_ou")
+        grid = TimeGrid(0.4, 2e-2)
+        cfg = FilterConfig(n_particles=24, resample_threshold=0.95, seed=43)   # every row resamples, at its own steps
+        phis = [phi_by_label(lab, 1) for lab in ("1", "x", "x^2", "tanh(x)")]
+        runs = range(5, 5 + n_runs)
+        block = residual_run(m, phis, grid, cfg, runs)
+        assert len(block) == n_runs
+        for i, (zak, ks) in zip(runs, block):
+            zak_1, ks_1 = residual_run(m, phis, grid, cfg, (i,))[0]
+            for lab in zak:
+                assert zak[lab].tobytes() == zak_1[lab].tobytes(), (i, lab)
+                assert ks[lab].tobytes() == ks_1[lab].tobytes(), (i, lab)
+        # the block's rows resample at different steps: replay its filter with the same generators
+        y = np.stack([simulate_pair(m, grid, substream(43, TAG_PATH, i)).y for i in runs])
+        cloud = init_cloud(m.initial_law, 24, [substream(43, TAG_INIT, i) for i in runs])
+        rngs = [substream(43, TAG_PROPAGATE, i) for i in runs], [substream(43, TAG_RESAMPLE, i) for i in runs]
+        flags = []
+        for k in range(grid.n_steps):
+            cloud, resampled = step(cloud, m, y[:, k], y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
+            flags.append(resampled)
+        flags = np.array(flags)
+        assert 0 < flags.sum() < flags.size
+        if n_runs > 1:
+            assert np.any(flags.any(axis=1) & ~flags.all(axis=1)), "no step where only some rows resample"
+
     def test_needs_two_runs(self):
         m = make_model("linear_gaussian")
-        run = residual_run(m, [phi_const(1)], TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), 0)
+        runs = residual_run(m, [phi_const(1)], TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), (0,))
         with pytest.raises(ValueError):
-            equation_residuals([run])
+            equation_residuals(runs)
 
 
 class TestScenarioChecks:
