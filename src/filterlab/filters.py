@@ -192,27 +192,27 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Par
     return new
 
 
-def _values(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array]) -> Array:
+def _values(cloud: ParticleCloud, phi: TestFunction | Array) -> Array:
     """phi on the cloud's particles, shape (R, N)."""
-    vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states, y)
+    vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states)
     if not np.all(np.isfinite(vals)):
         raise ValueError("test function is non-finite on the cloud")
     return np.reshape(vals, cloud.log_weights.shape)
 
 
-def rho_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> Array:
+def rho_estimate(cloud: ParticleCloud, phi: TestFunction | Array) -> Array:
     """Unnormalised estimate rho_t(phi) = exp(log_mass) * mean(w_i phi(x_i)) of each run."""
     weights = cloud.weights
-    vals = _values(cloud, phi, y)
+    vals = _values(cloud, phi)
     return np.exp(cloud.log_mass + weights.shift) * np.mean(weights.w * vals, axis=-1)
 
 
-def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array, y: Optional[Array] = None) -> Array:
+def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array) -> Array:
     """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1) of each run;
     invariant under any common shift of a run's log-weights, and exactly 1
     for phi == 1 because numerator and denominator are then the same reduction."""
     weights = cloud.weights
-    return np.sum(weights.w * _values(cloud, phi, y), axis=-1) / weights.total
+    return np.sum(weights.w * _values(cloud, phi), axis=-1) / weights.total
 
 
 @dataclass
@@ -259,7 +259,7 @@ def run_filter(
     def record(k: int):
         t = k * grid.dt
         for phi in phis:
-            pi_traj[phi.label][k] = pi_estimate(cloud, phi, y_path[k])[0]
+            pi_traj[phi.label][k] = pi_estimate(cloud, phi)[0]
         for lab, fn in time_functionals.items():
             pi_traj[lab][k] = pi_estimate(cloud, np.asarray(fn(cloud.states, t), dtype=float))[0]
         rho_one[k] = rho_estimate(cloud, np.ones(cloud.n))[0]

@@ -5,6 +5,11 @@ motion W, log Z accumulates increments H^T dW - |H|^2 dt / 2, so products of
 weights become sums and the many-orders-of-magnitude range of Z stays
 representable.
 
+One loop, `_weighted_paths`, fills every ensemble's log Z, |H|^2 and U; the
+four builders (`ensemble_from_model`, `ensemble_revuz_yor`,
+`ensemble_independent_h`, `change_detection_gronwall_ensemble`) only give H
+and the step of their state.
+
 Estimators reduce over independent paths in path order, which keeps every
 diagnostic bit-reproducible for a fixed (seed, grid, model, n_paths).
 """
@@ -79,72 +84,84 @@ class GirsanovEnsemble:
         return self.h_sq.sum(axis=1) * self.grid.dt
 
 
-def ensemble_from_model(model: SignalModel, grid: TimeGrid, n_paths: int, seed: int) -> GirsanovEnsemble:
-    """Simulate (X, W) under the physical measure and accumulate the
-    change-of-measure weight Z = exp(-int h^T dW - 1/2 int |h|^2 ds).
+def _one_plus_sq(x: Array) -> Array:
+    return 1.0 + np.einsum("ni,ni->n", x, x)
 
-    H_s = h(X_s) enters the diagnostics only through |H|^2, so the sign
-    convention of Z (the P -> reference direction) is immaterial to them.
-    """
+
+def _weighted_paths(grid: TimeGrid, n_paths: int, rng: np.random.Generator, label: str, state,
+                    h_of, advance, u_of=None) -> GirsanovEnsemble:
+    """The one loop that accumulates log Z. At each left point t_i it takes
+    H = h_of(state, t_i) of shape (n_paths, m), draws dW, adds
+    H^T dW - |H|^2 dt / 2 to log Z and moves on with
+    state = advance(state, H, dW, i), which draws any further noise after dW.
+    u_of(state), when given, records U on the grid."""
     k, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
-    p, m = model.dim_v, model.dim_y
     log_z = np.zeros((n_paths, k + 1))
     h_sq = np.zeros((n_paths, k))
-    u = np.zeros((n_paths, k + 1))
-    rng = substream(seed, TAG_PATH)
-    x = model.initial_law(rng, n_paths)
-    u[:, 0] = 1.0 + np.einsum("ni,ni->n", x, x)
-    y = np.zeros((n_paths, m))   # per-path observations feed y-dependent sensors
+    u = None if u_of is None else np.zeros((n_paths, k + 1))
+    if u is not None:
+        u[:, 0] = u_of(state)
     for i in range(k):
-        t = i * dt
-        hval = model.h_now(x, y, t)
-        h_sq[:, i] = np.einsum("nm,nm->n", hval, hval)
-        dw = rng.standard_normal((n_paths, m)) * sq
-        dv = rng.standard_normal((n_paths, p)) * sq
-        log_z[:, i + 1] = log_z[:, i] - np.einsum("nm,nm->n", hval, dw) - 0.5 * h_sq[:, i] * dt
-        y = y + hval * dt + dw
+        h = h_of(state, i * dt)
+        h_sq[:, i] = np.einsum("nm,nm->n", h, h)
+        dw = rng.standard_normal(h.shape) * sq
+        log_z[:, i + 1] = log_z[:, i] + np.einsum("nm,nm->n", h, dw) - 0.5 * h_sq[:, i] * dt
+        state = advance(state, h, dw, i)
+        if u is not None:
+            u[:, i + 1] = u_of(state)
+    return GirsanovEnsemble(grid=grid, log_z=log_z, h_sq=h_sq, label=label, u=u)
+
+
+def ensemble_from_model(model: SignalModel, grid: TimeGrid, n_paths: int, seed: int) -> GirsanovEnsemble:
+    """Simulate (X, Y) under the physical measure with U = 1 + |X|^2 and the
+    P -> reference weight Z = exp(-int h^T dW - 1/2 int |h|^2 ds), that is
+    H = -h(X, Y), the weight under which Y becomes a Brownian motion."""
+    dt = grid.dt
+    sq = np.sqrt(dt)
+    rng = substream(seed, TAG_PATH)
+
+    def advance(state, h, dw, i):
+        x, y = state
+        dv = rng.standard_normal((n_paths, model.dim_v)) * sq
         dl = batch_levy_increments(model.levy, dt, n_paths, rng) if model.has_jumps else None
-        x = euler_step(model, x, model.f(x), dt, dv, dw, dl, i + 1)
-        u[:, i + 1] = 1.0 + np.einsum("ni,ni->n", x, x)
-    return GirsanovEnsemble(grid=grid, log_z=log_z, h_sq=h_sq, u=u, label=model.name)
+        # per-path observations feed y-dependent sensors
+        return euler_step(model, x, model.f(x), dt, dv, dw, dl, i + 1), y - h * dt + dw
+
+    state = (model.initial_law(rng, n_paths), np.zeros((n_paths, model.dim_y)))
+    return _weighted_paths(grid, n_paths, rng, model.name, state, lambda s, t: -model.h_now(s[0], s[1], t),
+                           advance, u_of=lambda s: _one_plus_sq(s[0]))
 
 
 def ensemble_revuz_yor(alpha: float, grid: TimeGrid, n_paths: int, seed: int) -> GirsanovEnsemble:
     """H_t = alpha W_t driven by the same W that Z exponentiates."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    k, dt = grid.n_steps, grid.dt
-    sq = np.sqrt(dt)
-    rng = substream(seed, TAG_PATH)
-    w = np.zeros(n_paths)
-    log_z = np.zeros((n_paths, k + 1))
-    h_sq = np.zeros((n_paths, k))
-    for i in range(k):
-        h = alpha * w
-        h_sq[:, i] = h * h
-        dw = rng.standard_normal(n_paths) * sq
-        log_z[:, i + 1] = log_z[:, i] + h * dw - 0.5 * h_sq[:, i] * dt
-        w += dw
-    return GirsanovEnsemble(grid=grid, log_z=log_z, h_sq=h_sq, label=f"revuz_yor(alpha={alpha:g})")
+    return _weighted_paths(grid, n_paths, substream(seed, TAG_PATH), f"revuz_yor(alpha={alpha:g})",
+                           np.zeros((n_paths, 1)), lambda w, t: alpha * w, lambda w, h, dw, i: w + dw)
 
 
 def ensemble_independent_h(grid: TimeGrid, n_paths: int, seed: int) -> GirsanovEnsemble:
     """H_t = |B'_t| for a Brownian motion B' independent of the driving W."""
-    k, dt = grid.n_steps, grid.dt
-    sq = np.sqrt(dt)
+    sq = np.sqrt(grid.dt)
     rng = substream(seed, TAG_PATH)
-    b = np.zeros(n_paths)
-    log_z = np.zeros((n_paths, k + 1))
-    h_sq = np.zeros((n_paths, k))
-    for i in range(k):
-        h = np.abs(b)
-        h_sq[:, i] = h * h
-        dw = rng.standard_normal(n_paths) * sq
-        db = rng.standard_normal(n_paths) * sq
-        log_z[:, i + 1] = log_z[:, i] + h * dw - 0.5 * h_sq[:, i] * dt
-        b += db
-    return GirsanovEnsemble(grid=grid, log_z=log_z, h_sq=h_sq, label="independent_h")
+    return _weighted_paths(grid, n_paths, rng, "independent_h", np.zeros((n_paths, 1)), lambda b, t: np.abs(b),
+                           lambda b, h, dw, i: b + rng.standard_normal(b.shape) * sq)
+
+
+def change_detection_gronwall_ensemble(b0: float, b: float, grid: TimeGrid, n_paths: int,
+                                       seed: int) -> GirsanovEnsemble:
+    """Paths of (Y^b, Z^b) under the physical measure for a fixed change size
+    b and change times uniform on [0.25, 0.75], with U = 1 + Y^2 and the
+    P -> reference weight, H = -h = -(b0 + b 1_{t >= tau}) Y. The Gronwall
+    rate is c(b) = 4 + (b0 + b)^2 and the sharpened envelope uses rate_factor 1."""
+    dt = grid.dt
+    rng = substream(seed, TAG_PATH)
+    taus = rng.uniform(0.25, 0.75, (n_paths, 1))
+    # Y moves by (h dt + dW) in one sum; regrouping it would change the bytes
+    return _weighted_paths(grid, n_paths, rng, f"change_detection(b={b:g})", np.zeros((n_paths, 1)),
+                           lambda y, t: -((b0 + b * (t >= taus)) * y), lambda y, h, dw, i: y + (-h * dt + dw),
+                           u_of=_one_plus_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +206,22 @@ def transformed_energy_estimate(ens: GirsanovEnsemble) -> Estimate:
     return mean_se(ens.pathwise_transformed_energy())
 
 
-def zstar_bound_check(ens: GirsanovEnsemble) -> tuple[Estimate, float, bool]:
+def zstar_bound(ens: GirsanovEnsemble) -> tuple[Estimate, float, float]:
     """Maximal bound E[Z*_t] <= (e+1)/(e-1) + e/(2(e-1)) E[int Z |H|^2 ds].
 
-    Returns (lhs estimate, rhs value, pass); pass allows 3 combined SEs.
+    Returns (lhs estimate, rhs value, band), where the band is 3 SEs of
+    lhs - rhs: the lhs SE combined with the slope times the energy SE.
     """
     lhs = mean_se(np.exp(ens.log_z).max(axis=1))
     energy = transformed_energy_estimate(ens)
     rhs = MAXIMAL_CONST + MAXIMAL_SLOPE * energy.value
-    combined = math.hypot(lhs.se, MAXIMAL_SLOPE * energy.se)
-    return lhs, rhs, lhs.value <= rhs + 3.0 * combined
+    return lhs, rhs, 3.0 * math.hypot(lhs.se, MAXIMAL_SLOPE * energy.se)
+
+
+def zstar_bound_check(ens: GirsanovEnsemble) -> tuple[Estimate, float, bool]:
+    """(lhs estimate, rhs value, pass) of zstar_bound; pass allows its band."""
+    lhs, rhs, band = zstar_bound(ens)
+    return lhs, rhs, lhs.value <= rhs + band
 
 
 def martingale_mean_check(ens: GirsanovEnsemble, times: Sequence[float]):

@@ -177,8 +177,7 @@ def const_coeff(matrix) -> ConstCoeff:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar function of the state x with analytic derivatives. The
-    callables take (x, y) but read x only.
+    """Scalar function of the state x with analytic derivatives.
 
     All callables are batched over the n states: value -> (n,),
     grad_x -> (n, d), hess_x -> (n, d, d). Derivatives are analytic by
@@ -186,9 +185,9 @@ class TestFunction:
     """
 
     label: str
-    value: Callable[[Array, Array], Array]
-    grad_x: Callable[[Array, Array], Array]
-    hess_x: Callable[[Array, Array], Array]
+    value: Callable[[Array], Array]
+    grad_x: Callable[[Array], Array]
+    hess_x: Callable[[Array], Array]
 
 
 def _batch(x: Array) -> Array:
@@ -200,56 +199,56 @@ def phi_const(d: int = 1) -> TestFunction:
     """phi(x) = 1."""
     return TestFunction(
         label="1",
-        value=lambda x, y: np.full(x.shape[0], 1.0),
-        grad_x=lambda x, y: np.zeros((x.shape[0], d)),
-        hess_x=lambda x, y: np.zeros((x.shape[0], d, d)),
+        value=lambda x: np.full(x.shape[0], 1.0),
+        grad_x=lambda x: np.zeros((x.shape[0], d)),
+        hess_x=lambda x: np.zeros((x.shape[0], d, d)),
     )
 
 
 def phi_coord(i: int = 0, d: int = 1) -> TestFunction:
     """phi(x) = x_i."""
 
-    def grad(x, y):
+    def grad(x):
         g = np.zeros((x.shape[0], d))
         g[:, i] = 1.0
         return g
 
     return TestFunction(
         label=f"x{i}" if d > 1 else "x",
-        value=lambda x, y: x[:, i],
+        value=lambda x: x[:, i],
         grad_x=grad,
-        hess_x=lambda x, y: np.zeros((x.shape[0], d, d)),
+        hess_x=lambda x: np.zeros((x.shape[0], d, d)),
     )
 
 
 def phi_quad(i: int = 0, j: int = 0, d: int = 1) -> TestFunction:
     """phi(x) = x_i * x_j."""
 
-    def grad(x, y):
+    def grad(x):
         g = np.zeros((x.shape[0], d))
         g[:, i] += x[:, j]
         g[:, j] += x[:, i]
         return g
 
-    def hess(x, y):
+    def hess(x):
         hmat = np.zeros((x.shape[0], d, d))
         hmat[:, i, j] += 1.0
         hmat[:, j, i] += 1.0
         return hmat
 
     label = f"x{i}*x{j}" if d > 1 else ("x^2" if i == j else f"x{i}*x{j}")
-    return TestFunction(label=label, value=lambda x, y: x[:, i] * x[:, j], grad_x=grad, hess_x=hess)
+    return TestFunction(label=label, value=lambda x: x[:, i] * x[:, j], grad_x=grad, hess_x=hess)
 
 
 def phi_tanh(i: int = 0, d: int = 1) -> TestFunction:
     """phi(x) = tanh(x_i)."""
 
-    def grad(x, y):
+    def grad(x):
         g = np.zeros((x.shape[0], d))
         g[:, i] = 1.0 / np.cosh(x[:, i]) ** 2
         return g
 
-    def hess(x, y):
+    def hess(x):
         hmat = np.zeros((x.shape[0], d, d))
         t = np.tanh(x[:, i])
         hmat[:, i, i] = -2.0 * t * (1.0 - t * t)
@@ -257,7 +256,7 @@ def phi_tanh(i: int = 0, d: int = 1) -> TestFunction:
 
     return TestFunction(
         label=f"tanh(x{i})" if d > 1 else "tanh(x)",
-        value=lambda x, y: np.tanh(x[:, i]),
+        value=lambda x: np.tanh(x[:, i]),
         grad_x=grad,
         hess_x=hess,
     )
@@ -358,22 +357,22 @@ class PhiAtStep:
 
     @cached_property
     def value(self) -> Array:
-        return self.phi.value(self.c.x, self.c.y)
+        return self.phi.value(self.c.x)
 
     @cached_property
     def grad(self) -> Array:
-        return self.phi.grad_x(self.c.x, self.c.y)
+        return self.phi.grad_x(self.c.x)
 
     def jump(self, disp: Array) -> Array:
-        """phi(x + disp, y) - phi(x, y) - grad_x phi . disp, the jump integrand of A phi."""
-        return self.phi.value(self.c.x + disp, self.c.y) - self.value - np.einsum("ni,ni->n", self.grad, disp)
+        """phi(x + disp) - phi(x) - grad_x phi . disp, the jump integrand of A phi."""
+        return self.phi.value(self.c.x + disp) - self.value - np.einsum("ni,ni->n", self.grad, disp)
 
     def generator(self) -> Array:
         """A phi, shape (n,); the jump expectation is an exact sum over the
         atoms of the Levy measure."""
         c, phi, model = self.c, self.phi, self.c.model
         out = np.einsum("ni,ni->n", c.f_tilde, self.grad)
-        out = out + 0.5 * np.einsum("nij,nij->n", c.diffusion, phi.hess_x(c.x, c.y))
+        out = out + 0.5 * np.einsum("nij,nij->n", c.diffusion, phi.hess_x(c.x))
         if model.has_jumps and model.levy.jump_rate > 0:
             jump = np.zeros(c.x.shape[0])
             for lam, disp in c.jumps:

@@ -246,7 +246,7 @@ class HittingPaths:
     """First exit of Brownian motion from (-1, n) on a dt-grid."""
 
     hit_low: Array      # bool, among resolved paths
-    resolved: Array     # bool; False = censored at max_time
+    resolved: Array     # bool; False = censored at HITTING_MAX_TIME
 
 
 def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> Array:
@@ -264,15 +264,18 @@ def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> Ar
     return x
 
 
-def hitting_paths(
-    barrier: int, n_paths: int, grid: TimeGrid, rng: np.random.Generator,
-    max_time: float = 400.0, block: int = 4000,
-) -> HittingPaths:
-    """Exit of W from (-1, barrier), simulated in blocks over the active set.
+HITTING_MAX_TIME = 400.0   # hitting paths unresolved by this time are censored
+HITTING_BLOCK = 4000       # grid steps drawn at once for every path still active
 
-    The grid supplies dt; paths run until absorption or max_time (censoring
-    flagged, never silently dropped). First passage on a grid carries the
-    usual O(sqrt(dt)) overshoot bias, which the callers widen tolerances for.
+
+def hitting_paths(barrier: int, n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> HittingPaths:
+    """Exit of W from (-1, barrier), simulated in blocks of HITTING_BLOCK
+    steps over the active set.
+
+    The grid supplies dt; paths run until absorption or HITTING_MAX_TIME
+    (censoring flagged, never silently dropped). First passage on a grid
+    carries the usual O(sqrt(dt)) overshoot bias, which the callers widen
+    tolerances for.
     """
     dt = grid.dt
     sq = np.sqrt(dt)
@@ -281,9 +284,9 @@ def hitting_paths(
     hit_low = np.zeros(n_paths, dtype=bool)
     resolved = np.zeros(n_paths, dtype=bool)
     steps_done = 0
-    max_steps = int(round(max_time / dt))
+    max_steps = int(round(HITTING_MAX_TIME / dt))
     while alive.size and steps_done < max_steps:
-        nb = min(block, max_steps - steps_done)
+        nb = min(HITTING_BLOCK, max_steps - steps_done)
         seg = rng.standard_normal((alive.size, nb))
         np.multiply(seg, sq, out=seg)
         np.cumsum(seg, axis=1, out=seg)

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab import verify
 from filterlab.cli import _kalman_task, residual_runs
 from filterlab.filters import FilterConfig
 from filterlab.girsanov import (
     MAXIMAL_CONST,
     MAXIMAL_SLOPE,
+    change_detection_gronwall_ensemble,
     ensemble_from_model,
     gronwall_bound_check,
     martingale_mean_check,
@@ -304,9 +304,7 @@ def test_criterion_11_gronwall_envelope():
     m_jou = float(np.max(traj / bound))
 
     b0, b = -0.5, 1.0
-    ens_cd = verify.change_detection_gronwall_ensemble(
-        b0, b, lambda rng: float(rng.uniform(0.25, 0.75)), grid, 4000, SEED
-    )
+    ens_cd = change_detection_gronwall_ensemble(b0, b, grid, 4000, SEED)
     rate = 4.0 + (b0 + b) ** 2
     traj_cd, ses_cd, bound_cd, ok_cd = gronwall_bound_check(ens_cd, rate, rate_factor=1.0)
     m_cd = float(np.max(traj_cd / bound_cd))

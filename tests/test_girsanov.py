@@ -14,6 +14,7 @@ import pytest
 from filterlab.girsanov import (
     Estimate,
     MAXIMAL_CONST,
+    _weighted_paths,
     diagnostics_report,
     energy_identity_check,
     ensemble_from_model,
@@ -98,7 +99,7 @@ class TestDegenerateAndModelEnsembles:
     def test_h_zero_weight_is_identically_one(self):
         m = linear_model("silent", h_scale=0.0)
         ens = ensemble_from_model(m, TimeGrid(0.2, 0.01), 500, seed=3)
-        assert np.all(ens.log_z == 0.0)
+        assert np.all(ens.log_z == 0.0) and np.all(ens.h_sq == 0.0)
         assert transformed_energy_estimate(ens).value == 0.0
         assert diagnostics_report(ens).z_log_z.value == 0.0
         lhs, rhs, ok = zstar_bound_check(ens)
@@ -118,7 +119,7 @@ class TestDegenerateAndModelEnsembles:
     def test_gronwall_trivial_model(self):
         # all coefficients zero from X_0 = 0: E[Z_t U_t] = 1 <= e^{2ct}
         m = linear_model("nil", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0)
-        object.__setattr__(m, "initial_law", point_mass_initial([0.0]))
+        m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
         ens = ensemble_from_model(m, TimeGrid(0.5, 0.01), 100, seed=1)
         traj, ses, bound, ok = gronwall_bound_check(ens, rate=1.0)
         assert ok
@@ -174,3 +175,19 @@ def test_estimate_within_helper():
     est = Estimate(1.0, 0.1)
     assert est.within(1.25) and not est.within(1.5)
     assert est.within(1.5, extra=0.3)
+
+
+class TestWeightLoop:
+    """The one loop behind every ensemble, on an integrand with a closed-form weight."""
+
+    def test_constant_integrand_weight_is_the_exponential_of_brownian_motion(self):
+        c = np.array([0.7, -1.3])
+        grid, n, seed = TimeGrid(0.5, 0.01), 200, 4
+        ens = _weighted_paths(grid, n, substream(seed), "const", None, lambda s, t: np.broadcast_to(c, (n, 2)),
+                              lambda s, h, dw, i: s)
+        rng = substream(seed)
+        w_t = sum(rng.standard_normal((n, 2)) * np.sqrt(grid.dt) for _ in range(grid.n_steps))
+        expected = w_t @ c - 0.5 * (c @ c) * grid.horizon
+        np.testing.assert_allclose(ens.log_z[:, -1], expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ens.h_sq, c @ c)
+        assert ens.u is None

@@ -33,21 +33,21 @@ def generator(model, phi, x):
     return at_step(model, phi, x).generator()
 
 
-def check_derivatives(phi, x, y, rel_tol=1e-5, step=1e-5):
+def check_derivatives(phi, x, rel_tol=1e-5, step=1e-5):
     """Max relative disagreement between the analytic x-derivatives of phi and
     central finite differences; raises ModelError above rel_tol. The scale is
     max(1, |derivative|), so near-zero entries compare absolutely."""
     d = x.shape[1]
     worst = 0.0
-    g = phi.grad_x(x, y)
-    hess = phi.hess_x(x, y)
+    g = phi.grad_x(x)
+    hess = phi.hess_x(x)
     for k in range(d):
         e = np.zeros(d)
         e[k] = step
-        fd_g = (phi.value(x + e, y) - phi.value(x - e, y)) / (2 * step)
+        fd_g = (phi.value(x + e) - phi.value(x - e)) / (2 * step)
         scale = np.maximum(1.0, np.abs(g[:, k]))
         worst = max(worst, float(np.max(np.abs(fd_g - g[:, k]) / scale)))
-        fd_h = (phi.grad_x(x + e, y) - phi.grad_x(x - e, y)) / (2 * step)
+        fd_h = (phi.grad_x(x + e) - phi.grad_x(x - e)) / (2 * step)
         scale = np.maximum(1.0, np.abs(hess[:, :, k]))
         worst = max(worst, float(np.max(np.abs(fd_h - hess[:, :, k]) / scale)))
     if worst > rel_tol:
@@ -81,14 +81,14 @@ class TestTestFunctions:
     def test_derivatives_match_finite_differences(self, phi):
         rng = substream(101)
         x = rng.standard_normal((32, 2))
-        worst = check_derivatives(phi, x, np.zeros(1), rel_tol=1e-5)
+        worst = check_derivatives(phi, x, rel_tol=1e-5)
         assert worst < 1e-5
 
     def test_label_roundtrip(self):
         for phi in phi_battery(3):
             rebuilt = phi_by_label(phi.label, 3)
             x = substream(7).standard_normal((5, 3))
-            np.testing.assert_array_equal(rebuilt.value(x, Y0), phi.value(x, Y0))
+            np.testing.assert_array_equal(rebuilt.value(x), phi.value(x))
 
     @pytest.mark.parametrize("label", ["x3", "x-1", "x0*x3", "tanh(x3)"])
     def test_label_naming_a_missing_coordinate_is_rejected(self, label):
@@ -100,12 +100,12 @@ class TestTestFunctions:
 
         broken = TestFunction(
             label="broken",
-            value=lambda x, y: x[:, 0] ** 2,
-            grad_x=lambda x, y: np.ones_like(x),      # wrong on purpose
-            hess_x=lambda x, y: np.zeros((x.shape[0], 1, 1)),
+            value=lambda x: x[:, 0] ** 2,
+            grad_x=lambda x: np.ones_like(x),      # wrong on purpose
+            hess_x=lambda x: np.zeros((x.shape[0], 1, 1)),
         )
         with pytest.raises(ModelError, match="disagree"):
-            check_derivatives(broken, np.array([[1.5]]), Y0)
+            check_derivatives(broken, np.array([[1.5]]))
 
 
 class TestGenerator:

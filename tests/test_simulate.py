@@ -82,7 +82,7 @@ class TestSimulatePair:
     def test_constant_path_when_coefficients_vanish(self):
         m = linear_model("const", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0,
                          x0_mean=3.0, x0_var=0.0)
-        object.__setattr__(m, "initial_law", point_mass_initial([3.0]))
+        m = dataclasses.replace(m, initial_law=point_mass_initial([3.0]))
         b = simulate_pair(m, TimeGrid(1.0, 0.01), substream(0))
         np.testing.assert_array_equal(b.x, np.full((101, 1), 3.0))
 
@@ -109,7 +109,7 @@ class TestSimulatePair:
     def test_ou_terminal_variance(self):
         # dX = -X dt + dV from X_0 = 0: Var(X_1) = (1 - e^{-2}) / 2
         m = linear_model("ou", a_x=-1.0, sigma_v=1.0, sigma_bar=0.0, x0_mean=0.0, x0_var=0.0)
-        object.__setattr__(m, "initial_law", point_mass_initial([0.0]))
+        m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
         grid = TimeGrid(1.0, 1e-2)
         bundles = simulate_pairs(m, grid, [substream(11, i) for i in range(10_000)])
         terminal = np.array([b.x[-1, 0] for b in bundles])
@@ -252,7 +252,7 @@ class TestCounterexamplePaths:
 
     def test_hitting_exit_probability_coarse(self):
         grid = TimeGrid(0.01, 0.001)
-        paths = hitting_paths(1, 4000, grid, substream(2), max_time=100.0)
+        paths = hitting_paths(1, 4000, grid, substream(2))
         p = paths.hit_low[paths.resolved].mean()
         se = np.sqrt(p * (1 - p) / paths.resolved.sum())
         assert abs(p - 0.5) < 5 * se

@@ -11,7 +11,6 @@ from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
     change_detection_agreement_run,
-    change_detection_gronwall_ensemble,
     change_detection_oracle,
     dufresne_check,
     equation_residuals,
@@ -223,7 +222,7 @@ class TestResiduals:
             h = m.h_now(cloud.states, y_k, t)[None]                # (1, N, m)
             pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
             for phi in phis:
-                vals = phi.value(cloud.states, y_k)[None]
+                vals = phi.value(cloud.states)[None]
                 rho_phi = mass * np.sum(w * vals, axis=1) / w.shape[1]
                 pi_phi = np.sum(w * vals, axis=1) / sw
                 rho0, pi0 = start.setdefault(phi.label, (rho_phi, pi_phi))
@@ -322,7 +321,7 @@ class TestScenarioChecks:
 
         m = linear_model("mute", h_scale=0.0)
         ens = girsanov.ensemble_from_model(m, TimeGrid(0.3, 1e-2), 200, seed=3)
-        zh, plain, env, ok = local_boundedness_sweep(ens, rate=1.0)
+        (zh, plain), _, env, ok = local_boundedness_sweep(ens, rate=1.0)
         assert ok
         np.testing.assert_array_equal(zh, 0.0)
         np.testing.assert_array_equal(plain, 0.0)
@@ -330,7 +329,7 @@ class TestScenarioChecks:
     def test_local_boundedness_jump_ou(self):
         m = make_model("jump_ou")
         ens = girsanov.ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=5)
-        zh, plain, env, ok = local_boundedness_sweep(ens, m.gronwall_rate)
+        (zh, plain), _, env, ok = local_boundedness_sweep(ens, m.gronwall_rate)
         assert ok
         assert zh.max() < 1.0 < env[-1]   # curves stay far inside the envelope
 
@@ -338,19 +337,15 @@ class TestScenarioChecks:
         # bounded change sizes: curves under c(b_max) e^{c(b_max) t}
         grid = TimeGrid(1.0, 2e-3)
         b0, b_max = -0.5, 2.0
-        ens = change_detection_gronwall_ensemble(
-            b0, b_max, lambda rng: float(rng.uniform(0.25, 0.75)), grid, 2000, seed=7
-        )
+        ens = girsanov.change_detection_gronwall_ensemble(b0, b_max, grid, 2000, seed=7)
         rate = 4.0 + (b0 + b_max) ** 2
-        zh, plain, env, ok = local_boundedness_sweep(ens, rate, rate_factor=1.0)
+        _, _, _, ok = local_boundedness_sweep(ens, rate, rate_factor=1.0)
         assert ok
 
     def test_gronwall_change_detection_tracks_one_plus_t(self):
         # under the reference measure E[Z_t U_t] = 1 + t exactly
         grid = TimeGrid(1.0, 2e-3)
-        ens = change_detection_gronwall_ensemble(
-            -0.5, 1.0, lambda rng: float(rng.uniform(0.25, 0.75)), grid, 3000, seed=11
-        )
+        ens = girsanov.change_detection_gronwall_ensemble(-0.5, 1.0, grid, 3000, seed=11)
         traj, ses, bound, ok = girsanov.gronwall_bound_check(ens, 4.25, rate_factor=1.0)
         assert ok
         t = grid.times()
