@@ -30,17 +30,41 @@ Array = np.ndarray
 
 @dataclass
 class CheckVerdict:
-    """Machine-readable outcome of one verification check."""
+    """Machine-readable outcome of one verification check. It passes when
+    |estimate - reference| <= tolerance, or, for a one-sided row (an upper
+    bound), when estimate - reference <= tolerance."""
 
     check: str
     scenario: str
     estimate: float
     reference: float
     tolerance: float
-    passed: bool
     expect_fail: bool = False
     detail: str = ""
     trajectory: Optional[dict[str, Array]] = None   # column name -> series, incl. "t"
+    one_sided: bool = False
+
+    @classmethod
+    def upper_band(cls, check: str, scenario: str, estimate, reference, tolerance, times=None,
+                   trajectory=None) -> "CheckVerdict":
+        """The one-sided verdict of estimate <= reference + tolerance at every
+        point, written at the point with the largest margin over its band, so
+        that the row passes exactly when every point does. `times`, if given,
+        names that point and the largest estimate/reference over t > 0."""
+        est, ref, tol, at = (np.ravel(a) for a in np.broadcast_arrays(estimate, reference, tolerance,
+                                                                      0.0 if times is None else times))
+        worst = int(np.argmax(est - (ref + tol)))
+        detail = "" if times is None else f"worst_t={at[worst]:.4g}"
+        later = at > 0   # none without times
+        if later.any():
+            detail += f" max_ratio={np.max(est[later] / ref[later]):.4g}"
+        return cls(check, scenario, float(est[worst]), float(ref[worst]), float(tol[worst]), detail=detail,
+                   trajectory=trajectory, one_sided=True)
+
+    @property
+    def passed(self) -> bool:
+        gap = self.estimate - self.reference
+        return bool((gap if self.one_sided else abs(gap)) <= self.tolerance)
 
     def ok(self) -> bool:
         return self.passed != self.expect_fail
@@ -380,6 +404,9 @@ def change_detection_agreement_run(
 # ---------------------------------------------------------------------------
 
 DUFRESNE_TARGET = math.exp(-2.0)
+# at a shorter horizon the truncation allowance exp(-horizon / 2) reaches 0.01
+# and widens the dufresne check's band until any estimate passes
+DUFRESNE_MIN_HORIZON = 2.0 * math.log(100.0)
 
 
 def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, float, float]:
@@ -388,8 +415,7 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
 
     Returns (estimate, target, truncation allowance). The integrand's
     conditional mean decays like exp(-s/2), so the allowance is
-    exp(-horizon / 2); a zero-or-tiny horizon is flagged by a huge allowance
-    rather than silently accepted.
+    exp(-horizon / 2); a tiny horizon shows as a huge allowance.
     """
     rng = substream(seed, TAG_DUFRESNE)
     below = dufresne_paths(n_paths, grid, rng) < 1.0
@@ -451,7 +477,6 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
                 estimate=est.value,
                 reference=ref,
                 tolerance=5.0 * est.se,
-                passed=est.within(ref, n_se=5.0),
                 detail=f"censored={int((~resolved).sum())}",
             )
         )
@@ -469,10 +494,10 @@ def local_boundedness_sweep(ens: girsanov.GirsanovEnsemble, rate: float, rate_fa
     the ensemble's dominating process (1 + |X|^2 for a signal model, 1 + Y^2
     for the change-detection problem).
 
-    Returns (means, SEs, envelope, pass): means and SEs have one row per
-    curve, Z |H|^2 then |H|^2; pass allows 3 SEs pointwise."""
+    Returns (means, SEs, envelope): means and SEs have one row per curve,
+    Z |H|^2 then |H|^2."""
     curves = (np.exp(ens.log_z[:, :-1]) * ens.h_sq, ens.h_sq)
     means = np.array([c.mean(axis=0) for c in curves])
     ses = np.array([c.std(axis=0, ddof=1) / np.sqrt(ens.n_paths) for c in curves])
     envelope = rate * np.exp(rate_factor * rate * ens.grid.times()[:-1]) * ens.u[:, 0].mean()
-    return means, ses, envelope, bool(np.all(means <= envelope + 3.0 * ses))
+    return means, ses, envelope

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab.cli import _kalman_task, residual_runs
+from filterlab.cli import _agreement_task, residual_runs
 from filterlab.filters import FilterConfig
 from filterlab.girsanov import (
     MAXIMAL_CONST,
@@ -30,13 +30,21 @@ from filterlab.girsanov import (
     revuz_yor_base_stats,
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
-    zstar_bound_check,
+    zstar_bound,
 )
 from filterlab.models import make_model, phi_const
 from filterlab.parallel import map_ordered
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid
-from filterlab.verify import dufresne_check, equation_residuals, kazamaki_gap_check, residual_run
+from filterlab.verify import (
+    CheckVerdict,
+    change_detection_agreement_run,
+    dufresne_check,
+    equation_residuals,
+    kalman_agreement_run,
+    kazamaki_gap_check,
+    residual_run,
+)
 
 SEED = 2026
 WORKERS = 2
@@ -117,14 +125,15 @@ def test_criterion_04_maximal_bound(revuz_yor_tilted, revuz_yor_base, jump_ou_en
     energy, _, _, _ = revuz_yor_tilted
     _, zstar_ry = revuz_yor_base
     rhs_ry = MAXIMAL_CONST + MAXIMAL_SLOPE * energy.value
-    se_ry = math.hypot(zstar_ry.se, MAXIMAL_SLOPE * energy.se)
-    ok_ry = zstar_ry.value <= rhs_ry + 3 * se_ry
+    band_ry = 3 * math.hypot(zstar_ry.se, MAXIMAL_SLOPE * energy.se)
+    row_ry = CheckVerdict.upper_band("zstar_bound", "revuz_yor", zstar_ry.value, rhs_ry, band_ry)
 
-    lhs_jou, rhs_jou, ok_jou = zstar_bound_check(jump_ou_ensemble)
+    lhs_jou, rhs_jou, band_jou = zstar_bound(jump_ou_ensemble)
+    row_jou = CheckVerdict.upper_band("zstar_bound", "jump_ou", lhs_jou.value, rhs_jou, band_jou)
     report(
         4,
         "maximal bound E[Z*] <= (e+1)/(e-1) + e/(2(e-1)) energy",
-        ok_ry and ok_jou,
+        row_ry.passed and row_jou.passed,
         f"revuz_yor {zstar_ry.value:.4f} <= {rhs_ry:.4f}; jump_ou {lhs_jou.value:.4f} <= {rhs_jou:.4f}",
     )
 
@@ -162,10 +171,9 @@ def test_criterion_06_hitting_probabilities():
 
 
 def _kalman_sweep(model_name: str, ablate: bool):
-    payloads = [
-        (model_name, 1.0, 1e-3, 10_000, 0.5, ablate, SEED, i) for i in range(20)
-    ]
-    results = map_ordered(_kalman_task, payloads, WORKERS)
+    config = FilterConfig(n_particles=10_000, resample_threshold=0.5, seed=SEED, ignore_correlation=ablate)
+    payloads = [(kalman_agreement_run, model_name, TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
+    results = map_ordered(_agreement_task, payloads, WORKERS)
     return float(np.mean([r[0] for r in results])), float(np.mean([r[1] for r in results]))
 
 
@@ -206,7 +214,8 @@ RESID_DT = 2.5e-3
 
 
 def _residual_sweep(model_name: str):
-    params = (model_name, RESID_LABELS, 1.0, RESID_DT, RESID_PARTICLES, 0.5, False, SEED)
+    params = (model_name, RESID_LABELS, TimeGrid(1.0, RESID_DT),
+              FilterConfig(n_particles=RESID_PARTICLES, resample_threshold=0.5, seed=SEED))
     return equation_residuals(residual_runs(params, RESID_RUNS, WORKERS))
 
 
@@ -227,7 +236,8 @@ def test_criterion_09_equation_residuals():
         ok &= ks_one.mean_residual.value == 0.0 and np.all(ks_one.trajectory == 0.0)
         details.append(f"{name}/ks/1: exact-zero={np.all(ks_one.trajectory == 0.0)}")
     # ablation: correlation-blind filter violates the full KS identity
-    abl_params = ("correlated_linear", ["x^2"], 1.0, 5e-3, 250, 0.5, True, SEED)
+    abl_params = ("correlated_linear", ["x^2"], TimeGrid(1.0, 5e-3),
+                  FilterConfig(n_particles=250, resample_threshold=0.5, seed=SEED, ignore_correlation=True))
     _, abl_ks = equation_residuals(residual_runs(abl_params, 1600, WORKERS))
     abl_ratio = abl_ks["x^2"].ratio()
     ok &= abl_ratio > 3.0
@@ -279,10 +289,9 @@ def test_criterion_09b_zakai_mass_equation_reduction():
 
 
 def test_criterion_10_change_detection():
-    from filterlab.cli import _change_detection_task
-
-    payloads = [(1.0, 1e-3, 10_000, 0.5, SEED, i) for i in range(20)]
-    gaps = map_ordered(_change_detection_task, payloads, WORKERS)
+    config = FilterConfig(n_particles=10_000, resample_threshold=0.5, seed=SEED)
+    payloads = [(change_detection_agreement_run, "change_detection", TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
+    gaps = map_ordered(_agreement_task, payloads, WORKERS)
     mean_gap = float(np.mean(gaps))
     ok = mean_gap < 0.05
     report(
@@ -300,19 +309,20 @@ def test_criterion_11_gronwall_envelope():
     grid = TimeGrid(1.0, 2e-3)
     model = make_model("jump_ou")
     ens = ensemble_from_model(model, grid, 4000, SEED)
-    traj, ses, bound, ok_jou = gronwall_bound_check(ens, model.gronwall_rate, rate_factor=2.0)
-    m_jou = float(np.max(traj / bound))
+    traj, ses, bound = gronwall_bound_check(ens, model.gronwall_rate, rate_factor=2.0)
+    row_jou = CheckVerdict.upper_band("gronwall_envelope", "jump_ou", traj, bound, 3.0 * ses, grid.times())
 
     b0, b = -0.5, 1.0
     ens_cd = change_detection_gronwall_ensemble(b0, b, grid, 4000, SEED)
     rate = 4.0 + (b0 + b) ** 2
-    traj_cd, ses_cd, bound_cd, ok_cd = gronwall_bound_check(ens_cd, rate, rate_factor=1.0)
-    m_cd = float(np.max(traj_cd / bound_cd))
+    traj_cd, ses_cd, bound_cd = gronwall_bound_check(ens_cd, rate, rate_factor=1.0)
+    row_cd = CheckVerdict.upper_band("gronwall_envelope", "change_detection", traj_cd, bound_cd, 3.0 * ses_cd,
+                                     grid.times())
     report(
         11,
         "Gronwall envelope E[Z_t(1+|X_t|^2)]",
-        ok_jou and ok_cd,
-        f"jump_ou c=2 max ratio {m_jou:.3f}; change_detection c(b)={rate:g} max ratio {m_cd:.3f}",
+        row_jou.passed and row_cd.passed,
+        f"jump_ou c=2 {row_jou.detail}; change_detection c(b)={rate:g} {row_cd.detail}",
     )
 
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from filterlab.girsanov import (
-    Estimate,
     MAXIMAL_CONST,
     _weighted_paths,
     diagnostics_report,
@@ -28,11 +27,12 @@ from filterlab.girsanov import (
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
     transformed_energy_estimate,
-    zstar_bound_check,
+    zstar_bound,
 )
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
 from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid, batch_levy_increments
+from filterlab.verify import CheckVerdict
 
 GRID_HALF = TimeGrid(horizon=0.5, dt=1e-3)
 
@@ -86,13 +86,14 @@ class TestRevuzYorEstimators:
 
     def test_zstar_bound(self):
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=23)
-        lhs, rhs, ok = zstar_bound_check(ens)
-        assert ok, f"maximal bound violated: {lhs} vs {rhs}"
+        lhs, rhs, band = zstar_bound(ens)
+        assert CheckVerdict.upper_band("zstar_bound", "", lhs.value, rhs, band).passed, f"{lhs} vs {rhs}"
 
     def test_energy_identity(self):
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=29)
-        lhs, rhs, ok = energy_identity_check(ens)
-        assert ok, f"{lhs} vs {rhs}"
+        lhs, rhs = energy_identity_check(ens)
+        assert CheckVerdict("energy_identity", "", lhs.value, rhs.value, 3.0 * math.hypot(lhs.se, rhs.se)).passed, \
+            f"{lhs} vs {rhs}"
 
 
 class TestDegenerateAndModelEnsembles:
@@ -102,8 +103,9 @@ class TestDegenerateAndModelEnsembles:
         assert np.all(ens.log_z == 0.0) and np.all(ens.h_sq == 0.0)
         assert transformed_energy_estimate(ens).value == 0.0
         assert diagnostics_report(ens).z_log_z.value == 0.0
-        lhs, rhs, ok = zstar_bound_check(ens)
-        assert lhs.value == 1.0 and rhs == pytest.approx(MAXIMAL_CONST) and ok
+        lhs, rhs, band = zstar_bound(ens)
+        assert lhs.value == 1.0 and rhs == pytest.approx(MAXIMAL_CONST)
+        assert CheckVerdict.upper_band("zstar_bound", "", lhs.value, rhs, band).passed
 
     def test_jump_ou_martingale_mean(self):
         ens = ensemble_from_model(make_model("jump_ou"), TimeGrid(1.0, 2e-3), 4000, seed=31)
@@ -113,23 +115,24 @@ class TestDegenerateAndModelEnsembles:
 
     def test_independent_h_identity(self):
         ens = ensemble_independent_h(TimeGrid(1.0, 2e-3), 8000, seed=37)
-        lhs, rhs, ok = independent_h_identity_check(ens)
-        assert ok, f"transformed {lhs} vs plain {rhs}"
+        lhs, rhs = independent_h_identity_check(ens)
+        assert CheckVerdict("independent_h", "", lhs.value, rhs.value, 3.0 * math.hypot(lhs.se, rhs.se)).passed, \
+            f"transformed {lhs} vs plain {rhs}"
 
     def test_gronwall_trivial_model(self):
         # all coefficients zero from X_0 = 0: E[Z_t U_t] = 1 <= e^{2ct}
         m = linear_model("nil", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0)
         m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
         ens = ensemble_from_model(m, TimeGrid(0.5, 0.01), 100, seed=1)
-        traj, ses, bound, ok = gronwall_bound_check(ens, rate=1.0)
-        assert ok
+        traj, ses, bound = gronwall_bound_check(ens, rate=1.0)
+        assert CheckVerdict.upper_band("gronwall_envelope", "nil", traj, bound, 3.0 * ses).passed
         np.testing.assert_array_equal(traj, np.ones_like(traj))
 
     def test_gronwall_jump_ou(self):
         m = make_model("jump_ou")
         ens = ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=41)
-        traj, ses, bound, ok = gronwall_bound_check(ens, m.gronwall_rate)
-        assert ok
+        traj, ses, bound = gronwall_bound_check(ens, m.gronwall_rate)
+        assert CheckVerdict.upper_band("gronwall_envelope", "jump_ou", traj, bound, 3.0 * ses).passed
         assert bound[-1] == pytest.approx(math.exp(4.0) * ens.u[:, 0].mean())
 
     def test_jump_coefficient_at_left_point(self):
@@ -169,12 +172,6 @@ class TestDeterminism:
 def test_mean_se_requires_two_samples():
     with pytest.raises(ValueError):
         mean_se(np.array([1.0]))
-
-
-def test_estimate_within_helper():
-    est = Estimate(1.0, 0.1)
-    assert est.within(1.25) and not est.within(1.5)
-    assert est.within(1.5, extra=0.3)
 
 
 class TestWeightLoop:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from filterlab.cli import _change_detection_task, _kalman_task, _residual_task
+from filterlab.cli import _agreement_task, _residual_task
+from filterlab.filters import FilterConfig
 from filterlab.parallel import map_ordered
+from filterlab.simulate import TimeGrid
+from filterlab.verify import change_detection_agreement_run, kalman_agreement_run
 
 # with 2 workers, map_ordered hands out chunks of 2 items for 17 items and of 4 for 33
 N_ITEMS = [17, 33]
@@ -14,7 +17,8 @@ N_ITEMS = [17, 33]
 def test_two_workers_equal_serial_residual_runs(n_blocks):
     # blocks of 1 to 3 runs, so both the items and the block sizes vary
     blocks = [tuple(range(3 * i, 3 * i + 1 + i % 3)) for i in range(n_blocks)]
-    payloads = [("jump_ou", ("1", "x", "x^2", "tanh(x)"), 0.02, 0.01, 8, 0.5, False, 3, b) for b in blocks]
+    config = FilterConfig(n_particles=8, resample_threshold=0.5, seed=3)
+    payloads = [("jump_ou", ("1", "x", "x^2", "tanh(x)"), TimeGrid(0.02, 0.01), config, b) for b in blocks]
     serial = [_residual_task(p) for p in payloads]
     parallel = map_ordered(_residual_task, payloads, 2)
     assert [len(b) for b in parallel] == [len(b) for b in blocks]
@@ -29,15 +33,19 @@ def test_two_workers_equal_serial_residual_runs(n_blocks):
 
 @pytest.mark.parametrize("n_runs", N_ITEMS)
 def test_two_workers_equal_serial_kalman_runs(n_runs):
-    payloads = [("correlated_linear", 0.05, 0.01, 16, 0.5, False, 4, i) for i in range(n_runs)]
-    serial = [_kalman_task(p) for p in payloads]
+    config = FilterConfig(n_particles=16, resample_threshold=0.5, seed=4)
+    payloads = [(kalman_agreement_run, "correlated_linear", TimeGrid(0.05, 0.01), config, i) for i in range(n_runs)]
+    serial = [_agreement_task(p) for p in payloads]
     assert serial[0] != serial[1]   # runs differ, so order matters
-    assert map_ordered(_kalman_task, payloads, 2) == serial
+    assert map_ordered(_agreement_task, payloads, 2) == serial
 
 
 @pytest.mark.parametrize("n_runs", N_ITEMS)
 def test_two_workers_equal_serial_change_detection_runs(n_runs):
-    payloads = [(0.4, 0.02, 16, 0.5, 5, i) for i in range(n_runs)]   # changes fall in [0.25, 0.75]
-    serial = [_change_detection_task(p) for p in payloads]
+    config = FilterConfig(n_particles=16, resample_threshold=0.5, seed=5)
+    # changes fall in [0.25, 0.75]
+    payloads = [(change_detection_agreement_run, "change_detection", TimeGrid(0.4, 0.02), config, i)
+                for i in range(n_runs)]
+    serial = [_agreement_task(p) for p in payloads]
     assert serial[0] != serial[1]
-    assert map_ordered(_change_detection_task, payloads, 2) == serial
+    assert map_ordered(_agreement_task, payloads, 2) == serial

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from filterlab import cli
 from filterlab.filters import FilterConfig
 from filterlab.models import make_model, phi_by_label, phi_const
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
+    CheckVerdict,
     change_detection_agreement_run,
     change_detection_oracle,
     dufresne_check,
@@ -321,16 +323,16 @@ class TestScenarioChecks:
 
         m = linear_model("mute", h_scale=0.0)
         ens = girsanov.ensemble_from_model(m, TimeGrid(0.3, 1e-2), 200, seed=3)
-        (zh, plain), _, env, ok = local_boundedness_sweep(ens, rate=1.0)
-        assert ok
+        (zh, plain), ses, env = local_boundedness_sweep(ens, rate=1.0)
+        assert CheckVerdict.upper_band("local_boundedness", "mute", np.array([zh, plain]), env, 3.0 * ses).passed
         np.testing.assert_array_equal(zh, 0.0)
         np.testing.assert_array_equal(plain, 0.0)
 
     def test_local_boundedness_jump_ou(self):
         m = make_model("jump_ou")
         ens = girsanov.ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=5)
-        (zh, plain), _, env, ok = local_boundedness_sweep(ens, m.gronwall_rate)
-        assert ok
+        (zh, plain), ses, env = local_boundedness_sweep(ens, m.gronwall_rate)
+        assert CheckVerdict.upper_band("local_boundedness", "jump_ou", np.array([zh, plain]), env, 3.0 * ses).passed
         assert zh.max() < 1.0 < env[-1]   # curves stay far inside the envelope
 
     def test_local_boundedness_change_detection_envelope(self):
@@ -339,15 +341,90 @@ class TestScenarioChecks:
         b0, b_max = -0.5, 2.0
         ens = girsanov.change_detection_gronwall_ensemble(b0, b_max, grid, 2000, seed=7)
         rate = 4.0 + (b0 + b_max) ** 2
-        _, _, _, ok = local_boundedness_sweep(ens, rate, rate_factor=1.0)
-        assert ok
+        means, ses, env = local_boundedness_sweep(ens, rate, rate_factor=1.0)
+        assert CheckVerdict.upper_band("local_boundedness", "change_detection", means, env, 3.0 * ses).passed
 
     def test_gronwall_change_detection_tracks_one_plus_t(self):
         # under the reference measure E[Z_t U_t] = 1 + t exactly
         grid = TimeGrid(1.0, 2e-3)
         ens = girsanov.change_detection_gronwall_ensemble(-0.5, 1.0, grid, 3000, seed=11)
-        traj, ses, bound, ok = girsanov.gronwall_bound_check(ens, 4.25, rate_factor=1.0)
-        assert ok
+        traj, ses, bound = girsanov.gronwall_bound_check(ens, 4.25, rate_factor=1.0)
+        assert CheckVerdict.upper_band("gronwall_envelope", "change_detection", traj, bound, 3.0 * ses).passed
         t = grid.times()
         inside = np.abs(traj - (1.0 + t)) <= 4 * ses + 1e-9
         assert inside.mean() > 0.9, "E[Z U] should track 1 + t"
+
+
+class TestVerdictRule:
+    """A row passes when |estimate - reference| <= tolerance, or, one-sided,
+    when estimate - reference <= tolerance."""
+
+    def test_two_sided_band(self):
+        # an estimate 1.0 ± 0.1 under a 3-SE band: inside, outside, and inside only with a 0.3 allowance
+        assert CheckVerdict("c", "s", 1.0, 1.25, 0.3).passed
+        assert not CheckVerdict("c", "s", 1.0, 1.5, 0.3).passed
+        assert CheckVerdict("c", "s", 1.0, 1.5, 0.3 + 0.3).passed
+
+    @pytest.mark.parametrize("estimate, one_sided, two_sided", [(0.0, True, False), (1.5, True, True),
+                                                                (1.6, False, False)])
+    def test_one_sided_band_has_no_floor(self, estimate, one_sided, two_sided):
+        assert CheckVerdict("c", "s", estimate, 1.0, 0.5, one_sided=True).passed == one_sided
+        assert CheckVerdict("c", "s", estimate, 1.0, 0.5).passed == two_sided
+
+    def test_written_passed_is_the_rule(self):
+        rows = [CheckVerdict("c", "s", 2.0, 0.0, 1.0, expect_fail=True), CheckVerdict("c", "s", 0.5, 0.0, 1.0)]
+        assert [(r.row()[5], r.ok()) for r in rows] == [("0", True), ("1", True)]
+
+
+class TestBandRows:
+    """An upper-band row (estimate <= reference + tolerance at every point) is
+    the point with the largest margin over its band, and it is one-sided."""
+
+    def test_zstar_bound_tolerance_is_the_combined_band(self):
+        [row] = cli.check_zstar_bound(3, 1, t=0.5, n_paths=500, dt=0.01)
+        ens = girsanov.ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 500, 3)
+        lhs = girsanov.mean_se(np.exp(ens.log_z).max(axis=1))
+        energy = girsanov.transformed_energy_estimate(ens)
+        assert row.tolerance == 3.0 * math.hypot(lhs.se, girsanov.MAXIMAL_SLOPE * energy.se) > 3.0 * lhs.se
+        assert row.one_sided and row.detail == ""
+
+    def test_local_boundedness_tolerance_is_its_3se_band(self):
+        [row] = cli.check_local_boundedness(4, 1, n_paths=300, dt=0.01, horizon=0.5)
+        model = make_model("jump_ou")
+        ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
+        curves = [np.exp(ens.log_z[:, :-1]) * ens.h_sq, ens.h_sq]
+        means = np.array([c.mean(axis=0) for c in curves])
+        bands = 3.0 * np.array([c.std(axis=0, ddof=1) / np.sqrt(300) for c in curves])
+        times = ens.grid.times()[:-1]
+        env = model.gronwall_rate * np.exp(2.0 * model.gronwall_rate * times) * ens.u[:, 0].mean()
+        curve, k = np.unravel_index(np.argmax(means - (env + bands)), means.shape)
+        assert (row.estimate, row.reference, row.tolerance) == (means[curve, k], env[k], bands[curve, k])
+        assert row.tolerance > 0.0 and row.one_sided
+        assert row.detail == f"worst_t={times[k]:.4g} max_ratio={np.max(means[:, 1:] / env[1:]):.4g}"
+
+    def test_gronwall_row_is_the_largest_margin(self):
+        [row] = cli.check_gronwall(4, 1, n_paths=300, dt=0.01, horizon=0.5)
+        traj, ses, bound = girsanov.gronwall_bound_check(
+            girsanov.ensemble_from_model(make_model("jump_ou"), TimeGrid(0.5, 0.01), 300, 4), 2.0)
+        k = int(np.argmax(traj - (bound + 3.0 * ses)))
+        assert (row.estimate, row.reference, row.tolerance) == (traj[k], bound[k], 3.0 * ses[k])
+        assert row.passed == bool(np.all(traj - bound <= 3.0 * ses))
+        times = TimeGrid(0.5, 0.01).times()
+        assert row.detail == f"worst_t={times[k]:.4g} max_ratio={np.max(traj[1:] / bound[1:]):.4g}"
+
+    # points at t = 0, 0.5, 1 against reference 1; two-sided checks over several points
+    # (martingale_mean, hitting) write one row per point, an upper band one row for all
+    @pytest.mark.parametrize("one_sided, estimate, tolerance, worst, passed", [
+        (True, [2.0, 6.0, 3.0], [2.0, 1.0, 3.0], 1, False),
+        (True, [2.0, 6.0, 3.0], [2.0, 6.0, 3.0], 0, True),
+        (True, [2.0, -8.0, 3.0], [2.0, 1.0, 3.0], 0, True),   # far below the reference: inside an upper band
+        (False, [2.0, -8.0, 3.0], [2.0, 1.0, 3.0], None, False),   # but outside a two-sided one
+        (False, [2.0, -4.0, 3.0], [2.0, 6.0, 3.0], None, True),
+    ])
+    def test_row_passes_exactly_when_every_point_does(self, one_sided, estimate, tolerance, worst, passed):
+        points = [CheckVerdict("c", "s", e, 1.0, tol, one_sided=one_sided) for e, tol in zip(estimate, tolerance)]
+        assert all(p.passed for p in points) == passed
+        if one_sided:
+            row = CheckVerdict.upper_band("c", "s", np.array(estimate), 1.0, np.array(tolerance), [0.0, 0.5, 1.0])
+            assert (row.estimate, row.tolerance, row.passed) == (estimate[worst], tolerance[worst], passed)
+            assert row.detail == f"worst_t={[0.0, 0.5, 1.0][worst]:.4g} max_ratio={max(estimate[1:]):.4g}"
