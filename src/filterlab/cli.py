@@ -104,10 +104,10 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
                 kwargs[key] = tuple(_coerce(type(default[0]), v) for v in value)
             else:
                 raise TypeError
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"cannot read '{where}.{key}' = {value!r} as {type(default).__name__}") from None
     params = dict(defaults, **kwargs)
-    ensembles = ENSEMBLES if inspect.unwrap(fn) in ENSEMBLE_CHECKS else {}
+    ensembles = ENSEMBLES if inspect.unwrap(fn) in ENSEMBLE_CHECKS else ()
 
     def grid(horizon: float) -> TimeGrid:
         return TimeGrid(horizon=horizon, dt=params["dt"])
@@ -117,7 +117,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
         "model": lambda: make_model(params["model"]),
         "phis": lambda: [phi_by_label(lab, make_model(params["model"]).dim_x) for lab in params["phis"]],
         "scenario": lambda: params["scenario"] in ensembles or make_model(params["scenario"]),
-        "representation": lambda: _one_of(params["representation"], verify.REPRESENTATIONS),
+        "representation": lambda: _one_of(params["representation"], REPRESENTATIONS),
         "dt": lambda: grid(0.0),
         "t": lambda: grid(params["t"]),
         "horizon": lambda: grid(params["horizon"]),
@@ -146,9 +146,11 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
 
 
 def _coerce(kind: type, value):
-    """value as kind; a bool takes only JSON true or false, an int only an integral number."""
-    integral = isinstance(value, (int, float)) and float(value).is_integer()
-    if isinstance(value, bool) != (kind is bool) or (kind is int and not integral):
+    """value as kind; a bool takes only JSON true or false, a float only a
+    number and an int only an integral number."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, bool) != (kind is bool) or (kind in (int, float) and not number) or (
+            kind is int and not float(value).is_integer()):
         raise TypeError
     return kind(value)
 
@@ -166,7 +168,7 @@ def require_seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("field 'seed' is required (no wall-clock default)")
     seed = cfg["seed"]
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("field 'seed' must be an integer")
     return seed
 
@@ -176,11 +178,14 @@ def parse_grid(cfg: dict) -> TimeGrid:
     if not isinstance(block, dict):
         raise ConfigError("field 'grid' (object with horizon, dt) is required")
     _reject_unknown(block, ("horizon", "dt"), "grid")
-    try:
-        horizon = float(block["horizon"])
-        dt = float(block["dt"])
-    except KeyError as exc:
-        raise ConfigError(f"grid field {exc.args[0]!r} is required")
+    for key in ("horizon", "dt"):
+        if key not in block:
+            raise ConfigError(f"grid field {key!r} is required")
+        try:
+            _coerce(float, block[key])
+        except (TypeError, OverflowError):
+            raise ConfigError(f"cannot read 'grid.{key}' = {block[key]!r} as float") from None
+    horizon, dt = float(block["horizon"]), float(block["dt"])
     if dt <= 0:
         raise ConfigError("grid field 'dt' must be > 0")
     if horizon <= 0:
@@ -262,9 +267,41 @@ def _agreement_task(payload: tuple):
 # ---------------------------------------------------------------------------
 
 
+# the memoised results of the current `verify` call, keyed by (producer,
+# arguments), so that checks with equal inputs share one run; cmd_verify sets
+# it and empties it when it returns, and outside it nothing is kept
+_VERIFY_MEMO: Optional[dict] = None
+
+
+def _once(produce: Callable, *args, **unkeyed):
+    """produce(*args, **unkeyed), run once per `verify` call for equal
+    (produce, args). The keyword arguments (the worker count) do not change
+    the result, so they are not part of the key."""
+    if _VERIFY_MEMO is None:
+        return produce(*args, **unkeyed)
+    key = (produce, args)
+    if key not in _VERIFY_MEMO:
+        _VERIFY_MEMO[key] = produce(*args, **unkeyed)
+    return _VERIFY_MEMO[key]
+
+
+REPRESENTATIONS = ("transformed", "base")
+
+
 def check_revuz_yor_energy(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3,
                            representation="transformed") -> list[CheckVerdict]:
-    est, closed = verify.revuz_yor_energy(alpha, t, n_paths, dt, seed, representation)
+    """Transformed average energy of H = alpha W against the closed form
+    (e^{2 alpha t} - 2 alpha t - 1)/4. "transformed" simulates under the
+    measure where W solves dW = alpha W dt + dB (light-tailed estimator);
+    "base" averages int Z |H|^2 ds under the base measure."""
+    grid = TimeGrid(horizon=t, dt=dt)
+    if representation == "transformed":
+        est = _once(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)[0]
+    elif representation == "base":
+        est = girsanov.mean_se(_once(girsanov.ensemble_revuz_yor, alpha, grid, n_paths, seed).energy)
+    else:
+        raise ValueError(f"unknown representation {representation!r}")
+    closed = girsanov.revuz_yor_closed_form(alpha, t)
     return [
         CheckVerdict(
             check="revuz_yor_energy",
@@ -278,7 +315,7 @@ def check_revuz_yor_energy(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths
 
 def check_zlogz_identity(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
-    energy, zlogz, gap = girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)
+    energy, zlogz, gap = _once(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)
     return [
         CheckVerdict(
             check="zlogz_identity",
@@ -292,25 +329,28 @@ def check_zlogz_identity(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=1
 
 
 # scenarios of the martingale checks that are not signal models
-ENSEMBLES = {
-    "revuz_yor": lambda grid, n_paths, seed: girsanov.ensemble_revuz_yor(1.0, grid, n_paths, seed),
-    "independent_h": lambda grid, n_paths, seed: girsanov.ensemble_independent_h(grid, n_paths, seed),
-}
+ENSEMBLES = ("revuz_yor", "independent_h")
+
+
+def _model_ensemble(name: str, grid: TimeGrid, n_paths: int, seed: int) -> girsanov.GirsanovEnsemble:
+    return girsanov.ensemble_from_model(make_model(name), grid, n_paths, seed)
 
 
 def _scenario_ensemble(scenario: str, grid: TimeGrid, n_paths: int, seed: int) -> girsanov.GirsanovEnsemble:
-    if scenario in ENSEMBLES:
-        return ENSEMBLES[scenario](grid, n_paths, seed)
-    return girsanov.ensemble_from_model(make_model(scenario), grid, n_paths, seed)
+    if scenario == "revuz_yor":
+        return _once(girsanov.ensemble_revuz_yor, 1.0, grid, n_paths, seed)
+    if scenario == "independent_h":
+        return _once(girsanov.ensemble_independent_h, grid, n_paths, seed)
+    return _once(_model_ensemble, scenario, grid, n_paths, seed)
 
 
 def check_martingale_mean(seed: int, workers: int, *, scenario="revuz_yor", times=(0.25, 0.5, 1.0), n_paths=10_000,
                           dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=max(times), dt=dt)
     ens = _scenario_ensemble(scenario, grid, n_paths, seed)
-    checks, trajectory = girsanov.martingale_mean_check(ens, times)
     out = []
-    for i, (t, est) in enumerate(checks.items()):
+    for i, t in enumerate(dict.fromkeys(times)):   # a time named twice gets one row
+        est = ens.z.at(grid.index_of(t))
         out.append(
             CheckVerdict(
                 check="martingale_mean",
@@ -318,7 +358,7 @@ def check_martingale_mean(seed: int, workers: int, *, scenario="revuz_yor", time
                 estimate=est.value,
                 reference=1.0,
                 tolerance=3.0 * est.se,
-                trajectory={"t": grid.times(), "mean_z": trajectory} if i == 0 else None,
+                trajectory={"t": grid.times(), "mean_z": ens.z.mean} if i == 0 else None,
             )
         )
     return out
@@ -354,7 +394,8 @@ ENSEMBLE_CHECKS = (check_martingale_mean, check_zstar_bound, check_energy_identi
 
 def check_independent_h(seed: int, workers: int, *, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
-    lhs, rhs = girsanov.independent_h_identity_check(girsanov.ensemble_independent_h(grid, n_paths, seed))
+    ens = _once(girsanov.ensemble_independent_h, grid, n_paths, seed)
+    lhs, rhs = girsanov.mean_se(ens.energy), girsanov.mean_se(ens.plain_energy)
     return [
         CheckVerdict(
             check="independent_h",
@@ -377,10 +418,9 @@ def _gronwall_scenario(scenario: str, grid: TimeGrid, n_paths: int, seed: int, b
     change-detection problem at change size b dominates through U = 1 + Y^2,
     where its estimate is sharp in c(b), so the factor is 1."""
     if scenario == "change_detection":
-        ens = girsanov.change_detection_gronwall_ensemble(b0, b, grid, n_paths, seed)
+        ens = _once(girsanov.change_detection_gronwall_ensemble, b0, b, grid, n_paths, seed)
         return ens, change_detection_rate(b0, b), 1.0
-    model = make_model(scenario)
-    return girsanov.ensemble_from_model(model, grid, n_paths, seed), model.gronwall_rate, 2.0
+    return _once(_model_ensemble, scenario, grid, n_paths, seed), make_model(scenario).gronwall_rate, 2.0
 
 
 def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0,
@@ -460,11 +500,6 @@ def check_kalman_ablation(seed: int, workers: int, *, model="correlated_linear",
     return _kalman_check(seed, workers, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance, True)
 
 
-# residual_run results of the current `verify` call, keyed by everything they
-# depend on (not the worker count), so residual checks with equal params share
-# their runs; cmd_verify empties it when it returns
-_RESIDUAL_RUNS: dict[tuple, list] = {}
-
 RESIDUAL_PHIS = ("1", "x", "x^2", "tanh(x)")
 
 
@@ -473,10 +508,8 @@ def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: in
     grid = TimeGrid(horizon=horizon, dt=dt)
     config = FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed,
                           ignore_correlation=ablate)
-    key = (model, phis, grid, config, n_runs)
-    if key not in _RESIDUAL_RUNS:
-        _RESIDUAL_RUNS[key] = residual_runs(key[:-1], n_runs, workers)
-    zak_stats, ks_stats = verify.equation_residuals(_RESIDUAL_RUNS[key])
+    runs = _once(residual_runs, (model, phis, grid, config), n_runs, workers=workers)
+    zak_stats, ks_stats = verify.equation_residuals(runs)
     stats = zak_stats if which == "zakai" else ks_stats
     out = []
     for lab in phis:
@@ -653,6 +686,7 @@ def cmd_filter(cfg: dict, out: Path, workers: int = 1) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
+    global _VERIFY_MEMO
     seed = require_seed(cfg)
     diag = cfg.get("diagnostics", {})
     _reject_unknown(diag, ("checks", "params"), "diagnostics")
@@ -667,11 +701,12 @@ def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
     bound = {name: keyword_params(CHECKS[name], block, f"diagnostics.params.{name}")
              for name, block in params_all.items()}
     verdicts: list[CheckVerdict] = []
+    _VERIFY_MEMO = {}
     try:
         for name in names:
             verdicts.extend(CHECKS[name](seed, workers, **bound.get(name, {})))
     finally:
-        _RESIDUAL_RUNS.clear()
+        _VERIFY_MEMO = None
     out.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -5,10 +5,10 @@ motion W, log Z accumulates increments H^T dW - |H|^2 dt / 2, so products of
 weights become sums and the many-orders-of-magnitude range of Z stays
 representable.
 
-One loop, `_weighted_paths`, fills every ensemble's log Z, |H|^2 and U; the
-four builders (`ensemble_from_model`, `ensemble_revuz_yor`,
-`ensemble_independent_h`, `change_detection_gronwall_ensemble`) only give H
-and the step of their state.
+One loop, `_weighted_paths`, steps every ensemble's log Z and reduces over
+paths as it goes, so no array has both a path axis and a time axis; the four
+builders (`ensemble_from_model`, `ensemble_revuz_yor`, `ensemble_independent_h`,
+`change_detection_gronwall_ensemble`) only give H and the step of their state.
 
 Estimators reduce over independent paths in path order, which keeps every
 diagnostic bit-reproducible for a fixed (seed, grid, model, n_paths).
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,63 +51,101 @@ def mean_se(values: Array) -> Estimate:
     return Estimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)))
 
 
+class Curve(NamedTuple):
+    """Mean and standard error over paths at each point of a time grid."""
+
+    mean: Array
+    se: Array
+
+    def at(self, k: int) -> Estimate:
+        return Estimate(float(self.mean[k]), float(self.se[k]))
+
+
 @dataclass
 class GirsanovEnsemble:
-    """Per-path log Z and |H|^2 samples for a family of scenarios.
+    """Reductions over the paths of one weight Z = exp(int H^T dW - 1/2 int |H|^2 ds).
 
-    log_z has shape (n_paths, n_steps+1) with log Z at grid times; h_sq has
-    shape (n_paths, n_steps) with |H|^2 evaluated at left points. `u` holds
-    1 + |X|^2 when a signal path is attached (Gronwall diagnostics).
+    Per grid time (n_steps + 1 points): `z`, and `zu` when a dominating
+    process U is recorded, the mean and SE over paths of Z and Z U. Per left
+    point (n_steps points): `z_h_sq` and `h_sq`, those of Z |H|^2 and |H|^2.
+    Per path: `log_z_t` = log Z_T, `z_star` = sup_s Z_s with Z_0 = 1
+    included, and the left-point sums `energy` = int Z |H|^2 ds and
+    `plain_energy` = int |H|^2 ds. U is 1 + |X|^2 for a signal model and
+    1 + Y^2 for change detection; `u0_mean` is E[U_0]. No field has both a
+    path axis and a time axis.
     """
 
     grid: TimeGrid
-    log_z: Array
-    h_sq: Array
     label: str
-    u: Optional[Array] = None
+    z: Curve
+    z_h_sq: Curve
+    h_sq: Curve
+    log_z_t: Array
+    z_star: Array
+    energy: Array
+    plain_energy: Array
+    zu: Optional[Curve] = None
+    u0_mean: Optional[float] = None
 
     @property
     def n_paths(self) -> int:
-        return self.log_z.shape[0]
-
-    def z(self, k: int) -> Array:
-        return np.exp(self.log_z[:, k])
-
-    def pathwise_transformed_energy(self) -> Array:
-        """Per-path int_0^t Z_s |H_s|^2 ds as a left-point sum."""
-        return (np.exp(self.log_z[:, :-1]) * self.h_sq).sum(axis=1) * self.grid.dt
-
-    def pathwise_plain_energy(self) -> Array:
-        return self.h_sq.sum(axis=1) * self.grid.dt
+        return self.log_z_t.shape[0]
 
 
 def _one_plus_sq(x: Array) -> Array:
     return 1.0 + np.einsum("ni,ni->n", x, x)
 
 
+def _reduce(rows: Array, means: Array, ses: Array, k: int) -> None:
+    """Write the mean and SE over paths of each row of `rows` (rows x paths) at column k."""
+    n = rows.shape[1]
+    m = rows.sum(axis=1) / n
+    d = rows - m[:, None]
+    means[:, k] = m
+    ses[:, k] = np.sqrt(np.einsum("qn,qn->q", d, d) / (n - 1)) / np.sqrt(n)
+
+
 def _weighted_paths(grid: TimeGrid, n_paths: int, rng: np.random.Generator, label: str, state,
                     h_of, advance, u_of=None) -> GirsanovEnsemble:
-    """The one loop that accumulates log Z. At each left point t_i it takes
-    H = h_of(state, t_i) of shape (n_paths, m), draws dW, adds
-    H^T dW - |H|^2 dt / 2 to log Z and moves on with
+    """The one loop that accumulates log Z and reduces as it steps. At each
+    left point t_i it takes H = h_of(state, t_i) of shape (n_paths, m), draws
+    dW, adds H^T dW - |H|^2 dt / 2 to log Z and moves on with
     state = advance(state, H, dW, i), which draws any further noise after dW.
-    u_of(state), when given, records U on the grid."""
+    u_of(state), when given, is U on the grid."""
     k, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
-    log_z = np.zeros((n_paths, k + 1))
-    h_sq = np.zeros((n_paths, k))
-    u = None if u_of is None else np.zeros((n_paths, k + 1))
-    if u is not None:
-        u[:, 0] = u_of(state)
+    log_z = np.zeros(n_paths)
+    z_star = np.ones(n_paths)
+    energy = np.zeros(n_paths)
+    plain = np.zeros(n_paths)
+    # the rows reduced after step i: Z |H|^2 and |H|^2 at the left point t_i,
+    # then Z and, when U is recorded, Z U at t_{i+1}; all written at column i + 1
+    rows = np.empty((3 if u_of is None else 4, n_paths))
+    mean, se = np.zeros((len(rows), k + 1)), np.zeros((len(rows), k + 1))
+    z = rows[2]
+    z[:] = 1.0
+    if u_of is not None:
+        rows[3] = u0 = u_of(state)
+    _reduce(rows[2:], mean[2:], se[2:], 0)
     for i in range(k):
         h = h_of(state, i * dt)
-        h_sq[:, i] = np.einsum("nm,nm->n", h, h)
+        h_sq = np.einsum("nm,nm->n", h, h, out=rows[1])
+        np.multiply(z, h_sq, out=rows[0])
+        energy += rows[0]
+        plain += h_sq
         dw = rng.standard_normal(h.shape) * sq
-        log_z[:, i + 1] = log_z[:, i] + np.einsum("nm,nm->n", h, dw) - 0.5 * h_sq[:, i] * dt
+        log_z = log_z + np.einsum("nm,nm->n", h, dw) - 0.5 * h_sq * dt
         state = advance(state, h, dw, i)
-        if u is not None:
-            u[:, i + 1] = u_of(state)
-    return GirsanovEnsemble(grid=grid, log_z=log_z, h_sq=h_sq, label=label, u=u)
+        np.exp(log_z, out=z)
+        np.maximum(z_star, z, out=z_star)
+        if u_of is not None:
+            np.multiply(z, u_of(state), out=rows[3])
+        _reduce(rows, mean, se, i + 1)
+    return GirsanovEnsemble(
+        grid=grid, label=label, z=Curve(mean[2], se[2]), z_h_sq=Curve(mean[0, 1:], se[0, 1:]),
+        h_sq=Curve(mean[1, 1:], se[1, 1:]), log_z_t=log_z, z_star=z_star, energy=energy * dt,
+        plain_energy=plain * dt, zu=None if u_of is None else Curve(mean[3], se[3]),
+        u0_mean=None if u_of is None else float(u0.mean()))
 
 
 def ensemble_from_model(model: SignalModel, grid: TimeGrid, n_paths: int, seed: int) -> GirsanovEnsemble:
@@ -186,21 +224,15 @@ class DiagnosticsReport:
 
 def diagnostics_report(ens: GirsanovEnsemble) -> DiagnosticsReport:
     """All P-side martingale diagnostics of one ensemble at its horizon."""
-    z_t = ens.z(ens.grid.n_steps)
     return DiagnosticsReport(
         label=ens.label,
         n_paths=ens.n_paths,
-        e_z=mean_se(z_t),
-        transformed_energy=mean_se(ens.pathwise_transformed_energy()),
-        z_log_z=mean_se(z_t * ens.log_z[:, -1]),
-        z_star=mean_se(np.exp(ens.log_z).max(axis=1)),
-        plain_energy=mean_se(ens.pathwise_plain_energy()),
+        e_z=ens.z.at(ens.grid.n_steps),
+        transformed_energy=mean_se(ens.energy),
+        z_log_z=mean_se(np.exp(ens.log_z_t) * ens.log_z_t),
+        z_star=mean_se(ens.z_star),
+        plain_energy=mean_se(ens.plain_energy),
     )
-
-
-def transformed_energy_estimate(ens: GirsanovEnsemble) -> Estimate:
-    """E[int_0^t Z_s |H_s|^2 ds] over the ensemble's paths."""
-    return mean_se(ens.pathwise_transformed_energy())
 
 
 def zstar_bound(ens: GirsanovEnsemble) -> tuple[Estimate, float, float]:
@@ -209,32 +241,16 @@ def zstar_bound(ens: GirsanovEnsemble) -> tuple[Estimate, float, float]:
     Returns (lhs estimate, rhs value, band), where the band is 3 SEs of
     lhs - rhs: the lhs SE combined with the slope times the energy SE.
     """
-    lhs = mean_se(np.exp(ens.log_z).max(axis=1))
-    energy = transformed_energy_estimate(ens)
+    lhs = mean_se(ens.z_star)
+    energy = mean_se(ens.energy)
     rhs = MAXIMAL_CONST + MAXIMAL_SLOPE * energy.value
     return lhs, rhs, 3.0 * math.hypot(lhs.se, MAXIMAL_SLOPE * energy.se)
-
-
-def martingale_mean_check(ens: GirsanovEnsemble, times: Sequence[float]):
-    """E[Z_s] over the grid; returns (per-time Estimates at `times`, full mean
-    trajectory). A true martingale keeps the trajectory flat at 1."""
-    z = np.exp(ens.log_z)
-    trajectory = z.mean(axis=0)
-    checks = {t: mean_se(z[:, ens.grid.index_of(t)]) for t in times}
-    return checks, trajectory
 
 
 def energy_identity_check(ens: GirsanovEnsemble) -> tuple[Estimate, Estimate]:
     """(E[int Z_s |H_s|^2 ds], E[Z_t int |H_s|^2 ds]) on the same paths: the
     two sides of the energy identity."""
-    lhs = transformed_energy_estimate(ens)
-    z_t = ens.z(ens.grid.n_steps)
-    return lhs, mean_se(z_t * ens.pathwise_plain_energy())
-
-
-def independent_h_identity_check(ens: GirsanovEnsemble) -> tuple[Estimate, Estimate]:
-    """(transformed, plain) energy: when W is independent of H they agree."""
-    return transformed_energy_estimate(ens), mean_se(ens.pathwise_plain_energy())
+    return mean_se(ens.energy), mean_se(np.exp(ens.log_z_t) * ens.plain_energy)
 
 
 def gronwall_bound_check(ens: GirsanovEnsemble, rate: float, rate_factor: float = 2.0) -> tuple[Array, Array, Array]:
@@ -244,14 +260,10 @@ def gronwall_bound_check(ens: GirsanovEnsemble, rate: float, rate_factor: float 
     rate_factor=2 is the generic Gronwall constant; the change-detection
     estimate is sharp with factor 1.
     """
-    if ens.u is None:
-        raise ValueError("ensemble carries no U = 1 + |X|^2 trajectory")
-    zu = np.exp(ens.log_z) * ens.u
-    traj = zu.mean(axis=0)
-    ses = zu.std(axis=0, ddof=1) / np.sqrt(ens.n_paths)
-    times = ens.grid.times()
-    bound = np.exp(rate_factor * rate * times) * ens.u[:, 0].mean()
-    return traj, ses, bound
+    if ens.zu is None:
+        raise ValueError("ensemble carries no dominating process U")
+    bound = np.exp(rate_factor * rate * ens.grid.times()) * ens.u0_mean
+    return ens.zu.mean, ens.zu.se, bound
 
 
 # ---------------------------------------------------------------------------
@@ -290,37 +302,3 @@ def revuz_yor_transformed_estimates(
 def revuz_yor_closed_form(alpha: float, t: float) -> float:
     """Transformed average energy of H = alpha W: (e^{2 alpha t} - 2 alpha t - 1)/4."""
     return 0.25 * (math.exp(2.0 * alpha * t) - 2.0 * alpha * t - 1.0)
-
-
-def revuz_yor_base_stats(
-    alpha: float, grid: TimeGrid, n_paths: int, seed: int, times: Sequence[float]
-) -> tuple[dict[float, Estimate], Estimate]:
-    """Streaming base-measure E[Z_t] at the requested times plus E[Z*_T].
-
-    Keeps only per-path running state, so large path counts fit in memory;
-    the estimators are the plain heavy-tailed ones (Z_1 has infinite
-    variance at alpha = t = 1), which is why callers want many paths.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    k, dt = grid.n_steps, grid.dt
-    sq = np.sqrt(dt)
-    rng = substream(seed, TAG_PATH)
-    w = np.zeros(n_paths)
-    log_z = np.zeros(n_paths)
-    zmax = np.ones(n_paths)
-    snap_idx = {grid.index_of(t): float(t) for t in times}
-    out: dict[float, Estimate] = {}
-    if 0 in snap_idx:
-        out[snap_idx[0]] = Estimate(1.0, 0.0)
-    for i in range(k):
-        h = alpha * w
-        dw = rng.standard_normal(n_paths) * sq
-        log_z += h * dw - 0.5 * h * h * dt
-        w += dw
-        z = np.exp(log_z)
-        np.maximum(zmax, z, out=zmax)
-        if i + 1 in snap_idx:
-            out[snap_idx[i + 1]] = mean_se(z)
-    return out, mean_se(zmax)
-

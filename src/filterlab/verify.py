@@ -424,30 +424,6 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
     return est, DUFRESNE_TARGET, allowance
 
 
-REPRESENTATIONS = ("transformed", "base")
-
-
-def revuz_yor_energy(
-    alpha: float, t: float, n_paths: int, dt: float, seed: int, representation: str = "transformed"
-) -> tuple[Estimate, float]:
-    """Monte Carlo transformed average energy of H = alpha W against the
-    closed form (e^{2 alpha t} - 2 alpha t - 1)/4.
-
-    representation="transformed" simulates under the measure where W solves
-    dW = alpha W dt + dB (light-tailed estimator); "base" accumulates
-    pathwise Z |H|^2 under the base measure.
-    """
-    grid = TimeGrid(horizon=t, dt=dt)
-    closed = girsanov.revuz_yor_closed_form(alpha, t)
-    if representation == "transformed":
-        energy, _, _ = girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)
-        return energy, closed
-    if representation == "base":
-        ens = girsanov.ensemble_revuz_yor(alpha, grid, n_paths, seed)
-        return girsanov.transformed_energy_estimate(ens), closed
-    raise ValueError(f"unknown representation {representation!r}")
-
-
 # the N at which the divergent series sum_{n <= N} n/(n+1)^2 is reported
 PARTIAL_SUM_LEVELS = (1000, 10000)
 
@@ -496,8 +472,7 @@ def local_boundedness_sweep(ens: girsanov.GirsanovEnsemble, rate: float, rate_fa
 
     Returns (means, SEs, envelope): means and SEs have one row per curve,
     Z |H|^2 then |H|^2."""
-    curves = (np.exp(ens.log_z[:, :-1]) * ens.h_sq, ens.h_sq)
-    means = np.array([c.mean(axis=0) for c in curves])
-    ses = np.array([c.std(axis=0, ddof=1) / np.sqrt(ens.n_paths) for c in curves])
-    envelope = rate * np.exp(rate_factor * rate * ens.grid.times()[:-1]) * ens.u[:, 0].mean()
+    means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
+    ses = np.array([ens.z_h_sq.se, ens.h_sq.se])
+    envelope = rate * np.exp(rate_factor * rate * ens.grid.times()[:-1]) * ens.u0_mean
     return means, ses, envelope

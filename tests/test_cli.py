@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import filterlab
-from filterlab import verify
+from filterlab import girsanov, verify
 from filterlab.cli import (
     EXIT_BLOWUP,
     EXIT_CHECK_FAILED,
@@ -106,6 +106,8 @@ class TestSimulateCommand:
 
 
 RESID = {"model": "jump_ou", "n_runs": 3, "n_particles": 32, "dt": 0.02, "horizon": 0.2, "phis": ["1", "x"]}
+ENSEMBLE = {"scenario": "revuz_yor", "n_paths": 200, "dt": 0.01}
+TILTED = {"alpha": 1.0, "t": 0.5, "n_paths": 200, "dt": 0.01}
 
 
 def residual_cfg(tmp_path: Path, name: str, checks: list[str], zakai: dict, ks: dict) -> str:
@@ -279,6 +281,33 @@ class TestVerifyCommand:
             assert calls == expected, tag
             calls.clear()
 
+    @pytest.mark.parametrize("producer, params", [
+        ("ensemble_revuz_yor", {"martingale_mean": dict(ENSEMBLE, times=[0.25, 0.5]), "zstar_bound": dict(ENSEMBLE, t=0.5),
+                                "energy_identity": dict(ENSEMBLE, t=0.5)}),
+        ("ensemble_from_model", {name: {"scenario": "jump_ou", "n_paths": 200, "dt": 0.02, "horizon": 0.4}
+                                 for name in ("local_boundedness", "gronwall")}),
+        ("revuz_yor_transformed_estimates", {"revuz_yor_energy": TILTED, "zlogz_identity": TILTED}),
+    ])
+    def test_equal_producer_inputs_run_once(self, tmp_path, monkeypatch, producer, params):
+        calls = []
+        real = getattr(girsanov, producer)
+        monkeypatch.setattr(girsanov, producer, lambda *a: calls.append(a) or real(*a))
+        outputs = {}
+        for tag, names in [("all", list(params))] + [(name, [name]) for name in params]:
+            cfg = {"diagnostics": {"checks": names, "params": {n: params[n] for n in names}}, "seed": 5}
+            code = main(["verify", "--config", write_cfg(tmp_path, f"{tag}.json", cfg), "--out", str(tmp_path / tag)])
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+            assert len(calls) == 1, tag
+            calls.clear()
+            outputs[tag] = {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir() if p.name != "manifest.json"}
+        # every row and trajectory of the shared run equals, byte for byte, that of its check run alone
+        alone = {}
+        for name in params:
+            alone.update(outputs[name])
+        alone["verdicts.csv"] = b"".join([outputs[n]["verdicts.csv"].split(b"\n", 1)[1] for n in params])
+        outputs["all"]["verdicts.csv"] = outputs["all"]["verdicts.csv"].split(b"\n", 1)[1]
+        assert outputs["all"] == alone
+
     def test_shared_residual_runs_leave_bytes_unchanged(self, tmp_path):
         both = residual_cfg(tmp_path, "both", ["zakai_residual", "ks_residual"], RESID, RESID)
         runs = {"w1": (both, "1"), "w2": (both, "2"),
@@ -335,6 +364,14 @@ KALMAN = {"n_seeds": 2, "n_particles": 50, "dt": 0.05, "horizon": 0.2}
 STRICT_CASES = {
     "top_level": ("simulate", dict(SIM_CFG, bogus=1), "'bogus'"),
     "grid": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": 0.005, "steps": 60}), "grid.steps"),
+    "grid_word": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": "abc"}), "grid.dt"),
+    "grid_null": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": None}), "grid.dt"),
+    "grid_numeric_string": ("simulate", dict(SIM_CFG, grid={"horizon": "1.0", "dt": 0.005}), "grid.horizon"),
+    "grid_bool": ("simulate", dict(SIM_CFG, grid={"horizon": True, "dt": 0.005}), "grid.horizon"),
+    "bool_seed": ("simulate", dict(SIM_CFG, seed=True), "'seed'"),
+    "grid_overflow": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": 10 ** 400}), "grid.dt"),
+    "count_overflow": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths=10 ** 400)}),
+                       "diagnostics.params.independent_h.n_paths"),
     "filter": ("filter", dict(FILTER_CFG, filter={"n_partcles": 300}), "filter.n_partcles"),
     "filter_seed": ("filter", dict(FILTER_CFG, filter={"n_particles": 300, "seed": 4}), "filter.seed"),
     "diagnostics": ("verify", {"diagnostics": {"checks": ["independent_h"], "parms": {}}, "seed": 5},

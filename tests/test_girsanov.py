@@ -11,22 +11,21 @@ import math
 import numpy as np
 import pytest
 
+from filterlab import girsanov
 from filterlab.girsanov import (
     MAXIMAL_CONST,
+    Curve,
     _weighted_paths,
+    change_detection_gronwall_ensemble,
     diagnostics_report,
     energy_identity_check,
     ensemble_from_model,
     ensemble_independent_h,
     ensemble_revuz_yor,
     gronwall_bound_check,
-    independent_h_identity_check,
-    martingale_mean_check,
     mean_se,
-    revuz_yor_base_stats,
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
-    transformed_energy_estimate,
     zstar_bound,
 )
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
@@ -35,6 +34,47 @@ from filterlab.simulate import TimeGrid, batch_levy_increments
 from filterlab.verify import CheckVerdict
 
 GRID_HALF = TimeGrid(horizon=0.5, dt=1e-3)
+
+
+def dense_and_streamed(monkeypatch, build):
+    """(ensemble, dense) for build(): the weight loop first steps the builder's
+    own integrand, state and draws into dense (paths x times) log Z, |H|^2 and
+    U arrays, then rewinds the generator and streams as usual."""
+    real = girsanov._weighted_paths
+    dense = {}
+
+    def recording(grid, n, rng, label, state, h_of, advance, u_of=None):
+        saved = rng.bit_generator.state
+        k, dt = grid.n_steps, grid.dt
+        log_z, h_sq, u = np.zeros((n, k + 1)), np.zeros((n, k)), np.zeros((n, k + 1))
+        s = state
+        u[:, 0] = u_of(s) if u_of else 0.0
+        for i in range(k):
+            h = h_of(s, i * dt)
+            h_sq[:, i] = np.einsum("nm,nm->n", h, h)
+            dw = rng.standard_normal(h.shape) * np.sqrt(dt)
+            log_z[:, i + 1] = log_z[:, i] + np.einsum("nm,nm->n", h, dw) - 0.5 * h_sq[:, i] * dt
+            s = advance(s, h, dw, i)
+            u[:, i + 1] = u_of(s) if u_of else 0.0
+        dense.update(log_z=log_z, h_sq=h_sq, u=u if u_of else None)
+        rng.bit_generator.state = saved
+        return real(grid, n, rng, label, state, h_of, advance, u_of)
+
+    monkeypatch.setattr(girsanov, "_weighted_paths", recording)
+    return build(), dense
+
+
+GRID_SHORT = TimeGrid(0.2, 0.01)
+BUILDERS = {
+    "revuz_yor": lambda: ensemble_revuz_yor(1.0, GRID_SHORT, 300, seed=19),
+    "independent_h": lambda: ensemble_independent_h(GRID_SHORT, 300, seed=19),
+    "jump_ou": lambda: ensemble_from_model(make_model("jump_ou"), GRID_SHORT, 300, seed=19),
+    "change_detection": lambda: change_detection_gronwall_ensemble(-0.5, 1.0, GRID_SHORT, 300, seed=19),
+}
+
+
+def column_stats(a):
+    return Curve(a.mean(axis=0), a.std(axis=0, ddof=1) / np.sqrt(a.shape[0]))
 
 
 class TestRevuzYorEstimators:
@@ -54,14 +94,14 @@ class TestRevuzYorEstimators:
     def test_base_measure_energy_light_horizon(self):
         # t = 0.5 keeps Z light-tailed enough for the plain estimator
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=11)
-        est = transformed_energy_estimate(ens)
+        est = mean_se(ens.energy)
         closed = revuz_yor_closed_form(1.0, 0.5)
         assert abs(est.value - closed) < 3 * est.se
 
     def test_zlogz_identity_on_base_paths(self):
         # the paired per-path gap Z_t log Z_t - 1/2 int Z |H|^2 ds has mean 0
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=13)
-        gap = mean_se(ens.z(ens.grid.n_steps) * ens.log_z[:, -1] - 0.5 * ens.pathwise_transformed_energy())
+        gap = mean_se(np.exp(ens.log_z_t) * ens.log_z_t - 0.5 * ens.energy)
         assert abs(gap.value) < 3 * gap.se
         # the two sides are individually near the closed form too
         closed = revuz_yor_closed_form(1.0, 0.5)
@@ -70,19 +110,10 @@ class TestRevuzYorEstimators:
 
     def test_martingale_mean_flat_at_one(self):
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=17)
-        checks, traj = martingale_mean_check(ens, [0.25, 0.5])
-        for t, est in checks.items():
-            assert abs(est.value - 1.0) < 3 * est.se, f"E[Z_{t}] = {est}"
-        assert traj[0] == 1.0
-
-    def test_streaming_base_stats_match_ensemble(self):
-        ens = ensemble_revuz_yor(1.0, GRID_HALF, 2000, seed=19)
-        checks, zstar_stream = revuz_yor_base_stats(1.0, GRID_HALF, 2000, 19, [0.25, 0.5])
-        dense, _ = martingale_mean_check(ens, [0.25, 0.5])
         for t in (0.25, 0.5):
-            assert checks[t].value == pytest.approx(dense[t].value, rel=1e-12)
-        zstar_dense = mean_se(np.exp(ens.log_z).max(axis=1))
-        assert zstar_stream.value == pytest.approx(zstar_dense.value, rel=1e-12)
+            est = ens.z.at(GRID_HALF.index_of(t))
+            assert abs(est.value - 1.0) < 3 * est.se, f"E[Z_{t}] = {est}"
+        assert ens.z.mean[0] == 1.0
 
     def test_zstar_bound(self):
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=23)
@@ -100,8 +131,10 @@ class TestDegenerateAndModelEnsembles:
     def test_h_zero_weight_is_identically_one(self):
         m = linear_model("silent", h_scale=0.0)
         ens = ensemble_from_model(m, TimeGrid(0.2, 0.01), 500, seed=3)
-        assert np.all(ens.log_z == 0.0) and np.all(ens.h_sq == 0.0)
-        assert transformed_energy_estimate(ens).value == 0.0
+        # Z = 1 on every path at every time, and |H|^2 >= 0 has mean 0 only where it is 0
+        assert np.all(ens.log_z_t == 0.0) and np.all(ens.z_star == 1.0)
+        assert np.all(ens.z.mean == 1.0) and np.all(ens.z.se == 0.0) and np.all(ens.h_sq.mean == 0.0)
+        assert mean_se(ens.energy).value == 0.0
         assert diagnostics_report(ens).z_log_z.value == 0.0
         lhs, rhs, band = zstar_bound(ens)
         assert lhs.value == 1.0 and rhs == pytest.approx(MAXIMAL_CONST)
@@ -109,13 +142,13 @@ class TestDegenerateAndModelEnsembles:
 
     def test_jump_ou_martingale_mean(self):
         ens = ensemble_from_model(make_model("jump_ou"), TimeGrid(1.0, 2e-3), 4000, seed=31)
-        checks, _ = martingale_mean_check(ens, [0.25, 0.5, 1.0])
-        for t, est in checks.items():
+        for t in (0.25, 0.5, 1.0):
+            est = ens.z.at(ens.grid.index_of(t))
             assert abs(est.value - 1.0) < 3 * est.se, f"E[Z_{t}] = {est}"
 
     def test_independent_h_identity(self):
         ens = ensemble_independent_h(TimeGrid(1.0, 2e-3), 8000, seed=37)
-        lhs, rhs = independent_h_identity_check(ens)
+        lhs, rhs = mean_se(ens.energy), mean_se(ens.plain_energy)
         assert CheckVerdict("independent_h", "", lhs.value, rhs.value, 3.0 * math.hypot(lhs.se, rhs.se)).passed, \
             f"transformed {lhs} vs plain {rhs}"
 
@@ -133,21 +166,21 @@ class TestDegenerateAndModelEnsembles:
         ens = ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=41)
         traj, ses, bound = gronwall_bound_check(ens, m.gronwall_rate)
         assert CheckVerdict.upper_band("gronwall_envelope", "jump_ou", traj, bound, 3.0 * ses).passed
-        assert bound[-1] == pytest.approx(math.exp(4.0) * ens.u[:, 0].mean())
+        assert bound[-1] == pytest.approx(math.exp(4.0) * ens.u0_mean)
 
-    def test_jump_coefficient_at_left_point(self):
+    def test_jump_coefficient_at_left_point(self, monkeypatch):
         # sigma_tilde(x) = x must see X_{s-}, not the state after the diffusion part
         base = linear_model("jumpy", sigma_v=0.7, sigma_bar=0.5, levy=levy_atoms([1.0], [2.0]), sigma_tilde=1.0)
         m = dataclasses.replace(base, sigma_tilde=lambda x: x[:, :, None])
         dt, n = 0.1, 64
-        ens = ensemble_from_model(m, TimeGrid(dt, dt), n, seed=5)
+        _, dense = dense_and_streamed(monkeypatch, lambda: ensemble_from_model(m, TimeGrid(dt, dt), n, seed=5))
         rng = substream(5, TAG_PATH)
         x0 = m.initial_law(rng, n)
         dw = rng.standard_normal((n, 1)) * np.sqrt(dt)
         dv = rng.standard_normal((n, 1)) * np.sqrt(dt)
         dl = batch_levy_increments(m.levy, dt, n, rng)
         x1 = x0 + m.f(x0) * dt + 0.7 * dv + 0.5 * dw + x0 * dl
-        np.testing.assert_allclose(ens.u[:, 1], 1.0 + x1[:, 0] ** 2, rtol=1e-12)
+        np.testing.assert_allclose(dense["u"][:, 1], 1.0 + x1[:, 0] ** 2, rtol=1e-12)
 
     def test_ensemble_requires_u_for_gronwall(self):
         ens = ensemble_revuz_yor(1.0, GRID_HALF, 100, seed=2)
@@ -185,6 +218,37 @@ class TestWeightLoop:
         rng = substream(seed)
         w_t = sum(rng.standard_normal((n, 2)) * np.sqrt(grid.dt) for _ in range(grid.n_steps))
         expected = w_t @ c - 0.5 * (c @ c) * grid.horizon
-        np.testing.assert_allclose(ens.log_z[:, -1], expected, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(ens.h_sq, c @ c)
-        assert ens.u is None
+        np.testing.assert_allclose(ens.log_z_t, expected, rtol=0, atol=1e-12)
+        # |H|^2 = c.c on every path at every step
+        np.testing.assert_allclose(ens.h_sq.mean, c @ c, rtol=1e-15)
+        assert np.all(ens.h_sq.se <= 1e-15)
+        assert ens.zu is None and ens.u0_mean is None
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_streamed_reductions_match_a_dense_reference(self, monkeypatch, builder):
+        ens, dense = dense_and_streamed(monkeypatch, BUILDERS[builder])
+        log_z, h_sq, u = dense["log_z"], dense["h_sq"], dense["u"]
+        z = np.exp(log_z)
+        dt = ens.grid.dt
+        expected = {
+            "log_z_t": log_z[:, -1], "z_star": z.max(axis=1), "energy": (z[:, :-1] * h_sq).sum(axis=1) * dt,
+            "plain_energy": h_sq.sum(axis=1) * dt, "z": column_stats(z), "z_h_sq": column_stats(z[:, :-1] * h_sq),
+            "h_sq": column_stats(h_sq),
+        }
+        assert (ens.zu is None) == (u is None) == (builder in ("revuz_yor", "independent_h"))
+        if u is not None:
+            expected.update(zu=column_stats(z * u), u0_mean=u[:, 0].mean())
+        for field, want in expected.items():
+            np.testing.assert_allclose(getattr(ens, field), want, rtol=1e-12, atol=0, err_msg=field)
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_no_field_has_a_path_and_a_time_axis(self, builder):
+        ens = BUILDERS[builder]()
+        k = ens.grid.n_steps
+        arrays = []
+        for field in dataclasses.fields(ens):
+            value = getattr(ens, field.name)
+            arrays += list(value) if isinstance(value, Curve) else [value] if isinstance(value, np.ndarray) else []
+        assert len(arrays) >= 10
+        for a in arrays:
+            assert a.ndim == 1 and (a.shape[0] == ens.n_paths) != (a.shape[0] in (k, k + 1)), a.shape

@@ -247,8 +247,9 @@ class TestRefinement:
 class TestCounterexamplePaths:
     def test_revuz_yor_weight_starts_at_one(self):
         ens = ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 100, seed=1)
-        assert np.all(ens.log_z[:, 0] == 0.0)
-        assert ens.log_z.shape == (100, 51)
+        # Z_0 = 1 on every path: mean 1 with no spread
+        assert ens.z.mean[0] == 1.0 and ens.z.se[0] == 0.0
+        assert ens.z.mean.shape == (51,) and ens.log_z_t.shape == (100,)
 
     def test_hitting_exit_probability_coarse(self):
         grid = TimeGrid(0.01, 0.001)

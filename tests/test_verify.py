@@ -22,9 +22,9 @@ from filterlab.verify import (
     kazamaki_gap_check,
     local_boundedness_sweep,
     residual_run,
-    revuz_yor_energy,
 )
 from filterlab import girsanov
+from filterlab.girsanov import revuz_yor_closed_form
 
 
 def change_detection_loglik_direct(b, tau, b0, y_path, grid):
@@ -296,14 +296,16 @@ class TestScenarioChecks:
         assert abs(est.value - target) < 3 * est.se + allowance + 0.01
 
     def test_revuz_yor_energy_both_representations(self):
-        est_t, closed = revuz_yor_energy(1.0, 0.5, 4000, 1e-3, seed=7, representation="transformed")
-        est_b, _ = revuz_yor_energy(1.0, 0.5, 4000, 1e-3, seed=7, representation="base")
-        assert abs(est_t.value - closed) < 3 * est_t.se
-        assert abs(est_b.value - closed) < 3 * est_b.se
+        # each row's tolerance is 3 SE of its estimate
+        for representation in ("transformed", "base"):
+            [row] = cli.check_revuz_yor_energy(7, 1, alpha=1.0, t=0.5, n_paths=4000, dt=1e-3,
+                                               representation=representation)
+            assert row.reference == revuz_yor_closed_form(1.0, 0.5)
+            assert abs(row.estimate - row.reference) < row.tolerance, representation
 
     def test_revuz_yor_rejects_unknown_representation(self):
         with pytest.raises(ValueError):
-            revuz_yor_energy(1.0, 0.5, 100, 1e-2, seed=0, representation="weird")
+            cli.check_revuz_yor_energy(0, 1, alpha=1.0, t=0.5, n_paths=100, dt=1e-2, representation="weird")
 
     def test_kazamaki_partial_sums_grow_like_log(self):
         rows, sums, growth = kazamaki_gap_check([1], 800, 1e-3, seed=9)
@@ -383,8 +385,8 @@ class TestBandRows:
     def test_zstar_bound_tolerance_is_the_combined_band(self):
         [row] = cli.check_zstar_bound(3, 1, t=0.5, n_paths=500, dt=0.01)
         ens = girsanov.ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 500, 3)
-        lhs = girsanov.mean_se(np.exp(ens.log_z).max(axis=1))
-        energy = girsanov.transformed_energy_estimate(ens)
+        lhs = girsanov.mean_se(ens.z_star)
+        energy = girsanov.mean_se(ens.energy)
         assert row.tolerance == 3.0 * math.hypot(lhs.se, girsanov.MAXIMAL_SLOPE * energy.se) > 3.0 * lhs.se
         assert row.one_sided and row.detail == ""
 
@@ -392,11 +394,10 @@ class TestBandRows:
         [row] = cli.check_local_boundedness(4, 1, n_paths=300, dt=0.01, horizon=0.5)
         model = make_model("jump_ou")
         ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
-        curves = [np.exp(ens.log_z[:, :-1]) * ens.h_sq, ens.h_sq]
-        means = np.array([c.mean(axis=0) for c in curves])
-        bands = 3.0 * np.array([c.std(axis=0, ddof=1) / np.sqrt(300) for c in curves])
+        means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
+        bands = 3.0 * np.array([ens.z_h_sq.se, ens.h_sq.se])
         times = ens.grid.times()[:-1]
-        env = model.gronwall_rate * np.exp(2.0 * model.gronwall_rate * times) * ens.u[:, 0].mean()
+        env = model.gronwall_rate * np.exp(2.0 * model.gronwall_rate * times) * ens.u0_mean
         curve, k = np.unravel_index(np.argmax(means - (env + bands)), means.shape)
         assert (row.estimate, row.reference, row.tolerance) == (means[curve, k], env[k], bands[curve, k])
         assert row.tolerance > 0.0 and row.one_sided
