@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import ConstCoeff, LevySpec, SignalModel
+from .rng import TAG_DUFRESNE, substream
 
 Array = np.ndarray
 
@@ -249,35 +250,70 @@ class HittingPaths:
     resolved: Array     # bool; False = censored at HITTING_MAX_TIME
 
 
-def dufresne_paths(n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> Array:
-    """Per-path X = int_0^T exp(B_s - s/2) ds, truncated at the grid horizon T."""
+DUFRESNE_CHUNK = 1000   # paths per substream (seed, TAG_DUFRESNE, chunk)
+DUFRESNE_BLOCK = 1000   # grid steps drawn at once for every undecided path of a chunk
+# paths per draw within a block: 16 x 1000 doubles (125 KiB) stay below
+# glibc's 128 KiB mmap threshold; freeing 8 MB draws raises that threshold,
+# which raised martingale_mc's peak RSS (set later by hitting) by 4.5 MiB
+DUFRESNE_ROWS = 16
+
+
+def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Array, Array]:
+    """Per-path (X_T, B_T) for X_T = int_0^T exp(B_s - s/2) ds, a left-point
+    sum on the grid up to its horizon T.
+
+    X only grows, so once a path's integral reaches 1 its event {X_T < 1} is
+    decided and the path stops drawing. Paths go in chunks of DUFRESNE_CHUNK,
+    chunk c drawing from substream(seed, TAG_DUFRESNE, c); each chunk steps
+    its undecided paths DUFRESNE_BLOCK steps at a time and, at each block's
+    end, drops every path with X >= 1. A block's draws are those of one
+    (undecided, DUFRESNE_BLOCK) array, taken DUFRESNE_ROWS paths at a time.
+    A decided path keeps the X (>= 1) and B of that block's end, so B_T is
+    exact only where X_T < 1. The last block draws full width and uses its
+    first columns: a path's draws do not depend on the horizon.
+    """
     k, dt = grid.n_steps, grid.dt
     sq = np.sqrt(dt)
-    b = np.zeros(n_paths)
     x = np.zeros(n_paths)
-    t = 0.0
-    for i in range(k):
-        # left-point integrand exp(B_s - s/2)
-        x += np.exp(b - 0.5 * t) * dt
-        b += rng.standard_normal(n_paths) * sq
-        t += dt
-    return x
+    b = np.zeros(n_paths)
+    for chunk, start in enumerate(range(0, n_paths, DUFRESNE_CHUNK)):
+        rng = substream(seed, TAG_DUFRESNE, chunk)
+        alive = np.arange(start, min(start + DUFRESNE_CHUNK, n_paths))
+        done = 0
+        while alive.size and done < k:
+            nb = min(DUFRESNE_BLOCK, k - done)
+            half_t = 0.5 * dt * np.arange(done + 1, done + nb)
+            for rows in np.split(alive, range(DUFRESNE_ROWS, alive.size, DUFRESNE_ROWS)):
+                seg = rng.standard_normal((rows.size, DUFRESNE_BLOCK))[:, :nb]
+                np.multiply(seg, sq, out=seg)
+                np.cumsum(seg, axis=1, out=seg)
+                b0 = b[rows]
+                seg += b0[:, None]   # B at the steps done + 1 .. done + nb
+                b[rows] = seg[:, -1]
+                # left-point integrand exp(B_s - s/2): B at step done, then seg but its last column
+                inner = seg[:, :-1]
+                inner -= half_t
+                np.exp(inner, out=inner)
+                x[rows] += (np.exp(b0 - 0.5 * done * dt) + inner.sum(axis=1)) * dt
+            alive = alive[x[alive] < 1.0]
+            done += nb
+    return x, b
 
 
 HITTING_MAX_TIME = 400.0   # hitting paths unresolved by this time are censored
 HITTING_BLOCK = 4000       # grid steps drawn at once for every path still active
 
 
-def hitting_paths(barrier: int, n_paths: int, grid: TimeGrid, rng: np.random.Generator) -> HittingPaths:
-    """Exit of W from (-1, barrier), simulated in blocks of HITTING_BLOCK
-    steps over the active set.
+def hitting_paths(barrier: int, n_paths: int, dt: float, rng: np.random.Generator) -> HittingPaths:
+    """Exit of W from (-1, barrier) on a dt-grid, simulated in blocks of
+    HITTING_BLOCK steps over the active set.
 
-    The grid supplies dt; paths run until absorption or HITTING_MAX_TIME
-    (censoring flagged, never silently dropped). First passage on a grid
-    carries the usual O(sqrt(dt)) overshoot bias, which the callers widen
-    tolerances for.
+    Paths run until absorption or HITTING_MAX_TIME (censoring flagged, never
+    silently dropped). First passage on a grid carries the usual
+    O(sqrt(dt)) overshoot bias, which the callers widen tolerances for.
     """
-    dt = grid.dt
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     sq = np.sqrt(dt)
     x = np.zeros(n_paths)
     alive = np.arange(n_paths)

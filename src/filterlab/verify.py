@@ -21,7 +21,7 @@ from . import girsanov
 from .filters import FilterConfig, init_cloud, run_filter, step
 from .girsanov import Estimate, mean_se
 from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction, phi_coord, phi_quad
-from .rng import (TAG_CHANGE_FILTER, TAG_DUFRESNE, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
+from .rng import (TAG_CHANGE_FILTER, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
                   TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
 from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
 
@@ -404,24 +404,34 @@ def change_detection_agreement_run(
 # ---------------------------------------------------------------------------
 
 DUFRESNE_TARGET = math.exp(-2.0)
-# at a shorter horizon the truncation allowance exp(-horizon / 2) reaches 0.01
-# and widens the dufresne check's band until any estimate passes
+# at a shorter horizon the closed-form tail, not the simulated integral,
+# carries more of the dufresne estimate (its truncation correction is about
+# 0.009 here, 0.0008 at the default horizon 20), so the check would test
+# Dufresne's law against itself
 DUFRESNE_MIN_HORIZON = 2.0 * math.log(100.0)
 
 
 def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, float, float]:
-    """P(X_1 < 1) for X_1 = int_0^inf exp(B_s - s/2) ds, truncated at the
-    grid horizon; the target is exp(-2).
+    """P(X < 1) for X = int_0^inf exp(B_s - s/2) ds; by Dufresne's identity
+    X = 2 / G with G ~ Exp(1), so the target is exp(-2).
 
-    Returns (estimate, target, truncation allowance). The integrand's
-    conditional mean decays like exp(-s/2), so the allowance is
-    exp(-horizon / 2); a tiny horizon shows as a huge allowance.
+    The paths of dufresne_paths run to the grid horizon T, each stopping
+    once its integral reaches 1. After T, X - X_T = exp(B_T - T/2) X' with X'
+    an independent copy of X (strong Markov property), so
+    P(X < 1 | F_T) = 1{X_T < 1} exp(-2 exp(B_T - T/2) / (1 - X_T)). The
+    estimate averages this exact conditional tail, evaluated only where
+    X_T < 1, and needs no truncation allowance.
+
+    Returns (estimate, target, truncation correction), the correction being
+    the mean of 1{X_T < 1} minus the estimate: what truncating at T would
+    have added.
     """
-    rng = substream(seed, TAG_DUFRESNE)
-    below = dufresne_paths(n_paths, grid, rng) < 1.0
-    est = mean_se(below.astype(float))
-    allowance = math.exp(-grid.horizon / 2.0)
-    return est, DUFRESNE_TARGET, allowance
+    x, b = dufresne_paths(n_paths, grid, seed)
+    below = x < 1.0
+    tail = np.zeros(n_paths)
+    tail[below] = np.exp(-2.0 * np.exp(b[below] - 0.5 * grid.horizon) / (1.0 - x[below]))
+    est = mean_se(tail)
+    return est, DUFRESNE_TARGET, float(below.mean()) - est.value
 
 
 # the N at which the divergent series sum_{n <= N} n/(n+1)^2 is reported
@@ -438,11 +448,10 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     growing N together with their log-growth rate, which approaches 1
     per ln N for the divergent series.
     """
-    grid = TimeGrid(horizon=dt * 8, dt=dt)   # hitting paths run to absorption, not to a horizon
     rows = []
     for i, barrier in enumerate(n_list):
         rng = substream(seed, TAG_HITTING, i)
-        paths = hitting_paths(barrier, n_paths, grid, rng)
+        paths = hitting_paths(barrier, n_paths, dt, rng)
         resolved = paths.resolved
         est = mean_se(paths.hit_low[resolved].astype(float))
         ref = barrier / (barrier + 1.0)

@@ -9,7 +9,8 @@ import pytest
 
 from filterlab.girsanov import ensemble_revuz_yor
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
-from filterlab.rng import substream
+from filterlab import simulate
+from filterlab.rng import TAG_DUFRESNE, substream
 from filterlab.simulate import (
     SimulationBlowUp,
     TimeGrid,
@@ -252,17 +253,86 @@ class TestCounterexamplePaths:
         assert ens.z.mean.shape == (51,) and ens.log_z_t.shape == (100,)
 
     def test_hitting_exit_probability_coarse(self):
-        grid = TimeGrid(0.01, 0.001)
-        paths = hitting_paths(1, 4000, grid, substream(2))
+        paths = hitting_paths(1, 4000, 0.001, substream(2))
         p = paths.hit_low[paths.resolved].mean()
         se = np.sqrt(p * (1 - p) / paths.resolved.sum())
         assert abs(p - 0.5) < 5 * se
 
     def test_dufresne_monotone_in_horizon(self):
-        # the truncated integral grows with the horizon, so P(X < 1) shrinks
-        short = dufresne_paths(2000, TimeGrid(2.0, 0.01), substream(3))
-        extended = dufresne_paths(2000, TimeGrid(8.0, 0.01), substream(3))
-        assert (short < 1.0).mean() >= (extended < 1.0).mean()
+        # a path's draws do not depend on the horizon and its integral only grows,
+        # so a path below 1 at the long horizon was below it, and lower, at the short one
+        short, _ = dufresne_paths(2000, TimeGrid(2.0, 0.01), 3)
+        extended, _ = dufresne_paths(2000, TimeGrid(15.0, 0.01), 3)
+        below = extended < 1.0
+        assert below.any() and (short < 1.0).sum() > below.sum()
+        assert np.all(short[below] <= extended[below])
+
+
+class RecordedStream:
+    """A generator that keeps a copy of every block of normals drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, []
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        self.blocks.append(out.copy())
+        return out
+
+
+def record_streams(monkeypatch) -> dict:
+    """Make simulate.substream hand out RecordedStreams; returns them by key."""
+    streams = {}
+
+    def recorded(seed, *key):
+        streams[key] = RecordedStream(substream(seed, *key))
+        return streams[key]
+
+    monkeypatch.setattr(simulate, "substream", recorded)
+    return streams
+
+
+def dufresne_per_step(draws, n_paths, grid):
+    """(X_T, B_T, decided) of one chunk, stepped one grid step at a time over
+    its recorded normals, read as one (undecided, DUFRESNE_BLOCK) array per
+    block: a path drops once its integral reaches 1 at a block's end."""
+    normals = np.concatenate([draw.ravel() for draw in draws])
+    x, b = np.zeros(n_paths), np.zeros(n_paths)
+    alive = np.arange(n_paths)
+    step, t, used = 0, 0.0, 0
+    while alive.size and step < grid.n_steps:
+        block = normals[used:used + alive.size * simulate.DUFRESNE_BLOCK].reshape(alive.size, -1)
+        used += block.size
+        for j in range(min(simulate.DUFRESNE_BLOCK, grid.n_steps - step)):
+            x[alive] += np.exp(b[alive] - 0.5 * t) * grid.dt
+            b[alive] += block[:, j] * np.sqrt(grid.dt)
+            t += grid.dt
+            step += 1
+        alive = alive[x[alive] < 1.0]
+    assert used == normals.size
+    return x, b, x >= 1.0
+
+
+class TestDufresneKernel:
+    def test_matches_a_per_step_loop_over_the_same_blocks(self, monkeypatch):
+        # 2500 paths: two full chunks and a partial one; 2500 steps: two full blocks and a partial one
+        streams = record_streams(monkeypatch)
+        grid = TimeGrid(5.0, 0.002)
+        x, b = dufresne_paths(2500, grid, 7)
+        assert list(streams) == [(TAG_DUFRESNE, c) for c in range(3)]
+        sizes = [min(simulate.DUFRESNE_CHUNK, 2500 - start) for start in range(0, 2500, simulate.DUFRESNE_CHUNK)]
+        ref = [dufresne_per_step(stream.blocks, n, grid) for n, stream in zip(sizes, streams.values())]
+        ref_x, ref_b, decided = (np.concatenate(parts) for parts in zip(*ref))
+        assert np.array_equal(x >= 1.0, decided) and 0 < decided.sum() < 2500
+        np.testing.assert_allclose(x[~decided], ref_x[~decided], rtol=1e-12)
+        np.testing.assert_allclose(b[~decided], ref_b[~decided], rtol=1e-12)
+
+    def test_decided_paths_stop_drawing(self, monkeypatch):
+        streams = record_streams(monkeypatch)
+        grid = TimeGrid(20.0, 1e-3)
+        dufresne_paths(2000, grid, 1)
+        draws = sum(block.size for stream in streams.values() for block in stream.blocks)
+        assert 0 < draws < 2000 * grid.n_steps / 3
 
 
 class TestPathCsv:

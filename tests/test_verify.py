@@ -284,16 +284,17 @@ class TestResiduals:
 
 
 class TestScenarioChecks:
-    def test_dufresne_truncation_allowance_scales(self):
-        # a near-zero horizon degenerates to P(0 < 1) = 1 and a huge allowance
-        est, target, allowance = dufresne_check(400, TimeGrid(0.2, 1e-2), seed=3)
-        assert allowance == pytest.approx(math.exp(-0.1))
-        assert est.value > 0.9
+    def test_dufresne_exact_tail_carries_a_short_horizon(self):
+        # at a near-zero horizon nearly every path is still below 1: the indicator
+        # alone reads near 1, and the exact tail after the horizon brings it to e^-2
+        est, target, correction = dufresne_check(400, TimeGrid(0.2, 1e-2), seed=3)
+        assert abs(est.value - target) <= 3 * est.se
+        assert correction > 0.5
 
     def test_dufresne_estimate_converges_towards_target(self):
-        est, target, allowance = dufresne_check(3000, TimeGrid(12.0, 5e-3), seed=5)
+        est, target, correction = dufresne_check(3000, TimeGrid(12.0, 5e-3), seed=5)
         assert target == pytest.approx(math.exp(-2.0))
-        assert abs(est.value - target) < 3 * est.se + allowance + 0.01
+        assert abs(est.value - target) < 3 * est.se + 0.01
 
     def test_revuz_yor_energy_both_representations(self):
         # each row's tolerance is 3 SE of its estimate
