@@ -7,7 +7,7 @@ exponential-martingale criteria against exact oracles and closed forms.
 
 from .filters import FilterCollapse, FilterConfig, ParticleCloud, ess, init_cloud, pi_estimate, rho_estimate, run_filter, step
 from .girsanov import DiagnosticsReport, Estimate, GirsanovEnsemble
-from .models import LevySpec, ModelError, SignalModel, TestFunction, make_model, phi_battery
+from .models import Battery, LevySpec, ModelError, SignalModel, make_model
 from .simulate import (
     PathBundle,
     SimulationBlowUp,

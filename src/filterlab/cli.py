@@ -27,7 +27,7 @@ import numpy as np
 
 from . import girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
-from .models import SignalModel, change_detection_rate, make_model, phi_battery, phi_by_label
+from .models import Battery, SignalModel, change_detection_rate, change_indicator, make_model
 from .parallel import map_ordered
 from .rng import TAG_PATH, substream
 from .simulate import FLOAT_FMT, SimulationBlowUp, TimeGrid, jumps_to_csv, path_to_csv, simulate_pair
@@ -87,11 +87,12 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     (a list to a tuple of the default's element type; a bool takes only
     JSON true or false, an int only an integral number). An unknown key, a
     value that does not coerce, a value that fn could not use (an unknown
-    model, scenario, test-function label or representation, a dt <= 0 or a
-    time that dt does not divide, a filter setting FilterConfig refuses, a
-    count below COUNT_MINIMUMS), a change-detection key given to another
-    scenario, or a dufresne check horizon of at most DUFRESNE_MIN_HORIZON
-    raises ConfigError naming `where.key`."""
+    model, scenario, test-function label (or one named twice) or
+    representation, a dt <= 0 or a time that dt does not divide, a filter
+    setting FilterConfig refuses, a count below COUNT_MINIMUMS), a
+    change-detection key given to another scenario, or a dufresne check
+    horizon of at most DUFRESNE_MIN_HORIZON raises ConfigError naming
+    `where.key`."""
     defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY}
     _reject_unknown(block, defaults, where)
     kwargs = {}
@@ -115,7 +116,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     # build what the params name, as fn would, so that a bad value fails before any check runs
     builds = {
         "model": lambda: make_model(params["model"]),
-        "phis": lambda: [phi_by_label(lab, make_model(params["model"]).dim_x) for lab in params["phis"]],
+        "phis": lambda: Battery(params["phis"], make_model(params["model"]).dim_x),
         "scenario": lambda: params["scenario"] in ensembles or make_model(params["scenario"]),
         "representation": lambda: _one_of(params["representation"], REPRESENTATIONS),
         "dt": lambda: grid(0.0),
@@ -246,14 +247,16 @@ def _residual_task(payload: tuple):
     """One block of residual runs: payload (model name, test-function labels, grid, config, run indices)."""
     name, labels, grid, config, indices = payload
     model = make_model(name)
-    return verify.residual_run(model, [phi_by_label(lab, model.dim_x) for lab in labels], grid, config, indices)
+    return verify.residual_run(model, Battery(tuple(labels), model.dim_x), grid, config, indices)
 
 
-def residual_runs(params: tuple, n_runs: int, workers: int) -> list:
+def residual_runs(params: tuple, n_runs: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """Runs 0 .. n_runs - 1 of _residual_task's payload `params` (all but the
-    run indices), mapped over workers in blocks of RESIDUAL_BLOCK, in run order."""
+    run indices), mapped over workers in blocks of RESIDUAL_BLOCK: the Zakai
+    and KS residuals of residual_run, (n_runs, K, K_steps + 1) in run order."""
     payloads = [params + (tuple(range(i, min(i + RESIDUAL_BLOCK, n_runs))),) for i in range(0, n_runs, RESIDUAL_BLOCK)]
-    return [run for block in map_ordered(_residual_task, payloads, workers) for run in block]
+    zakai, ks = zip(*map_ordered(_residual_task, payloads, workers))
+    return np.concatenate(zakai), np.concatenate(ks)
 
 
 def _agreement_task(payload: tuple):
@@ -501,7 +504,7 @@ def check_kalman_ablation(seed: int, workers: int, *, model="correlated_linear",
     return _kalman_check(seed, workers, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance, True)
 
 
-RESIDUAL_PHIS = ("1", "x", "x^2", "tanh(x)")
+RESIDUAL_PHIS = Battery.default(1).labels
 
 
 def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: int, n_particles: int, dt: float,
@@ -510,7 +513,7 @@ def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: in
     config = FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed,
                           ignore_correlation=ablate)
     runs = _once(residual_runs, (model, phis, grid, config), n_runs, workers=workers)
-    zak_stats, ks_stats = verify.equation_residuals(runs)
+    zak_stats, ks_stats = verify.equation_residuals(phis, *runs)
     stats = zak_stats if which == "zakai" else ks_stats
     out = []
     for lab in phis:
@@ -665,11 +668,8 @@ def cmd_filter(cfg: dict, out: Path, workers: int = 1) -> int:
     model, name, _ = parse_model(cfg)
     config = filter_config(seed, **keyword_params(filter_config, cfg.get("filter", {}), "filter"))
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
-    phis = phi_battery(model.dim_x)
-    functionals = {}
-    if name == "change_detection":
-        functionals["prob_change"] = lambda states, t: (states[:, 1] <= t).astype(float)
-    run = run_filter(model, bundle.y, grid, config, phis=phis, time_functionals=functionals)
+    functionals = {"prob_change": change_indicator} if name == "change_detection" else {}
+    run = run_filter(model, bundle.y, grid, config, battery=Battery.default(model.dim_x), time_functionals=functionals)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     labels = list(run.pi.keys())

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .models import SignalModel, TestFunction
+from .models import Battery, SignalModel
 from .rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, substream
 from .simulate import TimeGrid, euler_step, fresh_increments, propagate_under_reference
 
@@ -192,27 +192,26 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Par
     return new
 
 
-def _values(cloud: ParticleCloud, phi: TestFunction | Array) -> Array:
-    """phi on the cloud's particles, shape (R, N)."""
-    vals = phi if isinstance(phi, np.ndarray) else phi.value(cloud.states)
-    if not np.all(np.isfinite(vals)):
+def _values(cloud: ParticleCloud, values: Array) -> Array:
+    """Per-particle values of one test function on the cloud's particles, as (R, N)."""
+    if not np.all(np.isfinite(values)):
         raise ValueError("test function is non-finite on the cloud")
-    return np.reshape(vals, cloud.log_weights.shape)
+    return np.reshape(values, cloud.log_weights.shape)
 
 
-def rho_estimate(cloud: ParticleCloud, phi: TestFunction | Array) -> Array:
+def rho_estimate(cloud: ParticleCloud, values: Array) -> Array:
     """Unnormalised estimate rho_t(phi) = exp(log_mass) * mean(w_i phi(x_i)) of each run."""
     weights = cloud.weights
-    vals = _values(cloud, phi)
+    vals = _values(cloud, values)
     return np.exp(cloud.log_mass + weights.shift) * np.mean(weights.w * vals, axis=-1)
 
 
-def pi_estimate(cloud: ParticleCloud, phi: TestFunction | Array) -> Array:
+def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:
     """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1) of each run;
     invariant under any common shift of a run's log-weights, and exactly 1
     for phi == 1 because numerator and denominator are then the same reduction."""
     weights = cloud.weights
-    return np.sum(weights.w * _values(cloud, phi), axis=-1) / weights.total
+    return np.sum(weights.w * _values(cloud, values), axis=-1) / weights.total
 
 
 @dataclass
@@ -229,15 +228,16 @@ def run_filter(
     y_path: Array,
     grid: TimeGrid,
     config: FilterConfig,
-    phis: Sequence[TestFunction] = (),
+    battery: Optional[Battery] = None,
     time_functionals: Optional[Mapping[str, Callable[[Array, float], Array]]] = None,
 ) -> FilterRun:
     """Run the filter along one observation path and summarise it: the block
     of one run, with one generator per role.
 
-    `phis` are evaluated as pi_t(phi) at every grid time; `time_functionals`
-    map (states, t) to per-particle values for summaries that need the clock,
-    e.g. the change-detection posterior P(T <= t | Y).
+    The battery's test functions are evaluated as pi_t(phi) at every grid
+    time, as one matrix; `time_functionals` map (states, t) to per-particle
+    values for summaries that need the clock, e.g. the change-detection
+    posterior P(T <= t | Y).
     """
     y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
     if y_path.shape[0] != grid.n_steps + 1:
@@ -247,21 +247,20 @@ def run_filter(
     rngs_prop = [substream(config.seed, TAG_PROPAGATE)]
     rngs_res = [substream(config.seed, TAG_RESAMPLE)]
     n_steps = grid.n_steps
-    labels = [phi.label for phi in phis]
+    battery = battery or Battery((), model.dim_x)
     time_functionals = dict(time_functionals or {})
-    pi_traj: dict[str, Array] = {lab: np.zeros(n_steps + 1) for lab in labels}
-    for lab in time_functionals:
-        pi_traj[lab] = np.zeros(n_steps + 1)
+    labels = battery.labels + tuple(time_functionals)
+    pi_traj = np.zeros((len(labels), n_steps + 1))
     rho_one = np.zeros(n_steps + 1)
     ess_traj = np.zeros(n_steps + 1)
     resampled = np.zeros(n_steps, dtype=bool)
 
     def record(k: int):
         t = k * grid.dt
-        for phi in phis:
-            pi_traj[phi.label][k] = pi_estimate(cloud, phi)[0]
-        for lab, fn in time_functionals.items():
-            pi_traj[lab][k] = pi_estimate(cloud, np.asarray(fn(cloud.states, t), dtype=float))[0]
+        rows = list(battery.values(cloud.states)) + [fn(cloud.states, t) for fn in time_functionals.values()]
+        # row by row: at 10^4 particles a stacked (K, N) product costs more in
+        # allocation than one reduction call per row saves
+        pi_traj[:, k] = [pi_estimate(cloud, row)[0] for row in rows]
         rho_one[k] = rho_estimate(cloud, np.ones(cloud.n))[0]
         ess_traj[k] = ess(cloud)[0]
 
@@ -273,7 +272,7 @@ def run_filter(
         record(k + 1)
     return FilterRun(
         times=grid.times(),
-        pi=pi_traj,
+        pi=dict(zip(labels, pi_traj)),
         rho_one=rho_one,
         ess=ess_traj,
         resampled=resampled,

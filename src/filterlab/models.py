@@ -171,136 +171,7 @@ def const_coeff(matrix) -> ConstCoeff:
 
 
 # ---------------------------------------------------------------------------
-# Test functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Scalar function of the state x with analytic derivatives.
-
-    All callables are batched over the n states: value -> (n,),
-    grad_x -> (n, d), hess_x -> (n, d, d). Derivatives are analytic by
-    contract; the tests compare them with central finite differences.
-    """
-
-    label: str
-    value: Callable[[Array], Array]
-    grad_x: Callable[[Array], Array]
-    hess_x: Callable[[Array], Array]
-
-
-def _batch(x: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    return x[None, :] if x.ndim == 1 else x
-
-
-def phi_const(d: int = 1) -> TestFunction:
-    """phi(x) = 1."""
-    return TestFunction(
-        label="1",
-        value=lambda x: np.full(x.shape[0], 1.0),
-        grad_x=lambda x: np.zeros((x.shape[0], d)),
-        hess_x=lambda x: np.zeros((x.shape[0], d, d)),
-    )
-
-
-def phi_coord(i: int = 0, d: int = 1) -> TestFunction:
-    """phi(x) = x_i."""
-
-    def grad(x):
-        g = np.zeros((x.shape[0], d))
-        g[:, i] = 1.0
-        return g
-
-    return TestFunction(
-        label=f"x{i}" if d > 1 else "x",
-        value=lambda x: x[:, i],
-        grad_x=grad,
-        hess_x=lambda x: np.zeros((x.shape[0], d, d)),
-    )
-
-
-def phi_quad(i: int = 0, j: int = 0, d: int = 1) -> TestFunction:
-    """phi(x) = x_i * x_j."""
-
-    def grad(x):
-        g = np.zeros((x.shape[0], d))
-        g[:, i] += x[:, j]
-        g[:, j] += x[:, i]
-        return g
-
-    def hess(x):
-        hmat = np.zeros((x.shape[0], d, d))
-        hmat[:, i, j] += 1.0
-        hmat[:, j, i] += 1.0
-        return hmat
-
-    label = f"x{i}*x{j}" if d > 1 else ("x^2" if i == j else f"x{i}*x{j}")
-    return TestFunction(label=label, value=lambda x: x[:, i] * x[:, j], grad_x=grad, hess_x=hess)
-
-
-def phi_tanh(i: int = 0, d: int = 1) -> TestFunction:
-    """phi(x) = tanh(x_i)."""
-
-    def grad(x):
-        g = np.zeros((x.shape[0], d))
-        g[:, i] = 1.0 / np.cosh(x[:, i]) ** 2
-        return g
-
-    def hess(x):
-        hmat = np.zeros((x.shape[0], d, d))
-        t = np.tanh(x[:, i])
-        hmat[:, i, i] = -2.0 * t * (1.0 - t * t)
-        return hmat
-
-    return TestFunction(
-        label=f"tanh(x{i})" if d > 1 else "tanh(x)",
-        value=lambda x: np.tanh(x[:, i]),
-        grad_x=grad,
-        hess_x=hess,
-    )
-
-
-def phi_battery(d: int = 1) -> list[TestFunction]:
-    """The default battery {1, x_i, x_i x_j, tanh(x_i)}."""
-    phis = [phi_const(d)]
-    phis += [phi_coord(i, d) for i in range(d)]
-    phis += [phi_quad(i, j, d) for i in range(d) for j in range(i, d)]
-    phis += [phi_tanh(i, d) for i in range(d)]
-    return phis
-
-
-def phi_by_label(label: str, d: int = 1) -> TestFunction:
-    """Rebuild a battery member from its label (worker processes cannot
-    unpickle the closures, so they reconstruct by name)."""
-
-    def coord(text: str) -> int:
-        i = int(text)
-        if not 0 <= i < d:
-            raise ModelError(f"test-function label {label!r} names coordinate {i} of a {d}-dimensional state")
-        return i
-
-    if label == "1":
-        return phi_const(d)
-    if label == "x":
-        return phi_coord(0, d)
-    if label == "x^2":
-        return phi_quad(0, 0, d)
-    if label == "tanh(x)":
-        return phi_tanh(0, d)
-    if label.startswith("tanh(x") and label.endswith(")"):
-        return phi_tanh(coord(label[6:-1]), d)
-    if "*" in label:
-        left, right = label.split("*")
-        return phi_quad(coord(left[1:]), coord(right[1:]), d)
-    if label.startswith("x"):
-        return phi_coord(coord(label[1:]), d)
-    raise ModelError(f"unknown test-function label {label!r}")
-
-
-# ---------------------------------------------------------------------------
-# Generator and correlation operators
+# Test functions and the operators of the filtering equations
 # ---------------------------------------------------------------------------
 
 
@@ -313,7 +184,7 @@ class StepCoefficients:
 
     def __init__(self, model: SignalModel, states: Array, y: Array, t: float = 0.0):
         self.model = model
-        self.x = _batch(states)
+        self.x = np.atleast_2d(np.asarray(states, dtype=float))
         self.y = np.asarray(y, dtype=float)
         self.t = t
 
@@ -340,57 +211,112 @@ class StepCoefficients:
         return [(lam, stil @ eta) for eta, lam in zip(self.model.levy.locs, self.model.levy.rates)]
 
 
-class PhiAtStep:
-    """One test function on the states of a StepCoefficients: its value and
-    gradients, each evaluated at most once, and the operators
+def _label_terms(d: int) -> dict[str, tuple[str, int, int]]:
+    """The default battery on R^d in its order: label -> (kind, i, j)."""
+    x = (lambda i: "x") if d == 1 else (lambda i: f"x{i}")
+    terms = {"1": ("1", 0, 0)}
+    terms.update({x(i): ("x", i, i) for i in range(d)})
+    terms.update({"x^2" if d == 1 else f"x{i}*x{j}": ("xx", i, j) for i in range(d) for j in range(i, d)})
+    terms.update({f"tanh({x(i)})": ("tanh", i, i) for i in range(d)})
+    return terms
 
-      A phi = f~ . grad_x phi
-            + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
-            + int [phi(x + sigma_tilde(x) eta) - phi - grad_x phi . sigma_tilde(x) eta] F(deta),
-      B^j phi = (sigma_bar^T grad_x phi)_j,
-      D_j phi = h^j phi + B^j phi.
+
+@dataclass(frozen=True)
+class Battery:
+    """An ordered selection of the test functions {1, x_i, x_i x_j (i <= j),
+    tanh(x_i)} on R^d, evaluated as one matrix: values (K, n), gradients
+    (K, n, d) and Hessians (K, n, d, d) for K labels on (n, d) states.
+
+    The labels are those of Battery.default(d), each at most once: "1", "x",
+    "x^2" and "tanh(x)" when d = 1; "1", "x<i>", "x<i>*x<j>" with i <= j and
+    "tanh(x<i>)", coordinates counted from 0, otherwise. Derivatives are
+    analytic; the tests compare them with central finite differences.
     """
 
-    def __init__(self, phi: TestFunction, coeffs: StepCoefficients):
-        self.phi = phi
-        self.c = coeffs
+    labels: tuple[str, ...]
+    d: int
+
+    def __post_init__(self):
+        known = _label_terms(self.d)
+        for pos, label in enumerate(self.labels):
+            if label not in known:
+                raise ModelError(f"unknown test-function label {label!r}; a {self.d}-dimensional state takes "
+                                 f"{', '.join(known)}")
+            if label in self.labels[:pos]:
+                raise ModelError(f"test-function label {label!r} is given twice")
+
+    @classmethod
+    def default(cls, d: int) -> "Battery":
+        return cls(tuple(_label_terms(d)), d)
 
     @cached_property
-    def value(self) -> Array:
-        return self.phi.value(self.c.x)
+    def _terms(self) -> list[tuple[str, int, int]]:
+        """(kind, i, j) of each column; the kinds are 1, x, xx and tanh."""
+        return [_label_terms(self.d)[label] for label in self.labels]
 
-    @cached_property
-    def grad(self) -> Array:
-        return self.phi.grad_x(self.c.x)
-
-    def jump(self, disp: Array) -> Array:
-        """phi(x + disp) - phi(x) - grad_x phi . disp, the jump integrand of A phi."""
-        return self.phi.value(self.c.x + disp) - self.value - np.einsum("ni,ni->n", self.grad, disp)
-
-    def generator(self) -> Array:
-        """A phi, shape (n,); the jump expectation is an exact sum over the
-        atoms of the Levy measure."""
-        c, phi, model = self.c, self.phi, self.c.model
-        out = np.einsum("ni,ni->n", c.f_tilde, self.grad)
-        out = out + 0.5 * np.einsum("nij,nij->n", c.diffusion, phi.hess_x(c.x))
-        if model.has_jumps and model.levy.jump_rate > 0:
-            jump = np.zeros(c.x.shape[0])
-            for lam, disp in c.jumps:
-                jump += lam * self.jump(disp)
-            out = out + jump
-        if not np.all(np.isfinite(out)):
-            raise ModelError(f"generator of {phi.label!r} is non-finite")
+    def values(self, x: Array) -> Array:
+        out = np.empty((len(self.labels), x.shape[0]))
+        for row, (kind, i, j) in zip(out, self._terms):
+            if kind == "1":
+                row[...] = 1.0
+            elif kind == "x":
+                row[...] = x[:, i]
+            elif kind == "xx":
+                np.multiply(x[:, i], x[:, j], out=row)
+            else:
+                np.tanh(x[:, i], out=row)
         return out
 
-    @cached_property
-    def correlation(self) -> Array:
-        """All m correlation terms B^j phi, shape (n, m)."""
-        return np.einsum("nim,ni->nm", self.c.sigma_bar, self.grad)
+    def gradients(self, x: Array) -> Array:
+        out = np.zeros((len(self.labels),) + x.shape)
+        for g, (kind, i, j) in zip(out, self._terms):
+            if kind == "x":
+                g[:, i] = 1.0
+            elif kind == "xx":
+                g[:, i] += x[:, j]
+                g[:, j] += x[:, i]
+            elif kind == "tanh":
+                g[:, i] = 1.0 / np.cosh(x[:, i]) ** 2
+        return out
 
-    def dphi(self) -> Array:
-        """All m terms D_j phi, shape (n, m): the integrand of the dY term in
-        the unnormalised filtering equation (h multiplies phi only)."""
-        return self.c.h * self.value[:, None] + self.correlation
+    def hessians(self, x: Array) -> Array:
+        out = np.zeros((len(self.labels),) + x.shape + (self.d,))
+        for hess, (kind, i, j) in zip(out, self._terms):
+            if kind == "xx":
+                hess[:, i, j] += 1.0
+                hess[:, j, i] += 1.0
+            elif kind == "tanh":
+                t = np.tanh(x[:, i])
+                hess[:, i, i] = -2.0 * t * (1.0 - t * t)
+        return out
+
+    def operators(self, c: StepCoefficients, values: Array) -> tuple[Array, Array, Array]:
+        """A phi (K, n), B^j phi (K, n, m) and D_j phi (K, n, m) of every
+        column on the states of c, whose values are `values`:
+
+          A phi = f~ . grad_x phi
+                + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
+                + int [phi(x + sigma_tilde(x) eta) - phi - grad_x phi . sigma_tilde(x) eta] F(deta),
+          B^j phi = (sigma_bar^T grad_x phi)_j,
+          D_j phi = h^j phi + B^j phi,
+
+        the jump expectation an exact sum over the atoms of the Levy measure
+        and D the integrand of the dY term of the unnormalised equation.
+        """
+        grad = self.gradients(c.x)
+        gen = np.einsum("ni,kni->kn", c.f_tilde, grad)
+        gen = gen + 0.5 * np.einsum("nij,knij->kn", c.diffusion, self.hessians(c.x))
+        if c.model.has_jumps and c.model.levy.jump_rate > 0:
+            jump = np.zeros(gen.shape)
+            for lam, disp in c.jumps:
+                jump += lam * (self.values(c.x + disp) - values - np.einsum("kni,ni->kn", grad, disp))
+            gen = gen + jump
+        finite = np.isfinite(gen).all(axis=1)
+        if not finite.all():
+            bad = [label for label, ok in zip(self.labels, finite) if not ok]
+            raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")
+        corr = np.einsum("nim,kni->knm", c.sigma_bar, grad)
+        return gen, corr, c.h * values[..., None] + corr
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +388,6 @@ def _linear_gronwall_rate(a_x, sigma_v, sigma_bar, h_scale, sigma_tilde, levy) -
     return max(2 * abs(a_x), const, h_scale**2, 4 * sigma_bar**2)
 
 
-def jump_ou_model() -> SignalModel:
-    """Mean-reverting scalar signal with two-sided compound-Poisson jumps."""
-    levy = levy_atoms([[-0.5], [0.5]], [1.0, 1.0])
-    return linear_model(
-        name="jump_ou",
-        a_x=-1.0,
-        sigma_v=0.5,
-        sigma_bar=0.0,
-        h_scale=1.0,
-        x0_mean=0.0,
-        x0_var=0.25,
-        levy=levy,
-        sigma_tilde=1.0,
-    )
-
-
 @dataclass(frozen=True)
 class ChangePrior:
     """Discrete priors of the change-detection problem, for its grid-Bayes oracle."""
@@ -540,30 +450,30 @@ def change_detection_model(
     )
 
 
+def change_indicator(states: Array, t: float) -> Array:
+    """1{T <= t} on change-detection states (b, tau); its posterior mean is P(T <= t | Y)."""
+    return (states[:, 1] <= t).astype(float)
+
+
 def change_detection_rate(b0: float, b: float) -> float:
     """Gronwall rate c(b) = 4 + (b0 + b)^2 of the change-detection problem."""
     return 4.0 + (b0 + b) ** 2
 
 
-BUILTIN_MODELS: dict[str, Callable[[], SignalModel]] = {
-    "linear_gaussian": lambda: linear_model("linear_gaussian"),
-    "correlated_linear": lambda: linear_model("correlated_linear", sigma_bar=0.5),
-    "jump_ou": jump_ou_model,
-    "change_detection": change_detection_model,
-}
-
-
 def make_model(name: str, **overrides) -> SignalModel:
-    if name in BUILTIN_MODELS and not overrides:
-        return BUILTIN_MODELS[name]()
-    if name in ("linear", "linear_gaussian", "correlated_linear"):
-        defaults = {"name": name}
-        if name == "correlated_linear":
-            defaults["sigma_bar"] = 0.5
-        defaults.update(overrides)
-        return linear_model(**defaults)
+    """The built-in model `name` with its defaults, each of which a keyword
+    override replaces; jump_ou takes none. "linear" is the linear_gaussian
+    family under its own name."""
+    if name in ("linear", "linear_gaussian"):
+        return linear_model(name, **overrides)
+    if name == "correlated_linear":
+        return linear_model(name, **dict({"sigma_bar": 0.5}, **overrides))
     if name == "change_detection":
         return change_detection_model(**overrides)
     if name == "jump_ou":
-        raise ModelError(f"model 'jump_ou' takes no parameters; got {', '.join(map(repr, sorted(overrides)))}")
+        if overrides:
+            raise ModelError(f"model 'jump_ou' takes no parameters; got {', '.join(map(repr, sorted(overrides)))}")
+        # mean-reverting scalar signal with two-sided compound-Poisson jumps
+        return linear_model(name, sigma_v=0.5, x0_var=0.25, levy=levy_atoms([[-0.5], [0.5]], [1.0, 1.0]),
+                            sigma_tilde=1.0)
     raise ModelError(f"unknown model {name!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from . import girsanov
 from .filters import FilterConfig, init_cloud, run_filter, step
 from .girsanov import Estimate, mean_se
-from .models import PhiAtStep, SignalModel, StepCoefficients, TestFunction, phi_coord, phi_quad
+from .models import Battery, SignalModel, StepCoefficients, change_indicator
 from .rng import (TAG_CHANGE_FILTER, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
                   TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
 from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
@@ -185,9 +185,6 @@ class GridPosterior:
     posterior: Array            # normalised joint mass at the terminal time
     prob_change: Array          # trajectory of P(T <= t | Y) on the grid
 
-    def mass_total(self) -> float:
-        return float(self.posterior.sum())
-
 
 def change_detection_oracle(
     b_values: Array,
@@ -263,15 +260,18 @@ class ResidualStats:
 
 def residual_run(
     model: SignalModel,
-    phis: Sequence[TestFunction],
+    battery: Battery,
     grid: TimeGrid,
     config: FilterConfig,
     run_indices: Sequence[int],
-) -> list[tuple[dict[str, Array], dict[str, Array]]]:
-    """A block of (data, filter) pairs stepped as one cloud; returns each run's
-    per-phi Zakai and KS residual trajectories, in the order of run_indices.
-    Run i draws only from its own generators, one per role keyed by
-    (config.seed, role, i), so its result does not depend on the block."""
+) -> tuple[Array, Array]:
+    """A block of (data, filter) pairs stepped as one cloud; returns the Zakai
+    and KS residual trajectories of every run and test function, each
+    (R, K, K_steps + 1) with runs in the order of run_indices. Run i draws
+    only from its own generators, one per role keyed by (config.seed, role,
+    i), so its result does not depend on the block. Every per-particle array
+    is laid out (K, R, N, ...), so each reduction over particles runs along a
+    contiguous axis per (test function, run), as it would for one alone."""
     seed, n = config.seed, config.n_particles
     runs = tuple(run_indices)
     r = len(runs)
@@ -282,17 +282,14 @@ def residual_run(
     rngs_res = [substream(seed, TAG_RESAMPLE, i) for i in runs]
     dt = grid.dt
     k_steps = grid.n_steps
-    labels = [phi.label for phi in phis]
-    zak = {lab: np.zeros((r, k_steps + 1)) for lab in labels}
-    ks = {lab: np.zeros((r, k_steps + 1)) for lab in labels}
-    rho0: dict[str, Array] = {}
-    pi0: dict[str, Array] = {}
-    zak_int = {lab: np.zeros(r) for lab in labels}
-    ks_int = {lab: np.zeros(r) for lab in labels}
+    zak = np.zeros((r, len(battery.labels), k_steps + 1))
+    ks = np.zeros_like(zak)
+    zak_int = np.zeros((len(battery.labels), r))
+    ks_int = np.zeros_like(zak_int)
 
     def rows(values: Array) -> Array:
-        """Per-particle (R*N, ...) values as (R, N, ...)."""
-        return values.reshape((r, n) + values.shape[1:])
+        """Per-particle (K, R*N, ...) values of the K test functions as (K, R, N, ...)."""
+        return values.reshape(values.shape[:1] + (r, n) + values.shape[2:])
 
     for k in range(k_steps + 1):
         y_k = y_path[:, k]
@@ -301,42 +298,39 @@ def residual_run(
         w, sw = weights.w, weights.total
         mass = np.exp(cloud.log_mass + weights.shift)
         coeffs = StepCoefficients(model, cloud.states, np.repeat(y_k, n, axis=0), t)
-        h = rows(coeffs.h)
+        h = coeffs.h.reshape((r, n) + coeffs.h.shape[1:])
         pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
-        for phi in phis:
-            lab = phi.label
-            at = PhiAtStep(phi, coeffs)
-            vals = rows(at.value)
-            w_vals = np.sum(w * vals, axis=-1)
-            rho_phi = mass * w_vals / n
-            pi_phi = w_vals / sw
-            if k == 0:
-                rho0[lab] = rho_phi
-                pi0[lab] = pi_phi
-            zak[lab][:, k] = rho_phi - rho0[lab] - zak_int[lab]
-            ks[lab][:, k] = pi_phi - pi0[lab] - ks_int[lab]
-            if k == k_steps:
-                continue
-            dy = y_path[:, k + 1] - y_k
-            w_a = np.sum(w * rows(at.generator()), axis=-1)
-            rho_d = mass[:, None] * np.einsum("rn,rnm->rm", w, rows(at.dphi())) / n
-            zak_int[lab] += mass * w_a / n * dt + np.einsum("rm,rm->r", rho_d, dy)
-            # vals == 1 makes pi_phih the same reduction as pi_h, so the
-            # KS integrand cancels to exactly zero for the constant function
-            pi_phih = np.einsum("rn,rnm->rm", w, vals[..., None] * h) / sw[:, None]
-            integrand = pi_phih - pi_h * pi_phi[:, None] + np.einsum("rn,rnm->rm", w, rows(at.correlation)) / sw[:, None]
-            ks_int[lab] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
-        if k < k_steps:
-            cloud, _ = step(cloud, model, y_k, y_path[:, k + 1] - y_k, dt, rngs_prop, rngs_res, config)
-    return [({lab: zak[lab][i] for lab in labels}, {lab: ks[lab][i] for lab in labels}) for i in range(r)]
+        values = battery.values(coeffs.x)
+        vals = rows(values)
+        w_vals = np.sum(w * vals, axis=-1)
+        rho_phi = mass * w_vals / n
+        pi_phi = w_vals / sw
+        if k == 0:
+            rho0, pi0 = rho_phi, pi_phi
+        zak[..., k] = (rho_phi - rho0 - zak_int).T
+        ks[..., k] = (pi_phi - pi0 - ks_int).T
+        if k == k_steps:
+            break
+        gen, corr, dphi = (rows(v) for v in battery.operators(coeffs, values))
+        dy = y_path[:, k + 1] - y_k
+        w_a = np.sum(w * gen, axis=-1)
+        rho_d = mass[:, None] * np.einsum("rn,krnm->krm", w, dphi) / n
+        zak_int += mass * w_a / n * dt + np.einsum("krm,rm->kr", rho_d, dy)
+        # vals == 1 makes pi_phih the same reduction as pi_h, so the
+        # KS integrand cancels to exactly zero for the constant function
+        pi_phih = np.einsum("rn,krnm->krm", w, vals[..., None] * h) / sw[:, None]
+        integrand = pi_phih - pi_h * pi_phi[..., None] + np.einsum("rn,krnm->krm", w, corr) / sw[:, None]
+        ks_int += w_a / sw * dt + np.einsum("krm,rm->kr", integrand, dy - pi_h * dt)
+        cloud, _ = step(cloud, model, y_k, dy, dt, rngs_prop, rngs_res, config)
+    return zak, ks
 
 
 def equation_residuals(
-    runs: Sequence[tuple[dict[str, Array], dict[str, Array]]],
+    labels: Sequence[str], zakai: Array, ks: Array,
 ) -> tuple[dict[str, ResidualStats], dict[str, ResidualStats]]:
-    """Zakai and Kushner-Stratonovich residual statistics per test function
-    over the results of residual_run for independent (observation, filter)
-    pairs.
+    """Zakai and Kushner-Stratonovich residual statistics per test function,
+    reduced over the runs of residual_run's (R, K, K_steps + 1) arrays for
+    independent (observation, filter) pairs, keyed by the K labels.
 
     Residuals:
       Zakai: R_t = rho_t(phi) - rho_0(phi) - int rho_s(A phi) ds
@@ -346,15 +340,10 @@ def equation_residuals(
                                 (dY^j - pi(h^j) ds)
     with left-point integrands.
     """
-    n_runs = len(runs)
-    if n_runs < 2:
+    if zakai.shape[0] < 2:
         raise ValueError("need at least 2 runs")
-    stats: tuple[dict[str, ResidualStats], dict[str, ResidualStats]] = ({}, {})
-    for which, out in enumerate(stats):
-        for label in runs[0][which]:
-            r = np.array([run[which][label] for run in runs])
-            out[label] = ResidualStats(mean_residual=mean_se(r[:, -1]), trajectory=r.mean(axis=0))
-    return stats
+    return tuple({label: ResidualStats(mean_residual=mean_se(res[:, i, -1]), trajectory=res[:, i].mean(axis=0))
+                  for i, label in enumerate(labels)} for res in (zakai, ks))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +362,7 @@ def kalman_agreement_run(
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = kalman_oracle_for_model(model, bundle.y, grid)
     cfg = replace(config, seed=derive_seed(config.seed, TAG_KALMAN_FILTER, run_index))
-    run = run_filter(model, bundle.y, grid, cfg, phis=[phi_coord(0, 1), phi_quad(0, 0, 1)])
+    run = run_filter(model, bundle.y, grid, cfg, battery=Battery(("x", "x^2"), 1))
     m_pf = run.pi["x"][-1]
     v_pf = run.pi["x^2"][-1] - m_pf * m_pf
     return abs(m_pf - oracle.mean[-1, 0]), abs(v_pf - oracle.cov[-1, 0, 0])
@@ -392,10 +381,7 @@ def change_detection_agreement_run(
         prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid
     )
     cfg = replace(config, seed=derive_seed(config.seed, TAG_CHANGE_FILTER, run_index))
-    run = run_filter(
-        model, bundle.y, grid, cfg,
-        time_functionals={"prob_change": lambda states, t: (states[:, 1] <= t).astype(float)},
-    )
+    run = run_filter(model, bundle.y, grid, cfg, time_functionals={"prob_change": change_indicator})
     return float(np.max(np.abs(run.pi["prob_change"] - oracle.prob_change)))
 
 

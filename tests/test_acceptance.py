@@ -32,7 +32,7 @@ from filterlab.girsanov import (
     revuz_yor_transformed_estimates,
     zstar_bound,
 )
-from filterlab.models import make_model, phi_const
+from filterlab.models import Battery, make_model
 from filterlab.parallel import map_ordered
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid
@@ -224,7 +224,7 @@ RESID_DT = 2.5e-3
 def _residual_sweep(model_name: str):
     params = (model_name, RESID_LABELS, TimeGrid(1.0, RESID_DT),
               FilterConfig(n_particles=RESID_PARTICLES, resample_threshold=0.5, seed=SEED))
-    return equation_residuals(residual_runs(params, RESID_RUNS, WORKERS))
+    return equation_residuals(RESID_LABELS, *residual_runs(params, RESID_RUNS, WORKERS))
 
 
 def test_criterion_09_equation_residuals():
@@ -246,7 +246,7 @@ def test_criterion_09_equation_residuals():
     # ablation: correlation-blind filter violates the full KS identity
     abl_params = ("correlated_linear", ["x^2"], TimeGrid(1.0, 5e-3),
                   FilterConfig(n_particles=250, resample_threshold=0.5, seed=SEED, ignore_correlation=True))
-    _, abl_ks = equation_residuals(residual_runs(abl_params, 1600, WORKERS))
+    _, abl_ks = equation_residuals(["x^2"], *residual_runs(abl_params, 1600, WORKERS))
     abl_ratio = abl_ks["x^2"].ratio()
     ok &= abl_ratio > 3.0
     details.append(f"ablation ks/x^2: {abl_ratio:.2f}se (must exceed 3)")
@@ -266,7 +266,7 @@ def test_criterion_09b_zakai_mass_equation_reduction():
         model = make_model(name)
         grid = TimeGrid(1.0, RESID_DT)
         cfg = FilterConfig(n_particles=RESID_PARTICLES, seed=SEED)
-        zak, _ = residual_run(model, [phi_const(1)], grid, cfg, (0,))[0]
+        zak = residual_run(model, Battery(("1",), 1), grid, cfg, (0,))[0][0]
         # run 0's generators, one per role, drawn from in order
         bundle = simulate_pair(model, grid, substream(SEED, TAG_PATH, 0))
         cloud = init_cloud(model.initial_law, RESID_PARTICLES, [substream(SEED, TAG_INIT, 0)])
@@ -286,7 +286,7 @@ def test_criterion_09b_zakai_mass_equation_reduction():
             direct[k] = rho_one[k] - rho_one[0] - acc
             if k < grid.n_steps:
                 acc += rho_h[k] * (bundle.y[k + 1, 0] - bundle.y[k, 0])
-        gap = np.max(np.abs(zak["1"] - direct))
+        gap = np.max(np.abs(zak[0] - direct))
         scale = max(1.0, np.max(np.abs(direct)))
         ok &= gap <= 1e-12 * scale
         details.append(f"{name}: max gap {gap:.2e}")

@@ -387,6 +387,19 @@ STRICT_CASES = {
                   "diagnostics.params.zakai_residual.phis"),
     "phi_coordinate": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x", "x5"])}),
                        "diagnostics.params.zakai_residual.phis"),
+    # labels other than Battery.default(d)'s, and repeated ones, used to be renamed or written twice
+    "phi_x0_alias": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["1", "x0"])}),
+                             "diagnostics.params.zakai_residual.phis"),
+    "phi_tanh_alias": ("verify", verify_cfg({"ks_residual": dict(RESID, phis=["tanh(x0)"])}),
+                       "diagnostics.params.ks_residual.phis"),
+    "phi_square_alias": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x0*x0"])}),
+                         "diagnostics.params.zakai_residual.phis"),
+    "phi_space": ("verify", verify_cfg({"zakai_residual": dict(RESID, model="change_detection", phis=["x 1"])}),
+                  "diagnostics.params.zakai_residual.phis"),
+    "phi_plus": ("verify", verify_cfg({"ks_residual": dict(RESID, model="change_detection", phis=["x+1"])}),
+                 "diagnostics.params.ks_residual.phis"),
+    "phi_repeated": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x", "x"])}),
+                     "diagnostics.params.zakai_residual.phis"),
     "check_model": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, model="nope")}),
                     "diagnostics.params.kalman_agreement.model"),
     "scenario": ("verify", verify_cfg({"zstar_bound": dict(SMALL, scenario="nope")}),

@@ -21,14 +21,7 @@ from filterlab.filters import (
     step,
     systematic_resample,
 )
-from filterlab.models import (
-    linear_model,
-    make_model,
-    phi_battery,
-    phi_coord,
-    phi_const,
-    point_mass_initial,
-)
+from filterlab.models import Battery, change_indicator, linear_model, make_model, point_mass_initial
 from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
 from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
 from filterlab.verify import kalman_oracle_for_model
@@ -78,20 +71,20 @@ class TestInitCloud:
 class TestEstimates:
     def test_rho_one_at_time_zero(self):
         cloud = init_cloud(point_mass_initial([1.0]), 50, [substream(0)])
-        assert rho_estimate(cloud, phi_const(1)) == pytest.approx(1.0)
+        assert rho_estimate(cloud, np.ones(cloud.n)) == pytest.approx(1.0)
 
     def test_rho_linear_in_constant(self):
         cloud = make_cloud([0.5, 1.5, -0.3], [0.1, -0.2, 0.4])
         c = 3.7
         assert rho_estimate(cloud, np.full(cloud.n, c)) == pytest.approx(
-            c * rho_estimate(cloud, phi_const(1))
+            c * rho_estimate(cloud, np.ones(cloud.n))
         )
 
     @given(LOG_WEIGHTS, st.floats(-20, 20))
     @settings(max_examples=200, deadline=None)
     def test_pi_of_one_is_exactly_one(self, lws, log_mass):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
-        assert pi_estimate(cloud, phi_const(1)) == 1.0
+        assert pi_estimate(cloud, np.ones(cloud.n)) == 1.0
 
     def test_pi_invariant_under_exact_weight_shift(self):
         # dyadic weights + power-of-two shift keep float addition exact, so
@@ -101,8 +94,8 @@ class TestEstimates:
         base = ParticleCloud(states=states, log_weights=lw, log_mass=np.zeros(1), t=0.0)
         for shift in (1.0, -2.0, 16.0):
             moved = ParticleCloud(states=states, log_weights=lw + shift, log_mass=np.array([-shift]), t=0.0)
-            for phi in phi_battery(1):
-                assert pi_estimate(moved, phi) == pi_estimate(base, phi)
+            for values in Battery.default(1).values(states):
+                assert pi_estimate(moved, values) == pi_estimate(base, values)
 
     def test_pi_point_mass_static_model(self):
         # point-mass prior, zero dynamics, h = 0: pi_t(x) stays at the point
@@ -110,21 +103,16 @@ class TestEstimates:
         m = dataclasses.replace(m, initial_law=point_mass_initial([1.7]))
         grid = TimeGrid(0.2, 0.01)
         y_path = np.zeros((grid.n_steps + 1, 1))
-        run = run_filter(m, y_path, grid, FilterConfig(n_particles=64, seed=0), phis=[phi_coord(0, 1)])
+        run = run_filter(m, y_path, grid, FilterConfig(n_particles=64, seed=0), battery=Battery(("x",), 1))
         np.testing.assert_allclose(run.pi["x"], 1.7)
 
     def test_rho_rejects_nonfinite_phi(self):
         cloud = make_cloud([0.0, 1.0], [0.0, 0.0])
-        from filterlab.models import TestFunction
-
-        bad = TestFunction(
-            label="bad",
-            value=lambda x: np.where(x[:, 0] > 0.5, np.inf, 1.0),
-            grad_x=lambda x: np.zeros_like(x),
-            hess_x=lambda x: np.zeros((x.shape[0], 1, 1)),
-        )
+        bad = np.where(cloud.states[:, 0] > 0.5, np.inf, 1.0)
         with pytest.raises(ValueError):
             rho_estimate(cloud, bad)
+        with pytest.raises(ValueError):
+            pi_estimate(cloud, bad)
 
 
 class TestResampling:
@@ -162,15 +150,15 @@ class TestResampling:
         assert out.log_mass[1] == 0.0 and np.all(out.log_weights[[0, 2]] == 0.0)
         for name in ("w", "shift", "total"):   # the preset rows and the kept row equal a fresh computation
             assert getattr(out.weights, name).tobytes() == getattr(Weights(out.log_weights, step=0), name).tobytes()
-        np.testing.assert_allclose(rho_estimate(out, phi_const(1)), rho_estimate(cloud, phi_const(1)),
+        np.testing.assert_allclose(rho_estimate(out, np.ones(150)), rho_estimate(cloud, np.ones(150)),
                                    rtol=1e-12)
 
     @given(LOG_WEIGHTS, st.floats(-20, 20), st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_resample_preserves_rho_one(self, lws, log_mass, seed):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
-        before = rho_estimate(cloud, phi_const(1))
-        after = rho_estimate(resample(cloud, [substream(seed)], [0]), phi_const(1))
+        before = rho_estimate(cloud, np.ones(cloud.n))
+        after = rho_estimate(resample(cloud, [substream(seed)], [0]), np.ones(cloud.n))
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))
@@ -187,7 +175,7 @@ def test_collapse_reports_the_step_it_is_given():
         Weights(lw, step=7)
     assert exc.value.step == 7
     with pytest.raises(FilterCollapse) as exc:
-        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw[None, :], np.zeros(1), 0.07, step=7), phi_const(1))
+        pi_estimate(ParticleCloud(np.zeros((5, 1)), lw[None, :], np.zeros(1), 0.07, step=7), np.ones(5))
     assert exc.value.step == 7
 
 
@@ -199,17 +187,17 @@ def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
     grid = TimeGrid(1.0, 0.02)
     y = simulate_pair(m, grid, substream(12)).y
     cfg = FilterConfig(n_particles=300, resample_threshold=0.99, seed=13)   # resamples at some steps only
-    phis = phi_battery(m.dim_x)
-    clock = {"prob_change": lambda states, t: (states[:, 1] <= t).astype(float)} if m.dim_x == 2 else {}
-    run = run_filter(m, y, grid, cfg, phis=phis, time_functionals=clock)
+    battery = Battery.default(m.dim_x)
+    clock = {"prob_change": change_indicator} if m.dim_x == 2 else {}
+    run = run_filter(m, y, grid, cfg, battery=battery, time_functionals=clock)
     # one generator per role, each drawn from in order across the steps
     cloud = init_cloud(m.initial_law, cfg.n_particles, [substream(cfg.seed, TAG_INIT)])
     rngs = [substream(cfg.seed, TAG_PROPAGATE)], [substream(cfg.seed, TAG_RESAMPLE)]
     for k in range(grid.n_steps + 1):
         if k:
             cloud, _ = step(cloud, m, y[k - 1], y[k] - y[k - 1], grid.dt, *rngs, cfg)
-        for phi in phis:
-            assert run.pi[phi.label][k] == pi_estimate(cloud, phi)[0]
+        for label in battery.labels:   # each alone, as a single (N,) row of values
+            assert run.pi[label][k] == pi_estimate(cloud, Battery((label,), m.dim_x).values(cloud.states)[0])[0]
         for lab, fn in clock.items():
             assert run.pi[lab][k] == pi_estimate(cloud, fn(cloud.states, k * grid.dt))[0]
         assert run.rho_one[k] == rho_estimate(cloud, np.ones(cloud.n))[0]
@@ -259,7 +247,7 @@ class TestRunFilter:
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.0, 0.01)
         run = run_filter(m, np.zeros((1, 1)), grid, FilterConfig(n_particles=32, seed=1),
-                        phis=[phi_const(1), phi_coord(0, 1)])
+                        battery=Battery(("1", "x"), 1))
         assert run.times.shape == (1,)
         assert run.pi["1"][0] == 1.0
         assert run.rho_one[0] == pytest.approx(1.0)
@@ -269,8 +257,8 @@ class TestRunFilter:
         grid = TimeGrid(0.2, 0.01)
         y = simulate_pair(m, grid, substream(9)).y
         cfg = FilterConfig(n_particles=200, seed=4)
-        a = run_filter(m, y, grid, cfg, phis=[phi_coord(0, 1)])
-        b = run_filter(m, y, grid, cfg, phis=[phi_coord(0, 1)])
+        a = run_filter(m, y, grid, cfg, battery=Battery(("x",), 1))
+        b = run_filter(m, y, grid, cfg, battery=Battery(("x",), 1))
         np.testing.assert_array_equal(a.pi["x"], b.pi["x"])
         np.testing.assert_array_equal(a.rho_one, b.rho_one)
 
@@ -278,7 +266,7 @@ class TestRunFilter:
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.2, 0.01)
         y = simulate_pair(m, grid, substream(10)).y
-        run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), phis=[phi_const(1)])
+        run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), battery=Battery(("1",), 1))
         assert np.all(run.pi["1"] == 1.0)
 
     def test_path_grid_mismatch_rejected(self):
@@ -306,14 +294,14 @@ class TestStatisticalProperties:
         # always-resample vs never-resample agree in mean on the linear model
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.5, 0.01)
-        phis = [phi_coord(0, 1)]
+        battery = Battery(("x",), 1)
         always, never = [], []
         for i in range(40):
             y = simulate_pair(m, grid, substream(600, i)).y
             for threshold, sink in ((1.0, always), (0.0, never)):
                 cfg = FilterConfig(n_particles=400, resample_threshold=threshold,
                                    seed=derive_seed(601, i, int(threshold)))
-                sink.append(run_filter(m, y, grid, cfg, phis=phis).pi["x"][-1])
+                sink.append(run_filter(m, y, grid, cfg, battery=battery).pi["x"][-1])
         always, never = np.array(always), np.array(never)
         diff = always - never
         se = diff.std(ddof=1) / np.sqrt(diff.size)
@@ -332,7 +320,7 @@ class TestStatisticalProperties:
                 bundle = simulate_pair(m, grid, substream(700, i))
                 oracle = kalman_oracle_for_model(m, bundle.y, grid)
                 cfg = FilterConfig(n_particles=n, seed=derive_seed(701, n, i))
-                run = run_filter(m, bundle.y, grid, cfg, phis=[phi_coord(0, 1)])
+                run = run_filter(m, bundle.y, grid, cfg, battery=Battery(("x",), 1))
                 sq.append((run.pi["x"][-1] - oracle.mean[-1, 0]) ** 2)
             rmse.append(np.sqrt(np.mean(sq)))
         slope = np.polyfit(np.log(counts), np.log(rmse), 1)[0]

@@ -1,57 +1,59 @@
 """Model, generator and test-function contracts."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from filterlab.models import (
+    Battery,
     ModelError,
-    PhiAtStep,
     StepCoefficients,
     change_detection_model,
     const_coeff,
     levy_atoms,
     linear_model,
     make_model,
-    phi_battery,
-    phi_by_label,
-    phi_const,
-    phi_coord,
-    phi_quad,
-    phi_tanh,
 )
 from filterlab.rng import substream
 
 Y0 = np.zeros(1)
 
 
-def at_step(model, phi, x):
-    """phi and its operators A, B and D on the rows of x, at observation Y0 and time 0."""
-    return PhiAtStep(phi, StepCoefficients(model, x, Y0))
+def operators(model, label, x):
+    """A, B and D of the one test function `label` on the rows of x, at
+    observation Y0 and time 0: shapes (n,), (n, m) and (n, m)."""
+    battery = Battery((label,), model.dim_x)
+    coeffs = StepCoefficients(model, x, Y0)
+    gen, corr, dphi = battery.operators(coeffs, battery.values(coeffs.x))
+    return gen[0], corr[0], dphi[0]
 
 
-def generator(model, phi, x):
-    return at_step(model, phi, x).generator()
+def generator(model, label, x):
+    return operators(model, label, x)[0]
 
 
-def check_derivatives(phi, x, rel_tol=1e-5, step=1e-5):
-    """Max relative disagreement between the analytic x-derivatives of phi and
-    central finite differences; raises ModelError above rel_tol. The scale is
-    max(1, |derivative|), so near-zero entries compare absolutely."""
+def check_derivatives(battery, x, rel_tol=1e-5, step=1e-5):
+    """Per column, the max relative disagreement between the analytic
+    x-derivatives of the battery and central finite differences; raises
+    ModelError above rel_tol. The scale is max(1, |derivative|), so near-zero
+    entries compare absolutely."""
     d = x.shape[1]
-    worst = 0.0
-    g = phi.grad_x(x)
-    hess = phi.hess_x(x)
+    worst = np.zeros(len(battery.labels))
+    g = battery.gradients(x)
+    hess = battery.hessians(x)
     for k in range(d):
         e = np.zeros(d)
         e[k] = step
-        fd_g = (phi.value(x + e) - phi.value(x - e)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(g[:, k]))
-        worst = max(worst, float(np.max(np.abs(fd_g - g[:, k]) / scale)))
-        fd_h = (phi.grad_x(x + e) - phi.grad_x(x - e)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(hess[:, :, k]))
-        worst = max(worst, float(np.max(np.abs(fd_h - hess[:, :, k]) / scale)))
-    if worst > rel_tol:
-        raise ModelError(f"analytic derivatives of {phi.label!r} disagree with finite differences: {worst:.2e}")
+        fd_g = (battery.values(x + e) - battery.values(x - e)) / (2 * step)
+        scale = np.maximum(1.0, np.abs(g[:, :, k]))
+        worst = np.maximum(worst, np.max(np.abs(fd_g - g[:, :, k]) / scale, axis=1))
+        fd_h = (battery.gradients(x + e) - battery.gradients(x - e)) / (2 * step)
+        scale = np.maximum(1.0, np.abs(hess[:, :, :, k]))
+        worst = np.maximum(worst, np.max(np.abs(fd_h - hess[:, :, :, k]) / scale, axis=(1, 2)))
+    if np.any(worst > rel_tol):
+        bad = [label for label, w in zip(battery.labels, worst) if w > rel_tol]
+        raise ModelError(f"analytic derivatives of {bad} disagree with finite differences: {worst.max():.2e}")
     return worst
 
 
@@ -59,6 +61,14 @@ def test_jump_ou_rejects_overrides_naming_the_key():
     with pytest.raises(ModelError, match="'a_x'"):
         make_model("jump_ou", a_x=5)
     assert make_model("jump_ou").name == "jump_ou"
+
+
+def test_correlated_linear_default_is_overridable():
+    x = np.zeros((1, 1))
+    assert make_model("correlated_linear").sigma_bar(x)[0, 0, 0] == 0.5
+    assert make_model("correlated_linear", sigma_bar=0.25).sigma_bar(x)[0, 0, 0] == 0.25
+    assert make_model("correlated_linear", a_x=-2.0).sigma_bar(x)[0, 0, 0] == 0.5
+    assert make_model("linear_gaussian").sigma_bar(x)[0, 0, 0] == 0.0
 
 
 class TestLevySpec:
@@ -77,35 +87,71 @@ class TestLevySpec:
 
 
 class TestTestFunctions:
-    @pytest.mark.parametrize("phi", phi_battery(2), ids=lambda p: p.label)
-    def test_derivatives_match_finite_differences(self, phi):
-        rng = substream(101)
-        x = rng.standard_normal((32, 2))
-        worst = check_derivatives(phi, x, rel_tol=1e-5)
-        assert worst < 1e-5
+    @pytest.mark.parametrize("label", Battery.default(2).labels)
+    def test_derivatives_match_finite_differences(self, label):
+        battery = Battery.default(2)
+        x = substream(101).standard_normal((32, 2))
+        worst = check_derivatives(battery, x, rel_tol=1e-5)
+        assert worst[battery.labels.index(label)] < 1e-5
 
     def test_label_roundtrip(self):
-        for phi in phi_battery(3):
-            rebuilt = phi_by_label(phi.label, 3)
-            x = substream(7).standard_normal((5, 3))
-            np.testing.assert_array_equal(rebuilt.value(x), phi.value(x))
+        # each label alone gives exactly its column of the default battery
+        battery = Battery.default(3)
+        x = substream(7).standard_normal((5, 3))
+        for k, label in enumerate(battery.labels):
+            alone = Battery((label,), 3)
+            for name in ("values", "gradients", "hessians"):
+                np.testing.assert_array_equal(getattr(alone, name)(x)[0], getattr(battery, name)(x)[k])
+
+    def test_default_labels(self):
+        assert Battery.default(1).labels == ("1", "x", "x^2", "tanh(x)")
+        assert Battery.default(2).labels == ("1", "x0", "x1", "x0*x0", "x0*x1", "x1*x1", "tanh(x0)", "tanh(x1)")
 
     @pytest.mark.parametrize("label", ["x3", "x-1", "x0*x3", "tanh(x3)"])
     def test_label_naming_a_missing_coordinate_is_rejected(self, label):
-        with pytest.raises(ModelError, match="coordinate"):
-            phi_by_label(label, 3)
+        with pytest.raises(ModelError, match="unknown test-function label"):
+            Battery(("1", label), 3)
+
+    @pytest.mark.parametrize("label", ["bogus", "x", "x^2", "tanh(x)", "x 1", "x+1", "x1*x0", "x01", ""])
+    def test_unknown_label_is_rejected(self, label):
+        with pytest.raises(ModelError, match="unknown test-function label"):
+            Battery((label,), 3)
+
+    @pytest.mark.parametrize("label", ["x0", "tanh(x0)", "x0*x0"])
+    def test_coordinate_labels_are_refused_on_a_scalar_state(self, label):
+        with pytest.raises(ModelError, match="unknown test-function label"):
+            Battery((label,), 1)
+
+    def test_repeated_label_is_rejected(self):
+        with pytest.raises(ModelError, match="given twice"):
+            Battery(("x", "1", "x"), 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_round_trips_through_pickle(self, d):
+        battery = Battery.default(d)
+        x = substream(8).standard_normal((6, d))
+        values = battery.values(x)
+        copy = pickle.loads(pickle.dumps(battery))
+        assert copy == battery and hash(copy) == hash(battery)
+        np.testing.assert_array_equal(copy.values(x), values)
 
     def test_bad_derivative_detected(self):
-        from filterlab.models import TestFunction
+        class BrokenSquare:
+            """x^2 with a wrong gradient, on purpose."""
 
-        broken = TestFunction(
-            label="broken",
-            value=lambda x: x[:, 0] ** 2,
-            grad_x=lambda x: np.ones_like(x),      # wrong on purpose
-            hess_x=lambda x: np.zeros((x.shape[0], 1, 1)),
-        )
+            labels = ("broken",)
+
+            def values(self, x):
+                return x.T ** 2
+
+            def gradients(self, x):
+                return np.ones((1,) + x.shape)
+
+            def hessians(self, x):
+                return np.zeros((1,) + x.shape + (1,))
+
         with pytest.raises(ModelError, match="disagree"):
-            check_derivatives(broken, np.array([[1.5]]))
+            check_derivatives(BrokenSquare(), np.array([[1.5]]))
 
 
 class TestGenerator:
@@ -113,12 +159,12 @@ class TestGenerator:
         # A1 = 0 for every model instance
         for name in ("linear_gaussian", "correlated_linear", "jump_ou"):
             m = make_model(name)
-            val = generator(m, phi_const(m.dim_x), np.zeros((1, m.dim_x)))[0]
+            val = generator(m, "1", np.zeros((1, m.dim_x)))[0]
             assert val == 0.0
 
     def test_pure_drift_reduces_to_f(self):
         m = linear_model("drift", a_x=2.0, sigma_v=0.0, sigma_bar=0.0)
-        assert generator(m, phi_coord(0, 1), np.array([[1.5]]))[0] == pytest.approx(3.0)
+        assert generator(m, "x", np.array([[1.5]]))[0] == pytest.approx(3.0)
 
     def test_single_atom_quadratic(self):
         # atom at eta=1 (a "large" jump), rate lam, sigma_tilde = 1, phi = x^2:
@@ -129,7 +175,7 @@ class TestGenerator:
         x = 0.3
         f_tilde = -x - lam              # b = a - int_{|rho|>=1} rho F = -lam
         expected = 2 * x * f_tilde + (0.5**2 + 0.25**2) + lam
-        got = generator(m, phi_quad(0, 0, 1), np.array([[x]]))[0]
+        got = generator(m, "x^2", np.array([[x]]))[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_linear_phi_zero_noise_reduces_to_drift_on_random_models(self):
@@ -138,36 +184,41 @@ class TestGenerator:
             a = float(rng.uniform(-3, 3))
             m = linear_model("r", a_x=a, sigma_v=0.0, sigma_bar=0.0)
             x = float(rng.uniform(-2, 2))
-            assert generator(m, phi_coord(0, 1), np.array([[x]]))[0] == pytest.approx(a * x)
+            assert generator(m, "x", np.array([[x]]))[0] == pytest.approx(a * x)
+
+    def test_non_finite_generator_names_its_column(self):
+        m = make_model("jump_ou")
+        with pytest.raises(ModelError, match="'x\\^2'"), np.errstate(over="ignore", invalid="ignore"):
+            generator(m, "x^2", np.array([[1e300]]))
 
 
 class TestCorrelationAndD:
     def test_uncorrelated_is_zero(self):
         m = make_model("linear_gaussian")
-        for phi in phi_battery(1):
-            assert at_step(m, phi, np.array([[0.7]])).correlation[0, 0] == 0.0
+        for label in Battery.default(1).labels:
+            assert operators(m, label, np.array([[0.7]]))[1][0, 0] == 0.0
 
     def test_constant_function_is_killed(self):
         m = make_model("correlated_linear")
-        assert at_step(m, phi_const(1), np.array([[0.7]])).correlation[0, 0] == 0.0
+        assert operators(m, "1", np.array([[0.7]]))[1][0, 0] == 0.0
 
     def test_constant_sigma_bar_linear_phi(self):
         m = linear_model("c", sigma_bar=0.8)
-        assert at_step(m, phi_coord(0, 1), np.array([[0.3]])).correlation[0, 0] == pytest.approx(0.8)
+        assert operators(m, "x", np.array([[0.3]]))[1][0, 0] == pytest.approx(0.8)
 
     def test_d_for_constant_phi_is_h(self):
         m = make_model("correlated_linear")
         x = np.array([[1.3]])
-        assert at_step(m, phi_const(1), x).dphi()[0, 0] == pytest.approx(1.3)
+        assert operators(m, "1", x)[2][0, 0] == pytest.approx(1.3)
 
     def test_d_zero_h_reduces_to_correlation(self):
         m = linear_model("hzero", sigma_bar=0.6, h_scale=0.0)
-        assert at_step(m, phi_coord(0, 1), np.array([[2.0]])).dphi()[0, 0] == pytest.approx(0.6)
+        assert operators(m, "x", np.array([[2.0]]))[2][0, 0] == pytest.approx(0.6)
 
     def test_d_quadratic_example(self):
         # h(x) = x, sigma_bar = 0, phi = x: D phi = x * x
         m = linear_model("dq", sigma_bar=0.0)
-        assert at_step(m, phi_coord(0, 1), np.array([[1.3]])).dphi()[0, 0] == pytest.approx(1.69)
+        assert operators(m, "x", np.array([[1.3]]))[2][0, 0] == pytest.approx(1.69)
 
 
 class TestChangeDetectionModel:
@@ -190,10 +241,9 @@ class TestChangeDetectionModel:
 
 def test_generator_batched_matches_pointwise():
     m = make_model("jump_ou")
-    phi = phi_tanh(0, 1)
     xs = substream(9).standard_normal((16, 1))
-    batched = generator(m, phi, xs)
-    single = [generator(m, phi, xs[i:i + 1])[0] for i in range(16)]
+    batched = generator(m, "tanh(x)", xs)
+    single = [generator(m, "tanh(x)", xs[i:i + 1])[0] for i in range(16)]
     np.testing.assert_allclose(batched, single, rtol=1e-12)
 
 

@@ -21,14 +21,12 @@ def test_two_workers_equal_serial_residual_runs(n_blocks):
     payloads = [("jump_ou", ("1", "x", "x^2", "tanh(x)"), TimeGrid(0.02, 0.01), config, b) for b in blocks]
     serial = [_residual_task(p) for p in payloads]
     parallel = map_ordered(_residual_task, payloads, 2)
-    assert [len(b) for b in parallel] == [len(b) for b in blocks]
-    assert not np.array_equal(serial[0][0][0]["x"], serial[1][0][0]["x"])   # runs differ, so order matters
+    # each block returns its (runs, test functions, times) Zakai and KS arrays
+    assert [len(zak) for zak, _ in parallel] == [len(b) for b in blocks]
+    assert not np.array_equal(serial[0][0][0, 1], serial[1][0][0, 1])   # runs differ, so order matters
     for block_s, block_p in zip(serial, parallel):
-        for (zak_s, ks_s), (zak_p, ks_p) in zip(block_s, block_p):
-            for s, p in ((zak_s, zak_p), (ks_s, ks_p)):
-                assert list(s) == list(p)
-                for label in s:
-                    np.testing.assert_array_equal(s[label], p[label])
+        for s, p in zip(block_s, block_p):
+            np.testing.assert_array_equal(s, p)
 
 
 @pytest.mark.parametrize("n_runs", N_ITEMS)

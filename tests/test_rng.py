@@ -5,7 +5,7 @@ import pytest
 
 from filterlab import rng
 from filterlab.filters import FilterConfig, run_filter
-from filterlab.models import make_model, phi_battery
+from filterlab.models import Battery, make_model
 from filterlab.simulate import TimeGrid
 from filterlab.verify import residual_run
 
@@ -38,7 +38,7 @@ def test_generators_per_run_do_not_grow_with_the_steps(philox_count, n_runs):
     counts = []
     for horizon in (0.05, 0.2):
         philox_count.clear()
-        residual_run(model, phi_battery(1), TimeGrid(horizon, 0.01), cfg, range(n_runs))
+        residual_run(model, Battery.default(1), TimeGrid(horizon, 0.01), cfg, range(n_runs))
         counts.append(len(philox_count))
     assert counts[0] == counts[1] == 4 * n_runs
 
@@ -50,6 +50,6 @@ def test_run_filter_builds_one_generator_per_role(philox_count):
     for horizon in (0.05, 0.2):
         grid = TimeGrid(horizon, 0.01)
         philox_count.clear()
-        run_filter(model, np.zeros((grid.n_steps + 1, 1)), grid, cfg, phis=phi_battery(1))
+        run_filter(model, np.zeros((grid.n_steps + 1, 1)), grid, cfg, battery=Battery.default(1))
         counts.append(len(philox_count))
     assert counts[0] == counts[1] == 3   # initial cloud, propagation, resampling

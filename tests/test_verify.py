@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlab import cli
 from filterlab.filters import FilterConfig
-from filterlab.models import make_model, phi_by_label, phi_const
+from filterlab.models import Battery, StepCoefficients, make_model
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
@@ -92,7 +94,7 @@ class TestChangeDetectionOracle:
         )
         assert post.posterior.shape == (1, 1)
         assert post.posterior[0, 0] == pytest.approx(1.0)
-        assert post.mass_total() == pytest.approx(1.0, abs=1e-12)
+        assert post.posterior.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_cell_matches_direct_likelihood(self):
         grid = TimeGrid(0.5, 1e-2)
@@ -113,7 +115,7 @@ class TestChangeDetectionOracle:
         post = change_detection_oracle(
             prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid,
         )
-        assert abs(post.mass_total() - 1.0) < 1e-12
+        assert abs(post.posterior.sum() - 1.0) < 1e-12
         assert np.all(post.posterior >= 0.0)
         assert np.all((post.prob_change >= 0.0) & (post.prob_change <= 1.0 + 1e-12))
 
@@ -130,13 +132,16 @@ class TestChangeDetectionOracle:
                                     np.array([1.0]), 0.0, np.zeros(11), grid)
 
 
+ONE = Battery(("1",), 1)
+
+
 class TestResiduals:
     def test_phi_one_ks_residual_identically_zero(self):
         m = make_model("correlated_linear")
         grid = TimeGrid(0.3, 5e-3)
         cfg = FilterConfig(n_particles=128, seed=23)
-        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, (0,))[0]
-        assert np.all(ks["1"] == 0.0)
+        zak, ks = residual_run(m, ONE, grid, cfg, (0,))
+        assert np.all(ks[0, 0] == 0.0)
 
     def test_phi_one_zakai_reduces_to_mass_equation(self):
         # R_t(1) must equal rho_t(1) - 1 - sum rho_s(h) dy, rebuilt from an
@@ -144,8 +149,7 @@ class TestResiduals:
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.3, 5e-3)
         cfg = FilterConfig(n_particles=128, resample_threshold=0.0, seed=29)
-        phis = [phi_const(1)]
-        zak, ks = residual_run(m, phis, grid, cfg, (0,))[0]
+        zak, ks = residual_run(m, ONE, grid, cfg, (0,))
 
         from filterlab.filters import init_cloud, step
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
@@ -170,7 +174,7 @@ class TestResiduals:
             direct[k] = rho_one[k] - rho_one[0] - acc
             if k < grid.n_steps:
                 acc += rho_h[k] * (bundle.y[k + 1, 0] - bundle.y[k, 0])
-        np.testing.assert_allclose(zak["1"], direct, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(zak[0, 0], direct, rtol=1e-12, atol=1e-14)
 
     def test_h_zero_constant_phi_residual_exactly_zero(self):
         from filterlab.models import linear_model
@@ -178,42 +182,41 @@ class TestResiduals:
         m = linear_model("mute", h_scale=0.0)
         grid = TimeGrid(0.2, 1e-2)
         cfg = FilterConfig(n_particles=64, seed=31)
-        zak, ks = residual_run(m, [phi_const(1)], grid, cfg, (0,))[0]
-        assert np.all(zak["1"] == 0.0)
-        assert np.all(ks["1"] == 0.0)
+        zak, ks = residual_run(m, ONE, grid, cfg, (0,))
+        assert np.all(zak == 0.0)
+        assert np.all(ks == 0.0)
 
     def test_residuals_mean_zero_small_battery(self):
         m = make_model("linear_gaussian")
         grid = TimeGrid(0.5, 5e-3)
         cfg = FilterConfig(n_particles=256, seed=37)
-        phis = [phi_by_label("x", 1), phi_by_label("x^2", 1)]
-        zak, ks = equation_residuals(residual_run(m, phis, grid, cfg, range(48)))
+        labels = ("x", "x^2")
+        zak, ks = equation_residuals(labels, *residual_run(m, Battery(labels, 1), grid, cfg, range(48)))
         for lab in ("x", "x^2"):
             assert zak[lab].ratio() < 3.0, f"zakai {lab}: {zak[lab].mean_residual}"
             assert ks[lab].ratio() < 3.0, f"ks {lab}: {ks[lab].mean_residual}"
 
     @pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
     def test_matches_replay_through_public_operators(self, name):
-        # the coefficients residual_run evaluates once per step, shared by all
-        # test functions, must give exactly what a fresh PhiAtStep per function
-        # gives; the replay reduces over the run's (1, N) row as the block does
+        # residual_run's one contraction over all test functions must give
+        # exactly what the operators of each label's own battery give; the
+        # replay reduces over the run's (1, N) row as the block does
         from filterlab.filters import init_cloud, step
-        from filterlab.models import PhiAtStep, StepCoefficients
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
 
         m = make_model(name)
         grid = TimeGrid(0.2, 1e-2)
         cfg = FilterConfig(n_particles=64, seed=41)
-        phis = [phi_by_label(lab, 1) for lab in ("1", "x", "x^2", "tanh(x)")]
-        zak, ks = residual_run(m, phis, grid, cfg, (0,))[0]
+        labels = Battery.default(1).labels
+        zak, ks = residual_run(m, Battery(labels, 1), grid, cfg, (0,))
         bundle = simulate_pair(m, grid, substream(41, TAG_PATH, 0))
         cloud = init_cloud(m.initial_law, 64, [substream(41, TAG_INIT, 0)])
         rngs = [substream(41, TAG_PROPAGATE, 0)], [substream(41, TAG_RESAMPLE, 0)]
         n, dt = grid.n_steps, grid.dt
-        zak_rep = {phi.label: np.zeros(n + 1) for phi in phis}
-        ks_rep = {phi.label: np.zeros(n + 1) for phi in phis}
-        zak_int = dict.fromkeys(zak_rep, 0.0)
-        ks_int = dict.fromkeys(ks_rep, 0.0)
+        zak_rep = {label: np.zeros(n + 1) for label in labels}
+        ks_rep = {label: np.zeros(n + 1) for label in labels}
+        zak_int = dict.fromkeys(labels, 0.0)
+        ks_int = dict.fromkeys(labels, 0.0)
         start = {}
         for k in range(n + 1):
             y_k, t = bundle.y[k], k * dt
@@ -223,28 +226,47 @@ class TestResiduals:
             sw = w.sum(axis=1)
             h = m.h_now(cloud.states, y_k, t)[None]                # (1, N, m)
             pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
-            for phi in phis:
-                vals = phi.value(cloud.states)[None]
+            for label in labels:
+                one = Battery((label,), 1)                         # its single column is the run's (1, N) row
+                coeffs = StepCoefficients(m, cloud.states, y_k, t)
+                vals = one.values(coeffs.x)
                 rho_phi = mass * np.sum(w * vals, axis=1) / w.shape[1]
                 pi_phi = np.sum(w * vals, axis=1) / sw
-                rho0, pi0 = start.setdefault(phi.label, (rho_phi, pi_phi))
-                zak_rep[phi.label][k] = (rho_phi - rho0 - zak_int[phi.label])[0]
-                ks_rep[phi.label][k] = (pi_phi - pi0 - ks_int[phi.label])[0]
+                rho0, pi0 = start.setdefault(label, (rho_phi, pi_phi))
+                zak_rep[label][k] = (rho_phi - rho0 - zak_int[label])[0]
+                ks_rep[label][k] = (pi_phi - pi0 - ks_int[label])[0]
                 if k == n:
                     continue
                 dy = (bundle.y[k + 1] - y_k)[None]
-                at = PhiAtStep(phi, StepCoefficients(m, cloud.states, y_k, t))
-                w_a = np.sum(w * at.generator()[None], axis=1)
-                rho_d = mass[:, None] * np.einsum("rn,rnm->rm", w, at.dphi()[None]) / w.shape[1]
-                zak_int[phi.label] += mass * w_a / w.shape[1] * dt + np.einsum("rm,rm->r", rho_d, dy)
+                gen, corr, dphi = one.operators(coeffs, vals)
+                w_a = np.sum(w * gen, axis=1)
+                rho_d = mass[:, None] * np.einsum("rn,rnm->rm", w, dphi) / w.shape[1]
+                zak_int[label] += mass * w_a / w.shape[1] * dt + np.einsum("rm,rm->r", rho_d, dy)
                 integrand = np.einsum("rn,rnm->rm", w, vals[..., None] * h) / sw[:, None] - pi_h * pi_phi[:, None]
-                integrand = integrand + np.einsum("rn,rnm->rm", w, at.correlation[None]) / sw[:, None]
-                ks_int[phi.label] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
+                integrand = integrand + np.einsum("rn,rnm->rm", w, corr) / sw[:, None]
+                ks_int[label] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
             if k < n:
                 cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, *rngs, cfg)
-        for phi in phis:
-            np.testing.assert_array_equal(zak[phi.label], zak_rep[phi.label])
-            np.testing.assert_array_equal(ks[phi.label], ks_rep[phi.label])
+        for col, label in enumerate(labels):
+            np.testing.assert_array_equal(zak[0, col], zak_rep[label])
+            np.testing.assert_array_equal(ks[0, col], ks_rep[label])
+
+    @given(st.sampled_from(["jump_ou", "correlated_linear", "change_detection"]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_each_column_equals_its_label_run_alone(self, name, data):
+        m = make_model(name)
+        default = Battery.default(m.dim_x).labels
+        order = data.draw(st.permutations(default))
+        labels = tuple(order[:data.draw(st.integers(1, len(default)))])
+        grid = TimeGrid(0.1, 2e-2)
+        cfg = FilterConfig(n_particles=16, resample_threshold=0.9, seed=47)
+        zak, ks = residual_run(m, Battery(labels, m.dim_x), grid, cfg, (2, 3))
+        for col, label in enumerate(labels):
+            zak_1, ks_1 = residual_run(m, Battery((label,), m.dim_x), grid, cfg, (2, 3))
+            assert zak[:, col].tobytes() == zak_1[:, 0].tobytes(), label
+            assert ks[:, col].tobytes() == ks_1[:, 0].tobytes(), label
+        if "1" in labels:
+            assert np.all(ks[:, labels.index("1")] == 0.0)
 
     @pytest.mark.parametrize("n_runs", [1, 3, 8])
     def test_block_of_runs_equals_blocks_of_one_run(self, n_runs):
@@ -254,15 +276,14 @@ class TestResiduals:
         m = make_model("jump_ou")
         grid = TimeGrid(0.4, 2e-2)
         cfg = FilterConfig(n_particles=24, resample_threshold=0.95, seed=43)   # every row resamples, at its own steps
-        phis = [phi_by_label(lab, 1) for lab in ("1", "x", "x^2", "tanh(x)")]
+        battery = Battery.default(1)
         runs = range(5, 5 + n_runs)
-        block = residual_run(m, phis, grid, cfg, runs)
-        assert len(block) == n_runs
-        for i, (zak, ks) in zip(runs, block):
-            zak_1, ks_1 = residual_run(m, phis, grid, cfg, (i,))[0]
-            for lab in zak:
-                assert zak[lab].tobytes() == zak_1[lab].tobytes(), (i, lab)
-                assert ks[lab].tobytes() == ks_1[lab].tobytes(), (i, lab)
+        zak, ks = residual_run(m, battery, grid, cfg, runs)
+        assert zak.shape == ks.shape == (n_runs, len(battery.labels), grid.n_steps + 1)
+        for row, i in enumerate(runs):
+            zak_1, ks_1 = residual_run(m, battery, grid, cfg, (i,))
+            assert zak[row].tobytes() == zak_1[0].tobytes(), i
+            assert ks[row].tobytes() == ks_1[0].tobytes(), i
         # the block's rows resample at different steps: replay its filter with the same generators
         y = np.stack([simulate_pair(m, grid, substream(43, TAG_PATH, i)).y for i in runs])
         cloud = init_cloud(m.initial_law, 24, [substream(43, TAG_INIT, i) for i in runs])
@@ -278,9 +299,9 @@ class TestResiduals:
 
     def test_needs_two_runs(self):
         m = make_model("linear_gaussian")
-        runs = residual_run(m, [phi_const(1)], TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), (0,))
+        runs = residual_run(m, ONE, TimeGrid(0.1, 1e-2), FilterConfig(n_particles=16, seed=0), (0,))
         with pytest.raises(ValueError):
-            equation_residuals(runs)
+            equation_residuals(ONE.labels, *runs)
 
 
 class TestScenarioChecks:
