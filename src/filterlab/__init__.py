@@ -6,7 +6,7 @@ exponential-martingale criteria against exact oracles and closed forms.
 """
 
 from .filters import FilterCollapse, FilterConfig, ParticleCloud, ess, init_cloud, pi_estimate, rho_estimate, run_filter, step
-from .girsanov import DiagnosticsReport, Estimate, GirsanovEnsemble
+from .girsanov import Estimate, GirsanovEnsemble
 from .models import Battery, LevySpec, ModelError, SignalModel, make_model
 from .simulate import (
     PathBundle,

@@ -77,8 +77,9 @@ def _reject_unknown(block, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {dotted!r}; allowed: {', '.join(sorted(allowed))}")
 
 
-# the fewest paths, runs and seeds a check can turn into an estimate with a standard error
-COUNT_MINIMUMS = {"n_paths": 2, "n_runs": 2, "n_seeds": 1}
+# the fewest paths, runs and seeds a check can turn into an estimate with a
+# standard error, and the lowest hitting barrier n (below 1 the interval (-1, n) is empty)
+MINIMUMS = {"n_paths": 2, "n_runs": 2, "n_seeds": 1, "barriers": 1}
 
 
 def keyword_params(fn: Callable, block, where: str) -> dict:
@@ -89,7 +90,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     value that does not coerce, a value that fn could not use (an unknown
     model, scenario, test-function label (or one named twice) or
     representation, a dt <= 0 or a time that dt does not divide, a filter
-    setting FilterConfig refuses, a count below COUNT_MINIMUMS), a
+    setting FilterConfig refuses, an alpha <= 0, a count or barrier below
+    MINIMUMS), a
     change-detection key given to another scenario, or a dufresne check
     horizon of at most DUFRESNE_MIN_HORIZON raises ConfigError naming
     `where.key`."""
@@ -119,6 +121,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
         "phis": lambda: Battery(params["phis"], make_model(params["model"]).dim_x),
         "scenario": lambda: params["scenario"] in ensembles or make_model(params["scenario"]),
         "representation": lambda: _one_of(params["representation"], REPRESENTATIONS),
+        "alpha": lambda: _positive(params["alpha"]),
         "dt": lambda: grid(0.0),
         "t": lambda: grid(params["t"]),
         "horizon": lambda: grid(params["horizon"]),
@@ -133,8 +136,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"'{where}.{key}': {exc}") from None
-    for key, low in COUNT_MINIMUMS.items():
-        if params.get(key, low) < low:
+    for key, low in MINIMUMS.items():
+        if np.min(params.get(key, low), initial=low) < low:   # every element of a tuple
             raise ConfigError(f"'{where}.{key}' must be >= {low}")
     if params.get("scenario") != "change_detection":
         for key in kwargs:
@@ -162,6 +165,11 @@ def _one_of(value: str, choices: tuple) -> None:
         raise ValueError(f"{value!r} is not one of {', '.join(map(repr, choices))}")
 
 
+def _positive(value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"must be > 0, not {value!r}")
+
+
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
@@ -170,8 +178,8 @@ def require_seed(cfg: dict) -> int:
     if "seed" not in cfg:
         raise ConfigError("field 'seed' is required (no wall-clock default)")
     seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("field 'seed' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("field 'seed' must be a non-negative integer")
     return seed
 
 
@@ -305,31 +313,15 @@ def check_revuz_yor_energy(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths
         est = girsanov.mean_se(_once(girsanov.ensemble_revuz_yor, alpha, grid, n_paths, seed).energy)
     else:
         raise ValueError(f"unknown representation {representation!r}")
-    closed = girsanov.revuz_yor_closed_form(alpha, t)
-    return [
-        CheckVerdict(
-            check="revuz_yor_energy",
-            scenario=f"alpha={alpha:g},t={t:g},{representation}",
-            estimate=est.value,
-            reference=closed,
-            tolerance=3.0 * est.se,
-        )
-    ]
+    return [CheckVerdict.band("revuz_yor_energy", f"alpha={alpha:g},t={t:g},{representation}", est.value,
+                              girsanov.revuz_yor_closed_form(alpha, t), est.se)]
 
 
 def check_zlogz_identity(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=t, dt=dt)
     energy, zlogz, gap = _once(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)
-    return [
-        CheckVerdict(
-            check="zlogz_identity",
-            scenario=f"alpha={alpha:g},t={t:g}",
-            estimate=zlogz.value,
-            reference=0.5 * energy.value,
-            tolerance=3.0 * gap.se,
-            detail=f"paired_gap={gap.value!r}",
-        )
-    ]
+    return [CheckVerdict.band("zlogz_identity", f"alpha={alpha:g},t={t:g}", zlogz.value, 0.5 * energy.value, gap.se,
+                              detail=f"paired_gap={gap.value!r}")]
 
 
 # scenarios of the martingale checks that are not signal models
@@ -355,41 +347,30 @@ def check_martingale_mean(seed: int, workers: int, *, scenario="revuz_yor", time
     out = []
     for i, t in enumerate(dict.fromkeys(times)):   # a time named twice gets one row
         est = ens.z.at(grid.index_of(t))
-        out.append(
-            CheckVerdict(
-                check="martingale_mean",
-                scenario=f"{scenario},t={t:g}",
-                estimate=est.value,
-                reference=1.0,
-                tolerance=3.0 * est.se,
-                trajectory={"t": grid.times(), "mean_z": ens.z.mean} if i == 0 else None,
-            )
-        )
+        out.append(CheckVerdict.band("martingale_mean", f"{scenario},t={t:g}", est.value, 1.0, est.se,
+                                     trajectory={"t": grid.times(), "mean_z": ens.z.mean} if i == 0 else None))
     return out
 
 
 def check_zstar_bound(seed: int, workers: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000,
                       dt=1e-3) -> list[CheckVerdict]:
-    grid = TimeGrid(horizon=t, dt=dt)
-    ens = _scenario_ensemble(scenario, grid, n_paths, seed)
-    lhs, rhs, band = girsanov.zstar_bound(ens)
-    return [CheckVerdict.upper_band("zstar_bound", f"{scenario},t={t:g}", lhs.value, rhs, band)]
+    """Maximal bound E[Z*_t] <= (e+1)/(e-1) + e/(2(e-1)) E[int Z |H|^2 ds]. The
+    SE of lhs - rhs combines the lhs SE with the slope times the energy SE."""
+    ens = _scenario_ensemble(scenario, TimeGrid(horizon=t, dt=dt), n_paths, seed)
+    lhs, energy = girsanov.mean_se(ens.z_star), girsanov.mean_se(ens.energy)
+    return [CheckVerdict.upper_band("zstar_bound", f"{scenario},t={t:g}", lhs.value,
+                                    girsanov.MAXIMAL_CONST + girsanov.MAXIMAL_SLOPE * energy.value,
+                                    math.hypot(lhs.se, girsanov.MAXIMAL_SLOPE * energy.se))]
 
 
 def check_energy_identity(seed: int, workers: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000,
                           dt=1e-3) -> list[CheckVerdict]:
-    grid = TimeGrid(horizon=t, dt=dt)
-    ens = _scenario_ensemble(scenario, grid, n_paths, seed)
-    lhs, rhs = girsanov.energy_identity_check(ens)
-    return [
-        CheckVerdict(
-            check="energy_identity",
-            scenario=f"{scenario},t={t:g}",
-            estimate=lhs.value,
-            reference=rhs.value,
-            tolerance=3.0 * math.hypot(lhs.se, rhs.se),
-        )
-    ]
+    """The two sides of the energy identity on the same paths:
+    E[int Z_s |H_s|^2 ds] = E[Z_t int |H_s|^2 ds]."""
+    ens = _scenario_ensemble(scenario, TimeGrid(horizon=t, dt=dt), n_paths, seed)
+    lhs, rhs = girsanov.mean_se(ens.energy), girsanov.mean_se(np.exp(ens.log_z_t) * ens.plain_energy)
+    return [CheckVerdict.band("energy_identity", f"{scenario},t={t:g}", lhs.value, rhs.value,
+                              math.hypot(lhs.se, rhs.se))]
 
 
 # the checks whose scenario may also name one of ENSEMBLES
@@ -397,18 +378,9 @@ ENSEMBLE_CHECKS = (check_martingale_mean, check_zstar_bound, check_energy_identi
 
 
 def check_independent_h(seed: int, workers: int, *, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
-    grid = TimeGrid(horizon=t, dt=dt)
-    ens = _once(girsanov.ensemble_independent_h, grid, n_paths, seed)
+    ens = _once(girsanov.ensemble_independent_h, TimeGrid(horizon=t, dt=dt), n_paths, seed)
     lhs, rhs = girsanov.mean_se(ens.energy), girsanov.mean_se(ens.plain_energy)
-    return [
-        CheckVerdict(
-            check="independent_h",
-            scenario=f"t={t:g}",
-            estimate=lhs.value,
-            reference=rhs.value,
-            tolerance=3.0 * math.hypot(lhs.se, rhs.se),
-        )
-    ]
+    return [CheckVerdict.band("independent_h", f"t={t:g}", lhs.value, rhs.value, math.hypot(lhs.se, rhs.se))]
 
 
 # the keys of the Gronwall-type checks that only the change-detection scenario reads
@@ -429,12 +401,15 @@ def _gronwall_scenario(scenario: str, grid: TimeGrid, n_paths: int, seed: int, b
 
 def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0,
                             b0=-0.5, b_max=2.0) -> list[CheckVerdict]:
+    """E[Z_t |H_t|^2] and E[|H_t|^2] at every left point under the Gronwall
+    envelope c exp(rate_factor c t) E[U_0] of _gronwall_scenario."""
     grid = TimeGrid(horizon=horizon, dt=dt)
     ens, rate, factor = _gronwall_scenario(scenario, grid, n_paths, seed, b0, b_max)
-    means, ses, env = verify.local_boundedness_sweep(ens, rate, factor)
     times = grid.times()[:-1]
+    means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
+    env = rate * np.exp(factor * rate * times) * ens.u0_mean
     return [CheckVerdict.upper_band(
-        "local_boundedness", f"{scenario},c={rate:g}", means, env, 3.0 * ses, times,
+        "local_boundedness", f"{scenario},c={rate:g}", means, env, [ens.z_h_sq.se, ens.h_sq.se], times,
         trajectory={"t": times, "mean_z_hsq": means[0], "mean_hsq": means[1], "envelope": env},
     )]
 
@@ -442,16 +417,8 @@ def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_pa
 def check_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=horizon, dt=dt)
     est, target, correction = verify.dufresne_check(n_paths, grid, seed)
-    return [
-        CheckVerdict(
-            check="dufresne",
-            scenario=f"horizon={horizon:g}",
-            estimate=est.value,
-            reference=target,
-            tolerance=3.0 * est.se,
-            detail=f"truncation_correction={correction!r}",
-        )
-    ]
+    return [CheckVerdict.band("dufresne", f"horizon={horizon:g}", est.value, target, est.se,
+                              detail=f"truncation_correction={correction!r}")]
 
 
 def check_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[CheckVerdict]:
@@ -517,19 +484,10 @@ def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: in
     stats = zak_stats if which == "zakai" else ks_stats
     out = []
     for lab in phis:
-        st = stats[lab]
-        est = st.mean_residual
-        out.append(
-            CheckVerdict(
-                check=f"{which}_residual",
-                scenario=f"{model},phi={lab}",
-                estimate=est.value,
-                reference=0.0,
-                tolerance=3.0 * est.se,
-                trajectory={"t": grid.times(), "mean_residual": st.trajectory},
-                expect_fail=ablate,
-            )
-        )
+        est = stats[lab].mean_residual
+        out.append(CheckVerdict.band(f"{which}_residual", f"{model},phi={lab}", est.value, 0.0, est.se,
+                                     trajectory={"t": grid.times(), "mean_residual": stats[lab].trajectory},
+                                     expect_fail=ablate))
     return out
 
 
@@ -573,12 +531,14 @@ def check_change_detection(seed: int, workers: int, *, n_seeds=20, n_particles=1
 
 def check_gronwall(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0, b0=-0.5,
                    b=1.0) -> list[CheckVerdict]:
+    """sup_t E[Z_t U_t] <= exp(rate_factor c t) E[U_0] at every grid time, with
+    the Gronwall rate c and factor of _gronwall_scenario."""
     grid = TimeGrid(horizon=horizon, dt=dt)
     ens, rate, factor = _gronwall_scenario(scenario, grid, n_paths, seed, b0, b)
-    traj, ses, bound = girsanov.gronwall_bound_check(ens, rate, factor)
+    bound = np.exp(factor * rate * grid.times()) * ens.u0_mean
     return [CheckVerdict.upper_band(
-        "gronwall_envelope", f"{scenario},c={rate:g}", traj, bound, 3.0 * ses, grid.times(),
-        trajectory={"t": grid.times(), "mean_zu": traj, "se": ses, "bound": bound},
+        "gronwall_envelope", f"{scenario},c={rate:g}", ens.zu.mean, bound, ens.zu.se, grid.times(),
+        trajectory={"t": grid.times(), "mean_zu": ens.zu.mean, "se": ens.zu.se, "bound": bound},
     )]
 
 
@@ -605,16 +565,21 @@ CHECKS: dict[str, Callable[..., list[CheckVerdict]]] = {
 # counterexample kinds: kind(seed, **params) -> CSV rows, with the keys and
 # defaults of the counterexample block as keyword parameters
 def counterexample_revuz_yor(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[list[str]]:
+    """The P-side martingale diagnostics of H = alpha W at the horizon, the
+    transformed energy estimated under the tilted measure, and its closed form."""
     grid = TimeGrid(horizon=t, dt=dt)
-    report = girsanov.diagnostics_report(girsanov.ensemble_revuz_yor(alpha, grid, n_paths, seed))
-    energy, _, _ = girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)
-    return [
-        ["scenario", "quantity", "estimate", "se", "n_paths", "seed"],
-        *report.to_csv_rows(seed),
-        [report.label, "transformed_energy_tilted", repr(energy.value), repr(energy.se), str(n_paths), str(seed)],
-        [report.label, "closed_form", repr(girsanov.revuz_yor_closed_form(alpha, t)), repr(0.0),
-         str(n_paths), str(seed)],
-    ]
+    ens = girsanov.ensemble_revuz_yor(alpha, grid, n_paths, seed)
+    quantities = {
+        "e_z": ens.z.at(grid.n_steps),
+        "transformed_energy": girsanov.mean_se(ens.energy),
+        "z_log_z": girsanov.mean_se(np.exp(ens.log_z_t) * ens.log_z_t),
+        "z_star": girsanov.mean_se(ens.z_star),
+        "plain_energy": girsanov.mean_se(ens.plain_energy),
+        "transformed_energy_tilted": girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)[0],
+        "closed_form": girsanov.Estimate(girsanov.revuz_yor_closed_form(alpha, t), 0.0),
+    }
+    return [["scenario", "quantity", "estimate", "se", "n_paths", "seed"]] + [
+        [ens.label, key, repr(est.value), repr(est.se), str(n_paths), str(seed)] for key, est in quantities.items()]
 
 
 def counterexample_dufresne(seed: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[list[str]]:
@@ -692,8 +657,8 @@ def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
     diag = cfg.get("diagnostics", {})
     _reject_unknown(diag, ("checks", "params"), "diagnostics")
     names = diag.get("checks")
-    if not names:
-        raise ConfigError("field 'diagnostics.checks' must name at least one check")
+    if not isinstance(names, list) or not names or not all(isinstance(name, str) for name in names):
+        raise ConfigError("field 'diagnostics.checks' must be a list naming at least one check")
     for name in names:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
@@ -734,8 +699,8 @@ def cmd_counterexample(cfg: dict, out: Path, workers: int = 1) -> int:
     block = cfg.get("counterexample")
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("field 'counterexample.kind' is required")
-    if block["kind"] not in COUNTEREXAMPLES:
-        raise ConfigError(f"unknown counterexample kind {block['kind']!r}")
+    if not isinstance(block["kind"], str) or block["kind"] not in COUNTEREXAMPLES:
+        raise ConfigError(f"unknown 'counterexample.kind' {block['kind']!r}; available: {', '.join(COUNTEREXAMPLES)}")
     fn = COUNTEREXAMPLES[block["kind"]]
     kwargs = keyword_params(fn, {k: v for k, v in block.items() if k != "kind"}, "counterexample")
     out.mkdir(parents=True, exist_ok=True)

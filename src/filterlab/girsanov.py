@@ -1,4 +1,4 @@
-"""Exponential-martingale weights and the martingale diagnostics.
+"""Exponential-martingale weights and the ensembles the martingale checks read.
 
 Everything here works on log-weights: for an integrand H against a Brownian
 motion W, log Z accumulates increments H^T dW - |H|^2 dt / 2, so products of
@@ -197,73 +197,6 @@ def change_detection_gronwall_ensemble(b0: float, b: float, grid: TimeGrid, n_pa
     return _weighted_paths(grid, n_paths, rng, f"change_detection(b={b:g})", np.zeros((n_paths, 1)),
                            lambda y, t: -((b0 + b * (t >= taus)) * y), lambda y, h, dw, i: y + (-h * dt + dw),
                            u_of=_one_plus_sq)
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DiagnosticsReport:
-    label: str
-    n_paths: int
-    e_z: Estimate
-    transformed_energy: Estimate
-    z_log_z: Estimate
-    z_star: Estimate
-    plain_energy: Estimate
-
-    def to_csv_rows(self, seed: int) -> list[list[str]]:
-        rows = []
-        for key in ("e_z", "transformed_energy", "z_log_z", "z_star", "plain_energy"):
-            est: Estimate = getattr(self, key)
-            rows.append([self.label, key, repr(est.value), repr(est.se), str(self.n_paths), str(seed)])
-        return rows
-
-
-def diagnostics_report(ens: GirsanovEnsemble) -> DiagnosticsReport:
-    """All P-side martingale diagnostics of one ensemble at its horizon."""
-    return DiagnosticsReport(
-        label=ens.label,
-        n_paths=ens.n_paths,
-        e_z=ens.z.at(ens.grid.n_steps),
-        transformed_energy=mean_se(ens.energy),
-        z_log_z=mean_se(np.exp(ens.log_z_t) * ens.log_z_t),
-        z_star=mean_se(ens.z_star),
-        plain_energy=mean_se(ens.plain_energy),
-    )
-
-
-def zstar_bound(ens: GirsanovEnsemble) -> tuple[Estimate, float, float]:
-    """Maximal bound E[Z*_t] <= (e+1)/(e-1) + e/(2(e-1)) E[int Z |H|^2 ds].
-
-    Returns (lhs estimate, rhs value, band), where the band is 3 SEs of
-    lhs - rhs: the lhs SE combined with the slope times the energy SE.
-    """
-    lhs = mean_se(ens.z_star)
-    energy = mean_se(ens.energy)
-    rhs = MAXIMAL_CONST + MAXIMAL_SLOPE * energy.value
-    return lhs, rhs, 3.0 * math.hypot(lhs.se, MAXIMAL_SLOPE * energy.se)
-
-
-def energy_identity_check(ens: GirsanovEnsemble) -> tuple[Estimate, Estimate]:
-    """(E[int Z_s |H_s|^2 ds], E[Z_t int |H_s|^2 ds]) on the same paths: the
-    two sides of the energy identity."""
-    return mean_se(ens.energy), mean_se(np.exp(ens.log_z_t) * ens.plain_energy)
-
-
-def gronwall_bound_check(ens: GirsanovEnsemble, rate: float, rate_factor: float = 2.0) -> tuple[Array, Array, Array]:
-    """The two sides of sup_s E[Z_s U_s] <= exp(rate_factor * rate * t) E[U_0].
-
-    Returns (E[Z_t U_t] trajectory, per-time SEs, bound trajectory).
-    rate_factor=2 is the generic Gronwall constant; the change-detection
-    estimate is sharp with factor 1.
-    """
-    if ens.zu is None:
-        raise ValueError("ensemble carries no dominating process U")
-    bound = np.exp(rate_factor * rate * ens.grid.times()) * ens.u0_mean
-    return ens.zu.mean, ens.zu.se, bound
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import girsanov
 from .filters import FilterConfig, init_cloud, run_filter, step
 from .girsanov import Estimate, mean_se
 from .models import Battery, SignalModel, StepCoefficients, change_indicator
@@ -28,11 +27,20 @@ from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair, si
 Array = np.ndarray
 
 
+# the width of a statistical row's band in standard errors of its estimate
+SIGMAS = 3.0
+# hitting probabilities get a wider band: a path on a grid is seen to cross a
+# barrier only at grid times, after it has overshot, which biases first passage
+HITTING_SIGMAS = 5.0
+
+
 @dataclass
 class CheckVerdict:
     """Machine-readable outcome of one verification check. It passes when
     |estimate - reference| <= tolerance, or, for a one-sided row (an upper
-    bound), when estimate - reference <= tolerance."""
+    bound), when estimate - reference <= tolerance. A statistical row is made
+    by `band` or `upper_band`, whose tolerance is SIGMAS standard errors; a row
+    against a fixed tolerance uses the plain constructor."""
 
     check: str
     scenario: str
@@ -45,14 +53,23 @@ class CheckVerdict:
     one_sided: bool = False
 
     @classmethod
-    def upper_band(cls, check: str, scenario: str, estimate, reference, tolerance, times=None,
+    def band(cls, check: str, scenario: str, estimate: float, reference: float, se: float,
+             sigmas: Optional[float] = None, **fields) -> "CheckVerdict":
+        """The two-sided row |estimate - reference| <= sigmas * se, with
+        sigmas = SIGMAS unless given."""
+        tolerance = (SIGMAS if sigmas is None else sigmas) * se
+        return cls(check, scenario, float(estimate), float(reference), float(tolerance), **fields)
+
+    @classmethod
+    def upper_band(cls, check: str, scenario: str, estimate, reference, se, times=None,
                    trajectory=None) -> "CheckVerdict":
-        """The one-sided verdict of estimate <= reference + tolerance at every
-        point, written at the point with the largest margin over its band, so
-        that the row passes exactly when every point does. `times`, if given,
-        names that point and the largest estimate/reference over t > 0."""
-        est, ref, tol, at = (np.ravel(a) for a in np.broadcast_arrays(estimate, reference, tolerance,
-                                                                      0.0 if times is None else times))
+        """The one-sided verdict of estimate <= reference + SIGMAS * se at
+        every point, written at the point with the largest margin over its
+        band, so that the row passes exactly when every point does. `times`,
+        if given, names that point and the largest estimate/reference over t > 0."""
+        est, ref, se, at = (np.ravel(a) for a in np.broadcast_arrays(estimate, reference, se,
+                                                                     0.0 if times is None else times))
+        tol = SIGMAS * se
         worst = int(np.argmax(est - (ref + tol)))
         detail = "" if times is None else f"worst_t={at[worst]:.4g}"
         later = at > 0   # none without times
@@ -429,10 +446,10 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     divergence diagnostic of its transformed energy.
 
     For each barrier n, the exit probability P(W hits -1 before n) is
-    compared with n / (n + 1) (5 SE band: first passage on a grid is
-    biased). The partial sums sum_{n <= N} n/(n+1)^2 are reported for
-    growing N together with their log-growth rate, which approaches 1
-    per ln N for the divergent series.
+    compared with n / (n + 1) in a band of HITTING_SIGMAS SEs. The partial
+    sums sum_{n <= N} n/(n+1)^2 are reported for growing N together with
+    their log-growth rate, which approaches 1 per ln N for the divergent
+    series.
     """
     rows = []
     for i, barrier in enumerate(n_list):
@@ -440,34 +457,11 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
         paths = hitting_paths(barrier, n_paths, dt, rng)
         resolved = paths.resolved
         est = mean_se(paths.hit_low[resolved].astype(float))
-        ref = barrier / (barrier + 1.0)
-        rows.append(
-            CheckVerdict(
-                check="hitting_probability",
-                scenario=f"barrier={barrier}",
-                estimate=est.value,
-                reference=ref,
-                tolerance=5.0 * est.se,
-                detail=f"censored={int((~resolved).sum())}",
-            )
-        )
+        rows.append(CheckVerdict.band("hitting_probability", f"barrier={barrier}", est.value, barrier / (barrier + 1.0),
+                                      est.se, HITTING_SIGMAS, detail=f"censored={int((~resolved).sum())}"))
     low, high = PARTIAL_SUM_LEVELS
     n_terms = np.arange(1, high + 1, dtype=float)
     csum = np.cumsum(n_terms / (n_terms + 1.0) ** 2)
     sums = {level: float(csum[level - 1]) for level in PARTIAL_SUM_LEVELS}
     growth = (sums[high] - sums[low]) / math.log(high / low)
     return rows, sums, growth
-
-
-def local_boundedness_sweep(ens: girsanov.GirsanovEnsemble, rate: float, rate_factor: float = 2.0):
-    """Sweep of E[Z_t |H_t|^2] and E[|H_t|^2] under the Gronwall envelope
-    c * exp(rate_factor * c * t) * E[U_0], where c is the Gronwall rate and U
-    the ensemble's dominating process (1 + |X|^2 for a signal model, 1 + Y^2
-    for the change-detection problem).
-
-    Returns (means, SEs, envelope): means and SEs have one row per curve,
-    Z |H|^2 then |H|^2."""
-    means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
-    ses = np.array([ens.z_h_sq.se, ens.h_sq.se])
-    envelope = rate * np.exp(rate_factor * rate * ens.grid.times()[:-1]) * ens.u0_mean
-    return means, ses, envelope

@@ -18,19 +18,16 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab.cli import _agreement_task, residual_runs
+from filterlab.cli import _agreement_task, check_gronwall, check_zstar_bound, residual_runs
 from filterlab.filters import FilterConfig
 from filterlab.girsanov import (
     MAXIMAL_CONST,
     MAXIMAL_SLOPE,
-    change_detection_gronwall_ensemble,
     ensemble_from_model,
     ensemble_revuz_yor,
-    gronwall_bound_check,
     mean_se,
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
-    zstar_bound,
 )
 from filterlab.models import Battery, make_model
 from filterlab.parallel import map_ordered
@@ -129,20 +126,20 @@ def test_criterion_03_martingale_mean(revuz_yor_base, jump_ou_ensemble):
     report(3, "martingale mean E[Z_t]=1", ok, "; ".join(details) + f"; 200k-path ensemble {elapsed:.1f}s")
 
 
-def test_criterion_04_maximal_bound(revuz_yor_tilted, revuz_yor_base, jump_ou_ensemble):
+def test_criterion_04_maximal_bound(revuz_yor_tilted, revuz_yor_base):
     energy, _, _, _ = revuz_yor_tilted
     _, zstar_ry, _ = revuz_yor_base
     rhs_ry = MAXIMAL_CONST + MAXIMAL_SLOPE * energy.value
-    band_ry = 3 * math.hypot(zstar_ry.se, MAXIMAL_SLOPE * energy.se)
-    row_ry = CheckVerdict.upper_band("zstar_bound", "revuz_yor", zstar_ry.value, rhs_ry, band_ry)
+    se_ry = math.hypot(zstar_ry.se, MAXIMAL_SLOPE * energy.se)
+    row_ry = CheckVerdict.upper_band("zstar_bound", "revuz_yor", zstar_ry.value, rhs_ry, se_ry)
 
-    lhs_jou, rhs_jou, band_jou = zstar_bound(jump_ou_ensemble)
-    row_jou = CheckVerdict.upper_band("zstar_bound", "jump_ou", lhs_jou.value, rhs_jou, band_jou)
+    # the jump_ou_ensemble fixture's paths, built again by the check
+    [row_jou] = check_zstar_bound(SEED, 1, scenario="jump_ou", t=1.0, n_paths=10_000, dt=1e-3)
     report(
         4,
         "maximal bound E[Z*] <= (e+1)/(e-1) + e/(2(e-1)) energy",
         row_ry.passed and row_jou.passed,
-        f"revuz_yor {zstar_ry.value:.4f} <= {rhs_ry:.4f}; jump_ou {lhs_jou.value:.4f} <= {rhs_jou:.4f}",
+        f"revuz_yor {zstar_ry.value:.4f} <= {rhs_ry:.4f}; jump_ou {row_jou.estimate:.4f} <= {row_jou.reference:.4f}",
     )
 
 
@@ -314,23 +311,15 @@ def test_criterion_10_change_detection():
 
 
 def test_criterion_11_gronwall_envelope():
-    grid = TimeGrid(1.0, 2e-3)
-    model = make_model("jump_ou")
-    ens = ensemble_from_model(model, grid, 4000, SEED)
-    traj, ses, bound = gronwall_bound_check(ens, model.gronwall_rate, rate_factor=2.0)
-    row_jou = CheckVerdict.upper_band("gronwall_envelope", "jump_ou", traj, bound, 3.0 * ses, grid.times())
-
+    sizes = {"n_paths": 4000, "dt": 2e-3, "horizon": 1.0}
+    [row_jou] = check_gronwall(SEED, 1, scenario="jump_ou", **sizes)
     b0, b = -0.5, 1.0
-    ens_cd = change_detection_gronwall_ensemble(b0, b, grid, 4000, SEED)
-    rate = 4.0 + (b0 + b) ** 2
-    traj_cd, ses_cd, bound_cd = gronwall_bound_check(ens_cd, rate, rate_factor=1.0)
-    row_cd = CheckVerdict.upper_band("gronwall_envelope", "change_detection", traj_cd, bound_cd, 3.0 * ses_cd,
-                                     grid.times())
+    [row_cd] = check_gronwall(SEED, 1, scenario="change_detection", b0=b0, b=b, **sizes)
     report(
         11,
         "Gronwall envelope E[Z_t(1+|X_t|^2)]",
         row_jou.passed and row_cd.passed,
-        f"jump_ou c=2 {row_jou.detail}; change_detection c(b)={rate:g} {row_cd.detail}",
+        f"jump_ou c=2 {row_jou.detail}; change_detection c(b)={4.0 + (b0 + b) ** 2:g} {row_cd.detail}",
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import filterlab
 from filterlab import girsanov, verify
+from filterlab.simulate import TimeGrid
 from filterlab.cli import (
     EXIT_BLOWUP,
     EXIT_CHECK_FAILED,
@@ -308,6 +309,43 @@ class TestVerifyCommand:
         outputs["all"]["verdicts.csv"] = outputs["all"]["verdicts.csv"].split(b"\n", 1)[1]
         assert outputs["all"] == alone
 
+    def test_band_width_is_written_once(self, tmp_path, monkeypatch):
+        # every statistical check at a small size, and every fixed-tolerance row
+        params = {
+            "revuz_yor_energy": TILTED, "zlogz_identity": TILTED,
+            "martingale_mean": dict(ENSEMBLE, times=[0.25, 0.5]), "zstar_bound": dict(ENSEMBLE, t=0.5),
+            "energy_identity": dict(ENSEMBLE, t=0.5), "independent_h": {"t": 0.5, "n_paths": 200, "dt": 0.01},
+            "local_boundedness": {"scenario": "jump_ou", "n_paths": 200, "dt": 0.02, "horizon": 0.4},
+            "gronwall": {"scenario": "jump_ou", "n_paths": 200, "dt": 0.02, "horizon": 0.4},
+            "dufresne": {"n_paths": 200, "horizon": 10.0, "dt": 0.01},
+            "hitting": {"barriers": [1, 3], "n_paths": 200, "dt": 1e-3},
+            "zakai_residual": RESID, "ks_residual": RESID, "kalman_agreement": KALMAN, "change_detection": KALMAN,
+        }
+        cfg = write_cfg(tmp_path, "all.json", {"diagnostics": {"checks": list(params), "params": params}, "seed": 5})
+
+        def rows(tag):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / tag)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+            with open(tmp_path / tag / "verdicts.csv") as fh:
+                return list(csv.DictReader(fh))
+
+        base = rows("sigmas3")
+        monkeypatch.setattr(verify, "SIGMAS", 4.0)
+        wide = rows("sigmas4")
+        # fixed tolerances, and the hitting rows' own HITTING_SIGMAS band
+        unmoved = {"kalman_agreement", "change_detection_oracle_gap", "divergence_partial_sums", "hitting_probability"}
+        banded = {"revuz_yor_energy", "zlogz_identity", "martingale_mean", "zstar_bound", "energy_identity",
+                  "independent_h", "local_boundedness", "gronwall_envelope", "dufresne", "zakai_residual",
+                  "ks_residual"}
+        assert {r["check"] for r in base} == unmoved | banded
+        assert [(r["check"], r["scenario"], r["estimate"], r["reference"]) for r in base] == \
+            [(r["check"], r["scenario"], r["estimate"], r["reference"]) for r in wide]
+        for a, b in zip(base, wide):
+            if a["check"] in unmoved:
+                assert b["tolerance"] == a["tolerance"], a["check"]
+            else:
+                assert float(b["tolerance"]) == pytest.approx(float(a["tolerance"]) * 4.0 / 3.0, rel=1e-12), a["check"]
+        assert {r["check"] for r in base if r["check"] in banded and float(r["tolerance"]) > 0.0} == banded
+
     def test_shared_residual_runs_leave_bytes_unchanged(self, tmp_path):
         both = residual_cfg(tmp_path, "both", ["zakai_residual", "ks_residual"], RESID, RESID)
         runs = {"w1": (both, "1"), "w2": (both, "2"),
@@ -332,8 +370,15 @@ class TestCounterexampleCommand:
             {"counterexample": {"kind": "revuz_yor", "n_paths": 500, "t": 0.5, "dt": 0.005}, "seed": 2},
         )
         assert main(["counterexample", "--config", cfg, "--out", str(tmp_path / "ce")]) == EXIT_OK
-        text = (tmp_path / "ce" / "counterexample.csv").read_text()
-        assert "transformed_energy" in text and "closed_form" in text
+        with open(tmp_path / "ce" / "counterexample.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["quantity"] for r in rows] == ["e_z", "transformed_energy", "z_log_z", "z_star", "plain_energy",
+                                                 "transformed_energy_tilted", "closed_form"]
+        assert {(r["scenario"], r["n_paths"], r["seed"]) for r in rows} == {("revuz_yor(alpha=1)", "500", "2")}
+        grid = TimeGrid(0.5, 0.005)
+        e_z = girsanov.ensemble_revuz_yor(1.0, grid, 500, 2).z.at(grid.n_steps)
+        assert (rows[0]["estimate"], rows[0]["se"]) == (repr(e_z.value), repr(e_z.se))
+        assert (rows[-1]["estimate"], rows[-1]["se"]) == (repr(girsanov.revuz_yor_closed_form(1.0, 0.5)), "0.0")
 
     def test_hitting_summary(self, tmp_path):
         cfg = write_cfg(
@@ -369,6 +414,7 @@ STRICT_CASES = {
     "grid_numeric_string": ("simulate", dict(SIM_CFG, grid={"horizon": "1.0", "dt": 0.005}), "grid.horizon"),
     "grid_bool": ("simulate", dict(SIM_CFG, grid={"horizon": True, "dt": 0.005}), "grid.horizon"),
     "bool_seed": ("simulate", dict(SIM_CFG, seed=True), "'seed'"),
+    "negative_seed": ("simulate", dict(SIM_CFG, seed=-1), "'seed'"),
     "grid_overflow": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": 10 ** 400}), "grid.dt"),
     "count_overflow": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths=10 ** 400)}),
                        "diagnostics.params.independent_h.n_paths"),
@@ -380,6 +426,9 @@ STRICT_CASES = {
                      "diagnostics.params.independent_h.n_path"),
     "removed_key": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, correlated=True)}),
                     "diagnostics.params.kalman_agreement.correlated"),
+    "checks_string": ("verify", {"diagnostics": {"checks": "dufresne"}, "seed": 5}, "diagnostics.checks"),
+    "checks_number": ("verify", {"diagnostics": {"checks": 5}, "seed": 5}, "diagnostics.checks"),
+    "checks_nested": ("verify", {"diagnostics": {"checks": [["dufresne"]]}, "seed": 5}, "diagnostics.checks"),
     "non_check": ("verify", verify_cfg({"independent_h": SMALL, "nope": {}}), "diagnostics.params.nope"),
     "non_numeric": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths="many")}),
                     "diagnostics.params.independent_h.n_paths"),
@@ -438,6 +487,15 @@ STRICT_CASES = {
                      "diagnostics.params.independent_h.n_paths"),
     "no_seeds": ("verify", verify_cfg({"change_detection": dict(KALMAN, n_seeds=0)}),
                  "diagnostics.params.change_detection.n_seeds"),
+    # alpha <= 0 and barriers below 1 are refused before any check runs
+    "zero_alpha": ("verify", verify_cfg({"revuz_yor_energy": dict(SMALL, alpha=0)}),
+                   "diagnostics.params.revuz_yor_energy.alpha"),
+    "negative_alpha": ("verify", verify_cfg({"zlogz_identity": dict(SMALL, alpha=-1.0), "independent_h": SMALL}),
+                       "diagnostics.params.zlogz_identity.alpha"),
+    "negative_barrier": ("verify", verify_cfg({"hitting": {"barriers": [-1], "n_paths": 100, "dt": 1e-3}}),
+                         "diagnostics.params.hitting.barriers"),
+    "zero_barrier": ("verify", verify_cfg({"hitting": {"barriers": [1, 0], "n_paths": 100, "dt": 1e-3}}),
+                     "diagnostics.params.hitting.barriers"),
     "fractional_barrier": ("verify", verify_cfg({"hitting": {"barriers": [1, 2.5], "n_paths": 100, "dt": 1e-3}}),
                            "diagnostics.params.hitting.barriers"),
     "one_counterexample_path": ("counterexample", {"counterexample": {"kind": "dufresne", "n_paths": 1,
@@ -446,6 +504,13 @@ STRICT_CASES = {
     "counterexample": ("counterexample", {"counterexample": {"kind": "dufresne", "n_path": 3, "n_paths": 100,
                                                              "horizon": 1.0, "dt": 0.01}, "seed": 2},
                        "counterexample.n_path"),
+    "kind_list": ("counterexample", {"counterexample": {"kind": ["hitting"]}, "seed": 2}, "counterexample.kind"),
+    "counterexample_alpha": ("counterexample", {"counterexample": {"kind": "revuz_yor", "alpha": 0, "n_paths": 100,
+                                                                   "t": 0.5, "dt": 0.01}, "seed": 2},
+                             "counterexample.alpha"),
+    "counterexample_barrier": ("counterexample", {"counterexample": {"kind": "hitting", "barriers": [0],
+                                                                     "n_paths": 100, "dt": 1e-3}, "seed": 2},
+                               "counterexample.barriers"),
 }
 
 
@@ -457,6 +522,14 @@ def test_unknown_key_or_bad_value_exits_2_naming_it(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
     assert dotted in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    code = main(["simulate", "--config", write_cfg(tmp_path, "sim.json", SIM_CFG), "--seed", "-1",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "'seed'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

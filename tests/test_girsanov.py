@@ -11,22 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from filterlab import girsanov
+from filterlab import cli, girsanov
 from filterlab.girsanov import (
     MAXIMAL_CONST,
     Curve,
     _weighted_paths,
     change_detection_gronwall_ensemble,
-    diagnostics_report,
-    energy_identity_check,
     ensemble_from_model,
     ensemble_independent_h,
     ensemble_revuz_yor,
-    gronwall_bound_check,
     mean_se,
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
-    zstar_bound,
 )
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
 from filterlab.rng import TAG_PATH, substream
@@ -105,7 +101,7 @@ class TestRevuzYorEstimators:
         assert abs(gap.value) < 3 * gap.se
         # the two sides are individually near the closed form too
         closed = revuz_yor_closed_form(1.0, 0.5)
-        zz = diagnostics_report(ens).z_log_z
+        zz = mean_se(np.exp(ens.log_z_t) * ens.log_z_t)
         assert abs(zz.value - closed / 2) < 3 * zz.se + 0.02 * closed
 
     def test_martingale_mean_flat_at_one(self):
@@ -115,30 +111,29 @@ class TestRevuzYorEstimators:
             assert abs(est.value - 1.0) < 3 * est.se, f"E[Z_{t}] = {est}"
         assert ens.z.mean[0] == 1.0
 
+    # the Revuz-Yor ensemble of GRID_HALF, 8000 paths, through the checks that read it
     def test_zstar_bound(self):
-        ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=23)
-        lhs, rhs, band = zstar_bound(ens)
-        assert CheckVerdict.upper_band("zstar_bound", "", lhs.value, rhs, band).passed, f"{lhs} vs {rhs}"
+        [row] = cli.check_zstar_bound(23, 1, t=0.5, n_paths=8000, dt=1e-3)
+        assert row.passed, f"{row.estimate} vs {row.reference}"
 
     def test_energy_identity(self):
-        ens = ensemble_revuz_yor(1.0, GRID_HALF, 8000, seed=29)
-        lhs, rhs = energy_identity_check(ens)
-        assert CheckVerdict("energy_identity", "", lhs.value, rhs.value, 3.0 * math.hypot(lhs.se, rhs.se)).passed, \
-            f"{lhs} vs {rhs}"
+        [row] = cli.check_energy_identity(29, 1, t=0.5, n_paths=8000, dt=1e-3)
+        assert row.passed, f"{row.estimate} vs {row.reference}"
 
 
 class TestDegenerateAndModelEnsembles:
-    def test_h_zero_weight_is_identically_one(self):
+    def test_h_zero_weight_is_identically_one(self, monkeypatch):
         m = linear_model("silent", h_scale=0.0)
         ens = ensemble_from_model(m, TimeGrid(0.2, 0.01), 500, seed=3)
         # Z = 1 on every path at every time, and |H|^2 >= 0 has mean 0 only where it is 0
         assert np.all(ens.log_z_t == 0.0) and np.all(ens.z_star == 1.0)
         assert np.all(ens.z.mean == 1.0) and np.all(ens.z.se == 0.0) and np.all(ens.h_sq.mean == 0.0)
         assert mean_se(ens.energy).value == 0.0
-        assert diagnostics_report(ens).z_log_z.value == 0.0
-        lhs, rhs, band = zstar_bound(ens)
-        assert lhs.value == 1.0 and rhs == pytest.approx(MAXIMAL_CONST)
-        assert CheckVerdict.upper_band("zstar_bound", "", lhs.value, rhs, band).passed
+        assert mean_se(np.exp(ens.log_z_t) * ens.log_z_t).value == 0.0
+        monkeypatch.setattr(cli, "make_model", lambda name: m)   # the checks build m for any model name
+        [row] = cli.check_zstar_bound(3, 1, scenario="silent", t=0.2, n_paths=500, dt=0.01)
+        assert row.estimate == 1.0 and row.reference == pytest.approx(MAXIMAL_CONST)
+        assert row.passed
 
     def test_jump_ou_martingale_mean(self):
         ens = ensemble_from_model(make_model("jump_ou"), TimeGrid(1.0, 2e-3), 4000, seed=31)
@@ -149,24 +144,24 @@ class TestDegenerateAndModelEnsembles:
     def test_independent_h_identity(self):
         ens = ensemble_independent_h(TimeGrid(1.0, 2e-3), 8000, seed=37)
         lhs, rhs = mean_se(ens.energy), mean_se(ens.plain_energy)
-        assert CheckVerdict("independent_h", "", lhs.value, rhs.value, 3.0 * math.hypot(lhs.se, rhs.se)).passed, \
+        assert CheckVerdict.band("independent_h", "", lhs.value, rhs.value, math.hypot(lhs.se, rhs.se)).passed, \
             f"transformed {lhs} vs plain {rhs}"
 
-    def test_gronwall_trivial_model(self):
+    def test_gronwall_trivial_model(self, monkeypatch):
         # all coefficients zero from X_0 = 0: E[Z_t U_t] = 1 <= e^{2ct}
         m = linear_model("nil", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0)
         m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
-        ens = ensemble_from_model(m, TimeGrid(0.5, 0.01), 100, seed=1)
-        traj, ses, bound = gronwall_bound_check(ens, rate=1.0)
-        assert CheckVerdict.upper_band("gronwall_envelope", "nil", traj, bound, 3.0 * ses).passed
+        monkeypatch.setattr(cli, "make_model", lambda name: m)
+        [row] = cli.check_gronwall(1, 1, scenario="nil", n_paths=100, dt=0.01, horizon=0.5)
+        assert row.passed
+        traj = row.trajectory["mean_zu"]
         np.testing.assert_array_equal(traj, np.ones_like(traj))
 
     def test_gronwall_jump_ou(self):
-        m = make_model("jump_ou")
-        ens = ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=41)
-        traj, ses, bound = gronwall_bound_check(ens, m.gronwall_rate)
-        assert CheckVerdict.upper_band("gronwall_envelope", "jump_ou", traj, bound, 3.0 * ses).passed
-        assert bound[-1] == pytest.approx(math.exp(4.0) * ens.u0_mean)
+        [row] = cli.check_gronwall(41, 1, scenario="jump_ou", n_paths=2000, dt=2e-3, horizon=1.0)
+        assert row.passed
+        bound = row.trajectory["bound"]   # starts at E[U_0]
+        assert bound[-1] == pytest.approx(math.exp(4.0) * bound[0])
 
     def test_jump_coefficient_at_left_point(self, monkeypatch):
         # sigma_tilde(x) = x must see X_{s-}, not the state after the diffusion part
@@ -183,23 +178,19 @@ class TestDegenerateAndModelEnsembles:
         np.testing.assert_allclose(dense["u"][:, 1], 1.0 + x1[:, 0] ** 2, rtol=1e-12)
 
     def test_ensemble_requires_u_for_gronwall(self):
-        ens = ensemble_revuz_yor(1.0, GRID_HALF, 100, seed=2)
+        # the Revuz-Yor ensemble records no dominating process U
+        assert ensemble_revuz_yor(1.0, GRID_HALF, 100, seed=2).zu is None
         with pytest.raises(ValueError):
-            gronwall_bound_check(ens, 1.0)
+            cli.check_gronwall(2, 1, scenario="revuz_yor", n_paths=100, dt=1e-3, horizon=0.5)
 
 
 class TestDeterminism:
     def test_estimators_are_seed_deterministic(self):
-        a = diagnostics_report(ensemble_revuz_yor(1.0, GRID_HALF, 1000, seed=5))
-        b = diagnostics_report(ensemble_revuz_yor(1.0, GRID_HALF, 1000, seed=5))
-        assert a.transformed_energy == b.transformed_energy
-        assert a.e_z == b.e_z
-        assert a.z_star == b.z_star
-
-    def test_report_serialisation(self):
-        rep = diagnostics_report(ensemble_revuz_yor(1.0, TimeGrid(0.1, 0.01), 200, seed=5))
-        rows = rep.to_csv_rows(seed=5)
-        assert len(rows) == 5 and rows[0][0] == rep.label
+        a = ensemble_revuz_yor(1.0, GRID_HALF, 1000, seed=5)
+        b = ensemble_revuz_yor(1.0, GRID_HALF, 1000, seed=5)
+        for field in ("energy", "z_star", "log_z_t"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert a.z.mean.tobytes() == b.z.mean.tobytes() and a.z.se.tobytes() == b.z.se.tobytes()
 
 
 def test_mean_se_requires_two_samples():

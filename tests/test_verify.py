@@ -13,6 +13,7 @@ from filterlab.models import Battery, StepCoefficients, make_model
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
+    SIGMAS,
     CheckVerdict,
     change_detection_agreement_run,
     change_detection_oracle,
@@ -22,7 +23,6 @@ from filterlab.verify import (
     kalman_bucy_oracle,
     kalman_oracle_for_model,
     kazamaki_gap_check,
-    local_boundedness_sweep,
     residual_run,
 )
 from filterlab import girsanov
@@ -342,39 +342,35 @@ class TestScenarioChecks:
         dmean, dvar = kalman_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=41), 0)
         assert dmean < 0.05 and dvar < 0.05
 
-    def test_local_boundedness_silent_sensor_is_flat_zero(self):
+    def test_local_boundedness_silent_sensor_is_flat_zero(self, monkeypatch):
         from filterlab.models import linear_model
 
-        m = linear_model("mute", h_scale=0.0)
-        ens = girsanov.ensemble_from_model(m, TimeGrid(0.3, 1e-2), 200, seed=3)
-        (zh, plain), ses, env = local_boundedness_sweep(ens, rate=1.0)
-        assert CheckVerdict.upper_band("local_boundedness", "mute", np.array([zh, plain]), env, 3.0 * ses).passed
-        np.testing.assert_array_equal(zh, 0.0)
-        np.testing.assert_array_equal(plain, 0.0)
+        monkeypatch.setattr(cli, "make_model", lambda name: linear_model("mute", h_scale=0.0))
+        [row] = cli.check_local_boundedness(3, 1, scenario="mute", n_paths=200, dt=1e-2, horizon=0.3)
+        assert row.passed
+        np.testing.assert_array_equal(row.trajectory["mean_z_hsq"], 0.0)
+        np.testing.assert_array_equal(row.trajectory["mean_hsq"], 0.0)
 
     def test_local_boundedness_jump_ou(self):
-        m = make_model("jump_ou")
-        ens = girsanov.ensemble_from_model(m, TimeGrid(1.0, 2e-3), 2000, seed=5)
-        (zh, plain), ses, env = local_boundedness_sweep(ens, m.gronwall_rate)
-        assert CheckVerdict.upper_band("local_boundedness", "jump_ou", np.array([zh, plain]), env, 3.0 * ses).passed
-        assert zh.max() < 1.0 < env[-1]   # curves stay far inside the envelope
+        [row] = cli.check_local_boundedness(5, 1, scenario="jump_ou", n_paths=2000, dt=2e-3, horizon=1.0)
+        assert row.passed
+        # curves stay far inside the envelope
+        assert row.trajectory["mean_z_hsq"].max() < 1.0 < row.trajectory["envelope"][-1]
 
     def test_local_boundedness_change_detection_envelope(self):
         # bounded change sizes: curves under c(b_max) e^{c(b_max) t}
-        grid = TimeGrid(1.0, 2e-3)
-        b0, b_max = -0.5, 2.0
-        ens = girsanov.change_detection_gronwall_ensemble(b0, b_max, grid, 2000, seed=7)
-        rate = 4.0 + (b0 + b_max) ** 2
-        means, ses, env = local_boundedness_sweep(ens, rate, rate_factor=1.0)
-        assert CheckVerdict.upper_band("local_boundedness", "change_detection", means, env, 3.0 * ses).passed
+        [row] = cli.check_local_boundedness(7, 1, scenario="change_detection", n_paths=2000, dt=2e-3, horizon=1.0,
+                                            b0=-0.5, b_max=2.0)
+        assert row.scenario == f"change_detection,c={4.0 + 1.5 ** 2:g}"
+        assert row.passed
 
     def test_gronwall_change_detection_tracks_one_plus_t(self):
         # under the reference measure E[Z_t U_t] = 1 + t exactly
-        grid = TimeGrid(1.0, 2e-3)
-        ens = girsanov.change_detection_gronwall_ensemble(-0.5, 1.0, grid, 3000, seed=11)
-        traj, ses, bound = girsanov.gronwall_bound_check(ens, 4.25, rate_factor=1.0)
-        assert CheckVerdict.upper_band("gronwall_envelope", "change_detection", traj, bound, 3.0 * ses).passed
-        t = grid.times()
+        [row] = cli.check_gronwall(11, 1, scenario="change_detection", n_paths=3000, dt=2e-3, horizon=1.0,
+                                   b0=-0.5, b=1.0)
+        assert row.scenario == "change_detection,c=4.25"
+        assert row.passed
+        traj, ses, t = row.trajectory["mean_zu"], row.trajectory["se"], row.trajectory["t"]
         inside = np.abs(traj - (1.0 + t)) <= 4 * ses + 1e-9
         assert inside.mean() > 0.9, "E[Z U] should track 1 + t"
 
@@ -409,7 +405,7 @@ class TestBandRows:
         ens = girsanov.ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 500, 3)
         lhs = girsanov.mean_se(ens.z_star)
         energy = girsanov.mean_se(ens.energy)
-        assert row.tolerance == 3.0 * math.hypot(lhs.se, girsanov.MAXIMAL_SLOPE * energy.se) > 3.0 * lhs.se
+        assert row.tolerance == SIGMAS * math.hypot(lhs.se, girsanov.MAXIMAL_SLOPE * energy.se) > SIGMAS * lhs.se
         assert row.one_sided and row.detail == ""
 
     def test_local_boundedness_tolerance_is_its_3se_band(self):
@@ -417,7 +413,7 @@ class TestBandRows:
         model = make_model("jump_ou")
         ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
         means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
-        bands = 3.0 * np.array([ens.z_h_sq.se, ens.h_sq.se])
+        bands = SIGMAS * np.array([ens.z_h_sq.se, ens.h_sq.se])
         times = ens.grid.times()[:-1]
         env = model.gronwall_rate * np.exp(2.0 * model.gronwall_rate * times) * ens.u0_mean
         curve, k = np.unravel_index(np.argmax(means - (env + bands)), means.shape)
@@ -427,12 +423,13 @@ class TestBandRows:
 
     def test_gronwall_row_is_the_largest_margin(self):
         [row] = cli.check_gronwall(4, 1, n_paths=300, dt=0.01, horizon=0.5)
-        traj, ses, bound = girsanov.gronwall_bound_check(
-            girsanov.ensemble_from_model(make_model("jump_ou"), TimeGrid(0.5, 0.01), 300, 4), 2.0)
-        k = int(np.argmax(traj - (bound + 3.0 * ses)))
-        assert (row.estimate, row.reference, row.tolerance) == (traj[k], bound[k], 3.0 * ses[k])
-        assert row.passed == bool(np.all(traj - bound <= 3.0 * ses))
-        times = TimeGrid(0.5, 0.01).times()
+        model = make_model("jump_ou")
+        ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
+        times = ens.grid.times()
+        traj, ses, bound = ens.zu.mean, ens.zu.se, np.exp(2.0 * model.gronwall_rate * times) * ens.u0_mean
+        k = int(np.argmax(traj - (bound + SIGMAS * ses)))
+        assert (row.estimate, row.reference, row.tolerance) == (traj[k], bound[k], SIGMAS * ses[k])
+        assert row.passed == bool(np.all(traj - bound <= SIGMAS * ses))
         assert row.detail == f"worst_t={times[k]:.4g} max_ratio={np.max(traj[1:] / bound[1:]):.4g}"
 
     # points at t = 0, 0.5, 1 against reference 1; two-sided checks over several points
@@ -448,6 +445,7 @@ class TestBandRows:
         points = [CheckVerdict("c", "s", e, 1.0, tol, one_sided=one_sided) for e, tol in zip(estimate, tolerance)]
         assert all(p.passed for p in points) == passed
         if one_sided:
-            row = CheckVerdict.upper_band("c", "s", np.array(estimate), 1.0, np.array(tolerance), [0.0, 0.5, 1.0])
+            se = np.array(tolerance) / SIGMAS   # so that each point's band is its tolerance
+            row = CheckVerdict.upper_band("c", "s", np.array(estimate), 1.0, se, [0.0, 0.5, 1.0])
             assert (row.estimate, row.tolerance, row.passed) == (estimate[worst], tolerance[worst], passed)
             assert row.detail == f"worst_t={[0.0, 0.5, 1.0][worst]:.4g} max_ratio={max(estimate[1:]):.4g}"
