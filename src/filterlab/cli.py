@@ -90,8 +90,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     value that does not coerce, a value that fn could not use (an unknown
     model, scenario, test-function label (or one named twice) or
     representation, a dt <= 0 or a time that dt does not divide, a filter
-    setting FilterConfig refuses, an alpha <= 0, a count or barrier below
-    MINIMUMS), a
+    setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
+    overflows a float, a count or barrier below MINIMUMS), a
     change-detection key given to another scenario, or a dufresne check
     horizon of at most DUFRESNE_MIN_HORIZON raises ConfigError naming
     `where.key`."""
@@ -121,7 +121,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
         "phis": lambda: Battery(params["phis"], make_model(params["model"]).dim_x),
         "scenario": lambda: params["scenario"] in ensembles or make_model(params["scenario"]),
         "representation": lambda: _one_of(params["representation"], REPRESENTATIONS),
-        "alpha": lambda: _positive(params["alpha"]),
+        "alpha": lambda: _revuz_yor_alpha(params["alpha"], params["t"]),
         "dt": lambda: grid(0.0),
         "t": lambda: grid(params["t"]),
         "horizon": lambda: grid(params["horizon"]),
@@ -168,6 +168,16 @@ def _one_of(value: str, choices: tuple) -> None:
 def _positive(value: float) -> None:
     if not value > 0:
         raise ValueError(f"must be > 0, not {value!r}")
+
+
+# the largest x with a finite exp(x): the Revuz-Yor closed form needs e^{2 alpha t}
+MAX_EXPONENT = math.log(sys.float_info.max)
+
+
+def _revuz_yor_alpha(alpha: float, t: float) -> None:
+    _positive(alpha)
+    if 2.0 * alpha * t > MAX_EXPONENT:
+        raise ValueError(f"2 alpha t = {2.0 * alpha * t:g} overflows e^(2 alpha t) (at most {MAX_EXPONENT:.6g})")
 
 
 def config_hash(cfg: dict) -> str:
@@ -422,7 +432,7 @@ def check_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=
 
 
 def check_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[CheckVerdict]:
-    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed)
+    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed, workers)
     levels = sorted(sums)
     rows.append(
         CheckVerdict(
@@ -562,9 +572,10 @@ CHECKS: dict[str, Callable[..., list[CheckVerdict]]] = {
 }
 
 
-# counterexample kinds: kind(seed, **params) -> CSV rows, with the keys and
-# defaults of the counterexample block as keyword parameters
-def counterexample_revuz_yor(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[list[str]]:
+# counterexample kinds: kind(seed, workers, **params) -> CSV rows, with the keys
+# and defaults of the counterexample block as keyword parameters
+def counterexample_revuz_yor(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000,
+                             dt=1e-3) -> list[list[str]]:
     """The P-side martingale diagnostics of H = alpha W at the horizon, the
     transformed energy estimated under the tilted measure, and its closed form."""
     grid = TimeGrid(horizon=t, dt=dt)
@@ -582,7 +593,7 @@ def counterexample_revuz_yor(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=
         [ens.label, key, repr(est.value), repr(est.se), str(n_paths), str(seed)] for key, est in quantities.items()]
 
 
-def counterexample_dufresne(seed: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[list[str]]:
+def counterexample_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[list[str]]:
     grid = TimeGrid(horizon=horizon, dt=dt)
     est, target, correction = verify.dufresne_check(n_paths, grid, seed)
     return [
@@ -592,8 +603,8 @@ def counterexample_dufresne(seed: int, *, n_paths=10_000, horizon=20.0, dt=1e-3)
     ]
 
 
-def counterexample_hitting(seed: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[list[str]]:
-    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed)
+def counterexample_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[list[str]]:
+    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed, workers)
     out = [["scenario", "quantity", "estimate", "reference", "tolerance", "detail"]]
     out += [[v.scenario, v.check, repr(v.estimate), repr(v.reference), repr(v.tolerance), v.detail] for v in rows]
     out += [[f"N={level}", "partial_sum", repr(s), "", "", ""] for level, s in sorted(sums.items())]
@@ -664,8 +675,11 @@ def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
             raise ConfigError(f"unknown check {name!r}; available: {', '.join(sorted(CHECKS))}")
     params_all = diag.get("params", {})
     _reject_unknown(params_all, CHECKS, "diagnostics.params")
-    bound = {name: keyword_params(CHECKS[name], block, f"diagnostics.params.{name}")
-             for name, block in params_all.items()}
+    bound = {}
+    for name, block in params_all.items():
+        if name not in names:
+            raise ConfigError(f"'diagnostics.params.{name}' is given, but 'diagnostics.checks' does not name {name!r}")
+        bound[name] = keyword_params(CHECKS[name], block, f"diagnostics.params.{name}")
     verdicts: list[CheckVerdict] = []
     _VERIFY_MEMO = {}
     try:
@@ -705,7 +719,7 @@ def cmd_counterexample(cfg: dict, out: Path, workers: int = 1) -> int:
     kwargs = keyword_params(fn, {k: v for k, v in block.items() if k != "kind"}, "counterexample")
     out.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(fn(seed, **kwargs))
+    csv.writer(buf, lineterminator="\n").writerows(fn(seed, workers, **kwargs))
     (out / "counterexample.csv").write_text(buf.getvalue(), encoding="utf-8")
     write_manifest(out, cfg, "counterexample", seed)
     return EXIT_OK

@@ -75,9 +75,12 @@ class LevySpec:
         return np.einsum("k,ki,kj->ij", self.rates, self.locs, self.locs)
 
     @cached_property
-    def mark_probs(self) -> Array:
-        """The normalised jump law F / jump_rate on the atoms."""
-        return self.rates / self.rates.sum() if self.rates.sum() > 0 else self.rates
+    def mark_cdf(self) -> Array:
+        """The distribution function of the normalised jump law F / jump_rate
+        over the atoms, scaled so that its last entry is 1, as rng.choice
+        builds it from p."""
+        cdf = np.cumsum(self.rates / self.rates.sum())
+        return cdf / cdf[-1]
 
     @cached_property
     def mean_mark(self) -> Array:
@@ -90,10 +93,12 @@ class LevySpec:
         return self.drift_a - self.mean_large
 
     def sample_marks(self, rng: np.random.Generator, k: int) -> Array:
-        """k marks drawn from the normalised jump law."""
+        """k marks drawn from the normalised jump law by inverse CDF: the
+        draws, and the generator state after them, of rng.choice(len(rates),
+        size=k, p=rates / jump_rate), without its per-call checks of p."""
         if k == 0:
             return np.zeros((0, self.dim))
-        return self.locs[rng.choice(len(self.rates), size=k, p=self.mark_probs)]
+        return self.locs[self.mark_cdf.searchsorted(rng.random(k), side="right")]
 
 
 def levy_atoms(locations, rates, drift_a=None) -> LevySpec:

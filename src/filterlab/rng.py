@@ -24,7 +24,7 @@ TAG_PROPAGATE = 2
 TAG_RESAMPLE = 3
 TAG_INIT = 4
 TAG_DUFRESNE = 21          # Dufresne exponential-functional paths, one substream per chunk of paths
-TAG_HITTING = 22           # Brownian exit paths, one substream per barrier
+TAG_HITTING = 22           # Brownian exit paths, one substream per chunk of paths
 TAG_KALMAN_FILTER = 51     # derive_seed key of the filters in the Kalman agreement runs
 TAG_CHANGE_FILTER = 52     # derive_seed key of the filters in the change-detection runs
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .models import ConstCoeff, LevySpec, SignalModel
-from .rng import TAG_DUFRESNE, substream
+from .rng import TAG_DUFRESNE, TAG_HITTING, substream
 
 Array = np.ndarray
 
@@ -244,18 +244,22 @@ def propagate_under_reference(
 
 @dataclass
 class HittingPaths:
-    """First exit of Brownian motion from (-1, n) on a dt-grid."""
+    """First exits of Brownian motion from (-1, n) on a dt-grid, one row per
+    barrier n of the list and one column per path."""
 
-    hit_low: Array      # bool, among resolved paths
+    hit_low: Array      # bool, among resolved paths: -1 reached before n
     resolved: Array     # bool; False = censored at HITTING_MAX_TIME
+
+
+# paths per draw in the active-set kernels (dufresne_paths, hitting_paths):
+# a tile is drawn, walked and reduced while it is in cache, and no (undecided
+# paths x block) array is built; a Dufresne tile of 16 x 1000 doubles (125
+# KiB) stays below glibc's 128 KiB mmap threshold
+TILE_ROWS = 16
 
 
 DUFRESNE_CHUNK = 1000   # paths per substream (seed, TAG_DUFRESNE, chunk)
 DUFRESNE_BLOCK = 1000   # grid steps drawn at once for every undecided path of a chunk
-# paths per draw within a block: 16 x 1000 doubles (125 KiB) stay below
-# glibc's 128 KiB mmap threshold; freeing 8 MB draws raises that threshold,
-# which raised martingale_mc's peak RSS (set later by hitting) by 4.5 MiB
-DUFRESNE_ROWS = 16
 
 
 def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Array, Array]:
@@ -267,7 +271,7 @@ def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Array, Arra
     chunk c drawing from substream(seed, TAG_DUFRESNE, c); each chunk steps
     its undecided paths DUFRESNE_BLOCK steps at a time and, at each block's
     end, drops every path with X >= 1. A block's draws are those of one
-    (undecided, DUFRESNE_BLOCK) array, taken DUFRESNE_ROWS paths at a time.
+    (undecided, DUFRESNE_BLOCK) array, taken TILE_ROWS paths at a time.
     A decided path keeps the X (>= 1) and B of that block's end, so B_T is
     exact only where X_T < 1. The last block draws full width and uses its
     first columns: a path's draws do not depend on the horizon.
@@ -283,7 +287,7 @@ def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Array, Arra
         while alive.size and done < k:
             nb = min(DUFRESNE_BLOCK, k - done)
             half_t = 0.5 * dt * np.arange(done + 1, done + nb)
-            for rows in np.split(alive, range(DUFRESNE_ROWS, alive.size, DUFRESNE_ROWS)):
+            for rows in np.split(alive, range(TILE_ROWS, alive.size, TILE_ROWS)):
                 seg = rng.standard_normal((rows.size, DUFRESNE_BLOCK))[:, :nb]
                 np.multiply(seg, sq, out=seg)
                 np.cumsum(seg, axis=1, out=seg)
@@ -300,47 +304,60 @@ def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Array, Arra
     return x, b
 
 
+HITTING_CHUNK = 1000       # paths per substream (seed, TAG_HITTING, chunk)
 HITTING_MAX_TIME = 400.0   # hitting paths unresolved by this time are censored
-HITTING_BLOCK = 4000       # grid steps drawn at once for every path still active
+HITTING_BLOCK = 4000       # grid steps drawn at once for every undecided path of a chunk
 
 
-def hitting_paths(barrier: int, n_paths: int, dt: float, rng: np.random.Generator) -> HittingPaths:
-    """Exit of W from (-1, barrier) on a dt-grid, simulated in blocks of
-    HITTING_BLOCK steps over the active set.
+def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, chunk: int) -> HittingPaths:
+    """Chunk `chunk` of n_paths Brownian walks on a dt-grid and their exits
+    from (-1, n) for every barrier n: the paths from chunk * HITTING_CHUNK to
+    the next chunk or n_paths, drawn from substream(seed, TAG_HITTING, chunk).
 
-    Paths run until absorption or HITTING_MAX_TIME (censoring flagged, never
-    silently dropped). First passage on a grid carries the usual
-    O(sqrt(dt)) overshoot bias, which the callers widen tolerances for.
+    A path runs until it leaves (-1, max barrier) or reaches HITTING_MAX_TIME
+    (censored, flagged and never silently dropped), and the kernel keeps its
+    first step at or below -1 and at or above each barrier; for barrier n it
+    hit -1 first when the first comes before the second. How long a path
+    draws, and with it every row, depends on the whole barrier list. A chunk
+    steps its undecided paths HITTING_BLOCK steps at a time, drawn as one
+    (undecided, HITTING_BLOCK) array taken TILE_ROWS paths at a time; each
+    tile reduces to its rows' min and max, and only a row that crossed a new
+    level is searched for the step. First passage on a grid carries the
+    usual O(sqrt(dt)) overshoot bias, which the callers widen tolerances for.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    levels = np.asarray(barriers, dtype=float)
+    top = int(np.argmax(levels))
+    n = min(HITTING_CHUNK, n_paths - chunk * HITTING_CHUNK)
+    rng = substream(seed, TAG_HITTING, chunk)
     sq = np.sqrt(dt)
-    x = np.zeros(n_paths)
-    alive = np.arange(n_paths)
-    hit_low = np.zeros(n_paths, dtype=bool)
-    resolved = np.zeros(n_paths, dtype=bool)
-    steps_done = 0
     max_steps = int(round(HITTING_MAX_TIME / dt))
-    while alive.size and steps_done < max_steps:
-        nb = min(HITTING_BLOCK, max_steps - steps_done)
-        seg = rng.standard_normal((alive.size, nb))
-        np.multiply(seg, sq, out=seg)
-        np.cumsum(seg, axis=1, out=seg)
-        seg += x[alive][:, None]
-        lo = seg <= -1.0
-        hi = seg >= float(barrier)
-        any_lo = lo.any(axis=1)
-        any_hi = hi.any(axis=1)
-        first_lo = np.where(any_lo, np.argmax(lo, axis=1), nb)
-        first_hi = np.where(any_hi, np.argmax(hi, axis=1), nb)
-        done = any_lo | any_hi
-        idx = alive[done]
-        hit_low[idx] = first_lo[done] < first_hi[done]
-        resolved[idx] = True
-        x[alive] = seg[:, -1]
-        alive = alive[~done]
-        steps_done += nb
-    return HittingPaths(hit_low=hit_low, resolved=resolved)
+    never = max_steps + 1
+    t_lo = np.full(n, never)                   # first step at or below -1
+    t_hi = np.full((n, levels.size), never)    # first step at or above each barrier
+    x = np.zeros(n)
+    alive = np.arange(n)
+    done = 0
+    while alive.size and done < max_steps:
+        nb = min(HITTING_BLOCK, max_steps - done)
+        for rows in np.split(alive, range(TILE_ROWS, alive.size, TILE_ROWS)):
+            seg = rng.standard_normal((rows.size, nb))
+            np.multiply(seg, sq, out=seg)
+            np.cumsum(seg, axis=1, out=seg)
+            seg += x[rows][:, None]   # W at the steps done + 1 .. done + nb
+            x[rows] = seg[:, -1]
+            low = seg.min(axis=1) <= -1.0
+            high = (seg.max(axis=1)[:, None] >= levels) & (t_hi[rows] == never)
+            for i in np.flatnonzero(low | high.any(axis=1)):
+                walk = seg[i]
+                if low[i]:
+                    t_lo[rows[i]] = done + 1 + np.argmax(walk <= -1.0)
+                for j in np.flatnonzero(high[i]):
+                    t_hi[rows[i], j] = done + 1 + np.argmax(walk >= levels[j])
+        alive = alive[(t_lo[alive] == never) & (t_hi[alive, top] == never)]
+        done += nb
+    return HittingPaths(hit_low=t_lo < t_hi.T, resolved=np.minimum(t_lo, t_hi.T) < never)
 
 
 # ---------------------------------------------------------------------------

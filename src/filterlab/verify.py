@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,9 +21,10 @@ import numpy as np
 from .filters import FilterConfig, init_cloud, run_filter, step
 from .girsanov import Estimate, mean_se
 from .models import Battery, SignalModel, StepCoefficients, change_indicator
-from .rng import (TAG_CHANGE_FILTER, TAG_HITTING, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH,
-                  TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream)
-from .simulate import TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
+from .parallel import map_ordered
+from .rng import (TAG_CHANGE_FILTER, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE,
+                  derive_seed, substream)
+from .simulate import HITTING_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
 
 Array = np.ndarray
 
@@ -441,24 +443,27 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
 PARTIAL_SUM_LEVELS = (1000, 10000)
 
 
-def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int):
+def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int, workers: int = 1):
     """Hitting probabilities of the Kazamaki-side counterexample plus the
     divergence diagnostic of its transformed energy.
 
     For each barrier n, the exit probability P(W hits -1 before n) is
-    compared with n / (n + 1) in a band of HITTING_SIGMAS SEs. The partial
-    sums sum_{n <= N} n/(n+1)^2 are reported for growing N together with
-    their log-growth rate, which approaches 1 per ln N for the divergent
-    series.
+    compared with n / (n + 1) in a band of HITTING_SIGMAS SEs. Every barrier
+    is read off one set of paths (hitting_paths), whose chunks are mapped
+    over workers; the rows do not depend on the worker count, but each
+    depends on the whole barrier list. The partial sums sum_{n <= N}
+    n/(n+1)^2 are reported for growing N together with their log-growth
+    rate, which approaches 1 per ln N for the divergent series.
     """
+    chunks = map_ordered(partial(hitting_paths, tuple(n_list), n_paths, dt, seed),
+                         range(math.ceil(n_paths / HITTING_CHUNK)), workers)
+    hit_low = np.hstack([c.hit_low for c in chunks])
+    resolved = np.hstack([c.resolved for c in chunks])
     rows = []
-    for i, barrier in enumerate(n_list):
-        rng = substream(seed, TAG_HITTING, i)
-        paths = hitting_paths(barrier, n_paths, dt, rng)
-        resolved = paths.resolved
-        est = mean_se(paths.hit_low[resolved].astype(float))
+    for barrier, hit, res in zip(n_list, hit_low, resolved):
+        est = mean_se(hit[res].astype(float))
         rows.append(CheckVerdict.band("hitting_probability", f"barrier={barrier}", est.value, barrier / (barrier + 1.0),
-                                      est.se, HITTING_SIGMAS, detail=f"censored={int((~resolved).sum())}"))
+                                      est.se, HITTING_SIGMAS, detail=f"censored={int((~res).sum())}"))
     low, high = PARTIAL_SUM_LEVELS
     n_terms = np.arange(1, high + 1, dtype=float)
     csum = np.cumsum(n_terms / (n_terms + 1.0) ** 2)

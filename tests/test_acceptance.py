@@ -162,9 +162,8 @@ def test_criterion_05_dufresne():
 # -- criterion 6: hitting probabilities --------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_06_hitting_probabilities():
-    rows, sums, growth = kazamaki_gap_check([1, 3, 9], 10_000, 1e-4, SEED)
+    rows, sums, growth = kazamaki_gap_check([1, 3, 9], 10_000, 1e-4, SEED, WORKERS)
     ok = all(v.passed for v in rows)
     detail = "; ".join(
         f"n={v.scenario.split('=')[1]}: {v.estimate:.4f} vs {v.reference:.4f}" for v in rows

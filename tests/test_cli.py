@@ -112,8 +112,9 @@ TILTED = {"alpha": 1.0, "t": 0.5, "n_paths": 200, "dt": 0.01}
 
 
 def residual_cfg(tmp_path: Path, name: str, checks: list[str], zakai: dict, ks: dict) -> str:
-    """Config of a tiny `verify` of the given residual checks."""
-    cfg = {"diagnostics": {"checks": checks, "params": {"zakai_residual": zakai, "ks_residual": ks}}, "seed": 5}
+    """Config of a tiny `verify` of the given residual checks, with a params block for each of them."""
+    params = {name: block for name, block in (("zakai_residual", zakai), ("ks_residual", ks)) if name in checks}
+    cfg = {"diagnostics": {"checks": checks, "params": params}, "seed": 5}
     return write_cfg(tmp_path, f"{name}.json", cfg)
 
 
@@ -430,6 +431,10 @@ STRICT_CASES = {
     "checks_number": ("verify", {"diagnostics": {"checks": 5}, "seed": 5}, "diagnostics.checks"),
     "checks_nested": ("verify", {"diagnostics": {"checks": [["dufresne"]]}, "seed": 5}, "diagnostics.checks"),
     "non_check": ("verify", verify_cfg({"independent_h": SMALL, "nope": {}}), "diagnostics.params.nope"),
+    # a block for a check that diagnostics.checks does not name used to be validated and then ignored
+    "unused_params": ("verify", verify_cfg({"independent_h": SMALL, "hitting": {"barriers": [1], "n_paths": 100,
+                                                                               "dt": 1e-3}}),
+                      "diagnostics.params.hitting"),
     "non_numeric": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths="many")}),
                     "diagnostics.params.independent_h.n_paths"),
     "phi_label": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x", "bogus"])}),
@@ -492,6 +497,11 @@ STRICT_CASES = {
                    "diagnostics.params.revuz_yor_energy.alpha"),
     "negative_alpha": ("verify", verify_cfg({"zlogz_identity": dict(SMALL, alpha=-1.0), "independent_h": SMALL}),
                        "diagnostics.params.zlogz_identity.alpha"),
+    # an alpha whose closed form e^{2 alpha t} overflows a float used to end in an OverflowError
+    "alpha_overflow": ("verify", verify_cfg({"revuz_yor_energy": dict(SMALL, alpha=400)}),
+                       "diagnostics.params.revuz_yor_energy.alpha"),
+    "zlogz_alpha_overflow": ("verify", verify_cfg({"zlogz_identity": dict(SMALL, alpha=1e300, t=0.5)}),
+                             "diagnostics.params.zlogz_identity.alpha"),
     "negative_barrier": ("verify", verify_cfg({"hitting": {"barriers": [-1], "n_paths": 100, "dt": 1e-3}}),
                          "diagnostics.params.hitting.barriers"),
     "zero_barrier": ("verify", verify_cfg({"hitting": {"barriers": [1, 0], "n_paths": 100, "dt": 1e-3}}),
@@ -508,6 +518,9 @@ STRICT_CASES = {
     "counterexample_alpha": ("counterexample", {"counterexample": {"kind": "revuz_yor", "alpha": 0, "n_paths": 100,
                                                                    "t": 0.5, "dt": 0.01}, "seed": 2},
                              "counterexample.alpha"),
+    "counterexample_alpha_overflow": ("counterexample", {"counterexample": {"kind": "revuz_yor", "alpha": 400,
+                                                                            "n_paths": 100, "dt": 0.01}, "seed": 2},
+                                      "counterexample.alpha"),
     "counterexample_barrier": ("counterexample", {"counterexample": {"kind": "hitting", "barriers": [0],
                                                                      "n_paths": 100, "dt": 1e-3}, "seed": 2},
                                "counterexample.barriers"),

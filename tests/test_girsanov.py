@@ -195,10 +195,10 @@ class TestDeterminism:
     def test_report_serialisation(self):
         # the revuz_yor counterexample rows: one per quantity, each led by the
         # ensemble's label, and equal for equal seeds
-        rows = cli.counterexample_revuz_yor(5, t=0.1, n_paths=200, dt=0.01)
+        rows = cli.counterexample_revuz_yor(5, 1, t=0.1, n_paths=200, dt=0.01)
         label = ensemble_revuz_yor(1.0, TimeGrid(0.1, 0.01), 200, seed=5).label
         assert len(rows) == 1 + 7 and all(r[0] == label for r in rows[1:])
-        assert rows == cli.counterexample_revuz_yor(5, t=0.1, n_paths=200, dt=0.01)
+        assert rows == cli.counterexample_revuz_yor(5, 1, t=0.1, n_paths=200, dt=0.01)
 
 
 def test_mean_se_requires_two_samples():

@@ -85,6 +85,18 @@ class TestLevySpec:
         spec = levy_atoms([[-0.5], [0.5]], [1.0, 1.0])
         assert np.isclose(spec.second_moment[0, 0], 0.5)
 
+    @pytest.mark.parametrize("rates", [[1.0, 1.0], [0.3, 2.0, 0.7], [5.0, 1e-3, 0.1, 2.5]])
+    def test_marks_are_the_draws_of_choice(self, rates):
+        # the inverse CDF gives rng.choice's indices and leaves the generator where it does
+        spec = levy_atoms([[i + 1.0] for i in range(len(rates))], rates)
+        p = spec.rates / spec.rates.sum()
+        for seed in range(5):
+            for k in (1, 2, 7, 100, 5000):
+                rng, ref = substream(seed, k), substream(seed, k)
+                marks = spec.sample_marks(rng, k)
+                assert np.array_equal(marks, spec.locs[ref.choice(len(rates), size=k, p=p)])
+                assert rng.standard_normal() == ref.standard_normal()
+
 
 class TestTestFunctions:
     @pytest.mark.parametrize("label", Battery.default(2).labels)

@@ -10,7 +10,7 @@ import pytest
 from filterlab.girsanov import ensemble_revuz_yor
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
 from filterlab import simulate
-from filterlab.rng import TAG_DUFRESNE, substream
+from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, substream
 from filterlab.simulate import (
     SimulationBlowUp,
     TimeGrid,
@@ -25,6 +25,7 @@ from filterlab.simulate import (
     simulate_pair,
     simulate_pairs,
 )
+from filterlab.verify import kazamaki_gap_check
 
 
 class TestTimeGrid:
@@ -253,9 +254,10 @@ class TestCounterexamplePaths:
         assert ens.z.mean.shape == (51,) and ens.log_z_t.shape == (100,)
 
     def test_hitting_exit_probability_coarse(self):
-        paths = hitting_paths(1, 4000, 0.001, substream(2))
-        p = paths.hit_low[paths.resolved].mean()
-        se = np.sqrt(p * (1 - p) / paths.resolved.sum())
+        chunks = [hitting_paths((1,), 4000, 0.001, 2, c) for c in range(4)]
+        resolved = np.hstack([c.resolved[0] for c in chunks])
+        p = np.hstack([c.hit_low[0] for c in chunks])[resolved].mean()
+        se = np.sqrt(p * (1 - p) / resolved.sum())
         assert abs(p - 0.5) < 5 * se
 
     def test_dufresne_monotone_in_horizon(self):
@@ -333,6 +335,66 @@ class TestDufresneKernel:
         dufresne_paths(2000, grid, 1)
         draws = sum(block.size for stream in streams.values() for block in stream.blocks)
         assert 0 < draws < 2000 * grid.n_steps / 3
+
+
+def hitting_per_step(draws, levels, n_paths, dt):
+    """(hit_low, resolved) of one chunk, one row per barrier: the walks are
+    rebuilt one grid step at a time from the recorded normals, read as one
+    (undecided, HITTING_BLOCK) array per block, a walk stopping at the end of
+    the block in which it leaves (-1, max barrier); each barrier's exit is
+    then the first step of its walk outside (-1, n)."""
+    normals = np.concatenate([draw.ravel() for draw in draws])
+    max_steps = round(simulate.HITTING_MAX_TIME / dt)
+    walks = np.full((n_paths, max_steps), np.nan)
+    x = np.zeros(n_paths)
+    alive = np.arange(n_paths)
+    step, used = 0, 0
+    while alive.size and step < max_steps:
+        nb = min(simulate.HITTING_BLOCK, max_steps - step)
+        block = normals[used:used + alive.size * nb].reshape(alive.size, nb)
+        used += block.size
+        s = np.zeros(alive.size)
+        for j in range(nb):
+            s = s + block[:, j] * np.sqrt(dt)
+            walks[alive, step + j] = x[alive] + s
+        x[alive] = walks[alive, step + nb - 1]
+        seen = walks[alive, step:step + nb]
+        alive = alive[~((seen <= -1.0) | (seen >= max(levels))).any(axis=1)]
+        step += nb
+    assert used == normals.size
+    hit_low = np.zeros((len(levels), n_paths), dtype=bool)
+    resolved = np.zeros_like(hit_low)
+    for i, level in enumerate(levels):
+        for p, walk in enumerate(walks):
+            out = np.flatnonzero((walk <= -1.0) | (walk >= level))
+            resolved[i, p] = out.size > 0
+            hit_low[i, p] = out.size > 0 and walk[out[0]] <= -1.0
+    return hit_low, resolved
+
+
+class TestHittingKernel:
+    def test_matches_a_per_step_loop_for_every_barrier(self, monkeypatch):
+        # 2500 paths: two full chunks and a partial one; blocks of 64 steps up
+        # to a censoring time of 600 steps, so that walks cross block ends and
+        # some outlast the largest barrier of the unsorted list
+        monkeypatch.setattr(simulate, "HITTING_BLOCK", 64)
+        monkeypatch.setattr(simulate, "HITTING_MAX_TIME", 6.0)
+        streams = record_streams(monkeypatch)
+        levels, dt = (2, 3, 1), 0.01
+        chunks = [hitting_paths(levels, 2500, dt, 4, c) for c in range(3)]
+        assert list(streams) == [(TAG_HITTING, c) for c in range(3)]
+        sizes = [min(simulate.HITTING_CHUNK, 2500 - start) for start in range(0, 2500, simulate.HITTING_CHUNK)]
+        for chunk, n, stream in zip(chunks, sizes, streams.values()):
+            hit_low, resolved = hitting_per_step(stream.blocks, levels, n, dt)
+            assert chunk.hit_low.shape == (3, n)
+            assert np.array_equal(chunk.resolved, resolved) and np.array_equal(chunk.hit_low, hit_low)
+        resolved = np.hstack([c.resolved for c in chunks])
+        # censored at barrier 1, more at 2 and most at the largest barrier, 3
+        assert 0 < (~resolved[2]).sum() < (~resolved[0]).sum() < (~resolved[1]).sum()
+
+    def test_rows_do_not_depend_on_the_worker_count(self):
+        rows = [kazamaki_gap_check([2, 1], 2500, 0.01, 5, workers)[0] for workers in (1, 2)]
+        assert [v.row() for v in rows[0]] == [v.row() for v in rows[1]]
 
 
 class TestPathCsv:
