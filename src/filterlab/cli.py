@@ -248,6 +248,7 @@ def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
         "grid": {"horizon": grid.get("horizon"), "dt": grid.get("dt")},
         "scenario": cfg.get("model", {}).get("name") if isinstance(cfg.get("model"), dict) else cfg.get("model"),
         "package": "filterlab 0.1.0",
+        "bit_generator": type(substream(seed).bit_generator).__name__,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 

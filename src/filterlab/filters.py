@@ -73,8 +73,8 @@ class ParticleCloud:
 
 class Weights:
     """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w),
-    and their sum; what the estimates, the ESS and resampling read. A row with
-    no weight left raises FilterCollapse at `step`, its grid index."""
+    their sum and the ESS, each computed once; the estimates and resampling read
+    them. A row with no weight left raises FilterCollapse at `step`, its grid index."""
 
     def __init__(self, log_weights: Array, step: int):
         shift = log_weights.max(axis=-1, keepdims=True)
@@ -87,6 +87,10 @@ class Weights:
     @cached_property
     def normalized(self) -> Array:
         return self.w / self.total[..., None]
+
+    @cached_property
+    def ess(self) -> Array:
+        return 1.0 / np.sum(self.normalized * self.normalized, axis=-1)
 
 
 def _reset_rows(weights: Weights, rows: Array) -> Weights:
@@ -102,8 +106,7 @@ def _reset_rows(weights: Weights, rows: Array) -> Weights:
 
 def ess(cloud: ParticleCloud) -> Array:
     """Effective sample size of each run, shape (R,)."""
-    w = cloud.weights.normalized
-    return 1.0 / np.sum(w * w, axis=-1)
+    return cloud.weights.ess
 
 
 def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
@@ -261,7 +264,7 @@ def run_filter(
         # row by row: at 10^4 particles a stacked (K, N) product costs more in
         # allocation than one reduction call per row saves
         pi_traj[:, k] = [pi_estimate(cloud, row)[0] for row in rows]
-        rho_one[k] = rho_estimate(cloud, np.ones(cloud.n))[0]
+        rho_one[k] = np.exp(cloud.log_mass[0] + cloud.weights.shift[0]) * np.mean(cloud.weights.w[0])   # rho_t(1)
         ess_traj[k] = ess(cloud)[0]
 
     record(0)

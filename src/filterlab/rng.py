@@ -1,9 +1,9 @@
-"""Counter-based splittable random streams.
+"""Keyed splittable random streams.
 
-Every stochastic routine in the package draws from a Philox generator keyed
-by (master seed, integer path...). Substreams derived from the same key are
-bit-identical no matter how work is chunked across workers, which is what
-makes every estimator reproducible under any parallel schedule.
+Every stochastic routine in the package draws from an SFC64 generator seeded
+by the SeedSequence of (master seed, integer path...). A key's stream is
+bit-identical however work is chunked across workers, which is what makes
+every estimator reproducible under any parallel schedule.
 
 A filter run has one generator per role: run_filter keys its initial
 cloud, propagation and resampling streams (seed, TAG_role), and run i of a
@@ -30,13 +30,13 @@ TAG_CHANGE_FILTER = 52     # derive_seed key of the filters in the change-detect
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Return the Philox generator addressed by (seed, *key).
+    """Return the SFC64 generator addressed by (seed, *key).
 
     The same (seed, key) always yields the same stream; distinct keys give
     statistically independent streams.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def derive_seed(seed: int, *key: int) -> int:

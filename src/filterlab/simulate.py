@@ -251,10 +251,10 @@ class HittingPaths:
     resolved: Array     # bool; False = censored at HITTING_MAX_TIME
 
 
-# paths per draw in the active-set kernels (dufresne_paths, hitting_paths):
-# a tile is drawn, walked and reduced while it is in cache, and no (undecided
-# paths x block) array is built; a Dufresne tile of 16 x 1000 doubles (125
-# KiB) stays below glibc's 128 KiB mmap threshold
+# paths per draw in the active-set kernels (dufresne_paths, hitting_paths): a
+# tile is drawn, walked and reduced in cache; a generator draws in order, so the
+# tiles are the bytes of one (undecided paths x block) draw, which is never built.
+# A Dufresne tile of 16 x 1000 doubles (125 KiB) is below glibc's 128 KiB mmap threshold
 TILE_ROWS = 16
 
 

@@ -370,12 +370,8 @@ def equation_residuals(
 # ---------------------------------------------------------------------------
 
 
-def kalman_agreement_run(
-    model: SignalModel,
-    grid: TimeGrid,
-    config: FilterConfig,
-    run_index: int,
-) -> tuple[float, float]:
+def kalman_agreement_run(model: SignalModel, grid: TimeGrid, config: FilterConfig,
+                         run_index: int) -> tuple[float, float]:
     """|posterior mean - oracle mean| and |posterior var - oracle var| at the
     horizon, for one data path; the oracle runs on the same observations."""
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
@@ -387,12 +383,7 @@ def kalman_agreement_run(
     return abs(m_pf - oracle.mean[-1, 0]), abs(v_pf - oracle.cov[-1, 0, 0])
 
 
-def change_detection_agreement_run(
-    model: SignalModel,
-    grid: TimeGrid,
-    config: FilterConfig,
-    run_index: int,
-) -> float:
+def change_detection_agreement_run(model: SignalModel, grid: TimeGrid, config: FilterConfig, run_index: int) -> float:
     """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path."""
     prior = model.change_prior
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
@@ -448,8 +439,9 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     divergence diagnostic of its transformed energy.
 
     For each barrier n, the exit probability P(W hits -1 before n) is
-    compared with n / (n + 1) in a band of HITTING_SIGMAS SEs. Every barrier
-    is read off one set of paths (hitting_paths), whose chunks are mapped
+    compared with n / (n + 1) in a band of HITTING_SIGMAS SEs; with fewer than
+    two resolved paths it has no SE and its row is nan, which fails. Every
+    barrier is read off one set of paths (hitting_paths), whose chunks are mapped
     over workers; the rows do not depend on the worker count, but each
     depends on the whole barrier list. The partial sums sum_{n <= N}
     n/(n+1)^2 are reported for growing N together with their log-growth
@@ -461,7 +453,7 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     resolved = np.hstack([c.resolved for c in chunks])
     rows = []
     for barrier, hit, res in zip(n_list, hit_low, resolved):
-        est = mean_se(hit[res].astype(float))
+        est = mean_se(hit[res].astype(float)) if res.sum() > 1 else Estimate(math.nan, math.nan)
         rows.append(CheckVerdict.band("hitting_probability", f"barrier={barrier}", est.value, barrier / (barrier + 1.0),
                                       est.se, HITTING_SIGMAS, detail=f"censored={int((~res).sum())}"))
     low, high = PARTIAL_SUM_LEVELS

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import filterlab
-from filterlab import girsanov, verify
+from filterlab import girsanov, simulate, verify
 from filterlab.simulate import TimeGrid
 from filterlab.cli import (
     EXIT_BLOWUP,
@@ -67,6 +67,7 @@ class TestSimulateCommand:
         assert manifest["seed"] == 7
         assert manifest["grid"]["dt"] == 0.005
         assert "config_sha256" in manifest
+        assert manifest["bit_generator"] == "SFC64"
 
     def test_invalid_dt_exits_2_naming_field(self, tmp_path):
         bad = dict(SIM_CFG, grid={"horizon": 0.3, "dt": 0})
@@ -391,6 +392,20 @@ class TestCounterexampleCommand:
         assert main(["counterexample", "--config", cfg, "--out", str(tmp_path / "ce")]) == EXIT_OK
         text = (tmp_path / "ce" / "counterexample.csv").read_text()
         assert "hitting_probability" in text and "partial_sum" in text
+
+    def test_hitting_barrier_without_two_resolved_paths_is_a_failing_row(self, tmp_path, monkeypatch, capsys):
+        # with a horizon shorter than one step no path resolves; this used to end in a
+        # ValueError traceback from mean_se
+        monkeypatch.setattr(simulate, "HITTING_MAX_TIME", 0.5)
+        block = {"barriers": [100000], "n_paths": 2, "dt": 1.0}
+        cfg = write_cfg(tmp_path, "hit.json", {"counterexample": dict(block, kind="hitting"), "seed": 11})
+        assert main(["counterexample", "--config", cfg, "--out", str(tmp_path / "ce")]) == EXIT_OK
+        with open(tmp_path / "ce" / "counterexample.csv") as fh:
+            [row] = [r for r in csv.DictReader(fh) if r["quantity"] == "hitting_probability"]
+        assert (row["estimate"], row["detail"]) == ("nan", "censored=2")
+        cfg = write_cfg(tmp_path, "ver.json", verify_cfg({"hitting": block}))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
+        assert "hitting_probability [barrier=100000]: FAIL" in capsys.readouterr().out
 
     def test_unknown_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "ce.json", {"counterexample": {"kind": "weird"}, "seed": 2})

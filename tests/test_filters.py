@@ -186,7 +186,7 @@ def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
     m = make_model(name)
     grid = TimeGrid(1.0, 0.02)
     y = simulate_pair(m, grid, substream(12)).y
-    cfg = FilterConfig(n_particles=300, resample_threshold=0.99, seed=13)   # resamples at some steps only
+    cfg = FilterConfig(n_particles=300, resample_threshold=0.999, seed=13)   # resamples at some steps only
     battery = Battery.default(m.dim_x)
     clock = {"prob_change": change_indicator} if m.dim_x == 2 else {}
     run = run_filter(m, y, grid, cfg, battery=battery, time_functionals=clock)

@@ -109,17 +109,17 @@ class TestSimulatePair:
         assert abs(v - 1.0) < 3 * se
 
     def test_ou_terminal_variance(self):
-        # dX = -X dt + dV from X_0 = 0: Var(X_1) = (1 - e^{-2}) / 2
+        # dX = -X dt + dV from X_0 = 0 on the Euler scheme X' = (1 - dt) X + sqrt(dt) xi:
+        # Var(X_1) = dt sum_{j<100} (1 - dt)^{2j} = 0.435186 (continuous time: 0.432332)
         m = linear_model("ou", a_x=-1.0, sigma_v=1.0, sigma_bar=0.0, x0_mean=0.0, x0_var=0.0)
         m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
         grid = TimeGrid(1.0, 1e-2)
         bundles = simulate_pairs(m, grid, [substream(11, i) for i in range(10_000)])
         terminal = np.array([b.x[-1, 0] for b in bundles])
         v = terminal.var(ddof=1)
-        target = (1 - np.exp(-2)) / 2
+        target = grid.dt * np.sum((1.0 - grid.dt) ** (2 * np.arange(grid.n_steps)))
         se = v * np.sqrt(2.0 / (terminal.size - 1))
-        # Euler at dt = 1e-2 has a small O(dt) variance bias; widen by it
-        assert abs(v - target) < 3 * se + 2e-2 * target
+        assert abs(v - target) < 3 * se
 
     def test_bit_exact_reproducibility(self):
         m = make_model("jump_ou")

@@ -275,7 +275,7 @@ class TestResiduals:
 
         m = make_model("jump_ou")
         grid = TimeGrid(0.4, 2e-2)
-        cfg = FilterConfig(n_particles=24, resample_threshold=0.95, seed=43)   # every row resamples, at its own steps
+        cfg = FilterConfig(n_particles=24, resample_threshold=0.99, seed=43)   # every row resamples, at its own steps
         battery = Battery.default(1)
         runs = range(5, 5 + n_runs)
         zak, ks = residual_run(m, battery, grid, cfg, runs)
