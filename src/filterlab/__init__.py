@@ -14,7 +14,6 @@ from .simulate import (
     TimeGrid,
     path_to_csv,
     propagate_under_reference,
-    sample_levy_increment,
     simulate_pair,
 )
 

@@ -86,7 +86,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     """Bind a config block to the keyword-only parameters of fn: their names
     are the block's keys, and a value is coerced to the type of its default
     (a list to a tuple of the default's element type; a bool takes only
-    JSON true or false, an int only an integral number). An unknown key, a
+    JSON true or false, a number only a finite one and an int only an
+    integral one). An unknown key, a
     value that does not coerce, a value that fn could not use (an unknown
     model, scenario, test-function label (or one named twice) or
     representation, a dt <= 0 or a time that dt does not divide, a filter
@@ -152,8 +153,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
 
 def _coerce(kind: type, value):
     """value as kind; a bool takes only JSON true or false, a float only a
-    number and an int only an integral number."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    finite number (json reads NaN and Infinity) and an int only an integral one."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     if isinstance(value, bool) != (kind is bool) or (kind in (int, float) and not number) or (
             kind is int and not float(value).is_integer()):
         raise TypeError

@@ -24,7 +24,7 @@ import numpy as np
 
 from .models import SignalModel
 from .rng import TAG_PATH, substream
-from .simulate import TimeGrid, batch_levy_increments, euler_step
+from .simulate import TimeGrid, euler_step, fresh_increments
 
 Array = np.ndarray
 
@@ -153,13 +153,11 @@ def ensemble_from_model(model: SignalModel, grid: TimeGrid, n_paths: int, seed: 
     P -> reference weight Z = exp(-int h^T dW - 1/2 int |h|^2 ds), that is
     H = -h(X, Y), the weight under which Y becomes a Brownian motion."""
     dt = grid.dt
-    sq = np.sqrt(dt)
     rng = substream(seed, TAG_PATH)
 
     def advance(state, h, dw, i):
         x, y = state
-        dv = rng.standard_normal((n_paths, model.dim_v)) * sq
-        dl = batch_levy_increments(model.levy, dt, n_paths, rng) if model.has_jumps else None
+        dv, _, dl = fresh_increments(model, dt, n_paths, [rng])
         # per-path observations feed y-dependent sensors
         return euler_step(model, x, model.f(x), dt, dv, dw, dl, i + 1), y - h * dt + dw
 

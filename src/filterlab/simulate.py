@@ -73,39 +73,21 @@ class PathBundle:
     seed: Optional[int] = None
 
 
-def sample_levy_increment(
-    levy: LevySpec, dt: float, rng: np.random.Generator
-) -> tuple[Array, Array]:
-    """One increment of L over dt plus the raw marks that fired.
-
-    L_t = b t + compensated jumps, so the increment is
-    b dt + (sum of marks) - jump_rate * mean_mark * dt and has mean b dt.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    b = levy.drift_b
+def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Generator) -> tuple[Array, Array]:
+    """n independent increments of L over dt, shape (n, r), and the marks that
+    fired, in path order. L_t = b t + compensated jumps, so a path's increment
+    is b dt - jump_rate * mean_mark * dt plus its marks, added one at a time,
+    and has mean b dt. The Poisson counts of all paths are one draw and their
+    marks the next; a zero jump rate draws nothing."""
+    out = np.empty((n, levy.dim))
+    out[...] = levy.drift_b * dt - levy.jump_rate * levy.mean_mark * dt
     if levy.jump_rate == 0:
-        return b * dt, np.zeros((0, levy.dim))
-    k = rng.poisson(levy.jump_rate * dt)
-    marks = levy.sample_marks(rng, int(k))
-    inc = b * dt + marks.sum(axis=0) - levy.jump_rate * levy.mean_mark * dt
-    return inc, marks
-
-
-def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Generator) -> Array:
-    """n independent Levy increments over dt, shape (n, r); the marks of all
-    paths are drawn in one call and scattered back by path index."""
-    base = levy.drift_b * dt
-    if levy.jump_rate > 0:
-        base = base - levy.jump_rate * levy.mean_mark * dt
-    out = np.broadcast_to(base, (n, levy.dim)).copy()
-    if levy.jump_rate > 0:
-        counts = rng.poisson(levy.jump_rate * dt, n)
-        total = int(counts.sum())
-        if total:
-            marks = levy.sample_marks(rng, total)
-            np.add.at(out, np.repeat(np.arange(n), counts), marks)
-    return out
+        return out, np.zeros((0, levy.dim))
+    counts = rng.poisson(levy.jump_rate * dt, n)
+    marks = levy.sample_marks(rng, int(counts.sum()))
+    if marks.size:   # most steps fire nothing, and the scatter would cost more than the rest
+        np.add.at(out, np.repeat(np.arange(n), counts), marks)
+    return out, marks
 
 
 def _is_zero(coeff) -> bool:
@@ -148,31 +130,38 @@ def euler_step(
 
 def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.Generator]) -> list[PathBundle]:
     """Euler-Maruyama paths of (X, Y) under the physical measure, one per
-    generator, stepped as one (R, d) array. Path r draws only from rngs[r],
-    in simulate_pair's order (X_0, then per step dV, dW and the jumps), and
-    every operation is per path, so its bytes do not depend on the others."""
+    generator. Each run first draws all its noise from rngs[r]: X_0, then per
+    step dV and dW (one draw of p + m normals) and, for a model with jumps,
+    batch_levy_increments of one path, whose marks fill the jump log. Without
+    jumps the normals of all steps are one (n_steps, p + m) draw: the same
+    normals in the same order. Then all runs step as one (R, d) array; every
+    operation is per path, so a run's bytes do not depend on the others."""
     d, p, m = model.dim_x, model.dim_v, model.dim_y
     n, r = grid.n_steps, len(rngs)
     sq = np.sqrt(grid.dt)
     x = np.empty((r, n + 1, d))
     y = np.zeros((r, n + 1, m))
     dw = np.empty((r, n, m))
-    dv = np.empty((r, p))
-    dl = np.empty((r, model.levy.dim)) if model.has_jumps else None
+    # step-major, so that the rows of one step are contiguous
+    dv = np.empty((n, r, p))
+    dl = np.empty((n, r, model.levy.dim)) if model.has_jumps else None
     jump_logs: list[list[tuple[int, Array]]] = [[] for _ in rngs]
     for i, rng in enumerate(rngs):
         x[i, 0] = model.initial_law(rng, 1)[0]
-    for k in range(n):
-        for i, rng in enumerate(rngs):
-            dv[i] = rng.standard_normal(p) * sq
-            dw[i, k] = rng.standard_normal(m) * sq
-            if model.has_jumps:
-                # the scalar sampler, not the batched one: it yields the marks
-                dl[i], marks = sample_levy_increment(model.levy, grid.dt, rng)
+        if dl is None:
+            z = rng.standard_normal((n, p + m))
+        else:
+            z = np.empty((n, p + m))
+            for k in range(n):
+                z[k] = rng.standard_normal(p + m)
+                dl[k, i], marks = batch_levy_increments(model.levy, grid.dt, 1, rng)
                 jump_logs[i].extend((k, mark) for mark in marks)
+        z *= sq
+        dv[:, i], dw[i] = z[:, :p], z[:, p:]
+    for k in range(n):
         xk = x[:, k]
         t = k * grid.dt
-        x[:, k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv, dw[:, k], dl, k + 1)
+        x[:, k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv[k], dw[:, k], None if dl is None else dl[k], k + 1)
         # Observation identity: y[k+1] - y[k] = h(x[k]) dt + dw[k], exactly.
         y[:, k + 1] = y[:, k] + model.h_now(xk, y[:, k], t) * grid.dt + dw[:, k]
         if not np.all(np.isfinite(y[:, k + 1])):
@@ -190,8 +179,9 @@ def fresh_increments(
     dv: bool = True,
 ) -> tuple[Optional[Array], Optional[Array], Optional[Array]]:
     """Fresh (dV, dW, dL) increments over dt for len(rngs) runs of n states,
-    run r drawing from rngs[r] in the order dV, dW, dL; a term that is not
-    asked for (or a model without jumps) gives None and draws nothing."""
+    run r drawing from rngs[r] in the order dV, dW, dL (batch_levy_increments,
+    whose marks are dropped); a term that is not asked for (or a model
+    without jumps) gives None and draws nothing."""
     sq = np.sqrt(dt)
     dvs, dws, dls = [], [], []
     for rng in rngs:
@@ -200,7 +190,7 @@ def fresh_increments(
         if dw:
             dws.append(rng.standard_normal((n, model.dim_y)) * sq)
         if model.has_jumps:
-            dls.append(batch_levy_increments(model.levy, dt, n, rng))
+            dls.append(batch_levy_increments(model.levy, dt, n, rng)[0])
     return tuple(np.concatenate(parts) if parts else None for parts in (dvs, dws, dls))
 
 

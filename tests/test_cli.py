@@ -1,7 +1,9 @@
 """CLI contracts: exit codes, byte-identical outputs, worker independence."""
 
 import csv
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -432,6 +434,18 @@ STRICT_CASES = {
     "bool_seed": ("simulate", dict(SIM_CFG, seed=True), "'seed'"),
     "negative_seed": ("simulate", dict(SIM_CFG, seed=-1), "'seed'"),
     "grid_overflow": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": 10 ** 400}), "grid.dt"),
+    # json reads NaN and Infinity; an infinite dt used to give a 0-step path and exit 0, an
+    # infinite horizon or time an OverflowError traceback, an infinite dt or NaN tolerance exit 5
+    "grid_infinite_dt": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": math.inf}), "grid.dt"),
+    "grid_infinite_horizon": ("simulate", dict(SIM_CFG, grid={"horizon": math.inf, "dt": 0.005}), "grid.horizon"),
+    "infinite_time": ("verify", verify_cfg({"martingale_mean": dict(SMALL, times=[math.inf])}),
+                      "diagnostics.params.martingale_mean.times"),
+    "infinite_dufresne_horizon": ("verify", verify_cfg({"dufresne": dict(SMALL, horizon=math.inf)}),
+                                  "diagnostics.params.dufresne.horizon"),
+    "infinite_dt": ("verify", verify_cfg({"revuz_yor_energy": dict(SMALL, dt=math.inf)}),
+                    "diagnostics.params.revuz_yor_energy.dt"),
+    "nan_tolerance": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, tolerance=math.nan)}),
+                      "diagnostics.params.kalman_agreement.tolerance"),
     "count_overflow": ("verify", verify_cfg({"independent_h": dict(SMALL, n_paths=10 ** 400)}),
                        "diagnostics.params.independent_h.n_paths"),
     "filter": ("filter", dict(FILTER_CFG, filter={"n_partcles": 300}), "filter.n_partcles"),
@@ -564,3 +578,27 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli(["simulate", "--config", str(tmp_path / "absent.json")])
     assert proc.returncode == EXIT_CONFIG, proc.stderr
+
+
+def benchmark_workloads():
+    """The benchmark's workloads module, read from its file without importing the benchmark package."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = benchmark_workloads()
+# what each command writes besides manifest.json
+COMMAND_OUTPUTS = {"simulate": "paths.csv", "filter": "filter.csv", "verify": "verdicts.csv"}
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS.WORKLOADS))
+def test_benchmark_configs_are_accepted(tmp_path, workload):
+    # a config key the CLI refuses would make the benchmark itself fail; a verdict may fail (exit 5)
+    for i, (command, cfg) in enumerate(WORKLOADS.commands(workload, 1, "quick")):
+        out = tmp_path / f"{i}_{command}"
+        code = main([command, "--config", write_cfg(tmp_path, f"{i}.json", cfg), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED), (command, code)
+        assert (out / "manifest.json").is_file() and (out / COMMAND_OUTPUTS[command]).is_file()

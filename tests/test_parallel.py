@@ -5,6 +5,7 @@ import pytest
 
 from filterlab.cli import _agreement_task, _residual_task
 from filterlab.filters import FilterConfig
+from filterlab import parallel
 from filterlab.parallel import map_ordered
 from filterlab.simulate import TimeGrid
 from filterlab.verify import change_detection_agreement_run, kalman_agreement_run
@@ -47,3 +48,26 @@ def test_two_workers_equal_serial_change_detection_runs(n_runs):
     serial = [_agreement_task(p) for p in payloads]
     assert serial[0] != serial[1]
     assert map_ordered(_agreement_task, payloads, 2) == serial
+
+
+@pytest.mark.parametrize("n_items, workers, started", [(2, 6, 2), (5, 3, 3), (1, 4, None)])
+def test_at_most_one_process_per_item(monkeypatch, n_items, workers, started):
+    # the fork start method forks all max_workers processes at the first submit
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    assert map_ordered(abs, range(-n_items, 0), workers) == list(range(n_items, 0, -1))
+    assert pools == ([] if started is None else [started])

@@ -10,7 +10,7 @@ import pytest
 from filterlab.girsanov import ensemble_revuz_yor
 from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
 from filterlab import simulate
-from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, substream
+from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, TAG_PATH, substream
 from filterlab.simulate import (
     SimulationBlowUp,
     TimeGrid,
@@ -21,7 +21,6 @@ from filterlab.simulate import (
     jumps_to_csv,
     path_to_csv,
     propagate_under_reference,
-    sample_levy_increment,
     simulate_pair,
     simulate_pairs,
 )
@@ -52,16 +51,15 @@ class TestTimeGrid:
 class TestLevyIncrement:
     def test_no_jumps_gives_pure_drift(self):
         spec = levy_atoms([[2.0]], [0.0], drift_a=[0.7])   # rate 0: drift only
-        inc, marks = sample_levy_increment(spec, 0.1, substream(0))
+        inc, marks = batch_levy_increments(spec, 0.1, 1, substream(0))
         assert marks.shape[0] == 0
-        assert inc[0] == pytest.approx(0.07)
+        assert inc[0, 0] == pytest.approx(0.07)
 
     def test_mean_of_increment_is_b_dt(self):
         # single atom at 1 with rate lam: b = -lam, compensated jumps mean 0
         lam, dt = 2.0, 0.05
         spec = levy_atoms([[1.0]], [lam])
-        rng = substream(1)
-        incs = np.array([sample_levy_increment(spec, dt, rng)[0][0] for _ in range(100_000)])
+        incs = batch_levy_increments(spec, dt, 100_000, substream(1))[0][:, 0]
         se = incs.std(ddof=1) / np.sqrt(incs.size)
         assert abs(incs.mean() - spec.drift_b[0] * dt) < 3 * se
 
@@ -70,14 +68,56 @@ class TestLevyIncrement:
         # compound-Poisson second moment is lam dt E[rho^2]
         lam, dt, rho = 2.0, 0.05, 1.0
         spec = levy_atoms([[rho]], [lam])
-        rng = substream(2)
-        sums = np.array([sample_levy_increment(spec, dt, rng)[1].sum() for _ in range(100_000)])
+        incs, _ = batch_levy_increments(spec, dt, 100_000, substream(2))
+        # each path's mark sum is its increment less (b - lam mean_mark) dt
+        sums = incs[:, 0] - (spec.drift_b[0] - lam * spec.mean_mark[0]) * dt
         se = sums.std(ddof=1) / np.sqrt(sums.size)
         assert abs(sums.mean() - lam * dt * rho) < 3 * se
         sq = sums**2
         se2 = sq.std(ddof=1) / np.sqrt(sq.size)
         second = lam * dt * rho**2 + (lam * dt * rho) ** 2
         assert abs(sq.mean() - second) < 3 * se2
+
+    def test_marks_come_in_path_order(self):
+        # path i's marks follow those of paths 0..i-1 and are added to its base one at a time
+        spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
+        n, dt = 400, 0.5
+        incs, marks = batch_levy_increments(spec, dt, n, substream(3))
+        rng = substream(3)
+        counts = rng.poisson(spec.jump_rate * dt, n)
+        np.testing.assert_array_equal(marks, spec.sample_marks(rng, int(counts.sum())))
+        assert counts.max() > 1
+        expected = np.empty((n, 1))
+        expected[...] = spec.drift_b * dt - spec.jump_rate * spec.mean_mark * dt
+        for i, path_marks in enumerate(np.split(marks, np.cumsum(counts)[:-1])):
+            for mark in path_marks:
+                expected[i] += mark
+        np.testing.assert_array_equal(incs, expected)
+
+
+def reference_pair(model, grid, rng):
+    """One data path drawn and stepped one step at a time: X_0, then per step
+    dV, dW, the Poisson count of the jumps and their marks, with the Levy
+    increment b dt + (sum of marks) - jump_rate * mean_mark * dt."""
+    n, dt, sq = grid.n_steps, grid.dt, np.sqrt(grid.dt)
+    x = np.empty((n + 1, model.dim_x))
+    y = np.zeros((n + 1, model.dim_y))
+    dw = np.empty((n, model.dim_y))
+    jump_log = []
+    x[0] = model.initial_law(rng, 1)[0]
+    for k in range(n):
+        dv = rng.standard_normal((1, model.dim_v)) * sq
+        dw[k] = rng.standard_normal(model.dim_y) * sq
+        dl = None
+        if model.has_jumps:
+            levy = model.levy
+            marks = levy.sample_marks(rng, int(rng.poisson(levy.jump_rate * dt)))
+            dl = (levy.drift_b * dt + marks.sum(axis=0) - levy.jump_rate * levy.mean_mark * dt)[None]
+            jump_log.extend((k, mark) for mark in marks)
+        xk = x[k:k + 1]
+        x[k + 1] = euler_step(model, xk, model.f(xk), dt, dv, dw[k:k + 1], dl, k + 1)[0]
+        y[k + 1] = y[k] + model.h_now(xk, y[k:k + 1], k * dt)[0] * dt + dw[k]
+    return x, y, dw, jump_log
 
 
 class TestSimulatePair:
@@ -129,6 +169,19 @@ class TestSimulatePair:
         np.testing.assert_array_equal(b1.x, b2.x)
         np.testing.assert_array_equal(b1.y, b2.y)
         assert [(k, tuple(v)) for k, v in b1.jump_log] == [(k, tuple(v)) for k, v in b2.jump_log]
+
+    @pytest.mark.parametrize("name", ["correlated_linear", "change_detection", "jump_ou"])
+    def test_runs_equal_the_per_step_reference_loop(self, name):
+        m = make_model(name)
+        grid = TimeGrid(1.0, 0.01)
+        bundles = simulate_pairs(m, grid, [substream(17, TAG_PATH, i) for i in range(6)])
+        for i, bundle in enumerate(bundles):
+            x, y, dw, jump_log = reference_pair(m, grid, substream(17, TAG_PATH, i))
+            np.testing.assert_array_equal(bundle.x, x)
+            np.testing.assert_array_equal(bundle.y, y)
+            np.testing.assert_array_equal(bundle.w_increments, dw)
+            assert [(k, mark.tolist()) for k, mark in bundle.jump_log] == [(k, mark.tolist()) for k, mark in jump_log]
+        assert any(b.jump_log for b in bundles) == m.has_jumps
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_reports_step(self):
@@ -188,7 +241,7 @@ def fifty_steps(model, y):
         rng = substream(1, k)
         dv = rng.standard_normal((1000, model.dim_v)) * sq
         dw = rng.standard_normal((1000, model.dim_y)) * sq
-        dl = batch_levy_increments(model.levy, dt, 1000, rng) if model.has_jumps else None
+        dl = batch_levy_increments(model.levy, dt, 1000, rng)[0] if model.has_jumps else None
         x_phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
         x_ref = propagate_under_reference(model, x_ref, y[k], y[k + 1] - y[k], dt, k * dt, [substream(2, k)], k + 1)
         out += [x_phys, x_ref]
