@@ -12,7 +12,6 @@ from .simulate import (
     PathBundle,
     SimulationBlowUp,
     TimeGrid,
-    path_to_csv,
     propagate_under_reference,
     simulate_pair,
 )

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import sys
@@ -27,10 +28,10 @@ import numpy as np
 
 from . import girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
-from .models import Battery, SignalModel, change_detection_rate, change_indicator, make_model
+from .models import Battery, ModelError, SignalModel, change_detection_rate, change_indicator, make_model
 from .parallel import map_ordered
 from .rng import TAG_PATH, substream
-from .simulate import FLOAT_FMT, SimulationBlowUp, TimeGrid, jumps_to_csv, path_to_csv, simulate_pair
+from .simulate import SimulationBlowUp, TimeGrid, simulate_pair
 from .verify import DUFRESNE_MIN_HORIZON, CheckVerdict
 
 EXIT_OK = 0
@@ -74,7 +75,7 @@ def _reject_unknown(block, allowed, where: str) -> None:
     for key in block:
         if key not in allowed:
             dotted = f"{where}.{key}" if where else key
-            raise ConfigError(f"unknown key {dotted!r}; allowed: {', '.join(sorted(allowed))}")
+            raise ConfigError(f"unknown key {dotted!r}; allowed: {', '.join(sorted(allowed)) or 'none'}")
 
 
 # the fewest paths, runs and seeds a check can turn into an estimate with a
@@ -97,19 +98,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     horizon of at most DUFRESNE_MIN_HORIZON raises ConfigError naming
     `where.key`."""
     defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY}
-    _reject_unknown(block, defaults, where)
-    kwargs = {}
-    for key, value in block.items():
-        default = defaults[key]
-        try:
-            if not isinstance(default, tuple):
-                kwargs[key] = _coerce(type(default), value)
-            elif isinstance(value, list):
-                kwargs[key] = tuple(_coerce(type(default[0]), v) for v in value)
-            else:
-                raise TypeError
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"cannot read '{where}.{key}' = {value!r} as {type(default).__name__}") from None
+    kwargs = read_block(block, defaults, where)
     params = dict(defaults, **kwargs)
     ensembles = ENSEMBLES if inspect.unwrap(fn) in ENSEMBLE_CHECKS else ()
 
@@ -151,12 +140,34 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     return kwargs
 
 
+def read_block(block, defaults: dict, where: str) -> dict:
+    """The keys of block, each of which defaults must have, with each value
+    read as the type of its default (a list as a tuple of the type of the
+    default's elements); a key or value that does not read raises
+    ConfigError naming `where.key`."""
+    _reject_unknown(block, defaults, where)
+    kwargs = {}
+    for key, value in block.items():
+        default = defaults[key]
+        try:
+            if not isinstance(default, tuple):
+                kwargs[key] = _coerce(type(default), value)
+            elif isinstance(value, list):
+                kwargs[key] = tuple(_coerce(type(default[0]), v) for v in value)
+            else:
+                raise TypeError
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"cannot read '{where}.{key}' = {value!r} as {type(default).__name__}") from None
+    return kwargs
+
+
 def _coerce(kind: type, value):
-    """value as kind; a bool takes only JSON true or false, a float only a
-    finite number (json reads NaN and Infinity) and an int only an integral one."""
+    """value as kind; a bool takes only JSON true or false, a str only a JSON
+    string, a float only a finite number (json reads NaN and Infinity) and an
+    int only an integral one."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
     if isinstance(value, bool) != (kind is bool) or (kind in (int, float) and not number) or (
-            kind is int and not float(value).is_integer()):
+            kind is int and not float(value).is_integer()) or (kind is str and not isinstance(value, str)):
         raise TypeError
     return kind(value)
 
@@ -198,15 +209,11 @@ def parse_grid(cfg: dict) -> TimeGrid:
     block = cfg.get("grid")
     if not isinstance(block, dict):
         raise ConfigError("field 'grid' (object with horizon, dt) is required")
-    _reject_unknown(block, ("horizon", "dt"), "grid")
+    params = read_block(block, {"horizon": 0.0, "dt": 0.0}, "grid")
     for key in ("horizon", "dt"):
-        if key not in block:
+        if key not in params:
             raise ConfigError(f"grid field {key!r} is required")
-        try:
-            _coerce(float, block[key])
-        except (TypeError, OverflowError):
-            raise ConfigError(f"cannot read 'grid.{key}' = {block[key]!r} as float") from None
-    horizon, dt = float(block["horizon"]), float(block["dt"])
+    horizon, dt = params["horizon"], params["dt"]
     if dt <= 0:
         raise ConfigError("grid field 'dt' must be > 0")
     if horizon <= 0:
@@ -217,19 +224,33 @@ def parse_grid(cfg: dict) -> TimeGrid:
         raise ConfigError(f"grid: {exc}")
 
 
-def parse_model(cfg: dict) -> tuple[SignalModel, str, dict]:
+# the keys of each model block besides `name`: make_model's overrides, each
+# with a value of the type it is read as (a tuple: a list of floats)
+LINEAR_KEYS = dict.fromkeys(("a_x", "sigma_v", "sigma_bar", "h_scale", "x0_mean", "x0_var"), 0.0)
+MODEL_KEYS = {
+    "linear": LINEAR_KEYS,
+    "linear_gaussian": LINEAR_KEYS,
+    "correlated_linear": LINEAR_KEYS,
+    "change_detection": dict(b0=0.0, **dict.fromkeys(("b_values", "b_probs", "tau_values", "tau_probs"), (0.0,))),
+    "jump_ou": {},
+}
+
+
+def parse_model(cfg: dict) -> tuple[SignalModel, str]:
     block = cfg.get("model", {})
     if isinstance(block, str):
         block = {"name": block}
     if not isinstance(block, dict) or "name" not in block:
         raise ConfigError("field 'model.name' is required")
     name = block["name"]
-    params = {k: v for k, v in block.items() if k != "name"}
+    if not isinstance(name, str) or name not in MODEL_KEYS:
+        raise ConfigError(f"unknown 'model.name' {name!r}; available: {', '.join(MODEL_KEYS)}")
+    params = read_block({k: v for k, v in block.items() if k != "name"}, MODEL_KEYS[name], "model")
     try:
         model = make_model(name, **params)
-    except Exception as exc:
-        raise ConfigError(f"model: {exc}")
-    return model, name, params
+    except ModelError as exc:
+        raise ConfigError(f"'model.{exc.key}': {exc}" if exc.key else f"model: {exc}") from None
+    return model, name
 
 
 def filter_config(seed: int, *, n_particles=1000, resample_threshold=0.5, resampler="systematic",
@@ -622,51 +643,59 @@ COUNTEREXAMPLES: dict[str, Callable[..., list[list[str]]]] = {
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: cmd(cfg, seed, workers) -> (files as name -> text, exit code); main
+# writes the files, every table through csv_table
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: dict, out: Path, workers: int = 1) -> int:
-    seed = require_seed(cfg)
+FLOAT_FMT = "%.17g"   # 17 significant digits: every float64 reads back exactly
+
+
+def csv_table(rows) -> str:
+    """An iterable of rows of strings as CSV text, a field quoted only where it must be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def float_table(header: list[str], columns) -> str:
+    """The header and one row per index of columns (1-D arrays, or 2-D blocks
+    of several columns, of equal length), each entry as FLOAT_FMT; an
+    integral entry below 2^53 reads as its int. Rows are formatted as the
+    writer takes them, so no table of strings is held at once."""
+    rows = ([FLOAT_FMT % v for v in row.tolist()] for row in np.column_stack(columns))
+    return csv_table(itertools.chain([header], rows))
+
+
+def cmd_simulate(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
     grid = parse_grid(cfg)
-    model, _, _ = parse_model(cfg)
+    model, _ = parse_model(cfg)
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
-    bundle.seed = seed
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "paths.csv").write_text(path_to_csv(bundle), encoding="utf-8")
+    header = ["step", "t"] + [f"x_{i + 1}" for i in range(model.dim_x)] + [f"y_{j + 1}" for j in range(model.dim_y)]
+    files = {"paths.csv": csv_table([[f"# horizon={grid.horizon!r} dt={grid.dt!r} seed={seed!r}"]])
+             + float_table(header, [np.arange(grid.n_steps + 1), grid.times(), bundle.x, bundle.y])}
     if model.levy is not None:
-        (out / "jumps.csv").write_text(jumps_to_csv(bundle), encoding="utf-8")
-    write_manifest(out, cfg, "simulate", seed)
-    return EXIT_OK
+        r = model.levy.dim
+        marks = np.reshape([mark for _, mark in bundle.jump_log], (-1, r))
+        files["jumps.csv"] = float_table(["step"] + [f"mark_{i + 1}" for i in range(r)],
+                                         [[k for k, _ in bundle.jump_log], marks])
+    return files, EXIT_OK
 
 
-def cmd_filter(cfg: dict, out: Path, workers: int = 1) -> int:
-    seed = require_seed(cfg)
+def cmd_filter(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
     grid = parse_grid(cfg)
-    model, name, _ = parse_model(cfg)
+    model, name = parse_model(cfg)
     config = filter_config(seed, **keyword_params(filter_config, cfg.get("filter", {}), "filter"))
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
     functionals = {"prob_change": change_indicator} if name == "change_detection" else {}
     run = run_filter(model, bundle.y, grid, config, battery=Battery.default(model.dim_x), time_functionals=functionals)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = list(run.pi.keys())
-    writer.writerow(["t"] + [f"pi:{lab}" for lab in labels] + ["rho1", "ess", "resampled"])
-    for k in range(grid.n_steps + 1):
-        row = [FLOAT_FMT % run.times[k]]
-        row += [FLOAT_FMT % run.pi[lab][k] for lab in labels]
-        row += [FLOAT_FMT % run.rho_one[k], FLOAT_FMT % run.ess[k]]
-        row += [str(int(run.resampled[k - 1])) if k > 0 else "0"]
-        writer.writerow(row)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "filter.csv").write_text(buf.getvalue(), encoding="utf-8")
-    write_manifest(out, cfg, "filter", seed)
-    return EXIT_OK
+    header = ["t"] + [f"pi:{lab}" for lab in run.pi] + ["rho1", "ess", "resampled"]
+    columns = [run.times, *run.pi.values(), run.rho_one, run.ess, np.concatenate([[False], run.resampled])]
+    return {"filter.csv": float_table(header, columns)}, EXIT_OK
 
 
-def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
+def cmd_verify(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
     global _VERIFY_MEMO
-    seed = require_seed(cfg)
     diag = cfg.get("diagnostics", {})
     _reject_unknown(diag, ("checks", "params"), "diagnostics")
     names = diag.get("checks")
@@ -689,29 +718,23 @@ def cmd_verify(cfg: dict, out: Path, workers: int = 1) -> int:
             verdicts.extend(CHECKS[name](seed, workers, **bound.get(name, {})))
     finally:
         _VERIFY_MEMO = None
-    out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["check", "scenario", "estimate", "reference", "tolerance", "passed", "expect_fail", "detail"])
+    files = {}
     for v in verdicts:
-        writer.writerow(v.row())
-        traj = v.trajectory_csv()
-        if traj is not None:
+        if v.trajectory:
             slug = "".join(c if c.isalnum() else "_" for c in f"{v.check}_{v.scenario}")
-            (out / f"trajectory_{slug}.csv").write_text(traj, encoding="utf-8")
-    (out / "verdicts.csv").write_text(buf.getvalue(), encoding="utf-8")
-    write_manifest(out, cfg, "verify", seed)
+            files[f"trajectory_{slug}.csv"] = float_table(list(v.trajectory), list(v.trajectory.values()))
+    files["verdicts.csv"] = csv_table([["check", "scenario", "estimate", "reference", "tolerance", "passed",
+                                        "expect_fail", "detail"]] + [v.row() for v in verdicts])
     n_ok = sum(1 for v in verdicts if v.ok())
     for v in verdicts:
         status = "FAIL" if not v.ok() else ("expected-fail" if v.expect_fail else "pass")
         print(f"{v.check} [{v.scenario}]: {status} (estimate {v.estimate:.6g}, reference {v.reference:.6g})")
     # a negative control is ok when it fails, so the count and the exit code follow ok(), not passed
     print(f"passed {n_ok}/{len(verdicts)}")
-    return EXIT_OK if n_ok == len(verdicts) else EXIT_CHECK_FAILED
+    return files, EXIT_OK if n_ok == len(verdicts) else EXIT_CHECK_FAILED
 
 
-def cmd_counterexample(cfg: dict, out: Path, workers: int = 1) -> int:
-    seed = require_seed(cfg)
+def cmd_counterexample(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
     block = cfg.get("counterexample")
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("field 'counterexample.kind' is required")
@@ -719,12 +742,7 @@ def cmd_counterexample(cfg: dict, out: Path, workers: int = 1) -> int:
         raise ConfigError(f"unknown 'counterexample.kind' {block['kind']!r}; available: {', '.join(COUNTEREXAMPLES)}")
     fn = COUNTEREXAMPLES[block["kind"]]
     kwargs = keyword_params(fn, {k: v for k, v in block.items() if k != "kind"}, "counterexample")
-    out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(fn(seed, workers, **kwargs))
-    (out / "counterexample.csv").write_text(buf.getvalue(), encoding="utf-8")
-    write_manifest(out, cfg, "counterexample", seed)
-    return EXIT_OK
+    return {"counterexample.csv": csv_table(fn(seed, workers, **kwargs))}, EXIT_OK
 
 
 COMMANDS = {
@@ -749,8 +767,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        out = Path(args.out or cfg.get("out") or ".")
-        return COMMANDS[args.command](cfg, out, max(1, args.workers))
+        seed = require_seed(cfg)
+        out = cfg.get("out", "")
+        if not isinstance(out, str):
+            raise ConfigError(f"field 'out' must be a string naming the output directory, not {out!r}")
+        files, code = COMMANDS[args.command](cfg, seed, max(1, args.workers))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -760,6 +781,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FilterCollapse as exc:
         print(f"filter collapse: {exc}", file=sys.stderr)
         return EXIT_COLLAPSE
+    out_dir = Path(args.out or out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    write_manifest(out_dir, cfg, args.command, seed)
+    return code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,12 @@ Array = np.ndarray
 
 
 class ModelError(ValueError):
-    """Raised for structurally invalid models or operator arguments."""
+    """Raised for structurally invalid models or operator arguments; `key`,
+    when given, names the model parameter at fault."""
+
+    def __init__(self, message: str, key: Optional[str] = None):
+        super().__init__(message)
+        self.key = key
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +422,9 @@ def change_detection_model(
     observation, h((b, tau), y, t) = (b0 + b 1_{t >= tau}) y. Priors for B
     and T are discrete so that the grid-Bayes oracle is exact.
     """
-    if b_values is None:
-        b_values = np.linspace(1.0, 2.0, 21)
-    if tau_values is None:
-        tau_values = np.linspace(0.25, 0.75, 21)
-    b_values = np.asarray(b_values, dtype=float)
-    tau_values = np.asarray(tau_values, dtype=float)
-    b_probs = np.full(b_values.size, 1.0 / b_values.size) if b_probs is None else np.asarray(b_probs, dtype=float)
-    tau_probs = (
-        np.full(tau_values.size, 1.0 / tau_values.size) if tau_probs is None else np.asarray(tau_probs, dtype=float)
-    )
+    b_values, b_probs = _discrete_prior("b", np.linspace(1.0, 2.0, 21) if b_values is None else b_values, b_probs)
+    tau_values, tau_probs = _discrete_prior("tau", np.linspace(0.25, 0.75, 21) if tau_values is None else tau_values,
+                                            tau_probs)
 
     def sample(rng: np.random.Generator, n: int) -> Array:
         b = rng.choice(b_values, size=n, p=b_probs)
@@ -453,6 +451,20 @@ def change_detection_model(
         gronwall_rate=None,
         change_prior=ChangePrior(b0, b_values, b_probs, tau_values, tau_probs),
     )
+
+
+def _discrete_prior(name: str, values, probs) -> tuple[Array, Array]:
+    """The values of the prior of `name` and their probabilities, uniform if
+    probs is None. A ModelError names `{name}_values` when there are none,
+    and `{name}_probs` unless the probabilities are >= 0, one per value, and
+    sum to 1."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size == 0:
+        raise ModelError(f"the prior of {name} needs at least one value", f"{name}_values")
+    probs = np.full(values.size, 1.0 / values.size) if probs is None else np.asarray(probs, dtype=float)
+    if probs.shape != values.shape or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        raise ModelError(f"{probs.tolist()} are not {values.size} probabilities >= 0 summing to 1", f"{name}_probs")
+    return values, probs
 
 
 def change_indicator(states: Array, t: float) -> Array:

@@ -9,8 +9,6 @@ clamping, since clamped states would silently corrupt weight statistics.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -70,7 +68,6 @@ class PathBundle:
     y: Array                    # (n_steps+1, m), y[0] = 0
     w_increments: Array         # (n_steps, m)
     jump_log: list[tuple[int, Array]] = field(default_factory=list)
-    seed: Optional[int] = None
 
 
 def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -348,38 +345,3 @@ def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, c
         alive = alive[(t_lo[alive] == never) & (t_hi[alive, top] == never)]
         done += nb
     return HittingPaths(hit_low=t_lo < t_hi.T, resolved=np.minimum(t_lo, t_hi.T) < never)
-
-
-# ---------------------------------------------------------------------------
-# Path export
-# ---------------------------------------------------------------------------
-
-FLOAT_FMT = "%.17g"
-
-
-def path_to_csv(bundle: PathBundle) -> str:
-    """CSV dump (step, t, x_1..x_d, y_1..y_m); grid and seed go in the header row."""
-    d = bundle.x.shape[1]
-    m = bundle.y.shape[1]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"# horizon={bundle.grid.horizon!r} dt={bundle.grid.dt!r} seed={bundle.seed!r}"])
-    writer.writerow(["step", "t"] + [f"x_{i+1}" for i in range(d)] + [f"y_{j+1}" for j in range(m)])
-    times = bundle.grid.times()
-    for k in range(bundle.grid.n_steps + 1):
-        row = [str(k), FLOAT_FMT % times[k]]
-        row += [FLOAT_FMT % v for v in bundle.x[k]]
-        row += [FLOAT_FMT % v for v in bundle.y[k]]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def jumps_to_csv(bundle: PathBundle) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    r = bundle.jump_log[0][1].size if bundle.jump_log else 1
-    writer.writerow(["step"] + [f"mark_{i+1}" for i in range(r)])
-    for k, mark in bundle.jump_log:
-        writer.writerow([str(k)] + [FLOAT_FMT % v for v in np.atleast_1d(mark)])
-    return buf.getvalue()
-

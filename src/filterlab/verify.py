@@ -100,16 +100,6 @@ class CheckVerdict:
             self.detail,
         ]
 
-    def trajectory_csv(self) -> Optional[str]:
-        if not self.trajectory:
-            return None
-        names = list(self.trajectory)
-        cols = [np.asarray(self.trajectory[name], dtype=float) for name in names]
-        lines = [",".join(names)]
-        for k in range(cols[0].shape[0]):
-            lines.append(",".join("%.17g" % col[k] for col in cols))
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Kalman-Bucy oracle (correlated observation noise)

@@ -9,10 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import filterlab
 from filterlab import girsanov, simulate, verify
+from filterlab.filters import FilterConfig, run_filter
+from filterlab.models import Battery, change_indicator, make_model
+from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid
 from filterlab.cli import (
     EXIT_BLOWUP,
@@ -20,6 +24,7 @@ from filterlab.cli import (
     EXIT_COLLAPSE,
     EXIT_CONFIG,
     EXIT_OK,
+    check_gronwall,
     main,
 )
 
@@ -40,6 +45,15 @@ def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def read_floats(rows: list[list[str]]) -> np.ndarray:
+    return np.array([[float(v) for v in row] for row in rows])
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:
@@ -71,6 +85,37 @@ class TestSimulateCommand:
         assert "config_sha256" in manifest
         assert manifest["bit_generator"] == "SFC64"
 
+    @pytest.mark.parametrize("name", ["jump_ou", "change_detection"])
+    def test_paths_read_back_exactly(self, tmp_path, name):
+        cfg = {"model": {"name": name}, "grid": {"horizon": 0.1, "dt": 0.01}, "seed": 17}
+        path = write_cfg(tmp_path, "sim.json", cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        grid = TimeGrid(0.1, 0.01)
+        bundle = simulate.simulate_pair(make_model(name), grid, substream(17, TAG_PATH, 0))
+        d = bundle.x.shape[1]
+        rows = read_rows(tmp_path / "paths.csv")
+        assert rows[0] == [f"# horizon={grid.horizon!r} dt={grid.dt!r} seed=17"]
+        assert rows[1] == ["step", "t"] + [f"x_{i + 1}" for i in range(d)] + ["y_1"]
+        data = read_floats(rows[2:])
+        np.testing.assert_array_equal(data[:, 0], np.arange(grid.n_steps + 1))
+        np.testing.assert_array_equal(data[:, 1], grid.times())
+        np.testing.assert_array_equal(data[:, 2:2 + d], bundle.x)
+        np.testing.assert_array_equal(data[:, 2 + d:], bundle.y)
+
+    def test_jump_sidecar_lists_marks(self, tmp_path):
+        cfg = dict(SIM_CFG, grid={"horizon": 1.0, "dt": 0.01}, seed=12)
+        path = write_cfg(tmp_path, "sim.json", cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
+        bundle = simulate.simulate_pair(make_model("jump_ou"), TimeGrid(1.0, 0.01), substream(12, TAG_PATH, 0))
+        rows = read_rows(tmp_path / "jumps.csv")
+        assert bundle.jump_log and rows[0] == ["step", "mark_1"]
+        assert [[int(row[0]), float(row[1])] for row in rows[1:]] == [[k, float(m[0])] for k, m in bundle.jump_log]
+
+    def test_jump_sidecar_without_jumps_is_its_header(self, tmp_path):
+        # SIM_CFG's path fires no jump
+        main(["simulate", "--config", write_cfg(tmp_path, "sim.json", SIM_CFG), "--out", str(tmp_path)])
+        assert (tmp_path / "jumps.csv").read_text() == "step,mark_1\n"
+
     def test_invalid_dt_exits_2_naming_field(self, tmp_path):
         bad = dict(SIM_CFG, grid={"horizon": 0.3, "dt": 0})
         cfg = write_cfg(tmp_path, "bad.json", bad)
@@ -101,6 +146,7 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, "explode.json", bad)
         proc = run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
         assert proc.returncode == EXIT_BLOWUP, proc.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, "sim.json", SIM_CFG)
@@ -141,6 +187,18 @@ class TestFilterCommand:
         assert "pi:prob_change" in rows[0]
         assert all(0.0 <= float(r["pi:prob_change"]) <= 1.0 + 1e-9 for r in rows)
 
+    def test_columns_read_back_exactly(self, tmp_path):
+        cfg = write_cfg(tmp_path, "flt.json", FILTER_CFG)
+        assert main(["filter", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        model, grid = make_model("change_detection"), TimeGrid(0.3, 0.005)
+        bundle = simulate.simulate_pair(model, grid, substream(3, TAG_PATH, 0))
+        run = run_filter(model, bundle.y, grid, FilterConfig(n_particles=300, resample_threshold=0.5, seed=3),
+                         battery=Battery.default(2), time_functionals={"prob_change": change_indicator})
+        rows = read_rows(tmp_path / "filter.csv")
+        assert rows[0] == ["t"] + [f"pi:{lab}" for lab in run.pi] + ["rho1", "ess", "resampled"]
+        columns = [run.times, *run.pi.values(), run.rho_one, run.ess, np.concatenate([[False], run.resampled])]
+        np.testing.assert_array_equal(read_floats(rows[1:]), np.column_stack(columns))
+
     def test_constant_phi_column_is_exactly_one(self, tmp_path):
         cfg = write_cfg(tmp_path, "flt2.json", dict(FILTER_CFG, model={"name": "linear_gaussian"}))
         main(["filter", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -163,6 +221,7 @@ class TestFilterCommand:
         )
         proc = run_cli(["filter", "--config", cfg, "--out", str(tmp_path / "x")])
         assert proc.returncode == EXIT_COLLAPSE, proc.stderr
+        assert not (tmp_path / "x").exists()
 
 
 VERIFY_CFG = {
@@ -243,9 +302,11 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "g")]) == EXIT_OK
         traj_files = list((tmp_path / "g").glob("trajectory_*.csv"))
-        assert traj_files, "gronwall check should export its trajectory"
-        header = traj_files[0].read_text().splitlines()[0]
-        assert header.split(",")[0] == "t" and "bound" in header
+        assert len(traj_files) == 1, "gronwall check should export its trajectory"
+        rows = read_rows(traj_files[0])
+        trajectory = check_gronwall(4, 1, n_paths=300, dt=0.01)[0].trajectory
+        assert rows[0] == list(trajectory) and rows[0][0] == "t" and "bound" in rows[0]
+        np.testing.assert_array_equal(read_floats(rows[1:]), np.column_stack(list(trajectory.values())))
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         cfg = write_cfg(
@@ -422,6 +483,7 @@ def verify_cfg(params: dict) -> dict:
 
 SMALL = {"n_paths": 100, "dt": 0.01}
 KALMAN = {"n_seeds": 2, "n_particles": 50, "dt": 0.05, "horizon": 0.2}
+MODEL_CFG = {"grid": {"horizon": 0.1, "dt": 0.01}, "seed": 1}
 # (command, config, the dotted key stderr must name); every config is small enough to run
 # in a second, so a CLI that ignored the key would finish and exit 0
 STRICT_CASES = {
@@ -483,6 +545,27 @@ STRICT_CASES = {
                  "diagnostics.params.ks_residual.phis"),
     "phi_repeated": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=["x", "x"])}),
                      "diagnostics.params.zakai_residual.phis"),
+    # a number where a label is due used to be read as its string, so [1] ran phi = 1
+    "phi_number": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=[1])}),
+                   "diagnostics.params.zakai_residual.phis"),
+    # a non-string out used to end in a TypeError traceback, and an empty object wrote to the working directory
+    "out_number": ("simulate", dict(SIM_CFG, out=5), "'out'"),
+    "out_object": ("simulate", dict(SIM_CFG, out={}), "'out'"),
+    # model keys used to be passed on unread: a bool or a numeric string ran, an unlisted
+    # key was ignored, and a bad prior failed in the sampler with a traceback
+    "model_bool": ("simulate", dict(MODEL_CFG, model={"name": "linear_gaussian", "a_x": True}), "model.a_x"),
+    "model_numeric_string": ("simulate", dict(MODEL_CFG, model={"name": "linear", "x0_var": "0.5"}), "model.x0_var"),
+    "model_change_bool": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "b0": True}), "model.b0"),
+    "model_sigma_tilde": ("simulate", dict(MODEL_CFG, model={"name": "linear", "sigma_tilde": 3}),
+                          "model.sigma_tilde"),
+    "model_levy": ("simulate", dict(MODEL_CFG, model={"name": "linear", "levy": {"a": 1}}), "model.levy"),
+    "prior_sum": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "b_values": [1, 2],
+                                                     "b_probs": [0.5, 0.6]}), "model.b_probs"),
+    "prior_negative": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "b_values": [1, 2],
+                                                          "b_probs": [-1, 2]}), "model.b_probs"),
+    "prior_size": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "tau_values": [0.5],
+                                                      "tau_probs": [1, 2]}), "model.tau_probs"),
+    "prior_empty": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "b_values": []}), "model.b_values"),
     "check_model": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, model="nope")}),
                     "diagnostics.params.kalman_agreement.model"),
     "scenario": ("verify", verify_cfg({"zstar_bound": dict(SMALL, scenario="nope")}),

@@ -1,8 +1,6 @@
 """Simulation contracts: scheme correctness, reproducibility, refinement."""
 
-import csv
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -18,8 +16,6 @@ from filterlab.simulate import (
     dufresne_paths,
     euler_step,
     hitting_paths,
-    jumps_to_csv,
-    path_to_csv,
     propagate_under_reference,
     simulate_pair,
     simulate_pairs,
@@ -448,25 +444,3 @@ class TestHittingKernel:
     def test_rows_do_not_depend_on_the_worker_count(self):
         rows = [kazamaki_gap_check([2, 1], 2500, 0.01, 5, workers)[0] for workers in (1, 2)]
         assert [v.row() for v in rows[0]] == [v.row() for v in rows[1]]
-
-
-class TestPathCsv:
-    def test_roundtrip(self):
-        m = make_model("jump_ou")
-        grid = TimeGrid(0.1, 0.01)
-        b = simulate_pair(m, grid, substream(0))
-        b.seed = 17
-        rows = list(csv.reader(io.StringIO(path_to_csv(b))))
-        assert rows[0] == [f"# horizon={grid.horizon!r} dt={grid.dt!r} seed=17"]
-        assert rows[1] == ["step", "t", "x_1", "y_1"]
-        data = np.array([[float(v) for v in row] for row in rows[2:]])
-        np.testing.assert_array_equal(data[:, 0], np.arange(grid.n_steps + 1))
-        np.testing.assert_array_equal(data[:, 2:3], b.x)
-        np.testing.assert_array_equal(data[:, 3:4], b.y)
-
-    def test_jump_sidecar_lists_marks(self):
-        m = make_model("jump_ou")
-        b = simulate_pair(m, TimeGrid(1.0, 0.01), substream(12))
-        text = jumps_to_csv(b)
-        assert text.splitlines()[0] == "step,mark_1"
-        assert len(text.splitlines()) == 1 + len(b.jump_log)
