@@ -449,7 +449,7 @@ def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_pa
 
 def check_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[CheckVerdict]:
     grid = TimeGrid(horizon=horizon, dt=dt)
-    est, target, correction = verify.dufresne_check(n_paths, grid, seed)
+    est, target, correction = verify.dufresne_check(n_paths, grid, seed, workers)
     return [CheckVerdict.band("dufresne", f"horizon={horizon:g}", est.value, target, est.se,
                               detail=f"truncation_correction={correction!r}")]
 
@@ -618,7 +618,7 @@ def counterexample_revuz_yor(seed: int, workers: int, *, alpha=1.0, t=1.0, n_pat
 
 def counterexample_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[list[str]]:
     grid = TimeGrid(horizon=horizon, dt=dt)
-    est, target, correction = verify.dufresne_check(n_paths, grid, seed)
+    est, target, correction = verify.dufresne_check(n_paths, grid, seed, workers)
     return [
         ["scenario", "quantity", "estimate", "se", "n_paths", "seed"],
         ["dufresne", "p_below_one", repr(est.value), repr(est.se), str(n_paths), str(seed)],
@@ -771,6 +771,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         out = cfg.get("out", "")
         if not isinstance(out, str):
             raise ConfigError(f"field 'out' must be a string naming the output directory, not {out!r}")
+        out_dir = Path(args.out or out or ".")
+        # refused before the command runs; the directory itself is made only once the command succeeds
+        if any((p.exists() or p.is_symlink()) and not p.is_dir() for p in (out_dir, *out_dir.parents)):
+            raise ConfigError(f"'out' (or --out) {str(out_dir)!r} is a file or lies under one, not a directory")
         files, code = COMMANDS[args.command](cfg, seed, max(1, args.workers))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -781,7 +785,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FilterCollapse as exc:
         print(f"filter collapse: {exc}", file=sys.stderr)
         return EXIT_COLLAPSE
-    out_dir = Path(args.out or out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (out_dir / name).write_text(text, encoding="utf-8")

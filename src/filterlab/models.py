@@ -334,13 +334,15 @@ class Battery:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_initial(mean, cov) -> Callable[[np.random.Generator, int], Array]:
+def gaussian_initial(mean, cov, key: Optional[str] = None) -> Callable[[np.random.Generator, int], Array]:
+    """Sampler of N(mean, cov); a cov that is not positive semidefinite raises
+    a ModelError naming the model parameter `key`."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     # eigh factor instead of Cholesky so degenerate (point-mass) covariances work
     vals, vecs = np.linalg.eigh(cov)
     if np.any(vals < -1e-12):
-        raise ModelError("initial covariance must be positive semidefinite")
+        raise ModelError("initial covariance must be positive semidefinite", key)
     factor = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
     def sample(rng: np.random.Generator, n: int) -> Array:
@@ -381,7 +383,7 @@ def linear_model(
         sigma_bar=const_coeff([[sigma_bar]]),
         sigma_tilde=const_coeff([[sigma_tilde]]) if levy is not None else None,
         h=lambda x, y, t: h_scale * x,
-        initial_law=gaussian_initial([x0_mean], [[x0_var]]),
+        initial_law=gaussian_initial([x0_mean], [[x0_var]], "x0_var"),
         levy=levy,
         gronwall_rate=_linear_gronwall_rate(a_x, sigma_v, sigma_bar, h_scale, sigma_tilde, levy),
         initial_mean=np.array([x0_mean]),

@@ -10,7 +10,7 @@ clamping, since clamped states would silently corrupt weight statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -229,85 +229,95 @@ def propagate_under_reference(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HittingPaths:
-    """First exits of Brownian motion from (-1, n) on a dt-grid, one row per
-    barrier n of the list and one column per path."""
+PATH_CHUNK = 1000   # paths per substream (seed, TAG, chunk) of dufresne_paths and hitting_paths
 
-    hit_low: Array      # bool, among resolved paths: -1 reached before n
-    resolved: Array     # bool; False = censored at HITTING_MAX_TIME
-
-
-# paths per draw in the active-set kernels (dufresne_paths, hitting_paths): a
-# tile is drawn, walked and reduced in cache; a generator draws in order, so the
-# tiles are the bytes of one (undecided paths x block) draw, which is never built.
+# paths per draw in _walk_tiles: a tile is drawn, walked and reduced in cache;
+# a generator draws in order, so the tiles are the bytes of one (undecided
+# paths x block) draw, which is never built.
 # A Dufresne tile of 16 x 1000 doubles (125 KiB) is below glibc's 128 KiB mmap threshold
 TILE_ROWS = 16
 
 
-DUFRESNE_CHUNK = 1000   # paths per substream (seed, TAG_DUFRESNE, chunk)
+def _walk_tiles(rng: np.random.Generator, n: int, n_steps: int, dt: float, block: int,
+                undecided: Callable[[Array], Array]):
+    """Brownian walks of n paths from 0, `block` steps of dt at a time up to
+    step n_steps, for the paths still undecided.
+
+    A block draws one (undecided, block) array from rng, TILE_ROWS paths at
+    a time, and walks its first nb columns (nb < block only in the last
+    block), so a path's draws depend neither on n_steps nor on when it is
+    decided. Per tile it yields (done, rows, start, seg): the steps before
+    the block, the tile's paths, and their walk at step done and at the steps
+    done + 1 .. done + nb (the caller may overwrite seg but its last column).
+    After each block only the paths for which undecided(rows) holds draw on.
+    """
+    sq = np.sqrt(dt)
+    w = np.zeros(n)
+    alive = np.arange(n)
+    done = 0
+    while alive.size and done < n_steps:
+        nb = min(block, n_steps - done)
+        for rows in np.split(alive, range(TILE_ROWS, alive.size, TILE_ROWS)):
+            seg = rng.standard_normal((rows.size, block))[:, :nb]
+            np.multiply(seg, sq, out=seg)
+            np.cumsum(seg, axis=1, out=seg)
+            start = w[rows]
+            seg += start[:, None]
+            w[rows] = seg[:, -1]
+            yield done, rows, start, seg
+        alive = alive[undecided(alive)]
+        done += nb
+
+
 DUFRESNE_BLOCK = 1000   # grid steps drawn at once for every undecided path of a chunk
 
 
-def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Array, Array]:
+def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int, chunk: int) -> tuple[Array, Array]:
     """Per-path (X_T, B_T) for X_T = int_0^T exp(B_s - s/2) ds, a left-point
-    sum on the grid up to its horizon T.
+    sum on the grid up to its horizon T, for chunk `chunk` of n_paths paths:
+    the paths from chunk * PATH_CHUNK to the next chunk or n_paths, drawn
+    from substream(seed, TAG_DUFRESNE, chunk).
 
     X only grows, so once a path's integral reaches 1 its event {X_T < 1} is
-    decided and the path stops drawing. Paths go in chunks of DUFRESNE_CHUNK,
-    chunk c drawing from substream(seed, TAG_DUFRESNE, c); each chunk steps
-    its undecided paths DUFRESNE_BLOCK steps at a time and, at each block's
-    end, drops every path with X >= 1. A block's draws are those of one
-    (undecided, DUFRESNE_BLOCK) array, taken TILE_ROWS paths at a time.
-    A decided path keeps the X (>= 1) and B of that block's end, so B_T is
-    exact only where X_T < 1. The last block draws full width and uses its
-    first columns: a path's draws do not depend on the horizon.
+    decided and the path stops drawing: the chunk's walk (_walk_tiles) steps
+    DUFRESNE_BLOCK steps at a time and, at each block's end, drops every path
+    with X >= 1. A decided path keeps the X (>= 1) and B of that block's end,
+    so B_T is exact only where X_T < 1.
     """
-    k, dt = grid.n_steps, grid.dt
-    sq = np.sqrt(dt)
-    x = np.zeros(n_paths)
-    b = np.zeros(n_paths)
-    for chunk, start in enumerate(range(0, n_paths, DUFRESNE_CHUNK)):
-        rng = substream(seed, TAG_DUFRESNE, chunk)
-        alive = np.arange(start, min(start + DUFRESNE_CHUNK, n_paths))
-        done = 0
-        while alive.size and done < k:
-            nb = min(DUFRESNE_BLOCK, k - done)
-            half_t = 0.5 * dt * np.arange(done + 1, done + nb)
-            for rows in np.split(alive, range(TILE_ROWS, alive.size, TILE_ROWS)):
-                seg = rng.standard_normal((rows.size, DUFRESNE_BLOCK))[:, :nb]
-                np.multiply(seg, sq, out=seg)
-                np.cumsum(seg, axis=1, out=seg)
-                b0 = b[rows]
-                seg += b0[:, None]   # B at the steps done + 1 .. done + nb
-                b[rows] = seg[:, -1]
-                # left-point integrand exp(B_s - s/2): B at step done, then seg but its last column
-                inner = seg[:, :-1]
-                inner -= half_t
-                np.exp(inner, out=inner)
-                x[rows] += (np.exp(b0 - 0.5 * done * dt) + inner.sum(axis=1)) * dt
-            alive = alive[x[alive] < 1.0]
-            done += nb
+    n = min(PATH_CHUNK, n_paths - chunk * PATH_CHUNK)
+    dt = grid.dt
+    half_t = 0.5 * dt * np.arange(grid.n_steps + 1)
+    x = np.zeros(n)
+    b = np.zeros(n)
+    for done, rows, b0, seg in _walk_tiles(substream(seed, TAG_DUFRESNE, chunk), n, grid.n_steps, dt,
+                                           DUFRESNE_BLOCK, lambda rows: x[rows] < 1.0):
+        b[rows] = seg[:, -1]
+        # left-point integrand exp(B_s - s/2): B at step done, then seg but its last column
+        inner = seg[:, :-1]
+        inner -= half_t[done + 1:done + seg.shape[1]]
+        np.exp(inner, out=inner)
+        x[rows] += (np.exp(b0 - 0.5 * done * dt) + inner.sum(axis=1)) * dt
     return x, b
 
 
-HITTING_CHUNK = 1000       # paths per substream (seed, TAG_HITTING, chunk)
 HITTING_MAX_TIME = 400.0   # hitting paths unresolved by this time are censored
 HITTING_BLOCK = 4000       # grid steps drawn at once for every undecided path of a chunk
 
 
-def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, chunk: int) -> HittingPaths:
+def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, chunk: int) -> tuple[Array, Array]:
     """Chunk `chunk` of n_paths Brownian walks on a dt-grid and their exits
-    from (-1, n) for every barrier n: the paths from chunk * HITTING_CHUNK to
+    from (-1, n) for every barrier n: the paths from chunk * PATH_CHUNK to
     the next chunk or n_paths, drawn from substream(seed, TAG_HITTING, chunk).
+    Returns (hit_low, resolved), bool, one row per barrier of the list and one
+    column per path: -1 reached before n (read among resolved paths), and
+    False where the path was censored at HITTING_MAX_TIME.
 
     A path runs until it leaves (-1, max barrier) or reaches HITTING_MAX_TIME
     (censored, flagged and never silently dropped), and the kernel keeps its
     first step at or below -1 and at or above each barrier; for barrier n it
     hit -1 first when the first comes before the second. How long a path
-    draws, and with it every row, depends on the whole barrier list. A chunk
-    steps its undecided paths HITTING_BLOCK steps at a time, drawn as one
-    (undecided, HITTING_BLOCK) array taken TILE_ROWS paths at a time; each
+    draws, and with it every row, depends on the whole barrier list. The
+    chunk's walk (_walk_tiles) steps HITTING_BLOCK steps at a time; each
     tile reduces to its rows' min and max, and only a row that crossed a new
     level is searched for the step. First passage on a grid carries the
     usual O(sqrt(dt)) overshoot bias, which the callers widen tolerances for.
@@ -316,32 +326,18 @@ def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, c
         raise ValueError("dt must be positive")
     levels = np.asarray(barriers, dtype=float)
     top = int(np.argmax(levels))
-    n = min(HITTING_CHUNK, n_paths - chunk * HITTING_CHUNK)
-    rng = substream(seed, TAG_HITTING, chunk)
-    sq = np.sqrt(dt)
+    n = min(PATH_CHUNK, n_paths - chunk * PATH_CHUNK)
     max_steps = int(round(HITTING_MAX_TIME / dt))
     never = max_steps + 1
     t_lo = np.full(n, never)                   # first step at or below -1
     t_hi = np.full((n, levels.size), never)    # first step at or above each barrier
-    x = np.zeros(n)
-    alive = np.arange(n)
-    done = 0
-    while alive.size and done < max_steps:
-        nb = min(HITTING_BLOCK, max_steps - done)
-        for rows in np.split(alive, range(TILE_ROWS, alive.size, TILE_ROWS)):
-            seg = rng.standard_normal((rows.size, nb))
-            np.multiply(seg, sq, out=seg)
-            np.cumsum(seg, axis=1, out=seg)
-            seg += x[rows][:, None]   # W at the steps done + 1 .. done + nb
-            x[rows] = seg[:, -1]
-            low = seg.min(axis=1) <= -1.0
-            high = (seg.max(axis=1)[:, None] >= levels) & (t_hi[rows] == never)
-            for i in np.flatnonzero(low | high.any(axis=1)):
-                walk = seg[i]
-                if low[i]:
-                    t_lo[rows[i]] = done + 1 + np.argmax(walk <= -1.0)
-                for j in np.flatnonzero(high[i]):
-                    t_hi[rows[i], j] = done + 1 + np.argmax(walk >= levels[j])
-        alive = alive[(t_lo[alive] == never) & (t_hi[alive, top] == never)]
-        done += nb
-    return HittingPaths(hit_low=t_lo < t_hi.T, resolved=np.minimum(t_lo, t_hi.T) < never)
+    for done, rows, _, seg in _walk_tiles(substream(seed, TAG_HITTING, chunk), n, max_steps, dt, HITTING_BLOCK,
+                                          lambda rows: (t_lo[rows] == never) & (t_hi[rows, top] == never)):
+        low = seg.min(axis=1) <= -1.0
+        high = (seg.max(axis=1)[:, None] >= levels) & (t_hi[rows] == never)
+        for i in np.flatnonzero(low | high.any(axis=1)):
+            if low[i]:
+                t_lo[rows[i]] = done + 1 + np.argmax(seg[i] <= -1.0)
+            for j in np.flatnonzero(high[i]):
+                t_hi[rows[i], j] = done + 1 + np.argmax(seg[i] >= levels[j])
+    return t_lo < t_hi.T, np.minimum(t_lo, t_hi.T) < never

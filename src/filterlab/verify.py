@@ -24,7 +24,7 @@ from .models import Battery, SignalModel, StepCoefficients, change_indicator
 from .parallel import map_ordered
 from .rng import (TAG_CHANGE_FILTER, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE,
                   derive_seed, substream)
-from .simulate import HITTING_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
+from .simulate import PATH_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
 
 Array = np.ndarray
 
@@ -397,13 +397,14 @@ DUFRESNE_TARGET = math.exp(-2.0)
 DUFRESNE_MIN_HORIZON = 2.0 * math.log(100.0)
 
 
-def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, float, float]:
+def dufresne_check(n_paths: int, grid: TimeGrid, seed: int, workers: int = 1) -> tuple[Estimate, float, float]:
     """P(X < 1) for X = int_0^inf exp(B_s - s/2) ds; by Dufresne's identity
     X = 2 / G with G ~ Exp(1), so the target is exp(-2).
 
-    The paths of dufresne_paths run to the grid horizon T, each stopping
-    once its integral reaches 1. After T, X - X_T = exp(B_T - T/2) X' with X'
-    an independent copy of X (strong Markov property), so
+    The paths of dufresne_paths, whose chunks are mapped over workers, run
+    to the grid horizon T, each stopping once its integral reaches 1. After
+    T, X - X_T = exp(B_T - T/2) X' with X' an independent copy of X (strong
+    Markov property), so
     P(X < 1 | F_T) = 1{X_T < 1} exp(-2 exp(B_T - T/2) / (1 - X_T)). The
     estimate averages this exact conditional tail, evaluated only where
     X_T < 1, and needs no truncation allowance.
@@ -412,7 +413,8 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> tuple[Estimate, f
     the mean of 1{X_T < 1} minus the estimate: what truncating at T would
     have added.
     """
-    x, b = dufresne_paths(n_paths, grid, seed)
+    chunks = map_ordered(partial(dufresne_paths, n_paths, grid, seed), range(math.ceil(n_paths / PATH_CHUNK)), workers)
+    x, b = (np.concatenate(parts) for parts in zip(*chunks))
     below = x < 1.0
     tail = np.zeros(n_paths)
     tail[below] = np.exp(-2.0 * np.exp(b[below] - 0.5 * grid.horizon) / (1.0 - x[below]))
@@ -438,9 +440,8 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     rate, which approaches 1 per ln N for the divergent series.
     """
     chunks = map_ordered(partial(hitting_paths, tuple(n_list), n_paths, dt, seed),
-                         range(math.ceil(n_paths / HITTING_CHUNK)), workers)
-    hit_low = np.hstack([c.hit_low for c in chunks])
-    resolved = np.hstack([c.resolved for c in chunks])
+                         range(math.ceil(n_paths / PATH_CHUNK)), workers)
+    hit_low, resolved = (np.hstack(parts) for parts in zip(*chunks))
     rows = []
     for barrier, hit, res in zip(n_list, hit_low, resolved):
         est = mean_se(hit[res].astype(float)) if res.sum() > 1 else Estimate(math.nan, math.nan)

@@ -148,7 +148,7 @@ def test_criterion_04_maximal_bound(revuz_yor_tilted, revuz_yor_base):
 
 def test_criterion_05_dufresne():
     start = time.monotonic()
-    est, target, correction = dufresne_check(10_000, TimeGrid(20.0, 1e-3), SEED)
+    est, target, correction = dufresne_check(10_000, TimeGrid(20.0, 1e-3), SEED, WORKERS)
     elapsed = time.monotonic() - start
     ok = abs(est.value - target) <= 3 * est.se and elapsed < 120
     report(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab import girsanov, simulate, verify
+from filterlab import cli, girsanov, simulate, verify
 from filterlab.filters import FilterConfig, run_filter
 from filterlab.models import Battery, change_indicator, make_model
 from filterlab.rng import TAG_PATH, substream
@@ -555,6 +555,8 @@ STRICT_CASES = {
     # key was ignored, and a bad prior failed in the sampler with a traceback
     "model_bool": ("simulate", dict(MODEL_CFG, model={"name": "linear_gaussian", "a_x": True}), "model.a_x"),
     "model_numeric_string": ("simulate", dict(MODEL_CFG, model={"name": "linear", "x0_var": "0.5"}), "model.x0_var"),
+    # a negative variance used to be refused by a message that named no key
+    "model_negative_variance": ("simulate", dict(MODEL_CFG, model={"name": "linear", "x0_var": -1}), "model.x0_var"),
     "model_change_bool": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "b0": True}), "model.b0"),
     "model_sigma_tilde": ("simulate", dict(MODEL_CFG, model={"name": "linear", "sigma_tilde": 3}),
                           "model.sigma_tilde"),
@@ -656,6 +658,21 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "'seed'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config", "under_file", "dangling_link"])
+def test_out_naming_a_file_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch, where):
+    # such an out used to run the whole command and end in a FileExistsError traceback from mkdir
+    monkeypatch.setitem(cli.COMMANDS, "simulate", lambda *args: pytest.fail("the command ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    (tmp_path / "link").symlink_to(tmp_path / "missing")
+    out = {"under_file": taken / "sub", "dangling_link": tmp_path / "link"}.get(where, taken)
+    cfg = write_cfg(tmp_path, "sim.json", dict(SIM_CFG, out=str(out)) if where == "config" else SIM_CFG)
+    code = main(["simulate", "--config", cfg] + ([] if where == "config" else ["--out", str(out)]))
+    assert code == EXIT_CONFIG
+    assert "'out'" in capsys.readouterr().err
+    assert taken.read_text() == "kept" and sorted(p.name for p in tmp_path.iterdir()) == ["link", "sim.json", "taken"]
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -20,7 +20,7 @@ from filterlab.simulate import (
     simulate_pair,
     simulate_pairs,
 )
-from filterlab.verify import kazamaki_gap_check
+from filterlab.verify import dufresne_check, kazamaki_gap_check
 
 
 class TestTimeGrid:
@@ -303,17 +303,17 @@ class TestCounterexamplePaths:
         assert ens.z.mean.shape == (51,) and ens.log_z_t.shape == (100,)
 
     def test_hitting_exit_probability_coarse(self):
-        chunks = [hitting_paths((1,), 4000, 0.001, 2, c) for c in range(4)]
-        resolved = np.hstack([c.resolved[0] for c in chunks])
-        p = np.hstack([c.hit_low[0] for c in chunks])[resolved].mean()
+        hit_low, resolved = (np.hstack(parts)[0] for parts in zip(*[hitting_paths((1,), 4000, 0.001, 2, c)
+                                                                    for c in range(4)]))
+        p = hit_low[resolved].mean()
         se = np.sqrt(p * (1 - p) / resolved.sum())
         assert abs(p - 0.5) < 5 * se
 
     def test_dufresne_monotone_in_horizon(self):
         # a path's draws do not depend on the horizon and its integral only grows,
         # so a path below 1 at the long horizon was below it, and lower, at the short one
-        short, _ = dufresne_paths(2000, TimeGrid(2.0, 0.01), 3)
-        extended, _ = dufresne_paths(2000, TimeGrid(15.0, 0.01), 3)
+        short, extended = (np.concatenate([dufresne_paths(2000, TimeGrid(horizon, 0.01), 3, c)[0] for c in range(2)])
+                           for horizon in (2.0, 15.0))
         below = extended < 1.0
         assert below.any() and (short < 1.0).sum() > below.sum()
         assert np.all(short[below] <= extended[below])
@@ -369,9 +369,9 @@ class TestDufresneKernel:
         # 2500 paths: two full chunks and a partial one; 2500 steps: two full blocks and a partial one
         streams = record_streams(monkeypatch)
         grid = TimeGrid(5.0, 0.002)
-        x, b = dufresne_paths(2500, grid, 7)
+        x, b = (np.concatenate(parts) for parts in zip(*[dufresne_paths(2500, grid, 7, c) for c in range(3)]))
         assert list(streams) == [(TAG_DUFRESNE, c) for c in range(3)]
-        sizes = [min(simulate.DUFRESNE_CHUNK, 2500 - start) for start in range(0, 2500, simulate.DUFRESNE_CHUNK)]
+        sizes = [min(simulate.PATH_CHUNK, 2500 - start) for start in range(0, 2500, simulate.PATH_CHUNK)]
         ref = [dufresne_per_step(stream.blocks, n, grid) for n, stream in zip(sizes, streams.values())]
         ref_x, ref_b, decided = (np.concatenate(parts) for parts in zip(*ref))
         assert np.array_equal(x >= 1.0, decided) and 0 < decided.sum() < 2500
@@ -381,7 +381,8 @@ class TestDufresneKernel:
     def test_decided_paths_stop_drawing(self, monkeypatch):
         streams = record_streams(monkeypatch)
         grid = TimeGrid(20.0, 1e-3)
-        dufresne_paths(2000, grid, 1)
+        for chunk in range(2):
+            dufresne_paths(2000, grid, 1, chunk)
         draws = sum(block.size for stream in streams.values() for block in stream.blocks)
         assert 0 < draws < 2000 * grid.n_steps / 3
 
@@ -389,9 +390,10 @@ class TestDufresneKernel:
 def hitting_per_step(draws, levels, n_paths, dt):
     """(hit_low, resolved) of one chunk, one row per barrier: the walks are
     rebuilt one grid step at a time from the recorded normals, read as one
-    (undecided, HITTING_BLOCK) array per block, a walk stopping at the end of
-    the block in which it leaves (-1, max barrier); each barrier's exit is
-    then the first step of its walk outside (-1, n)."""
+    (undecided, HITTING_BLOCK) array per block whose first columns, up to the
+    censoring time, the walks take, a walk stopping at the end of the block
+    in which it leaves (-1, max barrier); each barrier's exit is then the
+    first step of its walk outside (-1, n)."""
     normals = np.concatenate([draw.ravel() for draw in draws])
     max_steps = round(simulate.HITTING_MAX_TIME / dt)
     walks = np.full((n_paths, max_steps), np.nan)
@@ -400,8 +402,9 @@ def hitting_per_step(draws, levels, n_paths, dt):
     step, used = 0, 0
     while alive.size and step < max_steps:
         nb = min(simulate.HITTING_BLOCK, max_steps - step)
-        block = normals[used:used + alive.size * nb].reshape(alive.size, nb)
+        block = normals[used:used + alive.size * simulate.HITTING_BLOCK].reshape(alive.size, -1)
         used += block.size
+        block = block[:, :nb]
         s = np.zeros(alive.size)
         for j in range(nb):
             s = s + block[:, j] * np.sqrt(dt)
@@ -432,15 +435,18 @@ class TestHittingKernel:
         levels, dt = (2, 3, 1), 0.01
         chunks = [hitting_paths(levels, 2500, dt, 4, c) for c in range(3)]
         assert list(streams) == [(TAG_HITTING, c) for c in range(3)]
-        sizes = [min(simulate.HITTING_CHUNK, 2500 - start) for start in range(0, 2500, simulate.HITTING_CHUNK)]
-        for chunk, n, stream in zip(chunks, sizes, streams.values()):
-            hit_low, resolved = hitting_per_step(stream.blocks, levels, n, dt)
-            assert chunk.hit_low.shape == (3, n)
-            assert np.array_equal(chunk.resolved, resolved) and np.array_equal(chunk.hit_low, hit_low)
-        resolved = np.hstack([c.resolved for c in chunks])
+        sizes = [min(simulate.PATH_CHUNK, 2500 - start) for start in range(0, 2500, simulate.PATH_CHUNK)]
+        for (hit_low, resolved), n, stream in zip(chunks, sizes, streams.values()):
+            ref_low, ref_resolved = hitting_per_step(stream.blocks, levels, n, dt)
+            assert hit_low.shape == (3, n)
+            assert np.array_equal(resolved, ref_resolved) and np.array_equal(hit_low, ref_low)
+        resolved = np.hstack([resolved for _, resolved in chunks])
         # censored at barrier 1, more at 2 and most at the largest barrier, 3
         assert 0 < (~resolved[2]).sum() < (~resolved[0]).sum() < (~resolved[1]).sum()
 
     def test_rows_do_not_depend_on_the_worker_count(self):
         rows = [kazamaki_gap_check([2, 1], 2500, 0.01, 5, workers)[0] for workers in (1, 2)]
         assert [v.row() for v in rows[0]] == [v.row() for v in rows[1]]
+        # 1050 steps: a full Dufresne block and a partial one, for three chunks of paths
+        serial, parallel = (dufresne_check(2500, TimeGrid(10.5, 0.01), 5, workers) for workers in (1, 2))
+        assert serial == parallel
