@@ -5,7 +5,7 @@ change-of-measure particle filter, and verifies the filtering equations and
 exponential-martingale criteria against exact oracles and closed forms.
 """
 
-from .filters import FilterCollapse, FilterConfig, ParticleCloud, ess, init_cloud, pi_estimate, rho_estimate, run_filter, step
+from .filters import FilterCollapse, FilterConfig, ParticleCloud, init_cloud, pi_estimate, run_filter, step
 from .girsanov import Estimate, GirsanovEnsemble
 from .models import Battery, LevySpec, ModelError, SignalModel, make_model
 from .simulate import (

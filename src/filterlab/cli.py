@@ -31,7 +31,7 @@ from .filters import FilterCollapse, FilterConfig, run_filter
 from .models import Battery, ModelError, SignalModel, change_detection_rate, change_indicator, make_model
 from .parallel import map_ordered
 from .rng import TAG_PATH, substream
-from .simulate import SimulationBlowUp, TimeGrid, simulate_pair
+from .simulate import HITTING_MAX_TIME, SimulationBlowUp, TimeGrid, simulate_pair
 from .verify import DUFRESNE_MIN_HORIZON, CheckVerdict
 
 EXIT_OK = 0
@@ -91,7 +91,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     integral one). An unknown key, a
     value that does not coerce, a value that fn could not use (an unknown
     model, scenario, test-function label (or one named twice) or
-    representation, a dt <= 0 or a time that dt does not divide, a filter
+    representation, a dt <= 0 or a time that dt does not divide (for the
+    hitting kinds, which take barriers, HITTING_MAX_TIME), a filter
     setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
     overflows a float, a count or barrier below MINIMUMS), a
     change-detection key given to another scenario, or a dufresne check
@@ -112,7 +113,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
         "scenario": lambda: params["scenario"] in ensembles or make_model(params["scenario"]),
         "representation": lambda: _one_of(params["representation"], REPRESENTATIONS),
         "alpha": lambda: _revuz_yor_alpha(params["alpha"], params["t"]),
-        "dt": lambda: grid(0.0),
+        # a hitting walk runs to HITTING_MAX_TIME, where it censors what it has not resolved
+        "dt": lambda: grid(HITTING_MAX_TIME if "barriers" in params else 0.0),
         "t": lambda: grid(params["t"]),
         "horizon": lambda: grid(params["horizon"]),
         "times": lambda: list(map(grid(max(params["times"])).index_of, params["times"])),

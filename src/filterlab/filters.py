@@ -11,6 +11,13 @@ model coefficients stay per-particle calls, and log-weights as (R, N). Every
 weight, estimate, ESS and collapse check reduces each row on its own along
 the last axis, and each row draws from its own generators, so a run's bytes
 do not depend on the block it is stepped in. A single run is the block R = 1.
+
+One walk (_walk) steps a block along its observation paths and yields each
+grid time's cloud with the step's StepCoefficients, whose h both the weight
+update and the propagation read, so h is evaluated once per step. Its two
+reductions are run_filter, which records pi_t(phi), rho_t(1) and the ESS of
+one run, and verify.residual_run, which accumulates the Zakai and
+Kushner-Stratonovich residuals of many.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .models import Battery, SignalModel
+from .models import Battery, SignalModel, StepCoefficients
 from .rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, substream
 from .simulate import TimeGrid, euler_step, fresh_increments, propagate_under_reference
 
@@ -70,6 +77,11 @@ class ParticleCloud:
     def weights(self) -> Weights:   # once per cloud: no code changes a cloud's arrays in place
         return Weights(self.log_weights, self.step)
 
+    @cached_property
+    def mass(self) -> Array:
+        """exp(log_mass + shift) of each run, (R,): rho_t(phi) = mass * mean(w phi)."""
+        return np.exp(self.log_mass + self.weights.shift)
+
 
 class Weights:
     """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w),
@@ -104,11 +116,6 @@ def _reset_rows(weights: Weights, rows: Array) -> Weights:
     return out
 
 
-def ess(cloud: ParticleCloud) -> Array:
-    """Effective sample size of each run, shape (R,)."""
-    return cloud.weights.ess
-
-
 def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
     """A block of len(rngs) runs of n particles; run r is drawn from rngs[r]."""
     if n < 2:
@@ -128,8 +135,7 @@ def systematic_resample(probs: Array, rng: np.random.Generator) -> Array:
 
 def step(
     cloud: ParticleCloud,
-    model: SignalModel,
-    y: Array,
+    coeffs: StepCoefficients,
     dy: Array,
     dt: float,
     rngs_prop: Generators,
@@ -138,20 +144,22 @@ def step(
 ) -> tuple[ParticleCloud, Array]:
     """Advance every run of the block through its observed increment over (t, t + dt].
 
-    y and dy hold one row per run, (R, m); rngs_prop and rngs_res one
-    generator per run. Weights are updated with the pre-step states
-    (left-point integrand of the log-weight), then particles move under the
-    reference dynamics using the same observed dy; a run whose ESS falls
-    below the threshold resamples, folding its mean weight into log_mass.
-    Returns (new cloud, per-run resampled flags).
+    coeffs are the model's coefficients on the cloud's states at its
+    observation and time; dy holds one row per run, (R, m), and rngs_prop and
+    rngs_res one generator per run. Weights are updated with the pre-step
+    states (left-point integrand of the log-weight), then particles move
+    under the reference dynamics using the same observed dy and the same h;
+    a run whose ESS falls below the threshold resamples, folding its mean
+    weight into log_mass. Returns (new cloud, per-run resampled flags).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    model = coeffs.model
     r, n = cloud.log_weights.shape
-    # each run's observation row, repeated for its particles: (R*N, m)
-    y_rows, dy_rows = (np.repeat(np.reshape(np.asarray(v, dtype=float), (r, model.dim_y)), n, axis=0) for v in (y, dy))
+    # each run's increment, repeated for its particles: (R*N, m)
+    dy_rows = np.repeat(np.reshape(np.asarray(dy, dtype=float), (r, model.dim_y)), n, axis=0)
     k = cloud.step + 1
-    hvals = model.h_now(cloud.states, y_rows, cloud.t)
+    hvals = coeffs.h
     inc = np.einsum("nm,nm->n", hvals, dy_rows) - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
     log_w = cloud.log_weights + inc.reshape(r, n)
     if not np.all(np.isfinite(log_w)):
@@ -164,9 +172,9 @@ def step(
         dv, dw, dl = fresh_increments(model, dt, n, rngs_prop, dw=True)
         states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
-        states = propagate_under_reference(model, cloud.states, y_rows, dy_rows, dt, cloud.t, rngs_prop, k)
+        states = propagate_under_reference(coeffs, dy_rows, dt, rngs_prop, k)
     new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=cloud.t + dt, step=k)
-    current_ess = ess(new)
+    current_ess = new.weights.ess
     if np.any(current_ess < 1.0 + 1e-9):
         raise FilterCollapse(step=k, ess=float(current_ess.min()))
     resampled = current_ess < config.resample_threshold * n
@@ -195,26 +203,43 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Par
     return new
 
 
-def _values(cloud: ParticleCloud, values: Array) -> Array:
-    """Per-particle values of one test function on the cloud's particles, as (R, N)."""
+def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:
+    """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1) of each run, from
+    phi's values on the cloud's particles; invariant under any common shift of
+    a run's log-weights, and exactly 1 for phi == 1 because numerator and
+    denominator are then the same reduction."""
+    weights = cloud.weights
     if not np.all(np.isfinite(values)):
         raise ValueError("test function is non-finite on the cloud")
-    return np.reshape(values, cloud.log_weights.shape)
+    return np.sum(weights.w * np.reshape(values, cloud.log_weights.shape), axis=-1) / weights.total
 
 
-def rho_estimate(cloud: ParticleCloud, values: Array) -> Array:
-    """Unnormalised estimate rho_t(phi) = exp(log_mass) * mean(w_i phi(x_i)) of each run."""
-    weights = cloud.weights
-    vals = _values(cloud, values)
-    return np.exp(cloud.log_mass + weights.shift) * np.mean(weights.w * vals, axis=-1)
+def _walk(model: SignalModel, y_paths: Array, grid: TimeGrid, config: FilterConfig,
+          keys: Sequence[tuple[int, ...]]):
+    """Step a block of len(keys) runs along their observation paths y_paths,
+    (R, K + 1, m) on the grid. Run r draws its initial cloud, propagation and
+    resampling from substream(config.seed, TAG_role, *keys[r]), one generator
+    per role built once and drawn from in order.
 
-
-def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:
-    """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1) of each run;
-    invariant under any common shift of a run's log-weights, and exactly 1
-    for phi == 1 because numerator and denominator are then the same reduction."""
-    weights = cloud.weights
-    return np.sum(weights.w * _values(cloud, values), axis=-1) / weights.total
+    For k = 0 .. K it yields (cloud, coeffs, resampled): the block's cloud
+    at grid index k, the StepCoefficients on its states at y_k and its time,
+    and the per-run flags of the resampling in the step into it (all False at
+    k = 0). The step from k reads the same coeffs, so whatever a reduction
+    evaluates on them, h included, is evaluated once.
+    """
+    if y_paths.shape[1] != grid.n_steps + 1:
+        raise ValueError("observation path does not match the grid")
+    rngs_init, rngs_prop, rngs_res = ([substream(config.seed, tag, *key) for key in keys]
+                                      for tag in (TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE))
+    cloud = init_cloud(model.initial_law, config.n_particles, rngs_init)
+    resampled = np.zeros(len(keys), dtype=bool)
+    for k in range(grid.n_steps + 1):
+        # each run's observation row, repeated for its particles: (R*N, m)
+        coeffs = StepCoefficients(model, cloud.states, np.repeat(y_paths[:, k], config.n_particles, axis=0), cloud.t)
+        yield cloud, coeffs, resampled
+        if k < grid.n_steps:
+            cloud, resampled = step(cloud, coeffs, y_paths[:, k + 1] - y_paths[:, k], grid.dt, rngs_prop, rngs_res,
+                                    config)
 
 
 @dataclass
@@ -234,49 +259,35 @@ def run_filter(
     battery: Optional[Battery] = None,
     time_functionals: Optional[Mapping[str, Callable[[Array, float], Array]]] = None,
 ) -> FilterRun:
-    """Run the filter along one observation path and summarise it: the block
-    of one run, with one generator per role.
+    """Run the filter along one observation path and summarise it: the walk
+    of the block of one run, keyed (config.seed, TAG_role).
 
     The battery's test functions are evaluated as pi_t(phi) at every grid
     time, as one matrix; `time_functionals` map (states, t) to per-particle
     values for summaries that need the clock, e.g. the change-detection
     posterior P(T <= t | Y).
     """
-    y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
-    if y_path.shape[0] != grid.n_steps + 1:
-        raise ValueError("observation path does not match the grid")
-    # one generator per role, built once and drawn from in order
-    cloud = init_cloud(model.initial_law, config.n_particles, [substream(config.seed, TAG_INIT)])
-    rngs_prop = [substream(config.seed, TAG_PROPAGATE)]
-    rngs_res = [substream(config.seed, TAG_RESAMPLE)]
-    n_steps = grid.n_steps
     battery = battery or Battery((), model.dim_x)
     time_functionals = dict(time_functionals or {})
     labels = battery.labels + tuple(time_functionals)
-    pi_traj = np.zeros((len(labels), n_steps + 1))
-    rho_one = np.zeros(n_steps + 1)
-    ess_traj = np.zeros(n_steps + 1)
-    resampled = np.zeros(n_steps, dtype=bool)
-
-    def record(k: int):
-        t = k * grid.dt
-        rows = list(battery.values(cloud.states)) + [fn(cloud.states, t) for fn in time_functionals.values()]
+    pi_traj = np.zeros((len(labels), grid.n_steps + 1))
+    rho_one = np.zeros(grid.n_steps + 1)
+    ess_traj = np.zeros(grid.n_steps + 1)
+    resampled = np.zeros(grid.n_steps + 1, dtype=bool)
+    y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
+    for cloud, _, flags in _walk(model, y_path[None], grid, config, [()]):
+        k = cloud.step
+        rows = list(battery.values(cloud.states)) + [fn(cloud.states, k * grid.dt) for fn in time_functionals.values()]
         # row by row: at 10^4 particles a stacked (K, N) product costs more in
         # allocation than one reduction call per row saves
         pi_traj[:, k] = [pi_estimate(cloud, row)[0] for row in rows]
-        rho_one[k] = np.exp(cloud.log_mass[0] + cloud.weights.shift[0]) * np.mean(cloud.weights.w[0])   # rho_t(1)
-        ess_traj[k] = ess(cloud)[0]
-
-    record(0)
-    for k in range(n_steps):
-        dy = y_path[k + 1] - y_path[k]
-        cloud, flags = step(cloud, model, y_path[k], dy, grid.dt, rngs_prop, rngs_res, config)
+        rho_one[k] = cloud.mass[0] * np.mean(cloud.weights.w[0])   # rho_t(1)
+        ess_traj[k] = cloud.weights.ess[0]
         resampled[k] = flags[0]
-        record(k + 1)
     return FilterRun(
         times=grid.times(),
         pi=dict(zip(labels, pi_traj)),
         rho_one=rho_one,
         ess=ess_traj,
-        resampled=resampled,
+        resampled=resampled[1:],
     )

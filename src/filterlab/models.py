@@ -351,15 +351,6 @@ def gaussian_initial(mean, cov, key: Optional[str] = None) -> Callable[[np.rando
     return sample
 
 
-def point_mass_initial(value) -> Callable[[np.random.Generator, int], Array]:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-
-    def sample(rng: np.random.Generator, n: int) -> Array:
-        return np.broadcast_to(v, (n, v.size)).copy()
-
-    return sample
-
-
 def linear_model(
     name: str = "linear_gaussian",
     a_x: float = -1.0,

@@ -5,12 +5,13 @@ by the SeedSequence of (master seed, integer path...). A key's stream is
 bit-identical however work is chunked across workers, which is what makes
 every estimator reproducible under any parallel schedule.
 
-A filter run has one generator per role: run_filter keys its initial
-cloud, propagation and resampling streams (seed, TAG_role), and run i of a
-residual block keys its data path and those three (seed, TAG_role, i). Each
-is built once and drawn from in order, step after step, by that run alone,
-so a run's bytes do not depend on the block it is stepped in or on the
-worker count.
+A filter run has one generator per role, which the filter's one walk
+(filters._walk) builds: it keys the initial cloud, propagation and
+resampling streams of a run (seed, TAG_role, *key), where run_filter's one
+run has the empty key and run i of a residual block (verify.residual_run)
+the key (i,), next to its data path (seed, TAG_PATH, i). Each is built once
+and drawn from in order, step after step, by that run alone, so a run's
+bytes do not depend on the block it is stepped in or on the worker count.
 """
 
 from __future__ import annotations

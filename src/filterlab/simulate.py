@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import ConstCoeff, LevySpec, SignalModel
+from .models import ConstCoeff, LevySpec, SignalModel, StepCoefficients
 from .rng import TAG_DUFRESNE, TAG_HITTING, substream
 
 Array = np.ndarray
@@ -60,13 +60,11 @@ class TimeGrid:
 
 @dataclass
 class PathBundle:
-    """One realisation of (X, Y) on a TimeGrid, with its observation-noise increments
-    and the jump marks that fired."""
+    """One realisation of (X, Y) on a TimeGrid, with the jump marks that fired."""
 
     grid: TimeGrid
     x: Array                    # (n_steps+1, d)
     y: Array                    # (n_steps+1, m), y[0] = 0
-    w_increments: Array         # (n_steps, m)
     jump_log: list[tuple[int, Array]] = field(default_factory=list)
 
 
@@ -163,7 +161,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
         y[:, k + 1] = y[:, k] + model.h_now(xk, y[:, k], t) * grid.dt + dw[:, k]
         if not np.all(np.isfinite(y[:, k + 1])):
             raise SimulationBlowUp(k + 1)
-    return [PathBundle(grid=grid, x=x[i], y=y[i], w_increments=dw[i], jump_log=jump_logs[i]) for i in range(r)]
+    return [PathBundle(grid=grid, x=x[i], y=y[i], jump_log=jump_logs[i]) for i in range(r)]
 
 
 def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) -> PathBundle:
@@ -192,33 +190,31 @@ def fresh_increments(
 
 
 def propagate_under_reference(
-    model: SignalModel,
-    states: Array,
-    y: Array,
+    coeffs: StepCoefficients,
     dy: Array,
     dt: float,
-    t: float,
     rngs: Sequence[np.random.Generator],
     step: int = -1,
 ) -> Array:
     """One Euler step of the reference-measure dynamics for len(rngs) runs of
-    equally many states, stacked as (R*N, d); run r draws from rngs[r].
+    equally many states, stacked as (R*N, d) in coeffs (the coefficients on
+    them at their observation and time); run r draws from rngs[r].
 
     Under the reference measure the observation path drives the signal:
     dX = (f~ - sigma_bar h) dt + sigma dV + sigma_bar dY + sigma_tilde dL,
     with the observed increment dy substituted for dY and fresh V/L noise.
-    y and dy are one shared row (m,) or one row per state (R*N, m).
+    dy is one shared row (m,) or one row per state (R*N, m).
     Constant coefficients enter as matrices (see euler_step). A zero sigma_bar
-    drops both of its terms and h is not evaluated. A zero sigma draws no dV
+    drops both of its terms and h is not read. A zero sigma draws no dV
     only without jumps, where no later draw from a run's generator would move.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = np.atleast_2d(np.asarray(states, dtype=float))
+    model, x = coeffs.model, coeffs.x
     dy = np.atleast_2d(np.asarray(dy, dtype=float))
     drift = model.f(x)
     if not _is_zero(model.sigma_bar):
-        drift = drift - _times(model.sigma_bar, x, model.h_now(x, y, t))
+        drift = drift - _times(model.sigma_bar, x, coeffs.h)
     dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs,
                                  dv=model.has_jumps or not _is_zero(model.sigma))
     return euler_step(model, x, drift, dt, dv, dy, dl, step)

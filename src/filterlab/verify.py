@@ -18,12 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .filters import FilterConfig, init_cloud, run_filter, step
+from .filters import FilterConfig, _walk, run_filter
 from .girsanov import Estimate, mean_se
-from .models import Battery, SignalModel, StepCoefficients, change_indicator
+from .models import Battery, SignalModel, change_indicator
 from .parallel import map_ordered
-from .rng import (TAG_CHANGE_FILTER, TAG_INIT, TAG_KALMAN_FILTER, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE,
-                  derive_seed, substream)
+from .rng import TAG_CHANGE_FILTER, TAG_KALMAN_FILTER, TAG_PATH, derive_seed, substream
 from .simulate import PATH_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
 
 Array = np.ndarray
@@ -190,7 +189,6 @@ def kalman_oracle_for_model(model: SignalModel, y_path: Array, grid: TimeGrid) -
 class GridPosterior:
     """Exact discrete posterior over (b, tau) cells for one observation path."""
 
-    log_likelihood: Array       # (nb, nt) at the terminal time
     posterior: Array            # normalised joint mass at the terminal time
     prob_change: Array          # trajectory of P(T <= t | Y) on the grid
 
@@ -248,7 +246,7 @@ def change_detection_oracle(
     mass /= mass.sum()
     if abs(mass.sum() - 1.0) > 1e-12:
         raise ValueError("posterior mass failed to normalise")
-    return GridPosterior(log_likelihood=loglik, posterior=mass, prob_change=prob_change)
+    return GridPosterior(posterior=mass, prob_change=prob_change)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +275,16 @@ def residual_run(
     """A block of (data, filter) pairs stepped as one cloud; returns the Zakai
     and KS residual trajectories of every run and test function, each
     (R, K, K_steps + 1) with runs in the order of run_indices. Run i draws
-    only from its own generators, one per role keyed by (config.seed, role,
-    i), so its result does not depend on the block. Every per-particle array
-    is laid out (K, R, N, ...), so each reduction over particles runs along a
-    contiguous axis per (test function, run), as it would for one alone."""
+    its data path from (config.seed, TAG_PATH, i) and its filter from the
+    walk's generators keyed (config.seed, TAG_role, i), so its result does
+    not depend on the block. Every per-particle array is laid out
+    (K, R, N, ...), so each reduction over particles runs along a contiguous
+    axis per (test function, run), as it would for one alone."""
     seed, n = config.seed, config.n_particles
     runs = tuple(run_indices)
     r = len(runs)
     bundles = simulate_pairs(model, grid, [substream(seed, TAG_PATH, i) for i in runs])
     y_path = np.stack([bundle.y for bundle in bundles])   # (R, K+1, m)
-    cloud = init_cloud(model.initial_law, n, [substream(seed, TAG_INIT, i) for i in runs])
-    rngs_prop = [substream(seed, TAG_PROPAGATE, i) for i in runs]
-    rngs_res = [substream(seed, TAG_RESAMPLE, i) for i in runs]
     dt = grid.dt
     k_steps = grid.n_steps
     zak = np.zeros((r, len(battery.labels), k_steps + 1))
@@ -300,13 +296,11 @@ def residual_run(
         """Per-particle (K, R*N, ...) values of the K test functions as (K, R, N, ...)."""
         return values.reshape(values.shape[:1] + (r, n) + values.shape[2:])
 
-    for k in range(k_steps + 1):
-        y_k = y_path[:, k]
-        t = k * dt
+    for cloud, coeffs, _ in _walk(model, y_path, grid, config, [(i,) for i in runs]):
+        k = cloud.step
         weights = cloud.weights
         w, sw = weights.w, weights.total
-        mass = np.exp(cloud.log_mass + weights.shift)
-        coeffs = StepCoefficients(model, cloud.states, np.repeat(y_k, n, axis=0), t)
+        mass = cloud.mass
         h = coeffs.h.reshape((r, n) + coeffs.h.shape[1:])
         pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
         values = battery.values(coeffs.x)
@@ -321,7 +315,7 @@ def residual_run(
         if k == k_steps:
             break
         gen, corr, dphi = (rows(v) for v in battery.operators(coeffs, values))
-        dy = y_path[:, k + 1] - y_k
+        dy = y_path[:, k + 1] - y_path[:, k]
         w_a = np.sum(w * gen, axis=-1)
         rho_d = mass[:, None] * np.einsum("rn,krnm->krm", w, dphi) / n
         zak_int += mass * w_a / n * dt + np.einsum("krm,rm->kr", rho_d, dy)
@@ -330,7 +324,6 @@ def residual_run(
         pi_phih = np.einsum("rn,krnm->krm", w, vals[..., None] * h) / sw[:, None]
         integrand = pi_phih - pi_h * pi_phi[..., None] + np.einsum("rn,krnm->krm", w, corr) / sw[:, None]
         ks_int += w_a / sw * dt + np.einsum("krm,rm->kr", integrand, dy - pi_h * dt)
-        cloud, _ = step(cloud, model, y_k, dy, dt, rngs_prop, rngs_res, config)
     return zak, ks
 
 

@@ -31,7 +31,7 @@ GOLDEN = HERE / "golden_outputs.json"
 WORKERS = (1, 2)
 
 
-def _benchmark_workloads():
+def benchmark_workloads():
     """The benchmark's workloads module, read from its file without importing the benchmark package."""
     spec = importlib.util.spec_from_file_location("benchmark_workloads", HERE.parent / "benchmark" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -41,7 +41,7 @@ def _benchmark_workloads():
 
 def _cases() -> dict[str, tuple[str, dict]]:
     """Case name -> (command, config)."""
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     cases = {f"{workload}_{i}_{command}": (command, cfg)
              for workload in workloads.WORKLOADS
              for i, (command, cfg) in enumerate(workloads.commands(workload, 1, "quick"))}

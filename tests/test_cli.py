@@ -1,7 +1,6 @@
 """CLI contracts: exit codes, byte-identical outputs, worker independence."""
 
 import csv
-import importlib.util
 import json
 import math
 import os
@@ -27,6 +26,7 @@ from filterlab.cli import (
     check_gronwall,
     main,
 )
+from golden_outputs import benchmark_workloads
 
 
 def write_cfg(tmp_path: Path, name: str, cfg: dict) -> str:
@@ -638,6 +638,12 @@ STRICT_CASES = {
     "counterexample_barrier": ("counterexample", {"counterexample": {"kind": "hitting", "barriers": [0],
                                                                      "n_paths": 100, "dt": 1e-3}, "seed": 2},
                                "counterexample.barriers"),
+    # a dt that does not divide HITTING_MAX_TIME used to be accepted and censor elsewhere (0.3: at t = 399.9)
+    "hitting_dt": ("verify", verify_cfg({"hitting": {"barriers": [1], "n_paths": 100, "dt": 0.3}}),
+                   "diagnostics.params.hitting.dt"),
+    "counterexample_hitting_dt": ("counterexample", {"counterexample": {"kind": "hitting", "barriers": [1],
+                                                                        "n_paths": 100, "dt": 0.3}, "seed": 2},
+                                  "counterexample.dt"),
 }
 
 
@@ -678,15 +684,6 @@ def test_out_naming_a_file_exits_2_before_the_command_runs(tmp_path, capsys, mon
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli(["simulate", "--config", str(tmp_path / "absent.json")])
     assert proc.returncode == EXIT_CONFIG, proc.stderr
-
-
-def benchmark_workloads():
-    """The benchmark's workloads module, read from its file without importing the benchmark package."""
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_workloads", Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 WORKLOADS = benchmark_workloads()

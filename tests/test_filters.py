@@ -12,21 +12,35 @@ from filterlab.filters import (
     FilterConfig,
     ParticleCloud,
     Weights,
-    ess,
     init_cloud,
     pi_estimate,
     resample,
-    rho_estimate,
     run_filter,
     step,
     systematic_resample,
 )
-from filterlab.models import Battery, change_indicator, linear_model, make_model, point_mass_initial
+from filterlab.models import Battery, StepCoefficients, change_indicator, gaussian_initial, linear_model, make_model
 from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
 from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
-from filterlab.verify import kalman_oracle_for_model
+from filterlab.verify import kalman_oracle_for_model, residual_run
 
 Y0 = np.zeros(1)
+
+
+def point_mass(value):
+    """The initial law of a point mass at value: a Gaussian with zero covariance."""
+    return gaussian_initial([value], [[0.0]])
+
+
+def rho_one(cloud):
+    """rho_t(1) of each run of the cloud."""
+    return cloud.mass * np.mean(cloud.weights.w, axis=-1)
+
+
+def step_at(cloud, model, y, dy, dt, rngs_prop, rngs_res, config):
+    """filters.step with the coefficients on the cloud's states at observation y (one shared row) and its time."""
+    return step(cloud, StepCoefficients(model, cloud.states, y, cloud.t), dy, dt, rngs_prop, rngs_res, config)
+
 
 # log-weights of a random cloud: finite ones spread over many orders of
 # magnitude, and -inf for zero weights, with at least one weight nonzero
@@ -48,7 +62,7 @@ def make_cloud(states, log_weights, log_mass=0.0, t=0.0):
 
 class TestInitCloud:
     def test_point_mass_prior(self):
-        cloud = init_cloud(point_mass_initial([2.5]), 100, [substream(0)])
+        cloud = init_cloud(point_mass(2.5), 100, [substream(0)])
         assert np.all(cloud.states == 2.5)
         assert np.all(cloud.log_weights == 0.0)
         assert cloud.log_mass == 0.0 and cloud.t == 0.0
@@ -60,25 +74,18 @@ class TestInitCloud:
         assert abs(cloud.states.mean()) < 3 * np.sqrt(0.5 / n)
 
     def test_two_particles_is_valid(self):
-        cloud = init_cloud(point_mass_initial([0.0]), 2, [substream(2)])
-        assert ess(cloud) == pytest.approx(2.0)
+        cloud = init_cloud(point_mass(0.0), 2, [substream(2)])
+        assert cloud.weights.ess == pytest.approx(2.0)
 
     def test_rejects_single_particle(self):
         with pytest.raises(ValueError):
-            init_cloud(point_mass_initial([0.0]), 1, [substream(3)])
+            init_cloud(point_mass(0.0), 1, [substream(3)])
 
 
 class TestEstimates:
     def test_rho_one_at_time_zero(self):
-        cloud = init_cloud(point_mass_initial([1.0]), 50, [substream(0)])
-        assert rho_estimate(cloud, np.ones(cloud.n)) == pytest.approx(1.0)
-
-    def test_rho_linear_in_constant(self):
-        cloud = make_cloud([0.5, 1.5, -0.3], [0.1, -0.2, 0.4])
-        c = 3.7
-        assert rho_estimate(cloud, np.full(cloud.n, c)) == pytest.approx(
-            c * rho_estimate(cloud, np.ones(cloud.n))
-        )
+        cloud = init_cloud(point_mass(1.0), 50, [substream(0)])
+        assert rho_one(cloud) == pytest.approx(1.0)
 
     @given(LOG_WEIGHTS, st.floats(-20, 20))
     @settings(max_examples=200, deadline=None)
@@ -99,18 +106,15 @@ class TestEstimates:
 
     def test_pi_point_mass_static_model(self):
         # point-mass prior, zero dynamics, h = 0: pi_t(x) stays at the point
-        m = linear_model("static", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0)
-        m = dataclasses.replace(m, initial_law=point_mass_initial([1.7]))
+        m = linear_model("static", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0, x0_mean=1.7, x0_var=0.0)
         grid = TimeGrid(0.2, 0.01)
         y_path = np.zeros((grid.n_steps + 1, 1))
         run = run_filter(m, y_path, grid, FilterConfig(n_particles=64, seed=0), battery=Battery(("x",), 1))
         np.testing.assert_allclose(run.pi["x"], 1.7)
 
-    def test_rho_rejects_nonfinite_phi(self):
+    def test_pi_rejects_nonfinite_phi(self):
         cloud = make_cloud([0.0, 1.0], [0.0, 0.0])
         bad = np.where(cloud.states[:, 0] > 0.5, np.inf, 1.0)
-        with pytest.raises(ValueError):
-            rho_estimate(cloud, bad)
         with pytest.raises(ValueError):
             pi_estimate(cloud, bad)
 
@@ -125,7 +129,7 @@ class TestResampling:
         rng = substream(5)
         cloud = make_cloud(rng.standard_normal(256), rng.standard_normal(256))
         out = resample(cloud, [substream(6)], [0])
-        assert ess(out) == pytest.approx(256.0)
+        assert out.weights.ess == pytest.approx(256.0)
         assert np.all(out.log_weights == 0.0)
 
     def test_resampled_weights_are_preset_to_the_bytes_of_zero_log_weights(self):
@@ -150,22 +154,21 @@ class TestResampling:
         assert out.log_mass[1] == 0.0 and np.all(out.log_weights[[0, 2]] == 0.0)
         for name in ("w", "shift", "total"):   # the preset rows and the kept row equal a fresh computation
             assert getattr(out.weights, name).tobytes() == getattr(Weights(out.log_weights, step=0), name).tobytes()
-        np.testing.assert_allclose(rho_estimate(out, np.ones(150)), rho_estimate(cloud, np.ones(150)),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(rho_one(out), rho_one(cloud), rtol=1e-12)
 
     @given(LOG_WEIGHTS, st.floats(-20, 20), st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_resample_preserves_rho_one(self, lws, log_mass, seed):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
-        before = rho_estimate(cloud, np.ones(cloud.n))
-        after = rho_estimate(resample(cloud, [substream(seed)], [0]), np.ones(cloud.n))
+        before = rho_one(cloud)
+        after = rho_one(resample(cloud, [substream(seed)], [0]))
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))
     @settings(max_examples=100, deadline=None)
     def test_ess_bounds(self, lws):
         cloud = make_cloud(np.zeros(len(lws)), np.array(lws))
-        val = ess(cloud)
+        val = cloud.weights.ess
         assert 1.0 - 1e-9 <= val <= len(lws) + 1e-9
 
 
@@ -182,7 +185,7 @@ def test_collapse_reports_the_step_it_is_given():
 @pytest.mark.parametrize("name", ["correlated_linear", "change_detection"])
 def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
     """run_filter's trajectories, read off one set of weights per step, equal
-    pi_estimate, rho_estimate and ess called on the cloud of each step."""
+    pi_estimate, rho_t(1) and the ESS read off the cloud of each step."""
     m = make_model(name)
     grid = TimeGrid(1.0, 0.02)
     y = simulate_pair(m, grid, substream(12)).y
@@ -195,14 +198,46 @@ def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
     rngs = [substream(cfg.seed, TAG_PROPAGATE)], [substream(cfg.seed, TAG_RESAMPLE)]
     for k in range(grid.n_steps + 1):
         if k:
-            cloud, _ = step(cloud, m, y[k - 1], y[k] - y[k - 1], grid.dt, *rngs, cfg)
+            cloud, _ = step_at(cloud, m, y[k - 1], y[k] - y[k - 1], grid.dt, *rngs, cfg)
         for label in battery.labels:   # each alone, as a single (N,) row of values
             assert run.pi[label][k] == pi_estimate(cloud, Battery((label,), m.dim_x).values(cloud.states)[0])[0]
         for lab, fn in clock.items():
             assert run.pi[lab][k] == pi_estimate(cloud, fn(cloud.states, k * grid.dt))[0]
-        assert run.rho_one[k] == rho_estimate(cloud, np.ones(cloud.n))[0]
-        assert run.ess[k] == ess(cloud)[0]
+        assert run.rho_one[k] == rho_one(cloud)[0]
+        assert run.ess[k] == cloud.weights.ess[0]
     assert 0 < run.resampled.sum() < grid.n_steps
+
+
+def counting_h(model):
+    """The model with h wrapped to record the number of states of every call."""
+    rows = []
+
+    def h(x, y, t):
+        rows.append(x.shape[0])
+        return model.h(x, y, t)
+
+    return dataclasses.replace(model, h=h), rows
+
+
+class TestOneEvaluationOfHPerStep:
+    """The weight update, the propagation and the residual integrands of a
+    step all read one evaluation of h."""
+
+    def test_run_filter(self):
+        m, rows = counting_h(make_model("correlated_linear"))   # sigma_bar != 0: propagation reads h too
+        grid = TimeGrid(0.1, 0.01)
+        run_filter(m, np.zeros((grid.n_steps + 1, 1)), grid, FilterConfig(n_particles=16, seed=0),
+                   battery=Battery.default(1))
+        assert len(rows) == grid.n_steps
+
+    @pytest.mark.parametrize("name", ["correlated_linear", "jump_ou"])
+    def test_residual_run(self, name):
+        m, rows = counting_h(make_model(name))
+        grid = TimeGrid(0.1, 0.01)
+        residual_run(m, Battery.default(1), grid, FilterConfig(n_particles=16, seed=0), (0, 1))
+        # the data paths step both runs as one (2, d) batch; the filter steps 2 x 16 particles
+        assert rows.count(2) == grid.n_steps
+        assert rows.count(32) == grid.n_steps + 1
 
 
 class TestStep:
@@ -210,18 +245,18 @@ class TestStep:
         m = linear_model("quiet", h_scale=0.0)
         cloud = init_cloud(m.initial_law, 128, [substream(0)])
         cfg = FilterConfig(n_particles=128, resample_threshold=0.0, seed=0)
-        out, resampled = step(cloud, m, Y0, np.array([0.3]), 0.01, [substream(1)], [substream(2)], cfg)
+        out, resampled = step_at(cloud, m, Y0, np.array([0.3]), 0.01, [substream(1)], [substream(2)], cfg)
         assert not resampled
         np.testing.assert_array_equal(out.log_weights, cloud.log_weights)
         assert out.t == pytest.approx(0.01)
 
     def test_duplicated_particles_stay_symmetric(self):
         m = make_model("linear_gaussian")
-        cloud = init_cloud(point_mass_initial([0.4]), 64, [substream(0)])
+        cloud = init_cloud(point_mass(0.4), 64, [substream(0)])
         cfg = FilterConfig(n_particles=64, resample_threshold=0.5, seed=0)
-        out, _ = step(cloud, m, Y0, np.array([0.1]), 0.01, [substream(1)], [substream(2)], cfg)
+        out, _ = step_at(cloud, m, Y0, np.array([0.1]), 0.01, [substream(1)], [substream(2)], cfg)
         assert np.allclose(out.log_weights, out.log_weights[0])
-        assert ess(out) == pytest.approx(64.0)
+        assert out.weights.ess == pytest.approx(64.0)
 
     def test_weight_increment_uses_pre_step_state(self):
         # freeze propagation (zero noise, zero drift): the increment must be
@@ -230,7 +265,7 @@ class TestStep:
         cloud = make_cloud([1.5, 1.5], [0.0, 0.0])
         cfg = FilterConfig(n_particles=2, resample_threshold=0.0, seed=0)
         dy, dt = np.array([0.2]), 0.05
-        out, _ = step(cloud, m, Y0, dy, dt, [substream(1)], [substream(2)], cfg)
+        out, _ = step_at(cloud, m, Y0, dy, dt, [substream(1)], [substream(2)], cfg)
         expected = 3.0 * 0.2 - 0.5 * 9.0 * 0.05
         np.testing.assert_allclose(out.log_weights, expected)
 
@@ -239,7 +274,7 @@ class TestStep:
         cloud = make_cloud([0.0, 1e6], [0.0, 0.0])
         cfg = FilterConfig(n_particles=2, resample_threshold=0.0, seed=0)
         with pytest.raises(FilterCollapse):
-            step(cloud, m, Y0, np.array([1.0]), 0.01, [substream(1)], [substream(2)], cfg)
+            step_at(cloud, m, Y0, np.array([1.0]), 0.01, [substream(1)], [substream(2)], cfg)
 
 
 class TestRunFilter:

@@ -24,7 +24,7 @@ from filterlab.girsanov import (
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
 )
-from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
+from filterlab.models import levy_atoms, linear_model, make_model
 from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid, batch_levy_increments
 from filterlab.verify import CheckVerdict
@@ -149,8 +149,7 @@ class TestDegenerateAndModelEnsembles:
 
     def test_gronwall_trivial_model(self, monkeypatch):
         # all coefficients zero from X_0 = 0: E[Z_t U_t] = 1 <= e^{2ct}
-        m = linear_model("nil", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0)
-        m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
+        m = linear_model("nil", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0, x0_var=0.0)
         monkeypatch.setattr(cli, "make_model", lambda name: m)
         [row] = cli.check_gronwall(1, 1, scenario="nil", n_paths=100, dt=0.01, horizon=0.5)
         assert row.passed

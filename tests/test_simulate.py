@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filterlab.girsanov import ensemble_revuz_yor
-from filterlab.models import levy_atoms, linear_model, make_model, point_mass_initial
+from filterlab.models import StepCoefficients, levy_atoms, linear_model, make_model
 from filterlab import simulate
 from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, TAG_PATH, substream
 from filterlab.simulate import (
@@ -120,7 +120,6 @@ class TestSimulatePair:
     def test_constant_path_when_coefficients_vanish(self):
         m = linear_model("const", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0,
                          x0_mean=3.0, x0_var=0.0)
-        m = dataclasses.replace(m, initial_law=point_mass_initial([3.0]))
         b = simulate_pair(m, TimeGrid(1.0, 0.01), substream(0))
         np.testing.assert_array_equal(b.x, np.full((101, 1), 3.0))
 
@@ -129,9 +128,10 @@ class TestSimulatePair:
         m = make_model("jump_ou")
         grid = TimeGrid(1.0, 0.01)
         b = simulate_pair(m, grid, substream(5))
+        dw = reference_pair(m, grid, substream(5))[2]   # the observation noise the path drew
         for k in range(grid.n_steps):
             h_k = m.h_now(b.x[k][None, :], b.y[k], k * grid.dt)[0]
-            rebuilt = b.y[k] + h_k * grid.dt + b.w_increments[k]
+            rebuilt = b.y[k] + h_k * grid.dt + dw[k]
             np.testing.assert_array_equal(rebuilt, b.y[k + 1])
 
     def test_pure_noise_observation_variance(self):
@@ -148,7 +148,6 @@ class TestSimulatePair:
         # dX = -X dt + dV from X_0 = 0 on the Euler scheme X' = (1 - dt) X + sqrt(dt) xi:
         # Var(X_1) = dt sum_{j<100} (1 - dt)^{2j} = 0.435186 (continuous time: 0.432332)
         m = linear_model("ou", a_x=-1.0, sigma_v=1.0, sigma_bar=0.0, x0_mean=0.0, x0_var=0.0)
-        m = dataclasses.replace(m, initial_law=point_mass_initial([0.0]))
         grid = TimeGrid(1.0, 1e-2)
         bundles = simulate_pairs(m, grid, [substream(11, i) for i in range(10_000)])
         terminal = np.array([b.x[-1, 0] for b in bundles])
@@ -172,10 +171,9 @@ class TestSimulatePair:
         grid = TimeGrid(1.0, 0.01)
         bundles = simulate_pairs(m, grid, [substream(17, TAG_PATH, i) for i in range(6)])
         for i, bundle in enumerate(bundles):
-            x, y, dw, jump_log = reference_pair(m, grid, substream(17, TAG_PATH, i))
+            x, y, _, jump_log = reference_pair(m, grid, substream(17, TAG_PATH, i))
             np.testing.assert_array_equal(bundle.x, x)
             np.testing.assert_array_equal(bundle.y, y)
-            np.testing.assert_array_equal(bundle.w_increments, dw)
             assert [(k, mark.tolist()) for k, mark in bundle.jump_log] == [(k, mark.tolist()) for k, mark in jump_log]
         assert any(b.jump_log for b in bundles) == m.has_jumps
 
@@ -193,16 +191,15 @@ class TestReferencePropagation:
         m = make_model("linear_gaussian")
         x = np.full((50_000, 1), 0.5)
         dt = 0.01
-        out = propagate_under_reference(m, x, np.zeros(1), np.array([0.123]), dt, 0.0, [substream(3)])
+        out = propagate_under_reference(StepCoefficients(m, x, np.zeros(1)), np.array([0.123]), dt, [substream(3)])
         mean = out.mean()
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(mean - (0.5 - 0.5 * dt)) < 3 * se
 
     def test_observation_feed_is_deterministic_shift(self):
         m = linear_model("det", a_x=0.0, sigma_v=0.0, sigma_bar=1.0, h_scale=0.0)
-        out = propagate_under_reference(
-            m, np.array([[1.0]]), np.zeros(1), np.array([0.3]), 0.01, 0.0, [substream(0)]
-        )
+        out = propagate_under_reference(StepCoefficients(m, np.array([[1.0]]), np.zeros(1)), np.array([0.3]), 0.01,
+                                        [substream(0)])
         assert out[0, 0] == pytest.approx(1.3)
 
     def test_correlated_ensemble_mean(self):
@@ -210,7 +207,7 @@ class TestReferencePropagation:
         m = make_model("correlated_linear")
         x0, dy, dt = 0.8, 0.2, 0.01
         x = np.full((100_000, 1), x0)
-        out = propagate_under_reference(m, x, np.zeros(1), np.array([dy]), dt, 0.0, [substream(8)])
+        out = propagate_under_reference(StepCoefficients(m, x, np.zeros(1)), np.array([dy]), dt, [substream(8)])
         target = x0 + (-x0 - 0.5 * x0) * dt + 0.5 * dy
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(out.mean() - target) < 3 * se
@@ -239,7 +236,8 @@ def fifty_steps(model, y):
         dw = rng.standard_normal((1000, model.dim_y)) * sq
         dl = batch_levy_increments(model.levy, dt, 1000, rng)[0] if model.has_jumps else None
         x_phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
-        x_ref = propagate_under_reference(model, x_ref, y[k], y[k + 1] - y[k], dt, k * dt, [substream(2, k)], k + 1)
+        x_ref = propagate_under_reference(StepCoefficients(model, x_ref, y[k], k * dt), y[k + 1] - y[k], dt,
+                                          [substream(2, k)], k + 1)
         out += [x_phys, x_ref]
     return out
 

@@ -96,16 +96,17 @@ class TestChangeDetectionOracle:
         assert post.posterior[0, 0] == pytest.approx(1.0)
         assert post.posterior.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_single_cell_matches_direct_likelihood(self):
+    def test_posterior_odds_match_direct_likelihoods(self):
+        # under a uniform prior the log posterior odds of two cells are their log-likelihood gap
         grid = TimeGrid(0.5, 1e-2)
         m = make_model("change_detection")
         bundle = simulate_pair(m, grid, substream(4))
         post = change_detection_oracle(
-            np.array([1.1]), np.array([0.3]), np.array([1.0]), np.array([1.0]),
+            np.array([1.1, 1.6]), np.array([0.3]), np.array([0.5, 0.5]), np.array([1.0]),
             -0.5, bundle.y, grid,
         )
-        direct = change_detection_loglik_direct(1.1, 0.3, -0.5, bundle.y, grid)
-        assert post.log_likelihood[0, 0] == pytest.approx(direct, rel=1e-12)
+        direct = [change_detection_loglik_direct(b, 0.3, -0.5, bundle.y, grid) for b in (1.1, 1.6)]
+        assert np.log(post.posterior[1, 0] / post.posterior[0, 0]) == pytest.approx(direct[1] - direct[0], rel=1e-9)
 
     def test_mass_normalises_to_one(self):
         grid = TimeGrid(1.0, 1e-2)
@@ -167,7 +168,8 @@ class TestResiduals:
             h = m.h_now(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
-                cloud, _ = step(cloud, m, bundle.y[k], bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
+                coeffs = StepCoefficients(m, cloud.states, bundle.y[k], cloud.t)
+                cloud, _ = step(cloud, coeffs, bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
         direct = np.zeros(grid.n_steps + 1)
         acc = 0.0
         for k in range(grid.n_steps + 1):
@@ -246,7 +248,8 @@ class TestResiduals:
                 integrand = integrand + np.einsum("rn,rnm->rm", w, corr) / sw[:, None]
                 ks_int[label] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
             if k < n:
-                cloud, _ = step(cloud, m, y_k, bundle.y[k + 1] - y_k, dt, *rngs, cfg)
+                cloud, _ = step(cloud, StepCoefficients(m, cloud.states, y_k, cloud.t), bundle.y[k + 1] - y_k, dt,
+                                *rngs, cfg)
         for col, label in enumerate(labels):
             np.testing.assert_array_equal(zak[0, col], zak_rep[label])
             np.testing.assert_array_equal(ks[0, col], ks_rep[label])
@@ -290,7 +293,8 @@ class TestResiduals:
         rngs = [substream(43, TAG_PROPAGATE, i) for i in runs], [substream(43, TAG_RESAMPLE, i) for i in runs]
         flags = []
         for k in range(grid.n_steps):
-            cloud, resampled = step(cloud, m, y[:, k], y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
+            coeffs = StepCoefficients(m, cloud.states, np.repeat(y[:, k], 24, axis=0), cloud.t)
+            cloud, resampled = step(cloud, coeffs, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
             flags.append(resampled)
         flags = np.array(flags)
         assert 0 < flags.sum() < flags.size
