@@ -9,7 +9,8 @@ it with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-and lists every case that moved, and why, in CHANGES.md.
+which prints each new case and each case and file whose hash moved against
+the file it replaces; CHANGES.md lists every case that moved, and why.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def _cases() -> dict[str, tuple[str, dict]]:
             "kind": "dufresne", "n_paths": 2500, "horizon": 10.5, "dt": 1e-2}}),
         "counterexample_hitting": ("counterexample", {"seed": 8, "counterexample": {
             "kind": "hitting", "barriers": [1, 3], "n_paths": 1200, "dt": 1e-3}}),
+        # the negative controls, at sizes too small to be sure of failing
+        "verify_kalman_ablation": ("verify", {"seed": 9, "diagnostics": {"checks": ["kalman_ablation"], "params": {
+            "kalman_ablation": {"n_seeds": 2, "n_particles": 200, "dt": 0.01, "horizon": 0.5}}}}),
+        "verify_ks_residual_ablation": ("verify", {"seed": 10, "diagnostics": {
+            "checks": ["ks_residual_ablation"], "params": {"ks_residual_ablation": {
+                "n_runs": RESIDUAL_BLOCK + 4, "n_particles": 50, "dt": 0.02}}}}),
     })
     return cases
 
@@ -98,8 +105,27 @@ def write_golden() -> None:
                 sys.exit(f"case {name!r}: the outputs differ across --workers {WORKERS}")
             code, hashes = runs[0]
             cases[name] = {"exit_code": code, "files": hashes}
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"] if GOLDEN.exists() else {}
     GOLDEN.write_text(json.dumps(dict(environment(), cases=cases), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {GOLDEN}")
+    for line in moves(recorded, cases):
+        print(line)
+
+
+def moves(recorded: dict, cases: dict) -> list[str]:
+    """One line per case of `cases` that `recorded` lacks (new) and per exit
+    code and file of a recorded case whose value moved (moved)."""
+    lines = []
+    for name, case in sorted(cases.items()):
+        if name not in recorded:
+            lines.append(f"new: {name}")
+            continue
+        old = recorded[name]
+        if case["exit_code"] != old["exit_code"]:
+            lines.append(f"moved: {name} exit code {old['exit_code']} -> {case['exit_code']}")
+        files = sorted(set(case["files"]) | set(old["files"]))
+        lines += [f"moved: {name} {f}" for f in files if case["files"].get(f) != old["files"].get(f)]
+    return lines
 
 
 if __name__ == "__main__":

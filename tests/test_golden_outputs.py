@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from golden_outputs import CASES, GOLDEN, WORKERS, environment, run_case
+from golden_outputs import CASES, GOLDEN, WORKERS, environment, moves, run_case
 
 RECORDED = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -30,3 +30,11 @@ def test_case_writes_the_recorded_bytes(tmp_path, name, workers):
     assert code == recorded["exit_code"]
     moved = sorted(f for f in set(hashes) | set(recorded["files"]) if hashes.get(f) != recorded["files"].get(f))
     assert not moved, f"case {name!r} at --workers {workers}: files moved: {moved}"
+
+
+def test_moves_names_new_cases_and_moved_files():
+    recorded = {"a": {"exit_code": 0, "files": {"x.csv": "1", "m.json": "2"}}}
+    cases = {"a": {"exit_code": 5, "files": {"x.csv": "3", "m.json": "2"}},
+             "b": {"exit_code": 0, "files": {"x.csv": "1"}}}
+    assert moves(recorded, cases) == ["moved: a exit code 0 -> 5", "moved: a x.csv", "new: b"]
+    assert moves(recorded, recorded) == []
