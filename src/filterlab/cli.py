@@ -29,7 +29,7 @@ import numpy as np
 from . import girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
 from .models import Battery, ModelError, SignalModel, change_detection_rate, change_indicator, make_model
-from .parallel import map_ordered
+from .parallel import Plan, run_plans
 from .rng import TAG_PATH, substream
 from .simulate import HITTING_MAX_TIME, SimulationBlowUp, TimeGrid, simulate_pair
 from .verify import DUFRESNE_MIN_HORIZON, CheckVerdict
@@ -278,7 +278,9 @@ def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parallel worker tasks (top level: payloads must be picklable)
+# Verification checks. A check is a plan (parallel.run_plans): check(seed,
+# **params) yields the tasks it reads and returns its verdicts. Its keyword
+# parameters are the keys of its diagnostics.params block (keyword_params).
 # ---------------------------------------------------------------------------
 
 
@@ -286,75 +288,46 @@ def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
 RESIDUAL_BLOCK = 16
 
 
-def _residual_task(payload: tuple):
-    """One block of residual runs: payload (model name, test-function labels, grid, config, run indices)."""
-    name, labels, grid, config, indices = payload
+def _residual_block(name: str, labels: tuple, grid: TimeGrid, config: FilterConfig, indices: tuple):
+    """residual_run of model `name` and test functions `labels` over the runs `indices`."""
     model = make_model(name)
-    return verify.residual_run(model, Battery(tuple(labels), model.dim_x), grid, config, indices)
+    return verify.residual_run(model, Battery(labels, model.dim_x), grid, config, indices)
 
 
-def residual_runs(params: tuple, n_runs: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Runs 0 .. n_runs - 1 of _residual_task's payload `params` (all but the
-    run indices), mapped over workers in blocks of RESIDUAL_BLOCK: the Zakai
-    and KS residuals of residual_run, (n_runs, K, K_steps + 1) in run order."""
-    payloads = [params + (tuple(range(i, min(i + RESIDUAL_BLOCK, n_runs))),) for i in range(0, n_runs, RESIDUAL_BLOCK)]
-    zakai, ks = zip(*map_ordered(_residual_task, payloads, workers))
+def residual_runs(params: tuple, n_runs: int) -> Plan:
+    """A plan of runs 0 .. n_runs - 1 of _residual_block's arguments `params`
+    (all but the run indices), in blocks of RESIDUAL_BLOCK: the Zakai and KS
+    residuals of residual_run, (n_runs, K, K_steps + 1) in run order."""
+    blocks = yield [(_residual_block, *params, tuple(range(i, min(i + RESIDUAL_BLOCK, n_runs))))
+                    for i in range(0, n_runs, RESIDUAL_BLOCK)]
+    zakai, ks = zip(*blocks)
     return np.concatenate(zakai), np.concatenate(ks)
-
-
-def _agreement_task(payload: tuple):
-    """One filter-vs-oracle run: payload (verify.*_agreement_run, model name, grid, config, run index)."""
-    run_fn, name, grid, config, index = payload
-    return run_fn(make_model(name), grid, config, index)
-
-
-# ---------------------------------------------------------------------------
-# Verification checks: check(seed, workers, **params) -> verdicts. A check's
-# keyword parameters are the keys of its diagnostics.params block (keyword_params).
-# ---------------------------------------------------------------------------
-
-
-# the memoised results of the current `verify` call, keyed by (producer,
-# arguments), so that checks with equal inputs share one run; cmd_verify sets
-# it and empties it when it returns, and outside it nothing is kept
-_VERIFY_MEMO: Optional[dict] = None
-
-
-def _once(produce: Callable, *args, **unkeyed):
-    """produce(*args, **unkeyed), run once per `verify` call for equal
-    (produce, args). The keyword arguments (the worker count) do not change
-    the result, so they are not part of the key."""
-    if _VERIFY_MEMO is None:
-        return produce(*args, **unkeyed)
-    key = (produce, args)
-    if key not in _VERIFY_MEMO:
-        _VERIFY_MEMO[key] = produce(*args, **unkeyed)
-    return _VERIFY_MEMO[key]
 
 
 REPRESENTATIONS = ("transformed", "base")
 
 
-def check_revuz_yor_energy(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3,
-                           representation="transformed") -> list[CheckVerdict]:
+def check_revuz_yor_energy(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3,
+                           representation="transformed") -> Plan:
     """Transformed average energy of H = alpha W against the closed form
     (e^{2 alpha t} - 2 alpha t - 1)/4. "transformed" simulates under the
     measure where W solves dW = alpha W dt + dB (light-tailed estimator);
     "base" averages int Z |H|^2 ds under the base measure."""
     grid = TimeGrid(horizon=t, dt=dt)
     if representation == "transformed":
-        est = _once(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)[0]
+        [(est, _, _)] = yield [(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)]
     elif representation == "base":
-        est = girsanov.mean_se(_once(girsanov.ensemble_revuz_yor, alpha, grid, n_paths, seed).energy)
+        [ens] = yield [(girsanov.ensemble_revuz_yor, alpha, grid, n_paths, seed)]
+        est = girsanov.mean_se(ens.energy)
     else:
         raise ValueError(f"unknown representation {representation!r}")
     return [CheckVerdict.band("revuz_yor_energy", f"alpha={alpha:g},t={t:g},{representation}", est.value,
                               girsanov.revuz_yor_closed_form(alpha, t), est.se)]
 
 
-def check_zlogz_identity(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
+def check_zlogz_identity(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> Plan:
     grid = TimeGrid(horizon=t, dt=dt)
-    energy, zlogz, gap = _once(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)
+    [(energy, zlogz, gap)] = yield [(girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)]
     return [CheckVerdict.band("zlogz_identity", f"alpha={alpha:g},t={t:g}", zlogz.value, 0.5 * energy.value, gap.se,
                               detail=f"paired_gap={gap.value!r}")]
 
@@ -367,18 +340,19 @@ def _model_ensemble(name: str, grid: TimeGrid, n_paths: int, seed: int) -> girsa
     return girsanov.ensemble_from_model(make_model(name), grid, n_paths, seed)
 
 
-def _scenario_ensemble(scenario: str, grid: TimeGrid, n_paths: int, seed: int) -> girsanov.GirsanovEnsemble:
+def _scenario_task(scenario: str, grid: TimeGrid, n_paths: int, seed: int) -> tuple:
+    """The task whose result is the ensemble of a martingale check's scenario."""
     if scenario == "revuz_yor":
-        return _once(girsanov.ensemble_revuz_yor, 1.0, grid, n_paths, seed)
+        return girsanov.ensemble_revuz_yor, 1.0, grid, n_paths, seed
     if scenario == "independent_h":
-        return _once(girsanov.ensemble_independent_h, grid, n_paths, seed)
-    return _once(_model_ensemble, scenario, grid, n_paths, seed)
+        return girsanov.ensemble_independent_h, grid, n_paths, seed
+    return _model_ensemble, scenario, grid, n_paths, seed
 
 
-def check_martingale_mean(seed: int, workers: int, *, scenario="revuz_yor", times=(0.25, 0.5, 1.0), n_paths=10_000,
-                          dt=1e-3) -> list[CheckVerdict]:
+def check_martingale_mean(seed: int, *, scenario="revuz_yor", times=(0.25, 0.5, 1.0), n_paths=10_000,
+                          dt=1e-3) -> Plan:
     grid = TimeGrid(horizon=max(times), dt=dt)
-    ens = _scenario_ensemble(scenario, grid, n_paths, seed)
+    [ens] = yield [_scenario_task(scenario, grid, n_paths, seed)]
     out = []
     for i, t in enumerate(dict.fromkeys(times)):   # a time named twice gets one row
         est = ens.z.at(grid.index_of(t))
@@ -387,22 +361,20 @@ def check_martingale_mean(seed: int, workers: int, *, scenario="revuz_yor", time
     return out
 
 
-def check_zstar_bound(seed: int, workers: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000,
-                      dt=1e-3) -> list[CheckVerdict]:
+def check_zstar_bound(seed: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000, dt=1e-3) -> Plan:
     """Maximal bound E[Z*_t] <= (e+1)/(e-1) + e/(2(e-1)) E[int Z |H|^2 ds]. The
     SE of lhs - rhs combines the lhs SE with the slope times the energy SE."""
-    ens = _scenario_ensemble(scenario, TimeGrid(horizon=t, dt=dt), n_paths, seed)
+    [ens] = yield [_scenario_task(scenario, TimeGrid(horizon=t, dt=dt), n_paths, seed)]
     lhs, energy = girsanov.mean_se(ens.z_star), girsanov.mean_se(ens.energy)
     return [CheckVerdict.upper_band("zstar_bound", f"{scenario},t={t:g}", lhs.value,
                                     girsanov.MAXIMAL_CONST + girsanov.MAXIMAL_SLOPE * energy.value,
                                     math.hypot(lhs.se, girsanov.MAXIMAL_SLOPE * energy.se))]
 
 
-def check_energy_identity(seed: int, workers: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000,
-                          dt=1e-3) -> list[CheckVerdict]:
+def check_energy_identity(seed: int, *, scenario="revuz_yor", t=1.0, n_paths=10_000, dt=1e-3) -> Plan:
     """The two sides of the energy identity on the same paths:
     E[int Z_s |H_s|^2 ds] = E[Z_t int |H_s|^2 ds]."""
-    ens = _scenario_ensemble(scenario, TimeGrid(horizon=t, dt=dt), n_paths, seed)
+    [ens] = yield [_scenario_task(scenario, TimeGrid(horizon=t, dt=dt), n_paths, seed)]
     lhs, rhs = girsanov.mean_se(ens.energy), girsanov.mean_se(np.exp(ens.log_z_t) * ens.plain_energy)
     return [CheckVerdict.band("energy_identity", f"{scenario},t={t:g}", lhs.value, rhs.value,
                               math.hypot(lhs.se, rhs.se))]
@@ -412,8 +384,8 @@ def check_energy_identity(seed: int, workers: int, *, scenario="revuz_yor", t=1.
 ENSEMBLE_CHECKS = (check_martingale_mean, check_zstar_bound, check_energy_identity)
 
 
-def check_independent_h(seed: int, workers: int, *, t=1.0, n_paths=10_000, dt=1e-3) -> list[CheckVerdict]:
-    ens = _once(girsanov.ensemble_independent_h, TimeGrid(horizon=t, dt=dt), n_paths, seed)
+def check_independent_h(seed: int, *, t=1.0, n_paths=10_000, dt=1e-3) -> Plan:
+    [ens] = yield [_scenario_task("independent_h", TimeGrid(horizon=t, dt=dt), n_paths, seed)]
     lhs, rhs = girsanov.mean_se(ens.energy), girsanov.mean_se(ens.plain_energy)
     return [CheckVerdict.band("independent_h", f"t={t:g}", lhs.value, rhs.value, math.hypot(lhs.se, rhs.se))]
 
@@ -423,23 +395,24 @@ CHANGE_DETECTION_KEYS = ("b0", "b_max", "b")
 
 
 def _gronwall_scenario(scenario: str, grid: TimeGrid, n_paths: int, seed: int, b0: float,
-                       b: float) -> tuple[girsanov.GirsanovEnsemble, float, float]:
-    """(ensemble, Gronwall rate, rate factor) of a Gronwall-type check. A signal
-    model dominates through U = 1 + |X|^2 with the generic factor 2; the
-    change-detection problem at change size b dominates through U = 1 + Y^2,
-    where its estimate is sharp in c(b), so the factor is 1."""
+                       b: float) -> tuple[tuple, float, float]:
+    """(ensemble task, Gronwall rate, rate factor) of a Gronwall-type check. A
+    signal model dominates through U = 1 + |X|^2 with the generic factor 2;
+    the change-detection problem at change size b dominates through
+    U = 1 + Y^2, where its estimate is sharp in c(b), so the factor is 1."""
     if scenario == "change_detection":
-        ens = _once(girsanov.change_detection_gronwall_ensemble, b0, b, grid, n_paths, seed)
-        return ens, change_detection_rate(b0, b), 1.0
-    return _once(_model_ensemble, scenario, grid, n_paths, seed), make_model(scenario).gronwall_rate, 2.0
+        task = (girsanov.change_detection_gronwall_ensemble, b0, b, grid, n_paths, seed)
+        return task, change_detection_rate(b0, b), 1.0
+    return (_model_ensemble, scenario, grid, n_paths, seed), make_model(scenario).gronwall_rate, 2.0
 
 
-def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0,
-                            b0=-0.5, b_max=2.0) -> list[CheckVerdict]:
+def check_local_boundedness(seed: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0, b0=-0.5,
+                            b_max=2.0) -> Plan:
     """E[Z_t |H_t|^2] and E[|H_t|^2] at every left point under the Gronwall
     envelope c exp(rate_factor c t) E[U_0] of _gronwall_scenario."""
     grid = TimeGrid(horizon=horizon, dt=dt)
-    ens, rate, factor = _gronwall_scenario(scenario, grid, n_paths, seed, b0, b_max)
+    task, rate, factor = _gronwall_scenario(scenario, grid, n_paths, seed, b0, b_max)
+    [ens] = yield [task]
     times = grid.times()[:-1]
     means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
     env = rate * np.exp(factor * rate * times) * ens.u0_mean
@@ -449,36 +422,26 @@ def check_local_boundedness(seed: int, workers: int, *, scenario="jump_ou", n_pa
     )]
 
 
-def check_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[CheckVerdict]:
-    grid = TimeGrid(horizon=horizon, dt=dt)
-    est, target, correction = verify.dufresne_check(n_paths, grid, seed, workers)
+def check_dufresne(seed: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> Plan:
+    est, target, correction = yield from verify.dufresne_check(n_paths, TimeGrid(horizon=horizon, dt=dt), seed)
     return [CheckVerdict.band("dufresne", f"horizon={horizon:g}", est.value, target, est.se,
                               detail=f"truncation_correction={correction!r}")]
 
 
-def check_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[CheckVerdict]:
-    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed, workers)
+def check_hitting(seed: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> Plan:
+    rows, sums, growth = yield from verify.kazamaki_gap_check(barriers, n_paths, dt, seed)
     levels = sorted(sums)
-    rows.append(
-        CheckVerdict(
-            check="divergence_partial_sums",
-            scenario=f"N={levels[0]}..{levels[-1]}",
-            estimate=growth,
-            reference=1.0,
-            tolerance=0.05,
-            detail=" ".join(f"S({n})={sums[n]:.4f}" for n in levels),
-        )
-    )
+    rows.append(CheckVerdict(check="divergence_partial_sums", scenario=f"N={levels[0]}..{levels[-1]}", estimate=growth,
+                             reference=1.0, tolerance=0.05, detail=" ".join(f"S({n})={sums[n]:.4f}" for n in levels)))
     return rows
 
 
-def _kalman_check(seed: int, workers: int, model: str, n_seeds: int, n_particles: int, dt: float, horizon: float,
-                  resample_threshold: float, tolerance: float, ablate: bool = False) -> list[CheckVerdict]:
+def _kalman_check(seed: int, model: str, n_seeds: int, n_particles: int, dt: float, horizon: float,
+                  resample_threshold: float, tolerance: float, ablate: bool = False) -> Plan:
     grid = TimeGrid(horizon=horizon, dt=dt)
     config = FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed,
                           ignore_correlation=ablate)
-    payloads = [(verify.kalman_agreement_run, model, grid, config, i) for i in range(n_seeds)]
-    results = map_ordered(_agreement_task, payloads, workers)
+    results = yield [(verify.kalman_agreement_run, model, grid, config, i) for i in range(n_seeds)]
     dmean = float(np.mean([r[0] for r in results]))
     dvar = float(np.mean([r[1] for r in results]))
     return [
@@ -495,26 +458,26 @@ def _kalman_check(seed: int, workers: int, model: str, n_seeds: int, n_particles
     ]
 
 
-def check_kalman_agreement(seed: int, workers: int, *, model="linear_gaussian", n_seeds=20, n_particles=10_000,
-                           dt=1e-3, horizon=1.0, resample_threshold=0.5, tolerance=0.05) -> list[CheckVerdict]:
-    return _kalman_check(seed, workers, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance)
+def check_kalman_agreement(seed: int, *, model="linear_gaussian", n_seeds=20, n_particles=10_000, dt=1e-3,
+                           horizon=1.0, resample_threshold=0.5, tolerance=0.05) -> Plan:
+    return _kalman_check(seed, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance)
 
 
-def check_kalman_ablation(seed: int, workers: int, *, model="correlated_linear", n_seeds=20, n_particles=10_000,
-                          dt=1e-3, horizon=1.0, resample_threshold=0.5, tolerance=0.05) -> list[CheckVerdict]:
+def check_kalman_ablation(seed: int, *, model="correlated_linear", n_seeds=20, n_particles=10_000, dt=1e-3,
+                          horizon=1.0, resample_threshold=0.5, tolerance=0.05) -> Plan:
     """Negative control: the correlation-blind filter on correlated data must leave the oracle band."""
-    return _kalman_check(seed, workers, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance, True)
+    return _kalman_check(seed, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance, True)
 
 
 RESIDUAL_PHIS = Battery.default(1).labels
 
 
-def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: int, n_particles: int, dt: float,
-                    horizon: float, resample_threshold: float, which: str, ablate: bool = False) -> list[CheckVerdict]:
+def _residual_check(seed: int, model: str, phis: tuple, n_runs: int, n_particles: int, dt: float, horizon: float,
+                    resample_threshold: float, which: str, ablate: bool = False) -> Plan:
     grid = TimeGrid(horizon=horizon, dt=dt)
     config = FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed,
                           ignore_correlation=ablate)
-    runs = _once(residual_runs, (model, phis, grid, config), n_runs, workers=workers)
+    runs = yield from residual_runs((model, phis, grid, config), n_runs)
     zak_stats, ks_stats = verify.equation_residuals(phis, *runs)
     stats = zak_stats if which == "zakai" else ks_stats
     out = []
@@ -526,50 +489,40 @@ def _residual_check(seed: int, workers: int, model: str, phis: tuple, n_runs: in
     return out
 
 
-def check_zakai_residual(seed: int, workers: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS, n_runs=200,
-                         n_particles=400, dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> list[CheckVerdict]:
-    return _residual_check(seed, workers, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "zakai")
+def check_zakai_residual(seed: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS, n_runs=200, n_particles=400,
+                         dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> Plan:
+    return _residual_check(seed, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "zakai")
 
 
-def check_ks_residual(seed: int, workers: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS, n_runs=200,
-                      n_particles=400, dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> list[CheckVerdict]:
-    return _residual_check(seed, workers, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks")
+def check_ks_residual(seed: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS, n_runs=200, n_particles=400,
+                      dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> Plan:
+    return _residual_check(seed, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks")
 
 
-def check_ks_residual_ablation(seed: int, workers: int, *, model="correlated_linear", phis=("x^2",), n_runs=1200,
-                               n_particles=400, dt=2.5e-3, horizon=1.0,
-                               resample_threshold=0.5) -> list[CheckVerdict]:
+def check_ks_residual_ablation(seed: int, *, model="correlated_linear", phis=("x^2",), n_runs=1200,
+                               n_particles=400, dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> Plan:
     """Negative control: the correlation-blind filter violates the full
     Kushner-Stratonovich identity on the correlated model (the dropped
     B-correction leaves a drift the residual test detects)."""
-    return _residual_check(seed, workers, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks", True)
+    return _residual_check(seed, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks", True)
 
 
-def check_change_detection(seed: int, workers: int, *, n_seeds=20, n_particles=10_000, dt=1e-3, horizon=1.0,
-                           resample_threshold=0.5, tolerance=0.05) -> list[CheckVerdict]:
+def check_change_detection(seed: int, *, n_seeds=20, n_particles=10_000, dt=1e-3, horizon=1.0,
+                           resample_threshold=0.5, tolerance=0.05) -> Plan:
     config = FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed)
-    payloads = [(verify.change_detection_agreement_run, "change_detection", TimeGrid(horizon=horizon, dt=dt), config, i)
-                for i in range(n_seeds)]
-    gaps = map_ordered(_agreement_task, payloads, workers)
-    return [
-        CheckVerdict(
-            check="change_detection_oracle_gap",
-            scenario=f"n_seeds={n_seeds}",
-            estimate=float(np.mean(gaps)),
-            reference=0.0,
-            tolerance=tolerance,
-            detail=f"max_gap={max(gaps)!r}",
-            one_sided=True,
-        )
-    ]
+    grid = TimeGrid(horizon=horizon, dt=dt)
+    gaps = yield [(verify.change_detection_agreement_run, "change_detection", grid, config, i) for i in range(n_seeds)]
+    return [CheckVerdict(check="change_detection_oracle_gap", scenario=f"n_seeds={n_seeds}",
+                         estimate=float(np.mean(gaps)), reference=0.0, tolerance=tolerance,
+                         detail=f"max_gap={max(gaps)!r}", one_sided=True)]
 
 
-def check_gronwall(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0, b0=-0.5,
-                   b=1.0) -> list[CheckVerdict]:
+def check_gronwall(seed: int, *, scenario="jump_ou", n_paths=4000, dt=2e-3, horizon=1.0, b0=-0.5, b=1.0) -> Plan:
     """sup_t E[Z_t U_t] <= exp(rate_factor c t) E[U_0] at every grid time, with
     the Gronwall rate c and factor of _gronwall_scenario."""
     grid = TimeGrid(horizon=horizon, dt=dt)
-    ens, rate, factor = _gronwall_scenario(scenario, grid, n_paths, seed, b0, b)
+    task, rate, factor = _gronwall_scenario(scenario, grid, n_paths, seed, b0, b)
+    [ens] = yield [task]
     bound = np.exp(factor * rate * grid.times()) * ens.u0_mean
     return [CheckVerdict.upper_band(
         "gronwall_envelope", f"{scenario},c={rate:g}", ens.zu.mean, bound, ens.zu.se, grid.times(),
@@ -577,7 +530,7 @@ def check_gronwall(seed: int, workers: int, *, scenario="jump_ou", n_paths=4000,
     )]
 
 
-CHECKS: dict[str, Callable[..., list[CheckVerdict]]] = {
+CHECKS: dict[str, Callable[..., Plan]] = {
     "revuz_yor_energy": check_revuz_yor_energy,
     "zlogz_identity": check_zlogz_identity,
     "martingale_mean": check_martingale_mean,
@@ -597,30 +550,29 @@ CHECKS: dict[str, Callable[..., list[CheckVerdict]]] = {
 }
 
 
-# counterexample kinds: kind(seed, workers, **params) -> CSV rows, with the keys
-# and defaults of the counterexample block as keyword parameters
-def counterexample_revuz_yor(seed: int, workers: int, *, alpha=1.0, t=1.0, n_paths=10_000,
-                             dt=1e-3) -> list[list[str]]:
+# counterexample kinds, each a plan: kind(seed, **params) returns CSV rows, with
+# the keys and defaults of the counterexample block as keyword parameters
+def counterexample_revuz_yor(seed: int, *, alpha=1.0, t=1.0, n_paths=10_000, dt=1e-3) -> Plan:
     """The P-side martingale diagnostics of H = alpha W at the horizon, the
     transformed energy estimated under the tilted measure, and its closed form."""
     grid = TimeGrid(horizon=t, dt=dt)
-    ens = girsanov.ensemble_revuz_yor(alpha, grid, n_paths, seed)
+    ens, (tilted, _, _) = yield [(girsanov.ensemble_revuz_yor, alpha, grid, n_paths, seed),
+                                 (girsanov.revuz_yor_transformed_estimates, alpha, grid, n_paths, seed)]
     quantities = {
         "e_z": ens.z.at(grid.n_steps),
         "transformed_energy": girsanov.mean_se(ens.energy),
         "z_log_z": girsanov.mean_se(np.exp(ens.log_z_t) * ens.log_z_t),
         "z_star": girsanov.mean_se(ens.z_star),
         "plain_energy": girsanov.mean_se(ens.plain_energy),
-        "transformed_energy_tilted": girsanov.revuz_yor_transformed_estimates(alpha, grid, n_paths, seed)[0],
+        "transformed_energy_tilted": tilted,
         "closed_form": girsanov.Estimate(girsanov.revuz_yor_closed_form(alpha, t), 0.0),
     }
     return [["scenario", "quantity", "estimate", "se", "n_paths", "seed"]] + [
         [ens.label, key, repr(est.value), repr(est.se), str(n_paths), str(seed)] for key, est in quantities.items()]
 
 
-def counterexample_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> list[list[str]]:
-    grid = TimeGrid(horizon=horizon, dt=dt)
-    est, target, correction = verify.dufresne_check(n_paths, grid, seed, workers)
+def counterexample_dufresne(seed: int, *, n_paths=10_000, horizon=20.0, dt=1e-3) -> Plan:
+    est, target, correction = yield from verify.dufresne_check(n_paths, TimeGrid(horizon=horizon, dt=dt), seed)
     return [
         ["scenario", "quantity", "estimate", "se", "n_paths", "seed"],
         ["dufresne", "p_below_one", repr(est.value), repr(est.se), str(n_paths), str(seed)],
@@ -628,8 +580,8 @@ def counterexample_dufresne(seed: int, workers: int, *, n_paths=10_000, horizon=
     ]
 
 
-def counterexample_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> list[list[str]]:
-    rows, sums, growth = verify.kazamaki_gap_check(barriers, n_paths, dt, seed, workers)
+def counterexample_hitting(seed: int, *, barriers=(1, 3, 9), n_paths=12_000, dt=1e-4) -> Plan:
+    rows, sums, growth = yield from verify.kazamaki_gap_check(barriers, n_paths, dt, seed)
     out = [["scenario", "quantity", "estimate", "reference", "tolerance", "detail"]]
     out += [[v.scenario, v.check, repr(v.estimate), repr(v.reference), repr(v.tolerance), v.detail] for v in rows]
     out += [[f"N={level}", "partial_sum", repr(s), "", "", ""] for level, s in sorted(sums.items())]
@@ -637,7 +589,7 @@ def counterexample_hitting(seed: int, workers: int, *, barriers=(1, 3, 9), n_pat
     return out
 
 
-COUNTEREXAMPLES: dict[str, Callable[..., list[list[str]]]] = {
+COUNTEREXAMPLES: dict[str, Callable[..., Plan]] = {
     "revuz_yor": counterexample_revuz_yor,
     "dufresne": counterexample_dufresne,
     "hitting": counterexample_hitting,
@@ -645,8 +597,9 @@ COUNTEREXAMPLES: dict[str, Callable[..., list[list[str]]]] = {
 
 
 # ---------------------------------------------------------------------------
-# Commands: cmd(cfg, seed, workers) -> (files as name -> text, exit code); main
-# writes the files, every table through csv_table
+# Commands: cmd(cfg, seed, worker count) -> (files as name -> text, exit code);
+# main writes the files, every table through csv_table. verify and
+# counterexample run all their plans through one run_plans: one task pool per command
 # ---------------------------------------------------------------------------
 
 
@@ -697,7 +650,6 @@ def cmd_filter(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], 
 
 
 def cmd_verify(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
-    global _VERIFY_MEMO
     diag = cfg.get("diagnostics", {})
     _reject_unknown(diag, ("checks", "params"), "diagnostics")
     names = diag.get("checks")
@@ -713,13 +665,8 @@ def cmd_verify(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], 
         if name not in names:
             raise ConfigError(f"'diagnostics.params.{name}' is given, but 'diagnostics.checks' does not name {name!r}")
         bound[name] = keyword_params(CHECKS[name], block, f"diagnostics.params.{name}")
-    verdicts: list[CheckVerdict] = []
-    _VERIFY_MEMO = {}
-    try:
-        for name in names:
-            verdicts.extend(CHECKS[name](seed, workers, **bound.get(name, {})))
-    finally:
-        _VERIFY_MEMO = None
+    plans = [CHECKS[name](seed, **bound.get(name, {})) for name in names]
+    verdicts = [v for rows in run_plans(plans, workers) for v in rows]
     files = {}
     for v in verdicts:
         if v.trajectory:
@@ -744,7 +691,8 @@ def cmd_counterexample(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str
         raise ConfigError(f"unknown 'counterexample.kind' {block['kind']!r}; available: {', '.join(COUNTEREXAMPLES)}")
     fn = COUNTEREXAMPLES[block["kind"]]
     kwargs = keyword_params(fn, {k: v for k, v in block.items() if k != "kind"}, "counterexample")
-    return {"counterexample.csv": csv_table(fn(seed, workers, **kwargs))}, EXIT_OK
+    [rows] = run_plans([fn(seed, **kwargs)], workers)
+    return {"counterexample.csv": csv_table(rows)}, EXIT_OK
 
 
 COMMANDS = {
@@ -763,9 +711,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON scenario config")
         p.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1, help="worker processes for parallel checks")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes of the command's one task pool (verify, counterexample)")
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"'--workers' must be >= 1, not {args.workers}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
@@ -777,7 +728,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # refused before the command runs; the directory itself is made only once the command succeeds
         if any((p.exists() or p.is_symlink()) and not p.is_dir() for p in (out_dir, *out_dir.parents)):
             raise ConfigError(f"'out' (or --out) {str(out_dir)!r} is a file or lies under one, not a directory")
-        files, code = COMMANDS[args.command](cfg, seed, max(1, args.workers))
+        files, code = COMMANDS[args.command](cfg, seed, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,6 +42,9 @@ class FilterCollapse(RuntimeError):
         self.step = step
         self.ess = ess
 
+    def __reduce__(self):   # rebuilt from its fields when a worker process raises it
+        return type(self), (self.step, self.ess)
+
 
 @dataclass(frozen=True)
 class FilterConfig:

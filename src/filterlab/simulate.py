@@ -24,6 +24,10 @@ class SimulationBlowUp(RuntimeError):
     def __init__(self, step: int, what: str = "state"):
         super().__init__(f"non-finite {what} at step {step}")
         self.step = step
+        self.what = what
+
+    def __reduce__(self):   # rebuilt from its fields when a worker process raises it
+        return type(self), (self.step, self.what)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .filters import FilterConfig, _walk, run_filter
 from .girsanov import Estimate, mean_se
-from .models import Battery, SignalModel, change_indicator
-from .parallel import map_ordered
+from .models import Battery, SignalModel, change_indicator, make_model
+from .parallel import Plan
 from .rng import TAG_CHANGE_FILTER, TAG_KALMAN_FILTER, TAG_PATH, derive_seed, substream
 from .simulate import PATH_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
 
@@ -353,10 +352,11 @@ def equation_residuals(
 # ---------------------------------------------------------------------------
 
 
-def kalman_agreement_run(model: SignalModel, grid: TimeGrid, config: FilterConfig,
-                         run_index: int) -> tuple[float, float]:
+def kalman_agreement_run(name: str, grid: TimeGrid, config: FilterConfig, run_index: int) -> tuple[float, float]:
     """|posterior mean - oracle mean| and |posterior var - oracle var| at the
-    horizon, for one data path; the oracle runs on the same observations."""
+    horizon, for one data path of model `name`; the oracle runs on the same
+    observations."""
+    model = make_model(name)
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = kalman_oracle_for_model(model, bundle.y, grid)
     cfg = replace(config, seed=derive_seed(config.seed, TAG_KALMAN_FILTER, run_index))
@@ -366,8 +366,9 @@ def kalman_agreement_run(model: SignalModel, grid: TimeGrid, config: FilterConfi
     return abs(m_pf - oracle.mean[-1, 0]), abs(v_pf - oracle.cov[-1, 0, 0])
 
 
-def change_detection_agreement_run(model: SignalModel, grid: TimeGrid, config: FilterConfig, run_index: int) -> float:
-    """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path."""
+def change_detection_agreement_run(name: str, grid: TimeGrid, config: FilterConfig, run_index: int) -> float:
+    """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path of model `name`."""
+    model = make_model(name)
     prior = model.change_prior
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = change_detection_oracle(
@@ -390,14 +391,14 @@ DUFRESNE_TARGET = math.exp(-2.0)
 DUFRESNE_MIN_HORIZON = 2.0 * math.log(100.0)
 
 
-def dufresne_check(n_paths: int, grid: TimeGrid, seed: int, workers: int = 1) -> tuple[Estimate, float, float]:
+def dufresne_check(n_paths: int, grid: TimeGrid, seed: int) -> Plan:
     """P(X < 1) for X = int_0^inf exp(B_s - s/2) ds; by Dufresne's identity
-    X = 2 / G with G ~ Exp(1), so the target is exp(-2).
+    X = 2 / G with G ~ Exp(1), so the target is exp(-2). A plan
+    (parallel.run_plans) whose tasks are the chunks of dufresne_paths.
 
-    The paths of dufresne_paths, whose chunks are mapped over workers, run
-    to the grid horizon T, each stopping once its integral reaches 1. After
-    T, X - X_T = exp(B_T - T/2) X' with X' an independent copy of X (strong
-    Markov property), so
+    The paths run to the grid horizon T, each stopping once its integral
+    reaches 1. After T, X - X_T = exp(B_T - T/2) X' with X' an independent
+    copy of X (strong Markov property), so
     P(X < 1 | F_T) = 1{X_T < 1} exp(-2 exp(B_T - T/2) / (1 - X_T)). The
     estimate averages this exact conditional tail, evaluated only where
     X_T < 1, and needs no truncation allowance.
@@ -406,7 +407,7 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int, workers: int = 1) ->
     the mean of 1{X_T < 1} minus the estimate: what truncating at T would
     have added.
     """
-    chunks = map_ordered(partial(dufresne_paths, n_paths, grid, seed), range(math.ceil(n_paths / PATH_CHUNK)), workers)
+    chunks = yield [(dufresne_paths, n_paths, grid, seed, i) for i in range(math.ceil(n_paths / PATH_CHUNK))]
     x, b = (np.concatenate(parts) for parts in zip(*chunks))
     below = x < 1.0
     tail = np.zeros(n_paths)
@@ -419,21 +420,21 @@ def dufresne_check(n_paths: int, grid: TimeGrid, seed: int, workers: int = 1) ->
 PARTIAL_SUM_LEVELS = (1000, 10000)
 
 
-def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int, workers: int = 1):
+def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int) -> Plan:
     """Hitting probabilities of the Kazamaki-side counterexample plus the
-    divergence diagnostic of its transformed energy.
+    divergence diagnostic of its transformed energy. A plan
+    (parallel.run_plans) whose tasks are the chunks of hitting_paths.
 
     For each barrier n, the exit probability P(W hits -1 before n) is
     compared with n / (n + 1) in a band of HITTING_SIGMAS SEs; with fewer than
     two resolved paths it has no SE and its row is nan, which fails. Every
-    barrier is read off one set of paths (hitting_paths), whose chunks are mapped
-    over workers; the rows do not depend on the worker count, but each
-    depends on the whole barrier list. The partial sums sum_{n <= N}
-    n/(n+1)^2 are reported for growing N together with their log-growth
-    rate, which approaches 1 per ln N for the divergent series.
+    barrier is read off one set of paths, so each row depends on the whole
+    barrier list. The partial sums sum_{n <= N} n/(n+1)^2 are reported for
+    growing N together with their log-growth rate, which approaches 1 per
+    ln N for the divergent series.
     """
-    chunks = map_ordered(partial(hitting_paths, tuple(n_list), n_paths, dt, seed),
-                         range(math.ceil(n_paths / PATH_CHUNK)), workers)
+    chunks = yield [(hitting_paths, tuple(n_list), n_paths, dt, seed, i)
+                    for i in range(math.ceil(n_paths / PATH_CHUNK))]
     hit_low, resolved = (np.hstack(parts) for parts in zip(*chunks))
     rows = []
     for barrier, hit, res in zip(n_list, hit_low, resolved):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab.cli import _agreement_task, check_gronwall, check_zstar_bound, residual_runs
+from filterlab.cli import check_gronwall, check_zstar_bound, residual_runs
 from filterlab.filters import FilterConfig
 from filterlab.girsanov import (
     MAXIMAL_CONST,
@@ -30,7 +30,7 @@ from filterlab.girsanov import (
     revuz_yor_transformed_estimates,
 )
 from filterlab.models import Battery, StepCoefficients, make_model
-from filterlab.parallel import map_ordered
+from filterlab.parallel import run_plans
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid
 from filterlab.verify import (
@@ -46,6 +46,11 @@ from filterlab.verify import (
 SEED = 2026
 WORKERS = 2
 CLOSED_ENERGY = revuz_yor_closed_form(1.0, 1.0)   # (e^2 - 3) / 4 ~ 1.0973
+
+
+def gather(tasks):
+    """A plan that asks for tasks (fn, *args) and returns their results."""
+    return (yield tasks)
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -134,7 +139,7 @@ def test_criterion_04_maximal_bound(revuz_yor_tilted, revuz_yor_base):
     row_ry = CheckVerdict.upper_band("zstar_bound", "revuz_yor", zstar_ry.value, rhs_ry, se_ry)
 
     # the jump_ou_ensemble fixture's paths, built again by the check
-    [row_jou] = check_zstar_bound(SEED, 1, scenario="jump_ou", t=1.0, n_paths=10_000, dt=1e-3)
+    [[row_jou]] = run_plans([check_zstar_bound(SEED, scenario="jump_ou", t=1.0, n_paths=10_000, dt=1e-3)])
     report(
         4,
         "maximal bound E[Z*] <= (e+1)/(e-1) + e/(2(e-1)) energy",
@@ -148,7 +153,7 @@ def test_criterion_04_maximal_bound(revuz_yor_tilted, revuz_yor_base):
 
 def test_criterion_05_dufresne():
     start = time.monotonic()
-    est, target, correction = dufresne_check(10_000, TimeGrid(20.0, 1e-3), SEED, WORKERS)
+    [(est, target, correction)] = run_plans([dufresne_check(10_000, TimeGrid(20.0, 1e-3), SEED)], WORKERS)
     elapsed = time.monotonic() - start
     ok = abs(est.value - target) <= 3 * est.se and elapsed < 120
     report(
@@ -163,7 +168,7 @@ def test_criterion_05_dufresne():
 
 
 def test_criterion_06_hitting_probabilities():
-    rows, sums, growth = kazamaki_gap_check([1, 3, 9], 10_000, 1e-4, SEED, WORKERS)
+    [(rows, sums, growth)] = run_plans([kazamaki_gap_check([1, 3, 9], 10_000, 1e-4, SEED)], WORKERS)
     ok = all(v.passed for v in rows)
     detail = "; ".join(
         f"n={v.scenario.split('=')[1]}: {v.estimate:.4f} vs {v.reference:.4f}" for v in rows
@@ -176,8 +181,8 @@ def test_criterion_06_hitting_probabilities():
 
 def _kalman_sweep(model_name: str, ablate: bool):
     config = FilterConfig(n_particles=10_000, resample_threshold=0.5, seed=SEED, ignore_correlation=ablate)
-    payloads = [(kalman_agreement_run, model_name, TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
-    results = map_ordered(_agreement_task, payloads, WORKERS)
+    tasks = [(kalman_agreement_run, model_name, TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
+    [results] = run_plans([gather(tasks)], WORKERS)
     return float(np.mean([r[0] for r in results])), float(np.mean([r[1] for r in results]))
 
 
@@ -211,7 +216,7 @@ def test_criterion_08_kalman_correlated_with_ablation():
 
 # -- criterion 9: Zakai / Kushner-Stratonovich residuals ----------------------
 
-RESID_LABELS = ["1", "x", "x^2", "tanh(x)"]
+RESID_LABELS = ("1", "x", "x^2", "tanh(x)")
 RESID_RUNS = 200
 RESID_PARTICLES = 400
 RESID_DT = 2.5e-3
@@ -220,7 +225,8 @@ RESID_DT = 2.5e-3
 def _residual_sweep(model_name: str):
     params = (model_name, RESID_LABELS, TimeGrid(1.0, RESID_DT),
               FilterConfig(n_particles=RESID_PARTICLES, resample_threshold=0.5, seed=SEED))
-    return equation_residuals(RESID_LABELS, *residual_runs(params, RESID_RUNS, WORKERS))
+    [runs] = run_plans([residual_runs(params, RESID_RUNS)], WORKERS)
+    return equation_residuals(RESID_LABELS, *runs)
 
 
 def test_criterion_09_equation_residuals():
@@ -240,9 +246,10 @@ def test_criterion_09_equation_residuals():
         ok &= ks_one.mean_residual.value == 0.0 and np.all(ks_one.trajectory == 0.0)
         details.append(f"{name}/ks/1: exact-zero={np.all(ks_one.trajectory == 0.0)}")
     # ablation: correlation-blind filter violates the full KS identity
-    abl_params = ("correlated_linear", ["x^2"], TimeGrid(1.0, 5e-3),
+    abl_params = ("correlated_linear", ("x^2",), TimeGrid(1.0, 5e-3),
                   FilterConfig(n_particles=250, resample_threshold=0.5, seed=SEED, ignore_correlation=True))
-    _, abl_ks = equation_residuals(["x^2"], *residual_runs(abl_params, 1600, WORKERS))
+    [abl_runs] = run_plans([residual_runs(abl_params, 1600)], WORKERS)
+    _, abl_ks = equation_residuals(["x^2"], *abl_runs)
     abl_ratio = abl_ks["x^2"].ratio()
     ok &= abl_ratio > 3.0
     details.append(f"ablation ks/x^2: {abl_ratio:.2f}se (must exceed 3)")
@@ -295,8 +302,8 @@ def test_criterion_09b_zakai_mass_equation_reduction():
 
 def test_criterion_10_change_detection():
     config = FilterConfig(n_particles=10_000, resample_threshold=0.5, seed=SEED)
-    payloads = [(change_detection_agreement_run, "change_detection", TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
-    gaps = map_ordered(_agreement_task, payloads, WORKERS)
+    tasks = [(change_detection_agreement_run, "change_detection", TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
+    [gaps] = run_plans([gather(tasks)], WORKERS)
     mean_gap = float(np.mean(gaps))
     ok = mean_gap < 0.05
     report(
@@ -312,9 +319,9 @@ def test_criterion_10_change_detection():
 
 def test_criterion_11_gronwall_envelope():
     sizes = {"n_paths": 4000, "dt": 2e-3, "horizon": 1.0}
-    [row_jou] = check_gronwall(SEED, 1, scenario="jump_ou", **sizes)
+    [[row_jou]] = run_plans([check_gronwall(SEED, scenario="jump_ou", **sizes)])
     b0, b = -0.5, 1.0
-    [row_cd] = check_gronwall(SEED, 1, scenario="change_detection", b0=b0, b=b, **sizes)
+    [[row_cd]] = run_plans([check_gronwall(SEED, scenario="change_detection", b0=b0, b=b, **sizes)])
     report(
         11,
         "Gronwall envelope E[Z_t(1+|X_t|^2)]",

@@ -15,6 +15,7 @@ import filterlab
 from filterlab import cli, girsanov, simulate, verify
 from filterlab.filters import FilterConfig, run_filter
 from filterlab.models import Battery, change_indicator, make_model
+from filterlab.parallel import run_plans
 from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid
 from filterlab.cli import (
@@ -304,7 +305,8 @@ class TestVerifyCommand:
         traj_files = list((tmp_path / "g").glob("trajectory_*.csv"))
         assert len(traj_files) == 1, "gronwall check should export its trajectory"
         rows = read_rows(traj_files[0])
-        trajectory = check_gronwall(4, 1, n_paths=300, dt=0.01)[0].trajectory
+        [[row]] = run_plans([check_gronwall(4, n_paths=300, dt=0.01)])
+        trajectory = row.trajectory
         assert rows[0] == list(trajectory) and rows[0][0] == "t" and "bound" in rows[0]
         np.testing.assert_array_equal(read_floats(rows[1:]), np.column_stack(list(trajectory.values())))
 
@@ -679,6 +681,16 @@ def test_out_naming_a_file_exits_2_before_the_command_runs(tmp_path, capsys, mon
     assert code == EXIT_CONFIG
     assert "'out'" in capsys.readouterr().err
     assert taken.read_text() == "kept" and sorted(p.name for p in tmp_path.iterdir()) == ["link", "sim.json", "taken"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, workers):
+    # it used to run the command with one worker
+    monkeypatch.setitem(cli.COMMANDS, "verify", lambda *args: pytest.fail("the command ran"))
+    cfg = write_cfg(tmp_path, "verify.json", VERIFY_CFG)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]) == EXIT_CONFIG
+    assert "'--workers'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

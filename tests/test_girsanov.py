@@ -25,6 +25,7 @@ from filterlab.girsanov import (
     revuz_yor_transformed_estimates,
 )
 from filterlab.models import levy_atoms, linear_model, make_model
+from filterlab.parallel import run_plans
 from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid, batch_levy_increments
 from filterlab.verify import CheckVerdict
@@ -113,11 +114,11 @@ class TestRevuzYorEstimators:
 
     # the Revuz-Yor ensemble of GRID_HALF, 8000 paths, through the checks that read it
     def test_zstar_bound(self):
-        [row] = cli.check_zstar_bound(23, 1, t=0.5, n_paths=8000, dt=1e-3)
+        [[row]] = run_plans([cli.check_zstar_bound(23, t=0.5, n_paths=8000, dt=1e-3)])
         assert row.passed, f"{row.estimate} vs {row.reference}"
 
     def test_energy_identity(self):
-        [row] = cli.check_energy_identity(29, 1, t=0.5, n_paths=8000, dt=1e-3)
+        [[row]] = run_plans([cli.check_energy_identity(29, t=0.5, n_paths=8000, dt=1e-3)])
         assert row.passed, f"{row.estimate} vs {row.reference}"
 
 
@@ -131,7 +132,7 @@ class TestDegenerateAndModelEnsembles:
         assert mean_se(ens.energy).value == 0.0
         assert mean_se(np.exp(ens.log_z_t) * ens.log_z_t).value == 0.0
         monkeypatch.setattr(cli, "make_model", lambda name: m)   # the checks build m for any model name
-        [row] = cli.check_zstar_bound(3, 1, scenario="silent", t=0.2, n_paths=500, dt=0.01)
+        [[row]] = run_plans([cli.check_zstar_bound(3, scenario="silent", t=0.2, n_paths=500, dt=0.01)])
         assert row.estimate == 1.0 and row.reference == pytest.approx(MAXIMAL_CONST)
         assert row.passed
 
@@ -151,13 +152,13 @@ class TestDegenerateAndModelEnsembles:
         # all coefficients zero from X_0 = 0: E[Z_t U_t] = 1 <= e^{2ct}
         m = linear_model("nil", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, h_scale=0.0, x0_var=0.0)
         monkeypatch.setattr(cli, "make_model", lambda name: m)
-        [row] = cli.check_gronwall(1, 1, scenario="nil", n_paths=100, dt=0.01, horizon=0.5)
+        [[row]] = run_plans([cli.check_gronwall(1, scenario="nil", n_paths=100, dt=0.01, horizon=0.5)])
         assert row.passed
         traj = row.trajectory["mean_zu"]
         np.testing.assert_array_equal(traj, np.ones_like(traj))
 
     def test_gronwall_jump_ou(self):
-        [row] = cli.check_gronwall(41, 1, scenario="jump_ou", n_paths=2000, dt=2e-3, horizon=1.0)
+        [[row]] = run_plans([cli.check_gronwall(41, scenario="jump_ou", n_paths=2000, dt=2e-3, horizon=1.0)])
         assert row.passed
         bound = row.trajectory["bound"]   # starts at E[U_0]
         assert bound[-1] == pytest.approx(math.exp(4.0) * bound[0])
@@ -180,7 +181,7 @@ class TestDegenerateAndModelEnsembles:
         # the Revuz-Yor ensemble records no dominating process U
         assert ensemble_revuz_yor(1.0, GRID_HALF, 100, seed=2).zu is None
         with pytest.raises(ValueError):
-            cli.check_gronwall(2, 1, scenario="revuz_yor", n_paths=100, dt=1e-3, horizon=0.5)
+            run_plans([cli.check_gronwall(2, scenario="revuz_yor", n_paths=100, dt=1e-3, horizon=0.5)])
 
 
 class TestDeterminism:
@@ -194,10 +195,11 @@ class TestDeterminism:
     def test_report_serialisation(self):
         # the revuz_yor counterexample rows: one per quantity, each led by the
         # ensemble's label, and equal for equal seeds
-        rows = cli.counterexample_revuz_yor(5, 1, t=0.1, n_paths=200, dt=0.01)
+        # two runs of their own: plans in one run_plans would share the producers' results
+        rows, again = (run_plans([cli.counterexample_revuz_yor(5, t=0.1, n_paths=200, dt=0.01)])[0] for _ in range(2))
         label = ensemble_revuz_yor(1.0, TimeGrid(0.1, 0.01), 200, seed=5).label
         assert len(rows) == 1 + 7 and all(r[0] == label for r in rows[1:])
-        assert rows == cli.counterexample_revuz_yor(5, 1, t=0.1, n_paths=200, dt=0.01)
+        assert rows == again
 
 
 def test_mean_se_requires_two_samples():

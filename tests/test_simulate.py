@@ -8,6 +8,7 @@ import pytest
 from filterlab.girsanov import ensemble_revuz_yor
 from filterlab.models import StepCoefficients, levy_atoms, linear_model, make_model
 from filterlab import simulate
+from filterlab.parallel import run_plans
 from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, TAG_PATH, substream
 from filterlab.simulate import (
     SimulationBlowUp,
@@ -443,8 +444,8 @@ class TestHittingKernel:
         assert 0 < (~resolved[2]).sum() < (~resolved[0]).sum() < (~resolved[1]).sum()
 
     def test_rows_do_not_depend_on_the_worker_count(self):
-        rows = [kazamaki_gap_check([2, 1], 2500, 0.01, 5, workers)[0] for workers in (1, 2)]
+        rows = [run_plans([kazamaki_gap_check([2, 1], 2500, 0.01, 5)], workers)[0][0] for workers in (1, 2)]
         assert [v.row() for v in rows[0]] == [v.row() for v in rows[1]]
         # 1050 steps: a full Dufresne block and a partial one, for three chunks of paths
-        serial, parallel = (dufresne_check(2500, TimeGrid(10.5, 0.01), 5, workers) for workers in (1, 2))
+        serial, parallel = (run_plans([dufresne_check(2500, TimeGrid(10.5, 0.01), 5)], workers) for workers in (1, 2))
         assert serial == parallel

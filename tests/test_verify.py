@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from filterlab import cli
 from filterlab.filters import FilterConfig
 from filterlab.models import Battery, StepCoefficients, make_model
+from filterlab.parallel import run_plans
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
@@ -121,9 +122,8 @@ class TestChangeDetectionOracle:
         assert np.all((post.prob_change >= 0.0) & (post.prob_change <= 1.0 + 1e-12))
 
     def test_particle_filter_tracks_oracle(self):
-        m = make_model("change_detection")
         grid = TimeGrid(1.0, 2e-3)
-        gap = change_detection_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=19), 0)
+        gap = change_detection_agreement_run("change_detection", grid, FilterConfig(n_particles=4000, seed=19), 0)
         assert gap < 0.08, f"particle/grid posterior gap {gap:.3f}"
 
     def test_empty_grid_rejected(self):
@@ -312,66 +312,65 @@ class TestScenarioChecks:
     def test_dufresne_exact_tail_carries_a_short_horizon(self):
         # at a near-zero horizon nearly every path is still below 1: the indicator
         # alone reads near 1, and the exact tail after the horizon brings it to e^-2
-        est, target, correction = dufresne_check(400, TimeGrid(0.2, 1e-2), seed=3)
+        [(est, target, correction)] = run_plans([dufresne_check(400, TimeGrid(0.2, 1e-2), seed=3)])
         assert abs(est.value - target) <= 3 * est.se
         assert correction > 0.5
 
     def test_dufresne_estimate_converges_towards_target(self):
-        est, target, correction = dufresne_check(3000, TimeGrid(12.0, 5e-3), seed=5)
+        [(est, target, correction)] = run_plans([dufresne_check(3000, TimeGrid(12.0, 5e-3), seed=5)])
         assert target == pytest.approx(math.exp(-2.0))
         assert abs(est.value - target) < 3 * est.se + 0.01
 
     def test_revuz_yor_energy_both_representations(self):
         # each row's tolerance is 3 SE of its estimate
         for representation in ("transformed", "base"):
-            [row] = cli.check_revuz_yor_energy(7, 1, alpha=1.0, t=0.5, n_paths=4000, dt=1e-3,
-                                               representation=representation)
+            [[row]] = run_plans([cli.check_revuz_yor_energy(7, alpha=1.0, t=0.5, n_paths=4000, dt=1e-3,
+                                                            representation=representation)])
             assert row.reference == revuz_yor_closed_form(1.0, 0.5)
             assert abs(row.estimate - row.reference) < row.tolerance, representation
 
     def test_revuz_yor_rejects_unknown_representation(self):
         with pytest.raises(ValueError):
-            cli.check_revuz_yor_energy(0, 1, alpha=1.0, t=0.5, n_paths=100, dt=1e-2, representation="weird")
+            run_plans([cli.check_revuz_yor_energy(0, alpha=1.0, t=0.5, n_paths=100, dt=1e-2, representation="weird")])
 
     def test_kazamaki_partial_sums_grow_like_log(self):
-        rows, sums, growth = kazamaki_gap_check([1], 800, 1e-3, seed=9)
+        [(rows, sums, growth)] = run_plans([kazamaki_gap_check([1], 800, 1e-3, seed=9)])
         assert rows[0].passed
         # sum_{n<=N} n/(n+1)^2 grows by ~ln 10 per decade
         assert sums[10000] - sums[1000] == pytest.approx(math.log(10.0), abs=0.01)
         assert growth == pytest.approx(1.0, abs=0.05)
 
     def test_kalman_agreement_single_seed(self):
-        m = make_model("linear_gaussian")
         grid = TimeGrid(0.5, 2e-3)
-        dmean, dvar = kalman_agreement_run(m, grid, FilterConfig(n_particles=4000, seed=41), 0)
+        dmean, dvar = kalman_agreement_run("linear_gaussian", grid, FilterConfig(n_particles=4000, seed=41), 0)
         assert dmean < 0.05 and dvar < 0.05
 
     def test_local_boundedness_silent_sensor_is_flat_zero(self, monkeypatch):
         from filterlab.models import linear_model
 
         monkeypatch.setattr(cli, "make_model", lambda name: linear_model("mute", h_scale=0.0))
-        [row] = cli.check_local_boundedness(3, 1, scenario="mute", n_paths=200, dt=1e-2, horizon=0.3)
+        [[row]] = run_plans([cli.check_local_boundedness(3, scenario="mute", n_paths=200, dt=1e-2, horizon=0.3)])
         assert row.passed
         np.testing.assert_array_equal(row.trajectory["mean_z_hsq"], 0.0)
         np.testing.assert_array_equal(row.trajectory["mean_hsq"], 0.0)
 
     def test_local_boundedness_jump_ou(self):
-        [row] = cli.check_local_boundedness(5, 1, scenario="jump_ou", n_paths=2000, dt=2e-3, horizon=1.0)
+        [[row]] = run_plans([cli.check_local_boundedness(5, scenario="jump_ou", n_paths=2000, dt=2e-3, horizon=1.0)])
         assert row.passed
         # curves stay far inside the envelope
         assert row.trajectory["mean_z_hsq"].max() < 1.0 < row.trajectory["envelope"][-1]
 
     def test_local_boundedness_change_detection_envelope(self):
         # bounded change sizes: curves under c(b_max) e^{c(b_max) t}
-        [row] = cli.check_local_boundedness(7, 1, scenario="change_detection", n_paths=2000, dt=2e-3, horizon=1.0,
-                                            b0=-0.5, b_max=2.0)
+        [[row]] = run_plans([cli.check_local_boundedness(7, scenario="change_detection", n_paths=2000, dt=2e-3,
+                                                         horizon=1.0, b0=-0.5, b_max=2.0)])
         assert row.scenario == f"change_detection,c={4.0 + 1.5 ** 2:g}"
         assert row.passed
 
     def test_gronwall_change_detection_tracks_one_plus_t(self):
         # under the reference measure E[Z_t U_t] = 1 + t exactly
-        [row] = cli.check_gronwall(11, 1, scenario="change_detection", n_paths=3000, dt=2e-3, horizon=1.0,
-                                   b0=-0.5, b=1.0)
+        [[row]] = run_plans([cli.check_gronwall(11, scenario="change_detection", n_paths=3000, dt=2e-3, horizon=1.0,
+                                                b0=-0.5, b=1.0)])
         assert row.scenario == "change_detection,c=4.25"
         assert row.passed
         traj, ses, t = row.trajectory["mean_zu"], row.trajectory["se"], row.trajectory["t"]
@@ -405,7 +404,7 @@ class TestBandRows:
     the point with the largest margin over its band, and it is one-sided."""
 
     def test_zstar_bound_tolerance_is_the_combined_band(self):
-        [row] = cli.check_zstar_bound(3, 1, t=0.5, n_paths=500, dt=0.01)
+        [[row]] = run_plans([cli.check_zstar_bound(3, t=0.5, n_paths=500, dt=0.01)])
         ens = girsanov.ensemble_revuz_yor(1.0, TimeGrid(0.5, 0.01), 500, 3)
         lhs = girsanov.mean_se(ens.z_star)
         energy = girsanov.mean_se(ens.energy)
@@ -413,7 +412,7 @@ class TestBandRows:
         assert row.one_sided and row.detail == ""
 
     def test_local_boundedness_tolerance_is_its_3se_band(self):
-        [row] = cli.check_local_boundedness(4, 1, n_paths=300, dt=0.01, horizon=0.5)
+        [[row]] = run_plans([cli.check_local_boundedness(4, n_paths=300, dt=0.01, horizon=0.5)])
         model = make_model("jump_ou")
         ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
         means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
@@ -426,7 +425,7 @@ class TestBandRows:
         assert row.detail == f"worst_t={times[k]:.4g} max_ratio={np.max(means[:, 1:] / env[1:]):.4g}"
 
     def test_gronwall_row_is_the_largest_margin(self):
-        [row] = cli.check_gronwall(4, 1, n_paths=300, dt=0.01, horizon=0.5)
+        [[row]] = run_plans([cli.check_gronwall(4, n_paths=300, dt=0.01, horizon=0.5)])
         model = make_model("jump_ou")
         ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
         times = ens.grid.times()
