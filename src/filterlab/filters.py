@@ -153,7 +153,9 @@ def step(
     states (left-point integrand of the log-weight), then particles move
     under the reference dynamics using the same observed dy and the same h;
     a run whose ESS falls below the threshold resamples, folding its mean
-    weight into log_mass. Returns (new cloud, per-run resampled flags).
+    weight into log_mass. The new cloud's t is its grid time k dt, not a
+    running sum of dt, so h and the time functionals read the clock that the
+    data paths and the oracles read. Returns (new cloud, per-run resampled flags).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -176,7 +178,7 @@ def step(
         states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
         states = propagate_under_reference(coeffs, dy_rows, dt, rngs_prop, k)
-    new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=cloud.t + dt, step=k)
+    new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=k * dt, step=k)
     current_ess = new.weights.ess
     if np.any(current_ess < 1.0 + 1e-9):
         raise FilterCollapse(step=k, ess=float(current_ess.min()))
@@ -280,7 +282,7 @@ def run_filter(
     y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
     for cloud, _, flags in _walk(model, y_path[None], grid, config, [()]):
         k = cloud.step
-        rows = list(battery.values(cloud.states)) + [fn(cloud.states, k * grid.dt) for fn in time_functionals.values()]
+        rows = list(battery.values(cloud.states)) + [fn(cloud.states, cloud.t) for fn in time_functionals.values()]
         # row by row: at 10^4 particles a stacked (K, N) product costs more in
         # allocation than one reduction call per row saves
         pi_traj[:, k] = [pi_estimate(cloud, row)[0] for row in rows]

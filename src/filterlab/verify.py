@@ -238,7 +238,7 @@ def change_detection_oracle(
         h = (b0 + b_col * (t >= tau_col)) * y[k]
         dy = y[k + 1] - y[k]
         loglik += h * dy - 0.5 * h * h * dt
-        prob_change[k + 1] = change_marginal(t + dt)
+        prob_change[k + 1] = change_marginal((k + 1) * dt)
     joint = log_prior + loglik
     joint -= joint.max()
     mass = np.exp(joint)

@@ -12,6 +12,7 @@ from filterlab.filters import (
     FilterConfig,
     ParticleCloud,
     Weights,
+    _walk,
     init_cloud,
     pi_estimate,
     resample,
@@ -303,6 +304,20 @@ class TestRunFilter:
         y = simulate_pair(m, grid, substream(10)).y
         run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), battery=Battery(("1",), 1))
         assert np.all(run.pi["1"] == 1.0)
+
+    def test_every_cloud_and_time_functional_is_at_its_grid_time(self):
+        # the clock used to be a running sum of dt, which leaves k * dt in the last bits
+        m = make_model("linear_gaussian")
+        grid = TimeGrid(1.0, 1e-3)
+        y = np.zeros((grid.n_steps + 1, 1))
+        config = FilterConfig(n_particles=16, seed=1)
+        on_grid = [k * grid.dt for k in range(grid.n_steps + 1)]
+        walked = [(cloud.step, cloud.t, coeffs.t) for cloud, coeffs, _ in _walk(m, y[None], grid, config, [()])]
+        assert walked == [(k, t, t) for k, t in enumerate(on_grid)]
+        seen = []
+        clock = {"t": lambda states, t: seen.append(t) or np.zeros(len(states))}
+        run_filter(m, y, grid, config, time_functionals=clock)
+        assert seen == on_grid
 
     def test_path_grid_mismatch_rejected(self):
         m = make_model("linear_gaussian")

@@ -109,6 +109,17 @@ class TestChangeDetectionOracle:
         direct = [change_detection_loglik_direct(b, 0.3, -0.5, bundle.y, grid) for b in (1.1, 1.6)]
         assert np.log(post.posterior[1, 0] / post.posterior[0, 0]) == pytest.approx(direct[1] - direct[0], rel=1e-9)
 
+    def test_prob_change_cuts_the_prior_at_grid_times(self):
+        # with y == 0 every cell has likelihood 1, so P(T <= t_k | Y) is the prior
+        # mass of tau <= k dt; at dt 2.5e-3 the running time k dt + dt used to put
+        # four (step, tau) pairs on the wrong side
+        grid = TimeGrid(1.0, 2.5e-3)
+        prior = make_model("change_detection").change_prior
+        post = change_detection_oracle(prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0,
+                                       np.zeros(grid.n_steps + 1), grid)
+        expected = [prior.tau_probs[prior.tau_values <= k * grid.dt].sum() for k in range(grid.n_steps + 1)]
+        np.testing.assert_allclose(post.prob_change, expected, rtol=0.0, atol=1e-12)
+
     def test_mass_normalises_to_one(self):
         grid = TimeGrid(1.0, 1e-2)
         m = make_model("change_detection")
