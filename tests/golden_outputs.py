@@ -54,6 +54,10 @@ def _cases() -> dict[str, tuple[str, dict]]:
                                                "filter": {"n_particles": 300}}),
         "filter_ignore_correlation": ("filter", {"seed": 4, "model": {"name": "correlated_linear"}, "grid": grid,
                                                  "filter": {"n_particles": 300, "ignore_correlation": True}}),
+        # large_cloud's full particle count and step, resampling at every step, over 50 steps
+        "filter_ten_thousand_particles": ("filter", {"seed": 11, "model": {"name": "correlated_linear"},
+                                                     "grid": {"horizon": 0.05, "dt": 1e-3},
+                                                     "filter": {"n_particles": 10_000, "resample_threshold": 1.0}}),
         "verify_residuals_two_blocks": ("verify", {"seed": 5, "diagnostics": {
             "checks": ["zakai_residual", "ks_residual"],
             "params": {"zakai_residual": residual, "ks_residual": residual}}}),
