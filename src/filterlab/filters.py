@@ -23,7 +23,7 @@ Kushner-Stratonovich residuals of many.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -77,46 +77,41 @@ class ParticleCloud:
         return self.log_weights.shape[-1]
 
     @cached_property
-    def weights(self) -> Weights:   # once per cloud: no code changes a cloud's arrays in place
+    def weights(self) -> Weights:   # once per cloud, unless set; no code writes a cloud it has handed out
         return Weights(self.log_weights, self.step)
 
-    @cached_property
+    @property
     def mass(self) -> Array:
         """exp(log_mass + shift) of each run, (R,): rho_t(phi) = mass * mean(w phi)."""
         return np.exp(self.log_mass + self.weights.shift)
 
 
 class Weights:
-    """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w),
-    their sum and the ESS, each computed once; the estimates and resampling read
-    them. A row with no weight left raises FilterCollapse at `step`, its grid index."""
+    """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w)
+    (passed in, (R, 1), by a caller that has it), their sum and the ESS; the estimates
+    and resampling read them. A row with no weight left raises FilterCollapse at `step`."""
 
-    def __init__(self, log_weights: Array, step: int):
-        shift = log_weights.max(axis=-1, keepdims=True)
+    def __init__(self, log_weights: Array, step: int, shift: Optional[Array] = None):
+        if shift is None:
+            shift = log_weights.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):
             raise FilterCollapse(step=step, ess=0.0)
-        self.w = np.exp(log_weights - shift)
+        self.w = np.subtract(log_weights, shift)
+        np.exp(self.w, out=self.w)
         self.shift = shift[..., 0]
         self.total = self.w.sum(axis=-1)
+        squares = self.normalized
+        self.ess = 1.0 / np.sum(np.multiply(squares, squares, out=squares), axis=-1)
 
-    @cached_property
+    @property
     def normalized(self) -> Array:
         return self.w / self.total[..., None]
 
-    @cached_property
-    def ess(self) -> Array:
-        return 1.0 / np.sum(self.normalized * self.normalized, axis=-1)
 
-
-def _reset_rows(weights: Weights, rows: Array) -> Weights:
-    """`weights` with the given rows set to what all-zero log-weights give:
-    w = 1, shift = 0 and total = N, the same bytes as Weights(zeros)."""
-    out = Weights.__new__(Weights)
-    out.w, out.shift, out.total = weights.w.copy(), weights.shift.copy(), weights.total.copy()
-    out.w[rows] = 1.0
-    out.shift[rows] = 0.0
-    out.total[rows] = float(out.w.shape[-1])
-    return out
+@lru_cache
+def _even_ess(n: int) -> float:
+    """The ESS of n equal weights, as Weights computes it."""
+    return Weights(np.zeros((1, n)), 0).ess[0]
 
 
 def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
@@ -130,10 +125,28 @@ def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
 
 
 def systematic_resample(probs: Array, rng: np.random.Generator) -> Array:
-    """Systematic resampling indices for one run's normalised weights, from one uniform draw."""
-    n = probs.shape[0]
-    positions = (rng.random() + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(probs), positions).clip(max=n - 1)
+    """Systematic resampling indices for one run's normalised weights, from one uniform
+    draw u: index i is the first j whose cumulative weight c_j reaches (u + i) / n, or n - 1,
+    as np.searchsorted finds it. Here i counts the j with at most i positions at or below c_j,
+    floor(c_j n - u) + 1 up to rounding, which one comparison either side of it settles."""
+    return _systematic_indices(np.cumsum(probs), rng)
+
+
+def _systematic_indices(c: Array, rng: np.random.Generator) -> Array:
+    """systematic_resample from the cumulative weights c, in place into three arrays of its own."""
+    n, u = c.shape[0], rng.random()
+    pos = c * n
+    pos -= u
+    below = pos.astype(np.int64)
+    below += 1   # truncation errs by one below 0, which the first comparison repairs
+    np.subtract(below, 1, out=pos)   # the last position counted, which may lie above c_j
+    pos += u
+    pos /= n
+    below -= pos > c
+    np.add(below, u, out=pos)        # the first position left out, which may lie at or below c_j
+    pos /= n
+    below += pos <= c
+    return np.minimum(np.cumsum(np.bincount(below, minlength=n + 1)[:n], out=below), n - 1, out=below)
 
 
 def step(
@@ -161,30 +174,34 @@ def step(
         raise ValueError("dt must be positive")
     model = coeffs.model
     r, n = cloud.log_weights.shape
-    # each run's increment, repeated for its particles: (R*N, m)
-    dy_rows = np.repeat(np.reshape(np.asarray(dy, dtype=float), (r, model.dim_y)), n, axis=0)
+    dy = np.reshape(np.asarray(dy, dtype=float), (r, model.dim_y))
     k = cloud.step + 1
-    hvals = coeffs.h
-    inc = np.einsum("nm,nm->n", hvals, dy_rows) - 0.5 * np.einsum("nm,nm->n", hvals, hvals) * dt
-    log_w = cloud.log_weights + inc.reshape(r, n)
-    if not np.all(np.isfinite(log_w)):
+    h = coeffs.h.reshape(r, n, -1)
+    # log_weights + (h.dy - |h|^2 dt / 2), in place into the new cloud's log-weights
+    log_w = np.einsum("rnm,rnm->rn", h, h)
+    log_w *= 0.5
+    log_w *= dt
+    np.subtract(np.einsum("rnm,rm->rn", h, dy), log_w, out=log_w)
+    log_w += cloud.log_weights
+    shift = log_w.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(shift)):
         # exp underflow to -inf is a degenerate weight, not an arithmetic error
-        log_w = np.where(np.isnan(log_w), -np.inf, log_w)
-        if not np.all(np.isfinite(log_w.max(axis=-1))):
-            raise FilterCollapse(step=k, ess=0.0)
+        log_w[np.isnan(log_w)] = -np.inf
+        shift = log_w.max(axis=-1, keepdims=True)
+    weights = Weights(log_w, k, shift)   # a row with no finite maximum collapses here, before the propagation
     if config.ignore_correlation:
         # correlation-blind ablation: fresh W noise in place of the observation feed
         dv, dw, dl = fresh_increments(model, dt, n, rngs_prop, dw=True)
         states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
-        states = propagate_under_reference(coeffs, dy_rows, dt, rngs_prop, k)
+        states = propagate_under_reference(coeffs, _per_particle(dy, n), dt, rngs_prop, k)
+    if np.any(weights.ess < 1.0 + 1e-9):
+        raise FilterCollapse(step=k, ess=float(weights.ess.min()))
     new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=k * dt, step=k)
-    current_ess = new.weights.ess
-    if np.any(current_ess < 1.0 + 1e-9):
-        raise FilterCollapse(step=k, ess=float(current_ess.min()))
-    resampled = current_ess < config.resample_threshold * n
+    new.weights = weights
+    resampled = weights.ess < config.resample_threshold * n
     if resampled.any():
-        new = resample(new, rngs_res, np.flatnonzero(resampled))
+        _resample_rows(new, rngs_res, np.flatnonzero(resampled))   # the step's own arrays, in place
     return new, resampled
 
 
@@ -192,20 +209,31 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Par
     """Systematic resampling of the given runs (rows of the block), each with
     one uniform from its own generator rngs[row]; the mean weight moves into
     log_mass so that rho_t(1) is preserved by construction. The new cloud's
-    weights are set, not recomputed: a resampled run has w = 1 and total N."""
-    weights = cloud.weights
-    n = cloud.n
-    states = cloud.states.copy()
-    for row in rows:
-        idx = systematic_resample(weights.normalized[row], rngs[row])
-        states[row * n:(row + 1) * n] = cloud.states[row * n + idx]
-    log_weights = cloud.log_weights.copy()
-    log_weights[rows] = 0.0
-    log_mass = cloud.log_mass.copy()
-    log_mass[rows] = log_mass[rows] + weights.shift[rows] + np.log(weights.total[rows] / n)
-    new = ParticleCloud(states=states, log_weights=log_weights, log_mass=log_mass, t=cloud.t, step=cloud.step)
-    new.weights = _reset_rows(weights, rows)
+    weights are set, not recomputed: a resampled run has w = 1 and total N.
+    The given cloud is left as it is; _resample_rows resamples a copy."""
+    new = ParticleCloud(cloud.states.copy(), cloud.log_weights.copy(), cloud.log_mass, cloud.t, cloud.step)
+    new.weights = Weights(new.log_weights, new.step)   # the bytes of cloud.weights
+    _resample_rows(new, rngs, rows)
     return new
+
+
+def _resample_rows(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> None:
+    """resample, in place, of a cloud whose states, log-weights and weights
+    its caller owns; log_mass is replaced, not written. A resampled row's
+    weights take the bytes of all-zero log-weights: w = 1, shift = 0,
+    total = N and the ESS of N equal weights."""
+    weights, n = cloud.weights, cloud.n
+    for row in rows:
+        c = weights.w[row] / weights.total[row]   # a row of weights.normalized, summed in place
+        particles = cloud.states[row * n:(row + 1) * n]
+        particles[...] = particles.take(_systematic_indices(np.cumsum(c, out=c), rngs[row]), axis=0)
+    cloud.log_mass = cloud.log_mass.copy()
+    cloud.log_mass[rows] = cloud.log_mass[rows] + weights.shift[rows] + np.log(weights.total[rows] / n)
+    cloud.log_weights[rows] = 0.0
+    weights.w[rows] = 1.0
+    weights.shift[rows] = 0.0
+    weights.total[rows] = float(n)
+    weights.ess[rows] = _even_ess(n)
 
 
 def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:
@@ -217,6 +245,11 @@ def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:
     if not np.all(np.isfinite(values)):
         raise ValueError("test function is non-finite on the cloud")
     return np.sum(weights.w * np.reshape(values, cloud.log_weights.shape), axis=-1) / weights.total
+
+
+def _per_particle(rows: Array, n: int) -> Array:
+    """Each run's row (R, m) for its n particles, (R*N, m), or one run's row (m,) that its particles share."""
+    return rows[0] if len(rows) == 1 else np.repeat(rows, n, axis=0)
 
 
 def _walk(model: SignalModel, y_paths: Array, grid: TimeGrid, config: FilterConfig,
@@ -239,8 +272,7 @@ def _walk(model: SignalModel, y_paths: Array, grid: TimeGrid, config: FilterConf
     cloud = init_cloud(model.initial_law, config.n_particles, rngs_init)
     resampled = np.zeros(len(keys), dtype=bool)
     for k in range(grid.n_steps + 1):
-        # each run's observation row, repeated for its particles: (R*N, m)
-        coeffs = StepCoefficients(model, cloud.states, np.repeat(y_paths[:, k], config.n_particles, axis=0), cloud.t)
+        coeffs = StepCoefficients(model, cloud.states, _per_particle(y_paths[:, k], config.n_particles), cloud.t)
         yield cloud, coeffs, resampled
         if k < grid.n_steps:
             cloud, resampled = step(cloud, coeffs, y_paths[:, k + 1] - y_paths[:, k], grid.dt, rngs_prop, rngs_res,
@@ -275,6 +307,7 @@ def run_filter(
     battery = battery or Battery((), model.dim_x)
     time_functionals = dict(time_functionals or {})
     labels = battery.labels + tuple(time_functionals)
+    values = np.empty((len(labels), config.n_particles))   # phi on the particles, refilled at every step
     pi_traj = np.zeros((len(labels), grid.n_steps + 1))
     rho_one = np.zeros(grid.n_steps + 1)
     ess_traj = np.zeros(grid.n_steps + 1)
@@ -282,12 +315,17 @@ def run_filter(
     y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
     for cloud, _, flags in _walk(model, y_path[None], grid, config, [()]):
         k = cloud.step
-        rows = list(battery.values(cloud.states)) + [fn(cloud.states, cloud.t) for fn in time_functionals.values()]
-        # row by row: at 10^4 particles a stacked (K, N) product costs more in
-        # allocation than one reduction call per row saves
-        pi_traj[:, k] = [pi_estimate(cloud, row)[0] for row in rows]
-        rho_one[k] = cloud.mass[0] * np.mean(cloud.weights.w[0])   # rho_t(1)
-        ess_traj[k] = cloud.weights.ess[0]
+        battery.values(cloud.states, out=values[:len(battery.labels)])
+        for row, fn in zip(values[len(battery.labels):], time_functionals.values()):
+            row[...] = fn(cloud.states, cloud.t)
+        weights = cloud.weights
+        # pi_estimate of every row, in place; as w lies in [0, 1], a product is finite when phi is
+        sums = np.multiply(values, weights.w, out=values).sum(axis=-1)
+        if not (np.isfinite(sums).all() or np.isfinite(values).all()):
+            raise ValueError("test function is non-finite on the cloud")
+        pi_traj[:, k] = sums / weights.total
+        rho_one[k] = cloud.mass[0] * (weights.total[0] / config.n_particles)   # rho_t(1): mass times the mean weight
+        ess_traj[k] = weights.ess[0]
         resampled[k] = flags[0]
     return FilterRun(
         times=grid.times(),

@@ -175,6 +175,10 @@ class ConstCoeff:
     def __call__(self, x: Array) -> Array:
         return np.broadcast_to(self.matrix, (x.shape[0],) + self.matrix.shape)
 
+    @cached_property
+    def zero(self) -> bool:   # every entry 0: the term moves nothing
+        return not self.matrix.any()
+
 
 def const_coeff(matrix) -> ConstCoeff:
     return ConstCoeff(np.asarray(matrix, dtype=float))
@@ -264,8 +268,8 @@ class Battery:
         """(kind, i, j) of each column; the kinds are 1, x, xx and tanh."""
         return [_label_terms(self.d)[label] for label in self.labels]
 
-    def values(self, x: Array) -> Array:
-        out = np.empty((len(self.labels), x.shape[0]))
+    def values(self, x: Array, out: Optional[Array] = None) -> Array:
+        out = np.empty((len(self.labels), x.shape[0])) if out is None else out
         for row, (kind, i, j) in zip(out, self._terms):
             if kind == "1":
                 row[...] = 1.0

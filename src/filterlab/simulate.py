@@ -91,7 +91,7 @@ def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Gene
 
 def _is_zero(coeff) -> bool:
     """Whether a coefficient is a constant matrix of zeros (a term that moves nothing)."""
-    return isinstance(coeff, ConstCoeff) and not coeff.matrix.any()
+    return isinstance(coeff, ConstCoeff) and coeff.zero
 
 
 def _times(coeff, x: Array, inc: Array) -> Array:
@@ -111,18 +111,21 @@ def euler_step(
     (+ sigma_tilde(x) dl) for a batch of states x (n, d), every coefficient at
     the left point. The callers choose what drives dw: fresh W noise under the
     physical measure, or the observed dY under the reference measure (with
-    sigma_bar h folded into the drift), passed as one (1, m) row that every
-    state shares. `step` is the grid index of the result, reported on blow-up.
+    sigma_bar h folded into the drift). Each increment holds one row per
+    state, (n, .); dw may instead be one (1, m) row that every state shares.
+    `step` is the grid index of the result, reported on blow-up.
 
     A constant coefficient enters as one product with its matrix, and a term
     whose matrix is zero, or whose increment is None, is left out; the terms
-    are added in the order above either way.
+    are added in the order above either way, in place into one new array.
     """
-    out = x + drift * dt
+    out = drift * dt
+    out += x
     for coeff, inc in ((model.sigma, dv), (model.sigma_bar, dw), (model.sigma_tilde, dl)):
         if inc is not None and not _is_zero(coeff):
-            out = out + _times(coeff, x, inc)
-    if not np.all(np.isfinite(out)):
+            out += _times(coeff, x, inc)
+    # one sum, which only a non-finite entry or an overflow leaves non-finite
+    if not (np.isfinite(out.sum()) or np.isfinite(out).all()):
         raise SimulationBlowUp(step)
     return out
 
@@ -180,17 +183,18 @@ def fresh_increments(
     """Fresh (dV, dW, dL) increments over dt for len(rngs) runs of n states,
     run r drawing from rngs[r] in the order dV, dW, dL (batch_levy_increments,
     whose marks are dropped); a term that is not asked for (or a model
-    without jumps) gives None and draws nothing."""
-    sq = np.sqrt(dt)
-    dvs, dws, dls = [], [], []
-    for rng in rngs:
-        if dv:
-            dvs.append(rng.standard_normal((n, model.dim_v)) * sq)
-        if dw:
-            dws.append(rng.standard_normal((n, model.dim_y)) * sq)
-        if model.has_jumps:
-            dls.append(batch_levy_increments(model.levy, dt, n, rng)[0])
-    return tuple(np.concatenate(parts) if parts else None for parts in (dvs, dws, dls))
+    without jumps) gives None and draws nothing. Each run draws into its rows
+    of one (len(rngs) * n, .) array per term."""
+    normals = [np.empty((len(rngs) * n, dim)) if on else None for dim, on in ((model.dim_v, dv), (model.dim_y, dw))]
+    dls = np.empty((len(rngs) * n, model.levy.dim)) if model.has_jumps else None
+    for i, rng in enumerate(rngs):
+        rows = slice(i * n, (i + 1) * n)
+        for out in (a[rows] for a in normals if a is not None):
+            rng.standard_normal(out=out)
+            out *= np.sqrt(dt)
+        if dls is not None:
+            dls[rows] = batch_levy_increments(model.levy, dt, n, rng)[0]
+    return normals[0], normals[1], dls
 
 
 def propagate_under_reference(
@@ -218,7 +222,8 @@ def propagate_under_reference(
     dy = np.atleast_2d(np.asarray(dy, dtype=float))
     drift = model.f(x)
     if not _is_zero(model.sigma_bar):
-        drift = drift - _times(model.sigma_bar, x, coeffs.h)
+        sbar_h = _times(model.sigma_bar, x, coeffs.h)
+        drift = np.subtract(drift, sbar_h, out=sbar_h)
     dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs,
                                  dv=model.has_jumps or not _is_zero(model.sigma))
     return euler_step(model, x, drift, dt, dv, dy, dl, step)

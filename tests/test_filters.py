@@ -1,5 +1,6 @@
 """Particle-filter contracts: normalisation, resampling, oracle accuracy."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -120,7 +121,43 @@ class TestEstimates:
             pi_estimate(cloud, bad)
 
 
+class FixedUniform:
+    """A generator stand-in whose one uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def binary_search_indices(probs, u):
+    """Systematic resampling indices as a binary search of the positions (u + i) / n finds them."""
+    n = probs.shape[0]
+    return np.searchsorted(np.cumsum(probs), (u + np.arange(n)) / n).clip(max=n - 1)
+
+
 class TestResampling:
+    @given(st.lists(st.one_of(st.floats(0, 1), st.just(0.0), st.integers(1, 3)), min_size=1, max_size=300).filter(
+        lambda ws: sum(ws) > 0), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_systematic_indices_equal_the_binary_search(self, ws, seed):
+        probs = np.array(ws, dtype=float) / np.sum(ws)
+        rng = substream(seed)
+        u = copy.deepcopy(rng).random()
+        assert systematic_resample(probs, rng).tobytes() == binary_search_indices(probs, u).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 10, 1000])
+    def test_systematic_indices_equal_the_binary_search_where_positions_meet_cumulative_weights(self, n):
+        # equal, dyadic and zero weights put positions exactly on, and within rounding of, the cumulative weights
+        rng = substream(50, n)
+        for probs in (np.full(n, 1.0 / n), np.where(np.arange(n) % 2, 0.0, 2.0 / (n + n % 2)),
+                      np.arange(1.0, n + 1) / (n * (n + 1) / 2)):
+            c = np.cumsum(probs)
+            for u in [0.0, 0.5, np.nextafter(1.0, 0.0)] + list(np.clip(c * n - np.floor(c * n), 0.0, 0.999)):
+                got = systematic_resample(probs, FixedUniform(float(u)))
+                assert got.tobytes() == binary_search_indices(probs, u).tobytes(), (probs, u)
+
     def test_systematic_indices_cover_high_weight(self):
         lw = np.log(np.array([0.7, 0.1, 0.1, 0.1]))
         idx = systematic_resample(Weights(lw, step=0).normalized, substream(1))
@@ -139,7 +176,7 @@ class TestResampling:
         out = resample(cloud, [substream(8)], [0])
         assert "weights" in vars(out)   # set by resample, not computed from the log-weights
         fresh = Weights(np.zeros((1, 300)), step=0)
-        for name in ("w", "shift", "total"):
+        for name in ("w", "shift", "total", "ess"):
             got, want = getattr(out.weights, name), getattr(fresh, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
@@ -153,7 +190,7 @@ class TestResampling:
         np.testing.assert_array_equal(out.states[50:100], cloud.states[50:100])
         np.testing.assert_array_equal(out.log_weights[1], lw[1])
         assert out.log_mass[1] == 0.0 and np.all(out.log_weights[[0, 2]] == 0.0)
-        for name in ("w", "shift", "total"):   # the preset rows and the kept row equal a fresh computation
+        for name in ("w", "shift", "total", "ess"):   # the preset rows and the kept row equal a fresh computation
             assert getattr(out.weights, name).tobytes() == getattr(Weights(out.log_weights, step=0), name).tobytes()
         np.testing.assert_allclose(rho_one(out), rho_one(cloud), rtol=1e-12)
 
@@ -171,6 +208,131 @@ class TestResampling:
         cloud = make_cloud(np.zeros(len(lws)), np.array(lws))
         val = cloud.weights.ess
         assert 1.0 - 1e-9 <= val <= len(lws) + 1e-9
+
+
+def snapshot(cloud):
+    """The bytes of a cloud's arrays, its cached weights included."""
+    w = cloud.weights
+    return [a.tobytes() for a in (cloud.states, cloud.log_weights, cloud.log_mass, w.w, w.shift, w.total, w.ess)]
+
+
+@pytest.mark.parametrize("threshold", [1.0, 0.5])
+@pytest.mark.parametrize("n_runs", [1, 3])
+@pytest.mark.parametrize("name", ["correlated_linear", "jump_ou", "change_detection"])
+def test_step_and_resample_never_write_into_the_cloud_they_are_given(name, n_runs, threshold):
+    """step resamples the cloud it makes in place, so every cloud it is given,
+    and every cloud it made before, must keep its bytes, cached weights included."""
+    m = make_model(name)
+    grid = TimeGrid(0.1, 0.01)
+    runs = range(n_runs)
+    y = np.stack([simulate_pair(m, grid, substream(20, i)).y for i in runs])
+    n = 64
+    cfg = FilterConfig(n_particles=n, resample_threshold=threshold, seed=21)
+    cloud = init_cloud(m.initial_law, n, [substream(21, TAG_INIT, i) for i in runs])
+    rngs = [substream(21, TAG_PROPAGATE, i) for i in runs], [substream(21, TAG_RESAMPLE, i) for i in runs]
+    spare = [substream(22, i) for i in runs]
+    seen = []
+    for k in range(grid.n_steps):
+        before = snapshot(cloud)
+        seen.append((cloud, before))
+        for rows in (list(runs), [n_runs - 1]):
+            resample(cloud, spare, rows)
+            assert snapshot(cloud) == before
+        coeffs = StepCoefficients(m, cloud.states, np.repeat(y[:, k], n, axis=0), cloud.t)
+        cloud, _ = step(cloud, coeffs, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
+        assert snapshot(seen[-1][0]) == before
+    for old, before in seen:
+        assert snapshot(old) == before
+
+
+@pytest.mark.parametrize("name, threshold", [("correlated_linear", 0.9), ("change_detection", 0.99)])
+def test_walk_of_a_block_equals_each_run_walked_alone(name, threshold):
+    """correlated_linear's propagation reads each run's dy and change_detection's
+    h its y: a block shares them by rows, a single run as one row, and every
+    cloud of the walk is the same bytes either way, at every step."""
+    m = make_model(name)
+    grid = TimeGrid(0.6, 0.01)   # the change times lie in [0.25, 0.75]
+    runs = (4, 5, 6)
+    n = 32
+    y = np.stack([simulate_pair(m, grid, substream(30, i)).y for i in runs])
+    cfg = FilterConfig(n_particles=n, resample_threshold=threshold, seed=31)   # rows resample at steps of their own
+    alone = [_walk(m, y[row:row + 1], grid, cfg, [(i,)]) for row, i in enumerate(runs)]
+    flags = []
+    for (cloud, coeffs, resampled), *singles in zip(_walk(m, y, grid, cfg, [(i,) for i in runs]), *alone):
+        for row, (one, one_coeffs, one_resampled) in enumerate(singles):
+            particles = slice(row * n, (row + 1) * n)
+            assert cloud.states[particles].tobytes() == one.states.tobytes(), (cloud.step, row)
+            assert coeffs.h[particles].tobytes() == one_coeffs.h.tobytes(), (cloud.step, row)
+            for name in ("log_weights", "log_mass"):
+                assert getattr(cloud, name)[row].tobytes() == getattr(one, name)[0].tobytes(), (cloud.step, row, name)
+            for name in ("w", "shift", "total", "ess"):
+                assert getattr(cloud.weights, name)[row].tobytes() == getattr(one.weights, name)[0].tobytes()
+            assert resampled[row] == one_resampled[0]
+        flags.append(resampled)
+    flags = np.array(flags)
+    assert np.any(flags.any(axis=1) & ~flags.all(axis=1)), "no step where only some rows resample"
+
+
+def entrywise_check(log_w):
+    """The check that the max-first one replaced: NaN becomes a zero weight,
+    and None stands for a collapse."""
+    if not np.all(np.isfinite(log_w)):
+        log_w = np.where(np.isnan(log_w), -np.inf, log_w)
+        if not np.all(np.isfinite(log_w.max(axis=-1))):
+            return None
+    return log_w
+
+
+class TestNonFiniteLogWeights:
+    """step checks the row maxima where it once checked every log-weight; the
+    outcome must be the same: the log-weights and weights it keeps, or a
+    FilterCollapse at its step, raised before the propagation."""
+
+    def step_with(self, model, log_weights, states):
+        cloud = ParticleCloud(states=states, log_weights=log_weights, log_mass=np.zeros(3), t=0.05, step=5)
+        cfg = FilterConfig(n_particles=16, resample_threshold=0.0, seed=0)   # never resamples: the log-weights stay
+        dy = np.array([[0.1], [-0.2], [0.05]])
+        return step_at(cloud, model, Y0, dy, 0.01, [substream(41, i) for i in range(3)],
+                       [substream(42, i) for i in range(3)], cfg)[0]
+
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "row of -inf", "+inf"])
+    def test_outcome_equals_the_entrywise_check(self, bad):
+        m = make_model("correlated_linear")
+        rng = substream(40)
+        states, log_weights = rng.standard_normal((48, 1)), rng.standard_normal((3, 16))
+        mask = np.zeros((3, 16), dtype=bool)
+        mask[{"nan": (1, 3), "-inf": (0, 2), "row of -inf": 1, "+inf": (2, 7)}[bad]] = True
+        if bad == "nan":
+            mask[2, [0, 5]] = True
+        value = {"nan": np.nan, "+inf": np.inf}.get(bad, -np.inf)
+        # a non-finite log-weight stays as it is through the increment; the others are those of the finite cloud
+        finite = self.step_with(m, log_weights, states)
+        expected = entrywise_check(np.where(mask, value, finite.log_weights))
+        if expected is None:
+            with pytest.raises(FilterCollapse) as exc:
+                self.step_with(m, np.where(mask, value, log_weights), states)
+            assert (exc.value.step, exc.value.ess) == (6, 0.0)
+            return
+        out = self.step_with(m, np.where(mask, value, log_weights), states)
+        assert out.log_weights.tobytes() == expected.tobytes()
+        assert np.all(out.weights.w[mask] == 0.0) and np.all(out.weights.w[~mask] > 0.0)
+        for name in ("w", "shift", "total", "ess"):
+            assert getattr(out.weights, name).tobytes() == getattr(Weights(expected, step=6), name).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("value", [-np.inf, np.inf])
+    def test_collapse_comes_before_a_blow_up_in_the_same_step(self, value):
+        m = linear_model("explode", a_x=400.0, sigma_v=0.0, h_scale=0.0)
+        states = np.full((48, 1), 1e307)   # the propagation overflows in this step
+        with pytest.raises(SimulationBlowUp) as exc:
+            self.step_with(m, np.zeros((3, 16)), states)
+        assert exc.value.step == 6
+        log_weights = np.zeros((3, 16))
+        log_weights[1] = value if value < 0 else 0.0
+        log_weights[1, 4] = value
+        with pytest.raises(FilterCollapse) as exc:
+            self.step_with(m, log_weights, states)
+        assert (exc.value.step, exc.value.ess) == (6, 0.0)
 
 
 def test_collapse_reports_the_step_it_is_given():
@@ -318,6 +480,19 @@ class TestRunFilter:
         clock = {"t": lambda states, t: seen.append(t) or np.zeros(len(states))}
         run_filter(m, y, grid, config, time_functionals=clock)
         assert seen == on_grid
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_time_functional_rejected(self):
+        # run_filter checks the row sums of its one product first, and every product only when one is not finite
+        m = make_model("linear_gaussian")
+        grid = TimeGrid(0.1, 0.01)
+        y = np.zeros((grid.n_steps + 1, 1))
+        config = FilterConfig(n_particles=16, seed=1)
+        huge = run_filter(m, y, grid, config, time_functionals={"huge": lambda states, t: np.full(len(states), 1e308)})
+        assert np.all(np.isinf(huge.pi["huge"]))   # finite values whose sum overflows are no error
+        with pytest.raises(ValueError, match="non-finite"):
+            run_filter(m, y, grid, config, time_functionals={"nan": lambda states, t: np.where(t > 0.05, np.nan, 0.0)
+                                                             * np.ones(len(states))})
 
     def test_path_grid_mismatch_rejected(self):
         m = make_model("linear_gaussian")

@@ -185,6 +185,17 @@ class TestSimulatePair:
             simulate_pair(m, TimeGrid(5.0, 0.01), substream(0))
         assert err.value.step > 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_a_finite_state_whose_sum_overflows_is_no_blow_up(self):
+        # euler_step checks one sum of the states, and each state only when that sum is not finite
+        m = linear_model("still", a_x=0.0, sigma_v=0.0)
+        x = np.full((4, 1), 1e308)
+        np.testing.assert_array_equal(euler_step(m, x, m.f(x), 0.01, None, np.zeros((1, 1)), step=3), x)
+        x[2] = np.inf
+        with pytest.raises(SimulationBlowUp) as err:
+            euler_step(m, x, m.f(x), 0.01, None, np.zeros((1, 1)), step=3)
+        assert err.value.step == 3
+
 
 class TestReferencePropagation:
     def test_uncorrelated_matches_p_dynamics_in_law(self):
