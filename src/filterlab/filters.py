@@ -100,12 +100,8 @@ class Weights:
         np.exp(self.w, out=self.w)
         self.shift = shift[..., 0]
         self.total = self.w.sum(axis=-1)
-        squares = self.normalized
+        squares = self.w / self.total[..., None]   # the normalised weights, squared in place
         self.ess = 1.0 / np.sum(np.multiply(squares, squares, out=squares), axis=-1)
-
-    @property
-    def normalized(self) -> Array:
-        return self.w / self.total[..., None]
 
 
 @lru_cache
@@ -124,16 +120,12 @@ def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
     return ParticleCloud(states=states, log_weights=np.zeros((len(rngs), n)), log_mass=np.zeros(len(rngs)), t=0.0)
 
 
-def systematic_resample(probs: Array, rng: np.random.Generator) -> Array:
-    """Systematic resampling indices for one run's normalised weights, from one uniform
-    draw u: index i is the first j whose cumulative weight c_j reaches (u + i) / n, or n - 1,
-    as np.searchsorted finds it. Here i counts the j with at most i positions at or below c_j,
-    floor(c_j n - u) + 1 up to rounding, which one comparison either side of it settles."""
-    return _systematic_indices(np.cumsum(probs), rng)
-
-
-def _systematic_indices(c: Array, rng: np.random.Generator) -> Array:
-    """systematic_resample from the cumulative weights c, in place into three arrays of its own."""
+def systematic_indices(c: Array, rng: np.random.Generator) -> Array:
+    """Systematic resampling indices from one run's cumulative normalised weights c and one
+    uniform draw u: index i is the first j whose c_j reaches (u + i) / n, or n - 1, as
+    np.searchsorted finds it. Here i counts the j with at most i positions at or below c_j,
+    floor(c_j n - u) + 1 up to rounding, which one comparison either side of it settles;
+    the arithmetic runs in place in three arrays of its own."""
     n, u = c.shape[0], rng.random()
     pos = c * n
     pos -= u
@@ -224,9 +216,9 @@ def _resample_rows(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) 
     total = N and the ESS of N equal weights."""
     weights, n = cloud.weights, cloud.n
     for row in rows:
-        c = weights.w[row] / weights.total[row]   # a row of weights.normalized, summed in place
+        c = weights.w[row] / weights.total[row]   # the row's normalised weights, summed in place
         particles = cloud.states[row * n:(row + 1) * n]
-        particles[...] = particles.take(_systematic_indices(np.cumsum(c, out=c), rngs[row]), axis=0)
+        particles[...] = particles.take(systematic_indices(np.cumsum(c, out=c), rngs[row]), axis=0)
     cloud.log_mass = cloud.log_mass.copy()
     cloud.log_mass[rows] = cloud.log_mass[rows] + weights.shift[rows] + np.log(weights.total[rows] / n)
     cloud.log_weights[rows] = 0.0
