@@ -200,9 +200,9 @@ def step(
 def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> ParticleCloud:
     """Systematic resampling of the given runs (rows of the block), each with
     one uniform from its own generator rngs[row]; the mean weight moves into
-    log_mass so that rho_t(1) is preserved by construction. The new cloud's
-    weights are set, not recomputed: a resampled run has w = 1 and total N.
-    The given cloud is left as it is; _resample_rows resamples a copy."""
+    log_mass so that rho_t(1) is preserved by construction. A resampled run's
+    weights are set, not recomputed: w = 1 and total N. The given cloud is
+    left as it is; _resample_rows resamples a copy."""
     new = ParticleCloud(cloud.states.copy(), cloud.log_weights.copy(), cloud.log_mass, cloud.t, cloud.step)
     new.weights = Weights(new.log_weights, new.step)   # the bytes of cloud.weights
     _resample_rows(new, rngs, rows)
