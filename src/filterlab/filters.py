@@ -23,7 +23,7 @@ Kushner-Stratonovich residuals of many.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -100,14 +100,13 @@ class Weights:
         np.exp(self.w, out=self.w)
         self.shift = shift[..., 0]
         self.total = self.w.sum(axis=-1)
-        squares = self.w / self.total[..., None]   # the normalised weights, squared in place
-        self.ess = 1.0 / np.sum(np.multiply(squares, squares, out=squares), axis=-1)
+        self.ess = _ess(self.w, self.total)
 
 
-@lru_cache
-def _even_ess(n: int) -> float:
-    """The ESS of n equal weights, as Weights computes it."""
-    return Weights(np.zeros((1, n)), 0).ess[0]
+def _ess(w: Array, total: Array) -> Array:
+    """1 / sum of the squared normalised weights w / total, per row."""
+    squares = w / total[..., None]   # the normalised weights, squared in place
+    return 1.0 / np.sum(np.multiply(squares, squares, out=squares), axis=-1)
 
 
 def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
@@ -193,26 +192,17 @@ def step(
     new.weights = weights
     resampled = weights.ess < config.resample_threshold * n
     if resampled.any():
-        _resample_rows(new, rngs_res, np.flatnonzero(resampled))   # the step's own arrays, in place
+        resample(new, rngs_res, np.flatnonzero(resampled))   # the step's own arrays, in place
     return new, resampled
 
 
-def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> ParticleCloud:
-    """Systematic resampling of the given runs (rows of the block), each with
-    one uniform from its own generator rngs[row]; the mean weight moves into
-    log_mass so that rho_t(1) is preserved by construction. A resampled run's
-    weights are set, not recomputed: w = 1 and total N. The given cloud is
-    left as it is; _resample_rows resamples a copy."""
-    new = ParticleCloud(cloud.states.copy(), cloud.log_weights.copy(), cloud.log_mass, cloud.t, cloud.step)
-    new.weights = Weights(new.log_weights, new.step)   # the bytes of cloud.weights
-    _resample_rows(new, rngs, rows)
-    return new
-
-
-def _resample_rows(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> None:
-    """resample, in place, of a cloud whose states, log-weights and weights
-    its caller owns; log_mass is replaced, not written. A resampled row's
-    weights take the bytes of all-zero log-weights: w = 1, shift = 0,
+def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> None:
+    """Systematic resampling, in place, of the given runs (rows of the block)
+    of a cloud whose states, log-weights and weights its caller owns, each
+    with one uniform from its own generator rngs[row]; the mean weight moves
+    into log_mass, which is replaced, not written, so that rho_t(1) is
+    preserved by construction. A resampled run's weights are set, not
+    recomputed, to the bytes of all-zero log-weights: w = 1, shift = 0,
     total = N and the ESS of N equal weights."""
     weights, n = cloud.weights, cloud.n
     for row in rows:
@@ -225,7 +215,7 @@ def _resample_rows(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) 
     weights.w[rows] = 1.0
     weights.shift[rows] = 0.0
     weights.total[rows] = float(n)
-    weights.ess[rows] = _even_ess(n)
+    weights.ess[rows] = _ess(weights.w[rows], weights.total[rows])
 
 
 def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:

@@ -124,8 +124,9 @@ def euler_step(
     for coeff, inc in ((model.sigma, dv), (model.sigma_bar, dw), (model.sigma_tilde, dl)):
         if inc is not None and not _is_zero(coeff):
             out += _times(coeff, x, inc)
-    # one sum, which only a non-finite entry or an overflow leaves non-finite
-    if not (np.isfinite(out.sum()) or np.isfinite(out).all()):
+    with np.errstate(over="ignore"):   # one sum, which only a non-finite entry or an overflow leaves non-finite
+        finite = np.isfinite(out.sum()) or np.isfinite(out).all()
+    if not finite:
         raise SimulationBlowUp(step)
     return out
 

@@ -51,6 +51,13 @@ LOG_WEIGHTS = st.lists(st.one_of(st.floats(-30, 5), st.just(-np.inf)), min_size=
 )
 
 
+def resampled(cloud, rngs, rows):
+    """A copy of the cloud, resampled in place by filters.resample; the cloud keeps its arrays."""
+    out = dataclasses.replace(cloud, states=cloud.states.copy(), log_weights=cloud.log_weights.copy())
+    resample(out, rngs, rows)
+    return out
+
+
 def make_cloud(states, log_weights, log_mass=0.0, t=0.0):
     return ParticleCloud(
         states=np.atleast_2d(np.asarray(states, dtype=float)).T
@@ -167,15 +174,17 @@ class TestResampling:
     def test_ess_is_n_after_resample(self):
         rng = substream(5)
         cloud = make_cloud(rng.standard_normal(256), rng.standard_normal(256))
-        out = resample(cloud, [substream(6)], [0])
+        out = resampled(cloud, [substream(6)], [0])
         assert out.weights.ess == pytest.approx(256.0)
         assert np.all(out.log_weights == 0.0)
 
     def test_resampled_weights_are_preset_to_the_bytes_of_zero_log_weights(self):
         rng = substream(7)
         cloud = make_cloud(rng.standard_normal(300), rng.standard_normal(300))
-        out = resample(cloud, [substream(8)], [0])
-        assert "weights" in vars(out)   # set by resample, not computed from the log-weights
+        out = dataclasses.replace(cloud, states=cloud.states.copy(), log_weights=cloud.log_weights.copy())
+        weights = out.weights
+        resample(out, [substream(8)], [0])
+        assert out.weights is weights   # set by resample, not computed from the log-weights
         fresh = Weights(np.zeros((1, 300)), step=0)
         for name in ("w", "shift", "total", "ess"):
             got, want = getattr(out.weights, name), getattr(fresh, name)
@@ -187,7 +196,7 @@ class TestResampling:
         rng = substream(9)
         lw = rng.standard_normal((3, 50))
         cloud = ParticleCloud(states=rng.standard_normal((150, 1)), log_weights=lw, log_mass=np.zeros(3), t=0.0)
-        out = resample(cloud, [substream(10), None, substream(11)], rows=[0, 2])
+        out = resampled(cloud, [substream(10), None, substream(11)], rows=[0, 2])
         np.testing.assert_array_equal(out.states[50:100], cloud.states[50:100])
         np.testing.assert_array_equal(out.log_weights[1], lw[1])
         assert out.log_mass[1] == 0.0 and np.all(out.log_weights[[0, 2]] == 0.0)
@@ -200,7 +209,7 @@ class TestResampling:
     def test_resample_preserves_rho_one(self, lws, log_mass, seed):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
         before = rho_one(cloud)
-        after = rho_one(resample(cloud, [substream(seed)], [0]))
+        after = rho_one(resampled(cloud, [substream(seed)], [0]))
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))
@@ -220,7 +229,7 @@ def snapshot(cloud):
 @pytest.mark.parametrize("threshold", [1.0, 0.5])
 @pytest.mark.parametrize("n_runs", [1, 3])
 @pytest.mark.parametrize("name", ["correlated_linear", "jump_ou", "change_detection"])
-def test_step_and_resample_never_write_into_the_cloud_they_are_given(name, n_runs, threshold):
+def test_step_never_writes_into_the_cloud_it_is_given(name, n_runs, threshold):
     """step resamples the cloud it makes in place, so every cloud it is given,
     and every cloud it made before, must keep its bytes, cached weights included."""
     m = make_model(name)
@@ -231,14 +240,10 @@ def test_step_and_resample_never_write_into_the_cloud_they_are_given(name, n_run
     cfg = FilterConfig(n_particles=n, resample_threshold=threshold, seed=21)
     cloud = init_cloud(m.initial_law, n, [substream(21, TAG_INIT, i) for i in runs])
     rngs = [substream(21, TAG_PROPAGATE, i) for i in runs], [substream(21, TAG_RESAMPLE, i) for i in runs]
-    spare = [substream(22, i) for i in runs]
     seen = []
     for k in range(grid.n_steps):
         before = snapshot(cloud)
         seen.append((cloud, before))
-        for rows in (list(runs), [n_runs - 1]):
-            resample(cloud, spare, rows)
-            assert snapshot(cloud) == before
         coeffs = StepCoefficients(m, cloud.states, np.repeat(y[:, k], n, axis=0), cloud.t)
         cloud, _ = step(cloud, coeffs, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
         assert snapshot(seen[-1][0]) == before
@@ -320,7 +325,7 @@ class TestNonFiniteLogWeights:
         for name in ("w", "shift", "total", "ess"):
             assert getattr(out.weights, name).tobytes() == getattr(Weights(expected, step=6), name).tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")   # the drift's own, which makes the blow-up
     @pytest.mark.parametrize("value", [-np.inf, np.inf])
     def test_collapse_comes_before_a_blow_up_in_the_same_step(self, value):
         m = linear_model("explode", a_x=400.0, sigma_v=0.0, h_scale=0.0)
@@ -482,7 +487,7 @@ class TestRunFilter:
         run_filter(m, y, grid, config, time_functionals=clock)
         assert seen == on_grid
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")   # the estimate's own: pi is inf
     def test_non_finite_time_functional_rejected(self):
         # run_filter checks the row sums of its one product first, and every product only when one is not finite
         m = make_model("linear_gaussian")
