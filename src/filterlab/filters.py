@@ -120,24 +120,9 @@ def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
 
 
 def systematic_indices(c: Array, rng: np.random.Generator) -> Array:
-    """Systematic resampling indices from one run's cumulative normalised weights c and one
-    uniform draw u: index i is the first j whose c_j reaches (u + i) / n, or n - 1, as
-    np.searchsorted finds it. Here i counts the j with at most i positions at or below c_j,
-    floor(c_j n - u) + 1 up to rounding, which one comparison either side of it settles;
-    the arithmetic runs in place in three arrays of its own."""
-    n, u = c.shape[0], rng.random()
-    pos = c * n
-    pos -= u
-    below = pos.astype(np.int64)
-    below += 1   # truncation errs by one below 0, which the first comparison repairs
-    np.subtract(below, 1, out=pos)   # the last position counted, which may lie above c_j
-    pos += u
-    pos /= n
-    below -= pos > c
-    np.add(below, u, out=pos)        # the first position left out, which may lie at or below c_j
-    pos /= n
-    below += pos <= c
-    return np.minimum(np.cumsum(np.bincount(below, minlength=n + 1)[:n], out=below), n - 1, out=below)
+    """Systematic resampling indices from one run's cumulative normalised weights c, from one uniform draw."""
+    n = c.shape[0]
+    return np.searchsorted(c, (rng.random() + np.arange(n)) / n).clip(max=n - 1)
 
 
 def step(

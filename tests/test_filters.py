@@ -1,6 +1,5 @@
 """Particle-filter contracts: normalisation, resampling, oracle accuracy."""
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -128,43 +127,7 @@ class TestEstimates:
             pi_estimate(cloud, bad)
 
 
-class FixedUniform:
-    """A generator stand-in whose one uniform draw is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
-def binary_search_indices(probs, u):
-    """Systematic resampling indices as a binary search of the positions (u + i) / n finds them."""
-    n = probs.shape[0]
-    return np.searchsorted(np.cumsum(probs), (u + np.arange(n)) / n).clip(max=n - 1)
-
-
 class TestResampling:
-    @given(st.lists(st.one_of(st.floats(0, 1), st.just(0.0), st.integers(1, 3)), min_size=1, max_size=300).filter(
-        lambda ws: sum(ws) > 0), st.integers(0, 2**32))
-    @settings(max_examples=300, deadline=None)
-    def test_systematic_indices_equal_the_binary_search(self, ws, seed):
-        probs = np.array(ws, dtype=float) / np.sum(ws)
-        rng = substream(seed)
-        u = copy.deepcopy(rng).random()
-        assert systematic_indices(np.cumsum(probs), rng).tobytes() == binary_search_indices(probs, u).tobytes()
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 10, 1000])
-    def test_systematic_indices_equal_the_binary_search_where_positions_meet_cumulative_weights(self, n):
-        # equal, dyadic and zero weights put positions exactly on, and within rounding of, the cumulative weights
-        rng = substream(50, n)
-        for probs in (np.full(n, 1.0 / n), np.where(np.arange(n) % 2, 0.0, 2.0 / (n + n % 2)),
-                      np.arange(1.0, n + 1) / (n * (n + 1) / 2)):
-            c = np.cumsum(probs)
-            for u in [0.0, 0.5, np.nextafter(1.0, 0.0)] + list(np.clip(c * n - np.floor(c * n), 0.0, 0.999)):
-                got = systematic_indices(c, FixedUniform(float(u)))
-                assert got.tobytes() == binary_search_indices(probs, u).tobytes(), (probs, u)
-
     def test_systematic_indices_cover_high_weight(self):
         lw = np.log(np.array([0.7, 0.1, 0.1, 0.1]))
         weights = Weights(lw, step=0)
