@@ -73,6 +73,25 @@ def _cases() -> dict[str, tuple[str, dict]]:
         "verify_ks_residual_ablation": ("verify", {"seed": 10, "diagnostics": {
             "checks": ["ks_residual_ablation"], "params": {"ks_residual_ablation": {
                 "n_runs": RESIDUAL_BLOCK + 4, "n_particles": 50, "dt": 0.02}}}}),
+        # the Kalman oracle on a model whose observation noise does not enter the signal
+        "verify_kalman_uncorrelated": ("verify", {"seed": 12, "diagnostics": {"checks": ["kalman_agreement"], "params": {
+            "kalman_agreement": {"model": "linear_gaussian", "n_seeds": 2, "n_particles": 200, "dt": 0.01,
+                                 "horizon": 0.5}}}}),
+        "counterexample_revuz_yor": ("counterexample", {"seed": 13, "counterexample": {
+            "kind": "revuz_yor", "n_paths": 500, "t": 0.5, "dt": 0.01}}),
+        "verify_change_detection_envelopes": ("verify", {"seed": 14, "diagnostics": {
+            "checks": ["gronwall", "local_boundedness"], "params": {
+                "gronwall": {"scenario": "change_detection", "n_paths": 300, "dt": 0.01},
+                "local_boundedness": {"scenario": "change_detection", "n_paths": 300, "dt": 0.01}}}}),
+        # ensembles simulated from a signal model: an observation-feedback sensor and a jumping signal
+        "verify_model_martingales": ("verify", {"seed": 15, "diagnostics": {
+            "checks": ["martingale_mean", "zstar_bound", "energy_identity"], "params": {
+                "martingale_mean": {"scenario": "change_detection", "times": [0.5, 1.0], "n_paths": 300, "dt": 0.01},
+                "zstar_bound": {"scenario": "jump_ou", "n_paths": 300, "dt": 0.01},
+                "energy_identity": {"scenario": "jump_ou", "n_paths": 300, "dt": 0.01}}}}),
+        "verify_revuz_yor_energy_base": ("verify", {"seed": 16, "diagnostics": {
+            "checks": ["revuz_yor_energy"], "params": {
+                "revuz_yor_energy": {"representation": "base", "n_paths": 500, "dt": 0.01}}}}),
     })
     return cases
 
