@@ -95,9 +95,9 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     hitting kinds, which take barriers, HITTING_MAX_TIME), a filter
     setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
     overflows a float, a count or barrier below MINIMUMS), a
-    change-detection key given to another scenario, or a dufresne check
-    horizon of at most DUFRESNE_MIN_HORIZON raises ConfigError naming
-    `where.key`."""
+    change-detection key given to another scenario, a model without
+    kalman_inputs given to a Kalman check, or a dufresne check horizon of
+    at most DUFRESNE_MIN_HORIZON raises ConfigError naming `where.key`."""
     defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values() if p.kind is p.KEYWORD_ONLY}
     kwargs = read_block(block, defaults, where)
     params = dict(defaults, **kwargs)
@@ -139,6 +139,9 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     if fn.__name__ == "check_dufresne" and params["horizon"] <= DUFRESNE_MIN_HORIZON:
         raise ConfigError(f"'{where}.horizon' must exceed 2 ln 100 ~ 9.21 (below it the closed-form tail, "
                           "not the simulated paths, carries much of the estimate)")
+    if inspect.unwrap(fn) in KALMAN_CHECKS and make_model(params["model"]).kalman_inputs is None:
+        raise ConfigError(f"'{where}.model': model {params['model']!r} has no Kalman-Bucy oracle (the filter is "
+                          "exact only for a linear model without jumps)")
     return kwargs
 
 
@@ -238,7 +241,7 @@ MODEL_KEYS = {
 }
 
 
-def parse_model(cfg: dict) -> tuple[SignalModel, str]:
+def parse_model(cfg: dict) -> SignalModel:
     block = cfg.get("model", {})
     if isinstance(block, str):
         block = {"name": block}
@@ -252,7 +255,7 @@ def parse_model(cfg: dict) -> tuple[SignalModel, str]:
         model = make_model(name, **params)
     except ModelError as exc:
         raise ConfigError(f"'model.{exc.key}': {exc}" if exc.key else f"model: {exc}") from None
-    return model, name
+    return model
 
 
 def filter_config(seed: int, *, n_particles=1000, resample_threshold=0.5, resampler="systematic",
@@ -469,6 +472,10 @@ def check_kalman_ablation(seed: int, *, model="correlated_linear", n_seeds=20, n
     return _kalman_check(seed, model, n_seeds, n_particles, dt, horizon, resample_threshold, tolerance, True)
 
 
+# the checks whose model must declare the inputs of the Kalman-Bucy oracle
+KALMAN_CHECKS = (check_kalman_agreement, check_kalman_ablation)
+
+
 RESIDUAL_PHIS = Battery.default(1).labels
 
 
@@ -511,7 +518,7 @@ def check_change_detection(seed: int, *, n_seeds=20, n_particles=10_000, dt=1e-3
                            resample_threshold=0.5, tolerance=0.05) -> Plan:
     config = FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed)
     grid = TimeGrid(horizon=horizon, dt=dt)
-    gaps = yield [(verify.change_detection_agreement_run, "change_detection", grid, config, i) for i in range(n_seeds)]
+    gaps = yield [(verify.change_detection_agreement_run, grid, config, i) for i in range(n_seeds)]
     return [CheckVerdict(check="change_detection_oracle_gap", scenario=f"n_seeds={n_seeds}",
                          estimate=float(np.mean(gaps)), reference=0.0, tolerance=tolerance,
                          detail=f"max_gap={max(gaps)!r}", one_sided=True)]
@@ -624,7 +631,7 @@ def float_table(header: list[str], columns) -> str:
 
 def cmd_simulate(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
     grid = parse_grid(cfg)
-    model, _ = parse_model(cfg)
+    model = parse_model(cfg)
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
     header = ["step", "t"] + [f"x_{i + 1}" for i in range(model.dim_x)] + [f"y_{j + 1}" for j in range(model.dim_y)]
     files = {"paths.csv": csv_table([[f"# horizon={grid.horizon!r} dt={grid.dt!r} seed={seed!r}"]])
@@ -639,10 +646,10 @@ def cmd_simulate(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str]
 
 def cmd_filter(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], int]:
     grid = parse_grid(cfg)
-    model, name = parse_model(cfg)
+    model = parse_model(cfg)
     config = filter_config(seed, **keyword_params(filter_config, cfg.get("filter", {}), "filter"))
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
-    functionals = {"prob_change": change_indicator} if name == "change_detection" else {}
+    functionals = {"prob_change": change_indicator} if model.change_prior is not None else {}
     run = run_filter(model, bundle.y, grid, config, battery=Battery.default(model.dim_x), time_functionals=functionals)
     header = ["t"] + [f"pi:{lab}" for lab in run.pi] + ["rho1", "ess", "resampled"]
     columns = [run.times, *run.pi.values(), run.rho_one, run.ess, np.concatenate([[False], run.resampled])]
@@ -672,8 +679,7 @@ def cmd_verify(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], 
         if v.trajectory:
             slug = "".join(c if c.isalnum() else "_" for c in f"{v.check}_{v.scenario}")
             files[f"trajectory_{slug}.csv"] = float_table(list(v.trajectory), list(v.trajectory.values()))
-    files["verdicts.csv"] = csv_table([["check", "scenario", "estimate", "reference", "tolerance", "passed",
-                                        "expect_fail", "detail"]] + [v.row() for v in verdicts])
+    files["verdicts.csv"] = csv_table([CheckVerdict.HEADER] + [v.row() for v in verdicts])
     n_ok = sum(1 for v in verdicts if v.ok())
     for v in verdicts:
         status = "FAIL" if not v.ok() else ("expected-fail" if v.expect_fail else "pass")

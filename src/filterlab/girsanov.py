@@ -162,7 +162,7 @@ def ensemble_from_model(model: SignalModel, grid: TimeGrid, n_paths: int, seed: 
         return euler_step(model, x, model.f(x), dt, dv, dw, dl, i + 1), y - h * dt + dw
 
     state = (model.initial_law(rng, n_paths), np.zeros((n_paths, model.dim_y)))
-    return _weighted_paths(grid, n_paths, rng, model.name, state, lambda s, t: -model.h_now(s[0], s[1], t),
+    return _weighted_paths(grid, n_paths, rng, model.name, state, lambda s, t: -model.h(s[0], s[1], t),
                            advance, u_of=lambda s: _one_plus_sq(s[0]))
 
 

@@ -145,8 +145,8 @@ class SignalModel:
     levy: Optional[LevySpec] = None
     sigma_tilde: Optional[Callable[[Array], Array]] = None
     gronwall_rate: Optional[float] = None
-    initial_mean: Optional[Array] = None      # analytic prior moments, when known
-    initial_cov: Optional[Array] = None
+    # (a_x, sigma_v, sigma_bar, h_scale, x0_mean, x0_var) of verify.kalman_bucy_oracle, where it is exact
+    kalman_inputs: Optional[tuple[float, ...]] = None
     change_prior: Optional[ChangePrior] = None   # set by the change-detection problem
 
     @property
@@ -160,9 +160,6 @@ class SignalModel:
         if self.has_jumps:
             out = out + self.sigma_tilde(x) @ self.levy.drift_b
         return out
-
-    def h_now(self, x: Array, y: Array, t: float) -> Array:
-        return self.h(x, np.asarray(y, dtype=float), float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +214,7 @@ class StepCoefficients:
 
     @cached_property
     def h(self) -> Array:
-        return self.model.h_now(self.x, self.y, self.t)
+        return self.model.h(self.x, self.y, self.t)
 
     @cached_property
     def jumps(self) -> list[tuple[float, Array]]:
@@ -367,7 +364,8 @@ def linear_model(
     sigma_tilde: float = 0.0,
 ) -> SignalModel:
     """Scalar linear/affine family: dX = a_x X dt + sigma_v dV + sigma_bar dW
-    (+ sigma_tilde dL), observed through h(x) = h_scale * x."""
+    (+ sigma_tilde dL), observed through h(x) = h_scale * x. Without jumps
+    the Kalman-Bucy filter is exact, and kalman_inputs holds its inputs."""
     return SignalModel(
         name=name,
         dim_x=1,
@@ -381,8 +379,7 @@ def linear_model(
         initial_law=gaussian_initial([x0_mean], [[x0_var]], "x0_var"),
         levy=levy,
         gronwall_rate=_linear_gronwall_rate(a_x, sigma_v, sigma_bar, h_scale, sigma_tilde, levy),
-        initial_mean=np.array([x0_mean]),
-        initial_cov=np.array([[x0_var]]),
+        kalman_inputs=None if levy is not None else (a_x, sigma_v, sigma_bar, h_scale, x0_mean, x0_var),
     )
 
 

@@ -12,6 +12,10 @@ run has the empty key and run i of a residual block (verify.residual_run)
 the key (i,), next to its data path (seed, TAG_PATH, i). Each is built once
 and drawn from in order, step after step, by that run alone, so a run's
 bytes do not depend on the block it is stepped in or on the worker count.
+Agreement run i (verify.kalman_agreement_run, change_detection_agreement_run)
+draws its data path from (seed, TAG_PATH, i) and runs one filter whose master
+seed is derive_seed(seed, TAG_KALMAN_FILTER or TAG_CHANGE_FILTER, i), so that
+filter's streams are (derived seed, TAG_role).
 """
 
 from __future__ import annotations

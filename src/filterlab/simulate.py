@@ -166,7 +166,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
         t = k * grid.dt
         x[:, k + 1] = euler_step(model, xk, model.f(xk), grid.dt, dv[k], dw[:, k], None if dl is None else dl[k], k + 1)
         # Observation identity: y[k+1] - y[k] = h(x[k]) dt + dw[k], exactly.
-        y[:, k + 1] = y[:, k] + model.h_now(xk, y[:, k], t) * grid.dt + dw[:, k]
+        y[:, k + 1] = y[:, k] + model.h(xk, y[:, k], t) * grid.dt + dw[:, k]
         if not np.all(np.isfinite(y[:, k + 1])):
             raise SimulationBlowUp(k + 1)
     return [PathBundle(grid=grid, x=x[i], y=y[i], jump_log=jump_logs[i]) for i in range(r)]

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .filters import FilterConfig, _walk, run_filter
 from .girsanov import Estimate, mean_se
-from .models import Battery, SignalModel, change_indicator, make_model
+from .models import Battery, ChangePrior, SignalModel, change_indicator, make_model
 from .parallel import Plan
 from .rng import TAG_CHANGE_FILTER, TAG_KALMAN_FILTER, TAG_PATH, derive_seed, substream
 from .simulate import PATH_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
@@ -85,6 +85,9 @@ class CheckVerdict:
 
     def ok(self) -> bool:
         return self.passed != self.expect_fail
+
+    HEADER: ClassVar[tuple[str, ...]] = ("check", "scenario", "estimate", "reference", "tolerance", "passed",
+                                         "expect_fail", "detail")   # the columns of row()
 
     def row(self) -> list[str]:
         return [
@@ -165,20 +168,6 @@ def kalman_bucy_oracle(
     return KalmanTrajectory(mean=mean, cov=cov)
 
 
-def kalman_oracle_for_model(model: SignalModel, y_path: Array, grid: TimeGrid) -> KalmanTrajectory:
-    """Kalman oracle wired to the scalar linear/affine built-ins."""
-    probe = np.array([[1.0]])
-    a_x = model.f(probe)[0]
-    sigma_v = model.sigma(probe)[0]
-    sigma_bar = model.sigma_bar(probe)[0]
-    h_mat = model.h_now(probe, np.zeros(model.dim_y), 0.0)
-    if model.initial_mean is None or model.initial_cov is None:
-        raise ValueError("model declares no analytic prior moments for the oracle")
-    return kalman_bucy_oracle(
-        a_x, sigma_v, sigma_bar, h_mat, model.initial_mean, model.initial_cov, y_path, grid
-    )
-
-
 # ---------------------------------------------------------------------------
 # Change-detection grid-Bayes oracle
 # ---------------------------------------------------------------------------
@@ -192,59 +181,35 @@ class GridPosterior:
     prob_change: Array          # trajectory of P(T <= t | Y) on the grid
 
 
-def change_detection_oracle(
-    b_values: Array,
-    tau_values: Array,
-    b_prior: Array,
-    tau_prior: Array,
-    b0: float,
-    y_path: Array,
-    grid: TimeGrid,
-) -> GridPosterior:
+def change_detection_oracle(prior: ChangePrior, y_path: Array, grid: TimeGrid) -> GridPosterior:
     """Grid-Bayes posterior for the change-detection sensor
-    h_{b,tau}(t, y) = (b0 + b 1_{t >= tau}) y.
+    h_{b,tau}(t, y) = (b0 + b 1_{t >= tau}) y under the model's prior.
 
     Each cell accumulates the exact discrete log-likelihood
     sum_k [h dy_k - h^2 dt / 2] with left-point y_k; the prior is applied
     once and the joint is renormalised at every grid time, so the
     P(T <= t | Y) trajectory comes out alongside the terminal posterior.
     """
-    b_values = np.asarray(b_values, dtype=float)
-    tau_values = np.asarray(tau_values, dtype=float)
-    b_prior = np.asarray(b_prior, dtype=float)
-    tau_prior = np.asarray(tau_prior, dtype=float)
-    if b_values.size == 0 or tau_values.size == 0:
-        raise ValueError("priors must be supported on non-empty grids")
     y = np.asarray(y_path, dtype=float).reshape(-1)
     if y.shape[0] != grid.n_steps + 1:
         raise ValueError("observation path does not match the grid")
-    log_prior = np.log(np.outer(b_prior, tau_prior))
-    loglik = np.zeros((b_values.size, tau_values.size))
+    log_prior = np.log(np.outer(prior.b_probs, prior.tau_probs))
+    loglik = np.zeros(log_prior.shape)
     prob_change = np.zeros(grid.n_steps + 1)
     dt = grid.dt
-    tau_col = tau_values[None, :]
-    b_col = b_values[:, None]
-
-    def change_marginal(t: float) -> float:
+    tau_col = prior.tau_values[None, :]
+    b_col = prior.b_values[:, None]
+    for k in range(grid.n_steps + 1):
         joint = log_prior + loglik
         joint -= joint.max()
         mass = np.exp(joint)
         mass /= mass.sum()
-        return float(mass[:, tau_values <= t].sum())
-
-    prob_change[0] = change_marginal(0.0)
-    for k in range(grid.n_steps):
-        t = k * dt
-        h = (b0 + b_col * (t >= tau_col)) * y[k]
-        dy = y[k + 1] - y[k]
-        loglik += h * dy - 0.5 * h * h * dt
-        prob_change[k + 1] = change_marginal((k + 1) * dt)
-    joint = log_prior + loglik
-    joint -= joint.max()
-    mass = np.exp(joint)
-    mass /= mass.sum()
-    if abs(mass.sum() - 1.0) > 1e-12:
-        raise ValueError("posterior mass failed to normalise")
+        prob_change[k] = mass[:, prior.tau_values <= k * dt].sum()
+        if k < grid.n_steps:
+            h = (prior.b0 + b_col * (k * dt >= tau_col)) * y[k]
+            loglik += h * (y[k + 1] - y[k]) - 0.5 * h * h * dt
+    if not np.isfinite(mass).all():   # NaN compares False, so no test of the sum would catch it
+        raise ValueError("posterior mass is not finite")
     return GridPosterior(posterior=mass, prob_change=prob_change)
 
 
@@ -354,11 +319,11 @@ def equation_residuals(
 
 def kalman_agreement_run(name: str, grid: TimeGrid, config: FilterConfig, run_index: int) -> tuple[float, float]:
     """|posterior mean - oracle mean| and |posterior var - oracle var| at the
-    horizon, for one data path of model `name`; the oracle runs on the same
-    observations."""
+    horizon, for one data path of model `name`, which must declare
+    kalman_inputs; the oracle runs on the same observations."""
     model = make_model(name)
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
-    oracle = kalman_oracle_for_model(model, bundle.y, grid)
+    oracle = kalman_bucy_oracle(*model.kalman_inputs, bundle.y, grid)
     cfg = replace(config, seed=derive_seed(config.seed, TAG_KALMAN_FILTER, run_index))
     run = run_filter(model, bundle.y, grid, cfg, battery=Battery(("x", "x^2"), 1))
     m_pf = run.pi["x"][-1]
@@ -366,14 +331,11 @@ def kalman_agreement_run(name: str, grid: TimeGrid, config: FilterConfig, run_in
     return abs(m_pf - oracle.mean[-1, 0]), abs(v_pf - oracle.cov[-1, 0, 0])
 
 
-def change_detection_agreement_run(name: str, grid: TimeGrid, config: FilterConfig, run_index: int) -> float:
-    """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path of model `name`."""
-    model = make_model(name)
-    prior = model.change_prior
+def change_detection_agreement_run(grid: TimeGrid, config: FilterConfig, run_index: int) -> float:
+    """sup_t |particle P(T <= t | Y) - grid-Bayes P(T <= t | Y)| for one path of the change-detection model."""
+    model = make_model("change_detection")
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
-    oracle = change_detection_oracle(
-        prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid
-    )
+    oracle = change_detection_oracle(model.change_prior, bundle.y, grid)
     cfg = replace(config, seed=derive_seed(config.seed, TAG_CHANGE_FILTER, run_index))
     run = run_filter(model, bundle.y, grid, cfg, time_functionals={"prob_change": change_indicator})
     return float(np.max(np.abs(run.pi["prob_change"] - oracle.prob_change)))

@@ -280,7 +280,7 @@ def test_criterion_09b_zakai_mass_equation_reduction():
             w = np.exp(cloud.log_weights[0] - shift)
             mass = math.exp(cloud.log_mass[0] + shift)
             rho_one.append(mass * w.mean())
-            h = model.h_now(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
+            h = model.h(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
                 coeffs = StepCoefficients(model, cloud.states, bundle.y[k], cloud.t)
@@ -302,7 +302,7 @@ def test_criterion_09b_zakai_mass_equation_reduction():
 
 def test_criterion_10_change_detection():
     config = FilterConfig(n_particles=10_000, resample_threshold=0.5, seed=SEED)
-    tasks = [(change_detection_agreement_run, "change_detection", TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
+    tasks = [(change_detection_agreement_run, TimeGrid(1.0, 1e-3), config, i) for i in range(20)]
     [gaps] = run_plans([gather(tasks)], WORKERS)
     mean_gap = float(np.mean(gaps))
     ok = mean_gap < 0.05

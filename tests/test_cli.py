@@ -572,6 +572,11 @@ STRICT_CASES = {
     "prior_empty": ("simulate", dict(MODEL_CFG, model={"name": "change_detection", "b_values": []}), "model.b_values"),
     "check_model": ("verify", verify_cfg({"kalman_agreement": dict(KALMAN, model="nope")}),
                     "diagnostics.params.kalman_agreement.model"),
+    # a model with no Kalman-Bucy oracle used to end in an IndexError traceback (change_detection) or to be
+    # checked against an oracle blind to its jumps (jump_ou)
+    **{f"{check}_{model}": ("verify", verify_cfg({check: dict(KALMAN, model=model)}),
+                            f"diagnostics.params.{check}.model")
+       for check in ("kalman_agreement", "kalman_ablation") for model in ("change_detection", "jump_ou")},
     "scenario": ("verify", verify_cfg({"zstar_bound": dict(SMALL, scenario="nope")}),
                  "diagnostics.params.zstar_bound.scenario"),
     "model_only_scenario": ("verify", verify_cfg({"gronwall": dict(SMALL, scenario="revuz_yor")}),

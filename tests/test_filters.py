@@ -23,7 +23,7 @@ from filterlab.filters import (
 from filterlab.models import Battery, StepCoefficients, change_indicator, gaussian_initial, linear_model, make_model
 from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
 from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
-from filterlab.verify import kalman_oracle_for_model, residual_run
+from filterlab.verify import kalman_bucy_oracle, residual_run
 
 Y0 = np.zeros(1)
 
@@ -512,7 +512,7 @@ class TestStatisticalProperties:
             sq = []
             for i in range(n_seeds):
                 bundle = simulate_pair(m, grid, substream(700, i))
-                oracle = kalman_oracle_for_model(m, bundle.y, grid)
+                oracle = kalman_bucy_oracle(*m.kalman_inputs, bundle.y, grid)
                 cfg = FilterConfig(n_particles=n, seed=derive_seed(701, n, i))
                 run = run_filter(m, bundle.y, grid, cfg, battery=Battery(("x",), 1))
                 sq.append((run.pi["x"][-1] - oracle.mean[-1, 0]) ** 2)

@@ -63,6 +63,27 @@ def test_jump_ou_rejects_overrides_naming_the_key():
     assert make_model("jump_ou").name == "jump_ou"
 
 
+@pytest.mark.parametrize("model", [make_model("linear"), make_model("linear_gaussian"), make_model("correlated_linear"),
+                                   linear_model("custom", a_x=-0.7, sigma_v=1.3, sigma_bar=0.4, h_scale=2.1,
+                                                x0_mean=0.6, x0_var=0.9)], ids=lambda m: m.name)
+def test_kalman_inputs_are_the_model_coefficients(model):
+    # linear_model states each coefficient twice, in its callables and in kalman_inputs
+    a_x, sigma_v, sigma_bar, h_scale, x0_mean, x0_var = model.kalman_inputs
+    x = np.array([[-1.5], [0.3], [2.0]])
+    np.testing.assert_array_equal(model.f(x), a_x * x)
+    np.testing.assert_array_equal(model.sigma(x), np.full((3, 1, 1), sigma_v))
+    np.testing.assert_array_equal(model.sigma_bar(x), np.full((3, 1, 1), sigma_bar))
+    np.testing.assert_array_equal(model.h(x, Y0, 0.0), h_scale * x)
+    # N(x0_mean, x0_var) draws mean + sqrt(var) * z from the same normals z
+    expected = x0_mean + np.sqrt(x0_var) * substream(2).standard_normal((4, 1))
+    np.testing.assert_allclose(model.initial_law(substream(2), 4), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["jump_ou", "change_detection"])
+def test_no_kalman_inputs_where_the_kalman_filter_is_not_exact(name):
+    assert make_model(name).kalman_inputs is None
+
+
 def test_correlated_linear_default_is_overridable():
     x = np.zeros((1, 1))
     assert make_model("correlated_linear").sigma_bar(x)[0, 0, 0] == 0.5
@@ -238,8 +259,8 @@ class TestChangeDetectionModel:
         m = change_detection_model(b0=-0.5)
         states = np.array([[1.0, 0.4], [2.0, 0.8]])
         y = np.array([3.0])
-        before = m.h_now(states, y, 0.2)
-        after = m.h_now(states, y, 0.6)
+        before = m.h(states, y, 0.2)
+        after = m.h(states, y, 0.6)
         np.testing.assert_allclose(before[:, 0], [-1.5, -1.5])
         np.testing.assert_allclose(after[:, 0], [(-0.5 + 1.0) * 3.0, -1.5])
 

@@ -56,8 +56,7 @@ def test_two_workers_equal_serial_kalman_runs(n_runs):
 def test_two_workers_equal_serial_change_detection_runs(n_runs):
     config = FilterConfig(n_particles=16, resample_threshold=0.5, seed=5)
     # changes fall in [0.25, 0.75]
-    tasks = [(change_detection_agreement_run, "change_detection", TimeGrid(0.4, 0.02), config, i)
-             for i in range(n_runs)]
+    tasks = [(change_detection_agreement_run, TimeGrid(0.4, 0.02), config, i) for i in range(n_runs)]
     one = serial(tasks)
     assert one[0] != one[1]
     assert run_plans([gather(tasks)], 2) == [one]

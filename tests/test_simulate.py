@@ -113,7 +113,7 @@ def reference_pair(model, grid, rng):
             jump_log.extend((k, mark) for mark in marks)
         xk = x[k:k + 1]
         x[k + 1] = euler_step(model, xk, model.f(xk), dt, dv, dw[k:k + 1], dl, k + 1)[0]
-        y[k + 1] = y[k] + model.h_now(xk, y[k:k + 1], k * dt)[0] * dt + dw[k]
+        y[k + 1] = y[k] + model.h(xk, y[k:k + 1], k * dt)[0] * dt + dw[k]
     return x, y, dw, jump_log
 
 
@@ -131,7 +131,7 @@ class TestSimulatePair:
         b = simulate_pair(m, grid, substream(5))
         dw = reference_pair(m, grid, substream(5))[2]   # the observation noise the path drew
         for k in range(grid.n_steps):
-            h_k = m.h_now(b.x[k][None, :], b.y[k], k * grid.dt)[0]
+            h_k = m.h(b.x[k][None, :], b.y[k], k * grid.dt)[0]
             rebuilt = b.y[k] + h_k * grid.dt + dw[k]
             np.testing.assert_array_equal(rebuilt, b.y[k + 1])
 

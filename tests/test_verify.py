@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from filterlab import cli
 from filterlab.filters import FilterConfig
-from filterlab.models import Battery, StepCoefficients, make_model
+from filterlab.models import Battery, ModelError, StepCoefficients, change_detection_model, make_model
 from filterlab.parallel import run_plans
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
@@ -22,7 +22,6 @@ from filterlab.verify import (
     equation_residuals,
     kalman_agreement_run,
     kalman_bucy_oracle,
-    kalman_oracle_for_model,
     kazamaki_gap_check,
     residual_run,
 )
@@ -70,7 +69,7 @@ class TestKalmanOracle:
         grid = TimeGrid(1.0, 1e-2)
         m = make_model("correlated_linear")
         bundle = simulate_pair(m, grid, substream(13))
-        out = kalman_oracle_for_model(m, bundle.y, grid)
+        out = kalman_bucy_oracle(*m.kalman_inputs, bundle.y, grid)
         for k in range(0, grid.n_steps + 1, 10):
             p = out.cov[k]
             np.testing.assert_allclose(p, p.T)
@@ -89,10 +88,8 @@ class TestChangeDetectionOracle:
         grid = TimeGrid(0.5, 1e-2)
         m = make_model("change_detection")
         bundle = simulate_pair(m, grid, substream(3))
-        post = change_detection_oracle(
-            np.array([1.3]), np.array([0.4]), np.array([1.0]), np.array([1.0]),
-            -0.5, bundle.y, grid,
-        )
+        post = change_detection_oracle(change_detection_model(b_values=[1.3], tau_values=[0.4]).change_prior,
+                                       bundle.y, grid)
         assert post.posterior.shape == (1, 1)
         assert post.posterior[0, 0] == pytest.approx(1.0)
         assert post.posterior.sum() == pytest.approx(1.0, abs=1e-12)
@@ -102,10 +99,8 @@ class TestChangeDetectionOracle:
         grid = TimeGrid(0.5, 1e-2)
         m = make_model("change_detection")
         bundle = simulate_pair(m, grid, substream(4))
-        post = change_detection_oracle(
-            np.array([1.1, 1.6]), np.array([0.3]), np.array([0.5, 0.5]), np.array([1.0]),
-            -0.5, bundle.y, grid,
-        )
+        post = change_detection_oracle(change_detection_model(b_values=[1.1, 1.6], tau_values=[0.3]).change_prior,
+                                       bundle.y, grid)
         direct = [change_detection_loglik_direct(b, 0.3, -0.5, bundle.y, grid) for b in (1.1, 1.6)]
         assert np.log(post.posterior[1, 0] / post.posterior[0, 0]) == pytest.approx(direct[1] - direct[0], rel=1e-9)
 
@@ -115,8 +110,7 @@ class TestChangeDetectionOracle:
         # four (step, tau) pairs on the wrong side
         grid = TimeGrid(1.0, 2.5e-3)
         prior = make_model("change_detection").change_prior
-        post = change_detection_oracle(prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0,
-                                       np.zeros(grid.n_steps + 1), grid)
+        post = change_detection_oracle(prior, np.zeros(grid.n_steps + 1), grid)
         expected = [prior.tau_probs[prior.tau_values <= k * grid.dt].sum() for k in range(grid.n_steps + 1)]
         np.testing.assert_allclose(post.prob_change, expected, rtol=0.0, atol=1e-12)
 
@@ -124,24 +118,21 @@ class TestChangeDetectionOracle:
         grid = TimeGrid(1.0, 1e-2)
         m = make_model("change_detection")
         bundle = simulate_pair(m, grid, substream(5))
-        prior = m.change_prior
-        post = change_detection_oracle(
-            prior.b_values, prior.tau_values, prior.b_probs, prior.tau_probs, prior.b0, bundle.y, grid,
-        )
+        post = change_detection_oracle(m.change_prior, bundle.y, grid)
         assert abs(post.posterior.sum() - 1.0) < 1e-12
         assert np.all(post.posterior >= 0.0)
         assert np.all((post.prob_change >= 0.0) & (post.prob_change <= 1.0 + 1e-12))
 
     def test_particle_filter_tracks_oracle(self):
         grid = TimeGrid(1.0, 2e-3)
-        gap = change_detection_agreement_run("change_detection", grid, FilterConfig(n_particles=4000, seed=19), 0)
+        gap = change_detection_agreement_run(grid, FilterConfig(n_particles=4000, seed=19), 0)
         assert gap < 0.08, f"particle/grid posterior gap {gap:.3f}"
 
     def test_empty_grid_rejected(self):
-        grid = TimeGrid(0.1, 1e-2)
-        with pytest.raises(ValueError):
-            change_detection_oracle(np.array([]), np.array([0.5]), np.array([]),
-                                    np.array([1.0]), 0.0, np.zeros(11), grid)
+        # the oracle takes its prior from the model, which refuses an empty grid of values
+        with pytest.raises(ModelError) as refused:
+            change_detection_model(b_values=[])
+        assert refused.value.key == "b_values"
 
 
 ONE = Battery(("1",), 1)
@@ -176,7 +167,7 @@ class TestResiduals:
             w = np.exp(lw - lw.max())
             mass = math.exp(cloud.log_mass[0] + lw.max())
             rho_one.append(mass * w.mean())
-            h = m.h_now(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
+            h = m.h(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
                 coeffs = StepCoefficients(m, cloud.states, bundle.y[k], cloud.t)
@@ -237,7 +228,7 @@ class TestResiduals:
             w = np.exp(cloud.log_weights - shift)                  # (1, N)
             mass = np.exp(cloud.log_mass + shift[:, 0])
             sw = w.sum(axis=1)
-            h = m.h_now(cloud.states, y_k, t)[None]                # (1, N, m)
+            h = m.h(cloud.states, y_k, t)[None]                # (1, N, m)
             pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
             for label in labels:
                 one = Battery((label,), 1)                         # its single column is the run's (1, N) row
