@@ -123,6 +123,14 @@ class TestChangeDetectionOracle:
         assert np.all(post.posterior >= 0.0)
         assert np.all((post.prob_change >= 0.0) & (post.prob_change <= 1.0 + 1e-12))
 
+    def test_non_finite_posterior_is_refused(self):
+        # abs(mass.sum() - 1) > tol is False for NaN, so only a finiteness check refuses it
+        grid = TimeGrid(0.1, 1e-2)
+        y = np.zeros(grid.n_steps + 1)
+        y[5] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            change_detection_oracle(make_model("change_detection").change_prior, y, grid)
+
     def test_particle_filter_tracks_oracle(self):
         grid = TimeGrid(1.0, 2e-3)
         gap = change_detection_agreement_run(grid, FilterConfig(n_particles=4000, seed=19), 0)
