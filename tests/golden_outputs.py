@@ -46,6 +46,10 @@ def _cases() -> dict[str, tuple[str, dict]]:
     cases = {f"{workload}_{i}_{command}": (command, cfg)
              for workload in workloads.WORKLOADS
              for i, (command, cfg) in enumerate(workloads.commands(workload, 1, "quick"))}
+    # the residual workload at full size too: its reductions run over 4 x 8 x 400 entries, where einsum's
+    # result can depend on the array shape, which the quick size does not reach
+    cases.update({f"small_cloud_residuals_full_{i}_{command}": (command, cfg)
+                  for i, (command, cfg) in enumerate(workloads.commands("small_cloud_residuals", 1, "full"))})
     grid = {"horizon": 1.0, "dt": 0.01}
     residual = {"model": "correlated_linear", "n_runs": RESIDUAL_BLOCK + 4, "n_particles": 50, "dt": 0.02,
                 "horizon": 1.0}
