@@ -92,17 +92,21 @@ class LevySpec:
         """Mean of the normalised jump law, int rho F(drho) / jump_rate."""
         return (self.rates[:, None] * self.locs).sum(axis=0) / max(self.jump_rate, 1e-300)
 
-    @property
+    @cached_property
     def drift_b(self) -> Array:
         """Drift of the compensated Levy-Ito form: b = a - int_{|rho|>=1} rho F."""
         return self.drift_a - self.mean_large
+
+    def compensated_drift(self, dt: float) -> Array:
+        """b dt - jump_rate * mean_mark * dt: the increment of L over dt when no jump fires."""
+        return self.drift_b * dt - self.jump_rate * self.mean_mark * dt
 
     def sample_marks(self, rng: np.random.Generator, k: int) -> Array:
         """k marks drawn from the normalised jump law by inverse CDF: the
         draws, and the generator state after them, of rng.choice(len(rates),
         size=k, p=rates / jump_rate), without its per-call checks of p."""
         if k == 0:
-            return np.zeros((0, self.dim))
+            return self.locs[:0]
         return self.locs[self.mark_cdf.searchsorted(rng.random(k), side="right")]
 
 
@@ -158,7 +162,7 @@ class SignalModel:
         """Effective drift f + sigma_tilde @ b once jumps are compensated."""
         out = self.f(x)
         if self.has_jumps:
-            out = out + self.sigma_tilde(x) @ self.levy.drift_b
+            out = out + times(self.sigma_tilde, x, self.levy.drift_b)
         return out
 
 
@@ -181,6 +185,24 @@ def const_coeff(matrix) -> ConstCoeff:
     return ConstCoeff(np.asarray(matrix, dtype=float))
 
 
+def is_zero(coeff) -> bool:
+    """Whether a coefficient is a constant matrix of zeros (a term that moves nothing)."""
+    return isinstance(coeff, ConstCoeff) and coeff.zero
+
+
+def matrix_or_values(coeff, x: Array) -> Array:
+    """The matrix of a constant coefficient, or the per-state values coeff(x) of any other."""
+    return coeff.matrix if isinstance(coeff, ConstCoeff) else coeff(x)
+
+
+def times(coeff, x: Array, v: Array) -> Array:
+    """coeff(x) v per state, v one row (n, r) per state or one (r,) that all share: for a constant
+    coefficient one product v @ M.T (np.dot, without matmul's per-call cost), else a batched contraction."""
+    if isinstance(coeff, ConstCoeff):
+        return np.dot(v, coeff.matrix.T)
+    return np.einsum("nij,nj->ni", coeff(x), np.broadcast_to(v, x.shape[:1] + v.shape[-1:]))
+
+
 # ---------------------------------------------------------------------------
 # Test functions and the operators of the filtering equations
 # ---------------------------------------------------------------------------
@@ -189,8 +211,9 @@ def const_coeff(matrix) -> ConstCoeff:
 class StepCoefficients:
     """The coefficients that every test function shares at one step, on an
     (n, d) batch of states: f~(x), sigma sigma^T + sigma_bar sigma_bar^T,
-    sigma_bar(x), h(x, y, t) and the rate and jump sigma_tilde(x) eta of each
-    atom of the Levy measure. Each is evaluated on first use, at most once.
+    h(x, y, t) and the rate and jump sigma_tilde(x) eta of each atom of the
+    Levy measure, each evaluated on first use, at most once. Constant
+    coefficients give one (d, d) diffusion and (d,) jumps for all states.
     """
 
     def __init__(self, model: SignalModel, states: Array, y: Array, t: float = 0.0):
@@ -204,13 +227,9 @@ class StepCoefficients:
         return self.model.f_tilde(self.x)
 
     @cached_property
-    def sigma_bar(self) -> Array:
-        return self.model.sigma_bar(self.x)
-
-    @cached_property
     def diffusion(self) -> Array:
-        sig, sbar = self.model.sigma(self.x), self.sigma_bar
-        return np.einsum("nip,njp->nij", sig, sig) + np.einsum("nim,njm->nij", sbar, sbar)
+        sig, sbar = (matrix_or_values(coeff, self.x) for coeff in (self.model.sigma, self.model.sigma_bar))
+        return np.einsum("...ip,...jp->...ij", sig, sig) + np.einsum("...im,...jm->...ij", sbar, sbar)
 
     @cached_property
     def h(self) -> Array:
@@ -218,8 +237,8 @@ class StepCoefficients:
 
     @cached_property
     def jumps(self) -> list[tuple[float, Array]]:
-        stil = self.model.sigma_tilde(self.x)
-        return [(lam, stil @ eta) for eta, lam in zip(self.model.levy.locs, self.model.levy.rates)]
+        return [(lam, times(self.model.sigma_tilde, self.x, eta))
+                for eta, lam in zip(self.model.levy.locs, self.model.levy.rates)]
 
 
 def _label_terms(d: int) -> dict[str, tuple[str, int, int]]:
@@ -316,18 +335,23 @@ class Battery:
         """
         grad = self.gradients(c.x)
         gen = np.einsum("ni,kni->kn", c.f_tilde, grad)
-        gen = gen + 0.5 * np.einsum("nij,knij->kn", c.diffusion, self.hessians(c.x))
+        term = np.einsum("...ij,k...ij->k...", c.diffusion, self.hessians(c.x))
+        gen += np.multiply(term, 0.5, out=term)   # each term in place in one (K, n) array
         if c.model.has_jumps and c.model.levy.jump_rate > 0:
             jump = np.zeros(gen.shape)
-            for lam, disp in c.jumps:
-                jump += lam * (self.values(c.x + disp) - values - np.einsum("kni,ni->kn", grad, disp))
-            gen = gen + jump
+            for lam, disp in c.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
+                np.subtract(self.values(c.x + disp, out=term), values, out=term)
+                term -= np.einsum("k...i,...i->k...", grad, disp)
+                jump += np.multiply(term, lam, out=term)
+            gen += jump
         finite = np.isfinite(gen).all(axis=1)
         if not finite.all():
             bad = [label for label, ok in zip(self.labels, finite) if not ok]
             raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")
-        corr = np.einsum("nim,kni->knm", c.sigma_bar, grad)
-        return gen, corr, c.h * values[..., None] + corr
+        corr = np.einsum("...im,k...i->k...m", matrix_or_values(c.model.sigma_bar, c.x), grad)
+        dphi = c.h * values[..., None]
+        dphi += corr
+        return gen, corr, dphi
 
 
 # ---------------------------------------------------------------------------

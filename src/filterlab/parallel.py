@@ -13,7 +13,6 @@ that ask for equal tasks share them and independent tasks share the pool.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Generator, Sequence
 
 Plan = Generator[list, list, object]
@@ -23,6 +22,7 @@ def map_ordered(fn: Callable, items: Sequence, workers: int = 1) -> list:
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor   # here, so that a serial run never loads multiprocessing
     workers = min(workers, len(items))   # fork starts all max_workers processes at the first submit
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import ConstCoeff, LevySpec, SignalModel, StepCoefficients
+from .models import LevySpec, SignalModel, StepCoefficients, is_zero, times
 from .rng import TAG_DUFRESNE, TAG_HITTING, substream
 
 Array = np.ndarray
@@ -72,35 +72,23 @@ class PathBundle:
     jump_log: list[tuple[int, Array]] = field(default_factory=list)
 
 
-def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Generator) -> tuple[Array, Array]:
+def batch_levy_increments(levy: LevySpec, dt: float, n: int, rng: np.random.Generator,
+                          out: Optional[Array] = None) -> tuple[Array, Array]:
     """n independent increments of L over dt, shape (n, r), and the marks that
     fired, in path order. L_t = b t + compensated jumps, so a path's increment
-    is b dt - jump_rate * mean_mark * dt plus its marks, added one at a time,
-    and has mean b dt. The Poisson counts of all paths are one draw and their
-    marks the next; a zero jump rate draws nothing."""
-    out = np.empty((n, levy.dim))
-    out[...] = levy.drift_b * dt - levy.jump_rate * levy.mean_mark * dt
-    if levy.jump_rate == 0:
-        return out, np.zeros((0, levy.dim))
-    counts = rng.poisson(levy.jump_rate * dt, n)
+    is levy.compensated_drift(dt) plus its marks, added one at a time, and has
+    mean b dt. The Poisson counts of all paths are one draw and their marks
+    the next; a zero jump rate draws nothing. `out`, if given, is n rows that
+    the caller owns and has set to levy.compensated_drift(dt), and the marks
+    are added to them in place; otherwise the rows are a new array."""
+    if out is None:
+        out = np.full((n, levy.dim), levy.compensated_drift(dt))
+    # most steps fire no jump, and the scatter would cost more than the rest
+    if levy.jump_rate == 0 or not np.count_nonzero(counts := rng.poisson(levy.jump_rate * dt, n)):
+        return out, levy.sample_marks(rng, 0)
     marks = levy.sample_marks(rng, int(counts.sum()))
-    if marks.size:   # most steps fire nothing, and the scatter would cost more than the rest
-        np.add.at(out, np.repeat(np.arange(n), counts), marks)
+    np.add.at(out, np.repeat(np.arange(n), counts), marks)
     return out, marks
-
-
-def _is_zero(coeff) -> bool:
-    """Whether a coefficient is a constant matrix of zeros (a term that moves nothing)."""
-    return isinstance(coeff, ConstCoeff) and coeff.zero
-
-
-def _times(coeff, x: Array, inc: Array) -> Array:
-    """coeff(x) inc per state, shape (n, d): one product inc @ M.T with the
-    matrix of a constant coefficient (np.dot, which skips matmul's per-call
-    cost on these skinny shapes), a batched contraction otherwise."""
-    if isinstance(coeff, ConstCoeff):
-        return np.dot(inc, coeff.matrix.T)
-    return np.einsum("nij,nj->ni", coeff(x), inc)
 
 
 def euler_step(
@@ -122,8 +110,8 @@ def euler_step(
     out = drift * dt
     out += x
     for coeff, inc in ((model.sigma, dv), (model.sigma_bar, dw), (model.sigma_tilde, dl)):
-        if inc is not None and not _is_zero(coeff):
-            out += _times(coeff, x, inc)
+        if inc is not None and not is_zero(coeff):
+            out += times(coeff, x, inc)
     with np.errstate(over="ignore"):   # one sum, which only a non-finite entry or an overflow leaves non-finite
         finite = np.isfinite(out.sum()) or np.isfinite(out).all()
     if not finite:
@@ -147,7 +135,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
     dw = np.empty((r, n, m))
     # step-major, so that the rows of one step are contiguous
     dv = np.empty((n, r, p))
-    dl = np.empty((n, r, model.levy.dim)) if model.has_jumps else None
+    dl = np.full((n, r, model.levy.dim), model.levy.compensated_drift(grid.dt)) if model.has_jumps else None
     jump_logs: list[list[tuple[int, Array]]] = [[] for _ in rngs]
     for i, rng in enumerate(rngs):
         x[i, 0] = model.initial_law(rng, 1)[0]
@@ -157,7 +145,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
             z = np.empty((n, p + m))
             for k in range(n):
                 z[k] = rng.standard_normal(p + m)
-                dl[k, i], marks = batch_levy_increments(model.levy, grid.dt, 1, rng)
+                marks = batch_levy_increments(model.levy, grid.dt, 1, rng, dl[k, i:i + 1])[1]
                 jump_logs[i].extend((k, mark) for mark in marks)
         z *= sq
         dv[:, i], dw[i] = z[:, :p], z[:, p:]
@@ -187,14 +175,15 @@ def fresh_increments(
     without jumps) gives None and draws nothing. Each run draws into its rows
     of one (len(rngs) * n, .) array per term."""
     normals = [np.empty((len(rngs) * n, dim)) if on else None for dim, on in ((model.dim_v, dv), (model.dim_y, dw))]
-    dls = np.empty((len(rngs) * n, model.levy.dim)) if model.has_jumps else None
+    dls = np.full((len(rngs) * n, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
+    sq = np.sqrt(dt)
     for i, rng in enumerate(rngs):
         rows = slice(i * n, (i + 1) * n)
         for out in (a[rows] for a in normals if a is not None):
             rng.standard_normal(out=out)
-            out *= np.sqrt(dt)
+            out *= sq
         if dls is not None:
-            dls[rows] = batch_levy_increments(model.levy, dt, n, rng)[0]
+            batch_levy_increments(model.levy, dt, n, rng, dls[rows])
     return normals[0], normals[1], dls
 
 
@@ -222,11 +211,11 @@ def propagate_under_reference(
     model, x = coeffs.model, coeffs.x
     dy = np.atleast_2d(np.asarray(dy, dtype=float))
     drift = model.f(x)
-    if not _is_zero(model.sigma_bar):
-        sbar_h = _times(model.sigma_bar, x, coeffs.h)
+    if not is_zero(model.sigma_bar):
+        sbar_h = times(model.sigma_bar, x, coeffs.h)
         drift = np.subtract(drift, sbar_h, out=sbar_h)
     dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs,
-                                 dv=model.has_jumps or not _is_zero(model.sigma))
+                                 dv=model.has_jumps or not is_zero(model.sigma))
     return euler_step(model, x, drift, dt, dv, dy, dl, step)
 
 
@@ -239,8 +228,7 @@ PATH_CHUNK = 1000   # paths per substream (seed, TAG, chunk) of dufresne_paths a
 
 # paths per draw in _walk_tiles: a tile is drawn, walked and reduced in cache;
 # a generator draws in order, so the tiles are the bytes of one (undecided
-# paths x block) draw, which is never built.
-# A Dufresne tile of 16 x 1000 doubles (125 KiB) is below glibc's 128 KiB mmap threshold
+# paths x block) draw, which is never built
 TILE_ROWS = 16
 
 
@@ -254,17 +242,19 @@ def _walk_tiles(rng: np.random.Generator, n: int, n_steps: int, dt: float, block
     block), so a path's draws depend neither on n_steps nor on when it is
     decided. Per tile it yields (done, rows, start, seg): the steps before
     the block, the tile's paths, and their walk at step done and at the steps
-    done + 1 .. done + nb (the caller may overwrite seg but its last column).
-    After each block only the paths for which undecided(rows) holds draw on.
+    done + 1 .. done + nb (the caller may overwrite seg but its last column),
+    a view of the one tile buffer that the next tile overwrites. After each
+    block only the paths for which undecided(rows) holds draw on.
     """
     sq = np.sqrt(dt)
     w = np.zeros(n)
     alive = np.arange(n)
+    tile = np.empty((TILE_ROWS, block))   # one buffer, so that no tile maps fresh pages
     done = 0
     while alive.size and done < n_steps:
         nb = min(block, n_steps - done)
-        for rows in np.split(alive, range(TILE_ROWS, alive.size, TILE_ROWS)):
-            seg = rng.standard_normal((rows.size, block))[:, :nb]
+        for rows in (alive[lo:lo + TILE_ROWS] for lo in range(0, alive.size, TILE_ROWS)):
+            seg = rng.standard_normal(out=tile[:rows.size])[:, :nb]
             np.multiply(seg, sq, out=seg)
             np.cumsum(seg, axis=1, out=seg)
             start = w[rows]

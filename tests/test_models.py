@@ -1,5 +1,6 @@
 """Model, generator and test-function contracts."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -16,7 +17,9 @@ from filterlab.models import (
     make_model,
 )
 from filterlab.rng import substream
+from test_simulate import plain_coefficients
 
+Array = np.ndarray
 Y0 = np.zeros(1)
 
 
@@ -278,6 +281,45 @@ def test_generator_batched_matches_pointwise():
     batched = generator(m, "tanh(x)", xs)
     single = [generator(m, "tanh(x)", xs[i:i + 1])[0] for i in range(16)]
     np.testing.assert_allclose(batched, single, rtol=1e-12)
+
+
+def jumping_plane():
+    """A 2-d jump model with constant coefficients none of whose matrices is
+    square and symmetric, so that a transposed matrix changes its operators."""
+    return dataclasses.replace(
+        change_detection_model(), f=lambda x: -x, sigma=const_coeff([[1.0], [0.5]]),
+        sigma_bar=const_coeff([[0.3], [-0.2]]), sigma_tilde=const_coeff([[1.0, 0.5], [-0.3, 2.0]]),
+        levy=levy_atoms([[0.5, -1.0], [0.2, 0.3]], [1.0, 2.0], drift_a=[0.1, -0.4]))
+
+
+def constant_and_batched(model) -> list[tuple[Array, Array]]:
+    """(constant path, batched path) of f~, the diffusion, each jump and the
+    three operators of the default battery on states with signed zeros: the
+    batched path is the model with each constant coefficient behind a plain
+    callable, which returns the same broadcast matrix."""
+    d = model.dim_x
+    x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
+    fast, slow = (StepCoefficients(m, x, np.full(1, 0.7), 0.5) for m in (model, plain_coefficients(model)))
+    pairs = [(fast.f_tilde, slow.f_tilde), (fast.diffusion, slow.diffusion)]
+    if model.has_jumps:
+        assert [lam for lam, _ in fast.jumps] == [lam for lam, _ in slow.jumps]
+        pairs += [(a, b) for (_, a), (_, b) in zip(fast.jumps, slow.jumps)]
+    battery = Battery.default(d)
+    values = battery.values(x)
+    return pairs + list(zip(battery.operators(fast, values), battery.operators(slow, values)))
+
+
+@pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
+def test_constant_coefficients_give_the_bytes_of_batched_ones(name):
+    # one product per entry on a scalar state, so the bytes, signed zeros included, are the same
+    for fast, slow in constant_and_batched(make_model(name)):
+        assert np.broadcast_to(fast, slow.shape).tobytes() == slow.tobytes()
+
+
+def test_constant_matrices_enter_the_operators_untransposed():
+    # BLAS may fuse the multiply-adds of a product of d > 1 terms, so this compares to rounding
+    for fast, slow in constant_and_batched(jumping_plane()):
+        np.testing.assert_allclose(np.broadcast_to(fast, slow.shape), slow, rtol=1e-13, atol=1e-13)
 
 
 def test_const_coeff_broadcasts():

@@ -2,17 +2,21 @@
 above one; run_plans runs each distinct task once, in one pool, and hands
 each plan its results in the order it asked for them."""
 
+import concurrent.futures
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from filterlab import cli, parallel, verify
+from filterlab import cli, verify
 from filterlab.cli import EXIT_BLOWUP, EXIT_COLLAPSE, _residual_block
 from filterlab.filters import FilterCollapse, FilterConfig
 from filterlab.parallel import map_ordered, run_plans
 from filterlab.simulate import SimulationBlowUp, TimeGrid
 from filterlab.verify import change_detection_agreement_run, kalman_agreement_run
+from test_cli import child_env
 
 # with 2 workers, map_ordered hands out chunks of 2 items for 17 items and of 4 for 33
 N_ITEMS = [17, 33]
@@ -80,7 +84,9 @@ class RecordingPool:
 
 def record_pools(monkeypatch) -> list:
     pools = []
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", lambda max_workers: RecordingPool(pools, max_workers))
+    # map_ordered imports the pool class from concurrent.futures when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(pools, max_workers))
     return pools
 
 
@@ -90,6 +96,14 @@ def test_at_most_one_process_per_item(monkeypatch, n_items, workers, started):
     pools = record_pools(monkeypatch)
     assert map_ordered(abs, range(-n_items, 0), workers) == list(range(n_items, 0, -1))
     assert pools == ([] if started is None else [started])
+
+
+def test_a_serial_map_never_imports_the_process_pool():
+    # the pool's import loads multiprocessing, socket and subprocess, set-up time that --workers 1 never uses
+    script = ("import sys; from filterlab import cli, parallel; parallel.map_ordered(abs, [-1, -2], 1); "
+              "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def square(x):

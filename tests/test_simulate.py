@@ -91,6 +91,20 @@ class TestLevyIncrement:
                 expected[i] += mark
         np.testing.assert_array_equal(incs, expected)
 
+    @pytest.mark.parametrize("n, dt, fired", [(400, 0.5, True), (1, 0.01, False)])
+    def test_caller_owned_rows_take_the_bytes_of_the_allocating_form(self, n, dt, fired):
+        spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
+        alloc, owner = substream(3), substream(3)
+        incs, marks = batch_levy_increments(spec, dt, n, alloc)
+        rows = np.full((n + 2, 1), np.nan)
+        rows[1:-1] = spec.compensated_drift(dt)
+        out, owned_marks = batch_levy_increments(spec, dt, n, owner, rows[1:-1])
+        assert (marks.shape[0] > 0) == fired
+        assert np.shares_memory(out, rows) and out.tobytes() == incs.tobytes()
+        assert np.isnan(rows[[0, -1]]).all()
+        np.testing.assert_array_equal(owned_marks, marks)
+        np.testing.assert_array_equal(alloc.random(8), owner.random(8))   # and the generators stand at one state
+
 
 def reference_pair(model, grid, rng):
     """One data path drawn and stepped one step at a time: X_0, then per step
@@ -335,8 +349,8 @@ class RecordedStream:
     def __init__(self, rng):
         self.rng, self.blocks = rng, []
 
-    def standard_normal(self, size):
-        out = self.rng.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        out = self.rng.standard_normal(size, out=out)
         self.blocks.append(out.copy())
         return out
 
