@@ -336,7 +336,7 @@ class Battery:
         grad = self.gradients(c.x)
         gen = np.einsum("ni,kni->kn", c.f_tilde, grad)
         term = np.einsum("...ij,k...ij->k...", c.diffusion, self.hessians(c.x))
-        gen += np.multiply(term, 0.5, out=term)   # each term in place in one (K, n) array
+        gen += np.multiply(term, 0.5, out=term)   # in place: one (K, n) buffer serves every term
         if c.model.has_jumps and c.model.levy.jump_rate > 0:
             jump = np.zeros(gen.shape)
             for lam, disp in c.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
