@@ -48,7 +48,7 @@ class TestTimeGrid:
 class TestLevyIncrement:
     def test_no_jumps_gives_pure_drift(self):
         spec = levy_atoms([[2.0]], [0.0], drift_a=[0.7])   # rate 0: drift only
-        inc, marks = batch_levy_increments(spec, 0.1, 1, substream(0))
+        inc, marks = batch_levy_increments(spec, 0.1, substream(0), np.full((1, 1), spec.compensated_drift(0.1)))
         assert marks.shape[0] == 0
         assert inc[0, 0] == pytest.approx(0.07)
 
@@ -56,7 +56,7 @@ class TestLevyIncrement:
         # single atom at 1 with rate lam: b = -lam, compensated jumps mean 0
         lam, dt = 2.0, 0.05
         spec = levy_atoms([[1.0]], [lam])
-        incs = batch_levy_increments(spec, dt, 100_000, substream(1))[0][:, 0]
+        incs = batch_levy_increments(spec, dt, substream(1), np.full((100_000, 1), spec.compensated_drift(dt)))[0][:, 0]
         se = incs.std(ddof=1) / np.sqrt(incs.size)
         assert abs(incs.mean() - spec.drift_b[0] * dt) < 3 * se
 
@@ -65,7 +65,7 @@ class TestLevyIncrement:
         # compound-Poisson second moment is lam dt E[rho^2]
         lam, dt, rho = 2.0, 0.05, 1.0
         spec = levy_atoms([[rho]], [lam])
-        incs, _ = batch_levy_increments(spec, dt, 100_000, substream(2))
+        incs, _ = batch_levy_increments(spec, dt, substream(2), np.full((100_000, 1), spec.compensated_drift(dt)))
         # each path's mark sum is its increment less (b - lam mean_mark) dt
         sums = incs[:, 0] - (spec.drift_b[0] - lam * spec.mean_mark[0]) * dt
         se = sums.std(ddof=1) / np.sqrt(sums.size)
@@ -79,7 +79,7 @@ class TestLevyIncrement:
         # path i's marks follow those of paths 0..i-1 and are added to its base one at a time
         spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
         n, dt = 400, 0.5
-        incs, marks = batch_levy_increments(spec, dt, n, substream(3))
+        incs, marks = batch_levy_increments(spec, dt, substream(3), np.full((n, 1), spec.compensated_drift(dt)))
         rng = substream(3)
         counts = rng.poisson(spec.jump_rate * dt, n)
         np.testing.assert_array_equal(marks, spec.sample_marks(rng, int(counts.sum())))
@@ -92,18 +92,17 @@ class TestLevyIncrement:
         np.testing.assert_array_equal(incs, expected)
 
     @pytest.mark.parametrize("n, dt, fired", [(400, 0.5, True), (1, 0.01, False)])
-    def test_caller_owned_rows_take_the_bytes_of_the_allocating_form(self, n, dt, fired):
+    def test_writes_only_its_rows_and_draws_only_counts_and_marks(self, n, dt, fired):
         spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
-        alloc, owner = substream(3), substream(3)
-        incs, marks = batch_levy_increments(spec, dt, n, alloc)
         rows = np.full((n + 2, 1), np.nan)
         rows[1:-1] = spec.compensated_drift(dt)
-        out, owned_marks = batch_levy_increments(spec, dt, n, owner, rows[1:-1])
+        rng, replay = substream(3), substream(3)
+        out, marks = batch_levy_increments(spec, dt, rng, rows[1:-1])
+        counts = replay.poisson(spec.jump_rate * dt, n)
+        np.testing.assert_array_equal(marks, spec.sample_marks(replay, int(counts.sum())))
         assert (marks.shape[0] > 0) == fired
-        assert np.shares_memory(out, rows) and out.tobytes() == incs.tobytes()
-        assert np.isnan(rows[[0, -1]]).all()
-        np.testing.assert_array_equal(owned_marks, marks)
-        np.testing.assert_array_equal(alloc.random(8), owner.random(8))   # and the generators stand at one state
+        assert np.shares_memory(out, rows) and np.isfinite(out).all() and np.isnan(rows[[0, -1]]).all()
+        np.testing.assert_array_equal(rng.random(8), replay.random(8))   # and the generators stand at one state
 
 
 def reference_pair(model, grid, rng):
@@ -260,7 +259,9 @@ def fifty_steps(model, y):
         rng = substream(1, k)
         dv = rng.standard_normal((1000, model.dim_v)) * sq
         dw = rng.standard_normal((1000, model.dim_y)) * sq
-        dl = batch_levy_increments(model.levy, dt, 1000, rng)[0] if model.has_jumps else None
+        dl = np.full((1000, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
+        if dl is not None:
+            batch_levy_increments(model.levy, dt, rng, dl)
         x_phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
         x_ref = propagate_under_reference(StepCoefficients(model, x_ref, y[k], k * dt), y[k + 1] - y[k], dt,
                                           [substream(2, k)], k + 1)
