@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import girsanov, verify
+from . import __version__, girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
 from .models import Battery, ModelError, SignalModel, change_detection_rate, change_indicator, make_model
 from .parallel import Plan, run_plans
@@ -86,7 +86,7 @@ MINIMUMS = {"n_paths": 2, "n_runs": 2, "n_seeds": 1, "barriers": 1}
 def keyword_params(fn: Callable, block, where: str) -> dict:
     """Bind a config block to the keyword-only parameters of fn: their names
     are the block's keys, and a value is coerced to the type of its default
-    (a list to a tuple of the default's element type; a bool takes only
+    (a non-empty list to a tuple of the default's element type; a bool takes only
     JSON true or false, a number only a finite one and an int only an
     integral one). An unknown key, a
     value that does not coerce, a value that fn could not use (an unknown
@@ -148,12 +148,14 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
 def read_block(block, defaults: dict, where: str) -> dict:
     """The keys of block, each of which defaults must have, with each value
     read as the type of its default (a list as a tuple of the type of the
-    default's elements); a key or value that does not read raises
-    ConfigError naming `where.key`."""
+    default's elements, and at least one); a key or value that does not
+    read raises ConfigError naming `where.key`."""
     _reject_unknown(block, defaults, where)
     kwargs = {}
     for key, value in block.items():
         default = defaults[key]
+        if isinstance(default, tuple) and value == []:
+            raise ConfigError(f"'{where}.{key}' must list at least one value")
         try:
             if not isinstance(default, tuple):
                 kwargs[key] = _coerce(type(default), value)
@@ -274,7 +276,7 @@ def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
         "seed": seed,
         "grid": {"horizon": grid.get("horizon"), "dt": grid.get("dt")},
         "scenario": cfg.get("model", {}).get("name") if isinstance(cfg.get("model"), dict) else cfg.get("model"),
-        "package": "filterlab 0.1.0",
+        "package": f"filterlab {__version__}",
         "bit_generator": type(substream(seed).bit_generator).__name__,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -203,17 +203,6 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Non
     weights.ess[rows] = _ess(weights.w[rows], weights.total[rows])
 
 
-def pi_estimate(cloud: ParticleCloud, values: Array) -> Array:
-    """Normalised estimate pi_t(phi) = rho_t(phi) / rho_t(1) of each run, from
-    phi's values on the cloud's particles; invariant under any common shift of
-    a run's log-weights, and exactly 1 for phi == 1 because numerator and
-    denominator are then the same reduction."""
-    weights = cloud.weights
-    if not np.all(np.isfinite(values)):
-        raise ValueError("test function is non-finite on the cloud")
-    return np.sum(weights.w * np.reshape(values, cloud.log_weights.shape), axis=-1) / weights.total
-
-
 def _per_particle(rows: Array, n: int) -> Array:
     """Each run's row (R, m) for its n particles, (R*N, m), or one run's row (m,) that its particles share."""
     return rows[0] if len(rows) == 1 else np.repeat(rows, n, axis=0)
@@ -286,7 +275,7 @@ def run_filter(
         for row, fn in zip(values[len(battery.labels):], time_functionals.values()):
             row[...] = fn(cloud.states, cloud.t)
         weights = cloud.weights
-        # pi_estimate of every row, in place; as w lies in [0, 1], a product is finite when phi is
+        # pi_t(phi) = sum(w phi) / sum(w) per row, in place; w lies in [0, 1], so a product is finite when phi is
         sums = np.multiply(values, weights.w, out=values).sum(axis=-1)
         if not (np.isfinite(sums).all() or np.isfinite(values).all()):
             raise ValueError("test function is non-finite on the cloud")

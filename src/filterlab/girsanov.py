@@ -75,7 +75,6 @@ class GirsanovEnsemble:
     path axis and a time axis.
     """
 
-    grid: TimeGrid
     label: str
     z: Curve
     z_h_sq: Curve
@@ -86,10 +85,6 @@ class GirsanovEnsemble:
     plain_energy: Array
     zu: Optional[Curve] = None
     u0_mean: Optional[float] = None
-
-    @property
-    def n_paths(self) -> int:
-        return self.log_z_t.shape[0]
 
 
 def _one_plus_sq(x: Array) -> Array:
@@ -142,7 +137,7 @@ def _weighted_paths(grid: TimeGrid, n_paths: int, rng: np.random.Generator, labe
             np.multiply(z, u_of(state), out=rows[3])
         _reduce(rows, mean, se, i + 1)
     return GirsanovEnsemble(
-        grid=grid, label=label, z=Curve(mean[2], se[2]), z_h_sq=Curve(mean[0, 1:], se[0, 1:]),
+        label=label, z=Curve(mean[2], se[2]), z_h_sq=Curve(mean[0, 1:], se[0, 1:]),
         h_sq=Curve(mean[1, 1:], se[1, 1:]), log_z_t=log_z, z_star=z_star, energy=energy * dt,
         plain_energy=plain * dt, zu=None if u_of is None else Curve(mean[3], se[3]),
         u0_mean=None if u_of is None else float(u0.mean()))

@@ -135,7 +135,13 @@ def levy_atoms(locations, rates, drift_a=None) -> LevySpec:
 @dataclass(frozen=True)
 class SignalModel:
     """Coefficients, dimensions, noise structure and initial law of the pair
-    (signal, observation); see module docstring for the dynamics."""
+    (signal, observation); see module docstring for the dynamics.
+
+    How a coefficient is given is part of the model's bytes: a ConstCoeff
+    enters as its one matrix (`times` multiplies by it with np.dot, whose BLAS
+    may fuse multiply-adds), a callable as per-state values (a sequential
+    einsum). The two give the same bytes for a 1 x 1 coefficient; a wider
+    matrix given both ways makes two models that agree only to rounding."""
 
     name: str
     dim_x: int

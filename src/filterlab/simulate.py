@@ -9,7 +9,7 @@ clamping, since clamped states would silently corrupt weight statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,10 +66,9 @@ class TimeGrid:
 class PathBundle:
     """One realisation of (X, Y) on a TimeGrid, with the jump marks that fired."""
 
-    grid: TimeGrid
     x: Array                    # (n_steps+1, d)
     y: Array                    # (n_steps+1, m), y[0] = 0
-    jump_log: list[tuple[int, Array]] = field(default_factory=list)
+    jump_log: list[tuple[int, Array]]
 
 
 def batch_levy_increments(levy: LevySpec, dt: float, rng: np.random.Generator, out: Array) -> tuple[Array, Array]:
@@ -154,7 +153,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
         y[:, k + 1] = y[:, k] + model.h(xk, y[:, k], t) * grid.dt + dw[:, k]
         if not np.all(np.isfinite(y[:, k + 1])):
             raise SimulationBlowUp(k + 1)
-    return [PathBundle(grid=grid, x=x[i], y=y[i], jump_log=jump_logs[i]) for i in range(r)]
+    return [PathBundle(x=x[i], y=y[i], jump_log=jump_logs[i]) for i in range(r)]
 
 
 def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) -> PathBundle:

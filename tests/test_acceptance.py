@@ -98,24 +98,24 @@ def test_criterion_02_zlogz_identity(revuz_yor_tilted):
 
 
 MEAN_TIMES = (0.25, 0.5, 1.0)
+MEAN_GRID = TimeGrid(1.0, 1e-3)   # both ensembles' grid
 
 
 def mean_checks(ens):
     """E[Z_t] at MEAN_TIMES, each with its SE."""
-    return {t: ens.z.at(ens.grid.index_of(t)) for t in MEAN_TIMES}
+    return {t: ens.z.at(MEAN_GRID.index_of(t)) for t in MEAN_TIMES}
 
 
 @pytest.fixture(scope="module")
 def revuz_yor_base():
     start = time.monotonic()
-    ens = ensemble_revuz_yor(1.0, TimeGrid(1.0, 1e-3), 200_000, SEED)
+    ens = ensemble_revuz_yor(1.0, MEAN_GRID, 200_000, SEED)
     return mean_checks(ens), mean_se(ens.z_star), time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def jump_ou_ensemble():
-    grid = TimeGrid(1.0, 1e-3)
-    return ensemble_from_model(make_model("jump_ou"), grid, 10_000, SEED)
+    return ensemble_from_model(make_model("jump_ou"), MEAN_GRID, 10_000, SEED)
 
 
 def test_criterion_03_martingale_mean(revuz_yor_base, jump_ou_ensemble):

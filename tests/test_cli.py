@@ -85,6 +85,7 @@ class TestSimulateCommand:
         assert manifest["grid"]["dt"] == 0.005
         assert "config_sha256" in manifest
         assert manifest["bit_generator"] == "SFC64"
+        assert manifest["package"] == f"filterlab {filterlab.__version__}"
 
     @pytest.mark.parametrize("name", ["jump_ou", "change_detection"])
     def test_paths_read_back_exactly(self, tmp_path, name):
@@ -585,6 +586,14 @@ STRICT_CASES = {
                        "diagnostics.params.revuz_yor_energy.representation"),
     "empty_times": ("verify", verify_cfg({"martingale_mean": dict(SMALL, times=[])}),
                     "diagnostics.params.martingale_mean.times"),
+    # an empty list used to end in a ValueError traceback (barriers) or to pass a verify that checked nothing (phis)
+    "empty_barriers": ("verify", verify_cfg({"hitting": {"barriers": [], "n_paths": 10, "dt": 1e-3}}),
+                       "diagnostics.params.hitting.barriers"),
+    "counterexample_empty_barriers": ("counterexample", {"counterexample": {"kind": "hitting", "barriers": [],
+                                                                            "n_paths": 10, "dt": 1e-3}, "seed": 2},
+                                      "counterexample.barriers"),
+    "empty_phis": ("verify", verify_cfg({"zakai_residual": dict(RESID, phis=[])}),
+                   "diagnostics.params.zakai_residual.phis"),
     "time_off_grid": ("verify", verify_cfg({"martingale_mean": dict(SMALL, times=[0.5, 0.333])}),
                       "diagnostics.params.martingale_mean.times"),
     "negative_dt": ("verify", verify_cfg({"hitting": {"barriers": [1], "n_paths": 100, "dt": -1e-3}}),
@@ -701,6 +710,13 @@ def test_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, workers):
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli(["simulate", "--config", str(tmp_path / "absent.json")])
     assert proc.returncode == EXIT_CONFIG, proc.stderr
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # the package re-exports nothing: callers import the modules they use
+    script = "import sys, filterlab; print(sorted(m for m in sys.modules if m.startswith('filterlab.')))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 WORKLOADS = benchmark_workloads()

@@ -61,12 +61,12 @@ def dense_and_streamed(monkeypatch, build):
     return build(), dense
 
 
-GRID_SHORT = TimeGrid(0.2, 0.01)
+GRID_SHORT, N_SHORT = TimeGrid(0.2, 0.01), 300
 BUILDERS = {
-    "revuz_yor": lambda: ensemble_revuz_yor(1.0, GRID_SHORT, 300, seed=19),
-    "independent_h": lambda: ensemble_independent_h(GRID_SHORT, 300, seed=19),
-    "jump_ou": lambda: ensemble_from_model(make_model("jump_ou"), GRID_SHORT, 300, seed=19),
-    "change_detection": lambda: change_detection_gronwall_ensemble(-0.5, 1.0, GRID_SHORT, 300, seed=19),
+    "revuz_yor": lambda: ensemble_revuz_yor(1.0, GRID_SHORT, N_SHORT, seed=19),
+    "independent_h": lambda: ensemble_independent_h(GRID_SHORT, N_SHORT, seed=19),
+    "jump_ou": lambda: ensemble_from_model(make_model("jump_ou"), GRID_SHORT, N_SHORT, seed=19),
+    "change_detection": lambda: change_detection_gronwall_ensemble(-0.5, 1.0, GRID_SHORT, N_SHORT, seed=19),
 }
 
 
@@ -137,9 +137,10 @@ class TestDegenerateAndModelEnsembles:
         assert row.passed
 
     def test_jump_ou_martingale_mean(self):
-        ens = ensemble_from_model(make_model("jump_ou"), TimeGrid(1.0, 2e-3), 4000, seed=31)
+        grid = TimeGrid(1.0, 2e-3)
+        ens = ensemble_from_model(make_model("jump_ou"), grid, 4000, seed=31)
         for t in (0.25, 0.5, 1.0):
-            est = ens.z.at(ens.grid.index_of(t))
+            est = ens.z.at(grid.index_of(t))
             assert abs(est.value - 1.0) < 3 * est.se, f"E[Z_{t}] = {est}"
 
     def test_independent_h_identity(self):
@@ -229,7 +230,7 @@ class TestWeightLoop:
         ens, dense = dense_and_streamed(monkeypatch, BUILDERS[builder])
         log_z, h_sq, u = dense["log_z"], dense["h_sq"], dense["u"]
         z = np.exp(log_z)
-        dt = ens.grid.dt
+        dt = GRID_SHORT.dt
         expected = {
             "log_z_t": log_z[:, -1], "z_star": z.max(axis=1), "energy": (z[:, :-1] * h_sq).sum(axis=1) * dt,
             "plain_energy": h_sq.sum(axis=1) * dt, "z": column_stats(z), "z_h_sq": column_stats(z[:, :-1] * h_sq),
@@ -244,11 +245,11 @@ class TestWeightLoop:
     @pytest.mark.parametrize("builder", list(BUILDERS))
     def test_no_field_has_a_path_and_a_time_axis(self, builder):
         ens = BUILDERS[builder]()
-        k = ens.grid.n_steps
+        k = GRID_SHORT.n_steps
         arrays = []
         for field in dataclasses.fields(ens):
             value = getattr(ens, field.name)
             arrays += list(value) if isinstance(value, Curve) else [value] if isinstance(value, np.ndarray) else []
         assert len(arrays) >= 10
         for a in arrays:
-            assert a.ndim == 1 and (a.shape[0] == ens.n_paths) != (a.shape[0] in (k, k + 1)), a.shape
+            assert a.ndim == 1 and (a.shape[0] == N_SHORT) != (a.shape[0] in (k, k + 1)), a.shape

@@ -424,10 +424,11 @@ class TestBandRows:
     def test_local_boundedness_tolerance_is_its_3se_band(self):
         [[row]] = run_plans([cli.check_local_boundedness(4, n_paths=300, dt=0.01, horizon=0.5)])
         model = make_model("jump_ou")
-        ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
+        grid = TimeGrid(0.5, 0.01)
+        ens = girsanov.ensemble_from_model(model, grid, 300, 4)
         means = np.array([ens.z_h_sq.mean, ens.h_sq.mean])
         bands = SIGMAS * np.array([ens.z_h_sq.se, ens.h_sq.se])
-        times = ens.grid.times()[:-1]
+        times = grid.times()[:-1]
         env = model.gronwall_rate * np.exp(2.0 * model.gronwall_rate * times) * ens.u0_mean
         curve, k = np.unravel_index(np.argmax(means - (env + bands)), means.shape)
         assert (row.estimate, row.reference, row.tolerance) == (means[curve, k], env[k], bands[curve, k])
@@ -437,8 +438,9 @@ class TestBandRows:
     def test_gronwall_row_is_the_largest_margin(self):
         [[row]] = run_plans([cli.check_gronwall(4, n_paths=300, dt=0.01, horizon=0.5)])
         model = make_model("jump_ou")
-        ens = girsanov.ensemble_from_model(model, TimeGrid(0.5, 0.01), 300, 4)
-        times = ens.grid.times()
+        grid = TimeGrid(0.5, 0.01)
+        ens = girsanov.ensemble_from_model(model, grid, 300, 4)
+        times = grid.times()
         traj, ses, bound = ens.zu.mean, ens.zu.se, np.exp(2.0 * model.gronwall_rate * times) * ens.u0_mean
         k = int(np.argmax(traj - (bound + SIGMAS * ses)))
         assert (row.estimate, row.reference, row.tolerance) == (traj[k], bound[k], SIGMAS * ses[k])
