@@ -434,6 +434,13 @@ class TestRunFilter:
         np.testing.assert_array_equal(a.pi["x"], b.pi["x"])
         np.testing.assert_array_equal(a.rho_one, b.rho_one)
 
+    def test_pi_one_column_exactly_one(self):
+        m = make_model("linear_gaussian")
+        grid = TimeGrid(0.2, 0.01)
+        y = simulate_pair(m, grid, substream(10)).y
+        run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), battery=Battery(("1",), 1))
+        assert np.all(run.pi["1"] == 1.0)
+
     def test_every_cloud_and_time_functional_is_at_its_grid_time(self):
         # the clock used to be a running sum of dt, which leaves k * dt in the last bits
         m = make_model("linear_gaussian")
