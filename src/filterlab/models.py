@@ -2,7 +2,7 @@
 
 The signal is a d-dimensional jump-diffusion
 
-    dX = f(X-) dt + sigma(X-) dV + sigma_bar(X-) dW + sigma_tilde(X-) dL
+    dX = f(X-) dt + sigma dV + sigma_bar dW + sigma_tilde dL
 
 observed through
 
@@ -13,11 +13,12 @@ noise (shared with the signal through sigma_bar: the "correlated" case) and
 L an R^r-valued finite-activity Levy process written as drift plus
 compensated compound-Poisson jumps.
 
-Coefficient callables are batched: they accept an (n, d) array of states and
-return per-state values ((n, d), (n, d, p), ... as appropriate). h takes
-(states, y, t) so that observation-feedback sensors (the change-detection
-problem) fit the same interface; y is either one shared observation (m,) or
-per-path observations (n, m), and h implementations broadcast over both.
+The noise coefficients are constant matrices. The state enters through f and
+h, which are batched: they accept an (n, d) array of states and return one
+row per state. h takes (states, y, t) so that observation-feedback sensors
+(the change-detection problem) fit the same interface; y is either one shared
+observation (m,) or per-path observations (n, m), and h implementations
+broadcast over both.
 """
 
 from __future__ import annotations
@@ -132,28 +133,25 @@ def levy_atoms(locations, rates, drift_a=None) -> LevySpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalModel:
     """Coefficients, dimensions, noise structure and initial law of the pair
-    (signal, observation); see module docstring for the dynamics.
-
-    How a coefficient is given is part of the model's bytes: a ConstCoeff
-    enters as its one matrix (`times` multiplies by it with np.dot, whose BLAS
-    may fuse multiply-adds), a callable as per-state values (a sequential
-    einsum). The two give the same bytes for a 1 x 1 coefficient; a wider
-    matrix given both ways makes two models that agree only to rounding."""
+    (signal, observation); see module docstring for the dynamics. sigma (d, p),
+    sigma_bar (d, m) and, with a Levy driver, sigma_tilde (d, r) are float64
+    matrices; the terms they fix for every state are cached properties, formed
+    once per model. A matrix times increments v is np.dot(v, M.T)."""
 
     name: str
     dim_x: int
     dim_v: int
     dim_y: int
     f: Callable[[Array], Array]
-    sigma: Callable[[Array], Array]
-    sigma_bar: Callable[[Array], Array]
+    sigma: Array
+    sigma_bar: Array
     h: Callable[[Array, Array, float], Array]
     initial_law: Callable[[np.random.Generator, int], Array]
     levy: Optional[LevySpec] = None
-    sigma_tilde: Optional[Callable[[Array], Array]] = None
+    sigma_tilde: Optional[Array] = None
     gronwall_rate: Optional[float] = None
     # (a_x, sigma_v, sigma_bar, h_scale, x0_mean, x0_var) of verify.kalman_bucy_oracle, where it is exact
     kalman_inputs: Optional[tuple[float, ...]] = None
@@ -164,49 +162,33 @@ class SignalModel:
         """Whether the signal carries the sigma_tilde dL term."""
         return self.levy is not None and self.sigma_tilde is not None
 
+    @cached_property
+    def noise_factors(self) -> tuple[Optional[Array], Optional[Array], Optional[Array]]:
+        """sigma^T, sigma_bar^T and sigma_tilde^T, the right factors of the
+        increments dV, dW and dL, each None where the matrix is absent or
+        zero: a term that moves nothing is left out, not added as +0.0."""
+        return tuple(None if m is None or not m.any() else m.T for m in (self.sigma, self.sigma_bar, self.sigma_tilde))
+
+    @cached_property
+    def diffusion(self) -> Array:
+        """sigma sigma^T + sigma_bar sigma_bar^T, (d, d)."""
+        return (np.einsum("...ip,...jp->...ij", self.sigma, self.sigma)
+                + np.einsum("...im,...jm->...ij", self.sigma_bar, self.sigma_bar))
+
+    @cached_property
+    def jumps(self) -> list[tuple[float, Array]]:
+        """The rate and the jump sigma_tilde eta (d,) of each atom of the Levy measure."""
+        return [(lam, np.dot(eta, self.sigma_tilde.T)) for eta, lam in zip(self.levy.locs, self.levy.rates)]
+
+    @cached_property
+    def jump_drift(self) -> Optional[Array]:
+        """sigma_tilde b, the drift of the compensated jumps; None without jumps."""
+        return np.dot(self.levy.drift_b, self.sigma_tilde.T) if self.has_jumps else None
+
     def f_tilde(self, x: Array) -> Array:
         """Effective drift f + sigma_tilde @ b once jumps are compensated."""
         out = self.f(x)
-        if self.has_jumps:
-            out = out + times(self.sigma_tilde, x, self.levy.drift_b)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class ConstCoeff:
-    """Coefficient callable returning a constant matrix broadcast over states;
-    the simulators multiply increments by `matrix` itself."""
-
-    matrix: Array
-
-    def __call__(self, x: Array) -> Array:
-        return np.broadcast_to(self.matrix, (x.shape[0],) + self.matrix.shape)
-
-    @cached_property
-    def zero(self) -> bool:   # every entry 0: the term moves nothing
-        return not self.matrix.any()
-
-
-def const_coeff(matrix) -> ConstCoeff:
-    return ConstCoeff(np.asarray(matrix, dtype=float))
-
-
-def is_zero(coeff) -> bool:
-    """Whether a coefficient is a constant matrix of zeros (a term that moves nothing)."""
-    return isinstance(coeff, ConstCoeff) and coeff.zero
-
-
-def matrix_or_values(coeff, x: Array) -> Array:
-    """The matrix of a constant coefficient, or the per-state values coeff(x) of any other."""
-    return coeff.matrix if isinstance(coeff, ConstCoeff) else coeff(x)
-
-
-def times(coeff, x: Array, v: Array) -> Array:
-    """coeff(x) v per state, v one row (n, r) per state or one (r,) that all share: for a constant
-    coefficient one product v @ M.T (np.dot, without matmul's per-call cost), else a batched contraction."""
-    if isinstance(coeff, ConstCoeff):
-        return np.dot(v, coeff.matrix.T)
-    return np.einsum("nij,nj->ni", coeff(x), np.broadcast_to(v, x.shape[:1] + v.shape[-1:]))
+        return out if self.jump_drift is None else out + self.jump_drift
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +197,10 @@ def times(coeff, x: Array, v: Array) -> Array:
 
 
 class StepCoefficients:
-    """The coefficients that every test function shares at one step, on an
-    (n, d) batch of states: f~(x), sigma sigma^T + sigma_bar sigma_bar^T,
-    h(x, y, t) and the rate and jump sigma_tilde(x) eta of each atom of the
-    Levy measure, each evaluated on first use, at most once. Constant
-    coefficients give one (d, d) diffusion and (d,) jumps for all states.
-    """
+    """The per-state coefficients that every test function shares at one
+    step, on an (n, d) batch of states: f~(x) and h(x, y, t), each evaluated
+    on first use, at most once. The terms of the noise matrices are the
+    model's own (SignalModel.diffusion, jumps)."""
 
     def __init__(self, model: SignalModel, states: Array, y: Array, t: float = 0.0):
         self.model = model
@@ -233,18 +213,8 @@ class StepCoefficients:
         return self.model.f_tilde(self.x)
 
     @cached_property
-    def diffusion(self) -> Array:
-        sig, sbar = (matrix_or_values(coeff, self.x) for coeff in (self.model.sigma, self.model.sigma_bar))
-        return np.einsum("...ip,...jp->...ij", sig, sig) + np.einsum("...im,...jm->...ij", sbar, sbar)
-
-    @cached_property
     def h(self) -> Array:
         return self.model.h(self.x, self.y, self.t)
-
-    @cached_property
-    def jumps(self) -> list[tuple[float, Array]]:
-        return [(lam, times(self.model.sigma_tilde, self.x, eta))
-                for eta, lam in zip(self.model.levy.locs, self.model.levy.rates)]
 
 
 def _label_terms(d: int) -> dict[str, tuple[str, int, int]]:
@@ -332,7 +302,7 @@ class Battery:
 
           A phi = f~ . grad_x phi
                 + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
-                + int [phi(x + sigma_tilde(x) eta) - phi - grad_x phi . sigma_tilde(x) eta] F(deta),
+                + int [phi(x + sigma_tilde eta) - phi - grad_x phi . sigma_tilde eta] F(deta),
           B^j phi = (sigma_bar^T grad_x phi)_j,
           D_j phi = h^j phi + B^j phi,
 
@@ -341,11 +311,11 @@ class Battery:
         """
         grad = self.gradients(c.x)
         gen = np.einsum("ni,kni->kn", c.f_tilde, grad)
-        term = np.einsum("...ij,k...ij->k...", c.diffusion, self.hessians(c.x))
+        term = np.einsum("...ij,k...ij->k...", c.model.diffusion, self.hessians(c.x))
         gen += np.multiply(term, 0.5, out=term)   # in place: one (K, n) buffer serves every term
         if c.model.has_jumps and c.model.levy.jump_rate > 0:
             jump = np.zeros(gen.shape)
-            for lam, disp in c.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
+            for lam, disp in c.model.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
                 np.subtract(self.values(c.x + disp, out=term), values, out=term)
                 term -= np.einsum("k...i,...i->k...", grad, disp)
                 jump += np.multiply(term, lam, out=term)
@@ -354,7 +324,7 @@ class Battery:
         if not finite.all():
             bad = [label for label, ok in zip(self.labels, finite) if not ok]
             raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")
-        corr = np.einsum("...im,k...i->k...m", matrix_or_values(c.model.sigma_bar, c.x), grad)
+        corr = np.einsum("...im,k...i->k...m", c.model.sigma_bar, grad)
         dphi = c.h * values[..., None]
         dphi += corr
         return gen, corr, dphi
@@ -402,9 +372,9 @@ def linear_model(
         dim_v=1,
         dim_y=1,
         f=lambda x: a_x * x,
-        sigma=const_coeff([[sigma_v]]),
-        sigma_bar=const_coeff([[sigma_bar]]),
-        sigma_tilde=const_coeff([[sigma_tilde]]) if levy is not None else None,
+        sigma=np.array([[sigma_v]], dtype=float),
+        sigma_bar=np.array([[sigma_bar]], dtype=float),
+        sigma_tilde=np.array([[sigma_tilde]], dtype=float) if levy is not None else None,
         h=lambda x, y, t: h_scale * x,
         initial_law=gaussian_initial([x0_mean], [[x0_var]], "x0_var"),
         levy=levy,
@@ -461,15 +431,14 @@ def change_detection_model(
         yv = yv.reshape(-1) if yv.ndim <= 1 else yv[:, 0]   # shared or per-path observation
         return (drift * yv)[:, None]
 
-    zero2 = const_coeff(np.zeros((2, 1)))
     return SignalModel(
         name="change_detection",
         dim_x=2,
         dim_v=1,
         dim_y=1,
         f=lambda x: np.zeros_like(x),
-        sigma=zero2,
-        sigma_bar=zero2,
+        sigma=np.zeros((2, 1)),
+        sigma_bar=np.zeros((2, 1)),
         h=h,
         initial_law=sample,
         gronwall_rate=None,

@@ -14,20 +14,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import LevySpec, SignalModel, StepCoefficients, is_zero, times
+from .models import LevySpec, SignalModel, StepCoefficients
 from .rng import TAG_DUFRESNE, TAG_HITTING, substream
 
 Array = np.ndarray
 
 
 class SimulationBlowUp(RuntimeError):
-    def __init__(self, step: int, what: str = "state"):
-        super().__init__(f"non-finite {what} at step {step}")
+    def __init__(self, step: int):
+        super().__init__(f"non-finite state at step {step}")
         self.step = step
-        self.what = what
 
-    def __reduce__(self):   # rebuilt from its fields when a worker process raises it
-        return type(self), (self.step, self.what)
+    def __reduce__(self):   # rebuilt from its step when a worker process raises it
+        return type(self), (self.step,)
 
 
 @dataclass(frozen=True)
@@ -91,23 +90,23 @@ def euler_step(
     model: SignalModel, x: Array, drift: Array, dt: float, dv: Optional[Array], dw: Array,
     dl: Optional[Array] = None, step: int = -1,
 ) -> Array:
-    """One Euler-Maruyama step x + drift dt + sigma(x) dv + sigma_bar(x) dw
-    (+ sigma_tilde(x) dl) for a batch of states x (n, d), every coefficient at
-    the left point. The callers choose what drives dw: fresh W noise under the
+    """One Euler-Maruyama step x + drift dt + sigma dv + sigma_bar dw
+    (+ sigma_tilde dl) for a batch of states x (n, d), the drift at the left
+    point. The callers choose what drives dw: fresh W noise under the
     physical measure, or the observed dY under the reference measure (with
     sigma_bar h folded into the drift). Each increment holds one row per
     state, (n, .); dw may instead be one (1, m) row that every state shares.
     `step` is the grid index of the result, reported on blow-up.
 
-    A constant coefficient enters as one product with its matrix, and a term
-    whose matrix is zero, or whose increment is None, is left out; the terms
-    are added in the order above either way, in place into one new array.
+    Each noise term is one product with its matrix (SignalModel.noise_factors);
+    a term whose matrix is zero, or whose increment is None, is left out. The
+    terms are added in the order above, in place into one new array.
     """
     out = drift * dt
     out += x
-    for coeff, inc in ((model.sigma, dv), (model.sigma_bar, dw), (model.sigma_tilde, dl)):
-        if inc is not None and not is_zero(coeff):
-            out += times(coeff, x, inc)
+    for inc, factor in zip((dv, dw, dl), model.noise_factors):
+        if inc is not None and factor is not None:
+            out += np.dot(inc, factor)
     with np.errstate(over="ignore"):   # one sum, which only a non-finite entry or an overflow leaves non-finite
         finite = np.isfinite(out.sum()) or np.isfinite(out).all()
     if not finite:
@@ -198,20 +197,20 @@ def propagate_under_reference(
     dX = (f~ - sigma_bar h) dt + sigma dV + sigma_bar dY + sigma_tilde dL,
     with the observed increment dy substituted for dY and fresh V/L noise.
     dy is one shared row (m,) or one row per state (R*N, m).
-    Constant coefficients enter as matrices (see euler_step). A zero sigma_bar
-    drops both of its terms and h is not read. A zero sigma draws no dV
-    only without jumps, where no later draw from a run's generator would move.
+    Each term is one product with its matrix (see euler_step). A zero
+    sigma_bar drops both of its terms and h is not read. A zero sigma draws no
+    dV only without jumps, where no later draw from a run's generator would move.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     model, x = coeffs.model, coeffs.x
+    sigma_t, sigma_bar_t, _ = model.noise_factors
     dy = np.atleast_2d(np.asarray(dy, dtype=float))
     drift = model.f(x)
-    if not is_zero(model.sigma_bar):
-        sbar_h = times(model.sigma_bar, x, coeffs.h)
+    if sigma_bar_t is not None:
+        sbar_h = np.dot(coeffs.h, sigma_bar_t)
         drift = np.subtract(drift, sbar_h, out=sbar_h)
-    dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs,
-                                 dv=model.has_jumps or not is_zero(model.sigma))
+    dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs, dv=model.has_jumps or sigma_t is not None)
     return euler_step(model, x, drift, dt, dv, dy, dl, step)
 
 

@@ -165,9 +165,8 @@ class TestDegenerateAndModelEnsembles:
         assert bound[-1] == pytest.approx(math.exp(4.0) * bound[0])
 
     def test_jump_coefficient_at_left_point(self, monkeypatch):
-        # sigma_tilde(x) = x must see X_{s-}, not the state after the diffusion part
-        base = linear_model("jumpy", sigma_v=0.7, sigma_bar=0.5, levy=levy_atoms([1.0], [2.0]), sigma_tilde=1.0)
-        m = dataclasses.replace(base, sigma_tilde=lambda x: x[:, :, None])
+        # f(x) = -x must see X_{s-}, not the state after the diffusion part; the draws are dW, dV, then the jumps
+        m = linear_model("jumpy", sigma_v=0.7, sigma_bar=0.5, levy=levy_atoms([1.0], [2.0]), sigma_tilde=1.5)
         dt, n = 0.1, 64
         _, dense = dense_and_streamed(monkeypatch, lambda: ensemble_from_model(m, TimeGrid(dt, dt), n, seed=5))
         rng = substream(5, TAG_PATH)
@@ -175,7 +174,7 @@ class TestDegenerateAndModelEnsembles:
         dw = rng.standard_normal((n, 1)) * np.sqrt(dt)
         dv = rng.standard_normal((n, 1)) * np.sqrt(dt)
         dl = batch_levy_increments(m.levy, dt, rng, np.full((n, 1), m.levy.compensated_drift(dt)))[0]
-        x1 = x0 + m.f(x0) * dt + 0.7 * dv + 0.5 * dw + x0 * dl
+        x1 = x0 + m.f(x0) * dt + 0.7 * dv + 0.5 * dw + 1.5 * dl
         np.testing.assert_allclose(dense["u"][:, 1], 1.0 + x1[:, 0] ** 2, rtol=1e-12)
 
     def test_ensemble_requires_u_for_gronwall(self):

@@ -1,6 +1,5 @@
 """Model, generator and test-function contracts."""
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -11,13 +10,12 @@ from filterlab.models import (
     ModelError,
     StepCoefficients,
     change_detection_model,
-    const_coeff,
     levy_atoms,
     linear_model,
     make_model,
 )
 from filterlab.rng import substream
-from test_simulate import plain_coefficients
+from test_simulate import jumping_plane
 
 Array = np.ndarray
 Y0 = np.zeros(1)
@@ -70,12 +68,12 @@ def test_jump_ou_rejects_overrides_naming_the_key():
                                    linear_model("custom", a_x=-0.7, sigma_v=1.3, sigma_bar=0.4, h_scale=2.1,
                                                 x0_mean=0.6, x0_var=0.9)], ids=lambda m: m.name)
 def test_kalman_inputs_are_the_model_coefficients(model):
-    # linear_model states each coefficient twice, in its callables and in kalman_inputs
+    # linear_model states each coefficient twice, in its coefficients and in kalman_inputs
     a_x, sigma_v, sigma_bar, h_scale, x0_mean, x0_var = model.kalman_inputs
     x = np.array([[-1.5], [0.3], [2.0]])
     np.testing.assert_array_equal(model.f(x), a_x * x)
-    np.testing.assert_array_equal(model.sigma(x), np.full((3, 1, 1), sigma_v))
-    np.testing.assert_array_equal(model.sigma_bar(x), np.full((3, 1, 1), sigma_bar))
+    np.testing.assert_array_equal(model.sigma, [[sigma_v]])
+    np.testing.assert_array_equal(model.sigma_bar, [[sigma_bar]])
     np.testing.assert_array_equal(model.h(x, Y0, 0.0), h_scale * x)
     # N(x0_mean, x0_var) draws mean + sqrt(var) * z from the same normals z
     expected = x0_mean + np.sqrt(x0_var) * substream(2).standard_normal((4, 1))
@@ -88,11 +86,33 @@ def test_no_kalman_inputs_where_the_kalman_filter_is_not_exact(name):
 
 
 def test_correlated_linear_default_is_overridable():
-    x = np.zeros((1, 1))
-    assert make_model("correlated_linear").sigma_bar(x)[0, 0, 0] == 0.5
-    assert make_model("correlated_linear", sigma_bar=0.25).sigma_bar(x)[0, 0, 0] == 0.25
-    assert make_model("correlated_linear", a_x=-2.0).sigma_bar(x)[0, 0, 0] == 0.5
-    assert make_model("linear_gaussian").sigma_bar(x)[0, 0, 0] == 0.0
+    assert make_model("correlated_linear").sigma_bar[0, 0] == 0.5
+    assert make_model("correlated_linear", sigma_bar=0.25).sigma_bar[0, 0] == 0.25
+    assert make_model("correlated_linear", a_x=-2.0).sigma_bar[0, 0] == 0.5
+    assert make_model("linear_gaussian").sigma_bar[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("model", [make_model(name) for name in
+                                   ("linear", "linear_gaussian", "correlated_linear", "jump_ou", "change_detection")]
+                         + [linear_model("integers", sigma_v=2, sigma_bar=1, levy=levy_atoms([1.0], [1.0]),
+                                         sigma_tilde=3)], ids=lambda m: m.name)
+def test_noise_coefficients_are_float64_matrices(model):
+    # sigma (d, p), sigma_bar (d, m) and sigma_tilde (d, r) with a Levy driver, None without
+    expected = {"sigma": model.dim_v, "sigma_bar": model.dim_y, "sigma_tilde": model.levy and model.levy.dim}
+    for field, cols in expected.items():
+        matrix = getattr(model, field)
+        if cols is None:
+            assert matrix is None and not model.has_jumps
+        else:
+            assert matrix.dtype == np.float64 and matrix.shape == (model.dim_x, cols), field
+
+
+def test_terms_of_the_noise_matrices_are_formed_once_per_model():
+    model = jumping_plane()
+    first, second = (StepCoefficients(model, x, Y0) for x in (np.zeros((1, 2)), np.ones((3, 2))))
+    for name in ("noise_factors", "diffusion", "jumps", "jump_drift"):
+        assert getattr(first.model, name) is getattr(second.model, name), name
+    np.testing.assert_array_equal(model.diffusion, model.sigma @ model.sigma.T + model.sigma_bar @ model.sigma_bar.T)
 
 
 class TestLevySpec:
@@ -283,48 +303,42 @@ def test_generator_batched_matches_pointwise():
     np.testing.assert_allclose(batched, single, rtol=1e-12)
 
 
-def jumping_plane():
-    """A 2-d jump model with constant coefficients none of whose matrices is
-    square and symmetric, so that a transposed matrix changes its operators."""
-    return dataclasses.replace(
-        change_detection_model(), f=lambda x: -x, sigma=const_coeff([[1.0], [0.5]]),
-        sigma_bar=const_coeff([[0.3], [-0.2]]), sigma_tilde=const_coeff([[1.0, 0.5], [-0.3, 2.0]]),
-        levy=levy_atoms([[0.5, -1.0], [0.2, 0.3]], [1.0, 2.0], drift_a=[0.1, -0.4]))
-
-
-def constant_and_batched(model) -> list[tuple[Array, Array]]:
-    """(constant path, batched path) of f~, the diffusion, each jump and the
-    three operators of the default battery on states with signed zeros: the
-    batched path is the model with each constant coefficient behind a plain
-    callable, which returns the same broadcast matrix."""
-    d = model.dim_x
-    x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
-    fast, slow = (StepCoefficients(m, x, np.full(1, 0.7), 0.5) for m in (model, plain_coefficients(model)))
-    pairs = [(fast.f_tilde, slow.f_tilde), (fast.diffusion, slow.diffusion)]
-    if model.has_jumps:
-        assert [lam for lam, _ in fast.jumps] == [lam for lam, _ in slow.jumps]
-        pairs += [(a, b) for (_, a), (_, b) in zip(fast.jumps, slow.jumps)]
-    battery = Battery.default(d)
-    values = battery.values(x)
-    return pairs + list(zip(battery.operators(fast, values), battery.operators(slow, values)))
-
-
-@pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
-def test_constant_coefficients_give_the_bytes_of_batched_ones(name):
-    # one product per entry on a scalar state, so the bytes, signed zeros included, are the same
-    for fast, slow in constant_and_batched(make_model(name)):
-        assert np.broadcast_to(fast, slow.shape).tobytes() == slow.tobytes()
+def per_state_reference(model, x, y, t) -> list[Array]:
+    """f~, the diffusion, the jump of each atom and the three operators of
+    the default battery, state by state with the matrix products written out
+    (sigma (d, p), sigma_bar (d, m), sigma_tilde (d, r) acting on columns)."""
+    battery = Battery.default(model.dim_x)
+    f_tilde, gen, corr, dphi = [], [], [], []
+    diffusion = model.sigma @ model.sigma.T + model.sigma_bar @ model.sigma_bar.T
+    jumps = [model.sigma_tilde @ eta for eta in model.levy.locs] if model.has_jumps else []
+    for row in x:
+        state = row[None]
+        ft = model.f(state)[0] + (model.sigma_tilde @ model.levy.drift_b if model.has_jumps else 0.0)
+        phi, grad, hess = battery.values(state)[:, 0], battery.gradients(state)[:, 0], battery.hessians(state)[:, 0]
+        a = grad @ ft + 0.5 * np.trace(diffusion @ hess, axis1=1, axis2=2)
+        for lam, disp in zip(model.levy.rates if model.has_jumps else [], jumps):
+            a = a + lam * (battery.values(state + disp)[:, 0] - phi - grad @ disp)
+        b = grad @ model.sigma_bar
+        f_tilde.append(ft)
+        gen.append(a)
+        corr.append(b)
+        dphi.append(model.h(state, y, t)[0] * phi[:, None] + b)
+    return ([np.array(f_tilde), diffusion] + jumps
+            + [np.stack(gen, axis=1), np.stack(corr, axis=1), np.stack(dphi, axis=1)])
 
 
 def test_constant_matrices_enter_the_operators_untransposed():
-    # BLAS may fuse the multiply-adds of a product of d > 1 terms, so this compares to rounding
-    for fast, slow in constant_and_batched(jumping_plane()):
-        np.testing.assert_allclose(np.broadcast_to(fast, slow.shape), slow, rtol=1e-13, atol=1e-13)
-
-
-def test_const_coeff_broadcasts():
-    c = const_coeff(np.array([[1.0, 2.0]]))
-    out = c(np.zeros((5, 1)))
-    assert out.shape == (5, 1, 2)
-    np.testing.assert_array_equal(c.matrix, [[1.0, 2.0]])
-    assert np.all(out == c.matrix)
+    # f~, the diffusion, the jumps and the operators on states with signed zeros against a reference that writes
+    # every product out; jumping_plane's matrices are not square and symmetric, so a transposed one would show
+    for model in (make_model("jump_ou"), make_model("correlated_linear"), jumping_plane()):
+        d = model.dim_x
+        x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
+        y, t = np.full(1, 0.7), 0.5
+        coeffs = StepCoefficients(model, x, y, t)
+        battery = Battery.default(d)
+        got = [coeffs.f_tilde, model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
+        got += list(battery.operators(coeffs, battery.values(x)))
+        expected = per_state_reference(model, x, y, t)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13, err_msg=model.name)

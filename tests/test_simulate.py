@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filterlab.girsanov import ensemble_revuz_yor
-from filterlab.models import StepCoefficients, levy_atoms, linear_model, make_model
+from filterlab.models import StepCoefficients, change_detection_model, levy_atoms, linear_model, make_model
 from filterlab import simulate
 from filterlab.parallel import run_plans
 from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, TAG_PATH, substream
@@ -209,6 +209,13 @@ class TestSimulatePair:
             euler_step(m, x, np.zeros_like(x), 0.01, None, np.zeros((1, 1)), step=3)
         assert err.value.step == 3
 
+    def test_a_zero_term_is_left_out_not_added(self):
+        # -0.0 + 0.0 would be 0.0: a term whose matrix is zero, sigma_tilde under a Levy driver too, adds nothing
+        m = linear_model("zeros", a_x=0.0, sigma_v=0.0, sigma_bar=0.0, levy=levy_atoms([1.0], [1.0]), sigma_tilde=0.0)
+        x = np.full((2, 1), -0.0)
+        out = euler_step(m, x, x, 0.01, np.ones((2, 1)), np.ones((1, 1)), np.ones((2, 1)))
+        assert np.signbit(out).all()
+
 
 class TestReferencePropagation:
     def test_uncorrelated_matches_p_dynamics_in_law(self):
@@ -238,23 +245,48 @@ class TestReferencePropagation:
         assert abs(out.mean() - target) < 3 * se
 
 
-def plain_coefficients(model):
-    """The same model with each constant coefficient behind a plain callable,
-    which has no `matrix`: every term is a batched contraction, none is skipped."""
+def jumping_plane():
+    """A 2-d jump model with constant coefficients none of whose matrices is
+    square and symmetric, so that a transposed matrix changes its steps and
+    operators."""
+    return dataclasses.replace(
+        change_detection_model(), name="jumping_plane", f=lambda x: -x, sigma=np.array([[1.0], [0.5]]),
+        sigma_bar=np.array([[0.3], [-0.2]]), sigma_tilde=np.array([[1.0, 0.5], [-0.3, 2.0]]),
+        levy=levy_atoms([[0.5, -1.0], [0.2, 0.3]], [1.0, 2.0], drift_a=[0.1, -0.4]))
 
-    def plain(coeff):
-        return None if coeff is None else (lambda x: coeff(x))
 
-    return dataclasses.replace(model, sigma=plain(model.sigma), sigma_bar=plain(model.sigma_bar),
-                               sigma_tilde=plain(model.sigma_tilde))
+def noise(matrix, inc):
+    """matrix @ inc[n] for every row n of the increments, written out index by index."""
+    return np.einsum("ij,nj->ni", matrix, inc)
 
 
-def fifty_steps(model, y):
-    """50 physical (euler_step) and 50 reference (propagate_under_reference)
-    steps of 1000 particles, one generator per step as the filter uses them."""
+def reference_euler(model, x, drift, dt, dv, dw, dl):
+    """euler_step with every matrix product written out: x + drift dt +
+    sigma dv + sigma_bar dw (+ sigma_tilde dl), dw one row per state or one shared row."""
+    out = x + drift * dt + noise(model.sigma, dv) + noise(model.sigma_bar, np.broadcast_to(dw, (len(x), model.dim_y)))
+    return out if dl is None else out + noise(model.sigma_tilde, dl)
+
+
+def reference_propagation(model, x, y, t, dy, dt, rng):
+    """propagate_under_reference of one run with every matrix product
+    written out: dV, then the jumps, drawn from rng, and dy in place of dY."""
+    n = len(x)
+    dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt)
+    dl = np.full((n, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
+    if dl is not None:
+        batch_levy_increments(model.levy, dt, rng, dl)
+    drift = model.f(x) - noise(model.sigma_bar, model.h(x, y, t))
+    return reference_euler(model, x, drift, dt, dv, dy, dl)
+
+
+@pytest.mark.parametrize("model", [make_model("correlated_linear"), make_model("jump_ou"),
+                                   make_model("change_detection"), jumping_plane()], ids=lambda m: m.name)
+def test_steps_match_a_per_state_reference(model):
+    # 50 physical (euler_step) and 50 reference (propagate_under_reference) steps of 1000 particles, one generator
+    # per step as the filter uses them, each from the states that the step before reached
     dt, sq = 1e-3, np.sqrt(1e-3)
+    y = simulate_pair(model, TimeGrid(0.05, dt), substream(3)).y
     x_phys = x_ref = model.initial_law(substream(0), 1000)
-    out = []
     for k in range(50):
         rng = substream(1, k)
         dv = rng.standard_normal((1000, model.dim_v)) * sq
@@ -262,19 +294,14 @@ def fifty_steps(model, y):
         dl = np.full((1000, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
         if dl is not None:
             batch_levy_increments(model.levy, dt, rng, dl)
-        x_phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
-        x_ref = propagate_under_reference(StepCoefficients(model, x_ref, y[k], k * dt), y[k + 1] - y[k], dt,
-                                          [substream(2, k)], k + 1)
-        out += [x_phys, x_ref]
-    return out
-
-
-@pytest.mark.parametrize("name", ["correlated_linear", "jump_ou", "change_detection"])
-def test_matrix_coefficients_match_plain_callables_exactly(name):
-    model = make_model(name)
-    y = simulate_pair(model, TimeGrid(0.05, 1e-3), substream(3)).y
-    for fast, slow in zip(fifty_steps(model, y), fifty_steps(plain_coefficients(model), y)):
-        assert np.array_equal(fast, slow)
+        phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
+        np.testing.assert_allclose(phys, reference_euler(model, x_phys, model.f(x_phys), dt, dv, dw, dl),
+                                   rtol=1e-13, atol=1e-13)
+        ref = propagate_under_reference(StepCoefficients(model, x_ref, y[k], k * dt), y[k + 1] - y[k], dt,
+                                        [substream(2, k)], k + 1)
+        np.testing.assert_allclose(ref, reference_propagation(model, x_ref, y[k], k * dt, y[k + 1] - y[k], dt,
+                                                              substream(2, k)), rtol=1e-13, atol=1e-13)
+        x_phys, x_ref = phys, ref
 
 
 class TestRefinement:
