@@ -98,7 +98,7 @@ def test_correlated_linear_default_is_overridable():
                                          sigma_tilde=3)], ids=lambda m: m.name)
 def test_noise_coefficients_are_float64_matrices(model):
     # sigma (d, p), sigma_bar (d, m) and sigma_tilde (d, r) with a Levy driver, None without
-    expected = {"sigma": model.dim_v, "sigma_bar": model.dim_y, "sigma_tilde": model.levy and model.levy.dim}
+    expected = {"sigma": model.dim_v, "sigma_bar": model.dim_y, "sigma_tilde": model.levy.dim if model.levy else None}
     for field, cols in expected.items():
         matrix = getattr(model, field)
         if cols is None:
