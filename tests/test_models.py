@@ -313,11 +313,14 @@ def per_state_reference(model, x, y, t) -> list[Array]:
     jumps = [model.sigma_tilde @ eta for eta in model.levy.locs] if model.has_jumps else []
     for row in x:
         state = row[None]
-        ft = model.f(state)[0] + (model.sigma_tilde @ model.levy.drift_b if model.has_jumps else 0.0)
+        ft = model.f(state)[0]
+        if model.has_jumps:   # not + 0.0 without jumps, which would turn -0.0 into 0.0
+            ft = ft + model.sigma_tilde @ model.levy.drift_b
         phi, grad, hess = battery.values(state)[:, 0], battery.gradients(state)[:, 0], battery.hessians(state)[:, 0]
         a = grad @ ft + 0.5 * np.trace(diffusion @ hess, axis1=1, axis2=2)
-        for lam, disp in zip(model.levy.rates if model.has_jumps else [], jumps):
-            a = a + lam * (battery.values(state + disp)[:, 0] - phi - grad @ disp)
+        if model.has_jumps:   # the atoms summed first, then added to the local terms
+            a = a + sum(lam * (battery.values(state + disp)[:, 0] - phi - grad @ disp)
+                        for lam, disp in zip(model.levy.rates, jumps))
         b = grad @ model.sigma_bar
         f_tilde.append(ft)
         gen.append(a)
@@ -327,18 +330,30 @@ def per_state_reference(model, x, y, t) -> list[Array]:
             + [np.stack(gen, axis=1), np.stack(corr, axis=1), np.stack(dphi, axis=1)])
 
 
+def constant_and_reference(model) -> list[tuple[Array, Array]]:
+    """(model path, per-state reference) of f~, the diffusion, each jump and
+    the three operators of the default battery on states with signed zeros."""
+    d = model.dim_x
+    x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
+    y, t = np.full(1, 0.7), 0.5
+    coeffs = StepCoefficients(model, x, y, t)
+    battery = Battery.default(d)
+    got = [coeffs.f_tilde, model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
+    got += list(battery.operators(coeffs, battery.values(x)))
+    expected = per_state_reference(model, x, y, t)
+    assert len(got) == len(expected)
+    return list(zip(got, expected))
+
+
+@pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
+def test_constant_coefficients_give_the_bytes_of_batched_ones(name):
+    # one product per entry on a scalar state, so the bytes, signed zeros included, are those of the reference
+    for got, expected in constant_and_reference(make_model(name)):
+        assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
+
+
 def test_constant_matrices_enter_the_operators_untransposed():
-    # f~, the diffusion, the jumps and the operators on states with signed zeros against a reference that writes
-    # every product out; jumping_plane's matrices are not square and symmetric, so a transposed one would show
-    for model in (make_model("jump_ou"), make_model("correlated_linear"), jumping_plane()):
-        d = model.dim_x
-        x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
-        y, t = np.full(1, 0.7), 0.5
-        coeffs = StepCoefficients(model, x, y, t)
-        battery = Battery.default(d)
-        got = [coeffs.f_tilde, model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
-        got += list(battery.operators(coeffs, battery.values(x)))
-        expected = per_state_reference(model, x, y, t)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13, err_msg=model.name)
+    # jumping_plane's matrices are not square and symmetric, so a transposed one would show; BLAS may fuse the
+    # multiply-adds of a product of d > 1 terms, so this compares to rounding
+    for got, expected in constant_and_reference(jumping_plane()):
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
