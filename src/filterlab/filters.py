@@ -13,10 +13,10 @@ the last axis, and each row draws from its own generators, so a run's bytes
 do not depend on the block it is stepped in. A single run is the block R = 1.
 
 One walk (_walk) steps a block along its observation paths and yields each
-grid time's cloud with the step's StepCoefficients, whose h both the weight
-update and the propagation read, so h is evaluated once per step. Its two
-reductions are run_filter, which records pi_t(phi), rho_t(1) and the ESS of
-one run, and verify.residual_run, which accumulates the Zakai and
+grid time's cloud with h on its states, which the weight update and the
+propagation of the step from it read, so h is evaluated once per grid time.
+Its two reductions are run_filter, which records pi_t(phi), rho_t(1) and the
+ESS of one run, and verify.residual_run, which accumulates the Zakai and
 Kushner-Stratonovich residuals of many.
 """
 
@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .models import Battery, SignalModel, StepCoefficients
+from .models import Battery, SignalModel
 from .rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, substream
 from .simulate import TimeGrid, euler_step, fresh_increments, propagate_under_reference
 
@@ -68,8 +68,7 @@ class ParticleCloud:
     states: Array        # (R*N, d): run r holds rows r*N .. (r+1)*N - 1
     log_weights: Array   # (R, N)
     log_mass: Array      # (R,): log of the mass folded out at resampling times
-    t: float
-    step: int = 0        # grid index of t, reported on collapse
+    step: int = 0        # grid index k of the cloud's time k dt, reported on collapse
 
     @property
     def n(self) -> int:
@@ -116,7 +115,7 @@ def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
     states = np.concatenate([np.atleast_2d(np.asarray(initial_law(rng, n), dtype=float)) for rng in rngs])
     if states.shape[0] != n * len(rngs) or not np.all(np.isfinite(states)):
         raise ValueError("initial sampler returned an invalid draw")
-    return ParticleCloud(states=states, log_weights=np.zeros((len(rngs), n)), log_mass=np.zeros(len(rngs)), t=0.0)
+    return ParticleCloud(states=states, log_weights=np.zeros((len(rngs), n)), log_mass=np.zeros(len(rngs)))
 
 
 def systematic_indices(c: Array, rng: np.random.Generator) -> Array:
@@ -127,7 +126,8 @@ def systematic_indices(c: Array, rng: np.random.Generator) -> Array:
 
 def step(
     cloud: ParticleCloud,
-    coeffs: StepCoefficients,
+    model: SignalModel,
+    h: Array,
     dy: Array,
     dt: float,
     rngs_prop: Generators,
@@ -136,28 +136,25 @@ def step(
 ) -> tuple[ParticleCloud, Array]:
     """Advance every run of the block through its observed increment over (t, t + dt].
 
-    coeffs are the model's coefficients on the cloud's states at its
-    observation and time; dy holds one row per run, (R, m), and rngs_prop and
+    h is the model's sensor on the cloud's states at their observation and
+    time, (R*N, m); dy holds one row per run, (R, m), and rngs_prop and
     rngs_res one generator per run. Weights are updated with the pre-step
     states (left-point integrand of the log-weight), then particles move
     under the reference dynamics using the same observed dy and the same h;
     a run whose ESS falls below the threshold resamples, folding its mean
-    weight into log_mass. The new cloud's t is its grid time k dt, not a
-    running sum of dt, so h and the time functionals read the clock that the
-    data paths and the oracles read. Returns (new cloud, per-run resampled flags).
+    weight into log_mass. Returns (new cloud, per-run resampled flags).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    model = coeffs.model
     r, n = cloud.log_weights.shape
     dy = np.reshape(np.asarray(dy, dtype=float), (r, model.dim_y))
     k = cloud.step + 1
-    h = coeffs.h.reshape(r, n, -1)
+    h_rows = h.reshape(r, n, -1)
     # log_weights + (h.dy - |h|^2 dt / 2), in place into the new cloud's log-weights
-    log_w = np.einsum("rnm,rnm->rn", h, h)
+    log_w = np.einsum("rnm,rnm->rn", h_rows, h_rows)
     log_w *= 0.5
     log_w *= dt
-    np.subtract(np.einsum("rnm,rm->rn", h, dy), log_w, out=log_w)
+    np.subtract(np.einsum("rnm,rm->rn", h_rows, dy), log_w, out=log_w)
     log_w += cloud.log_weights
     shift = log_w.max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(shift)):
@@ -170,10 +167,10 @@ def step(
         dv, dw, dl = fresh_increments(model, dt, n, rngs_prop, dw=True)
         states = euler_step(model, cloud.states, model.f(cloud.states), dt, dv, dw, dl, k)
     else:
-        states = propagate_under_reference(coeffs, _per_particle(dy, n), dt, rngs_prop, k)
+        states = propagate_under_reference(model, cloud.states, h, _per_particle(dy, n), dt, rngs_prop, k)
     if np.any(weights.ess < 1.0 + 1e-9):
         raise FilterCollapse(step=k, ess=float(weights.ess.min()))
-    new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, t=k * dt, step=k)
+    new = ParticleCloud(states=states, log_weights=log_w, log_mass=cloud.log_mass, step=k)
     new.weights = weights
     resampled = weights.ess < config.resample_threshold * n
     if resampled.any():
@@ -215,11 +212,12 @@ def _walk(model: SignalModel, y_paths: Array, grid: TimeGrid, config: FilterConf
     resampling from substream(config.seed, TAG_role, *keys[r]), one generator
     per role built once and drawn from in order.
 
-    For k = 0 .. K it yields (cloud, coeffs, resampled): the block's cloud
-    at grid index k, the StepCoefficients on its states at y_k and its time,
-    and the per-run flags of the resampling in the step into it (all False at
-    k = 0). The step from k reads the same coeffs, so whatever a reduction
-    evaluates on them, h included, is evaluated once.
+    For k = 0 .. K it yields (cloud, h, resampled): the block's cloud at
+    grid index k, h(x, y_k, k dt) on its states, (R*N, m), and the per-run
+    flags of the resampling in the step into it (all False at k = 0). The
+    step from k reads the same h, so h is evaluated once per grid time. The
+    clock is the grid time k dt, not a running sum of dt, so h and the time
+    functionals read the clock that the data paths and the oracles read.
     """
     if y_paths.shape[1] != grid.n_steps + 1:
         raise ValueError("observation path does not match the grid")
@@ -228,10 +226,10 @@ def _walk(model: SignalModel, y_paths: Array, grid: TimeGrid, config: FilterConf
     cloud = init_cloud(model.initial_law, config.n_particles, rngs_init)
     resampled = np.zeros(len(keys), dtype=bool)
     for k in range(grid.n_steps + 1):
-        coeffs = StepCoefficients(model, cloud.states, _per_particle(y_paths[:, k], config.n_particles), cloud.t)
-        yield cloud, coeffs, resampled
+        h = model.h(cloud.states, _per_particle(y_paths[:, k], config.n_particles), k * grid.dt)
+        yield cloud, h, resampled
         if k < grid.n_steps:
-            cloud, resampled = step(cloud, coeffs, y_paths[:, k + 1] - y_paths[:, k], grid.dt, rngs_prop, rngs_res,
+            cloud, resampled = step(cloud, model, h, y_paths[:, k + 1] - y_paths[:, k], grid.dt, rngs_prop, rngs_res,
                                     config)
 
 
@@ -273,7 +271,7 @@ def run_filter(
         k = cloud.step
         battery.values(cloud.states, out=values[:len(battery.labels)])
         for row, fn in zip(values[len(battery.labels):], time_functionals.values()):
-            row[...] = fn(cloud.states, cloud.t)
+            row[...] = fn(cloud.states, k * grid.dt)
         weights = cloud.weights
         # pi_t(phi) = sum(w phi) / sum(w) per row, in place; w lies in [0, 1], so a product is finite when phi is
         sums = np.multiply(values, weights.w, out=values).sum(axis=-1)

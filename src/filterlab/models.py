@@ -196,27 +196,6 @@ class SignalModel:
 # ---------------------------------------------------------------------------
 
 
-class StepCoefficients:
-    """The per-state coefficients that every test function shares at one
-    step, on an (n, d) batch of states: f~(x) and h(x, y, t), each evaluated
-    on first use, at most once. The terms of the noise matrices are the
-    model's own (SignalModel.diffusion, jumps)."""
-
-    def __init__(self, model: SignalModel, states: Array, y: Array, t: float = 0.0):
-        self.model = model
-        self.x = np.atleast_2d(np.asarray(states, dtype=float))
-        self.y = np.asarray(y, dtype=float)
-        self.t = t
-
-    @cached_property
-    def f_tilde(self) -> Array:
-        return self.model.f_tilde(self.x)
-
-    @cached_property
-    def h(self) -> Array:
-        return self.model.h(self.x, self.y, self.t)
-
-
 def _label_terms(d: int) -> dict[str, tuple[str, int, int]]:
     """The default battery on R^d in its order: label -> (kind, i, j)."""
     x = (lambda i: "x") if d == 1 else (lambda i: f"x{i}")
@@ -296,9 +275,10 @@ class Battery:
                 hess[:, i, i] = -2.0 * t * (1.0 - t * t)
         return out
 
-    def operators(self, c: StepCoefficients, values: Array) -> tuple[Array, Array, Array]:
+    def operators(self, model: SignalModel, x: Array, h: Array, values: Array) -> tuple[Array, Array, Array]:
         """A phi (K, n), B^j phi (K, n, m) and D_j phi (K, n, m) of every
-        column on the states of c, whose values are `values`:
+        column on the (n, d) states x, whose values are `values`, with h
+        (n, m) the model's sensor on them at their observation and time:
 
           A phi = f~ . grad_x phi
                 + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
@@ -309,14 +289,14 @@ class Battery:
         the jump expectation an exact sum over the atoms of the Levy measure
         and D the integrand of the dY term of the unnormalised equation.
         """
-        grad = self.gradients(c.x)
-        gen = np.einsum("ni,kni->kn", c.f_tilde, grad)
-        term = np.einsum("...ij,k...ij->k...", c.model.diffusion, self.hessians(c.x))
+        grad = self.gradients(x)
+        gen = np.einsum("ni,kni->kn", model.f_tilde(x), grad)
+        term = np.einsum("...ij,k...ij->k...", model.diffusion, self.hessians(x))
         gen += np.multiply(term, 0.5, out=term)   # in place: one (K, n) buffer serves every term
-        if c.model.has_jumps and c.model.levy.jump_rate > 0:
+        if model.has_jumps and model.levy.jump_rate > 0:
             jump = np.zeros(gen.shape)
-            for lam, disp in c.model.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
-                np.subtract(self.values(c.x + disp, out=term), values, out=term)
+            for lam, disp in model.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
+                np.subtract(self.values(x + disp, out=term), values, out=term)
                 term -= np.einsum("k...i,...i->k...", grad, disp)
                 jump += np.multiply(term, lam, out=term)
             gen += jump
@@ -324,8 +304,8 @@ class Battery:
         if not finite.all():
             bad = [label for label, ok in zip(self.labels, finite) if not ok]
             raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")
-        corr = np.einsum("...im,k...i->k...m", c.model.sigma_bar, grad)
-        dphi = c.h * values[..., None]
+        corr = np.einsum("...im,k...i->k...m", model.sigma_bar, grad)
+        dphi = h * values[..., None]
         dphi += corr
         return gen, corr, dphi
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import LevySpec, SignalModel, StepCoefficients
+from .models import LevySpec, SignalModel
 from .rng import TAG_DUFRESNE, TAG_HITTING, substream
 
 Array = np.ndarray
@@ -183,15 +183,17 @@ def fresh_increments(
 
 
 def propagate_under_reference(
-    coeffs: StepCoefficients,
+    model: SignalModel,
+    x: Array,
+    h: Array,
     dy: Array,
     dt: float,
     rngs: Sequence[np.random.Generator],
     step: int = -1,
 ) -> Array:
     """One Euler step of the reference-measure dynamics for len(rngs) runs of
-    equally many states, stacked as (R*N, d) in coeffs (the coefficients on
-    them at their observation and time); run r draws from rngs[r].
+    equally many states x, stacked as (R*N, d), with h (R*N, m) the model's
+    sensor on them at their observation and time; run r draws from rngs[r].
 
     Under the reference measure the observation path drives the signal:
     dX = (f~ - sigma_bar h) dt + sigma dV + sigma_bar dY + sigma_tilde dL,
@@ -203,12 +205,11 @@ def propagate_under_reference(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    model, x = coeffs.model, coeffs.x
     sigma_t, sigma_bar_t, _ = model.noise_factors
     dy = np.atleast_2d(np.asarray(dy, dtype=float))
     drift = model.f(x)
     if sigma_bar_t is not None:
-        sbar_h = np.dot(coeffs.h, sigma_bar_t)
+        sbar_h = np.dot(h, sigma_bar_t)
         drift = np.subtract(drift, sbar_h, out=sbar_h)
     dv, _, dl = fresh_increments(model, dt, x.shape[0] // len(rngs), rngs, dv=model.has_jumps or sigma_t is not None)
     return euler_step(model, x, drift, dt, dv, dy, dl, step)

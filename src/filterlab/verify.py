@@ -260,14 +260,14 @@ def residual_run(
         """Per-particle (K, R*N, ...) values of the K test functions as (K, R, N, ...)."""
         return values.reshape(values.shape[:1] + (r, n) + values.shape[2:])
 
-    for cloud, coeffs, _ in _walk(model, y_path, grid, config, [(i,) for i in runs]):
+    for cloud, h, _ in _walk(model, y_path, grid, config, [(i,) for i in runs]):
         k = cloud.step
         weights = cloud.weights
         w, sw = weights.w, weights.total
         mass = cloud.mass
-        h = coeffs.h.reshape((r, n) + coeffs.h.shape[1:])
-        pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
-        values = battery.values(coeffs.x)
+        h_rows = h.reshape((r, n) + h.shape[1:])
+        pi_h = np.einsum("rn,rnm->rm", w, h_rows) / sw[:, None]
+        values = battery.values(cloud.states)
         vals = rows(values)
         w_vals = np.sum(w * vals, axis=-1)
         rho_phi = mass * w_vals / n
@@ -278,14 +278,14 @@ def residual_run(
         ks[..., k] = (pi_phi - pi0 - ks_int).T
         if k == k_steps:
             break
-        gen, corr, dphi = (rows(v) for v in battery.operators(coeffs, values))
+        gen, corr, dphi = (rows(v) for v in battery.operators(model, cloud.states, h, values))
         dy = y_path[:, k + 1] - y_path[:, k]
         w_a = np.sum(w * gen, axis=-1)
         rho_d = mass[:, None] * np.einsum("rn,krnm->krm", w, dphi) / n
         zak_int += mass * w_a / n * dt + np.einsum("krm,rm->kr", rho_d, dy)
         # vals == 1 makes pi_phih the same reduction as pi_h, so the
         # KS integrand cancels to exactly zero for the constant function
-        pi_phih = np.einsum("rn,krnm->krm", w, vals[..., None] * h) / sw[:, None]
+        pi_phih = np.einsum("rn,krnm->krm", w, vals[..., None] * h_rows) / sw[:, None]
         integrand = pi_phih - pi_h * pi_phi[..., None] + np.einsum("rn,krnm->krm", w, corr) / sw[:, None]
         ks_int += w_a / sw * dt + np.einsum("krm,rm->kr", integrand, dy - pi_h * dt)
     return zak, ks

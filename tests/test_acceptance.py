@@ -29,7 +29,7 @@ from filterlab.girsanov import (
     revuz_yor_closed_form,
     revuz_yor_transformed_estimates,
 )
-from filterlab.models import Battery, StepCoefficients, make_model
+from filterlab.models import Battery, make_model
 from filterlab.parallel import run_plans
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid
@@ -283,8 +283,8 @@ def test_criterion_09b_zakai_mass_equation_reduction():
             h = model.h(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
-                coeffs = StepCoefficients(model, cloud.states, bundle.y[k], cloud.t)
-                cloud, _ = step(cloud, coeffs, bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
+                h = model.h(cloud.states, bundle.y[k], k * grid.dt)
+                cloud, _ = step(cloud, model, h, bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
         direct, acc = np.zeros(grid.n_steps + 1), 0.0
         for k in range(grid.n_steps + 1):
             direct[k] = rho_one[k] - rho_one[0] - acc

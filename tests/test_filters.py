@@ -19,7 +19,7 @@ from filterlab.filters import (
     step,
     systematic_indices,
 )
-from filterlab.models import Battery, StepCoefficients, change_indicator, gaussian_initial, linear_model, make_model
+from filterlab.models import Battery, change_indicator, gaussian_initial, linear_model, make_model
 from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
 from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
 from filterlab.verify import kalman_bucy_oracle, residual_run
@@ -44,8 +44,8 @@ def pi_of(cloud, values):
 
 
 def step_at(cloud, model, y, dy, dt, rngs_prop, rngs_res, config):
-    """filters.step with the coefficients on the cloud's states at observation y (one shared row) and its time."""
-    return step(cloud, StepCoefficients(model, cloud.states, y, cloud.t), dy, dt, rngs_prop, rngs_res, config)
+    """filters.step with h on the cloud's states at observation y (one shared row) and its grid time step * dt."""
+    return step(cloud, model, model.h(cloud.states, y, cloud.step * dt), dy, dt, rngs_prop, rngs_res, config)
 
 
 # log-weights of a random cloud: finite ones spread over many orders of
@@ -62,14 +62,13 @@ def resampled(cloud, rngs, rows):
     return out
 
 
-def make_cloud(states, log_weights, log_mass=0.0, t=0.0):
+def make_cloud(states, log_weights, log_mass=0.0):
     return ParticleCloud(
         states=np.atleast_2d(np.asarray(states, dtype=float)).T
         if np.ndim(states) == 1
         else np.asarray(states, dtype=float),
         log_weights=np.asarray(log_weights, dtype=float)[None, :],   # a block of one run
         log_mass=np.array([log_mass]),
-        t=t,
     )
 
 
@@ -78,7 +77,7 @@ class TestInitCloud:
         cloud = init_cloud(point_mass(2.5), 100, [substream(0)])
         assert np.all(cloud.states == 2.5)
         assert np.all(cloud.log_weights == 0.0)
-        assert cloud.log_mass == 0.0 and cloud.t == 0.0
+        assert cloud.log_mass == 0.0 and cloud.step == 0
 
     def test_standard_normal_prior_clt_band(self):
         m = make_model("linear_gaussian")   # N(0, 0.5) prior
@@ -116,9 +115,9 @@ class TestEstimates:
         # weights, the mass and every estimate must agree bit for bit
         lw = np.array([[-0.5, -0.25, 0.125, 0.0]])
         states = np.array([[0.3], [1.2], [-0.7], [2.0]])
-        base = ParticleCloud(states=states, log_weights=lw, log_mass=np.zeros(1), t=0.0)
+        base = ParticleCloud(states=states, log_weights=lw, log_mass=np.zeros(1))
         for shift in (1.0, -2.0, 16.0):
-            moved = ParticleCloud(states=states, log_weights=lw + shift, log_mass=np.array([-shift]), t=0.0)
+            moved = ParticleCloud(states=states, log_weights=lw + shift, log_mass=np.array([-shift]))
             assert moved.weights.shift == base.weights.shift + shift and moved.mass == base.mass
             for name in ("w", "total", "ess"):
                 assert getattr(moved.weights, name).tobytes() == getattr(base.weights, name).tobytes(), name
@@ -163,7 +162,7 @@ class TestResampling:
     def test_block_resamples_only_the_given_rows(self):
         rng = substream(9)
         lw = rng.standard_normal((3, 50))
-        cloud = ParticleCloud(states=rng.standard_normal((150, 1)), log_weights=lw, log_mass=np.zeros(3), t=0.0)
+        cloud = ParticleCloud(states=rng.standard_normal((150, 1)), log_weights=lw, log_mass=np.zeros(3))
         out = resampled(cloud, [substream(10), None, substream(11)], rows=[0, 2])
         np.testing.assert_array_equal(out.states[50:100], cloud.states[50:100])
         np.testing.assert_array_equal(out.log_weights[1], lw[1])
@@ -212,8 +211,8 @@ def test_step_never_writes_into_the_cloud_it_is_given(name, n_runs, threshold):
     for k in range(grid.n_steps):
         before = snapshot(cloud)
         seen.append((cloud, before))
-        coeffs = StepCoefficients(m, cloud.states, np.repeat(y[:, k], n, axis=0), cloud.t)
-        cloud, _ = step(cloud, coeffs, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
+        h = m.h(cloud.states, np.repeat(y[:, k], n, axis=0), k * grid.dt)
+        cloud, _ = step(cloud, m, h, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
         assert snapshot(seen[-1][0]) == before
     for old, before in seen:
         assert snapshot(old) == before
@@ -232,11 +231,11 @@ def test_walk_of_a_block_equals_each_run_walked_alone(name, threshold):
     cfg = FilterConfig(n_particles=n, resample_threshold=threshold, seed=31)   # rows resample at steps of their own
     alone = [_walk(m, y[row:row + 1], grid, cfg, [(i,)]) for row, i in enumerate(runs)]
     flags = []
-    for (cloud, coeffs, resampled), *singles in zip(_walk(m, y, grid, cfg, [(i,) for i in runs]), *alone):
-        for row, (one, one_coeffs, one_resampled) in enumerate(singles):
+    for (cloud, h, resampled), *singles in zip(_walk(m, y, grid, cfg, [(i,) for i in runs]), *alone):
+        for row, (one, one_h, one_resampled) in enumerate(singles):
             particles = slice(row * n, (row + 1) * n)
             assert cloud.states[particles].tobytes() == one.states.tobytes(), (cloud.step, row)
-            assert coeffs.h[particles].tobytes() == one_coeffs.h.tobytes(), (cloud.step, row)
+            assert h[particles].tobytes() == one_h.tobytes(), (cloud.step, row)
             for name in ("log_weights", "log_mass"):
                 assert getattr(cloud, name)[row].tobytes() == getattr(one, name)[0].tobytes(), (cloud.step, row, name)
             for name in ("w", "shift", "total", "ess"):
@@ -263,7 +262,7 @@ class TestNonFiniteLogWeights:
     FilterCollapse at its step, raised before the propagation."""
 
     def step_with(self, model, log_weights, states):
-        cloud = ParticleCloud(states=states, log_weights=log_weights, log_mass=np.zeros(3), t=0.05, step=5)
+        cloud = ParticleCloud(states=states, log_weights=log_weights, log_mass=np.zeros(3), step=5)
         cfg = FilterConfig(n_particles=16, resample_threshold=0.0, seed=0)   # never resamples: the log-weights stay
         dy = np.array([[0.1], [-0.2], [0.05]])
         return step_at(cloud, model, Y0, dy, 0.01, [substream(41, i) for i in range(3)],
@@ -315,7 +314,7 @@ def test_collapse_reports_the_step_it_is_given():
         Weights(lw, step=7)
     assert exc.value.step == 7
     with pytest.raises(FilterCollapse) as exc:
-        ParticleCloud(np.zeros((5, 1)), lw[None, :], np.zeros(1), 0.07, step=7).weights
+        ParticleCloud(np.zeros((5, 1)), lw[None, :], np.zeros(1), step=7).weights
     assert exc.value.step == 7
 
 
@@ -346,14 +345,15 @@ def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
 
 
 def counting_h(model):
-    """The model with h wrapped to record the number of states of every call."""
-    rows = []
+    """The model with h wrapped to record the number of states and the time of every call."""
+    rows, times = [], []
 
     def h(x, y, t):
         rows.append(x.shape[0])
+        times.append(t)
         return model.h(x, y, t)
 
-    return dataclasses.replace(model, h=h), rows
+    return dataclasses.replace(model, h=h), rows, times
 
 
 class TestOneEvaluationOfHPerStep:
@@ -361,20 +361,28 @@ class TestOneEvaluationOfHPerStep:
     step all read one evaluation of h."""
 
     def test_run_filter(self):
-        m, rows = counting_h(make_model("correlated_linear"))   # sigma_bar != 0: propagation reads h too
+        m, rows, _ = counting_h(make_model("correlated_linear"))   # sigma_bar != 0: propagation reads h too
         grid = TimeGrid(0.1, 0.01)
         run_filter(m, np.zeros((grid.n_steps + 1, 1)), grid, FilterConfig(n_particles=16, seed=0),
                    battery=Battery.default(1))
-        assert len(rows) == grid.n_steps
+        assert len(rows) == grid.n_steps + 1   # the walk evaluates h at every grid time, the last one included
 
     @pytest.mark.parametrize("name", ["correlated_linear", "jump_ou"])
     def test_residual_run(self, name):
-        m, rows = counting_h(make_model(name))
+        m, rows, _ = counting_h(make_model(name))
         grid = TimeGrid(0.1, 0.01)
         residual_run(m, Battery.default(1), grid, FilterConfig(n_particles=16, seed=0), (0, 1))
         # the data paths step both runs as one (2, d) batch; the filter steps 2 x 16 particles
         assert rows.count(2) == grid.n_steps
         assert rows.count(32) == grid.n_steps + 1
+
+    def test_residual_run_block_reads_h_at_each_grid_time(self):
+        m, rows, times = counting_h(make_model("correlated_linear"))
+        grid = TimeGrid(0.1, 0.01)
+        residual_run(m, Battery.default(1), grid, FilterConfig(n_particles=16, seed=0), (0, 1, 2))
+        # the data paths call h on the (3, d) batch at steps 0 .. K - 1, the walk on the 3 x 16 particles at 0 .. K
+        assert rows.count(3) == grid.n_steps and len(rows) == 2 * grid.n_steps + 1
+        assert [t for n, t in zip(rows, times) if n == 48] == [k * grid.dt for k in range(grid.n_steps + 1)]
 
 
 class TestStep:
@@ -385,7 +393,7 @@ class TestStep:
         out, resampled = step_at(cloud, m, Y0, np.array([0.3]), 0.01, [substream(1)], [substream(2)], cfg)
         assert not resampled
         np.testing.assert_array_equal(out.log_weights, cloud.log_weights)
-        assert out.t == pytest.approx(0.01)
+        assert out.step == 1
 
     def test_duplicated_particles_stay_symmetric(self):
         m = make_model("linear_gaussian")
@@ -443,16 +451,19 @@ class TestRunFilter:
 
     def test_every_cloud_and_time_functional_is_at_its_grid_time(self):
         # the clock used to be a running sum of dt, which leaves k * dt in the last bits
-        m = make_model("linear_gaussian")
+        m, rows, times = counting_h(make_model("linear_gaussian"))
         grid = TimeGrid(1.0, 1e-3)
         y = np.zeros((grid.n_steps + 1, 1))
         config = FilterConfig(n_particles=16, seed=1)
         on_grid = [k * grid.dt for k in range(grid.n_steps + 1)]
-        walked = [(cloud.step, cloud.t, coeffs.t) for cloud, coeffs, _ in _walk(m, y[None], grid, config, [()])]
-        assert walked == [(k, t, t) for k, t in enumerate(on_grid)]
+        assert [cloud.step for cloud, _, _ in _walk(m, y[None], grid, config, [()])] == list(range(grid.n_steps + 1))
+        assert times == on_grid
+        rows.clear()
+        times.clear()
         seen = []
         clock = {"t": lambda states, t: seen.append(t) or np.zeros(len(states))}
         run_filter(m, y, grid, config, time_functionals=clock)
+        assert times == on_grid and rows == [16] * len(on_grid)   # h once per grid time, at k dt
         assert seen == on_grid
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")   # the estimate's own: pi is inf

@@ -8,13 +8,13 @@ import pytest
 from filterlab.models import (
     Battery,
     ModelError,
-    StepCoefficients,
     change_detection_model,
     levy_atoms,
     linear_model,
     make_model,
 )
 from filterlab.rng import substream
+from filterlab.simulate import propagate_under_reference
 from test_simulate import jumping_plane
 
 Array = np.ndarray
@@ -25,8 +25,7 @@ def operators(model, label, x):
     """A, B and D of the one test function `label` on the rows of x, at
     observation Y0 and time 0: shapes (n,), (n, m) and (n, m)."""
     battery = Battery((label,), model.dim_x)
-    coeffs = StepCoefficients(model, x, Y0)
-    gen, corr, dphi = battery.operators(coeffs, battery.values(coeffs.x))
+    gen, corr, dphi = battery.operators(model, x, model.h(x, Y0, 0.0), battery.values(x))
     return gen[0], corr[0], dphi[0]
 
 
@@ -108,10 +107,20 @@ def test_noise_coefficients_are_float64_matrices(model):
 
 
 def test_terms_of_the_noise_matrices_are_formed_once_per_model():
+    # a cached property stores its value in the instance's __dict__ on first read: the first round of the
+    # operators and the reference step forms each term, and the second, on other states, reads the same object
     model = jumping_plane()
-    first, second = (StepCoefficients(model, x, Y0) for x in (np.zeros((1, 2)), np.ones((3, 2))))
-    for name in ("noise_factors", "diffusion", "jumps", "jump_drift"):
-        assert getattr(first.model, name) is getattr(second.model, name), name
+    battery = Battery.default(model.dim_x)
+    names = ("noise_factors", "diffusion", "jumps", "jump_drift")
+    assert not set(names) & set(vars(model))
+    formed = []
+    for x in (np.zeros((1, 2)), np.ones((3, 2))):
+        h = model.h(x, Y0, 0.0)
+        battery.operators(model, x, h, battery.values(x))
+        propagate_under_reference(model, x, h, np.zeros(1), 0.01, [substream(5)])
+        formed.append({name: vars(model)[name] for name in names})
+    for name in names:
+        assert formed[0][name] is formed[1][name], name
     np.testing.assert_array_equal(model.diffusion, model.sigma @ model.sigma.T + model.sigma_bar @ model.sigma_bar.T)
 
 
@@ -336,10 +345,9 @@ def constant_and_reference(model) -> list[tuple[Array, Array]]:
     d = model.dim_x
     x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
     y, t = np.full(1, 0.7), 0.5
-    coeffs = StepCoefficients(model, x, y, t)
     battery = Battery.default(d)
-    got = [coeffs.f_tilde, model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
-    got += list(battery.operators(coeffs, battery.values(x)))
+    got = [model.f_tilde(x), model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
+    got += list(battery.operators(model, x, model.h(x, y, t), battery.values(x)))
     expected = per_state_reference(model, x, y, t)
     assert len(got) == len(expected)
     return list(zip(got, expected))

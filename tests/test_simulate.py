@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from filterlab.girsanov import ensemble_revuz_yor
-from filterlab.models import StepCoefficients, change_detection_model, levy_atoms, linear_model, make_model
+from filterlab.models import change_detection_model, levy_atoms, linear_model, make_model
 from filterlab import simulate
 from filterlab.parallel import run_plans
 from filterlab.rng import TAG_DUFRESNE, TAG_HITTING, TAG_PATH, substream
@@ -223,15 +223,15 @@ class TestReferencePropagation:
         m = make_model("linear_gaussian")
         x = np.full((50_000, 1), 0.5)
         dt = 0.01
-        out = propagate_under_reference(StepCoefficients(m, x, np.zeros(1)), np.array([0.123]), dt, [substream(3)])
+        out = propagate_under_reference(m, x, m.h(x, np.zeros(1), 0.0), np.array([0.123]), dt, [substream(3)])
         mean = out.mean()
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(mean - (0.5 - 0.5 * dt)) < 3 * se
 
     def test_observation_feed_is_deterministic_shift(self):
         m = linear_model("det", a_x=0.0, sigma_v=0.0, sigma_bar=1.0, h_scale=0.0)
-        out = propagate_under_reference(StepCoefficients(m, np.array([[1.0]]), np.zeros(1)), np.array([0.3]), 0.01,
-                                        [substream(0)])
+        x = np.array([[1.0]])
+        out = propagate_under_reference(m, x, m.h(x, np.zeros(1), 0.0), np.array([0.3]), 0.01, [substream(0)])
         assert out[0, 0] == pytest.approx(1.3)
 
     def test_correlated_ensemble_mean(self):
@@ -239,7 +239,7 @@ class TestReferencePropagation:
         m = make_model("correlated_linear")
         x0, dy, dt = 0.8, 0.2, 0.01
         x = np.full((100_000, 1), x0)
-        out = propagate_under_reference(StepCoefficients(m, x, np.zeros(1)), np.array([dy]), dt, [substream(8)])
+        out = propagate_under_reference(m, x, m.h(x, np.zeros(1), 0.0), np.array([dy]), dt, [substream(8)])
         target = x0 + (-x0 - 0.5 * x0) * dt + 0.5 * dy
         se = out.std(ddof=1) / np.sqrt(out.shape[0])
         assert abs(out.mean() - target) < 3 * se
@@ -297,7 +297,7 @@ def test_steps_match_a_per_state_reference(model):
         phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
         np.testing.assert_allclose(phys, reference_euler(model, x_phys, model.f(x_phys), dt, dv, dw, dl),
                                    rtol=1e-13, atol=1e-13)
-        ref = propagate_under_reference(StepCoefficients(model, x_ref, y[k], k * dt), y[k + 1] - y[k], dt,
+        ref = propagate_under_reference(model, x_ref, model.h(x_ref, y[k], k * dt), y[k + 1] - y[k], dt,
                                         [substream(2, k)], k + 1)
         np.testing.assert_allclose(ref, reference_propagation(model, x_ref, y[k], k * dt, y[k + 1] - y[k], dt,
                                                               substream(2, k)), rtol=1e-13, atol=1e-13)

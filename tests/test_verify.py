@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from filterlab import cli
 from filterlab.filters import FilterConfig
-from filterlab.models import Battery, ModelError, StepCoefficients, change_detection_model, make_model
+from filterlab.models import Battery, ModelError, change_detection_model, make_model
 from filterlab.parallel import run_plans
 from filterlab.rng import substream
 from filterlab.simulate import TimeGrid, simulate_pair
@@ -178,8 +178,8 @@ class TestResiduals:
             h = m.h(cloud.states, bundle.y[k], k * grid.dt)[:, 0]
             rho_h.append(mass * np.mean(w * h))
             if k < grid.n_steps:
-                coeffs = StepCoefficients(m, cloud.states, bundle.y[k], cloud.t)
-                cloud, _ = step(cloud, coeffs, bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
+                h = m.h(cloud.states, bundle.y[k], k * grid.dt)
+                cloud, _ = step(cloud, m, h, bundle.y[k + 1] - bundle.y[k], grid.dt, *rngs, cfg)
         direct = np.zeros(grid.n_steps + 1)
         acc = 0.0
         for k in range(grid.n_steps + 1):
@@ -236,12 +236,12 @@ class TestResiduals:
             w = np.exp(cloud.log_weights - shift)                  # (1, N)
             mass = np.exp(cloud.log_mass + shift[:, 0])
             sw = w.sum(axis=1)
-            h = m.h(cloud.states, y_k, t)[None]                # (1, N, m)
+            h_x = m.h(cloud.states, y_k, t)                    # (N, m)
+            h = h_x[None]                                      # (1, N, m)
             pi_h = np.einsum("rn,rnm->rm", w, h) / sw[:, None]
             for label in labels:
                 one = Battery((label,), 1)                         # its single column is the run's (1, N) row
-                coeffs = StepCoefficients(m, cloud.states, y_k, t)
-                vals = one.values(coeffs.x)
+                vals = one.values(cloud.states)
                 rho_phi = mass * np.sum(w * vals, axis=1) / w.shape[1]
                 pi_phi = np.sum(w * vals, axis=1) / sw
                 rho0, pi0 = start.setdefault(label, (rho_phi, pi_phi))
@@ -250,7 +250,7 @@ class TestResiduals:
                 if k == n:
                     continue
                 dy = (bundle.y[k + 1] - y_k)[None]
-                gen, corr, dphi = one.operators(coeffs, vals)
+                gen, corr, dphi = one.operators(m, cloud.states, h_x, vals)
                 w_a = np.sum(w * gen, axis=1)
                 rho_d = mass[:, None] * np.einsum("rn,rnm->rm", w, dphi) / w.shape[1]
                 zak_int[label] += mass * w_a / w.shape[1] * dt + np.einsum("rm,rm->r", rho_d, dy)
@@ -258,8 +258,7 @@ class TestResiduals:
                 integrand = integrand + np.einsum("rn,rnm->rm", w, corr) / sw[:, None]
                 ks_int[label] += w_a / sw * dt + np.einsum("rm,rm->r", integrand, dy - pi_h * dt)
             if k < n:
-                cloud, _ = step(cloud, StepCoefficients(m, cloud.states, y_k, cloud.t), bundle.y[k + 1] - y_k, dt,
-                                *rngs, cfg)
+                cloud, _ = step(cloud, m, h_x, bundle.y[k + 1] - y_k, dt, *rngs, cfg)
         for col, label in enumerate(labels):
             np.testing.assert_array_equal(zak[0, col], zak_rep[label])
             np.testing.assert_array_equal(ks[0, col], ks_rep[label])
@@ -303,8 +302,8 @@ class TestResiduals:
         rngs = [substream(43, TAG_PROPAGATE, i) for i in runs], [substream(43, TAG_RESAMPLE, i) for i in runs]
         flags = []
         for k in range(grid.n_steps):
-            coeffs = StepCoefficients(m, cloud.states, np.repeat(y[:, k], 24, axis=0), cloud.t)
-            cloud, resampled = step(cloud, coeffs, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
+            h = m.h(cloud.states, np.repeat(y[:, k], 24, axis=0), k * grid.dt)
+            cloud, resampled = step(cloud, m, h, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
             flags.append(resampled)
         flags = np.array(flags)
         assert 0 < flags.sum() < flags.size
