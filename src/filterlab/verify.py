@@ -1,8 +1,8 @@
 """Exact oracles and equation-residual checks.
 
 Two designated brute-force references anchor every filter comparison: the
-correlated-gain Kalman-Bucy recursion for linear models, and a grid-Bayes
-posterior for the change-detection problem. The Zakai and
+scalar correlated-gain Kalman-Bucy recursion for linear models, and a
+grid-Bayes posterior for the change-detection problem. The Zakai and
 Kushner-Stratonovich checks accumulate the discrete residual of each
 equation along many independent runs and test the terminal mean against its
 standard error; time integrals use left-point sums on the simulation grid,
@@ -109,63 +109,59 @@ class CheckVerdict:
 
 @dataclass
 class KalmanTrajectory:
-    mean: Array   # (K+1, d)
-    cov: Array    # (K+1, d, d)
+    """Posterior mean and variance of a scalar state (d = 1) at each grid time."""
+
+    mean: Array   # (K+1, 1)
+    cov: Array    # (K+1, 1, 1)
 
 
 def kalman_bucy_oracle(
-    a_x: Array,
-    sigma_v: Array,
-    sigma_bar: Array,
-    h_mat: Array,
-    m0: Array,
-    p0: Array,
+    a_x: float,
+    sigma_v: float,
+    sigma_bar: float,
+    h: float,
+    m0: float,
+    p0: float,
     y_path: Array,
     grid: TimeGrid,
 ) -> KalmanTrajectory:
-    """Exact filter for the linear model dX = A x dt + S_v dV + S_bar dW,
-    dY = H x dt + dW with unit observation noise.
+    """Exact filter for the scalar linear model dX = a x dt + s_v dV + s_bar dW,
+    dY = h x dt + dW with unit observation noise (d = 1), given the six
+    floats of SignalModel.kalman_inputs and a (K+1,) or (K+1, 1)
+    observation path.
 
-    The correlated gain is K = P H^T + S_bar; the covariance follows the
-    Riccati equation dP = A P + P A^T + S_v S_v^T + S_bar S_bar^T - K K^T
-    (classical RK4, P symmetrised each step) and the mean follows
-    dm = A m dt + K (dy - H m dt) (Euler on the observation increments).
+    The correlated gain is K = P h + s_bar; the variance follows the
+    Riccati equation dP = a P + P a + s_v^2 + s_bar^2 - K^2 (classical RK4)
+    and the mean follows dm = a m dt + K (dy - h m dt) (Euler on the
+    observation increments), both in Python floats.
     """
-    a_x = np.atleast_2d(np.asarray(a_x, dtype=float))
-    d = a_x.shape[0]
-    sigma_v = np.atleast_2d(np.asarray(sigma_v, dtype=float))
-    sigma_bar = np.atleast_2d(np.asarray(sigma_bar, dtype=float))
-    h_mat = np.atleast_2d(np.asarray(h_mat, dtype=float))
-    y_path = np.atleast_2d(np.asarray(y_path, dtype=float))
-    k_steps = grid.n_steps
-    if y_path.shape[0] != k_steps + 1:
+    a, s_v, s_bar, h = float(a_x), float(sigma_v), float(sigma_bar), float(h)
+    q = s_v * s_v + s_bar * s_bar
+    y = np.asarray(y_path, dtype=float).reshape(-1)
+    if y.shape[0] != grid.n_steps + 1:
         raise ValueError("observation path does not match the grid")
-    q = sigma_v @ sigma_v.T + sigma_bar @ sigma_bar.T
+    y = y.tolist()
 
-    def riccati(p: Array) -> Array:
-        gain = p @ h_mat.T + sigma_bar
-        return a_x @ p + p @ a_x.T + q - gain @ gain.T
+    def riccati(p: float) -> float:
+        gain = p * h + s_bar
+        return a * p + p * a + q - gain * gain
 
-    mean = np.zeros((k_steps + 1, d))
-    cov = np.zeros((k_steps + 1, d, d))
-    mean[0] = np.asarray(m0, dtype=float).reshape(d)
-    cov[0] = np.atleast_2d(np.asarray(p0, dtype=float))
     dt = grid.dt
-    for k in range(k_steps):
-        p = cov[k]
-        gain = p @ h_mat.T + sigma_bar
-        dy = y_path[k + 1] - y_path[k]
-        mean[k + 1] = mean[k] + a_x @ mean[k] * dt + gain @ (dy - h_mat @ mean[k] * dt)
+    m, p = float(m0), float(p0)
+    mean, cov = [m], [p]
+    for k in range(grid.n_steps):
+        gain = p * h + s_bar
+        m = m + a * m * dt + gain * (y[k + 1] - y[k] - h * m * dt)
         k1 = riccati(p)
         k2 = riccati(p + 0.5 * dt * k1)
         k3 = riccati(p + 0.5 * dt * k2)
         k4 = riccati(p + dt * k3)
-        nxt = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        nxt = 0.5 * (nxt + nxt.T)
-        if np.min(np.linalg.eigvalsh(nxt)) < -1e-10:
-            raise ValueError(f"Riccati covariance lost positive semidefiniteness at step {k + 1}")
-        cov[k + 1] = nxt
-    return KalmanTrajectory(mean=mean, cov=cov)
+        p = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if p < -1e-10:
+            raise ValueError(f"Riccati variance went negative at step {k + 1}")
+        mean.append(m)
+        cov.append(p)
+    return KalmanTrajectory(mean=np.array(mean)[:, None], cov=np.array(cov)[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +383,25 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     divergence diagnostic of its transformed energy. A plan
     (parallel.run_plans) whose tasks are the chunks of hitting_paths.
 
-    For each barrier n, the exit probability P(W hits -1 before n) is
-    compared with n / (n + 1) in a band of HITTING_SIGMAS SEs; with fewer than
-    two resolved paths it has no SE and its row is nan, which fails. Every
-    barrier is read off one set of paths, so each row depends on the whole
-    barrier list. The partial sums sum_{n <= N} n/(n+1)^2 are reported for
-    growing N together with their log-growth rate, which approaches 1 per
-    ln N for the divergent series.
+    For each barrier n, the exit probability P(W hits -1 before n) over the
+    m resolved paths is compared with p0 = n / (n + 1) in a band of
+    HITTING_SIGMAS SEs of a Bernoulli mean under that reference,
+    sqrt(p0 (1 - p0) / m), which is not 0 where every path exits on one side;
+    with no resolved path the row is nan, which fails. Every barrier is read
+    off one set of paths, so each row depends on the whole barrier list.
+    The partial sums sum_{n <= N} n/(n+1)^2 are reported for growing N
+    together with their log-growth rate, which approaches 1 per ln N for
+    the divergent series.
     """
     chunks = yield [(hitting_paths, tuple(n_list), n_paths, dt, seed, i)
                     for i in range(math.ceil(n_paths / PATH_CHUNK))]
     hit_low, resolved = (np.hstack(parts) for parts in zip(*chunks))
     rows = []
     for barrier, hit, res in zip(n_list, hit_low, resolved):
-        est = mean_se(hit[res].astype(float)) if res.sum() > 1 else Estimate(math.nan, math.nan)
-        rows.append(CheckVerdict.band("hitting_probability", f"barrier={barrier}", est.value, barrier / (barrier + 1.0),
-                                      est.se, HITTING_SIGMAS, detail=f"censored={int((~res).sum())}"))
+        p0, m = barrier / (barrier + 1.0), int(res.sum())
+        est, se = (hit[res].mean(), math.sqrt(p0 * (1.0 - p0) / m)) if m else (math.nan, math.nan)
+        rows.append(CheckVerdict.band("hitting_probability", f"barrier={barrier}", est, p0, se, HITTING_SIGMAS,
+                                      detail=f"censored={res.size - m}"))
     low, high = PARTIAL_SUM_LEVELS
     n_terms = np.arange(1, high + 1, dtype=float)
     csum = np.cumsum(n_terms / (n_terms + 1.0) ** 2)

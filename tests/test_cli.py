@@ -473,6 +473,18 @@ class TestCounterexampleCommand:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
         assert "hitting_probability [barrier=100000]: FAIL" in capsys.readouterr().out
 
+    def test_hitting_row_whose_paths_all_exit_on_one_side_has_a_band(self, tmp_path):
+        # both paths exit at -1, so the sample SE is 0; the band is the SE of a Bernoulli
+        # mean under the reference, where a band of 0 SEs used to fail this row (exit 5)
+        block = {"barriers": [100000], "n_paths": 2, "dt": 1.0}
+        cfg = write_cfg(tmp_path, "ver.json", dict(verify_cfg({"hitting": block}), seed=11))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+        with open(tmp_path / "v" / "verdicts.csv") as fh:
+            [row] = [r for r in csv.DictReader(fh) if r["check"] == "hitting_probability"]
+        p0 = 100000 / 100001
+        assert (row["estimate"], row["detail"], row["passed"]) == ("1.0", "censored=0", "1")
+        assert float(row["tolerance"]) == 5.0 * math.sqrt(p0 * (1.0 - p0) / 2)
+
     def test_unknown_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "ce.json", {"counterexample": {"kind": "weird"}, "seed": 2})
         proc = run_cli(["counterexample", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -40,12 +40,22 @@ def change_detection_loglik_direct(b, tau, b0, y_path, grid):
     return out
 
 
+def riccati_closed_form(t, a, sigma_v, sigma_bar, h, p0):
+    """The scalar Riccati variance at times t: dP/dt = -(h^2 P^2 - 2 (a - h sigma_bar) P - sigma_v^2)
+    = -h^2 (P - p1)(P - p2), so g = (P - p1) / (P - p2) decays like exp(-h^2 (p1 - p2) t)."""
+    c = a - h * sigma_bar
+    r = math.sqrt(c * c + h * h * sigma_v * sigma_v)
+    p1, p2 = (c + r) / (h * h), (c - r) / (h * h)
+    g = (p0 - p1) / (p0 - p2) * np.exp(-2.0 * r * np.asarray(t))
+    return (p1 - g * p2) / (1.0 - g)
+
+
 class TestKalmanOracle:
     def test_no_observation_follows_lyapunov(self):
         # H = 0: dP = 2 a P + q, closed form for scalar a = -1, q = 1
         grid = TimeGrid(1.0, 1e-3)
         y = np.zeros((grid.n_steps + 1, 1))
-        out = kalman_bucy_oracle([[-1.0]], [[1.0]], [[0.0]], [[0.0]], [0.0], [[0.2]], y, grid)
+        out = kalman_bucy_oracle(-1.0, 1.0, 0.0, 0.0, 0.0, 0.2, y, grid)
         t = grid.times()
         closed = 0.5 + (0.2 - 0.5) * np.exp(-2 * t)
         np.testing.assert_allclose(out.cov[:, 0, 0], closed, atol=1e-6)
@@ -55,32 +65,44 @@ class TestKalmanOracle:
         # a=-1, q=1, H=1, no correlation: P* solves -2P + 1 - P^2 = 0
         grid = TimeGrid(8.0, 1e-3)
         y = np.zeros((grid.n_steps + 1, 1))
-        out = kalman_bucy_oracle([[-1.0]], [[1.0]], [[0.0]], [[1.0]], [0.0], [[0.5]], y, grid)
+        out = kalman_bucy_oracle(-1.0, 1.0, 0.0, 1.0, 0.0, 0.5, y, grid)
         assert out.cov[-1, 0, 0] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-6)
 
     def test_fully_correlated_static_covariance(self):
         # A=0, S_v=0, S_bar=1, H=0: gain = S_bar, dP = 1 - 1 = 0
         grid = TimeGrid(1.0, 1e-2)
         y = np.zeros((grid.n_steps + 1, 1))
-        out = kalman_bucy_oracle([[0.0]], [[0.0]], [[1.0]], [[0.0]], [0.0], [[0.3]], y, grid)
+        out = kalman_bucy_oracle(0.0, 0.0, 1.0, 0.0, 0.0, 0.3, y, grid)
         np.testing.assert_allclose(out.cov[:, 0, 0], 0.3, atol=1e-12)
 
-    def test_covariance_stays_symmetric_psd(self):
+    def test_variance_stays_nonnegative(self):
         grid = TimeGrid(1.0, 1e-2)
         m = make_model("correlated_linear")
         bundle = simulate_pair(m, grid, substream(13))
         out = kalman_bucy_oracle(*m.kalman_inputs, bundle.y, grid)
-        for k in range(0, grid.n_steps + 1, 10):
-            p = out.cov[k]
-            np.testing.assert_allclose(p, p.T)
-            assert np.min(np.linalg.eigvalsh(p)) >= -1e-10
+        assert out.mean.shape == (grid.n_steps + 1, 1) and out.cov.shape == (grid.n_steps + 1, 1, 1)
+        assert np.min(out.cov) >= -1e-10
+
+    def test_negative_variance_is_refused(self):
+        grid = TimeGrid(1.0, 1e-2)
+        with pytest.raises(ValueError, match="step 1"):
+            kalman_bucy_oracle(0.0, 0.0, 0.0, 0.0, 0.0, -1.0, np.zeros(grid.n_steps + 1), grid)
 
     def test_correlated_stationary_value(self):
         # dP = -2P + 1.25 - (P + 0.5)^2 has root (-3 + sqrt(13)) / 2
         grid = TimeGrid(8.0, 1e-3)
         y = np.zeros((grid.n_steps + 1, 1))
-        out = kalman_bucy_oracle([[-1.0]], [[1.0]], [[0.5]], [[1.0]], [0.0], [[0.5]], y, grid)
+        out = kalman_bucy_oracle(-1.0, 1.0, 0.5, 1.0, 0.0, 0.5, y, grid)
         assert out.cov[-1, 0, 0] == pytest.approx((-3 + math.sqrt(13)) / 2, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["correlated_linear", "linear_gaussian"])
+    def test_variance_follows_the_closed_form_at_every_grid_time(self, name):
+        # the variance does not read the observations, so a flat (K+1,) path serves
+        a_x, sigma_v, sigma_bar, h, m0, p0 = make_model(name).kalman_inputs
+        grid = TimeGrid(1.0, 1e-3)
+        out = kalman_bucy_oracle(a_x, sigma_v, sigma_bar, h, m0, p0, np.zeros(grid.n_steps + 1), grid)
+        closed = riccati_closed_form(grid.times(), a_x, sigma_v, sigma_bar, h, p0)
+        np.testing.assert_allclose(out.cov[:, 0, 0], closed, rtol=0.0, atol=1e-10)
 
 
 class TestChangeDetectionOracle:
