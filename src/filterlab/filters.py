@@ -5,6 +5,8 @@ Brownian motion driving the signal; the observed increments are consumed
 both by the propagation (through sigma_bar) and by the importance weights
 exp(h^T dy - |h|^2 dt / 2). The running unnormalised mass rho_t(1) survives
 resampling through log_mass, which absorbs the pre-resampling mean weight.
+The cloud reports it (ParticleCloud.rho_one); rho_t(phi) = rho_t(1) pi_t(phi)
+(Kallianpur-Striebel), with pi_t(phi) = sum(w phi) / sum(w) the one reduction.
 
 A cloud holds R runs of N particles each: states flat as (R*N, d), so the
 model coefficients stay per-particle calls, and log-weights as (R, N). Every
@@ -16,8 +18,8 @@ One walk (_walk) steps a block along its observation paths and yields each
 grid time's cloud with h on its states, which the weight update and the
 propagation of the step from it read, so h is evaluated once per grid time.
 Its two reductions are run_filter, which records pi_t(phi), rho_t(1) and the
-ESS of one run, and verify.residual_run, which accumulates the Zakai and
-Kushner-Stratonovich residuals of many.
+ESS of one run, and verify.residual_run, which reads both the Zakai and the
+Kushner-Stratonovich residuals of many off the same pi_t reductions.
 """
 
 from __future__ import annotations
@@ -80,21 +82,24 @@ class ParticleCloud:
         return Weights(self.log_weights, self.step)
 
     @property
-    def mass(self) -> Array:
-        """exp(log_mass + shift) of each run, (R,): rho_t(phi) = mass * mean(w phi)."""
-        return np.exp(self.log_mass + self.weights.shift)
+    def rho_one(self) -> Array:
+        """rho_t(1) of each run, (R,): exp(log_mass + shift) times the mean weight total / N."""
+        return np.exp(self.log_mass + self.weights.shift) * (self.weights.total / self.n)
 
 
 class Weights:
-    """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w)
-    (passed in, (R, 1), by a caller that has it), their sum and the ESS; the estimates
-    and resampling read them. A row with no weight left raises FilterCollapse at `step`."""
+    """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w),
+    their sum and the ESS; the estimates and resampling read them. Where a maximum
+    is not finite, NaN log-weights become -inf in place (an exp underflow is a zero
+    weight, not an arithmetic error); a row with no weight left raises FilterCollapse at `step`."""
 
-    def __init__(self, log_weights: Array, step: int, shift: Optional[Array] = None):
-        if shift is None:
-            shift = log_weights.max(axis=-1, keepdims=True)
+    def __init__(self, log_weights: Array, step: int):
+        shift = log_weights.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):
-            raise FilterCollapse(step=step, ess=0.0)
+            log_weights[np.isnan(log_weights)] = -np.inf
+            shift = log_weights.max(axis=-1, keepdims=True)
+            if not np.all(np.isfinite(shift)):
+                raise FilterCollapse(step=step, ess=0.0)
         self.w = np.subtract(log_weights, shift)
         np.exp(self.w, out=self.w)
         self.shift = shift[..., 0]
@@ -156,12 +161,7 @@ def step(
     log_w *= dt
     np.subtract(np.einsum("rnm,rm->rn", h_rows, dy), log_w, out=log_w)
     log_w += cloud.log_weights
-    shift = log_w.max(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(shift)):
-        # exp underflow to -inf is a degenerate weight, not an arithmetic error
-        log_w[np.isnan(log_w)] = -np.inf
-        shift = log_w.max(axis=-1, keepdims=True)
-    weights = Weights(log_w, k, shift)   # a row with no finite maximum collapses here, before the propagation
+    weights = Weights(log_w, k)   # a row with no finite maximum collapses here, before the propagation
     if config.ignore_correlation:
         # correlation-blind ablation: fresh W noise in place of the observation feed
         dv, dw, dl = fresh_increments(model, dt, n, rngs_prop, dw=True)
@@ -278,7 +278,7 @@ def run_filter(
         if not (np.isfinite(sums).all() or np.isfinite(values).all()):
             raise ValueError("test function is non-finite on the cloud")
         pi_traj[:, k] = sums / weights.total
-        rho_one[k] = cloud.mass[0] * (weights.total[0] / config.n_particles)   # rho_t(1): mass times the mean weight
+        rho_one[k] = cloud.rho_one[0]
         ess_traj[k] = weights.ess[0]
         resampled[k] = flags[0]
     return FilterRun(

@@ -275,19 +275,19 @@ class Battery:
                 hess[:, i, i] = -2.0 * t * (1.0 - t * t)
         return out
 
-    def operators(self, model: SignalModel, x: Array, h: Array, values: Array) -> tuple[Array, Array, Array]:
-        """A phi (K, n), B^j phi (K, n, m) and D_j phi (K, n, m) of every
-        column on the (n, d) states x, whose values are `values`, with h
-        (n, m) the model's sensor on them at their observation and time:
+    def operators(self, model: SignalModel, x: Array, h: Array, values: Array) -> tuple[Array, Array]:
+        """A phi (K, n) and D_j phi (K, n, m) of every column on the (n, d)
+        states x, whose values are `values`, with h (n, m) the model's sensor
+        on them at their observation and time:
 
           A phi = f~ . grad_x phi
                 + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
                 + int [phi(x + sigma_tilde eta) - phi - grad_x phi . sigma_tilde eta] F(deta),
-          B^j phi = (sigma_bar^T grad_x phi)_j,
-          D_j phi = h^j phi + B^j phi,
+          D_j phi = h^j phi + B^j phi,   B^j phi = (sigma_bar^T grad_x phi)_j,
 
         the jump expectation an exact sum over the atoms of the Levy measure
-        and D the integrand of the dY term of the unnormalised equation.
+        and D the integrand of the dY term of both filtering equations; the
+        correlation operator B alone is D at h = 0.
         """
         grad = self.gradients(x)
         gen = np.einsum("ni,kni->kn", model.f_tilde(x), grad)
@@ -304,10 +304,9 @@ class Battery:
         if not finite.all():
             bad = [label for label, ok in zip(self.labels, finite) if not ok]
             raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")
-        corr = np.einsum("...im,k...i->k...m", model.sigma_bar, grad)
-        dphi = h * values[..., None]
-        dphi += corr
-        return gen, corr, dphi
+        dphi = np.einsum("...im,k...i->k...m", model.sigma_bar, grad)
+        dphi += h * values[..., None]
+        return gen, dphi
 
 
 # ---------------------------------------------------------------------------

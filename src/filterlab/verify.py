@@ -6,7 +6,9 @@ grid-Bayes posterior for the change-detection problem. The Zakai and
 Kushner-Stratonovich checks accumulate the discrete residual of each
 equation along many independent runs and test the terminal mean against its
 standard error; time integrals use left-point sums on the simulation grid,
-so discretisation error folds into the statistical band.
+so discretisation error folds into the statistical band. Both read the same
+pi_t estimates, the Zakai one as rho_t(phi) = rho_t(1) pi_t(phi) (the
+Kallianpur-Striebel formula), and the dY integrand D_j phi = h^j phi + B^j phi.
 """
 
 from __future__ import annotations
@@ -219,11 +221,6 @@ class ResidualStats:
     mean_residual: Estimate
     trajectory: Array           # per-time mean residual
 
-    def ratio(self) -> float:
-        if self.mean_residual.se == 0.0:
-            return 0.0 if self.mean_residual.value == 0.0 else math.inf
-        return abs(self.mean_residual.value) / self.mean_residual.se
-
 
 def residual_run(
     model: SignalModel,
@@ -239,7 +236,13 @@ def residual_run(
     walk's generators keyed (config.seed, TAG_role, i), so its result does
     not depend on the block. Every per-particle array is laid out
     (K, R, N, ...), so each reduction over particles runs along a contiguous
-    axis per (test function, run), as it would for one alone."""
+    axis per (test function, run), as it would for one alone.
+
+    Both equations are read off the cloud's rho_t(1) and one normalised
+    reduction per step of each q = phi, A phi, h, D phi, pi(q) = sum(w q) / sum(w):
+    rho_t(phi) = rho_t(1) pi_t(phi) (Kallianpur-Striebel) with the increment
+    rho_t(1) [pi(A phi) dt + pi(D phi) . dY], and the KS increment
+    pi(A phi) dt + [pi(D phi) - pi(h) pi(phi)] . (dY - pi(h) dt)."""
     seed, n = config.seed, config.n_particles
     runs = tuple(run_indices)
     r = len(runs)
@@ -260,30 +263,24 @@ def residual_run(
         k = cloud.step
         weights = cloud.weights
         w, sw = weights.w, weights.total
-        mass = cloud.mass
-        h_rows = h.reshape((r, n) + h.shape[1:])
-        pi_h = np.einsum("rn,rnm->rm", w, h_rows) / sw[:, None]
+        rho_one = cloud.rho_one
         values = battery.values(cloud.states)
-        vals = rows(values)
-        w_vals = np.sum(w * vals, axis=-1)
-        rho_phi = mass * w_vals / n
-        pi_phi = w_vals / sw
+        pi_phi = np.sum(w * rows(values), axis=-1) / sw
+        rho_phi = rho_one * pi_phi
         if k == 0:
             rho0, pi0 = rho_phi, pi_phi
         zak[..., k] = (rho_phi - rho0 - zak_int).T
         ks[..., k] = (pi_phi - pi0 - ks_int).T
         if k == k_steps:
             break
-        gen, corr, dphi = (rows(v) for v in battery.operators(model, cloud.states, h, values))
+        gen, dphi = (rows(v) for v in battery.operators(model, cloud.states, h, values))
         dy = y_path[:, k + 1] - y_path[:, k]
-        w_a = np.sum(w * gen, axis=-1)
-        rho_d = mass[:, None] * np.einsum("rn,krnm->krm", w, dphi) / n
-        zak_int += mass * w_a / n * dt + np.einsum("krm,rm->kr", rho_d, dy)
-        # vals == 1 makes pi_phih the same reduction as pi_h, so the
-        # KS integrand cancels to exactly zero for the constant function
-        pi_phih = np.einsum("rn,krnm->krm", w, vals[..., None] * h_rows) / sw[:, None]
-        integrand = pi_phih - pi_h * pi_phi[..., None] + np.einsum("rn,krnm->krm", w, corr) / sw[:, None]
-        ks_int += w_a / sw * dt + np.einsum("krm,rm->kr", integrand, dy - pi_h * dt)
+        pi_a = np.sum(w * gen, axis=-1) / sw
+        # pi(D 1) = pi(h) is the same reduction as pi_h, so the KS integrand cancels to exactly zero for phi = 1
+        pi_h = np.einsum("rn,rnm->rm", w, h.reshape((r, n) + h.shape[1:])) / sw[:, None]
+        pi_d = np.einsum("rn,krnm->krm", w, dphi) / sw[:, None]
+        zak_int += rho_one * (pi_a * dt + np.einsum("krm,rm->kr", pi_d, dy))
+        ks_int += pi_a * dt + np.einsum("krm,rm->kr", pi_d - pi_h * pi_phi[..., None], dy - pi_h * dt)
     return zak, ks
 
 
@@ -298,9 +295,8 @@ def equation_residuals(
       Zakai: R_t = rho_t(phi) - rho_0(phi) - int rho_s(A phi) ds
                    - sum_j int rho_s(D_j phi) dY^j
       KS:    R_t = pi_t(phi) - pi_0(phi) - int pi_s(A phi) ds
-                   - sum_j int [pi(phi h^j) - pi(h^j) pi(phi) + pi(B^j phi)]
-                                (dY^j - pi(h^j) ds)
-    with left-point integrands.
+                   - sum_j int [pi(D_j phi) - pi(h^j) pi(phi)] (dY^j - pi(h^j) ds)
+    with D_j phi = h^j phi + B^j phi and left-point integrands.
     """
     if zakai.shape[0] < 2:
         raise ValueError("need at least 2 runs")

@@ -239,7 +239,7 @@ def test_criterion_09_equation_residuals():
                 st = stats[lab]
                 good = abs(st.mean_residual.value) <= 3 * st.mean_residual.se
                 ok &= good
-                details.append(f"{name}/{kind}/{lab}: {st.ratio():.2f}se")
+                details.append(f"{name}/{kind}/{lab}: {abs(st.mean_residual.value) / st.mean_residual.se:.2f}se")
         # phi == 1 reductions: KS residual vanishes identically; the Zakai
         # residual reduces to the mass equation rho(1) - 1 - int rho(h) dY
         ks_one = ks["1"]
@@ -250,7 +250,8 @@ def test_criterion_09_equation_residuals():
                   FilterConfig(n_particles=250, resample_threshold=0.5, seed=SEED, ignore_correlation=True))
     [abl_runs] = run_plans([residual_runs(abl_params, 1600)], WORKERS)
     _, abl_ks = equation_residuals(["x^2"], *abl_runs)
-    abl_ratio = abl_ks["x^2"].ratio()
+    abl_est = abl_ks["x^2"].mean_residual
+    abl_ratio = abs(abl_est.value) / abl_est.se
     ok &= abl_ratio > 3.0
     details.append(f"ablation ks/x^2: {abl_ratio:.2f}se (must exceed 3)")
     report(9, "Zakai/KS residuals", ok, "; ".join(details))

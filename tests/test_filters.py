@@ -33,8 +33,8 @@ def point_mass(value):
 
 
 def rho_one(cloud):
-    """rho_t(1) of each run of the cloud."""
-    return cloud.mass * np.mean(cloud.weights.w, axis=-1)
+    """rho_t(1) of each run of the cloud, rebuilt from its log-mass and weights."""
+    return np.exp(cloud.log_mass + cloud.weights.shift) * np.mean(cloud.weights.w, axis=-1)
 
 
 def pi_of(cloud, values):
@@ -97,7 +97,7 @@ class TestInitCloud:
 class TestEstimates:
     def test_rho_one_at_time_zero(self):
         cloud = init_cloud(point_mass(1.0), 50, [substream(0)])
-        assert rho_one(cloud) == pytest.approx(1.0)
+        assert cloud.rho_one == pytest.approx(1.0)
 
     @given(st.integers(0, 2**16), st.sampled_from([0.0, 1.0, 5.0]), st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=30, deadline=None)
@@ -118,7 +118,7 @@ class TestEstimates:
         base = ParticleCloud(states=states, log_weights=lw, log_mass=np.zeros(1))
         for shift in (1.0, -2.0, 16.0):
             moved = ParticleCloud(states=states, log_weights=lw + shift, log_mass=np.array([-shift]))
-            assert moved.weights.shift == base.weights.shift + shift and moved.mass == base.mass
+            assert moved.weights.shift == base.weights.shift + shift and moved.rho_one == base.rho_one
             for name in ("w", "total", "ess"):
                 assert getattr(moved.weights, name).tobytes() == getattr(base.weights, name).tobytes(), name
 
@@ -169,14 +169,14 @@ class TestResampling:
         assert out.log_mass[1] == 0.0 and np.all(out.log_weights[[0, 2]] == 0.0)
         for name in ("w", "shift", "total", "ess"):   # the preset rows and the kept row equal a fresh computation
             assert getattr(out.weights, name).tobytes() == getattr(Weights(out.log_weights, step=0), name).tobytes()
-        np.testing.assert_allclose(rho_one(out), rho_one(cloud), rtol=1e-12)
+        np.testing.assert_allclose(out.rho_one, cloud.rho_one, rtol=1e-12)
 
     @given(LOG_WEIGHTS, st.floats(-20, 20), st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_resample_preserves_rho_one(self, lws, log_mass, seed):
         cloud = make_cloud(np.linspace(-1.0, 1.0, len(lws)), lws, log_mass=log_mass)
-        before = rho_one(cloud)
-        after = rho_one(resampled(cloud, [substream(seed)], [0]))
+        before = cloud.rho_one
+        after = resampled(cloud, [substream(seed)], [0]).rho_one
         assert after == pytest.approx(before, rel=1e-12)
 
     @given(st.lists(st.floats(-30, 5), min_size=2, max_size=64))

@@ -21,12 +21,18 @@ Array = np.ndarray
 Y0 = np.zeros(1)
 
 
-def operators(model, label, x):
-    """A, B and D of the one test function `label` on the rows of x, at
-    observation Y0 and time 0: shapes (n,), (n, m) and (n, m)."""
+def operators(model, label, x, h=None):
+    """A and D of the one test function `label` on the rows of x, with h the
+    sensor at observation Y0 and time 0 unless given: shapes (n,) and (n, m)."""
     battery = Battery((label,), model.dim_x)
-    gen, corr, dphi = battery.operators(model, x, model.h(x, Y0, 0.0), battery.values(x))
-    return gen[0], corr[0], dphi[0]
+    h = model.h(x, Y0, 0.0) if h is None else h
+    gen, dphi = battery.operators(model, x, h, battery.values(x))
+    return gen[0], dphi[0]
+
+
+def correlation(model, label, x):
+    """B of the one test function `label` on the rows of x, (n, m): D at h = 0."""
+    return operators(model, label, x, np.zeros((x.shape[0], model.dim_y)))[1]
 
 
 def generator(model, label, x):
@@ -261,29 +267,29 @@ class TestCorrelationAndD:
     def test_uncorrelated_is_zero(self):
         m = make_model("linear_gaussian")
         for label in Battery.default(1).labels:
-            assert operators(m, label, np.array([[0.7]]))[1][0, 0] == 0.0
+            assert correlation(m, label, np.array([[0.7]]))[0, 0] == 0.0
 
     def test_constant_function_is_killed(self):
         m = make_model("correlated_linear")
-        assert operators(m, "1", np.array([[0.7]]))[1][0, 0] == 0.0
+        assert correlation(m, "1", np.array([[0.7]]))[0, 0] == 0.0
 
     def test_constant_sigma_bar_linear_phi(self):
         m = linear_model("c", sigma_bar=0.8)
-        assert operators(m, "x", np.array([[0.3]]))[1][0, 0] == pytest.approx(0.8)
+        assert correlation(m, "x", np.array([[0.3]]))[0, 0] == pytest.approx(0.8)
 
     def test_d_for_constant_phi_is_h(self):
         m = make_model("correlated_linear")
         x = np.array([[1.3]])
-        assert operators(m, "1", x)[2][0, 0] == pytest.approx(1.3)
+        assert operators(m, "1", x)[1][0, 0] == pytest.approx(1.3)
 
     def test_d_zero_h_reduces_to_correlation(self):
         m = linear_model("hzero", sigma_bar=0.6, h_scale=0.0)
-        assert operators(m, "x", np.array([[2.0]]))[2][0, 0] == pytest.approx(0.6)
+        assert operators(m, "x", np.array([[2.0]]))[1][0, 0] == pytest.approx(0.6)
 
     def test_d_quadratic_example(self):
         # h(x) = x, sigma_bar = 0, phi = x: D phi = x * x
         m = linear_model("dq", sigma_bar=0.0)
-        assert operators(m, "x", np.array([[1.3]]))[2][0, 0] == pytest.approx(1.69)
+        assert operators(m, "x", np.array([[1.3]]))[1][0, 0] == pytest.approx(1.69)
 
 
 class TestChangeDetectionModel:
@@ -313,11 +319,11 @@ def test_generator_batched_matches_pointwise():
 
 
 def per_state_reference(model, x, y, t) -> list[Array]:
-    """f~, the diffusion, the jump of each atom and the three operators of
-    the default battery, state by state with the matrix products written out
-    (sigma (d, p), sigma_bar (d, m), sigma_tilde (d, r) acting on columns)."""
+    """f~, the diffusion, the jump of each atom, and A, D and D at h = 0 (that
+    is B) of the default battery, state by state with the matrix products
+    written out (sigma (d, p), sigma_bar (d, m), sigma_tilde (d, r) acting on columns)."""
     battery = Battery.default(model.dim_x)
-    f_tilde, gen, corr, dphi = [], [], [], []
+    f_tilde, gen, dphi, corr = [], [], [], []
     diffusion = model.sigma @ model.sigma.T + model.sigma_bar @ model.sigma_bar.T
     jumps = [model.sigma_tilde @ eta for eta in model.levy.locs] if model.has_jumps else []
     for row in x:
@@ -333,21 +339,22 @@ def per_state_reference(model, x, y, t) -> list[Array]:
         b = grad @ model.sigma_bar
         f_tilde.append(ft)
         gen.append(a)
-        corr.append(b)
         dphi.append(model.h(state, y, t)[0] * phi[:, None] + b)
+        corr.append(np.zeros(model.dim_y) * phi[:, None] + b)
     return ([np.array(f_tilde), diffusion] + jumps
-            + [np.stack(gen, axis=1), np.stack(corr, axis=1), np.stack(dphi, axis=1)])
+            + [np.stack(gen, axis=1), np.stack(dphi, axis=1), np.stack(corr, axis=1)])
 
 
 def constant_and_reference(model) -> list[tuple[Array, Array]]:
-    """(model path, per-state reference) of f~, the diffusion, each jump and
-    the three operators of the default battery on states with signed zeros."""
+    """(model path, per-state reference) of f~, the diffusion, each jump, and
+    A, D and D at h = 0 of the default battery on states with signed zeros."""
     d = model.dim_x
     x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
     y, t = np.full(1, 0.7), 0.5
     battery = Battery.default(d)
     got = [model.f_tilde(x), model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
     got += list(battery.operators(model, x, model.h(x, y, t), battery.values(x)))
+    got.append(battery.operators(model, x, np.zeros((x.shape[0], model.dim_y)), battery.values(x))[1])
     expected = per_state_reference(model, x, y, t)
     assert len(got) == len(expected)
     return list(zip(got, expected))
