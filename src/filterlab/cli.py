@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, girsanov, verify
 from .filters import FilterCollapse, FilterConfig, run_filter
-from .models import Battery, ModelError, SignalModel, change_detection_rate, change_indicator, make_model
+from .models import Battery, ModelError, SignalModel, change_detection_rate, make_model
 from .parallel import Plan, run_plans
 from .rng import TAG_PATH, substream
 from .simulate import HITTING_MAX_TIME, SimulationBlowUp, TimeGrid, simulate_pair
@@ -90,10 +90,10 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     JSON true or false, a number only a finite one and an int only an
     integral one). An unknown key, a
     value that does not coerce, a value that fn could not use (an unknown
-    model, scenario, test-function label (or one named twice) or
-    representation, a dt <= 0 or a time that dt does not divide (for the
-    hitting kinds, which take barriers, HITTING_MAX_TIME), a filter
-    setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
+    model, scenario, test-function label (or one named twice),
+    representation or resampler, a dt <= 0 or a time that dt does not
+    divide (for the hitting kinds, which take barriers, HITTING_MAX_TIME), a
+    filter setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
     overflows a float, a count or barrier below MINIMUMS), a
     change-detection key given to another scenario, a model without
     kalman_inputs given to a Kalman check, or a dufresne check horizon of
@@ -120,7 +120,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
         "times": lambda: list(map(grid(max(params["times"])).index_of, params["times"])),
         "n_particles": lambda: FilterConfig(n_particles=params["n_particles"]),
         "resample_threshold": lambda: FilterConfig(resample_threshold=params["resample_threshold"]),
-        "resampler": lambda: FilterConfig(resampler=params["resampler"]),
+        "resampler": lambda: _one_of(params["resampler"], ("systematic",)),
     }
     for key, build in builds.items():
         if key in params:
@@ -263,8 +263,8 @@ def parse_model(cfg: dict) -> SignalModel:
 def filter_config(seed: int, *, n_particles=1000, resample_threshold=0.5, resampler="systematic",
                   ignore_correlation=False) -> FilterConfig:
     """The FilterConfig of the `filter` block, whose keys and defaults are the keyword parameters."""
-    return FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, resampler=resampler,
-                        seed=seed, ignore_correlation=ignore_correlation)
+    return FilterConfig(n_particles=n_particles, resample_threshold=resample_threshold, seed=seed,
+                        ignore_correlation=ignore_correlation)
 
 
 def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
@@ -508,7 +508,7 @@ def check_ks_residual(seed: int, *, model="linear_gaussian", phis=RESIDUAL_PHIS,
     return _residual_check(seed, model, phis, n_runs, n_particles, dt, horizon, resample_threshold, "ks")
 
 
-def check_ks_residual_ablation(seed: int, *, model="correlated_linear", phis=("x^2",), n_runs=1200,
+def check_ks_residual_ablation(seed: int, *, model="correlated_linear", phis=("x^2",), n_runs=2200,
                                n_particles=400, dt=2.5e-3, horizon=1.0, resample_threshold=0.5) -> Plan:
     """Negative control: the correlation-blind filter violates the full
     Kushner-Stratonovich identity on the correlated model (the dropped
@@ -651,8 +651,7 @@ def cmd_filter(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str], 
     model = parse_model(cfg)
     config = filter_config(seed, **keyword_params(filter_config, cfg.get("filter", {}), "filter"))
     bundle = simulate_pair(model, grid, substream(seed, TAG_PATH, 0))
-    functionals = {"prob_change": change_indicator} if model.change_prior is not None else {}
-    run = run_filter(model, bundle.y, grid, config, battery=Battery.default(model.dim_x), time_functionals=functionals)
+    run = run_filter(model, bundle.y, grid, config, battery=Battery.default(model.dim_x))
     header = ["t"] + [f"pi:{lab}" for lab in run.pi] + ["rho1", "ess", "resampled"]
     columns = [run.times, *run.pi.values(), run.rho_one, run.ess, np.concatenate([[False], run.resampled])]
     return {"filter.csv": float_table(header, columns)}, EXIT_OK

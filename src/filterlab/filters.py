@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import Battery, SignalModel
+from .models import Battery, SignalModel, change_indicator
 from .rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, substream
 from .simulate import TimeGrid, euler_step, fresh_increments, propagate_under_reference
 
@@ -52,7 +52,6 @@ class FilterCollapse(RuntimeError):
 class FilterConfig:
     n_particles: int = 1000
     resample_threshold: float = 0.5   # resample when ESS < threshold * n
-    resampler: str = "systematic"
     seed: int = 0
     ignore_correlation: bool = False  # drop the sigma_bar feed-through (negative control)
 
@@ -61,8 +60,6 @@ class FilterConfig:
             raise ValueError("n_particles must be >= 2")
         if not 0.0 <= self.resample_threshold <= 1.0:
             raise ValueError("resample_threshold must lie in [0, 1]")
-        if self.resampler != "systematic":
-            raise ValueError(f"unknown resampler {self.resampler!r}")
 
 
 @dataclass
@@ -216,8 +213,8 @@ def _walk(model: SignalModel, y_paths: Array, grid: TimeGrid, config: FilterConf
     grid index k, h(x, y_k, k dt) on its states, (R*N, m), and the per-run
     flags of the resampling in the step into it (all False at k = 0). The
     step from k reads the same h, so h is evaluated once per grid time. The
-    clock is the grid time k dt, not a running sum of dt, so h and the time
-    functionals read the clock that the data paths and the oracles read.
+    clock is the grid time k dt, not a running sum of dt, so h and the change
+    posterior read the clock that the data paths and the oracles read.
     """
     if y_paths.shape[1] != grid.n_steps + 1:
         raise ValueError("observation path does not match the grid")
@@ -248,19 +245,18 @@ def run_filter(
     grid: TimeGrid,
     config: FilterConfig,
     battery: Optional[Battery] = None,
-    time_functionals: Optional[Mapping[str, Callable[[Array, float], Array]]] = None,
 ) -> FilterRun:
     """Run the filter along one observation path and summarise it: the walk
     of the block of one run, keyed (config.seed, TAG_role).
 
     The battery's test functions are evaluated as pi_t(phi) at every grid
-    time, as one matrix; `time_functionals` map (states, t) to per-particle
-    values for summaries that need the clock, e.g. the change-detection
-    posterior P(T <= t | Y).
+    time, as one matrix. A model with a change_prior adds the last label
+    "prob_change", the posterior P(T <= t | Y), the mean of change_indicator
+    at the grid time k dt.
     """
     battery = battery or Battery((), model.dim_x)
-    time_functionals = dict(time_functionals or {})
-    labels = battery.labels + tuple(time_functionals)
+    change = model.change_prior is not None
+    labels = battery.labels + (("prob_change",) if change else ())
     values = np.empty((len(labels), config.n_particles))   # phi on the particles, refilled at every step
     pi_traj = np.zeros((len(labels), grid.n_steps + 1))
     rho_one = np.zeros(grid.n_steps + 1)
@@ -270,8 +266,8 @@ def run_filter(
     for cloud, _, flags in _walk(model, y_path[None], grid, config, [()]):
         k = cloud.step
         battery.values(cloud.states, out=values[:len(battery.labels)])
-        for row, fn in zip(values[len(battery.labels):], time_functionals.values()):
-            row[...] = fn(cloud.states, k * grid.dt)
+        if change:
+            values[-1] = change_indicator(cloud.states, k * grid.dt)
         weights = cloud.weights
         # pi_t(phi) = sum(w phi) / sum(w) per row, in place; w lies in [0, 1], so a product is finite when phi is
         sums = np.multiply(values, weights.w, out=values).sum(axis=-1)

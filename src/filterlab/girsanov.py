@@ -39,9 +39,6 @@ class Estimate(NamedTuple):
     value: float
     se: float
 
-    def __str__(self) -> str:
-        return f"{self.value:.6g} ± {self.se:.3g}"
-
 
 def mean_se(values: Array) -> Estimate:
     values = np.asarray(values, dtype=float)

@@ -114,8 +114,6 @@ class LevySpec:
 def levy_atoms(locations, rates, drift_a=None) -> LevySpec:
     """Compound-Poisson LevySpec from discrete atoms."""
     locs = np.atleast_2d(np.asarray(locations, dtype=float))
-    if locs.shape[0] == 1 and locs.shape[1] > 1 and np.ndim(locations) == 1:
-        locs = locs.T
     rates = np.asarray(rates, dtype=float)
     dim = locs.shape[1]
     if rates.shape != (locs.shape[0],):
@@ -135,16 +133,13 @@ def levy_atoms(locations, rates, drift_a=None) -> LevySpec:
 
 @dataclass(frozen=True, eq=False)
 class SignalModel:
-    """Coefficients, dimensions, noise structure and initial law of the pair
-    (signal, observation); see module docstring for the dynamics. sigma (d, p),
+    """Coefficients, noise structure and initial law of the pair (signal,
+    observation); see module docstring for the dynamics. sigma (d, p),
     sigma_bar (d, m) and, with a Levy driver, sigma_tilde (d, r) are float64
-    matrices; the terms they fix for every state are cached properties, formed
-    once per model. A matrix times increments v is np.dot(v, M.T)."""
+    matrices, which fix the dimensions and, cached once per model, the terms
+    that hold for every state. A matrix times increments v is np.dot(v, M.T)."""
 
     name: str
-    dim_x: int
-    dim_v: int
-    dim_y: int
     f: Callable[[Array], Array]
     sigma: Array
     sigma_bar: Array
@@ -156,6 +151,18 @@ class SignalModel:
     # (a_x, sigma_v, sigma_bar, h_scale, x0_mean, x0_var) of verify.kalman_bucy_oracle, where it is exact
     kalman_inputs: Optional[tuple[float, ...]] = None
     change_prior: Optional[ChangePrior] = None   # set by the change-detection problem
+
+    @property
+    def dim_x(self) -> int:
+        return self.sigma.shape[0]
+
+    @property
+    def dim_v(self) -> int:
+        return self.sigma.shape[1]
+
+    @property
+    def dim_y(self) -> int:
+        return self.sigma_bar.shape[1]
 
     @property
     def has_jumps(self) -> bool:
@@ -347,9 +354,6 @@ def linear_model(
     the Kalman-Bucy filter is exact, and kalman_inputs holds its inputs."""
     return SignalModel(
         name=name,
-        dim_x=1,
-        dim_v=1,
-        dim_y=1,
         f=lambda x: a_x * x,
         sigma=np.array([[sigma_v]], dtype=float),
         sigma_bar=np.array([[sigma_bar]], dtype=float),
@@ -412,15 +416,11 @@ def change_detection_model(
 
     return SignalModel(
         name="change_detection",
-        dim_x=2,
-        dim_v=1,
-        dim_y=1,
         f=lambda x: np.zeros_like(x),
         sigma=np.zeros((2, 1)),
         sigma_bar=np.zeros((2, 1)),
         h=h,
         initial_law=sample,
-        gronwall_rate=None,
         change_prior=ChangePrior(b0, b_values, b_probs, tau_values, tau_probs),
     )
 

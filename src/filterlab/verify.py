@@ -21,7 +21,7 @@ import numpy as np
 
 from .filters import FilterConfig, _walk, run_filter
 from .girsanov import Estimate, mean_se
-from .models import Battery, ChangePrior, SignalModel, change_indicator, make_model
+from .models import Battery, ChangePrior, SignalModel, make_model
 from .parallel import Plan
 from .rng import TAG_CHANGE_FILTER, TAG_KALMAN_FILTER, TAG_PATH, derive_seed, substream
 from .simulate import PATH_CHUNK, TimeGrid, dufresne_paths, hitting_paths, simulate_pair, simulate_pairs
@@ -329,7 +329,7 @@ def change_detection_agreement_run(grid: TimeGrid, config: FilterConfig, run_ind
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = change_detection_oracle(model.change_prior, bundle.y, grid)
     cfg = replace(config, seed=derive_seed(config.seed, TAG_CHANGE_FILTER, run_index))
-    run = run_filter(model, bundle.y, grid, cfg, time_functionals={"prob_change": change_indicator})
+    run = run_filter(model, bundle.y, grid, cfg)
     return float(np.max(np.abs(run.pi["prob_change"] - oracle.prob_change)))
 
 

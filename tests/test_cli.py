@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import filterlab
-from filterlab import cli, girsanov, simulate, verify
+from filterlab import cli, filters, girsanov, simulate, verify
 from filterlab.filters import FilterConfig, run_filter
-from filterlab.models import Battery, change_indicator, make_model
+from filterlab.models import Battery, make_model
 from filterlab.parallel import run_plans
 from filterlab.rng import TAG_PATH, substream
 from filterlab.simulate import TimeGrid
@@ -189,13 +189,17 @@ class TestFilterCommand:
         assert "pi:prob_change" in rows[0]
         assert all(0.0 <= float(r["pi:prob_change"]) <= 1.0 + 1e-9 for r in rows)
 
-    def test_columns_read_back_exactly(self, tmp_path):
+    def test_columns_read_back_exactly(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, "flt.json", FILTER_CFG)
         assert main(["filter", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         model, grid = make_model("change_detection"), TimeGrid(0.3, 0.005)
         bundle = simulate.simulate_pair(model, grid, substream(3, TAG_PATH, 0))
+        indicator = filters.change_indicator   # the seam through which run_filter reads the change posterior
+        seen = []
+        monkeypatch.setattr(filters, "change_indicator", lambda states, t: seen.append(t) or indicator(states, t))
         run = run_filter(model, bundle.y, grid, FilterConfig(n_particles=300, resample_threshold=0.5, seed=3),
-                         battery=Battery.default(2), time_functionals={"prob_change": change_indicator})
+                         battery=Battery.default(2))
+        assert seen == [k * grid.dt for k in range(grid.n_steps + 1)] and list(run.pi)[-1] == "prob_change"
         rows = read_rows(tmp_path / "filter.csv")
         assert rows[0] == ["t"] + [f"pi:{lab}" for lab in run.pi] + ["rho1", "ess", "resampled"]
         columns = [run.times, *run.pi.values(), run.rho_one, run.ess, np.concatenate([[False], run.resampled])]
@@ -527,6 +531,8 @@ STRICT_CASES = {
                        "diagnostics.params.independent_h.n_paths"),
     "filter": ("filter", dict(FILTER_CFG, filter={"n_partcles": 300}), "filter.n_partcles"),
     "filter_seed": ("filter", dict(FILTER_CFG, filter={"n_particles": 300, "seed": 4}), "filter.seed"),
+    "filter_resampler": ("filter", dict(FILTER_CFG, filter={"n_particles": 300, "resampler": "multinomial"}),
+                         "filter.resampler"),
     "diagnostics": ("verify", {"diagnostics": {"checks": ["independent_h"], "parms": {}}, "seed": 5},
                     "diagnostics.parms"),
     "check_params": ("verify", verify_cfg({"independent_h": dict(SMALL, n_path=5)}),

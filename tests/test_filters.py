@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filterlab import filters
 from filterlab.filters import (
     FilterCollapse,
     FilterConfig,
@@ -19,7 +20,7 @@ from filterlab.filters import (
     step,
     systematic_indices,
 )
-from filterlab.models import Battery, change_indicator, gaussian_initial, linear_model, make_model
+from filterlab.models import Battery, gaussian_initial, linear_model, make_model
 from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
 from filterlab.simulate import SimulationBlowUp, TimeGrid, simulate_pair
 from filterlab.verify import kalman_bucy_oracle, residual_run
@@ -327,8 +328,10 @@ def test_run_filter_matches_the_public_estimates_replayed_step_by_step(name):
     y = simulate_pair(m, grid, substream(12)).y
     cfg = FilterConfig(n_particles=300, resample_threshold=0.999, seed=13)   # resamples at some steps only
     battery = Battery.default(m.dim_x)
-    clock = {"prob_change": change_indicator} if m.dim_x == 2 else {}
-    run = run_filter(m, y, grid, cfg, battery=battery, time_functionals=clock)
+    assert callable(filters.change_indicator)   # the seam through which run_filter reads the change posterior
+    clock = {"prob_change": filters.change_indicator} if m.change_prior is not None else {}
+    run = run_filter(m, y, grid, cfg, battery=battery)
+    assert list(run.pi) == list(battery.labels) + list(clock)   # the change posterior is the last column
     # one generator per role, each drawn from in order across the steps
     cloud = init_cloud(m.initial_law, cfg.n_particles, [substream(cfg.seed, TAG_INIT)])
     rngs = [substream(cfg.seed, TAG_PROPAGATE)], [substream(cfg.seed, TAG_RESAMPLE)]
@@ -449,9 +452,10 @@ class TestRunFilter:
         run = run_filter(m, y, grid, FilterConfig(n_particles=256, seed=3), battery=Battery(("1",), 1))
         assert np.all(run.pi["1"] == 1.0)
 
-    def test_every_cloud_and_time_functional_is_at_its_grid_time(self):
+    def test_every_cloud_and_time_functional_is_at_its_grid_time(self, monkeypatch):
         # the clock used to be a running sum of dt, which leaves k * dt in the last bits
-        m, rows, times = counting_h(make_model("linear_gaussian"))
+        assert callable(filters.change_indicator)   # the seam through which run_filter reads the change posterior
+        m, rows, times = counting_h(make_model("change_detection"))
         grid = TimeGrid(1.0, 1e-3)
         y = np.zeros((grid.n_steps + 1, 1))
         config = FilterConfig(n_particles=16, seed=1)
@@ -461,23 +465,24 @@ class TestRunFilter:
         rows.clear()
         times.clear()
         seen = []
-        clock = {"t": lambda states, t: seen.append(t) or np.zeros(len(states))}
-        run_filter(m, y, grid, config, time_functionals=clock)
+        monkeypatch.setattr(filters, "change_indicator", lambda states, t: seen.append(t) or np.zeros(len(states)))
+        run_filter(m, y, grid, config)
         assert times == on_grid and rows == [16] * len(on_grid)   # h once per grid time, at k dt
         assert seen == on_grid
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in reduce")   # the estimate's own: pi is inf
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")   # x^2 of the huge states
     def test_non_finite_time_functional_rejected(self):
-        # run_filter checks the row sums of its one product first, and every product only when one is not finite
-        m = make_model("linear_gaussian")
+        # run_filter checks the row sums of its one product first, and every product only when one is not finite;
+        # the states stay at 1e308: no noise, no drift, no sensor
+        m = linear_model("huge", a_x=0.0, sigma_v=0.0, h_scale=0.0, x0_mean=1e308, x0_var=0.0)
         grid = TimeGrid(0.1, 0.01)
         y = np.zeros((grid.n_steps + 1, 1))
         config = FilterConfig(n_particles=16, seed=1)
-        huge = run_filter(m, y, grid, config, time_functionals={"huge": lambda states, t: np.full(len(states), 1e308)})
-        assert np.all(np.isinf(huge.pi["huge"]))   # finite values whose sum overflows are no error
+        huge = run_filter(m, y, grid, config, battery=Battery(("x",), 1))
+        assert np.all(np.isinf(huge.pi["x"]))   # finite values whose sum overflows are no error
         with pytest.raises(ValueError, match="non-finite"):
-            run_filter(m, y, grid, config, time_functionals={"nan": lambda states, t: np.where(t > 0.05, np.nan, 0.0)
-                                                             * np.ones(len(states))})
+            run_filter(m, y, grid, config, battery=Battery(("x^2",), 1))   # (1e308)^2 is inf
 
     def test_path_grid_mismatch_rejected(self):
         m = make_model("linear_gaussian")

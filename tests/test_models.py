@@ -102,14 +102,17 @@ def test_correlated_linear_default_is_overridable():
                          + [linear_model("integers", sigma_v=2, sigma_bar=1, levy=levy_atoms([1.0], [1.0]),
                                          sigma_tilde=3)], ids=lambda m: m.name)
 def test_noise_coefficients_are_float64_matrices(model):
-    # sigma (d, p), sigma_bar (d, m) and sigma_tilde (d, r) with a Levy driver, None without
+    # sigma (d, p), sigma_bar (d, m) and sigma_tilde (d, r) with a Levy driver, None without; d, p and m are read
+    # off sigma and sigma_bar, so all three matrices must have d rows and sigma_tilde the Levy driver's r columns
+    d = model.sigma.shape[0]
+    assert (model.dim_x, model.dim_v, model.dim_y) == (d, model.sigma.shape[1], model.sigma_bar.shape[1])
     expected = {"sigma": model.dim_v, "sigma_bar": model.dim_y, "sigma_tilde": model.levy.dim if model.levy else None}
     for field, cols in expected.items():
         matrix = getattr(model, field)
         if cols is None:
             assert matrix is None and not model.has_jumps
         else:
-            assert matrix.dtype == np.float64 and matrix.shape == (model.dim_x, cols), field
+            assert matrix.dtype == np.float64 and matrix.shape == (d, cols), field
 
 
 def test_terms_of_the_noise_matrices_are_formed_once_per_model():
@@ -134,6 +137,13 @@ class TestLevySpec:
     def test_atoms_must_avoid_origin(self):
         with pytest.raises(ModelError):
             levy_atoms([[0.0]], [1.0])
+
+    def test_a_flat_list_is_one_atom(self):
+        # one atom on R reads as (1, 1); two scalar atoms are written [[a], [b]], and a flat list of them is
+        # one atom on R^2, whose two rates fail the shape check
+        assert levy_atoms([1.0], [1.0]).locs.shape == (1, 1)
+        with pytest.raises(ModelError, match="atom locations"):
+            levy_atoms([-0.5, 0.5], [1.0, 1.0])
 
     def test_drift_b_subtracts_large_jumps(self):
         # atoms at 0.5 (small) and 2.0 (large, rate 0.3): b = a - 0.3 * 2.0

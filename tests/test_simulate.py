@@ -248,9 +248,11 @@ class TestReferencePropagation:
 def jumping_plane():
     """A 2-d jump model with constant coefficients none of whose matrices is
     square and symmetric, so that a transposed matrix changes its steps and
-    operators."""
+    operators. It borrows the change-detection model's h and initial law, not
+    its prior, so a filter on it records no change posterior."""
     return dataclasses.replace(
-        change_detection_model(), name="jumping_plane", f=lambda x: -x, sigma=np.array([[1.0], [0.5]]),
+        change_detection_model(), name="jumping_plane", change_prior=None, f=lambda x: -x,
+        sigma=np.array([[1.0], [0.5]]),
         sigma_bar=np.array([[0.3], [-0.2]]), sigma_tilde=np.array([[1.0, 0.5], [-0.3, 2.0]]),
         levy=levy_atoms([[0.5, -1.0], [0.2, 0.3]], [1.0, 2.0], drift_a=[0.1, -0.4]))
 
