@@ -17,9 +17,11 @@ do not depend on the block it is stepped in. A single run is the block R = 1.
 One walk (_walk) steps a block along its observation paths and yields each
 grid time's cloud with h on its states, which the weight update and the
 propagation of the step from it read, so h is evaluated once per grid time.
-Its two reductions are run_filter, which records pi_t(phi), rho_t(1) and the
-ESS of one run, and verify.residual_run, which reads both the Zakai and the
-Kushner-Stratonovich residuals of many off the same pi_t reductions.
+Its three reductions are run_filter, which records pi_t(phi), rho_t(1) and
+the ESS of one run; verify.kalman_agreement_run, which reads pi_T(x) and
+pi_T(x^2) of one run's horizon cloud through the same pi_estimate; and
+verify.residual_run, which reads both the Zakai and the Kushner-Stratonovich
+residuals of many off the same pi_t reductions.
 """
 
 from __future__ import annotations
@@ -120,10 +122,26 @@ def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
     return ParticleCloud(states=states, log_weights=np.zeros((len(rngs), n)), log_mass=np.zeros(len(rngs)))
 
 
-def systematic_indices(c: Array, rng: np.random.Generator) -> Array:
-    """Systematic resampling indices from one run's cumulative normalised weights c, from one uniform draw."""
-    n = c.shape[0]
-    return np.searchsorted(c, (rng.random() + np.arange(n)) / n).clip(max=n - 1)
+def systematic_counts(c: Array, rng: np.random.Generator) -> Array:
+    """How often systematic resampling picks each particle, from one run's
+    cumulative normalised weights c (nondecreasing) and one uniform draw u.
+    K_i = floor(c_i n - u) + 1 of the positions (u + j) / n, j < n, lie at or
+    below c_i; particle i takes the K_i - K_(i-1) above c_(i-1), the last one
+    every position above c_(n-2). Where some c_i n - u lies within a few eps n,
+    the rounding error of c_i n - u and of (u + j) / n, of an integer, the
+    counts come from the binary search of the positions instead, so they equal
+    its indices bit for bit either way."""
+    n, u = c.shape[0], rng.random()
+    k = np.empty(n + 1)   # 0, K_0 .. K_(n-2), n
+    k[0], k[n] = 0.0, n
+    frac = np.multiply(c[:-1], n)
+    frac += 1.0 - u       # c_i n - u + 1 > 0 (1 - u is exact), so its integer part is K_i
+    np.modf(frac, out=(frac, k[1:n]))
+    frac -= 0.5
+    if np.abs(frac, out=frac).max() > 0.5 - 4.0 * n * np.finfo(float).eps:
+        return np.bincount(np.searchsorted(c, (u + np.arange(n)) / n).clip(max=n - 1), minlength=n)
+    np.minimum(k, n, out=k)   # a c_i rounded above 1 holds every position
+    return np.subtract(k[1:], k[:-1], out=np.empty(n, dtype=np.intp), casting="unsafe")
 
 
 def step(
@@ -178,7 +196,8 @@ def step(
 def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> None:
     """Systematic resampling, in place, of the given runs (rows of the block)
     of a cloud whose states, log-weights and weights its caller owns, each
-    with one uniform from its own generator rngs[row]; the mean weight moves
+    with one uniform from its own generator rngs[row], which systematic_counts
+    turns into how often each particle is copied; the mean weight moves
     into log_mass, which is replaced, not written, so that rho_t(1) is
     preserved by construction. A resampled run's weights are set, not
     recomputed, to the bytes of all-zero log-weights: w = 1, shift = 0,
@@ -187,7 +206,7 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Non
     for row in rows:
         c = weights.w[row] / weights.total[row]   # the row's normalised weights, summed in place
         particles = cloud.states[row * n:(row + 1) * n]
-        particles[...] = particles.take(systematic_indices(np.cumsum(c, out=c), rngs[row]), axis=0)
+        particles[...] = np.repeat(particles, systematic_counts(np.cumsum(c, out=c), rngs[row]), axis=0)
     cloud.log_mass = cloud.log_mass.copy()
     cloud.log_mass[rows] = cloud.log_mass[rows] + weights.shift[rows] + np.log(weights.total[rows] / n)
     cloud.log_weights[rows] = 0.0
@@ -239,6 +258,16 @@ class FilterRun:
     resampled: Array              # bool, per step
 
 
+def pi_estimate(values: Array, weights: Weights) -> Array:
+    """pi_t(phi) = sum(w phi) / sum(w) of a one-run cloud for each row of
+    phi's values on its particles, (K, N), which it overwrites with w phi."""
+    sums = np.multiply(values, weights.w, out=values).sum(axis=-1)
+    # w lies in [0, 1], so a product is finite when phi is
+    if not (np.isfinite(sums).all() or np.isfinite(values).all()):
+        raise ValueError("test function is non-finite on the cloud")
+    return sums / weights.total
+
+
 def run_filter(
     model: SignalModel,
     y_path: Array,
@@ -268,14 +297,9 @@ def run_filter(
         battery.values(cloud.states, out=values[:len(battery.labels)])
         if change:
             values[-1] = change_indicator(cloud.states, k * grid.dt)
-        weights = cloud.weights
-        # pi_t(phi) = sum(w phi) / sum(w) per row, in place; w lies in [0, 1], so a product is finite when phi is
-        sums = np.multiply(values, weights.w, out=values).sum(axis=-1)
-        if not (np.isfinite(sums).all() or np.isfinite(values).all()):
-            raise ValueError("test function is non-finite on the cloud")
-        pi_traj[:, k] = sums / weights.total
+        pi_traj[:, k] = pi_estimate(values, cloud.weights)
         rho_one[k] = cloud.rho_one[0]
-        ess_traj[k] = weights.ess[0]
+        ess_traj[k] = cloud.weights.ess[0]
         resampled[k] = flags[0]
     return FilterRun(
         times=grid.times(),

@@ -19,7 +19,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .filters import FilterConfig, _walk, run_filter
+from .filters import FilterConfig, _walk, pi_estimate, run_filter
 from .girsanov import Estimate, mean_se
 from .models import Battery, ChangePrior, SignalModel, make_model
 from .parallel import Plan
@@ -317,9 +317,10 @@ def kalman_agreement_run(name: str, grid: TimeGrid, config: FilterConfig, run_in
     bundle = simulate_pair(model, grid, substream(config.seed, TAG_PATH, run_index))
     oracle = kalman_bucy_oracle(*model.kalman_inputs, bundle.y, grid)
     cfg = replace(config, seed=derive_seed(config.seed, TAG_KALMAN_FILTER, run_index))
-    run = run_filter(model, bundle.y, grid, cfg, battery=Battery(("x", "x^2"), 1))
-    m_pf = run.pi["x"][-1]
-    v_pf = run.pi["x^2"][-1] - m_pf * m_pf
+    for cloud, _, _ in _walk(model, bundle.y[None], grid, cfg, [()]):
+        pass   # only the horizon cloud is read
+    m_pf, x2_pf = pi_estimate(Battery(("x", "x^2"), 1).values(cloud.states), cloud.weights)
+    v_pf = x2_pf - m_pf * m_pf
     return abs(m_pf - oracle.mean[-1, 0]), abs(v_pf - oracle.cov[-1, 0, 0])
 
 

@@ -1,10 +1,11 @@
 """Particle-filter contracts: normalisation, resampling, oracle accuracy."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filterlab import filters
@@ -18,7 +19,7 @@ from filterlab.filters import (
     resample,
     run_filter,
     step,
-    systematic_indices,
+    systematic_counts,
 )
 from filterlab.models import Battery, gaussian_initial, linear_model, make_model
 from filterlab.rng import TAG_INIT, TAG_PROPAGATE, TAG_RESAMPLE, derive_seed, substream
@@ -61,6 +62,14 @@ def resampled(cloud, rngs, rows):
     out = dataclasses.replace(cloud, states=cloud.states.copy(), log_weights=cloud.log_weights.copy())
     resample(out, rngs, rows)
     return out
+
+
+def binary_search_indices(c, u):
+    """Systematic resampling as binary search: position (u + j) / n picks the
+    first particle whose cumulative weight c_i reaches it, and the last
+    particle when it lies above c_(n-1)."""
+    n = len(c)
+    return np.searchsorted(c, (u + np.arange(n)) / n).clip(max=n - 1)
 
 
 def make_cloud(states, log_weights, log_mass=0.0):
@@ -136,8 +145,45 @@ class TestResampling:
     def test_systematic_indices_cover_high_weight(self):
         lw = np.log(np.array([0.7, 0.1, 0.1, 0.1]))
         weights = Weights(lw, step=0)
-        idx = systematic_indices(np.cumsum(weights.w / weights.total), substream(1))
-        assert (idx == 0).sum() >= 2
+        counts = systematic_counts(np.cumsum(weights.w / weights.total), substream(1))
+        assert counts[0] >= 2 and counts.sum() == 4
+
+    @given(st.integers(2, 10_000), st.integers(0, 2**32), st.floats(0.0, 0.95), st.booleans(), st.integers(0, 3))
+    @example(10_000, 1, 0.5, True, 3)
+    @example(10_000, 2, 0.0, False, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_counts_expand_to_the_binary_search_indices(self, n, seed, zeros, short, on_positions):
+        rng = np.random.default_rng(seed)
+        w = rng.exponential(size=n) ** rng.uniform(1.0, 8.0)   # weights over many orders of magnitude
+        w[rng.random(n) < zeros] = 0.0   # zero weights tie entries of c
+        w[rng.integers(n)] = 1.0
+        c = np.cumsum(w / w.sum())
+        if short:
+            c *= 1.0 - 1e-3   # the last particle takes every position above c_(n-1) too
+        u = substream(seed).random()
+        positions = (u + np.arange(n)) / n
+        if on_positions:   # some c_i equal a position exactly
+            c = np.sort(np.concatenate([c[on_positions:], positions[rng.integers(n, size=on_positions)]]))
+        expected = binary_search_indices(c, u)
+        drawn = substream(seed)
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            counts = systematic_counts(c, drawn)
+        assert counts.dtype == np.intp and counts.shape == (n,)
+        assert np.array_equal(np.repeat(np.arange(n), counts), expected)
+        if np.isin(c[:-1], positions).any():
+            assert search.called
+        fresh = substream(seed)
+        fresh.random()
+        assert drawn.random() == fresh.random()   # one uniform drawn, as before
+
+    def test_counts_fall_back_to_the_binary_search_on_a_position(self):
+        n = 6
+        u = substream(2).random()
+        c = (u + np.array([0.0, 0.0, 2.0, 3.0, 3.0, 5.0])) / n   # c_0, c_2 and c_3 lie on positions
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            counts = systematic_counts(c, substream(2))
+        assert search.call_count == 1
+        assert np.array_equal(np.repeat(np.arange(n), counts), binary_search_indices(c, u))
 
     def test_ess_is_n_after_resample(self):
         rng = substream(5)

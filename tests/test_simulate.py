@@ -1,6 +1,7 @@
 """Simulation contracts: scheme correctness, reproducibility, refinement."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -194,9 +195,14 @@ class TestSimulatePair:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_reports_step(self):
         m = linear_model("explode", a_x=400.0, sigma_v=0.0, sigma_bar=0.0, x0_mean=1.0, x0_var=0.0)
+        grid = TimeGrid(5.0, 0.01)
+        x, expected = 1.0, 0   # the noise-free recursion x <- f(x) dt + x, to the step where it leaves the floats
+        while math.isfinite(x):
+            x, expected = m.f(x) * grid.dt + x, expected + 1
+        assert 0 < expected < grid.n_steps
         with pytest.raises(SimulationBlowUp) as err:
-            simulate_pair(m, TimeGrid(5.0, 0.01), substream(0))
-        assert err.value.step > 0
+            simulate_pair(m, grid, substream(0))
+        assert err.value.step == expected
 
     @pytest.mark.filterwarnings("error")
     def test_a_finite_state_whose_sum_overflows_is_no_blow_up(self):

@@ -1,6 +1,7 @@
 """Oracle correctness and the equation-residual machinery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filterlab import cli
-from filterlab.filters import FilterConfig
+from filterlab.filters import FilterConfig, Weights, pi_estimate, run_filter
 from filterlab.models import Battery, ModelError, change_detection_model, make_model
 from filterlab.parallel import run_plans
-from filterlab.rng import substream
+from filterlab.rng import TAG_KALMAN_FILTER, TAG_PATH, derive_seed, substream
 from filterlab.simulate import TimeGrid, simulate_pair
 from filterlab.verify import (
     SIGMAS,
@@ -368,6 +369,30 @@ class TestScenarioChecks:
         # sum_{n<=N} n/(n+1)^2 grows by ~ln 10 per decade
         assert sums[10000] - sums[1000] == pytest.approx(math.log(10.0), abs=0.01)
         assert growth == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("ignore_correlation", [False, True])
+    @pytest.mark.parametrize("name", ["correlated_linear", "linear_gaussian"])
+    def test_kalman_agreement_reads_the_horizon_of_the_recorded_run(self, name, ignore_correlation):
+        # the horizon cloud's reduction gives the bytes of the last column run_filter records, with the same seeds
+        grid = TimeGrid(0.5, 0.01)
+        config = FilterConfig(n_particles=200, seed=43, ignore_correlation=ignore_correlation)
+        model = make_model(name)
+        y = simulate_pair(model, grid, substream(config.seed, TAG_PATH, 2)).y
+        oracle = kalman_bucy_oracle(*model.kalman_inputs, y, grid)
+        cfg = replace(config, seed=derive_seed(config.seed, TAG_KALMAN_FILTER, 2))
+        run = run_filter(model, y, grid, cfg, battery=Battery(("x", "x^2"), 1))
+        m_pf = run.pi["x"][-1]
+        v_pf = run.pi["x^2"][-1] - m_pf * m_pf
+        want = np.array([abs(m_pf - oracle.mean[-1, 0]), abs(v_pf - oracle.cov[-1, 0, 0])])
+        assert np.array(kalman_agreement_run(name, grid, config, 2)).tobytes() == want.tobytes()
+
+    def test_pi_estimate_rejects_a_non_finite_test_function(self):
+        weights = Weights(np.log(np.array([[0.5, 1.0, 0.25, 1.0]])), step=0)
+        with np.errstate(over="ignore"):   # a sum that overflows is no error
+            assert np.all(np.isinf(pi_estimate(np.full((1, 4), 1e308), weights)))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                pi_estimate(np.array([[1.0, 2.0], [0.0, bad]]).repeat(2, axis=1), weights)
 
     def test_kalman_agreement_single_seed(self):
         grid = TimeGrid(0.5, 2e-3)
