@@ -136,7 +136,7 @@ def systematic_counts(c: Array, rng: np.random.Generator) -> Array:
     k[0], k[n] = 0.0, n
     frac = np.multiply(c[:-1], n)
     frac += 1.0 - u       # c_i n - u + 1 > 0 (1 - u is exact), so its integer part is K_i
-    np.modf(frac, out=(frac, k[1:n]))
+    frac -= np.floor(frac, out=k[1:n])
     frac -= 0.5
     if np.abs(frac, out=frac).max() > 0.5 - 4.0 * n * np.finfo(float).eps:
         return np.bincount(np.searchsorted(c, (u + np.arange(n)) / n).clip(max=n - 1), minlength=n)

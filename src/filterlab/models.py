@@ -106,8 +106,6 @@ class LevySpec:
         """k marks drawn from the normalised jump law by inverse CDF: the
         draws, and the generator state after them, of rng.choice(len(rates),
         size=k, p=rates / jump_rate), without its per-call checks of p."""
-        if k == 0:
-            return self.locs[:0]
         return self.locs[self.mark_cdf.searchsorted(rng.random(k), side="right")]
 
 
@@ -184,13 +182,19 @@ class SignalModel:
 
     @cached_property
     def jumps(self) -> list[tuple[float, Array]]:
-        """The rate and the jump sigma_tilde eta (d,) of each atom of the Levy measure."""
-        return [(lam, np.dot(eta, self.sigma_tilde.T)) for eta, lam in zip(self.levy.locs, self.levy.rates)]
+        """(rate, sigma_tilde eta) of each atom of the Levy measure; none without jumps or at a zero jump rate."""
+        atoms = zip(self.levy.locs, self.levy.rates) if self.has_jumps and self.levy.jump_rate > 0 else []
+        return [(lam, np.dot(eta, self.sigma_tilde.T)) for eta, lam in atoms]
 
     @cached_property
     def jump_drift(self) -> Optional[Array]:
         """sigma_tilde b, the drift of the compensated jumps; None without jumps."""
         return np.dot(self.levy.drift_b, self.sigma_tilde.T) if self.has_jumps else None
+
+    @cached_property
+    def covariation_rate(self) -> Array:
+        """d<X_i, X_j>/dt, (d, d): the diffusion plus the sum over the atoms, in order, of lam delta delta^T."""
+        return self.diffusion + sum(lam * np.multiply.outer(disp, disp) for lam, disp in self.jumps)
 
     def f_tilde(self, x: Array) -> Array:
         """Effective drift f + sigma_tilde @ b once jumps are compensated."""
@@ -216,13 +220,13 @@ def _label_terms(d: int) -> dict[str, tuple[str, int, int]]:
 @dataclass(frozen=True)
 class Battery:
     """An ordered selection of the test functions {1, x_i, x_i x_j (i <= j),
-    tanh(x_i)} on R^d, evaluated as one matrix: values (K, n), gradients
-    (K, n, d) and Hessians (K, n, d, d) for K labels on (n, d) states.
+    tanh(x_i)} on R^d, evaluated as one matrix: values (K, n) for K labels
+    on (n, d) states, and the operators A and D of every column.
 
     The labels are those of Battery.default(d), each at most once: "1", "x",
     "x^2" and "tanh(x)" when d = 1; "1", "x<i>", "x<i>*x<j>" with i <= j and
-    "tanh(x<i>)", coordinates counted from 0, otherwise. Derivatives are
-    analytic; the tests compare them with central finite differences.
+    "tanh(x<i>)", coordinates counted from 0, otherwise. The operators are
+    closed forms; the tests compare them with central differences of values.
     """
 
     labels: tuple[str, ...]
@@ -259,60 +263,49 @@ class Battery:
                 np.tanh(x[:, i], out=row)
         return out
 
-    def gradients(self, x: Array) -> Array:
-        out = np.zeros((len(self.labels),) + x.shape)
-        for g, (kind, i, j) in zip(out, self._terms):
-            if kind == "x":
-                g[:, i] = 1.0
-            elif kind == "xx":
-                g[:, i] += x[:, j]
-                g[:, j] += x[:, i]
-            elif kind == "tanh":
-                g[:, i] = 1.0 / np.cosh(x[:, i]) ** 2
-        return out
-
-    def hessians(self, x: Array) -> Array:
-        out = np.zeros((len(self.labels),) + x.shape + (self.d,))
-        for hess, (kind, i, j) in zip(out, self._terms):
-            if kind == "xx":
-                hess[:, i, j] += 1.0
-                hess[:, j, i] += 1.0
-            elif kind == "tanh":
-                t = np.tanh(x[:, i])
-                hess[:, i, i] = -2.0 * t * (1.0 - t * t)
-        return out
-
     def operators(self, model: SignalModel, x: Array, h: Array, values: Array) -> tuple[Array, Array]:
         """A phi (K, n) and D_j phi (K, n, m) of every column on the (n, d)
         states x, whose values are `values`, with h (n, m) the model's sensor
         on them at their observation and time:
 
-          A phi = f~ . grad_x phi
-                + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess_x phi]
-                + int [phi(x + sigma_tilde eta) - phi - grad_x phi . sigma_tilde eta] F(deta),
-          D_j phi = h^j phi + B^j phi,   B^j phi = (sigma_bar^T grad_x phi)_j,
+          A phi = f~ . grad phi + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess phi]
+                + int [phi(x + sigma_tilde eta) - phi - grad phi . sigma_tilde eta] F(deta),
+          D_j phi = h^j phi + B^j phi,   B^j phi = (sigma_bar^T grad phi)_j,
 
-        the jump expectation an exact sum over the atoms of the Levy measure
-        and D the integrand of the dY term of both filtering equations; the
-        correlation operator B alone is D at h = 0.
+        D the integrand of the dY term of both filtering equations; B alone is
+        D at h = 0, and a zero sigma_bar adds no B, not +0.0. With t = tanh x_i,
+        s = 1 - t^2, delta = sigma_tilde eta for an atom of rate lam and c = tanh delta_i,
+        the closed forms are A 1 = 0, A x_i = f~_i, A x_i x_j = f~_i x_j + f~_j x_i
+        + SignalModel.covariation_rate[i, j] and A tanh x_i = f~_i s - D_ii t s
+        + s sum lam (c / (1 + t c) - delta_i), as tanh(x_i + delta_i) - t = s c / (1 + t c).
         """
-        grad = self.gradients(x)
-        gen = np.einsum("ni,kni->kn", model.f_tilde(x), grad)
-        term = np.einsum("...ij,k...ij->k...", model.diffusion, self.hessians(x))
-        gen += np.multiply(term, 0.5, out=term)   # in place: one (K, n) buffer serves every term
-        if model.has_jumps and model.levy.jump_rate > 0:
-            jump = np.zeros(gen.shape)
-            for lam, disp in model.jumps:   # lam * (phi(x + disp) - phi - grad . disp)
-                np.subtract(self.values(x + disp, out=term), values, out=term)
-                term -= np.einsum("k...i,...i->k...", grad, disp)
-                jump += np.multiply(term, lam, out=term)
-            gen += jump
-        finite = np.isfinite(gen).all(axis=1)
-        if not finite.all():
-            bad = [label for label, ok in zip(self.labels, finite) if not ok]
+        f_tilde = model.f_tilde(x)
+        sbar = model.noise_factors[1]   # sigma_bar^T (m, d)
+        gen = np.zeros(values.shape)
+        dphi = np.multiply(h, values[..., None])
+        for gen_k, dphi_k, phi, (kind, i, j) in zip(gen, dphi, values, self._terms):
+            if kind == "x":
+                gen_k[...] = f_tilde[:, i]
+                if sbar is not None:
+                    dphi_k += sbar[:, i]
+            elif kind == "xx":
+                np.multiply(f_tilde[:, i], x[:, j], out=gen_k)
+                gen_k += f_tilde[:, j] * x[:, i]
+                gen_k += model.covariation_rate[i, j]
+                if sbar is not None:
+                    dphi_k += x[:, j, None] * sbar[:, i] + x[:, i, None] * sbar[:, j]
+            elif kind == "tanh":
+                s = 1.0 - phi * phi
+                np.multiply(f_tilde[:, i], s, out=gen_k)
+                gen_k -= model.diffusion[i, i] * phi * s
+                if model.jumps:   # the atoms summed first, then added to the local terms
+                    gen_k += s * sum(lam * (np.tanh(disp[i]) / (1.0 + phi * np.tanh(disp[i])) - disp[i])
+                                     for lam, disp in model.jumps)
+                if sbar is not None:
+                    dphi_k += s[:, None] * sbar[:, i]
+        if not np.isfinite(gen).all():
+            bad = [label for label, row in zip(self.labels, gen) if not np.isfinite(row).all()]
             raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")
-        dphi = np.einsum("...im,k...i->k...m", model.sigma_bar, grad)
-        dphi += h * values[..., None]
         return gen, dphi
 
 

@@ -1,5 +1,6 @@
 """Model, generator and test-function contracts."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -39,28 +40,42 @@ def generator(model, label, x):
     return operators(model, label, x)[0]
 
 
-def check_derivatives(battery, x, rel_tol=1e-5, step=1e-5):
-    """Per column, the max relative disagreement between the analytic
-    x-derivatives of the battery and central finite differences; raises
-    ModelError above rel_tol. The scale is max(1, |derivative|), so near-zero
-    entries compare absolutely."""
-    d = x.shape[1]
-    worst = np.zeros(len(battery.labels))
-    g = battery.gradients(x)
-    hess = battery.hessians(x)
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        fd_g = (battery.values(x + e) - battery.values(x - e)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(g[:, :, k]))
-        worst = np.maximum(worst, np.max(np.abs(fd_g - g[:, :, k]) / scale, axis=1))
-        fd_h = (battery.gradients(x + e) - battery.gradients(x - e)) / (2 * step)
-        scale = np.maximum(1.0, np.abs(hess[:, :, :, k]))
-        worst = np.maximum(worst, np.max(np.abs(fd_h - hess[:, :, :, k]) / scale, axis=(1, 2)))
+def check_operators(battery, model, x, rel_tol=1e-5, step=1e-4):
+    """Per column, the max relative disagreement of battery.operators with A
+    and D built from central differences of battery.values: the gradient and
+    the Hessian of each test function on the rows of x, put into the generic
+    formulas of A and D; raises ModelError above rel_tol. The scale is
+    max(1, |operator|), so near-zero entries compare absolutely."""
+    steps = np.eye(x.shape[1]) * step
+    phi = battery.values(x)
+    grad = np.stack([(battery.values(x + e) - battery.values(x - e)) / (2 * step) for e in steps], axis=-1)
+    hess = np.stack([np.stack([(battery.values(x + e + f) - battery.values(x + e - f) - battery.values(x - e + f)
+                                + battery.values(x - e - f)) / (4 * step**2) for f in steps], axis=-1)
+                     for e in steps], axis=-2)
+    gen = np.einsum("ni,kni->kn", model.f_tilde(x), grad) + 0.5 * np.einsum("ij,knij->kn", model.diffusion, hess)
+    for lam, disp in model.jumps:
+        gen += lam * (battery.values(x + disp) - phi - grad @ disp)
+    h = model.h(x, np.full(1, 0.7), 0.5)
+    dphi = h * phi[..., None] + np.einsum("im,kni->knm", model.sigma_bar, grad)
+    got_gen, got_dphi = battery.operators(model, x, h, phi)
+    worst = np.maximum(np.max(np.abs(got_gen - gen) / np.maximum(1.0, np.abs(got_gen)), axis=1),
+                       np.max(np.abs(got_dphi - dphi) / np.maximum(1.0, np.abs(got_dphi)), axis=(1, 2)))
     if np.any(worst > rel_tol):
         bad = [label for label, w in zip(battery.labels, worst) if w > rel_tol]
-        raise ModelError(f"analytic derivatives of {bad} disagree with finite differences: {worst.max():.2e}")
+        raise ModelError(f"closed-form operators of {bad} disagree with finite differences: {worst.max():.2e}")
     return worst
+
+
+def jumping_space():
+    """jumping_plane's 3-d companion: constant matrices, none square and
+    symmetric, and jumps that move every coordinate."""
+    return dataclasses.replace(
+        jumping_plane(), name="jumping_space", sigma=np.array([[1.0, 0.2], [0.5, -0.4], [-0.3, 0.8]]),
+        sigma_bar=np.array([[0.3], [-0.2], [0.6]]), sigma_tilde=np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, -0.1]]))
+
+
+OPERATOR_MODELS = [make_model("jump_ou"), make_model("correlated_linear"), make_model("change_detection"),
+                   jumping_plane(), jumping_space()]
 
 
 def test_jump_ou_rejects_overrides_naming_the_key():
@@ -120,7 +135,7 @@ def test_terms_of_the_noise_matrices_are_formed_once_per_model():
     # operators and the reference step forms each term, and the second, on other states, reads the same object
     model = jumping_plane()
     battery = Battery.default(model.dim_x)
-    names = ("noise_factors", "diffusion", "jumps", "jump_drift")
+    names = ("noise_factors", "diffusion", "jumps", "jump_drift", "covariation_rate")
     assert not set(names) & set(vars(model))
     formed = []
     for x in (np.zeros((1, 2)), np.ones((3, 2))):
@@ -172,17 +187,26 @@ class TestTestFunctions:
     def test_derivatives_match_finite_differences(self, label):
         battery = Battery.default(2)
         x = substream(101).standard_normal((32, 2))
-        worst = check_derivatives(battery, x, rel_tol=1e-5)
+        worst = check_operators(battery, jumping_plane(), x, rel_tol=1e-5)
         assert worst[battery.labels.index(label)] < 1e-5
 
+    @pytest.mark.parametrize("model", OPERATOR_MODELS, ids=lambda m: m.name)
+    def test_operators_match_finite_differences_on_the_default_battery(self, model):
+        # d = 1 (jump_ou, correlated_linear), 2 (change_detection, jumping_plane) and 3 (jumping_space)
+        x = 1.5 * substream(102).standard_normal((32, model.dim_x))
+        check_operators(Battery.default(model.dim_x), model, x, rel_tol=1e-5)
+
     def test_label_roundtrip(self):
-        # each label alone gives exactly its column of the default battery
-        battery = Battery.default(3)
+        # each label alone gives exactly its column of the default battery, values and operators
+        battery, model = Battery.default(3), jumping_space()
         x = substream(7).standard_normal((5, 3))
         for k, label in enumerate(battery.labels):
             alone = Battery((label,), 3)
-            for name in ("values", "gradients", "hessians"):
-                np.testing.assert_array_equal(getattr(alone, name)(x)[0], getattr(battery, name)(x)[k])
+            np.testing.assert_array_equal(alone.values(x)[0], battery.values(x)[k])
+            h = model.h(x, Y0, 0.0)
+            for got, expected in zip(alone.operators(model, x, h, alone.values(x)),
+                                     battery.operators(model, x, h, battery.values(x))):
+                np.testing.assert_array_equal(got[0], expected[k])
 
     def test_default_labels(self):
         assert Battery.default(1).labels == ("1", "x", "x^2", "tanh(x)")
@@ -217,22 +241,19 @@ class TestTestFunctions:
         np.testing.assert_array_equal(copy.values(x), values)
 
     def test_bad_derivative_detected(self):
-        class BrokenSquare:
-            """x^2 with a wrong gradient, on purpose."""
+        class DriftOnlyTanh(Battery):
+            """tanh(x) whose generator keeps f~ s and drops the Ito and jump terms, on purpose."""
 
-            labels = ("broken",)
+            def operators(self, model, x, h, values):
+                gen, dphi = super().operators(model, x, h, values)
+                gen[-1] = model.f_tilde(x)[:, 0] * (1.0 - values[-1] ** 2)
+                return gen, dphi
 
-            def values(self, x):
-                return x.T ** 2
-
-            def gradients(self, x):
-                return np.ones((1,) + x.shape)
-
-            def hessians(self, x):
-                return np.zeros((1,) + x.shape + (1,))
-
-        with pytest.raises(ModelError, match="disagree"):
-            check_derivatives(BrokenSquare(), np.array([[1.5]]))
+        x = substream(103).standard_normal((32, 1))
+        model = make_model("jump_ou")
+        check_operators(Battery.default(1), model, x)
+        with pytest.raises(ModelError, match=r"\['tanh\(x\)'\] disagree"):
+            check_operators(DriftOnlyTanh.default(1), model, x)
 
 
 class TestGenerator:
@@ -271,6 +292,47 @@ class TestGenerator:
         m = make_model("jump_ou")
         with pytest.raises(ModelError, match="'x\\^2'"), np.errstate(over="ignore", invalid="ignore"):
             generator(m, "x^2", np.array([[1e300]]))
+
+
+@pytest.mark.parametrize("model", OPERATOR_MODELS + [make_model("linear_gaussian")], ids=lambda m: m.name)
+def test_closed_forms_are_exact_where_the_mathematics_is(model):
+    # A 1 = 0 and D 1 = h; A x_i = f~_i, with no residue of (x + delta) - x - delta; A x_i x_j = f~_i x_j + f~_j x_i
+    # plus the diffusion and sum lam delta_i delta_j over the atoms in order, one constant per model; bit for bit
+    battery = Battery.default(model.dim_x)
+    x = 3.0 * substream(5).standard_normal((64, model.dim_x))
+    h = model.h(x, Y0, 0.0)
+    gen, dphi = battery.operators(model, x, h, battery.values(x))
+    f_tilde = model.f_tilde(x)
+    assert gen[0].tobytes() == np.zeros(len(x)).tobytes() and dphi[0].tobytes() == h.tobytes()
+    jumps = [(lam, model.sigma_tilde @ eta) for eta, lam in zip(model.levy.locs, model.levy.rates)] \
+        if model.has_jumps else []
+    for (kind, i, j), a in zip(battery._terms, gen):
+        if kind == "x":
+            assert a.tobytes() == f_tilde[:, i].tobytes()
+        elif kind == "xx":
+            rate = model.diffusion[i, j] + sum(lam * (delta[i] * delta[j]) for lam, delta in jumps)
+            assert a.tobytes() == (f_tilde[:, i] * x[:, j] + f_tilde[:, j] * x[:, i] + rate).tobytes()
+
+
+def test_jump_term_of_a_product_is_the_model_constant():
+    # without diffusion, A x_i x_j at the origin is the jump term alone: sum lam delta_i delta_j, exactly
+    model = dataclasses.replace(jumping_plane(), sigma=np.zeros((2, 1)), sigma_bar=np.zeros((2, 1)))
+    battery = Battery(("x0*x0", "x0*x1", "x1*x1"), 2)
+    x = np.zeros((1, 2))
+    gen = battery.operators(model, x, model.h(x, Y0, 0.0), battery.values(x))[0][:, 0]
+    deltas = [(lam, model.sigma_tilde @ eta) for eta, lam in zip(model.levy.locs, model.levy.rates)]
+    expected = [sum(lam * (delta[i] * delta[j]) for lam, delta in deltas) for i, j in ((0, 0), (0, 1), (1, 1))]
+    assert gen.tolist() == expected and all(expected)
+
+
+@pytest.mark.parametrize("model", OPERATOR_MODELS, ids=lambda m: m.name)
+def test_no_overflow_at_large_states(model):
+    # s = 1 - tanh^2 stays finite where 1 / cosh^2 overflows in the square (|x| above about 355)
+    battery = Battery.default(model.dim_x)
+    x = np.repeat([[400.0], [-400.0], [710.0]], model.dim_x, axis=1)
+    with np.errstate(over="raise"):
+        gen, dphi = battery.operators(model, x, model.h(x, Y0, 0.0), battery.values(x))
+    assert np.isfinite(gen).all() and np.isfinite(dphi).all()
 
 
 class TestCorrelationAndD:
@@ -330,55 +392,125 @@ def test_generator_batched_matches_pointwise():
 
 def per_state_reference(model, x, y, t) -> list[Array]:
     """f~, the diffusion, the jump of each atom, and A, D and D at h = 0 (that
-    is B) of the default battery, state by state with the matrix products
-    written out (sigma (d, p), sigma_bar (d, m), sigma_tilde (d, r) acting on columns)."""
+    is B) of the default battery, state by state in the closed form of each
+    kind with the matrix products written out (sigma (d, p), sigma_bar (d, m),
+    sigma_tilde (d, r) acting on columns). With t = tanh x_i and s = 1 - t^2:
+    A 1 = 0, A x_i = f~_i, A x_i x_j = f~_i x_j + f~_j x_i + (diffusion_ij +
+    sum lam delta_i delta_j), A tanh x_i = f~_i s - diffusion_ii t s + s sum lam
+    (c / (1 + t c) - delta_i) with c = tanh delta_i, the atoms in order; D = h phi + B,
+    B added only for a nonzero sigma_bar: row i of sigma_bar times 1 or s,
+    or x_j (row i) + x_i (row j)."""
     battery = Battery.default(model.dim_x)
-    f_tilde, gen, dphi, corr = [], [], [], []
+    sbar = model.sigma_bar if model.sigma_bar.any() else None
     diffusion = model.sigma @ model.sigma.T + model.sigma_bar @ model.sigma_bar.T
-    jumps = [model.sigma_tilde @ eta for eta in model.levy.locs] if model.has_jumps else []
+    jumps = [(lam, model.sigma_tilde @ eta) for eta, lam in zip(model.levy.locs, model.levy.rates)] \
+        if model.has_jumps else []
+    rate = diffusion + sum(lam * np.outer(delta, delta) for lam, delta in jumps)
+    f_tilde, gen, dphi, corr = [], [], [], []
     for row in x:
         state = row[None]
         ft = model.f(state)[0]
         if model.has_jumps:   # not + 0.0 without jumps, which would turn -0.0 into 0.0
             ft = ft + model.sigma_tilde @ model.levy.drift_b
-        phi, grad, hess = battery.values(state)[:, 0], battery.gradients(state)[:, 0], battery.hessians(state)[:, 0]
-        a = grad @ ft + 0.5 * np.trace(diffusion @ hess, axis1=1, axis2=2)
-        if model.has_jumps:   # the atoms summed first, then added to the local terms
-            a = a + sum(lam * (battery.values(state + disp)[:, 0] - phi - grad @ disp)
-                        for lam, disp in zip(model.levy.rates, jumps))
-        b = grad @ model.sigma_bar
+        phi = battery.values(state)[:, 0]
+        a, b = [], []
+        for (kind, i, j), p in zip(battery._terms, phi):
+            xi, xj = state[:, i], state[:, j]
+            if kind == "1":
+                a.append(0.0)
+                b.append(None)
+            elif kind == "x":
+                a.append(ft[i])
+                b.append(None if sbar is None else sbar[i])
+            elif kind == "xx":
+                a.append(ft[i] * xj[0] + ft[j] * xi[0] + rate[i, j])
+                b.append(None if sbar is None else xj * sbar[i] + xi * sbar[j])
+            else:
+                s = 1.0 - p * p
+                gen_tanh = ft[i] * s - diffusion[i, i] * p * s
+                if jumps:
+                    gen_tanh = gen_tanh + s * sum(lam * (np.tanh(delta[i]) / (1.0 + p * np.tanh(delta[i])) - delta[i])
+                                                  for lam, delta in jumps)
+                a.append(gen_tanh)
+                b.append(None if sbar is None else s * sbar[i])
+        h = model.h(state, y, t)[0]
+        for out, sensor in ((dphi, h), (corr, np.zeros(model.dim_y))):
+            out.append(np.stack([sensor * p if bk is None else sensor * p + bk
+                                 for p, bk in zip(phi, b)]))
         f_tilde.append(ft)
-        gen.append(a)
-        dphi.append(model.h(state, y, t)[0] * phi[:, None] + b)
-        corr.append(np.zeros(model.dim_y) * phi[:, None] + b)
-    return ([np.array(f_tilde), diffusion] + jumps
+        gen.append(np.array(a, dtype=float))
+    return ([np.array(f_tilde), diffusion] + [delta for _, delta in jumps]
             + [np.stack(gen, axis=1), np.stack(dphi, axis=1), np.stack(corr, axis=1)])
 
 
-def constant_and_reference(model) -> list[tuple[Array, Array]]:
-    """(model path, per-state reference) of f~, the diffusion, each jump, and
-    A, D and D at h = 0 of the default battery on states with signed zeros."""
+def generic_reference(model, x, y, t) -> list[Array]:
+    """A, D and D at h = 0 of the default battery, state by state, from the
+    generic formulas with each test function's gradient and Hessian written
+    out: A = f~ . grad + 1/2 tr[diffusion hess] + sum lam (phi(x + delta) -
+    phi - grad . delta), D = h phi + sigma_bar^T grad."""
+    battery = Battery.default(model.dim_x)
+    d = model.dim_x
+    diffusion = model.sigma @ model.sigma.T + model.sigma_bar @ model.sigma_bar.T
+    jumps = [(lam, model.sigma_tilde @ eta) for eta, lam in zip(model.levy.locs, model.levy.rates)] \
+        if model.has_jumps else []
+    gen, dphi, corr = [], [], []
+    for row in x:
+        state = row[None]
+        phi = battery.values(state)[:, 0]
+        grad, hess = np.zeros((len(phi), d)), np.zeros((len(phi), d, d))
+        for (kind, i, j), g, hs in zip(battery._terms, grad, hess):
+            if kind == "x":
+                g[i] = 1.0
+            elif kind == "xx":
+                g[i] += row[j]
+                g[j] += row[i]
+                hs[i, j] += 1.0
+                hs[j, i] += 1.0
+            elif kind == "tanh":
+                th = np.tanh(row[i])
+                g[i] = 1.0 - th * th
+                hs[i, i] = -2.0 * th * (1.0 - th * th)
+        a = grad @ model.f_tilde(state)[0] + 0.5 * np.trace(diffusion @ hess, axis1=1, axis2=2)
+        a = a + sum(lam * (battery.values(state + delta)[:, 0] - phi - grad @ delta) for lam, delta in jumps)
+        b = grad @ model.sigma_bar
+        gen.append(a)
+        dphi.append(model.h(state, y, t)[0] * phi[:, None] + b)
+        corr.append(b)
+    return [np.stack(gen, axis=1), np.stack(dphi, axis=1), np.stack(corr, axis=1)]
+
+
+def constant_and_reference(model) -> list[tuple[Array, Array, Array]]:
+    """(model path, closed-form per-state reference, generic reference) of f~,
+    the diffusion, each jump, and A, D and D at h = 0 of the default battery
+    on states with signed zeros; the generic reference covers only the last
+    three."""
     d = model.dim_x
     x = np.concatenate([3.0 * substream(4).standard_normal((64, d)), np.zeros((1, d)), np.full((1, d), -0.0)])
     y, t = np.full(1, 0.7), 0.5
     battery = Battery.default(d)
-    got = [model.f_tilde(x), model.diffusion] + [disp for _, disp in (model.jumps if model.has_jumps else [])]
+    got = [model.f_tilde(x), model.diffusion] + [disp for _, disp in model.jumps]
     got += list(battery.operators(model, x, model.h(x, y, t), battery.values(x)))
     got.append(battery.operators(model, x, np.zeros((x.shape[0], model.dim_y)), battery.values(x))[1])
     expected = per_state_reference(model, x, y, t)
+    generic = [None] * (len(expected) - 3) + generic_reference(model, x, y, t)
     assert len(got) == len(expected)
-    return list(zip(got, expected))
+    return list(zip(got, expected, generic))
 
 
 @pytest.mark.parametrize("name", ["jump_ou", "correlated_linear"])
 def test_constant_coefficients_give_the_bytes_of_batched_ones(name):
-    # one product per entry on a scalar state, so the bytes, signed zeros included, are those of the reference
-    for got, expected in constant_and_reference(make_model(name)):
+    # one product per entry on a scalar state, so the bytes, signed zeros included, are those of the closed-form
+    # reference; the generic gradient and Hessian formula agrees to rounding
+    for got, expected, generic in constant_and_reference(make_model(name)):
         assert np.broadcast_to(got, expected.shape).tobytes() == expected.tobytes()
+        if generic is not None:
+            np.testing.assert_allclose(got, generic, rtol=1e-13, atol=1e-13)
 
 
 def test_constant_matrices_enter_the_operators_untransposed():
     # jumping_plane's matrices are not square and symmetric, so a transposed one would show; BLAS may fuse the
     # multiply-adds of a product of d > 1 terms, so this compares to rounding
-    for got, expected in constant_and_reference(jumping_plane()):
-        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+    for got, expected, generic in constant_and_reference(jumping_plane()):
+        for reference in (expected, generic):
+            if reference is not None:
+                np.testing.assert_allclose(got, reference, rtol=1e-13, atol=1e-13)

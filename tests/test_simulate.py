@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterlab.girsanov import ensemble_revuz_yor
 from filterlab.models import change_detection_model, levy_atoms, linear_model, make_model
@@ -17,6 +19,7 @@ from filterlab.simulate import (
     batch_levy_increments,
     dufresne_paths,
     euler_step,
+    fresh_increments,
     hitting_paths,
     propagate_under_reference,
     simulate_pair,
@@ -49,7 +52,7 @@ class TestTimeGrid:
 class TestLevyIncrement:
     def test_no_jumps_gives_pure_drift(self):
         spec = levy_atoms([[2.0]], [0.0], drift_a=[0.7])   # rate 0: drift only
-        inc, marks = batch_levy_increments(spec, 0.1, substream(0), np.full((1, 1), spec.compensated_drift(0.1)))
+        inc, marks = batch_levy_increments(spec, 0.1, [substream(0)], np.full((1, 1), spec.compensated_drift(0.1)))
         assert marks.shape[0] == 0
         assert inc[0, 0] == pytest.approx(0.07)
 
@@ -57,7 +60,8 @@ class TestLevyIncrement:
         # single atom at 1 with rate lam: b = -lam, compensated jumps mean 0
         lam, dt = 2.0, 0.05
         spec = levy_atoms([[1.0]], [lam])
-        incs = batch_levy_increments(spec, dt, substream(1), np.full((100_000, 1), spec.compensated_drift(dt)))[0][:, 0]
+        incs = batch_levy_increments(spec, dt, [substream(1)], np.full((100_000, 1), spec.compensated_drift(dt)))[0]
+        incs = incs[:, 0]
         se = incs.std(ddof=1) / np.sqrt(incs.size)
         assert abs(incs.mean() - spec.drift_b[0] * dt) < 3 * se
 
@@ -66,7 +70,7 @@ class TestLevyIncrement:
         # compound-Poisson second moment is lam dt E[rho^2]
         lam, dt, rho = 2.0, 0.05, 1.0
         spec = levy_atoms([[rho]], [lam])
-        incs, _ = batch_levy_increments(spec, dt, substream(2), np.full((100_000, 1), spec.compensated_drift(dt)))
+        incs, _ = batch_levy_increments(spec, dt, [substream(2)], np.full((100_000, 1), spec.compensated_drift(dt)))
         # each path's mark sum is its increment less (b - lam mean_mark) dt
         sums = incs[:, 0] - (spec.drift_b[0] - lam * spec.mean_mark[0]) * dt
         se = sums.std(ddof=1) / np.sqrt(sums.size)
@@ -80,7 +84,7 @@ class TestLevyIncrement:
         # path i's marks follow those of paths 0..i-1 and are added to its base one at a time
         spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
         n, dt = 400, 0.5
-        incs, marks = batch_levy_increments(spec, dt, substream(3), np.full((n, 1), spec.compensated_drift(dt)))
+        incs, marks = batch_levy_increments(spec, dt, [substream(3)], np.full((n, 1), spec.compensated_drift(dt)))
         rng = substream(3)
         counts = rng.poisson(spec.jump_rate * dt, n)
         np.testing.assert_array_equal(marks, spec.sample_marks(rng, int(counts.sum())))
@@ -98,12 +102,37 @@ class TestLevyIncrement:
         rows = np.full((n + 2, 1), np.nan)
         rows[1:-1] = spec.compensated_drift(dt)
         rng, replay = substream(3), substream(3)
-        out, marks = batch_levy_increments(spec, dt, rng, rows[1:-1])
+        out, marks = batch_levy_increments(spec, dt, [rng], rows[1:-1])
         counts = replay.poisson(spec.jump_rate * dt, n)
         np.testing.assert_array_equal(marks, spec.sample_marks(replay, int(counts.sum())))
         assert (marks.shape[0] > 0) == fired
         assert np.shares_memory(out, rows) and np.isfinite(out).all() and np.isnan(rows[[0, -1]]).all()
         np.testing.assert_array_equal(rng.random(8), replay.random(8))   # and the generators stand at one state
+
+
+    @given(st.sampled_from(["jump_ou", "jumping_plane"]), st.integers(1, 8), st.integers(1, 400), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_a_block_gives_the_bytes_of_one_sampler_per_run(self, name, runs, n, dw, seed):
+        # fresh_increments draws a block with one batch_levy_increments call and one scatter; each run's rows, and
+        # the state its generator is left in, are those of the run drawn alone: dV, then dW (the correlation-blind
+        # ablation), then its Poisson counts and its marks, added to their rows one at a time
+        model = make_model(name) if name == "jump_ou" else jumping_plane()
+        dt, levy = 0.05, model.levy
+        rngs = [substream(seed, i) for i in range(runs)]
+        got = fresh_increments(model, dt, n, rngs, dw=dw)
+        assert (got[1] is not None) == dw
+        for i, rng in enumerate(rngs):
+            replay = substream(seed, i)
+            expected = [replay.standard_normal((n, dim)) * np.sqrt(dt) for dim in (model.dim_v, model.dim_y)[:1 + dw]]
+            dl = np.full((n, levy.dim), levy.compensated_drift(dt))
+            counts = replay.poisson(levy.jump_rate * dt, n)
+            for row, mark in zip(np.repeat(np.arange(n), counts), levy.sample_marks(replay, int(counts.sum()))):
+                dl[row] += mark
+            for block, alone in zip(got, expected + [None] * (1 - dw) + [dl]):
+                if alone is not None:
+                    assert block[i * n:(i + 1) * n].tobytes() == alone.tobytes()
+            np.testing.assert_array_equal(rng.random(8), replay.random(8))   # the generators stand at one state
 
 
 def reference_pair(model, grid, rng):
@@ -282,7 +311,7 @@ def reference_propagation(model, x, y, t, dy, dt, rng):
     dv = rng.standard_normal((n, model.dim_v)) * np.sqrt(dt)
     dl = np.full((n, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
     if dl is not None:
-        batch_levy_increments(model.levy, dt, rng, dl)
+        batch_levy_increments(model.levy, dt, [rng], dl)
     drift = model.f(x) - noise(model.sigma_bar, model.h(x, y, t))
     return reference_euler(model, x, drift, dt, dv, dy, dl)
 
@@ -301,7 +330,7 @@ def test_steps_match_a_per_state_reference(model):
         dw = rng.standard_normal((1000, model.dim_y)) * sq
         dl = np.full((1000, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
         if dl is not None:
-            batch_levy_increments(model.levy, dt, rng, dl)
+            batch_levy_increments(model.levy, dt, [rng], dl)
         phys = euler_step(model, x_phys, model.f(x_phys), dt, dv, dw, dl, k + 1)
         np.testing.assert_allclose(phys, reference_euler(model, x_phys, model.f(x_phys), dt, dv, dw, dl),
                                    rtol=1e-13, atol=1e-13)

@@ -28,6 +28,7 @@ from filterlab.verify import (
 )
 from filterlab import girsanov
 from filterlab.girsanov import revuz_yor_closed_form
+from test_simulate import jumping_plane
 
 
 def change_detection_loglik_direct(b, tau, b0, y_path, grid):
@@ -300,6 +301,14 @@ class TestResiduals:
             assert ks[:, col].tobytes() == ks_1[:, 0].tobytes(), label
         if "1" in labels:
             assert np.all(ks[:, labels.index("1")] == 0.0)
+
+    @pytest.mark.parametrize("name", ["jump_ou", "jumping_plane"])
+    def test_ks_row_of_one_is_exactly_zero(self, name):
+        # D 1 = h exactly, so pi(D 1) - pi(h) pi(1) cancels, and A 1 = 0
+        m = make_model(name) if name == "jump_ou" else jumping_plane()
+        battery = Battery.default(m.dim_x)
+        zak, ks = residual_run(m, battery, TimeGrid(0.2, 1e-2), FilterConfig(n_particles=64, seed=43), (0, 1, 2))
+        assert ks[:, 0].tobytes() == np.zeros(ks[:, 0].shape).tobytes()
 
     @pytest.mark.parametrize("n_runs", [1, 3, 8])
     def test_block_of_runs_equals_blocks_of_one_run(self, n_runs):
