@@ -70,24 +70,20 @@ class PathBundle:
     jump_log: list[tuple[int, Array]]
 
 
-def batch_levy_increments(levy: LevySpec, dt: float, rngs: Sequence[np.random.Generator], out: Array,
-                          normals: Sequence[Array] = ()) -> tuple[Array, Array]:
+def batch_levy_increments(levy: LevySpec, dt: float, rngs: Sequence[np.random.Generator], out: Array) -> tuple[Array, Array]:
     """Increments of L over dt for len(rngs) runs of equally many paths, the
     rows (R * n, r) of `out`, which the caller owns and has set to
     levy.compensated_drift(dt), and the marks that fired, in path order. Run i
-    draws from rngs[i] standard normals into its rows of each of `normals`,
-    then its paths' Poisson counts (none at a zero rate), then their marks,
-    which one scatter adds to their rows, so L_t = b t + compensated jumps has mean b dt."""
+    draws from rngs[i] its paths' Poisson counts (none at a zero rate), then
+    their marks, which one scatter adds to their rows, so L_t = b t +
+    compensated jumps has mean b dt."""
     n = len(out) // len(rngs)
     counts, marks = [], []
-    for i, rng in enumerate(rngs):
-        for a in normals:
-            rng.standard_normal(out=a[i * n:(i + 1) * n])
-        if levy.jump_rate:
-            counts.append(rng.poisson(levy.jump_rate * dt, n))
-            # most one-row calls (simulate_pairs) fire nothing, and the count skips the mark draw
-            if np.count_nonzero(counts[-1]):
-                marks.append(levy.sample_marks(rng, int(counts[-1].sum())))
+    for rng in rngs if levy.jump_rate else ():
+        counts.append(rng.poisson(levy.jump_rate * dt, n))
+        # most one-row calls (simulate_pairs) fire nothing, and the count skips the mark draw
+        if np.count_nonzero(counts[-1]):
+            marks.append(levy.sample_marks(rng, int(counts[-1].sum())))
     if not marks:
         return out, levy.locs[:0]
     marks = np.concatenate(marks)
@@ -133,6 +129,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
     operation is per path, so a run's bytes do not depend on the others."""
     d, p, m = model.dim_x, model.dim_v, model.dim_y
     n, r = grid.n_steps, len(rngs)
+    sq = np.sqrt(grid.dt)
     x = np.empty((r, n + 1, d))
     y = np.zeros((r, n + 1, m))
     dw = np.empty((r, n, m))
@@ -147,9 +144,10 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
         else:
             z = np.empty((n, p + m))
             for k in range(n):
-                marks = batch_levy_increments(model.levy, grid.dt, [rng], dl[k, i:i + 1], [z[k:k + 1]])[1]
+                z[k] = rng.standard_normal(p + m)
+                marks = batch_levy_increments(model.levy, grid.dt, [rng], dl[k, i:i + 1])[1]
                 jump_logs[i].extend((k, mark) for mark in marks)
-        z *= np.sqrt(grid.dt)
+        z *= sq
         dv[:, i], dw[i] = z[:, :p], z[:, p:]
     for k in range(n):
         xk = x[:, k]
@@ -173,20 +171,22 @@ def fresh_increments(
 ) -> tuple[Optional[Array], Optional[Array], Optional[Array]]:
     """Fresh (dV, dW, dL) increments over dt for len(rngs) runs of n states,
     run r drawing from rngs[r] in the order dV, dW, dL (batch_levy_increments,
-    whose marks are dropped) into its rows of one (len(rngs) * n, .) array per
-    term; a term not asked for (or dL without jumps) is None and draws nothing."""
-    terms = [np.empty((len(rngs) * n, dim)) if on else None for dim, on in ((model.dim_v, dv), (model.dim_y, dw))]
-    normals = [a for a in terms if a is not None]
-    dl = np.full((len(rngs) * n, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
-    if dl is not None:
-        batch_levy_increments(model.levy, dt, rngs, dl, normals)
-    else:
-        for i, rng in enumerate(rngs):
-            for a in normals:
-                rng.standard_normal(out=a[i * n:(i + 1) * n])
-    for a in normals:
-        a *= np.sqrt(dt)
-    return terms[0], terms[1], dl
+    whose marks are dropped); a term that is not asked for (or a model
+    without jumps) gives None and draws nothing. Each run draws into its rows
+    of one (len(rngs) * n, .) array per term, and dL of all runs is one
+    batch_levy_increments call: its generators are apart, so each still draws
+    dV, dW, then dL."""
+    normals = [np.empty((len(rngs) * n, dim)) if on else None for dim, on in ((model.dim_v, dv), (model.dim_y, dw))]
+    dls = np.full((len(rngs) * n, model.levy.dim), model.levy.compensated_drift(dt)) if model.has_jumps else None
+    sq = np.sqrt(dt)
+    for i, rng in enumerate(rngs):
+        rows = slice(i * n, (i + 1) * n)
+        for out in (a[rows] for a in normals if a is not None):
+            rng.standard_normal(out=out)
+            out *= sq
+    if dls is not None:
+        batch_levy_increments(model.levy, dt, rngs, dls)
+    return normals[0], normals[1], dls
 
 
 def propagate_under_reference(
