@@ -93,6 +93,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     model, scenario, test-function label (or one named twice),
     representation or resampler, a dt <= 0 or a time that dt does not
     divide (for the hitting kinds, which take barriers, HITTING_MAX_TIME), a
+    time span t or horizon, or the largest of times, <= 0, a
     filter setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
     overflows a float, a count or barrier below MINIMUMS), a
     change-detection key given to another scenario, a model without
@@ -103,8 +104,9 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     params = dict(defaults, **kwargs)
     ensembles = ENSEMBLES if inspect.unwrap(fn) in ENSEMBLE_CHECKS else ()
 
-    def grid(horizon: float) -> TimeGrid:
-        return TimeGrid(horizon=horizon, dt=params["dt"])
+    def grid(span: float) -> TimeGrid:
+        _positive(span)
+        return TimeGrid(horizon=span, dt=params["dt"])
 
     # build what the params name, as fn would, so that a bad value fails before any check runs
     builds = {
@@ -114,7 +116,7 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
         "representation": lambda: _one_of(params["representation"], REPRESENTATIONS),
         "alpha": lambda: _revuz_yor_alpha(params["alpha"], params["t"]),
         # a hitting walk runs to HITTING_MAX_TIME, where it censors what it has not resolved
-        "dt": lambda: grid(HITTING_MAX_TIME if "barriers" in params else 0.0),
+        "dt": lambda: TimeGrid(horizon=HITTING_MAX_TIME if "barriers" in params else 0.0, dt=params["dt"]),
         "t": lambda: grid(params["t"]),
         "horizon": lambda: grid(params["horizon"]),
         "times": lambda: list(map(grid(max(params["times"])).index_of, params["times"])),
@@ -268,7 +270,7 @@ def filter_config(seed: int, *, n_particles=1000, resample_threshold=0.5, resamp
 
 
 def write_manifest(out: Path, cfg: dict, command: str, seed: int) -> None:
-    grid = cfg.get("grid", {})
+    grid = cfg.get("grid") if isinstance(cfg.get("grid"), dict) else {}
     manifest = {
         "command": command,
         "config": cfg,
@@ -639,10 +641,8 @@ def cmd_simulate(cfg: dict, seed: int, workers: int = 1) -> tuple[dict[str, str]
     files = {"paths.csv": csv_table([[f"# horizon={grid.horizon!r} dt={grid.dt!r} seed={seed!r}"]])
              + float_table(header, [np.arange(grid.n_steps + 1), grid.times(), bundle.x, bundle.y])}
     if model.levy is not None:
-        r = model.levy.dim
-        marks = np.reshape([mark for _, mark in bundle.jump_log], (-1, r))
-        files["jumps.csv"] = float_table(["step"] + [f"mark_{i + 1}" for i in range(r)],
-                                         [[k for k, _ in bundle.jump_log], marks])
+        files["jumps.csv"] = float_table(["step"] + [f"mark_{i + 1}" for i in range(model.levy.dim)],
+                                         [bundle.jump_steps, bundle.jump_marks])
     return files, EXIT_OK
 
 

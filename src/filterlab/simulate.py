@@ -63,32 +63,33 @@ class TimeGrid:
 
 @dataclass
 class PathBundle:
-    """One realisation of (X, Y) on a TimeGrid, with the jump marks that fired."""
+    """One realisation of (X, Y) on a TimeGrid, with the jumps that fired:
+    mark jump_marks[j] is in the increment of step jump_steps[j], in step order."""
 
     x: Array                    # (n_steps+1, d)
     y: Array                    # (n_steps+1, m), y[0] = 0
-    jump_log: list[tuple[int, Array]]
+    jump_steps: Array           # (n_jumps,) int
+    jump_marks: Array           # (n_jumps, r)
 
 
 def batch_levy_increments(levy: LevySpec, dt: float, rngs: Sequence[np.random.Generator], out: Array) -> tuple[Array, Array]:
-    """Increments of L over dt for len(rngs) runs of equally many paths, the
-    rows (R * n, r) of `out`, which the caller owns and has set to
-    levy.compensated_drift(dt), and the marks that fired, in path order. Run i
-    draws from rngs[i] its paths' Poisson counts (none at a zero rate), then
-    their marks, which one scatter adds to their rows, so L_t = b t +
-    compensated jumps has mean b dt."""
+    """Add the increments of L over dt for len(rngs) runs of equally many
+    paths to their rows (R * n, r) of `out`, which the caller owns and has set
+    to levy.compensated_drift(dt); return the row of each mark that fired and
+    the marks, in path order. Run i draws from rngs[i] its paths' Poisson
+    counts (none at a zero rate), then their marks, which one scatter adds to
+    their rows, so L_t = b t + compensated jumps has mean b dt."""
+    if not levy.jump_rate:
+        return np.arange(0), levy.locs[:0]
     n = len(out) // len(rngs)
     counts, marks = [], []
-    for rng in rngs if levy.jump_rate else ():
+    for rng in rngs:
         counts.append(rng.poisson(levy.jump_rate * dt, n))
-        # most one-row calls (simulate_pairs) fire nothing, and the count skips the mark draw
-        if np.count_nonzero(counts[-1]):
-            marks.append(levy.sample_marks(rng, int(counts[-1].sum())))
-    if not marks:
-        return out, levy.locs[:0]
+        marks.append(levy.sample_marks(rng, int(counts[-1].sum())))
+    rows = np.repeat(np.arange(len(out)), np.concatenate(counts))
     marks = np.concatenate(marks)
-    np.add.at(out, np.repeat(np.arange(len(out)), np.concatenate(counts)), marks)
-    return out, marks
+    np.add.at(out, rows, marks)
+    return rows, marks
 
 
 def euler_step(
@@ -121,12 +122,12 @@ def euler_step(
 
 def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.Generator]) -> list[PathBundle]:
     """Euler-Maruyama paths of (X, Y) under the physical measure, one per
-    generator. Each run first draws all its noise from rngs[r]: X_0, then per
-    step dV and dW (one draw of p + m normals) and, for a model with jumps,
-    batch_levy_increments of one path, whose marks fill the jump log. Without
-    jumps the normals of all steps are one (n_steps, p + m) draw: the same
-    normals in the same order. Then all runs step as one (R, d) array; every
-    operation is per path, so a run's bytes do not depend on the others."""
+    generator. Each run first draws all its noise from rngs[r], one draw per
+    law: X_0, the normals dV and dW of all steps as one (n_steps, p + m)
+    draw, and, for a model with jumps, the Poisson counts and marks of all
+    steps as one batch_levy_increments call over the path's n_steps rows.
+    Then all runs step as one (R, d) array; every operation is per path, so a
+    run's bytes do not depend on the others."""
     d, p, m = model.dim_x, model.dim_v, model.dim_y
     n, r = grid.n_steps, len(rngs)
     sq = np.sqrt(grid.dt)
@@ -136,19 +137,15 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
     # step-major, so that the rows of one step are contiguous
     dv = np.empty((n, r, p))
     dl = np.full((n, r, model.levy.dim), model.levy.compensated_drift(grid.dt)) if model.has_jumps else None
-    jump_logs: list[list[tuple[int, Array]]] = [[] for _ in rngs]
+    no_jumps = (np.arange(0), np.empty((0, model.levy.dim if model.levy is not None else 0)))
+    jumps = [no_jumps] * r
     for i, rng in enumerate(rngs):
         x[i, 0] = model.initial_law(rng, 1)[0]
-        if dl is None:
-            z = rng.standard_normal((n, p + m))
-        else:
-            z = np.empty((n, p + m))
-            for k in range(n):
-                z[k] = rng.standard_normal(p + m)
-                marks = batch_levy_increments(model.levy, grid.dt, [rng], dl[k, i:i + 1])[1]
-                jump_logs[i].extend((k, mark) for mark in marks)
+        z = rng.standard_normal((n, p + m))
         z *= sq
         dv[:, i], dw[i] = z[:, :p], z[:, p:]
+        if dl is not None:
+            jumps[i] = batch_levy_increments(model.levy, grid.dt, [rng], dl[:, i])
     for k in range(n):
         xk = x[:, k]
         t = k * grid.dt
@@ -157,7 +154,7 @@ def simulate_pairs(model: SignalModel, grid: TimeGrid, rngs: Sequence[np.random.
         y[:, k + 1] = y[:, k] + model.h(xk, y[:, k], t) * grid.dt + dw[:, k]
         if not np.all(np.isfinite(y[:, k + 1])):
             raise SimulationBlowUp(k + 1)
-    return [PathBundle(x=x[i], y=y[i], jump_log=jump_logs[i]) for i in range(r)]
+    return [PathBundle(x[i], y[i], *jumps[i]) for i in range(r)]
 
 
 def simulate_pair(model: SignalModel, grid: TimeGrid, rng: np.random.Generator) -> PathBundle:

@@ -1,16 +1,22 @@
 """Golden output hashes: the sha256 of every file that a fixed list of CLI
 runs writes, manifest.json included, recorded in golden_outputs.json next
-to this file.
+to this file, one set per numpy dispatch level.
 
-tests/test_golden_outputs.py runs each case at --workers 1 and 2 and
-compares its files with the recorded hashes; it never writes the file. A
-change that moves output bytes on purpose (a stream-layout change) rewrites
-it with
+numpy picks some kernels (exp, log, tanh among them) at run time from the
+CPU's features, and kernels of different levels round differently, so the
+bytes depend on the level numpy runs at: X86_V4 (AVX-512), X86_V3 (AVX2) or
+the baseline it was built for. tests/test_golden_outputs.py runs each case at
+--workers 1 and 2 and compares its files with the hashes recorded for the
+level it runs at; it never writes the file. A change that moves output bytes
+on purpose (a stream-layout change) rewrites it with
 
     PYTHONPATH=src python tests/golden_outputs.py
 
-which prints each new case and each case and file whose hash moved against
-the file it replaces; CHANGES.md lists every case that moved, and why.
+which records each level this CPU can run in a subprocess whose
+NPY_DISABLE_CPU_FEATURES turns off numpy's dispatch targets above that
+level, and prints each new case and each case and file whose hash moved
+against the file it replaces; CHANGES.md lists every case that moved, and
+why.
 """
 
 from __future__ import annotations
@@ -18,11 +24,14 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from filterlab.cli import RESIDUAL_BLOCK, main
 from filterlab.rng import substream
@@ -103,9 +112,27 @@ def _cases() -> dict[str, tuple[str, dict]]:
 CASES = _cases()
 
 
+# numpy's x86-64 dispatch levels, highest first, down to the baseline numpy was
+# built for, named by its features (X86_V2 in numpy 2's x86-64 wheels)
+LEVELS = ("X86_V4", "X86_V3", " ".join(__cpu_baseline__))
+
+
+def dispatch_level() -> str:
+    """The highest of LEVELS whose features numpy has enabled in this process."""
+    return next((level for level in LEVELS[:-1] if __cpu_features__.get(level)), LEVELS[-1])
+
+
+def disabled_above(level: str) -> str:
+    """The NPY_DISABLE_CPU_FEATURES under which numpy runs at `level` at
+    most: every dispatch target but the levels at or below it."""
+    kept = LEVELS[LEVELS.index(level):]
+    return " ".join(target for target in __cpu_dispatch__ if target not in kept)
+
+
 def environment() -> dict[str, str]:
-    """What the hashes depend on besides the code: numpy's version and the bit generator."""
-    return {"numpy": np.__version__, "bit_generator": type(substream(0).bit_generator).__name__}
+    """What the hashes depend on besides the code: numpy's version and dispatch level, and the bit generator."""
+    return {"numpy": np.__version__, "dispatch_level": dispatch_level(),
+            "bit_generator": type(substream(0).bit_generator).__name__}
 
 
 def run_case(name: str, workers: int, scratch: Path) -> tuple[int, dict[str, str]]:
@@ -121,9 +148,10 @@ def run_case(name: str, workers: int, scratch: Path) -> tuple[int, dict[str, str
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def write_golden() -> None:
-    """Run every case at each worker count and write golden_outputs.json; the
-    worker counts must agree, or nothing is written."""
+def record(path: Path) -> None:
+    """Run every case at each worker count in this process and write
+    {"environment": environment(), "cases": ...} to path; the worker counts
+    must agree, or nothing is written."""
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
@@ -132,11 +160,37 @@ def write_golden() -> None:
                 sys.exit(f"case {name!r}: the outputs differ across --workers {WORKERS}")
             code, hashes = runs[0]
             cases[name] = {"exit_code": code, "files": hashes}
-    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"] if GOLDEN.exists() else {}
-    GOLDEN.write_text(json.dumps(dict(environment(), cases=cases), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
-    for line in moves(recorded, cases):
-        print(line)
+    path.write_text(json.dumps({"environment": environment(), "cases": cases}), encoding="utf-8")
+
+
+def write_golden() -> None:
+    """Record every case at each level of LEVELS that this CPU runs, each in
+    a subprocess under disabled_above(level), and write golden_outputs.json;
+    the levels must agree on every exit code, or nothing is written."""
+    levels = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for level in LEVELS:
+            path = Path(tmp) / "record.json"
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled_above(level))
+            subprocess.run([sys.executable, __file__, "--record", str(path)], env=env, stdout=subprocess.DEVNULL,
+                           check=True)
+            run = json.loads(path.read_text(encoding="utf-8"))
+            running = run["environment"].pop("dispatch_level")
+            if running != level:
+                print(f"skipped {level}: this CPU runs numpy at {running} at most")
+                continue
+            levels[level] = run["cases"]
+    for name in CASES:
+        codes = {level: cases[name]["exit_code"] for level, cases in levels.items()}
+        if len(set(codes.values())) > 1:
+            sys.exit(f"case {name!r}: the exit codes differ across dispatch levels: {codes}")
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")).get("levels", {}) if GOLDEN.exists() else {}
+    shared = {key: value for key, value in environment().items() if key != "dispatch_level"}
+    GOLDEN.write_text(json.dumps(dict(shared, levels=levels), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(CASES)} cases at {len(levels)} dispatch levels ({', '.join(levels)}) to {GOLDEN}")
+    for level, cases in levels.items():
+        for line in moves(recorded.get(level, {}), cases):
+            print(f"{level}: {line}")
 
 
 def moves(recorded: dict, cases: dict) -> list[str]:
@@ -156,4 +210,7 @@ def moves(recorded: dict, cases: dict) -> list[str]:
 
 
 if __name__ == "__main__":
-    write_golden()
+    if sys.argv[1:2] == ["--record"]:
+        record(Path(sys.argv[2]))
+    else:
+        write_golden()

@@ -110,12 +110,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_OK
         bundle = simulate.simulate_pair(make_model("jump_ou"), TimeGrid(1.0, 0.01), substream(12, TAG_PATH, 0))
         rows = read_rows(tmp_path / "jumps.csv")
-        assert bundle.jump_log and rows[0] == ["step", "mark_1"]
-        assert [[int(row[0]), float(row[1])] for row in rows[1:]] == [[k, float(m[0])] for k, m in bundle.jump_log]
+        assert bundle.jump_steps.size and rows[0] == ["step", "mark_1"]
+        assert [[int(row[0]), float(row[1])] for row in rows[1:]] == [
+            [k, float(mark)] for k, (mark,) in zip(bundle.jump_steps, bundle.jump_marks)]
 
     def test_jump_sidecar_without_jumps_is_its_header(self, tmp_path):
-        # SIM_CFG's path fires no jump
-        main(["simulate", "--config", write_cfg(tmp_path, "sim.json", SIM_CFG), "--out", str(tmp_path)])
+        cfg = dict(SIM_CFG, seed=0)
+        bundle = simulate.simulate_pair(make_model("jump_ou"), TimeGrid(0.3, 0.005), substream(0, TAG_PATH, 0))
+        assert bundle.jump_steps.size == 0 and bundle.jump_marks.shape == (0, 1)   # the path fires no jump
+        main(["simulate", "--config", write_cfg(tmp_path, "sim.json", cfg), "--out", str(tmp_path)])
         assert (tmp_path / "jumps.csv").read_text() == "step,mark_1\n"
 
     def test_invalid_dt_exits_2_naming_field(self, tmp_path):
@@ -616,6 +619,16 @@ STRICT_CASES = {
                       "diagnostics.params.martingale_mean.times"),
     "negative_dt": ("verify", verify_cfg({"hitting": {"barriers": [1], "n_paths": 100, "dt": -1e-3}}),
                     "diagnostics.params.hitting.dt"),
+    # a time span of 0 used to end in a ValueError traceback (local_boundedness) or to pass with tolerance 0,
+    # checking nothing (zakai_residual)
+    "zero_horizon": ("verify", verify_cfg({"local_boundedness": dict(SMALL, scenario="jump_ou", horizon=0)}),
+                     "diagnostics.params.local_boundedness.horizon"),
+    "zero_residual_horizon": ("verify", verify_cfg({"zakai_residual": dict(RESID, horizon=0)}),
+                              "diagnostics.params.zakai_residual.horizon"),
+    "zero_times": ("verify", verify_cfg({"martingale_mean": dict(SMALL, times=[0])}),
+                   "diagnostics.params.martingale_mean.times"),
+    "counterexample_zero_t": ("counterexample", {"counterexample": {"kind": "revuz_yor", "n_paths": 100, "t": 0,
+                                                                    "dt": 0.01}, "seed": 2}, "counterexample.t"),
     "horizon_below_dt": ("verify", verify_cfg({"zstar_bound": dict(SMALL, t=0.001)}),
                          "diagnostics.params.zstar_bound.t"),
     # at a horizon <= 2 ln 100 the closed-form tail, not the simulated paths, carries much of the estimate
@@ -723,6 +736,18 @@ def test_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, workers):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", workers]) == EXIT_CONFIG
     assert "'--workers'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, block", [
+    ("verify", {"diagnostics": {"checks": ["independent_h"], "params": {"independent_h": SMALL}}}),
+    ("counterexample", {"counterexample": {"kind": "dufresne", "n_paths": 100, "horizon": 10.0, "dt": 0.01}}),
+])
+def test_a_grid_the_command_does_not_read_may_be_any_value(tmp_path, command, block):
+    # a grid that is not an object used to end in an AttributeError traceback after the outputs were written
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, "cfg.json", dict(block, seed=1, grid=[1, 2])),
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["grid"] == {"horizon": None, "dt": None}
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -173,7 +173,8 @@ class TestDegenerateAndModelEnsembles:
         x0 = m.initial_law(rng, n)
         dw = rng.standard_normal((n, 1)) * np.sqrt(dt)
         dv = rng.standard_normal((n, 1)) * np.sqrt(dt)
-        dl = batch_levy_increments(m.levy, dt, [rng], np.full((n, 1), m.levy.compensated_drift(dt)))[0]
+        dl = np.full((n, 1), m.levy.compensated_drift(dt))
+        batch_levy_increments(m.levy, dt, [rng], dl)
         x1 = x0 + m.f(x0) * dt + 0.7 * dv + 0.5 * dw + 1.5 * dl
         np.testing.assert_allclose(dense["u"][:, 1], 1.0 + x1[:, 0] ** 2, rtol=1e-12)
 

@@ -52,15 +52,17 @@ class TestTimeGrid:
 class TestLevyIncrement:
     def test_no_jumps_gives_pure_drift(self):
         spec = levy_atoms([[2.0]], [0.0], drift_a=[0.7])   # rate 0: drift only
-        inc, marks = batch_levy_increments(spec, 0.1, [substream(0)], np.full((1, 1), spec.compensated_drift(0.1)))
-        assert marks.shape[0] == 0
+        inc = np.full((1, 1), spec.compensated_drift(0.1))
+        rows, marks = batch_levy_increments(spec, 0.1, [substream(0)], inc)
+        assert rows.shape == (0,) and marks.shape == (0, 1)
         assert inc[0, 0] == pytest.approx(0.07)
 
     def test_mean_of_increment_is_b_dt(self):
         # single atom at 1 with rate lam: b = -lam, compensated jumps mean 0
         lam, dt = 2.0, 0.05
         spec = levy_atoms([[1.0]], [lam])
-        incs = batch_levy_increments(spec, dt, [substream(1)], np.full((100_000, 1), spec.compensated_drift(dt)))[0]
+        incs = np.full((100_000, 1), spec.compensated_drift(dt))
+        batch_levy_increments(spec, dt, [substream(1)], incs)
         incs = incs[:, 0]
         se = incs.std(ddof=1) / np.sqrt(incs.size)
         assert abs(incs.mean() - spec.drift_b[0] * dt) < 3 * se
@@ -70,7 +72,8 @@ class TestLevyIncrement:
         # compound-Poisson second moment is lam dt E[rho^2]
         lam, dt, rho = 2.0, 0.05, 1.0
         spec = levy_atoms([[rho]], [lam])
-        incs, _ = batch_levy_increments(spec, dt, [substream(2)], np.full((100_000, 1), spec.compensated_drift(dt)))
+        incs = np.full((100_000, 1), spec.compensated_drift(dt))
+        batch_levy_increments(spec, dt, [substream(2)], incs)
         # each path's mark sum is its increment less (b - lam mean_mark) dt
         sums = incs[:, 0] - (spec.drift_b[0] - lam * spec.mean_mark[0]) * dt
         se = sums.std(ddof=1) / np.sqrt(sums.size)
@@ -81,13 +84,15 @@ class TestLevyIncrement:
         assert abs(sq.mean() - second) < 3 * se2
 
     def test_marks_come_in_path_order(self):
-        # path i's marks follow those of paths 0..i-1 and are added to its base one at a time
+        # path i's marks follow those of paths 0..i-1, each returned with its row and added to that row one at a time
         spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
         n, dt = 400, 0.5
-        incs, marks = batch_levy_increments(spec, dt, [substream(3)], np.full((n, 1), spec.compensated_drift(dt)))
+        incs = np.full((n, 1), spec.compensated_drift(dt))
+        rows, marks = batch_levy_increments(spec, dt, [substream(3)], incs)
         rng = substream(3)
         counts = rng.poisson(spec.jump_rate * dt, n)
         np.testing.assert_array_equal(marks, spec.sample_marks(rng, int(counts.sum())))
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(n), counts))
         assert counts.max() > 1
         expected = np.empty((n, 1))
         expected[...] = spec.drift_b * dt - spec.jump_rate * spec.mean_mark * dt
@@ -99,14 +104,18 @@ class TestLevyIncrement:
     @pytest.mark.parametrize("n, dt, fired", [(400, 0.5, True), (1, 0.01, False)])
     def test_writes_only_its_rows_and_draws_only_counts_and_marks(self, n, dt, fired):
         spec = levy_atoms([[-0.5], [0.5], [2.0]], [1.0, 1.0, 2.0])
-        rows = np.full((n + 2, 1), np.nan)
-        rows[1:-1] = spec.compensated_drift(dt)
+        buffer = np.full((n + 2, 1), np.nan)
+        buffer[1:-1] = spec.compensated_drift(dt)
         rng, replay = substream(3), substream(3)
-        out, marks = batch_levy_increments(spec, dt, [rng], rows[1:-1])
+        rows, marks = batch_levy_increments(spec, dt, [rng], buffer[1:-1])
         counts = replay.poisson(spec.jump_rate * dt, n)
         np.testing.assert_array_equal(marks, spec.sample_marks(replay, int(counts.sum())))
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(n), counts))
         assert (marks.shape[0] > 0) == fired
-        assert np.shares_memory(out, rows) and np.isfinite(out).all() and np.isnan(rows[[0, -1]]).all()
+        expected = np.full((n, 1), spec.compensated_drift(dt))
+        np.add.at(expected, rows, marks)
+        np.testing.assert_array_equal(buffer[1:-1], expected)
+        assert np.isnan(buffer[[0, -1]]).all()
         np.testing.assert_array_equal(rng.random(8), replay.random(8))   # and the generators stand at one state
 
 
@@ -136,28 +145,31 @@ class TestLevyIncrement:
 
 
 def reference_pair(model, grid, rng):
-    """One data path drawn and stepped one step at a time: X_0, then per step
-    dV, dW, the Poisson count of the jumps and their marks, with the Levy
-    increment b dt + (sum of marks) - jump_rate * mean_mark * dt."""
-    n, dt, sq = grid.n_steps, grid.dt, np.sqrt(grid.dt)
+    """One data path drawn one noise law at a time and stepped one step at a
+    time: X_0, then the normals of all steps, dV and dW side by side in one
+    draw, then (for a model with jumps) the Poisson count of every step and
+    the marks, each mark added to its step's Levy increment
+    b dt - jump_rate * mean_mark * dt in turn. Returns x, y, dW and the step
+    of each mark with the marks."""
+    n, dt, sq, p = grid.n_steps, grid.dt, np.sqrt(grid.dt), model.dim_v
     x = np.empty((n + 1, model.dim_x))
     y = np.zeros((n + 1, model.dim_y))
-    dw = np.empty((n, model.dim_y))
-    jump_log = []
     x[0] = model.initial_law(rng, 1)[0]
+    z = rng.standard_normal((n, p + model.dim_y)) * sq
+    dv, dw = z[:, :p], z[:, p:]
+    steps, marks, dl = np.arange(0), np.empty((0, 0 if model.levy is None else model.levy.dim)), [None] * n
+    if model.has_jumps:
+        levy = model.levy
+        steps = np.repeat(np.arange(n), rng.poisson(levy.jump_rate * dt, n))
+        marks = levy.sample_marks(rng, steps.size)
+        dl = np.full((n, 1, levy.dim), levy.compensated_drift(dt))
+        for k, mark in zip(steps, marks):
+            dl[k, 0] += mark
     for k in range(n):
-        dv = rng.standard_normal((1, model.dim_v)) * sq
-        dw[k] = rng.standard_normal(model.dim_y) * sq
-        dl = None
-        if model.has_jumps:
-            levy = model.levy
-            marks = levy.sample_marks(rng, int(rng.poisson(levy.jump_rate * dt)))
-            dl = (levy.drift_b * dt + marks.sum(axis=0) - levy.jump_rate * levy.mean_mark * dt)[None]
-            jump_log.extend((k, mark) for mark in marks)
         xk = x[k:k + 1]
-        x[k + 1] = euler_step(model, xk, model.f(xk), dt, dv, dw[k:k + 1], dl, k + 1)[0]
+        x[k + 1] = euler_step(model, xk, model.f(xk), dt, dv[k:k + 1], dw[k:k + 1], dl[k], k + 1)[0]
         y[k + 1] = y[k] + model.h(xk, y[k:k + 1], k * dt)[0] * dt + dw[k]
-    return x, y, dw, jump_log
+    return x, y, dw, (steps, marks)
 
 
 class TestSimulatePair:
@@ -207,7 +219,8 @@ class TestSimulatePair:
         b2 = simulate_pair(m, grid, substream(42, 7))
         np.testing.assert_array_equal(b1.x, b2.x)
         np.testing.assert_array_equal(b1.y, b2.y)
-        assert [(k, tuple(v)) for k, v in b1.jump_log] == [(k, tuple(v)) for k, v in b2.jump_log]
+        np.testing.assert_array_equal(b1.jump_steps, b2.jump_steps)
+        np.testing.assert_array_equal(b1.jump_marks, b2.jump_marks)
 
     @pytest.mark.parametrize("name", ["correlated_linear", "change_detection", "jump_ou"])
     def test_runs_equal_the_per_step_reference_loop(self, name):
@@ -215,11 +228,12 @@ class TestSimulatePair:
         grid = TimeGrid(1.0, 0.01)
         bundles = simulate_pairs(m, grid, [substream(17, TAG_PATH, i) for i in range(6)])
         for i, bundle in enumerate(bundles):
-            x, y, _, jump_log = reference_pair(m, grid, substream(17, TAG_PATH, i))
+            x, y, _, (steps, marks) = reference_pair(m, grid, substream(17, TAG_PATH, i))
             np.testing.assert_array_equal(bundle.x, x)
             np.testing.assert_array_equal(bundle.y, y)
-            assert [(k, mark.tolist()) for k, mark in bundle.jump_log] == [(k, mark.tolist()) for k, mark in jump_log]
-        assert any(b.jump_log for b in bundles) == m.has_jumps
+            np.testing.assert_array_equal(bundle.jump_steps, steps)
+            np.testing.assert_array_equal(bundle.jump_marks, marks)
+        assert any(b.jump_steps.size for b in bundles) == m.has_jumps
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_reports_step(self):
