@@ -10,7 +10,7 @@ clamping, since clamped states would silently corrupt weight statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -226,43 +226,26 @@ def propagate_under_reference(
 
 PATH_CHUNK = 1000   # paths per substream (seed, TAG, chunk) of dufresne_paths and hitting_paths
 
-# paths per draw in _walk_tiles: a tile is drawn, walked and reduced in cache;
-# a generator draws in order, so the tiles are the bytes of one (undecided
-# paths x block) draw, which is never built
-TILE_ROWS = 16
+# values per tile of _walk_tiles, drawn, walked and reduced in cache: 16 paths of a Dufresne block
+TILE_CELLS = 16_000
 
 
-def _walk_tiles(rng: np.random.Generator, n: int, n_steps: int, dt: float, block: int,
-                undecided: Callable[[Array], Array]):
-    """Brownian walks of n paths from 0, `block` steps of dt at a time up to
-    step n_steps, for the paths still undecided.
-
-    A block draws one (undecided, block) array from rng, TILE_ROWS paths at
-    a time, and walks its first nb columns (nb < block only in the last
-    block), so a path's draws depend neither on n_steps nor on when it is
-    decided. Per tile it yields (done, rows, start, seg): the steps before
-    the block, the tile's paths, and their walk at step done and at the steps
-    done + 1 .. done + nb (the caller may overwrite seg but its last column),
-    a view of the one tile buffer that the next tile overwrites. After each
-    block only the paths for which undecided(rows) holds draw on.
-    """
-    sq = np.sqrt(dt)
-    w = np.zeros(n)
-    alive = np.arange(n)
-    tile = np.empty((TILE_ROWS, block))   # one buffer, so that no tile maps fresh pages
-    done = 0
-    while alive.size and done < n_steps:
-        nb = min(block, n_steps - done)
-        for rows in (alive[lo:lo + TILE_ROWS] for lo in range(0, alive.size, TILE_ROWS)):
-            seg = rng.standard_normal(out=tile[:rows.size])[:, :nb]
-            np.multiply(seg, sq, out=seg)
-            np.cumsum(seg, axis=1, out=seg)
-            start = w[rows]
-            seg += start[:, None]
-            w[rows] = seg[:, -1]
-            yield done, rows, start, seg
-        alive = alive[undecided(alive)]
-        done += nb
+def _walk_tiles(rng: np.random.Generator, tile: Array, w: Array, rows: Array, nb: int, sq: float):
+    """Walk the Brownian paths w[rows] on by nb steps of sd sq, len(tile) at
+    a time, each tile one draw of full rows of the caller's one buffer `tile`
+    (no tile maps fresh pages) whose first nb columns the paths walk: the
+    tiles are the bytes of one (rows, width) draw, which is never built, and
+    do not depend on nb. Per tile it yields its paths, their start and their
+    walk at the nb steps, a view the next tile overwrites whose last column
+    is the new w[rows]."""
+    for sub in (rows[lo:lo + len(tile)] for lo in range(0, rows.size, len(tile))):
+        seg = rng.standard_normal(out=tile[:sub.size])[:, :nb]
+        np.multiply(seg, sq, out=seg)
+        np.cumsum(seg, axis=1, out=seg)
+        start = w[sub]
+        seg += start[:, None]
+        w[sub] = seg[:, -1]
+        yield sub, start, seg
 
 
 DUFRESNE_BLOCK = 1000   # grid steps drawn at once for every undecided path of a chunk
@@ -275,29 +258,34 @@ def dufresne_paths(n_paths: int, grid: TimeGrid, seed: int, chunk: int) -> tuple
     from substream(seed, TAG_DUFRESNE, chunk).
 
     X only grows, so once a path's integral reaches 1 its event {X_T < 1} is
-    decided and the path stops drawing: the chunk's walk (_walk_tiles) steps
-    DUFRESNE_BLOCK steps at a time and, at each block's end, drops every path
-    with X >= 1. A decided path keeps the X (>= 1) and B of that block's end,
-    so B_T is exact only where X_T < 1.
+    decided and the path stops drawing: the chunk walks its undecided paths
+    (_walk_tiles) DUFRESNE_BLOCK steps at a time and drops at each block's end
+    every path with X >= 1, which keeps that X and B, so B_T is exact only
+    where X_T < 1.
     """
     n = min(PATH_CHUNK, n_paths - chunk * PATH_CHUNK)
+    rng = substream(seed, TAG_DUFRESNE, chunk)
     dt = grid.dt
     half_t = 0.5 * dt * np.arange(grid.n_steps + 1)
-    x = np.zeros(n)
-    b = np.zeros(n)
-    for done, rows, b0, seg in _walk_tiles(substream(seed, TAG_DUFRESNE, chunk), n, grid.n_steps, dt,
-                                           DUFRESNE_BLOCK, lambda rows: x[rows] < 1.0):
-        b[rows] = seg[:, -1]
-        # left-point integrand exp(B_s - s/2): B at step done, then seg but its last column
-        inner = seg[:, :-1]
-        inner -= half_t[done + 1:done + seg.shape[1]]
-        np.exp(inner, out=inner)
-        x[rows] += (np.exp(b0 - 0.5 * done * dt) + inner.sum(axis=1)) * dt
+    x, b = np.zeros(n), np.zeros(n)
+    tile = np.empty((TILE_CELLS // DUFRESNE_BLOCK, DUFRESNE_BLOCK))
+    alive, done = np.arange(n), 0
+    while alive.size and done < grid.n_steps:
+        nb = min(DUFRESNE_BLOCK, grid.n_steps - done)
+        for rows, b0, seg in _walk_tiles(rng, tile, b, alive, nb, np.sqrt(dt)):
+            # left-point integrand exp(B_s - s/2): B at step done, then seg but its last column
+            inner = seg[:, :-1]
+            inner -= half_t[done + 1:done + nb]
+            np.exp(inner, out=inner)
+            x[rows] += (np.exp(b0 - 0.5 * done * dt) + inner.sum(axis=1)) * dt
+        alive = alive[x[alive] < 1.0]
+        done += nb
     return x, b
 
 
 HITTING_MAX_TIME = 400.0   # hitting paths unresolved by this time are censored
-HITTING_BLOCK = 4000       # grid steps drawn at once for every undecided path of a chunk
+HITTING_SEGMENT = 32       # grid steps of a walk segment, the move of a path near a level it can still hit
+HITTING_LEAP_SIGMAS = 9.0  # a path leaps L steps only where every level it can still hit is this many sqrt(L dt) away
 
 
 def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, chunk: int) -> tuple[Array, Array]:
@@ -312,28 +300,55 @@ def hitting_paths(barriers: Sequence[int], n_paths: int, dt: float, seed: int, c
     (censored, flagged and never silently dropped), and the kernel keeps its
     first step at or below -1 and at or above each barrier; for barrier n it
     hit -1 first when the first comes before the second. How long a path
-    draws, and with it every row, depends on the whole barrier list. The
-    chunk's walk (_walk_tiles) steps HITTING_BLOCK steps at a time; each
-    tile reduces to its rows' min and max, and only a row that crossed a new
-    level is searched for the step. First passage on a grid carries the
-    usual O(sqrt(dt)) overshoot bias, which the callers widen tolerances for.
-    """
+    draws, and with it every row, depends on the whole barrier list.
+
+    In each round a path whose live levels (-1 and the barriers it has not
+    reached) are all at least D away leaps L = S 2^j steps (S =
+    HITTING_SEGMENT) on one normal of variance L dt, the largest such L up to
+    the steps left with D^2 >= m^2 L dt (m = HITTING_LEAP_SIGMAS), read off
+    tables of m^2 L dt and sqrt(L dt), so that no function of numpy's
+    dispatch picks it. By Lévy's maximal inequality, P(max_{i <= L} S_i >= D)
+    <= 2 P(S_L >= D), so a leap steps over a crossing with probability at
+    most 2 * 2 Phi(-m), 4.5e-19 at m = 9, below the walk's own rounding: the
+    kernel samples the grid-monitored law. Every other path walks S steps
+    (_walk_tiles), searched for a step only where its min or max crossed a
+    live level. A round draws its leaps, in path order, then its walks. The
+    grid's O(sqrt(dt)) overshoot is the callers' to allow for."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     levels = np.asarray(barriers, dtype=float)
-    top = int(np.argmax(levels))
     n = min(PATH_CHUNK, n_paths - chunk * PATH_CHUNK)
+    rng = substream(seed, TAG_HITTING, chunk)
     max_steps = int(round(HITTING_MAX_TIME / dt))
     never = max_steps + 1
-    t_lo = np.full(n, never)                   # first step at or below -1
-    t_hi = np.full((n, levels.size), never)    # first step at or above each barrier
-    for done, rows, _, seg in _walk_tiles(substream(seed, TAG_HITTING, chunk), n, max_steps, dt, HITTING_BLOCK,
-                                          lambda rows: (t_lo[rows] == never) & (t_hi[rows, top] == never)):
-        low = seg.min(axis=1) <= -1.0
-        high = (seg.max(axis=1)[:, None] >= levels) & (t_hi[rows] == never)
-        for i in np.flatnonzero(low | high.any(axis=1)):
-            if low[i]:
-                t_lo[rows[i]] = done + 1 + np.argmax(seg[i] <= -1.0)
-            for j in np.flatnonzero(high[i]):
-                t_hi[rows[i], j] = done + 1 + np.argmax(seg[i] >= levels[j])
+    lengths = HITTING_SEGMENT << np.arange(max(max_steps // HITTING_SEGMENT, 1).bit_length())
+    reach2 = HITTING_LEAP_SIGMAS ** 2 * dt * lengths   # the D^2 from which a path may leap lengths[j]
+    leap_sd = np.sqrt(dt * lengths)
+    t_lo = np.full(n, never)                      # first step at or below -1
+    t_hi = np.full((n, levels.size), never)       # first step at or above each barrier
+    tile = np.empty((TILE_CELLS // HITTING_SEGMENT, HITTING_SEGMENT))
+    # the paths in path order, with their walk, steps taken and lowest unreached barrier; the decided ones
+    # leave once they are half, so that the arrays take few sizes (numpy caches freed small buffers by size)
+    alive, w, done, up = np.arange(n), np.zeros(n), np.zeros(n, dtype=int), np.full(n, levels.min())
+    live = np.ones(n, dtype=bool)
+    while alive.size:
+        gap = np.minimum(w + 1.0, up - w)
+        j = np.minimum(np.searchsorted(reach2, gap * gap, side="right"),
+                       np.searchsorted(lengths, max_steps - done, side="right")) - 1
+        leap = live & (j >= 0)
+        w[leap] += leap_sd[j[leap]] * rng.standard_normal(np.count_nonzero(leap))
+        done[leap] += lengths[j[leap]]
+        for rows, _, seg in _walk_tiles(rng, tile, w, np.flatnonzero(live & ~leap), HITTING_SEGMENT, np.sqrt(dt)):
+            for i in np.flatnonzero((seg.min(axis=1) <= -1.0) | (seg.max(axis=1) >= up[rows])):
+                # a crossing after the censoring step, in a segment that runs past it, is none
+                p, first = alive[rows[i]], done[rows[i]] + 1
+                if seg[i].min() <= -1.0:
+                    t_lo[p] = min(first + np.argmax(seg[i] <= -1.0), never)
+                for k in np.flatnonzero((levels <= seg[i].max()) & (t_hi[p] == never)):
+                    t_hi[p, k] = min(first + np.argmax(seg[i] >= levels[k]), never)
+                up[rows[i]] = levels[t_hi[p] == never].min(initial=np.inf)
+            done[rows] += HITTING_SEGMENT
+        live &= (done < max_steps) & (up < np.inf) & (t_lo[alive] == never)
+        if 2 * np.count_nonzero(live) <= alive.size:
+            alive, w, done, up, live = alive[live], w[live], done[live], up[live], live[live]
     return t_lo < t_hi.T, np.minimum(t_lo, t_hi.T) < never

@@ -390,8 +390,8 @@ def kazamaki_gap_check(n_list: Sequence[int], n_paths: int, dt: float, seed: int
     together with their log-growth rate, which approaches 1 per ln N for
     the divergent series.
     """
-    chunks = yield [(hitting_paths, tuple(n_list), n_paths, dt, seed, i)
-                    for i in range(math.ceil(n_paths / PATH_CHUNK))]
+    n_list = tuple(dict.fromkeys(n_list))   # a barrier named twice gets one row
+    chunks = yield [(hitting_paths, n_list, n_paths, dt, seed, i) for i in range(math.ceil(n_paths / PATH_CHUNK))]
     hit_low, resolved = (np.hstack(parts) for parts in zip(*chunks))
     rows = []
     for barrier, hit, res in zip(n_list, hit_low, resolved):

@@ -80,6 +80,9 @@ def _cases() -> dict[str, tuple[str, dict]]:
             "kind": "dufresne", "n_paths": 2500, "horizon": 10.5, "dt": 1e-2}}),
         "counterexample_hitting": ("counterexample", {"seed": 8, "counterexample": {
             "kind": "hitting", "barriers": [1, 3], "n_paths": 1200, "dt": 1e-3}}),
+        # the default barriers and dt, at which the walks leap wherever no level is in reach
+        "counterexample_hitting_leaps": ("counterexample", {"seed": 17, "counterexample": {
+            "kind": "hitting", "barriers": [1, 3, 9], "n_paths": 200, "dt": 1e-4}}),
         # the negative controls, at sizes too small to be sure of failing
         "verify_kalman_ablation": ("verify", {"seed": 9, "diagnostics": {"checks": ["kalman_ablation"], "params": {
             "kalman_ablation": {"n_seeds": 2, "n_particles": 200, "dt": 0.01, "horizon": 0.5}}}}),

@@ -492,6 +492,20 @@ class TestCounterexampleCommand:
         assert (row["estimate"], row["detail"], row["passed"]) == ("1.0", "censored=0", "1")
         assert float(row["tolerance"]) == 5.0 * math.sqrt(p0 * (1.0 - p0) / 2)
 
+    @pytest.mark.parametrize("command, table", [("verify", "verdicts.csv"), ("counterexample", "counterexample.csv")])
+    def test_a_barrier_named_twice_gets_one_row(self, tmp_path, command, table):
+        # it used to get two rows with the same key; now its table is that of the list without the repeat
+        def written(barriers):
+            block = {"barriers": barriers, "n_paths": 50, "dt": 0.01}
+            cfg = verify_cfg({"hitting": block}) if command == "verify" else {
+                "counterexample": dict(block, kind="hitting"), "seed": 5}
+            out = tmp_path / f"{command}_{len(barriers)}"
+            main([command, "--config", write_cfg(tmp_path, f"{out.name}.json", cfg), "--out", str(out)])
+            return (out / table).read_text()
+
+        text = written([1, 3, 1])
+        assert text.count("barrier=1,") == 1 and text == written([1, 3])
+
     def test_unknown_kind_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "ce.json", {"counterexample": {"kind": "weird"}, "seed": 2})
         proc = run_cli(["counterexample", "--config", cfg, "--out", str(tmp_path / "x")])

@@ -490,33 +490,60 @@ class TestDufresneKernel:
         assert 0 < draws < 2000 * grid.n_steps / 3
 
 
-def hitting_per_step(draws, levels, n_paths, dt):
-    """(hit_low, resolved) of one chunk, one row per barrier: the walks are
-    rebuilt one grid step at a time from the recorded normals, read as one
-    (undecided, HITTING_BLOCK) array per block whose first columns, up to the
-    censoring time, the walks take, a walk stopping at the end of the block
-    in which it leaves (-1, max barrier); each barrier's exit is then the
-    first step of its walk outside (-1, n)."""
-    normals = np.concatenate([draw.ravel() for draw in draws])
+def hitting_walk_or_leap(draws, levels, n_paths, dt):
+    """(hit_low, resolved, leap lengths) of one chunk, its walks rebuilt one
+    move at a time from the recorded normals. In each round every undecided
+    path (in path order) leaps L = S 2^i steps, the largest with L <= the steps
+    left and every live level (-1 and each barrier above the walk's running
+    maximum) at least HITTING_LEAP_SIGMAS sqrt(L dt) away, on one normal of
+    variance L dt; every other path walks S = HITTING_SEGMENT steps, one grid
+    step at a time. The round's leaps are one recorded draw and its walks the
+    tiles after it. A path stops once it leaves (-1, max barrier) or has taken
+    its steps; each barrier's exit is then the first step of its walk, among
+    the steps it did not leap over, outside (-1, n)."""
+    seg, margin = simulate.HITTING_SEGMENT, simulate.HITTING_LEAP_SIGMAS
     max_steps = round(simulate.HITTING_MAX_TIME / dt)
+    normals = np.concatenate([draw.ravel() for draw in draws])
+    sizes = iter(draw.shape for draw in draws)
     walks = np.full((n_paths, max_steps), np.nan)
-    x = np.zeros(n_paths)
-    alive = np.arange(n_paths)
-    step, used = 0, 0
-    while alive.size and step < max_steps:
-        nb = min(simulate.HITTING_BLOCK, max_steps - step)
-        block = normals[used:used + alive.size * simulate.HITTING_BLOCK].reshape(alive.size, -1)
+    x, top, done = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths, dtype=int)
+    alive, used, leaps = np.arange(n_paths), 0, []
+    while alive.size:
+        live = np.where(top[alive, None] >= levels, np.inf, levels - x[alive, None])
+        live = np.column_stack([x[alive] + 1.0, live])
+        length = np.zeros(alive.size, dtype=int)
+        for candidate in seg * 2 ** np.arange(max_steps.bit_length()):
+            fits = (candidate <= max_steps - done[alive]) & (live.min(axis=1) >= margin * np.sqrt(candidate * dt))
+            length[fits] = candidate
+        leap = length > 0
+        assert np.all(live[leap] >= margin * np.sqrt(length[leap, None] * dt))
+        assert next(sizes) == (leap.sum(),)
+        for p, n_steps in zip(alive[leap], length[leap]):
+            x[p] += normals[used] * np.sqrt(n_steps * dt)
+            done[p] += n_steps
+            walks[p, done[p] - 1] = x[p]
+            used += 1
+        walk = alive[~leap]
+        block = normals[used:used + walk.size * seg].reshape(walk.size, seg)
         used += block.size
-        block = block[:, :nb]
-        s = np.zeros(alive.size)
-        for j in range(nb):
+        rows = 0
+        while rows < walk.size:
+            shape = next(sizes)
+            assert shape[1] == seg
+            rows += shape[0]
+        assert rows == walk.size
+        s = np.zeros(walk.size)
+        for j in range(seg):
             s = s + block[:, j] * np.sqrt(dt)
-            walks[alive, step + j] = x[alive] + s
-        x[alive] = walks[alive, step + nb - 1]
-        seen = walks[alive, step:step + nb]
-        alive = alive[~((seen <= -1.0) | (seen >= max(levels))).any(axis=1)]
-        step += nb
-    assert used == normals.size
+            counted = done[walk] + j < max_steps
+            walks[walk[counted], done[walk[counted]] + j] = x[walk[counted]] + s[counted]
+        x[walk] += s
+        done[walk] += seg
+        leaps += list(length[leap])
+        top[alive] = np.fmax(top[alive], np.nanmax(walks[alive], axis=1, initial=-np.inf))
+        low = np.nanmin(walks[alive], axis=1, initial=np.inf) <= -1.0
+        alive = alive[~low & (top[alive] < max(levels)) & (done[alive] < max_steps)]
+    assert used == normals.size and next(sizes, None) is None
     hit_low = np.zeros((len(levels), n_paths), dtype=bool)
     resolved = np.zeros_like(hit_low)
     for i, level in enumerate(levels):
@@ -524,28 +551,77 @@ def hitting_per_step(draws, levels, n_paths, dt):
             out = np.flatnonzero((walk <= -1.0) | (walk >= level))
             resolved[i, p] = out.size > 0
             hit_low[i, p] = out.size > 0 and walk[out[0]] <= -1.0
+    return hit_low, resolved, leaps
+
+
+def dense_hit_frequencies(levels, n_paths, dt, rng, block=1000):
+    """(hit_low, resolved) of n_paths grid walks that draw every step from
+    rng, `block` steps at a time, until each leaves (-1, max barrier)."""
+    hit_low = np.zeros((len(levels), n_paths), dtype=bool)
+    resolved = np.zeros_like(hit_low)
+    alive, x = np.arange(n_paths), np.zeros(n_paths)
+    while alive.size:
+        walk = x[alive, None] + np.cumsum(rng.standard_normal((alive.size, block)) * np.sqrt(dt), axis=1)
+        x[alive] = walk[:, -1]
+        low = np.where((walk <= -1.0).any(axis=1), np.argmax(walk <= -1.0, axis=1), block)
+        for i, level in enumerate(levels):
+            high = np.where((walk >= level).any(axis=1), np.argmax(walk >= level, axis=1), block)
+            exits = ~resolved[i, alive] & (np.minimum(low, high) < block)
+            hit_low[i, alive[exits]] = (low < high)[exits]
+            resolved[i, alive[exits]] = True
+        alive = alive[~resolved[np.argmax(levels), alive]]
     return hit_low, resolved
 
 
 class TestHittingKernel:
     def test_matches_a_per_step_loop_for_every_barrier(self, monkeypatch):
-        # 2500 paths: two full chunks and a partial one; blocks of 64 steps up
-        # to a censoring time of 600 steps, so that walks cross block ends and
-        # some outlast the largest barrier of the unsorted list
-        monkeypatch.setattr(simulate, "HITTING_BLOCK", 64)
-        monkeypatch.setattr(simulate, "HITTING_MAX_TIME", 6.0)
+        # 2500 paths: two full chunks and a partial one; segments of 4 steps at dt 0.01 up to a censoring
+        # time of 402 steps, so that paths leap 4, 8 and 16 steps between the levels of the unsorted list
+        # (16 only once 3 is reached and no longer live), a segment runs past the censoring step, and some
+        # walks outlast the largest barrier
+        monkeypatch.setattr(simulate, "HITTING_SEGMENT", 4)
+        monkeypatch.setattr(simulate, "HITTING_MAX_TIME", 4.02)
         streams = record_streams(monkeypatch)
-        levels, dt = (2, 3, 1), 0.01
+        levels, dt = (3, 9, 1), 0.01
         chunks = [hitting_paths(levels, 2500, dt, 4, c) for c in range(3)]
         assert list(streams) == [(TAG_HITTING, c) for c in range(3)]
         sizes = [min(simulate.PATH_CHUNK, 2500 - start) for start in range(0, 2500, simulate.PATH_CHUNK)]
+        leaps = []
         for (hit_low, resolved), n, stream in zip(chunks, sizes, streams.values()):
-            ref_low, ref_resolved = hitting_per_step(stream.blocks, levels, n, dt)
+            ref_low, ref_resolved, chunk_leaps = hitting_walk_or_leap(stream.blocks, levels, n, dt)
             assert hit_low.shape == (3, n)
             assert np.array_equal(resolved, ref_resolved) and np.array_equal(hit_low, ref_low)
+            leaps += chunk_leaps
+        assert set(leaps) == {4, 8, 16}
         resolved = np.hstack([resolved for _, resolved in chunks])
-        # censored at barrier 1, more at 2 and most at the largest barrier, 3
+        # censored at barrier 1, more at 3 and most at the largest barrier, 9
         assert 0 < (~resolved[2]).sum() < (~resolved[0]).sum() < (~resolved[1]).sum()
+
+    def test_leaps_keep_the_law_of_a_dense_walk(self, monkeypatch):
+        # at dt 2.5e-3 paths leap between 3 and 9, where every live level is 9 sqrt(32 dt) = 2.55 away or more
+        streams = record_streams(monkeypatch)
+        levels, n_paths, dt = (1, 3, 9), 4000, 2.5e-3
+        hit_low, resolved = (np.hstack(parts) for parts in zip(*[hitting_paths(levels, n_paths, dt, 6, c)
+                                                                    for c in range(4)]))
+        assert any(block.ndim == 1 and block.size for stream in streams.values() for block in stream.blocks)
+        dense_low, dense_resolved = dense_hit_frequencies(levels, n_paths, dt, np.random.default_rng(6))
+        # the two-sample z of the frequency of each outcome for each barrier: -1 first, the barrier first,
+        # censored (a leap over a crossing that it misses leaves its path beyond the level, unseen, to be censored)
+        def outcomes(low, res):
+            return np.stack([low & res, ~low & res, ~res]).mean(axis=2)
+
+        p, q = outcomes(hit_low, resolved), outcomes(dense_low, dense_resolved)
+        se = np.sqrt((p + q) / 2 * (1 - (p + q) / 2) * 2 / n_paths)
+        z = np.divide(p - q, se, out=np.zeros_like(se), where=se > 0)
+        assert np.all(np.abs(z) < 4), z
+
+    def test_paths_far_from_every_level_leap(self, monkeypatch):
+        # the walks of (-1, 9) last 1 * 9 time units on average, 9e4 grid steps at dt 1e-4
+        streams = record_streams(monkeypatch)
+        dt = 1e-4
+        hitting_paths((1, 3, 9), 200, dt, 3, 0)
+        draws = sum(block.size for stream in streams.values() for block in stream.blocks)
+        assert 0 < draws < 200 * 9 / dt / 5
 
     def test_rows_do_not_depend_on_the_worker_count(self):
         rows = [run_plans([kazamaki_gap_check([2, 1], 2500, 0.01, 5)], workers)[0][0] for workers in (1, 2)]
