@@ -91,8 +91,8 @@ def keyword_params(fn: Callable, block, where: str) -> dict:
     integral one). An unknown key, a
     value that does not coerce, a value that fn could not use (an unknown
     model, scenario, test-function label (or one named twice),
-    representation or resampler, a dt <= 0 or a time that dt does not
-    divide (for the hitting kinds, which take barriers, HITTING_MAX_TIME), a
+    representation or resampler, a dt <= 0 or a time that dt does not divide or splits into more steps than
+    TimeGrid indexes (for the hitting kinds, which take barriers, HITTING_MAX_TIME), a
     time span t or horizon, or the largest of times, <= 0, a
     filter setting FilterConfig refuses, an alpha <= 0 or one whose e^{2 alpha t}
     overflows a float, a count or barrier below MINIMUMS), a
@@ -230,7 +230,7 @@ def parse_grid(cfg: dict) -> TimeGrid:
     try:
         return TimeGrid(horizon=horizon, dt=dt)
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}")
+        raise ConfigError(f"'grid.horizon' / 'grid.dt': {exc}")
 
 
 # the keys of each model block besides `name`: make_model's overrides, each

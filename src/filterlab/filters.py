@@ -10,9 +10,11 @@ The cloud reports it (ParticleCloud.rho_one); rho_t(phi) = rho_t(1) pi_t(phi)
 
 A cloud holds R runs of N particles each: states flat as (R*N, d), so the
 model coefficients stay per-particle calls, and log-weights as (R, N). Every
-weight, estimate, ESS and collapse check reduces each row on its own along
-the last axis, and each row draws from its own generators, so a run's bytes
-do not depend on the block it is stepped in. A single run is the block R = 1.
+reduction over particles (the weight total, the ESS's sum of squares and each
+estimate) is a product and then np.sum along the contiguous last axis, so each
+row is reduced on its own and in one order; the collapse checks read each row
+too, and each row draws from its own generators, so a run's bytes do not
+depend on the block it is stepped in. A single run is the block R = 1.
 
 One walk (_walk) steps a block along its observation paths and yields each
 grid time's cloud with h on its states, which the weight update and the
@@ -88,7 +90,8 @@ class ParticleCloud:
 
 class Weights:
     """Per row of the log-weights: w = exp(log_w - shift) with shift = max(log_w),
-    their sum and the ESS; the estimates and resampling read them. Where a maximum
+    their sum total and the ESS = total^2 / sum(w^2) (Kong, Liu and Wong), each
+    sum along the row; the estimates and resampling read them. Where a maximum
     is not finite, NaN log-weights become -inf in place (an exp underflow is a zero
     weight, not an arithmetic error); a row with no weight left raises FilterCollapse at `step`."""
 
@@ -103,13 +106,7 @@ class Weights:
         np.exp(self.w, out=self.w)
         self.shift = shift[..., 0]
         self.total = self.w.sum(axis=-1)
-        self.ess = _ess(self.w, self.total)
-
-
-def _ess(w: Array, total: Array) -> Array:
-    """1 / sum of the squared normalised weights w / total, per row."""
-    squares = w / total[..., None]   # the normalised weights, squared in place
-    return 1.0 / np.sum(np.multiply(squares, squares, out=squares), axis=-1)
+        self.ess = self.total * self.total / np.sum(self.w * self.w, axis=-1)
 
 
 def init_cloud(initial_law, n: int, rngs: Generators) -> ParticleCloud:
@@ -200,8 +197,8 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Non
     turns into how often each particle is copied; the mean weight moves
     into log_mass, which is replaced, not written, so that rho_t(1) is
     preserved by construction. A resampled run's weights are set, not
-    recomputed, to the bytes of all-zero log-weights: w = 1, shift = 0,
-    total = N and the ESS of N equal weights."""
+    recomputed, to those of all-zero log-weights: w = 1, shift = 0, total = N
+    and ESS = N."""
     weights, n = cloud.weights, cloud.n
     for row in rows:
         c = weights.w[row] / weights.total[row]   # the row's normalised weights, summed in place
@@ -213,7 +210,7 @@ def resample(cloud: ParticleCloud, rngs: Generators, rows: Sequence[int]) -> Non
     weights.w[rows] = 1.0
     weights.shift[rows] = 0.0
     weights.total[rows] = float(n)
-    weights.ess[rows] = _ess(weights.w[rows], weights.total[rows])
+    weights.ess[rows] = float(n)
 
 
 def _per_particle(rows: Array, n: int) -> Array:

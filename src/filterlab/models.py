@@ -264,9 +264,9 @@ class Battery:
         return out
 
     def operators(self, model: SignalModel, x: Array, h: Array, values: Array) -> tuple[Array, Array]:
-        """A phi (K, n) and D_j phi (K, n, m) of every column on the (n, d)
-        states x, whose values are `values`, with h (n, m) the model's sensor
-        on them at their observation and time:
+        """A phi (K, n) and D_j phi (K, m, n) of every column on the (n, d) states x, whose values are
+        `values`, with h (n, m) the model's sensor on them at their observation and time; the particles
+        are the last, contiguous axis of both, along which the estimates reduce:
 
           A phi = f~ . grad phi + 1/2 tr[(sigma sigma^T + sigma_bar sigma_bar^T) hess phi]
                 + int [phi(x + sigma_tilde eta) - phi - grad phi . sigma_tilde eta] F(deta),
@@ -282,18 +282,18 @@ class Battery:
         f_tilde = model.f_tilde(x)
         sbar = model.noise_factors[1]   # sigma_bar^T (m, d)
         gen = np.zeros(values.shape)
-        dphi = np.multiply(h, values[..., None])
+        dphi = np.multiply(values[:, None], np.ascontiguousarray(h.T))
         for gen_k, dphi_k, phi, (kind, i, j) in zip(gen, dphi, values, self._terms):
             if kind == "x":
                 gen_k[...] = f_tilde[:, i]
                 if sbar is not None:
-                    dphi_k += sbar[:, i]
+                    dphi_k += sbar[:, i, None]
             elif kind == "xx":
                 np.multiply(f_tilde[:, i], x[:, j], out=gen_k)
                 gen_k += f_tilde[:, j] * x[:, i]
                 gen_k += model.covariation_rate[i, j]
                 if sbar is not None:
-                    dphi_k += x[:, j, None] * sbar[:, i] + x[:, i, None] * sbar[:, j]
+                    dphi_k += sbar[:, i, None] * x[:, j] + sbar[:, j, None] * x[:, i]
             elif kind == "tanh":
                 s = 1.0 - phi * phi
                 np.multiply(f_tilde[:, i], s, out=gen_k)
@@ -302,7 +302,7 @@ class Battery:
                     gen_k += s * sum(lam * (np.tanh(disp[i]) / (1.0 + phi * np.tanh(disp[i])) - disp[i])
                                      for lam, disp in model.jumps)
                 if sbar is not None:
-                    dphi_k += s[:, None] * sbar[:, i]
+                    dphi_k += sbar[:, i, None] * s
         if not np.isfinite(gen).all():
             bad = [label for label, row in zip(self.labels, gen) if not np.isfinite(row).all()]
             raise ModelError(f"generator of {', '.join(map(repr, bad))} is non-finite")

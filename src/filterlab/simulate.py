@@ -43,6 +43,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.horizon < 0 or self.dt <= 0:
             raise ValueError("horizon must be >= 0 and dt > 0")
+        if not self.horizon / self.dt < np.iinfo(np.int64).max - 1:   # hitting_paths' never, one past the last step, too
+            raise ValueError(f"horizon / dt = {self.horizon / self.dt:g} steps do not fit a 64-bit step index")
         n = round(self.horizon / self.dt)
         if abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"horizon {self.horizon} is not an integer multiple of dt {self.dt}")

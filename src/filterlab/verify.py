@@ -19,7 +19,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .filters import FilterConfig, _walk, pi_estimate, run_filter
+from .filters import FilterConfig, Weights, _walk, pi_estimate, run_filter
 from .girsanov import Estimate, mean_se
 from .models import Battery, ChangePrior, SignalModel, make_model
 from .parallel import Plan
@@ -234,9 +234,10 @@ def residual_run(
     (R, K, K_steps + 1) with runs in the order of run_indices. Run i draws
     its data path from (config.seed, TAG_PATH, i) and its filter from the
     walk's generators keyed (config.seed, TAG_role, i), so its result does
-    not depend on the block. Every per-particle array is laid out
-    (K, R, N, ...), so each reduction over particles runs along a contiguous
-    axis per (test function, run), as it would for one alone.
+    not depend on the block. Every per-particle array is laid out with the
+    particles last, (..., R, N), so each reduction over particles is a product
+    and then np.sum along that contiguous axis per (test function, run), as
+    it would be for one run alone.
 
     Both equations are read off the cloud's rho_t(1) and one normalised
     reduction per step of each q = phi, A phi, h, D phi, pi(q) = sum(w q) / sum(w):
@@ -255,17 +256,16 @@ def residual_run(
     zak_int = np.zeros((len(battery.labels), r))
     ks_int = np.zeros_like(zak_int)
 
-    def rows(values: Array) -> Array:
-        """Per-particle (K, R*N, ...) values of the K test functions as (K, R, N, ...)."""
-        return values.reshape(values.shape[:1] + (r, n) + values.shape[2:])
+    def pi(values: Array, weights: Weights) -> Array:
+        """pi(q) = sum(w q) / sum(w) of each run, (..., R), from q's values (..., R*N) on the particles."""
+        return np.sum(weights.w * values.reshape(values.shape[:-1] + (r, n)), axis=-1) / weights.total
 
     for cloud, h, _ in _walk(model, y_path, grid, config, [(i,) for i in runs]):
         k = cloud.step
         weights = cloud.weights
-        w, sw = weights.w, weights.total
         rho_one = cloud.rho_one
         values = battery.values(cloud.states)
-        pi_phi = np.sum(w * rows(values), axis=-1) / sw
+        pi_phi = pi(values, weights)
         rho_phi = rho_one * pi_phi
         if k == 0:
             rho0, pi0 = rho_phi, pi_phi
@@ -273,14 +273,13 @@ def residual_run(
         ks[..., k] = (pi_phi - pi0 - ks_int).T
         if k == k_steps:
             break
-        gen, dphi = (rows(v) for v in battery.operators(model, cloud.states, h, values))
+        gen, dphi = battery.operators(model, cloud.states, h, values)
         dy = y_path[:, k + 1] - y_path[:, k]
-        pi_a = np.sum(w * gen, axis=-1) / sw
+        pi_a, pi_d = pi(gen, weights), pi(dphi, weights)   # (K, R) and (K, m, R)
         # pi(D 1) = pi(h) is the same reduction as pi_h, so the KS integrand cancels to exactly zero for phi = 1
-        pi_h = np.einsum("rn,rnm->rm", w, h.reshape((r, n) + h.shape[1:])) / sw[:, None]
-        pi_d = np.einsum("rn,krnm->krm", w, dphi) / sw[:, None]
-        zak_int += rho_one * (pi_a * dt + np.einsum("krm,rm->kr", pi_d, dy))
-        ks_int += pi_a * dt + np.einsum("krm,rm->kr", pi_d - pi_h * pi_phi[..., None], dy - pi_h * dt)
+        pi_h = pi(np.ascontiguousarray(h.T), weights)   # (m, R)
+        zak_int += rho_one * (pi_a * dt + np.einsum("kmr,rm->kr", pi_d, dy))
+        ks_int += pi_a * dt + np.einsum("kmr,rm->kr", pi_d - pi_h * pi_phi[:, None], dy - pi_h.T * dt)
     return zak, ks
 
 

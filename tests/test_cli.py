@@ -705,6 +705,16 @@ STRICT_CASES = {
     "counterexample_hitting_dt": ("counterexample", {"counterexample": {"kind": "hitting", "barriers": [1],
                                                                         "n_paths": 100, "dt": 0.3}, "seed": 2},
                                   "counterexample.dt"),
+    # a step count that overflows used to end in an OverflowError traceback (a grid, a check's time span) or, for
+    # a hitting dt, in one from hitting_paths
+    "grid_step_overflow": ("simulate", dict(SIM_CFG, grid={"horizon": 1e308, "dt": 0.001}), "grid.horizon"),
+    "grid_dt_underflow": ("simulate", dict(SIM_CFG, grid={"horizon": 0.3, "dt": 5e-324}), "grid.dt"),
+    "time_span_step_overflow": ("verify", verify_cfg({"energy_identity": dict(SMALL, t=1e308)}),
+                                "diagnostics.params.energy_identity.t"),
+    "hitting_step_overflow": ("verify", verify_cfg({"hitting": {"barriers": [1], "n_paths": 100, "dt": 1e-300}}),
+                              "diagnostics.params.hitting.dt"),
+    "counterexample_hitting_step_overflow": ("counterexample", {"counterexample": {
+        "kind": "hitting", "barriers": [1], "n_paths": 100, "dt": 1e-300}, "seed": 2}, "counterexample.dt"),
 }
 
 

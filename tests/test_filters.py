@@ -265,15 +265,19 @@ def test_step_never_writes_into_the_cloud_it_is_given(name, n_runs, threshold):
         assert snapshot(old) == before
 
 
-@pytest.mark.parametrize("name, threshold", [("correlated_linear", 0.9), ("change_detection", 0.99)])
-def test_walk_of_a_block_equals_each_run_walked_alone(name, threshold):
+@pytest.mark.parametrize("name, threshold, n, horizon", [
+    pytest.param("correlated_linear", 0.9, 32, 0.6, id="correlated_linear-0.9"),
+    pytest.param("change_detection", 0.99, 32, 0.6, id="change_detection-0.99"),   # the change times lie in [0.25, 0.75]
+    # above 8192 particles a contraction over particles can take another order in a block than alone
+    pytest.param("correlated_linear", 0.99, 10_000, 0.05, id="correlated_linear-0.99-10000"),
+])
+def test_walk_of_a_block_equals_each_run_walked_alone(name, threshold, n, horizon):
     """correlated_linear's propagation reads each run's dy and change_detection's
     h its y: a block shares them by rows, a single run as one row, and every
     cloud of the walk is the same bytes either way, at every step."""
     m = make_model(name)
-    grid = TimeGrid(0.6, 0.01)   # the change times lie in [0.25, 0.75]
+    grid = TimeGrid(horizon, 0.01)
     runs = (4, 5, 6)
-    n = 32
     y = np.stack([simulate_pair(m, grid, substream(30, i)).y for i in runs])
     cfg = FilterConfig(n_particles=n, resample_threshold=threshold, seed=31)   # rows resample at steps of their own
     alone = [_walk(m, y[row:row + 1], grid, cfg, [(i,)]) for row, i in enumerate(runs)]

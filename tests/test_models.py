@@ -24,7 +24,7 @@ Y0 = np.zeros(1)
 
 def operators(model, label, x, h=None):
     """A and D of the one test function `label` on the rows of x, with h the
-    sensor at observation Y0 and time 0 unless given: shapes (n,) and (n, m)."""
+    sensor at observation Y0 and time 0 unless given: shapes (n,) and (m, n)."""
     battery = Battery((label,), model.dim_x)
     h = model.h(x, Y0, 0.0) if h is None else h
     gen, dphi = battery.operators(model, x, h, battery.values(x))
@@ -32,7 +32,7 @@ def operators(model, label, x, h=None):
 
 
 def correlation(model, label, x):
-    """B of the one test function `label` on the rows of x, (n, m): D at h = 0."""
+    """B of the one test function `label` on the rows of x, (m, n): D at h = 0."""
     return operators(model, label, x, np.zeros((x.shape[0], model.dim_y)))[1]
 
 
@@ -56,7 +56,7 @@ def check_operators(battery, model, x, rel_tol=1e-5, step=1e-4):
     for lam, disp in model.jumps:
         gen += lam * (battery.values(x + disp) - phi - grad @ disp)
     h = model.h(x, np.full(1, 0.7), 0.5)
-    dphi = h * phi[..., None] + np.einsum("im,kni->knm", model.sigma_bar, grad)
+    dphi = h.T * phi[:, None] + np.einsum("im,kni->kmn", model.sigma_bar, grad)
     got_gen, got_dphi = battery.operators(model, x, h, phi)
     worst = np.maximum(np.max(np.abs(got_gen - gen) / np.maximum(1.0, np.abs(got_gen)), axis=1),
                        np.max(np.abs(got_dphi - dphi) / np.maximum(1.0, np.abs(got_dphi)), axis=(1, 2)))
@@ -303,7 +303,7 @@ def test_closed_forms_are_exact_where_the_mathematics_is(model):
     h = model.h(x, Y0, 0.0)
     gen, dphi = battery.operators(model, x, h, battery.values(x))
     f_tilde = model.f_tilde(x)
-    assert gen[0].tobytes() == np.zeros(len(x)).tobytes() and dphi[0].tobytes() == h.tobytes()
+    assert gen[0].tobytes() == np.zeros(len(x)).tobytes() and dphi[0].tobytes() == h.T.tobytes()
     jumps = [(lam, model.sigma_tilde @ eta) for eta, lam in zip(model.levy.locs, model.levy.rates)] \
         if model.has_jumps else []
     for (kind, i, j), a in zip(battery._terms, gen):
@@ -440,7 +440,7 @@ def per_state_reference(model, x, y, t) -> list[Array]:
         f_tilde.append(ft)
         gen.append(np.array(a, dtype=float))
     return ([np.array(f_tilde), diffusion] + [delta for _, delta in jumps]
-            + [np.stack(gen, axis=1), np.stack(dphi, axis=1), np.stack(corr, axis=1)])
+            + [np.stack(gen, axis=1), np.stack(dphi, axis=-1), np.stack(corr, axis=-1)])
 
 
 def generic_reference(model, x, y, t) -> list[Array]:
@@ -476,7 +476,7 @@ def generic_reference(model, x, y, t) -> list[Array]:
         gen.append(a)
         dphi.append(model.h(state, y, t)[0] * phi[:, None] + b)
         corr.append(b)
-    return [np.stack(gen, axis=1), np.stack(dphi, axis=1), np.stack(corr, axis=1)]
+    return [np.stack(gen, axis=1), np.stack(dphi, axis=-1), np.stack(corr, axis=-1)]
 
 
 def constant_and_reference(model) -> list[tuple[Array, Array, Array]]:

@@ -48,6 +48,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(horizon=1.0, dt=-0.1)
 
+    def test_step_count_must_fit_an_int64_with_one_to_spare(self):
+        # the largest float below 2^63 - 1 is 2^63 - 1024, and 2^63 rounds to an index one past int64
+        assert TimeGrid(horizon=2.0**63 - 1024, dt=1.0).n_steps + 1 <= np.iinfo(np.int64).max
+        for horizon, dt in ((2.0**63, 1.0), (1e308, 1e-3), (1.0, 5e-324), (np.inf, 1.0)):
+            with pytest.raises(ValueError, match="64-bit step index"):
+                TimeGrid(horizon=horizon, dt=dt)
+
 
 class TestLevyIncrement:
     def test_no_jumps_gives_pure_drift(self):

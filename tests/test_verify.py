@@ -237,7 +237,8 @@ class TestResiduals:
         # residual_run's one contraction over all test functions must give
         # exactly what the (A, D) operators of each label's own battery give,
         # read off pi and rho_t(1) as rho(phi) = rho_t(1) pi(phi); the replay
-        # reduces over the run's (1, N) row as the block does
+        # reduces every q, h and D phi too, as a product and a sum along the
+        # run's contiguous (1, N) row, as the block does
         from filterlab.filters import init_cloud, step
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
 
@@ -262,7 +263,7 @@ class TestResiduals:
             sw = w.sum(axis=1)
             rho_one = np.exp(cloud.log_mass + shift[:, 0]) * (sw / w.shape[1])
             h_x = m.h(cloud.states, y_k, t)                    # (N, m)
-            pi_h = np.einsum("rn,rnm->rm", w, h_x[None]) / sw[:, None]
+            pi_h = np.sum(w * h_x.T[:, None], axis=-1) / sw        # (m, 1)
             for label in labels:
                 one = Battery((label,), 1)                         # its single column is the run's (1, N) row
                 vals = one.values(cloud.states)
@@ -276,9 +277,9 @@ class TestResiduals:
                 dy = (bundle.y[k + 1] - y_k)[None]
                 gen, dphi = one.operators(m, cloud.states, h_x, vals)
                 pi_a = np.sum(w * gen, axis=1) / sw
-                pi_d = np.einsum("rn,rnm->rm", w, dphi) / sw[:, None]
-                zak_int[label] += rho_one * (pi_a * dt + np.einsum("rm,rm->r", pi_d, dy))
-                ks_int[label] += pi_a * dt + np.einsum("rm,rm->r", pi_d - pi_h * pi_phi[:, None], dy - pi_h * dt)
+                pi_d = np.sum(w * dphi[0][:, None], axis=-1) / sw   # dphi (1, m, N): (m, 1)
+                zak_int[label] += rho_one * (pi_a * dt + np.einsum("mr,rm->r", pi_d, dy))
+                ks_int[label] += pi_a * dt + np.einsum("mr,rm->r", pi_d - pi_h * pi_phi, dy - pi_h.T * dt)
             if k < n:
                 cloud, _ = step(cloud, m, h_x, bundle.y[k + 1] - y_k, dt, *rngs, cfg)
         for col, label in enumerate(labels):
@@ -310,14 +311,18 @@ class TestResiduals:
         zak, ks = residual_run(m, battery, TimeGrid(0.2, 1e-2), FilterConfig(n_particles=64, seed=43), (0, 1, 2))
         assert ks[:, 0].tobytes() == np.zeros(ks[:, 0].shape).tobytes()
 
-    @pytest.mark.parametrize("n_runs", [1, 3, 8])
-    def test_block_of_runs_equals_blocks_of_one_run(self, n_runs):
+    @pytest.mark.parametrize("n_runs, n, horizon", [
+        pytest.param(1, 24, 0.4, id="1"), pytest.param(3, 24, 0.4, id="3"), pytest.param(8, 24, 0.4, id="8"),
+        # above 8192 particles a contraction over particles can take another order in a block than alone
+        pytest.param(3, 10_000, 0.1, id="3-10000"),
+    ])
+    def test_block_of_runs_equals_blocks_of_one_run(self, n_runs, n, horizon):
         from filterlab.filters import init_cloud, step
         from filterlab.rng import TAG_INIT, TAG_PATH, TAG_PROPAGATE, TAG_RESAMPLE
 
         m = make_model("jump_ou")
-        grid = TimeGrid(0.4, 2e-2)
-        cfg = FilterConfig(n_particles=24, resample_threshold=0.99, seed=43)   # every row resamples, at its own steps
+        grid = TimeGrid(horizon, 2e-2)
+        cfg = FilterConfig(n_particles=n, resample_threshold=0.99, seed=43)   # every row resamples, at its own steps
         battery = Battery.default(1)
         runs = range(5, 5 + n_runs)
         zak, ks = residual_run(m, battery, grid, cfg, runs)
@@ -328,11 +333,11 @@ class TestResiduals:
             assert ks[row].tobytes() == ks_1[0].tobytes(), i
         # the block's rows resample at different steps: replay its filter with the same generators
         y = np.stack([simulate_pair(m, grid, substream(43, TAG_PATH, i)).y for i in runs])
-        cloud = init_cloud(m.initial_law, 24, [substream(43, TAG_INIT, i) for i in runs])
+        cloud = init_cloud(m.initial_law, n, [substream(43, TAG_INIT, i) for i in runs])
         rngs = [substream(43, TAG_PROPAGATE, i) for i in runs], [substream(43, TAG_RESAMPLE, i) for i in runs]
         flags = []
         for k in range(grid.n_steps):
-            h = m.h(cloud.states, np.repeat(y[:, k], 24, axis=0), k * grid.dt)
+            h = m.h(cloud.states, np.repeat(y[:, k], n, axis=0), k * grid.dt)
             cloud, resampled = step(cloud, m, h, y[:, k + 1] - y[:, k], grid.dt, *rngs, cfg)
             flags.append(resampled)
         flags = np.array(flags)
